@@ -33,7 +33,7 @@ class AugmentConfig:
     erase_prob: float = 0.25
     erase_area_range: tuple[float, float] = (0.02, 0.33)
     label_smoothing: float = 0.1
-    repeated_factor: int = 3
+    repeated_factor: int = 4
 
     def validate(self) -> None:
         if not (0.0 <= self.erase_prob <= 1.0):

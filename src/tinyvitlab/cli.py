@@ -1,7 +1,8 @@
 """Command-line interface: train, eval, bench, profile, grad-check.
 
-Flags override a flat key=value config file (# comments allowed). The data
-directory defaults to the DATA_DIR environment variable.
+Every option defaults to its `TrainConfig()` value; a flat key=value config
+file (# comments allowed) overrides that, and flags override the file. The
+data directory defaults to the DATA_DIR environment variable.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ import numpy as np
 from tinyvitlab import augment as A
 from tinyvitlab import data as D
 from tinyvitlab import model as M
+from tinyvitlab import optim as O
 from tinyvitlab import train as TR
 from tinyvitlab.tensor import Tensor, grad_check, cross_entropy
 
@@ -33,84 +36,88 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
+# Flag / config-file key -> TrainConfig field path. Defaults and types come
+# from TrainConfig(); a "no_" key is a switch that clears its bool field.
+_OPTIONS = {
+    "epochs": "epochs",
+    "batch_size": "batch_size",
+    "workers": "workers",
+    "optimizer": "optimizer",
+    "lr": "lr_peak",
+    "weight_decay": "weight_decay",
+    "seed": "seed",
+    "subset_per_class": "subset_per_class",
+    "mla": "model.mla.variant",
+    "dc": "model.mla.d_c",
+    "num_cls": "model.num_cls_tokens",
+    "dim": "model.embed_dim",
+    "heads": "model.num_heads",
+    "depth": "model.depth",
+    "pos_embed": "model.pos_embed",
+    "patch_init": "model.patch_init",
+    "drop_path": "model.drop_path_rate",
+    "no_aa": "augment.use_autoaugment",
+    "no_mixup": "augment.use_mixup",
+    "no_cutmix": "augment.use_cutmix",
+}
+
+_CHOICES = {"optimizer": O.OPTIMIZERS, "mla": M.MLA_VARIANTS,
+            "pos_embed": M.POS_EMBED_KINDS, "patch_init": M.PATCH_INIT_KINDS}
+
+
+def _field(cfg: TR.TrainConfig, key: str) -> tuple[object, str]:
+    """The (config object, field name) that option `key` sets inside cfg."""
+    *owners, name = _OPTIONS[key].split(".")
+    for owner in owners:
+        cfg = getattr(cfg, owner)
+    return cfg, name
+
+
+def _parse_bool(raw: str) -> bool:
+    return raw.lower() in ("1", "true", "yes")
+
+
+def _value_type(key: str):
+    owner, name = _field(TR.TrainConfig(), key)
+    hint = typing.get_type_hints(type(owner))[name]
+    kind = next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+    return _parse_bool if kind is bool else kind
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key=value config file; CLI flags override")
     p.add_argument("--data-dir", default=None, help="CIFAR-10 binary dir (default: $DATA_DIR)")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--optimizer", choices=["adamw", "lion"], default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--weight-decay", type=float, default=None)
-    p.add_argument("--mla", choices=list(M.MLA_VARIANTS), default=None)
-    p.add_argument("--dc", type=int, default=None, help="MLA compression dim")
-    p.add_argument("--num-cls", type=int, default=None)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--heads", type=int, default=None)
-    p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--pos-embed", choices=["learnable", "sin"], default=None)
-    p.add_argument("--patch-init", choices=["random", "whiten"], default=None)
-    p.add_argument("--drop-path", type=float, default=None)
-    p.add_argument("--no-aa", action="store_true")
-    p.add_argument("--no-mixup", action="store_true")
-    p.add_argument("--no-cutmix", action="store_true")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--subset-per-class", type=int, default=None)
+    defaults = TR.TrainConfig()
+    for key, path in _OPTIONS.items():
+        flag = "--" + key.replace("_", "-")
+        if key.startswith("no_"):
+            p.add_argument(flag, action="store_true", help=f"set {path} to False")
+        else:
+            owner, name = _field(defaults, key)
+            p.add_argument(flag, type=_value_type(key), choices=_CHOICES.get(key),
+                           default=None, help=f"{path} (default: {getattr(owner, name)})")
     p.add_argument("--out", default="out")
     p.add_argument("--resume", default=None, help="checkpoint to resume from")
 
 
-_DEFAULTS = {
-    "epochs": 100, "batch_size": 256, "workers": 1, "optimizer": "adamw",
-    "lr": 0.002, "weight_decay": 0.05, "mla": "none", "dc": 48, "num_cls": 1,
-    "dim": 192, "heads": 12, "depth": 9, "pos_embed": "learnable",
-    "patch_init": "random", "drop_path": 0.1, "no_aa": False,
-    "no_mixup": False, "no_cutmix": False, "seed": 0, "subset_per_class": None,
-}
+def train_config(args: argparse.Namespace) -> TR.TrainConfig:
+    """TrainConfig() overridden by the config file, then by CLI flags."""
+    cfg = TR.TrainConfig()
 
-_CASTS = {
-    "epochs": int, "batch_size": int, "workers": int, "lr": float,
-    "weight_decay": float, "dc": int, "num_cls": int, "dim": int,
-    "heads": int, "depth": int, "drop_path": float, "seed": int,
-    "subset_per_class": int,
-    "no_aa": lambda s: s.lower() in ("1", "true", "yes"),
-    "no_mixup": lambda s: s.lower() in ("1", "true", "yes"),
-    "no_cutmix": lambda s: s.lower() in ("1", "true", "yes"),
-}
+    def assign(key: str, value) -> None:
+        owner, name = _field(cfg, key)
+        setattr(owner, name, not value if key.startswith("no_") else value)
 
-
-def resolve_options(args: argparse.Namespace) -> dict:
-    """Merge defaults < config file < CLI flags."""
-    merged = dict(_DEFAULTS)
     if args.config:
         for key, raw in parse_config_file(args.config).items():
-            if key not in merged:
+            if key not in _OPTIONS:
                 raise ValueError(f"unknown config key {key!r}")
-            merged[key] = _CASTS.get(key, str)(raw)
-    for key in merged:
+            assign(key, _value_type(key)(raw))
+    for key in _OPTIONS:
         val = getattr(args, key, None)
         if val is not None and val is not False:
-            merged[key] = val
-    return merged
-
-
-def build_configs(opt: dict) -> TR.TrainConfig:
-    pos = "sinusoidal" if opt["pos_embed"] == "sin" else opt["pos_embed"]
-    patch_init = "whitening" if opt["patch_init"] == "whiten" else opt["patch_init"]
-    model = M.ModelConfig(
-        embed_dim=opt["dim"], num_heads=opt["heads"], depth=opt["depth"],
-        num_cls_tokens=opt["num_cls"], pos_embed=pos, patch_init=patch_init,
-        mla=M.MlaConfig(variant=opt["mla"], d_c=opt["dc"]),
-        drop_path_rate=opt["drop_path"])
-    aug = A.AugmentConfig(use_autoaugment=not opt["no_aa"],
-                          use_mixup=not opt["no_mixup"],
-                          use_cutmix=not opt["no_cutmix"])
-    return TR.TrainConfig(
-        epochs=opt["epochs"], batch_size=opt["batch_size"],
-        optimizer=opt["optimizer"], lr_peak=opt["lr"],
-        weight_decay=opt["weight_decay"], workers=opt["workers"],
-        seed=opt["seed"], subset_per_class=opt["subset_per_class"],
-        model=model, augment=aug)
+            assign(key, val)
+    return cfg
 
 
 def _data_dir(args) -> Path:
@@ -121,7 +128,7 @@ def _data_dir(args) -> Path:
 
 
 def cmd_train(args) -> int:
-    cfg = build_configs(resolve_options(args))
+    cfg = train_config(args)
     data_dir = _data_dir(args)
     train_ds = D.load_cifar10(data_dir, "train")
     test_ds = D.load_cifar10(data_dir, "test")
@@ -145,18 +152,16 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _model_for_bench(args) -> tuple[M.ModelConfig, dict]:
-    opt = resolve_options(args)
-    opt["drop_path"] = 0.0
-    cfg = build_configs(opt).model
-    rng = np.random.default_rng(opt["seed"])
-    return cfg, M.init_params(cfg, rng)
+def _model_for_bench(args) -> tuple[TR.TrainConfig, dict]:
+    cfg = train_config(args)
+    cfg.model.validate()
+    return cfg, M.init_params(cfg.model, np.random.default_rng(cfg.seed))
 
 
 def cmd_bench(args) -> int:
     cfg, params = _model_for_bench(args)
     sizes = [int(s) for s in args.sizes.split(",")]
-    rows = TR.benchmark_throughput(cfg, params, sizes)
+    rows = TR.benchmark_throughput(cfg.model, params, sizes)
     print(TR.format_bench_table(rows))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -169,12 +174,12 @@ def cmd_bench(args) -> int:
 
 def cmd_profile(args) -> int:
     cfg, params = _model_for_bench(args)
-    opt = resolve_options(args)
-    bs = args.profile_batch or min(opt["batch_size"], 32)
-    rng = np.random.default_rng(opt["seed"])
-    images = rng.standard_normal((bs, 3, cfg.image_size, cfg.image_size)).astype(np.float32)
-    targets = np.full((bs, cfg.num_classes), 1.0 / cfg.num_classes, dtype=np.float32)
-    profile = TR.profile_step(cfg, params, A.SoftBatch(images, targets))
+    model = cfg.model
+    bs = args.profile_batch or min(cfg.batch_size, 32)
+    rng = np.random.default_rng(cfg.seed)
+    images = rng.standard_normal((bs, 3, model.image_size, model.image_size)).astype(np.float32)
+    targets = np.full((bs, model.num_classes), 1.0 / model.num_classes, dtype=np.float32)
+    profile = TR.profile_step(model, params, A.SoftBatch(images, targets))
     print(f"forward_ms={profile.forward_ms:.2f} backward_ms={profile.backward_ms:.2f} "
           f"optim_ms={profile.optim_ms:.2f} other_ms={profile.other_ms:.2f} "
           f"total_ms={profile.total_ms:.2f}")
@@ -182,12 +187,12 @@ def cmd_profile(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
-    opt = resolve_options(args)
+    run = train_config(args)
     cfg = M.ModelConfig(
         image_size=16, embed_dim=32, num_heads=4, depth=2,
-        num_cls_tokens=opt["num_cls"],
-        mla=M.MlaConfig(variant=opt["mla"], d_c=min(opt["dc"], 8)))
-    rng = np.random.default_rng(opt["seed"])
+        num_cls_tokens=run.model.num_cls_tokens,
+        mla=M.MlaConfig(variant=run.model.mla.variant, d_c=min(run.model.mla.d_c, 8)))
+    rng = np.random.default_rng(run.seed)
     # well-conditioned 64-bit verification point; training-scale init leaves
     # many gradients below finite-difference noise
     params = M.grad_check_point(cfg, rng)
@@ -203,7 +208,7 @@ def cmd_grad_check(args) -> int:
     return 0 if err < 1e-4 else 1
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tinyvitlab")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in (("train", cmd_train), ("eval", cmd_eval),
@@ -216,7 +221,11 @@ def main(argv=None) -> int:
             p.add_argument("--sizes", default="32,64,128,256")
         if name == "profile":
             p.add_argument("--profile-batch", type=int, default=None)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     return args.fn(args)
 
 

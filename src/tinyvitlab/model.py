@@ -17,6 +17,8 @@ from tinyvitlab import tensor as T
 from tinyvitlab.tensor import Tensor
 
 MLA_VARIANTS = ("none", "q", "k", "qk", "kv", "qkv")
+POS_EMBED_KINDS = ("learnable", "sinusoidal", "zero")
+PATCH_INIT_KINDS = ("random", "whitening")
 
 
 class ConfigError(ValueError):
@@ -59,8 +61,8 @@ class ModelConfig:
     ffn_ratio: int = 4
     num_classes: int = 10
     num_cls_tokens: int = 1
-    pos_embed: str = "learnable"  # learnable | sinusoidal | zero
-    patch_init: str = "random"    # random | whitening
+    pos_embed: str = "learnable"  # one of POS_EMBED_KINDS
+    patch_init: str = "random"    # one of PATCH_INIT_KINDS
     mla: MlaConfig = field(default_factory=MlaConfig)
     drop_path_rate: float = 0.0
 
@@ -74,11 +76,11 @@ class ModelConfig:
             raise ConfigError(f"image_size {self.image_size} not divisible by patch_size {self.patch_size}")
         if self.num_cls_tokens < 1:
             raise ConfigError("num_cls_tokens must be >= 1")
-        if self.pos_embed not in ("learnable", "sinusoidal", "zero"):
+        if self.pos_embed not in POS_EMBED_KINDS:
             raise ConfigError(f"unknown pos_embed kind {self.pos_embed!r}")
         if self.pos_embed == "sinusoidal" and self.embed_dim % 2 != 0:
             raise ConfigError("sinusoidal positional table needs an even embed_dim")
-        if self.patch_init not in ("random", "whitening"):
+        if self.patch_init not in PATCH_INIT_KINDS:
             raise ConfigError(f"unknown patch_init kind {self.patch_init!r}")
         if not (0.0 <= self.drop_path_rate < 1.0):
             raise ConfigError("drop_path_rate must be in [0, 1)")
@@ -115,24 +117,20 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=np.fl
 # tokenization
 
 def patchify(images: Tensor, patch: int) -> Tensor:
-    """Rearrange [B,3,H,W] (or [3,H,W]) into a patch sequence [B,L,3*P*P].
+    """Rearrange [B,3,H,W] into a patch sequence [B,L,3*P*P].
 
     Row i*(W/P)+j holds the channel-major flattening of the PxP patch at
     grid position (i, j).
     """
-    single = images.ndim == 3
-    if single:
-        images = T.reshape(images, (1,) + images.shape)
+    if images.ndim != 4:
+        raise T.ShapeError(f"patchify expects [B,C,H,W] images, got {images.shape}")
     b, c, hh, ww = images.shape
     if hh % patch != 0 or ww % patch != 0:
         raise ConfigError(f"image extents {hh}x{ww} not divisible by patch {patch}")
     gh, gw = hh // patch, ww // patch
     x = T.reshape(images, (b, c, gh, patch, gw, patch))
     x = T.transpose(x, (0, 2, 4, 1, 3, 5))          # [B, gh, gw, C, P, P]
-    x = T.reshape(x, (b, gh * gw, c * patch * patch))
-    if single:
-        x = T.reshape(x, x.shape[1:])
-    return x
+    return T.reshape(x, (b, gh * gw, c * patch * patch))
 
 
 def sinusoidal_table(length: int, channels: int, dtype=np.float32) -> np.ndarray:
@@ -273,10 +271,7 @@ def _project(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
 
 def attention(x: Tensor, params: dict[str, Tensor], cfg: ModelConfig,
               prefix: str = "attn") -> Tensor:
-    """Multi-head scaled dot-product attention over [B,S,C] (or [S,C])."""
-    single = x.ndim == 2
-    if single:
-        x = T.reshape(x, (1,) + x.shape)
+    """Multi-head scaled dot-product attention over [B,S,C]."""
     b, s, c = x.shape
     h, dk = cfg.num_heads, cfg.head_dim
 
@@ -291,10 +286,7 @@ def attention(x: Tensor, params: dict[str, Tensor], cfg: ModelConfig,
     weights = T.softmax(scores, axis=-1)
     out = T.matmul(weights, v)                        # [B,h,S,dk]
     out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, s, c))
-    out = T.matmul(out, params[f"{prefix}.o.weight"])
-    if single:
-        out = T.reshape(out, (s, c))
-    return out
+    return T.matmul(out, params[f"{prefix}.o.weight"])
 
 
 def ffn(x: Tensor, params: dict[str, Tensor], prefix: str = "ffn") -> Tensor:
@@ -319,14 +311,14 @@ def block(x: Tensor, params: dict[str, Tensor], cfg: ModelConfig, prefix: str,
     train_drop = mode == "train" and drop_prob > 0.0
     if train_drop and rng is None:
         raise ValueError("drop-path in train mode needs an rng")
-    b = x.shape[0] if x.ndim == 3 else 1
+    b = x.shape[0]
 
     branch = attention(T.layer_norm(x, params[f"{prefix}.norm1.gamma"],
                                     params[f"{prefix}.norm1.beta"]), params, cfg,
                        prefix=f"{prefix}.attn")
     if train_drop:
         mask = _drop_path_mask(b, drop_prob, rng, x.data.dtype)
-        branch = T.mul(branch, Tensor(mask if x.ndim == 3 else mask[0]))
+        branch = T.mul(branch, Tensor(mask))
     x = T.add(x, branch)
 
     branch = ffn(T.layer_norm(x, params[f"{prefix}.norm2.gamma"],
@@ -334,23 +326,17 @@ def block(x: Tensor, params: dict[str, Tensor], cfg: ModelConfig, prefix: str,
                  prefix=f"{prefix}.ffn")
     if train_drop:
         mask = _drop_path_mask(b, drop_prob, rng, x.data.dtype)
-        branch = T.mul(branch, Tensor(mask if x.ndim == 3 else mask[0]))
+        branch = T.mul(branch, Tensor(mask))
     return T.add(x, branch)
 
 
 def cls_head(tokens: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
     """Concatenate the CLS-token outputs and run the 2-layer projection MLP."""
-    single = tokens.ndim == 2
-    if single:
-        tokens = T.reshape(tokens, (1,) + tokens.shape)
     b = tokens.shape[0]
     cls = T.narrow(tokens, 1, 0, cfg.num_cls_tokens)
     flat = T.reshape(cls, (b, cfg.num_cls_tokens * cfg.embed_dim))
     hidden = T.gelu(T.add(T.matmul(flat, params["head.w1"]), params["head.b1"]))
-    logits = T.add(T.matmul(hidden, params["head.w2"]), params["head.b2"])
-    if single:
-        logits = T.reshape(logits, (cfg.num_classes,))
-    return logits
+    return T.add(T.matmul(hidden, params["head.w2"]), params["head.b2"])
 
 
 def forward(cfg: ModelConfig, params: dict[str, Tensor], images: Tensor,

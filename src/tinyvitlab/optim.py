@@ -9,6 +9,8 @@ import numpy as np
 
 from tinyvitlab.tensor import Tensor
 
+OPTIMIZERS = ("adamw", "lion")
+
 _NO_DECAY_MARKERS = ("bias", ".b1", ".b2", "gamma", "beta", "cls_token", "pos_embed")
 
 
@@ -22,7 +24,7 @@ def excluded_from_decay(path: str) -> bool:
 class OptimState:
     """Per-parameter moment buffers and step counter for one optimizer run."""
 
-    kind: str                       # adamw | lion
+    kind: str                       # one of OPTIMIZERS
     lr_peak: float = 0.002
     weight_decay: float = 0.05
     beta1: float = 0.9
@@ -56,7 +58,7 @@ class OptimState:
 def init_optim(kind: str, params: dict[str, Tensor], lr_peak: float = 0.002,
                weight_decay: float = 0.05, betas: tuple[float, float] | None = None,
                eps: float = 1e-8, decay_exclusions: bool = True) -> OptimState:
-    if kind not in ("adamw", "lion"):
+    if kind not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {kind!r}")
     if betas is None:
         betas = (0.9, 0.999) if kind == "adamw" else (0.9, 0.99)

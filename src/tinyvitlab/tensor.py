@@ -1,7 +1,7 @@
 """Dense tensors with tape-based reverse-mode automatic differentiation.
 
 The op set is closed over what the model needs: matmul (with stacked batch
-dims), elementwise arithmetic, softmax, layer norm, relu/gelu, soft-target
+dims), elementwise arithmetic, softmax, layer norm, gelu, soft-target
 cross entropy, and the shape plumbing (reshape / transpose / concat / narrow
 / broadcast). Training runs in float32; gradient checking runs the same code
 in float64.
@@ -177,11 +177,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data - b.data
-    return _make(data, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
     ad, bd = a.data, b.data
@@ -217,18 +212,6 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).astype(a.data.dtype, copy=False),)
-
-    return _make(data, (a,), vjp)
-
-
-def mean_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    n = a.size if axis is None else a.shape[axis]
-    data = a.data.mean(axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).astype(a.data.dtype, copy=False) / n,)
 
     return _make(data, (a,), vjp)
 
@@ -275,11 +258,6 @@ def broadcast_to(a: Tensor, shape) -> Tensor:
 # ---------------------------------------------------------------------------
 # nonlinearities
 
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-    return _make(np.where(mask, a.data, a.data.dtype.type(0)), (a,), lambda g: (g * mask,))
-
-
 def gelu(a: Tensor) -> Tensor:
     """Exact Gaussian-CDF gelu: x * Phi(x)."""
     x = a.data
@@ -291,14 +269,6 @@ def gelu(a: Tensor) -> Tensor:
         return ((g * (phi + x * pdf)).astype(x.dtype, copy=False),)
 
     return _make(data, (a,), vjp)
-
-
-def activation(a: Tensor, kind: str) -> Tensor:
-    if kind == "relu":
-        return relu(a)
-    if kind == "gelu":
-        return gelu(a)
-    raise ValueError(f"unknown activation kind: {kind!r}")
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:

@@ -1,5 +1,5 @@
 """Training / evaluation loop, deterministic in-process data parallelism,
-step profiler, and forward-throughput benchmark.
+training-step profiler, and forward-throughput benchmark.
 
 Every random stream is derived statelessly from (seed, purpose, epoch,
 batch), so a run is bitwise-reproducible and an interrupted run resumed from
@@ -41,7 +41,8 @@ class TrainConfig:
     seed: int = 0
     eval_every: int = 1
     subset_per_class: int | None = None
-    model: M.ModelConfig = field(default_factory=M.ModelConfig)
+    # the recipe regularizes with stochastic depth; ModelConfig() alone does not
+    model: M.ModelConfig = field(default_factory=lambda: M.ModelConfig(drop_path_rate=0.1))
     augment: A.AugmentConfig = field(default_factory=A.AugmentConfig)
 
     def validate(self) -> None:
@@ -49,6 +50,10 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size % self.workers != 0:
             raise ValueError(f"batch_size {self.batch_size} not divisible by workers {self.workers}")
+        aug = self.augment
+        if aug.use_repeated_augment and self.batch_size % aug.repeated_factor != 0:
+            raise ValueError(f"repeat factor {aug.repeated_factor} must divide "
+                             f"batch size {self.batch_size}")
         self.model.validate()
         self.augment.validate()
 
@@ -152,21 +157,29 @@ def eval_batches(ds: D.Dataset, batch_size: int):
 # gradient computation
 
 def _shard_gradients(cfg: M.ModelConfig, params: dict[str, Tensor],
-                     images: np.ndarray, targets: np.ndarray, mode: str,
-                     rng: np.random.Generator | None) -> tuple[dict[str, np.ndarray], float]:
+                     images: np.ndarray, targets: np.ndarray,
+                     rng: np.random.Generator | None
+                     ) -> tuple[dict[str, np.ndarray], float, float]:
+    """The training step's gradient pass on one shard: train-mode forward,
+    cross entropy and backward through a private parameter replica.
+
+    Returns (grads, loss, seconds spent in forward and loss).
+    """
     replica = {k: Tensor(v.data, requires_grad=True) for k, v in params.items()}
     with Tape() as tape:
-        logits = M.forward(cfg, replica, Tensor(images), mode=mode, rng=rng)
+        t0 = time.perf_counter()
+        logits = M.forward(cfg, replica, Tensor(images), mode="train", rng=rng)
         loss = cross_entropy(logits, targets)
+        forward_s = time.perf_counter() - t0
         backward(loss, tape)
     grads = {k: (t.grad if t.grad is not None else np.zeros_like(t.data))
              for k, t in replica.items()}
-    return grads, loss.item()
+    return grads, loss.item(), forward_s
 
 
 def parallel_train_step(cfg: M.ModelConfig, params: dict[str, Tensor],
-                        batch: A.SoftBatch, workers: int, mode: str = "train",
-                        seed: int = 0, epoch: int = 0, step_idx: int = 0
+                        batch: A.SoftBatch, workers: int, seed: int = 0,
+                        epoch: int = 0, step_idx: int = 0
                         ) -> tuple[dict[str, np.ndarray], float]:
     """Shard the batch over worker threads, average gradients in ascending
     worker order, and return (averaged grads, mean loss).
@@ -184,7 +197,7 @@ def parallel_train_step(cfg: M.ModelConfig, params: dict[str, Tensor],
     def work(w: int):
         lo = w * shard
         return _shard_gradients(cfg, params, batch.images[lo:lo + shard],
-                                batch.targets[lo:lo + shard], mode, rngs[w])
+                                batch.targets[lo:lo + shard], rngs[w])
 
     if workers == 1:
         results = [work(0)]
@@ -291,9 +304,8 @@ def train(cfg: TrainConfig, train_ds: D.Dataset, test_ds: D.Dataset,
                 lr = O.lr_schedule(global_step, total_steps, warmup_steps,
                                    cfg.lr_peak, cfg.lr_min)
                 grads, loss = parallel_train_step(cfg.model, params, batch,
-                                                  cfg.workers, mode="train",
-                                                  seed=cfg.seed, epoch=epoch,
-                                                  step_idx=step_idx)
+                                                  cfg.workers, seed=cfg.seed,
+                                                  epoch=epoch, step_idx=step_idx)
                 if not np.isfinite(loss):
                     raise TrainingDiverged(
                         f"non-finite loss at epoch {epoch} step {step_idx}: "
@@ -323,7 +335,7 @@ def train(cfg: TrainConfig, train_ds: D.Dataset, test_ds: D.Dataset,
 
             D.save_checkpoint(
                 ckpt_path, params=params,
-                model_config=asdict(cfg.model), train_config=_cfg_dict(cfg),
+                model_config=asdict(cfg.model), train_config=asdict(cfg),
                 optim_meta=state.meta(), optim_arrays=state.to_arrays(),
                 rng_state={"seed": cfg.seed, "next_epoch": epoch + 1},
                 epoch=epoch + 1)
@@ -333,11 +345,6 @@ def train(cfg: TrainConfig, train_ds: D.Dataset, test_ds: D.Dataset,
 
     return TrainResult(final=records[-1], records=records,
                        step_losses=step_losses, checkpoint_path=ckpt_path)
-
-
-def _cfg_dict(cfg: TrainConfig) -> dict:
-    d = asdict(cfg)
-    return d
 
 
 def sample_patches(ds: D.Dataset, cfg: M.ModelConfig,
@@ -357,33 +364,24 @@ def sample_patches(ds: D.Dataset, cfg: M.ModelConfig,
 # profiling and benchmarking
 
 def profile_step(cfg: M.ModelConfig, params: dict[str, Tensor],
-                 batch: A.SoftBatch, state: O.OptimState | None = None,
-                 lr: float = 1e-3, warmup: int = 3, steps: int = 10) -> StepProfile:
-    """Wall-clock per training phase, averaged over `steps` after `warmup`
-    discarded iterations."""
-    if state is None:
-        state = O.init_optim("adamw", params)
-    fwd = bwd = opt = other = total = 0.0
-    images = Tensor(batch.images)
+                 batch: A.SoftBatch, warmup: int = 3, steps: int = 10) -> StepProfile:
+    """Wall-clock per phase of the training step (train-mode forward with
+    cfg's drop-path, backward, AdamW update of `params`), averaged over
+    `steps` after `warmup` discarded iterations."""
+    state = O.init_optim("adamw", params)
+    fwd = bwd = opt = total = 0.0
     for it in range(warmup + steps):
         t0 = time.perf_counter()
-        with Tape() as tape:
-            logits = M.forward(cfg, params, images, mode="eval")
-            loss = cross_entropy(logits, batch.targets)
-            t1 = time.perf_counter()
-            backward(loss, tape)
+        grads, _, forward_s = _shard_gradients(cfg, params, batch.images, batch.targets,
+                                               rng_for(0, "droppath", 0, it, 0))
+        t1 = time.perf_counter()
+        O.step(params, grads, state, state.lr_peak)
         t2 = time.perf_counter()
-        grads = {k: (t.grad if t.grad is not None else np.zeros_like(t.data))
-                 for k, t in params.items()}
-        O.step(params, grads, state, lr)
-        for t in params.values():
-            t.zero_grad()
-        t3 = time.perf_counter()
         if it >= warmup:
-            fwd += t1 - t0
-            bwd += t2 - t1
-            opt += t3 - t2
-            total += t3 - t0
+            fwd += forward_s
+            bwd += t1 - t0 - forward_s
+            opt += t2 - t1
+            total += t2 - t0
     ms = 1000.0 / steps
     profile = StepProfile(forward_ms=fwd * ms, backward_ms=bwd * ms,
                           optim_ms=opt * ms, other_ms=(total - fwd - bwd - opt) * ms,

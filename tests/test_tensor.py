@@ -114,19 +114,10 @@ class TestLayerNorm:
 
 class TestActivation:
     def test_zero(self):
-        assert T.activation(t64([0.0]), "gelu").data[0] == 0.0
-        assert T.activation(t64([0.0]), "relu").data[0] == 0.0
-
-    def test_relu_definition(self):
-        assert T.activation(t64([-2.0]), "relu").data[0] == 0.0
-        assert T.activation(t64([3.0]), "relu").data[0] == 3.0
+        assert T.gelu(t64([0.0])).data[0] == 0.0
 
     def test_gelu_at_one_matches_gaussian_cdf(self):
-        assert T.activation(t64([1.0]), "gelu").data[0] == pytest.approx(0.841345, abs=1e-6)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            T.activation(t64([1.0]), "swish")
+        assert T.gelu(t64([1.0])).data[0] == pytest.approx(0.841345, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ class TestRngFor:
 class TestBuildBatches:
     def test_deterministic_and_shaped(self):
         ds = D.synthetic_dataset("two-class-blobs", 32, seed=1)
-        # full stack; batch size divisible by the repeat factor of 3
+        # full stack; batch size divisible by the default repeat factor of 4
         cfg = tiny_train_config(augment=A.AugmentConfig(), batch_size=12)
         a = list(TR.build_batches(ds, cfg, epoch=0, num_classes=10))
         b = list(TR.build_batches(ds, cfg, epoch=0, num_classes=10))
@@ -241,6 +241,26 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             tiny_train_config(batch_size=10, workers=4).validate()
 
+    def test_default_recipe_validates(self):
+        TR.TrainConfig().validate()
+
+    def test_repeat_factor_must_divide_batch(self):
+        aug = A.AugmentConfig(repeated_factor=3)
+        with pytest.raises(ValueError, match="repeat factor 3 must divide batch size 128"):
+            TR.TrainConfig(batch_size=128, augment=aug).validate()
+        aug.use_repeated_augment = False
+        TR.TrainConfig(batch_size=128, augment=aug).validate()
+
+    def test_readme_library_example_trains(self, tmp_path):
+        # the README's library config, one epoch on synthetic images
+        cfg = TR.TrainConfig(epochs=10, batch_size=128,
+                             model=M.ModelConfig(embed_dim=64, num_heads=4, depth=3),
+                             augment=A.AugmentConfig())
+        train_ds = D.synthetic_dataset("two-class-blobs", 32, seed=12)
+        test_ds = D.synthetic_dataset("two-class-blobs", 16, seed=13)
+        result = TR.train(cfg, train_ds, test_ds, tmp_path / "out", stop_after_epoch=1)
+        assert len(result.records) == 1 and np.isfinite(result.final.train_loss)
+
 
 # ---------------------------------------------------------------------------
 # profiling / bench
@@ -309,43 +329,61 @@ class TestCli:
         with pytest.raises(ValueError, match="key=value"):
             cli.parse_config_file(p)
 
+    # every flag / config-file key the CLI has accepted, with a sample value
+    LEGACY = {
+        "epochs": "5", "batch_size": "64", "workers": "2", "optimizer": "lion",
+        "lr": "0.01", "weight_decay": "0.1", "seed": "3", "subset_per_class": "50",
+        "mla": "kv", "dc": "24", "num_cls": "2", "dim": "96", "heads": "4",
+        "depth": "3", "pos_embed": "sinusoidal", "patch_init": "whitening",
+        "drop_path": "0.2", "no_aa": "true", "no_mixup": "true", "no_cutmix": "true",
+    }
+
+    def test_no_flags_is_train_config_default(self):
+        assert cli.train_config(self.parse(["train"])) == TR.TrainConfig()
+
+    def test_every_flag_and_config_key_accepted(self, tmp_path):
+        argv = ["train"]
+        for key, value in self.LEGACY.items():
+            flag = "--" + key.replace("_", "-")
+            argv += [flag] if key.startswith("no_") else [flag, value]
+        from_flags = cli.train_config(self.parse(argv))
+        p = tmp_path / "run.cfg"
+        p.write_text("".join(f"{k}={v}\n" for k, v in self.LEGACY.items()))
+        from_file = cli.train_config(self.parse(["train", "--config", str(p)]))
+        assert from_flags == from_file != TR.TrainConfig()
+
     def test_option_precedence(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("epochs=5\nlr=0.001\n")
         args = self.parse(["train", "--config", str(p), "--lr", "0.01"])
-        opt = cli.resolve_options(args)
-        assert opt["epochs"] == 5        # file overrides default
-        assert opt["lr"] == 0.01         # flag overrides file
-        assert opt["batch_size"] == 256  # default survives
+        cfg = cli.train_config(args)
+        assert cfg.epochs == 5          # file overrides default
+        assert cfg.lr_peak == 0.01      # flag overrides file
+        assert cfg.batch_size == 256    # default survives
 
     def test_unknown_config_key_rejected(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("momentum=0.9\n")
         args = self.parse(["train", "--config", str(p)])
         with pytest.raises(ValueError, match="momentum"):
-            cli.resolve_options(args)
+            cli.train_config(args)
 
-    def test_build_configs_mapping(self):
+    def test_flags_map_to_train_config(self):
         args = self.parse(["train", "--mla", "kv", "--dc", "24", "--num-cls", "2",
-                           "--pos-embed", "sin", "--patch-init", "whiten",
-                           "--optimizer", "lion", "--no-aa"])
-        cfg = cli.build_configs(cli.resolve_options(args))
+                           "--pos-embed", "zero", "--patch-init", "whitening",
+                           "--optimizer", "lion", "--no-aa", "--drop-path", "0"])
+        cfg = cli.train_config(args)
         assert cfg.model.mla.variant == "kv" and cfg.model.mla.d_c == 24
         assert cfg.model.num_cls_tokens == 2
-        assert cfg.model.pos_embed == "sinusoidal"
+        assert cfg.model.pos_embed == "zero"
         assert cfg.model.patch_init == "whitening"
+        assert cfg.model.drop_path_rate == 0.0
         assert cfg.optimizer == "lion"
         assert not cfg.augment.use_autoaugment and cfg.augment.use_mixup
 
     @staticmethod
     def parse(argv):
-        import argparse
-        parser = argparse.ArgumentParser()
-        sub = parser.add_subparsers(dest="command")
-        for name in ("train", "eval", "bench", "profile", "grad-check"):
-            p = sub.add_parser(name)
-            cli._add_common(p)
-        return parser.parse_args(argv)
+        return cli.build_parser().parse_args(argv)
 
     def test_bench_command_writes_log(self, tmp_path, capsys):
         rc = cli.main(["bench", "--dim", "32", "--heads", "4", "--depth", "1",
