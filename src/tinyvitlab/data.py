@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
-import io
 import json
-import struct
+import os
+import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from tinyvitlab.tensor import Tensor
 
 CIFAR10_MEAN = np.array([0.4914, 0.4822, 0.4465], dtype=np.float32)
 CIFAR10_STD = np.array([0.2470, 0.2435, 0.2616], dtype=np.float32)
@@ -144,16 +147,17 @@ def synthetic_dataset(kind: str, n: int, seed: int, image_size: int = 32,
 # ---------------------------------------------------------------------------
 # checkpoints
 #
-# Layout (all little-endian):
-#   bytes 0..3   magic "TVLB"
-#   bytes 4..5   u16 format version
-#   bytes 6..9   u32 JSON header length H
-#   bytes 10..   H bytes of UTF-8 JSON header
-#   then         tensor payload, float32 little-endian, addressed by the
-#                per-tensor (offset, nbytes) entries in the header sections.
+# Layout: an uncompressed numpy .npz (zip) archive. Member "header" holds
+# the UTF-8 JSON header as uint8 with a "version" field; members
+# "params/<path>" and "optim/<key>" hold float32 tensors. zipfile checks a
+# CRC-32 per member on read; the zip directory has no checksum, so the
+# header also lists the tensor members. Version-1 files (the "TVLB"
+# container) cannot be read.
 
-MAGIC = b"TVLB"
-VERSION = 1
+VERSION = 2
+_HEADER_FIELDS = {"version": int, "model_config": dict, "train_config": dict,
+                  "optim": (dict, type(None)), "rng_state": dict, "epoch": int,
+                  "members": list}
 
 
 @dataclass
@@ -167,79 +171,69 @@ class Checkpoint:
     epoch: int
 
 
-def _section(tensors: dict[str, np.ndarray], offset: int):
-    entries = []
-    for path in sorted(tensors):
-        arr = tensors[path]
-        nbytes = arr.size * 4
-        entries.append({"path": path, "shape": list(arr.shape),
-                        "offset": offset, "nbytes": nbytes})
-        offset += nbytes
-    return entries, offset
-
-
 def save_checkpoint(path: str | Path, *, params: dict, model_config: dict,
                     train_config: dict, optim_meta: dict | None = None,
                     optim_arrays: dict[str, np.ndarray] | None = None,
                     rng_state: dict | None = None, epoch: int = 0) -> None:
-    """Write a checkpoint; tensor payload is always 32-bit floats."""
-    param_arrays = {k: (np.asarray(v) if isinstance(v, np.ndarray)
-                        else v.data if hasattr(v, "data") else np.asarray(v))
-                    for k, v in params.items()}
-    optim_arrays = optim_arrays or {}
-    p_entries, offset = _section(param_arrays, 0)
-    o_entries, offset = _section(optim_arrays, offset)
-    header = {
-        "model_config": model_config,
-        "train_config": train_config,
-        "optim": optim_meta,
-        "rng_state": rng_state or {},
-        "epoch": epoch,
-        "sections": [{"name": "params", "tensors": p_entries},
-                     {"name": "optim", "tensors": o_entries}],
-    }
-    blob = json.dumps(header).encode()
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(struct.pack("<HI", VERSION, len(blob)))
-    buf.write(blob)
-    for entries, arrays in ((p_entries, param_arrays), (o_entries, optim_arrays)):
-        for e in entries:
-            buf.write(np.ascontiguousarray(arrays[e["path"]], dtype="<f4").tobytes())
-    Path(path).write_bytes(buf.getvalue())
+    """Write a checkpoint atomically (temp file beside `path`, fsync, rename),
+    so a crash leaves the previous file intact. Every tensor must be float32."""
+    members = {}
+    for section, tensors in (("params", params), ("optim", optim_arrays or {})):
+        for key, value in sorted(tensors.items()):
+            arr = value.data if isinstance(value, Tensor) else np.asarray(value)
+            if arr.dtype != np.float32:
+                raise CheckpointError(f"{section}/{key}: dtype {arr.dtype} is not float32")
+            members[f"{section}/{key}"] = arr
+    header = {"version": VERSION, "model_config": model_config,
+              "train_config": train_config, "optim": optim_meta,
+              "rng_state": rng_state or {}, "epoch": epoch, "members": sorted(members)}
+    tmp = Path(f"{path}.tmp")
+    try:
+        # a file object, not a path: np.savez appends ".npz" to path strings
+        with open(tmp, "wb") as f:
+            np.savez(f, header=np.frombuffer(json.dumps(header).encode(), np.uint8),
+                     **members)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    raw = Path(path).read_bytes()
-    if len(raw) < 10 or raw[:4] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic (not a checkpoint file)")
-    version, hlen = struct.unpack("<HI", raw[4:10])
-    if version > VERSION:
-        raise CheckpointError(f"{path}: format version {version} is newer than supported {VERSION}")
-    if len(raw) < 10 + hlen:
-        raise CheckpointError(f"{path}: truncated header")
+    """Read a checkpoint; any malformed, corrupt or truncated file raises
+    CheckpointError. Returned arrays are writable float32."""
     try:
-        header = json.loads(raw[10:10 + hlen].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
-    payload = raw[10 + hlen:]
-    tensors: dict[str, dict[str, np.ndarray]] = {}
-    for section in header["sections"]:
-        out: dict[str, np.ndarray] = {}
-        for e in section["tensors"]:
-            n = int(np.prod(e["shape"])) if e["shape"] else 1
-            if e["nbytes"] != n * 4:
-                raise CheckpointError(f"{path}: tensor {e['path']} shape/length inconsistency")
-            lo, hi = e["offset"], e["offset"] + e["nbytes"]
-            if hi > len(payload):
-                raise CheckpointError(f"{path}: tensor {e['path']} exceeds payload "
-                                      f"(have {len(payload)} bytes, need {hi})")
-            out[e["path"]] = np.frombuffer(payload[lo:hi], dtype="<f4").reshape(e["shape"]).copy()
-        tensors[section["name"]] = out
+        archive = np.load(path, allow_pickle=False)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise CheckpointError(f"{path}: not an .npz archive")
+        with archive:
+            # a member without an .npy header comes back as raw bytes
+            header = json.loads(bytes(archive["header"]))
+            if not isinstance(header, dict):
+                raise CheckpointError(f"{path}: header is not a JSON object")
+            for name, kind in _HEADER_FIELDS.items():
+                if name not in header or not isinstance(header[name], kind):
+                    raise CheckpointError(f"{path}: header field {name!r} missing or ill-typed")
+            if header["version"] != VERSION:
+                raise CheckpointError(f"{path}: format version {header['version']} "
+                                      f"is not the supported {VERSION}")
+            if sorted(set(archive.files) - {"header"}) != header["members"]:
+                raise CheckpointError(f"{path}: archive members differ from the header's list")
+            tensors: dict[str, dict[str, np.ndarray]] = {"params": {}, "optim": {}}
+            for name in header["members"]:
+                section, _, key = name.partition("/")
+                if section not in tensors or not key:
+                    raise CheckpointError(f"{path}: unknown member {name!r}")
+                arr = archive[name]
+                if not isinstance(arr, np.ndarray) or arr.dtype != np.float32:
+                    raise CheckpointError(f"{path}: member {name!r} is not a float32 array")
+                tensors[section][key] = arr
+    except (OSError, EOFError, KeyError, ValueError, NotImplementedError,
+            RuntimeError, zipfile.BadZipFile, zlib.error) as exc:
+        raise CheckpointError(f"{path}: unreadable checkpoint: {exc}") from exc
     return Checkpoint(model_config=header["model_config"],
                       train_config=header["train_config"],
-                      params=tensors.get("params", {}),
-                      optim_meta=header.get("optim"),
-                      optim_arrays=tensors.get("optim", {}),
-                      rng_state=header.get("rng_state", {}),
-                      epoch=header.get("epoch", 0))
+                      params=tensors["params"], optim_meta=header["optim"],
+                      optim_arrays=tensors["optim"],
+                      rng_state=header["rng_state"], epoch=header["epoch"])

@@ -11,13 +11,10 @@ from tinyvitlab.tensor import Tensor
 
 OPTIMIZERS = ("adamw", "lion")
 
-_NO_DECAY_MARKERS = ("bias", ".b1", ".b2", "gamma", "beta", "cls_token", "pos_embed")
-
-
-def excluded_from_decay(path: str) -> bool:
-    """Layer-norm affines, biases, CLS tokens, and positional tables skip
-    weight decay."""
-    return any(m in path for m in _NO_DECAY_MARKERS)
+def excluded_from_decay(path: str, shape: tuple[int, ...]) -> bool:
+    """Biases and layer-norm affines (every 1-D parameter), CLS tokens and
+    positional tables skip weight decay."""
+    return len(shape) == 1 or path in ("cls_token", "pos_embed")
 
 
 @dataclass
@@ -30,7 +27,6 @@ class OptimState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    decay_exclusions: bool = True
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -43,8 +39,7 @@ class OptimState:
     def meta(self) -> dict:
         return {"kind": self.kind, "lr_peak": self.lr_peak,
                 "weight_decay": self.weight_decay, "beta1": self.beta1,
-                "beta2": self.beta2, "eps": self.eps,
-                "decay_exclusions": self.decay_exclusions, "t": self.t}
+                "beta2": self.beta2, "eps": self.eps, "t": self.t}
 
     @classmethod
     def from_meta(cls, meta: dict, arrays: dict[str, np.ndarray]) -> "OptimState":
@@ -57,25 +52,18 @@ class OptimState:
 
 def init_optim(kind: str, params: dict[str, Tensor], lr_peak: float = 0.002,
                weight_decay: float = 0.05, betas: tuple[float, float] | None = None,
-               eps: float = 1e-8, decay_exclusions: bool = True) -> OptimState:
+               eps: float = 1e-8) -> OptimState:
     if kind not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {kind!r}")
     if betas is None:
         betas = (0.9, 0.999) if kind == "adamw" else (0.9, 0.99)
     state = OptimState(kind=kind, lr_peak=lr_peak, weight_decay=weight_decay,
-                       beta1=betas[0], beta2=betas[1], eps=eps,
-                       decay_exclusions=decay_exclusions)
+                       beta1=betas[0], beta2=betas[1], eps=eps)
     for path in sorted(params):
         state.m[path] = np.zeros_like(params[path].data)
         if kind == "adamw":
             state.v[path] = np.zeros_like(params[path].data)
     return state
-
-
-def _wd(state: OptimState, path: str) -> float:
-    if state.decay_exclusions and excluded_from_decay(path):
-        return 0.0
-    return state.weight_decay
 
 
 def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
@@ -98,7 +86,7 @@ def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         v += (1.0 - state.beta2) * (g * g - v)
         mhat = m / bc1
         vhat = v / bc2
-        wd = _wd(state, path)
+        wd = 0.0 if excluded_from_decay(path, p.shape) else state.weight_decay
         # decay is decoupled and computed from the pre-step parameter
         decay = lr * wd * p.data if wd else 0.0
         p.data -= lr * mhat / (np.sqrt(vhat) + state.eps)
@@ -119,7 +107,7 @@ def lion_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
             raise ValueError(f"grad shape {g.shape} != param shape {p.data.shape} at {path}")
         m = state.m[path]
         update = np.sign(state.beta1 * m + (1.0 - state.beta1) * g)
-        wd = _wd(state, path)
+        wd = 0.0 if excluded_from_decay(path, p.shape) else state.weight_decay
         decay = lr * wd * p.data if wd else 0.0
         p.data -= lr * update
         if wd:

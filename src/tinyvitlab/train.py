@@ -239,6 +239,19 @@ def _grad_norm(grads: dict[str, np.ndarray]) -> float:
                              for g in grads.values())))
 
 
+def _check_resumable(ckpt: D.Checkpoint, cfg: TrainConfig) -> None:
+    """Refuse a checkpoint whose model config, or whose fields that fix the
+    step sequence and LR schedule, differ from the run's; name each one."""
+    saved = {f"model.{k}": v for k, v in ckpt.model_config.items()}
+    run = {f"model.{k}": v for k, v in asdict(cfg.model).items()}
+    for k in ("epochs", "batch_size", "warmup_epochs", "seed", "workers"):
+        saved[k], run[k] = ckpt.train_config.get(k), getattr(cfg, k)
+    diffs = [f"{k} is {saved.get(k)!r} in the checkpoint, {run.get(k)!r} in the run"
+             for k in sorted(saved.keys() | run.keys()) if saved.get(k) != run.get(k)]
+    if diffs:
+        raise D.CheckpointError("checkpoint does not match this run: " + "; ".join(diffs))
+
+
 def steps_per_epoch(n: int, cfg: TrainConfig) -> int:
     bs = cfg.batch_size
     aug = cfg.augment
@@ -277,6 +290,7 @@ def train(cfg: TrainConfig, train_ds: D.Dataset, test_ds: D.Dataset,
     start_epoch = 0
     if resume is not None:
         ckpt = D.load_checkpoint(resume)
+        _check_resumable(ckpt, cfg)
         params = {k: Tensor(v, requires_grad=True) for k, v in sorted(ckpt.params.items())}
         state = O.OptimState.from_meta(ckpt.optim_meta, ckpt.optim_arrays)
         start_epoch = ckpt.epoch
@@ -306,10 +320,10 @@ def train(cfg: TrainConfig, train_ds: D.Dataset, test_ds: D.Dataset,
                 grads, loss = parallel_train_step(cfg.model, params, batch,
                                                   cfg.workers, seed=cfg.seed,
                                                   epoch=epoch, step_idx=step_idx)
-                if not np.isfinite(loss):
+                if not (np.isfinite(loss) and all(np.isfinite(g).all() for g in grads.values())):
                     raise TrainingDiverged(
-                        f"non-finite loss at epoch {epoch} step {step_idx}: "
-                        f"lr={lr!r} grad_norm={_grad_norm(grads)!r}")
+                        f"non-finite loss or gradient at epoch {epoch} step {step_idx}: "
+                        f"loss={loss!r} lr={lr!r} grad_norm={_grad_norm(grads)!r}")
                 O.step(params, grads, state, lr)
                 losses.append(loss)
                 step_losses.append(loss)

@@ -161,11 +161,12 @@ def test_criterion_5_optimizer_oracles_and_schedule():
         theta_ref = theta_ref - 0.002 * mhat / (math.sqrt(vhat) + 1e-8) \
             - 0.002 * 0.05 * theta_ref
 
-    p = {"w.weight": Tensor(np.array([0.5]), requires_grad=True)}
+    # a [1,1] matrix: 1-D parameters are biases and affines, which skip decay
+    p = {"w.weight": Tensor(np.array([[0.5]]), requires_grad=True)}
     st = O.init_optim("adamw", p, lr_peak=0.002, weight_decay=0.05)
     for g in grads:
-        O.step(p, {"w.weight": np.array([g])}, st, 0.002)
-    adamw_err = abs(p["w.weight"].data[0] - theta_ref)
+        O.step(p, {"w.weight": np.array([[g]])}, st, 0.002)
+    adamw_err = abs(p["w.weight"].data[0, 0] - theta_ref)
 
     # scalar Lion oracle
     theta_l, ml = 0.5, 0.0
@@ -173,11 +174,11 @@ def test_criterion_5_optimizer_oracles_and_schedule():
         u = math.copysign(1.0, 0.9 * ml + 0.1 * g)
         theta_l = theta_l - 0.0002 * u - 0.0002 * 0.5 * theta_l
         ml = 0.99 * ml + 0.01 * g
-    p = {"w.weight": Tensor(np.array([0.5]), requires_grad=True)}
+    p = {"w.weight": Tensor(np.array([[0.5]]), requires_grad=True)}
     st = O.init_optim("lion", p, lr_peak=0.0002, weight_decay=0.5)
     for g in grads:
-        O.step(p, {"w.weight": np.array([g])}, st, 0.0002)
-    lion_exact = p["w.weight"].data[0] == theta_l
+        O.step(p, {"w.weight": np.array([[g]])}, st, 0.0002)
+    lion_exact = p["w.weight"].data[0, 0] == theta_l
 
     lr_at_warmup = O.lr_schedule(100, 1000, 100, 0.002)
     lr_at_end = O.lr_schedule(1000, 1000, 100, 0.002, lr_min=1e-5)

@@ -1,6 +1,8 @@
-"""Dataset ingestion, normalization, synthetic data, checkpoint format."""
+"""Dataset ingestion, normalization, synthetic data, checkpoint format and
+its fault handling."""
 
-import struct
+import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -160,6 +162,13 @@ class TestSynthetic:
             D.synthetic_dataset("moons", 10, seed=0)
 
 
+def write_archive(path, header, **members):
+    """Write an .npz with a raw header and members, bypassing save_checkpoint."""
+    blob = header if isinstance(header, bytes) else json.dumps(header).encode()
+    with open(path, "wb") as f:
+        np.savez(f, header=np.frombuffer(blob, np.uint8), **members)
+
+
 class TestCheckpoint:
     @staticmethod
     def sample(tmp_path, **overrides):
@@ -178,6 +187,11 @@ class TestCheckpoint:
         D.save_checkpoint(path, **kwargs)
         return path, kwargs
 
+    @staticmethod
+    def header(path):
+        with np.load(path) as archive:
+            return json.loads(archive["header"].tobytes().decode())
+
     def test_round_trip(self, tmp_path):
         path, kw = self.sample(tmp_path)
         ck = D.load_checkpoint(path)
@@ -187,52 +201,170 @@ class TestCheckpoint:
         for k, v in kw["params"].items():
             assert np.array_equal(ck.params[k], v)
         assert np.array_equal(ck.optim_arrays["m.w.weight"], kw["optim_arrays"]["m.w.weight"])
+        # the optimizer updates loaded parameters and moments in place
+        for arr in [*ck.params.values(), *ck.optim_arrays.values()]:
+            assert arr.dtype == np.float32 and arr.flags.writeable
 
     def test_payload_is_float32_le(self, tmp_path):
-        path, kw = self.sample(tmp_path)
-        raw = path.read_bytes()
-        assert raw[:4] == b"TVLB"
-        version, hlen = struct.unpack("<HI", raw[4:10])
-        assert version == 1
-        payload = raw[10 + hlen:]
-        total = sum(a.size for a in kw["params"].values()) + 12
-        assert len(payload) == total * 4
+        path, _ = self.sample(tmp_path)
+        with zipfile.ZipFile(path) as zf:
+            names = sorted(zf.namelist())
+            assert all(i.compress_type == zipfile.ZIP_STORED for i in zf.infolist())
+        assert names == ["header.npy", "optim/m.w.weight.npy",
+                         "params/w.bias.npy", "params/w.weight.npy"]
+        with np.load(path) as archive:
+            assert archive["header"].dtype == np.uint8
+            assert archive["params/w.weight"].dtype.str == "<f4"
+        assert self.header(path)["version"] == D.VERSION == 2
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "x.bin"
-        p.write_bytes(b"XXXX" + b"\x00" * 20)
-        with pytest.raises(D.CheckpointError, match="magic"):
+        p.write_bytes(b"TVLB" + b"\x00" * 20)
+        with pytest.raises(D.CheckpointError, match="unreadable"):
+            D.load_checkpoint(p)
+
+    def test_plain_npy_rejected(self, tmp_path):
+        p = tmp_path / "x.npy"
+        np.save(p, np.zeros(3, np.float32))
+        with pytest.raises(D.CheckpointError, match="not an .npz archive"):
             D.load_checkpoint(p)
 
     def test_newer_version_rejected(self, tmp_path):
         path, _ = self.sample(tmp_path)
-        raw = bytearray(path.read_bytes())
-        raw[4:6] = struct.pack("<H", 99)
-        path.write_bytes(bytes(raw))
+        write_archive(path, {**self.header(path), "version": 99})
         with pytest.raises(D.CheckpointError, match="version 99"):
             D.load_checkpoint(path)
+
+    @pytest.mark.parametrize("field", ["version", "model_config", "train_config",
+                                       "optim", "rng_state", "epoch", "members"])
+    def test_missing_header_field(self, tmp_path, field):
+        path, _ = self.sample(tmp_path)
+        header = self.header(path)
+        del header[field]
+        write_archive(path, header)
+        with pytest.raises(D.CheckpointError, match=f"field '{field}'"):
+            D.load_checkpoint(path)
+
+    def test_missing_header_member(self, tmp_path):
+        path = tmp_path / "x.npz"
+        with open(path, "wb") as f:
+            np.savez(f, **{"params/w": np.zeros(2, np.float32)})
+        with pytest.raises(D.CheckpointError, match="header"):
+            D.load_checkpoint(path)
+
+    @pytest.mark.parametrize("member,arr", [
+        ("params/w", np.zeros(2, np.float64)),
+        ("optim/m.w", np.zeros(2, np.int32)),
+        ("extra/w", np.zeros(2, np.float32)),
+        ("params", np.zeros(2, np.float32))])
+    def test_bad_member_rejected(self, tmp_path, member, arr):
+        path, _ = self.sample(tmp_path)
+        write_archive(path, {**self.header(path), "members": [member]}, **{member: arr})
+        with pytest.raises(D.CheckpointError, match="member '"):
+            D.load_checkpoint(path)
+
+    def test_member_without_npy_header(self, tmp_path):
+        # np.load hands such a member back as raw bytes, not an array
+        path, _ = self.sample(tmp_path)
+        write_archive(path, {**self.header(path), "members": ["params/w"]})
+        with zipfile.ZipFile(path, "a") as zf:
+            zf.writestr("params/w.npy", b"not an array")
+        with pytest.raises(D.CheckpointError, match="not a float32 array"):
+            D.load_checkpoint(path)
+        with zipfile.ZipFile(path, "w") as zf:
+            zf.writestr("header.npy", b"not json")
+        with pytest.raises(D.CheckpointError, match="unreadable"):
+            D.load_checkpoint(path)
+
+    @pytest.mark.parametrize("section", ["params", "optim_arrays"])
+    def test_float64_refused_on_save(self, tmp_path, section):
+        with pytest.raises(D.CheckpointError, match="float64"):
+            self.sample(tmp_path, **{section: {"w.weight": np.zeros((3, 4))}})
+        assert list(tmp_path.iterdir()) == []
 
     def test_truncated_payload(self, tmp_path):
         path, _ = self.sample(tmp_path)
         raw = path.read_bytes()
-        path.write_bytes(raw[:-8])
-        with pytest.raises(D.CheckpointError, match="exceeds payload"):
-            D.load_checkpoint(path)
+        for cut in (0, 3, len(raw) // 4, len(raw) // 2, 3 * len(raw) // 4,
+                    len(raw) - 22, len(raw) - 1):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(D.CheckpointError):
+                D.load_checkpoint(path)
 
     def test_truncated_header(self, tmp_path):
         path, _ = self.sample(tmp_path)
         raw = path.read_bytes()
-        path.write_bytes(raw[:12])
-        with pytest.raises(D.CheckpointError, match="truncated header"):
+        with zipfile.ZipFile(path) as zf:
+            info = zf.getinfo("header.npy")
+        assert info.header_offset == 0
+        path.write_bytes(raw[:info.file_size // 2])  # inside the header member
+        with pytest.raises(D.CheckpointError):
+            D.load_checkpoint(path)
+
+    @pytest.mark.parametrize("member", ["params/w.weight", "optim/m.w.weight", "header"])
+    def test_flipped_payload_bit(self, tmp_path, member):
+        path, _ = self.sample(tmp_path)
+        raw = bytearray(path.read_bytes())
+        with np.load(path) as archive:
+            at = raw.find(archive[member].tobytes()) + 5
+        raw[at] ^= 0x10
+        path.write_bytes(bytes(raw))
+        with pytest.raises(D.CheckpointError, match="CRC"):
+            D.load_checkpoint(path)
+
+    def test_every_bit_flip_is_caught_or_harmless(self, tmp_path):
+        # the zip directory and local headers carry no checksum: a flip there
+        # must still raise CheckpointError or leave the loaded content intact.
+        # Bit 0 of every byte covers the zip "encrypted" flags.
+        path, kw = self.sample(tmp_path)
+        raw = path.read_bytes()
+        for i, bit in ((i, bit) for i in range(len(raw)) for bit in {1, 1 << (i % 8)}):
+            flipped = bytearray(raw)
+            flipped[i] ^= bit
+            path.write_bytes(bytes(flipped))
+            try:
+                ck = D.load_checkpoint(path)
+            except D.CheckpointError:
+                continue
+            assert ck.epoch == kw["epoch"] and ck.optim_meta == kw["optim_meta"]
+            assert ck.params.keys() == kw["params"].keys()
+            assert ck.optim_arrays.keys() == kw["optim_arrays"].keys()
+            for k, v in kw["params"].items():
+                assert np.array_equal(ck.params[k], v)
+
+    def test_member_missing_from_archive(self, tmp_path):
+        path, kw = self.sample(tmp_path)
+        write_archive(path, self.header(path), **{f"params/{k}": v for k, v
+                                                  in kw["params"].items()})
+        with pytest.raises(D.CheckpointError, match="members differ"):
             D.load_checkpoint(path)
 
     def test_corrupt_header_json(self, tmp_path):
         path, _ = self.sample(tmp_path)
-        raw = bytearray(path.read_bytes())
-        raw[10] = ord("!")
-        path.write_bytes(bytes(raw))
-        with pytest.raises(D.CheckpointError, match="unreadable header"):
+        write_archive(path, b"{not json")
+        with pytest.raises(D.CheckpointError, match="unreadable"):
             D.load_checkpoint(path)
+
+    def test_crash_before_rename_keeps_previous(self, tmp_path, monkeypatch):
+        path, kw = self.sample(tmp_path)
+        before = path.read_bytes()
+
+        class Crash(Exception):
+            pass
+
+        def crash(*args):
+            raise Crash
+
+        monkeypatch.setattr(D.os, "replace", crash)
+        newer = {k: v + 1 for k, v in kw["params"].items()}
+        with pytest.raises(Crash):
+            self.sample(tmp_path, params=newer, epoch=3)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        ck = D.load_checkpoint(path)
+        assert ck.epoch == 2
+        for k, v in kw["params"].items():
+            assert np.array_equal(ck.params[k], v)
 
     def test_no_optimizer_section(self, tmp_path):
         path, _ = self.sample(tmp_path, optim_meta=None, optim_arrays=None)

@@ -1,6 +1,8 @@
 """Training loop: deterministic batching, sharded-gradient equivalence,
 checkpoint resume, profiling bookkeeping, and the CLI plumbing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,44 @@ class TestTrainLoop:
         cfg2 = tiny_train_config(epochs=1)
         with pytest.raises(TR.TrainingDiverged, match="lr=.*grad_norm="):
             TR.train(cfg2, ds, ds, tmp_path / "bad_out", resume=bad)
+
+    def test_non_finite_gradient_diverges(self, tmp_path, monkeypatch):
+        ds = D.synthetic_dataset("two-class-blobs", 16, seed=8)
+        real_step = TR.parallel_train_step
+
+        def nan_gradient(*args, **kwargs):
+            grads, loss = real_step(*args, **kwargs)
+            grads["head.w2"][0, 0] = np.nan
+            return grads, loss
+
+        monkeypatch.setattr(TR, "parallel_train_step", nan_gradient)
+        with pytest.raises(TR.TrainingDiverged, match=r"epoch 0 step 0: loss=\d"):
+            TR.train(tiny_train_config(epochs=1), ds, ds, tmp_path / "out")
+
+    @pytest.fixture(scope="class")
+    def one_epoch_checkpoint(self, tmp_path_factory):
+        ds = D.synthetic_dataset("two-class-blobs", 16, seed=8)
+        out = tmp_path_factory.mktemp("resume")
+        return TR.train(tiny_train_config(), ds, ds, out, stop_after_epoch=1).checkpoint_path
+
+    @pytest.mark.parametrize("field,model_kw,train_kw", [
+        pytest.param(field, model_kw, train_kw, id=field) for field, model_kw, train_kw in (
+            ("model.mla", {"mla": M.MlaConfig("q", 8)}, {}),
+            ("model.pos_embed", {"pos_embed": "zero"}, {}),
+            ("model.depth", {"depth": 2}, {}),
+            ("model.num_cls_tokens", {"num_cls_tokens": 2}, {}),
+            ("epochs", {}, {"epochs": 3}),
+            ("batch_size", {}, {"batch_size": 4}),
+            ("warmup_epochs", {}, {"warmup_epochs": 0}),
+            ("seed", {}, {"seed": 1}),
+            ("workers", {}, {"workers": 2}))])
+    def test_resume_refuses_mismatched_run(self, tmp_path, one_epoch_checkpoint,
+                                           field, model_kw, train_kw):
+        ds = D.synthetic_dataset("two-class-blobs", 16, seed=8)
+        model = dataclasses.replace(tiny_train_config().model, **model_kw)
+        cfg = tiny_train_config(model=model, **train_kw)
+        with pytest.raises(D.CheckpointError, match=rf"does not match this run: {field} is"):
+            TR.train(cfg, ds, ds, tmp_path / "out", resume=one_epoch_checkpoint)
 
     def test_whitening_init_path(self, tmp_path):
         ds = D.synthetic_dataset("two-class-blobs", 32, seed=9)
