@@ -1,4 +1,4 @@
-"""Command-line interface: train, eval, bench, profile, grad-check.
+"""Command-line interface: train, eval, bench, grad-check.
 
 Every option defaults to its `TrainConfig()` value; a flat key=value config
 file (# comments allowed) overrides that, and flags override the file. The
@@ -8,6 +8,7 @@ data directory defaults to the DATA_DIR environment variable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import typing
@@ -138,13 +139,26 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _config_fields(cls, saved, where: str) -> dict:
+    """Checkpoint dict `saved` as keyword arguments for dataclass `cls`;
+    CheckpointError names any missing or unknown field."""
+    if not isinstance(saved, dict):
+        raise D.CheckpointError(f"checkpoint {where} is not a dict: {saved!r}")
+    names = {f.name for f in dataclasses.fields(cls)}
+    missing, unknown = sorted(names - saved.keys()), sorted(saved.keys() - names)
+    if missing or unknown:
+        raise D.CheckpointError(f"checkpoint {where}: missing fields {missing}, "
+                                f"unknown fields {unknown}")
+    return dict(saved)
+
+
 def cmd_eval(args) -> int:
     if not args.resume:
         raise SystemExit("eval needs --resume <checkpoint>")
     ckpt = D.load_checkpoint(args.resume)
-    mcfg_dict = dict(ckpt.model_config)
-    mcfg_dict["mla"] = M.MlaConfig(**mcfg_dict["mla"])
-    cfg = M.ModelConfig(**mcfg_dict)
+    saved = _config_fields(M.ModelConfig, ckpt.model_config, "model_config")
+    saved["mla"] = M.MlaConfig(**_config_fields(M.MlaConfig, saved["mla"], "model_config.mla"))
+    cfg = M.ModelConfig(**saved)
     params = {k: Tensor(v, requires_grad=True) for k, v in sorted(ckpt.params.items())}
     test_ds = D.load_cifar10(_data_dir(args), "test")
     acc = TR.evaluate(cfg, params, test_ds)
@@ -152,37 +166,34 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _model_for_bench(args) -> tuple[TR.TrainConfig, dict]:
-    cfg = train_config(args)
-    cfg.model.validate()
-    return cfg, M.init_params(cfg.model, np.random.default_rng(cfg.seed))
+def _batch_sizes(raw: str) -> list[int]:
+    """argparse type for --sizes: comma-separated positive ints."""
+    sizes = [int(s) if s.strip().isdecimal() else 0 for s in raw.split(",")]
+    if min(sizes) < 1:
+        raise argparse.ArgumentTypeError(f"expected comma-separated positive ints, got {raw!r}")
+    return sizes
 
 
 def cmd_bench(args) -> int:
-    cfg, params = _model_for_bench(args)
-    sizes = [int(s) for s in args.sizes.split(",")]
-    rows = TR.benchmark_throughput(cfg.model, params, sizes)
-    print(TR.format_bench_table(rows))
+    """Profile the training step per batch size: one line each to stdout and bench.log."""
+    run = train_config(args)
+    cfg = run.model
+    cfg.validate()
+    rng = np.random.default_rng(run.seed)
+    params = M.init_params(cfg, rng)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "bench.log", "a") as fh:
-        for r in rows:
-            fh.write(f"bs={r.batch_size} images_per_sec={r.images_per_sec:.2f} "
-                     f"activation_bytes={r.activation_bytes} skipped={int(r.skipped)}\n")
-    return 0
-
-
-def cmd_profile(args) -> int:
-    cfg, params = _model_for_bench(args)
-    model = cfg.model
-    bs = args.profile_batch or min(cfg.batch_size, 32)
-    rng = np.random.default_rng(cfg.seed)
-    images = rng.standard_normal((bs, 3, model.image_size, model.image_size)).astype(np.float32)
-    targets = np.full((bs, model.num_classes), 1.0 / model.num_classes, dtype=np.float32)
-    profile = TR.profile_step(model, params, A.SoftBatch(images, targets))
-    print(f"forward_ms={profile.forward_ms:.2f} backward_ms={profile.backward_ms:.2f} "
-          f"optim_ms={profile.optim_ms:.2f} other_ms={profile.other_ms:.2f} "
-          f"total_ms={profile.total_ms:.2f}")
+    with open(out / "bench.log", "a") as log:
+        for bs in args.sizes:
+            images = rng.standard_normal((bs, 3, cfg.image_size, cfg.image_size), np.float32)
+            targets = np.full((bs, cfg.num_classes), 1.0 / cfg.num_classes, np.float32)
+            p = TR.profile_step(cfg, params, A.SoftBatch(images, targets))
+            line = (f"bs={bs} forward_ms={p.forward_ms:.2f} backward_ms={p.backward_ms:.2f} "
+                    f"optim_ms={p.optim_ms:.2f} total_ms={p.total_ms:.2f} "
+                    f"train_images_per_sec={1000.0 * bs / p.total_ms:.2f} "
+                    f"eval_images_per_sec={1000.0 * bs / p.eval_ms:.2f}")
+            print(line)
+            log.write(line + "\n")
     return 0
 
 
@@ -212,15 +223,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tinyvitlab")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, fn in (("train", cmd_train), ("eval", cmd_eval),
-                     ("bench", cmd_bench), ("profile", cmd_profile),
-                     ("grad-check", cmd_grad_check)):
+                     ("bench", cmd_bench), ("grad-check", cmd_grad_check)):
         p = sub.add_parser(name)
         _add_common(p)
         p.set_defaults(fn=fn)
         if name == "bench":
-            p.add_argument("--sizes", default="32,64,128,256")
-        if name == "profile":
-            p.add_argument("--profile-batch", type=int, default=None)
+            p.add_argument("--sizes", type=_batch_sizes, default="32",
+                           help="comma-separated batch sizes, one profiled step each")
     return parser
 
 

@@ -1,5 +1,5 @@
 """Training / evaluation loop, deterministic in-process data parallelism,
-training-step profiler, and forward-throughput benchmark.
+and the training-step profiler.
 
 Every random stream is derived statelessly from (seed, purpose, epoch,
 batch), so a run is bitwise-reproducible and an interrupted run resumed from
@@ -63,8 +63,8 @@ class StepProfile:
     forward_ms: float
     backward_ms: float
     optim_ms: float
-    other_ms: float
-    total_ms: float
+    total_ms: float   # forward + backward + optimizer: the training step
+    eval_ms: float    # one eval-mode forward of the same batch
 
 
 @dataclass
@@ -108,16 +108,17 @@ def _max_threads() -> int:
 # ---------------------------------------------------------------------------
 # batch building
 
+def _repeat_factor(aug: A.AugmentConfig) -> int:
+    """How often each source image appears in a batch (1: no repetition)."""
+    return aug.repeated_factor if aug.use_repeated_augment else 1
+
+
 def build_batches(ds: D.Dataset, cfg: TrainConfig, epoch: int,
                   num_classes: int):
     """Yield augmented SoftBatches for one epoch, deterministically."""
     aug = cfg.augment
     order = rng_for(cfg.seed, "shuffle", epoch).permutation(len(ds))
-    bs = cfg.batch_size
-    if aug.use_repeated_augment and aug.repeated_factor > 1:
-        batches = A.repeated_indices(order, bs, aug.repeated_factor)
-    else:
-        batches = (order[i:i + bs] for i in range(0, len(order) - bs + 1, bs))
+    batches = A.repeated_indices(order, cfg.batch_size, _repeat_factor(aug))
     for b, idx in enumerate(batches):
         rng = rng_for(cfg.seed, "augment", epoch, b)
         raws = []
@@ -253,12 +254,8 @@ def _check_resumable(ckpt: D.Checkpoint, cfg: TrainConfig) -> None:
 
 
 def steps_per_epoch(n: int, cfg: TrainConfig) -> int:
-    bs = cfg.batch_size
-    aug = cfg.augment
-    if aug.use_repeated_augment and aug.repeated_factor > 1:
-        per = bs // aug.repeated_factor
-        return max((n - per) // per + 1, 0)
-    return n // bs
+    """The number of batches build_batches yields for n images."""
+    return n // (cfg.batch_size // _repeat_factor(cfg.augment))
 
 
 def train(cfg: TrainConfig, train_ds: D.Dataset, test_ds: D.Dataset,
@@ -364,26 +361,22 @@ def train(cfg: TrainConfig, train_ds: D.Dataset, test_ds: D.Dataset,
 def sample_patches(ds: D.Dataset, cfg: M.ModelConfig,
                    rng: np.random.Generator, max_patches: int = 20000) -> np.ndarray:
     """Normalized raw patch rows for whitening initialization."""
-    p = cfg.patch_size
-    grid = cfg.image_size // p
-    n_img = min(len(ds), max(max_patches // (grid * grid), 1))
+    n_img = min(len(ds), max(max_patches // cfg.num_patches, 1))
     idx = rng.choice(len(ds), size=n_img, replace=False)
     images = D.normalize(ds.images[idx])
-    patches = images.reshape(n_img, 3, grid, p, grid, p)
-    patches = patches.transpose(0, 2, 4, 1, 3, 5).reshape(-1, 3 * p * p)
-    return patches
+    return M.patchify(Tensor(images), cfg.patch_size).data.reshape(-1, cfg.patch_dim)
 
 
 # ---------------------------------------------------------------------------
-# profiling and benchmarking
+# profiling
 
 def profile_step(cfg: M.ModelConfig, params: dict[str, Tensor],
                  batch: A.SoftBatch, warmup: int = 3, steps: int = 10) -> StepProfile:
     """Wall-clock per phase of the training step (train-mode forward with
-    cfg's drop-path, backward, AdamW update of `params`), averaged over
-    `steps` after `warmup` discarded iterations."""
+    cfg's drop-path, backward, AdamW update of `params`) and of an eval-mode
+    forward, averaged over `steps` after `warmup` discarded iterations."""
     state = O.init_optim("adamw", params)
-    fwd = bwd = opt = total = 0.0
+    laps = []
     for it in range(warmup + steps):
         t0 = time.perf_counter()
         grads, _, forward_s = _shard_gradients(cfg, params, batch.images, batch.targets,
@@ -391,21 +384,17 @@ def profile_step(cfg: M.ModelConfig, params: dict[str, Tensor],
         t1 = time.perf_counter()
         O.step(params, grads, state, state.lr_peak)
         t2 = time.perf_counter()
-        if it >= warmup:
-            fwd += forward_s
-            bwd += t1 - t0 - forward_s
-            opt += t2 - t1
-            total += t2 - t0
-    ms = 1000.0 / steps
-    profile = StepProfile(forward_ms=fwd * ms, backward_ms=bwd * ms,
-                          optim_ms=opt * ms, other_ms=(total - fwd - bwd - opt) * ms,
-                          total_ms=total * ms)
-    return profile
+        M.forward(cfg, params, Tensor(batch.images), mode="eval")
+        t3 = time.perf_counter()
+        # in StepProfile's field order: forward, backward, optimizer, total, eval
+        laps.append((forward_s, t1 - t0 - forward_s, t2 - t1, t2 - t0, t3 - t2))
+    return StepProfile(*(1000.0 * sum(phase) / steps for phase in zip(*laps[warmup:])))
 
 
 def activation_estimate_bytes(cfg: M.ModelConfig, batch_size: int,
                               dtype_bytes: int = 4) -> int:
-    """Analytic peak-live-activation estimate for one forward walk.
+    """Analytic peak-live-activation estimate for one forward walk; train()
+    logs it as metrics.log's peak_activation_bytes.
 
     Counts the largest working set among the pipeline stages; exactly linear
     in batch size by construction (per-sample shapes only).
@@ -419,45 +408,3 @@ def activation_estimate_bytes(cfg: M.ModelConfig, batch_size: int,
     block_peak = s * c + max(attn_ws, ffn_ws)  # residual stream + branch
     per_sample = max(tokenize_ws, block_peak)
     return per_sample * batch_size * dtype_bytes
-
-
-@dataclass
-class BenchRow:
-    batch_size: int
-    images_per_sec: float
-    activation_bytes: int
-    skipped: bool = False
-
-
-def benchmark_throughput(cfg: M.ModelConfig, params: dict[str, Tensor],
-                         batch_sizes: list[int], warmup: int = 3,
-                         steps: int = 20, memory_budget_bytes: int | None = None,
-                         rng: np.random.Generator | None = None) -> list[BenchRow]:
-    """Forward-only steady-state throughput per batch size, one row each."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    rows = []
-    for bs in batch_sizes:
-        est = activation_estimate_bytes(cfg, bs)
-        if memory_budget_bytes is not None and est > memory_budget_bytes:
-            rows.append(BenchRow(bs, 0.0, est, skipped=True))
-            continue
-        images = Tensor(rng.standard_normal(
-            (bs, 3, cfg.image_size, cfg.image_size)).astype(np.float32))
-        for _ in range(warmup):
-            M.forward(cfg, params, images, mode="eval")
-        t0 = time.perf_counter()
-        for _ in range(steps):
-            M.forward(cfg, params, images, mode="eval")
-        elapsed = time.perf_counter() - t0
-        rows.append(BenchRow(bs, bs * steps / elapsed, est))
-    return rows
-
-
-def format_bench_table(rows: list[BenchRow]) -> str:
-    lines = [f"{'bs':>6} {'images/s':>12} {'act. bytes':>14} {'status':>8}"]
-    for r in rows:
-        status = "skipped" if r.skipped else "ok"
-        lines.append(f"{r.batch_size:>6} {r.images_per_sec:>12.2f} "
-                     f"{r.activation_bytes:>14} {status:>8}")
-    return "\n".join(lines)
