@@ -75,6 +75,8 @@ def _field(cfg: TR.TrainConfig, key: str) -> tuple[object, str]:
 
 
 def _parse_bool(raw: str) -> bool:
+    if raw.lower() not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"expected a bool (1/true/yes or 0/false/no), got {raw!r}")
     return raw.lower() in ("1", "true", "yes")
 
 
@@ -113,7 +115,10 @@ def train_config(args: argparse.Namespace) -> TR.TrainConfig:
         for key, raw in parse_config_file(args.config).items():
             if key not in _OPTIONS:
                 raise ValueError(f"unknown config key {key!r}")
-            assign(key, _value_type(key)(raw))
+            try:
+                assign(key, _value_type(key)(raw))
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
     for key in _OPTIONS:
         val = getattr(args, key, None)
         if val is not None and val is not False:

@@ -261,9 +261,9 @@ def effective_projection(params: dict[str, Tensor], prefix: str) -> np.ndarray:
 
 def _project(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
     if f"{prefix}.weight" in params:
-        return T.matmul(x, params[f"{prefix}.weight"])
-    latent = T.matmul(x, T.transpose(params[f"{prefix}.down"], (1, 0)))
-    return T.matmul(latent, T.transpose(params[f"{prefix}.up"], (1, 0)))
+        return T.linear(x, params[f"{prefix}.weight"])
+    latent = T.linear(x, T.transpose(params[f"{prefix}.down"], (1, 0)))
+    return T.linear(latent, T.transpose(params[f"{prefix}.up"], (1, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -272,27 +272,14 @@ def _project(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
 def attention(x: Tensor, params: dict[str, Tensor], cfg: ModelConfig,
               prefix: str = "attn") -> Tensor:
     """Multi-head scaled dot-product attention over [B,S,C]."""
-    b, s, c = x.shape
-    h, dk = cfg.num_heads, cfg.head_dim
-
-    def heads(t: Tensor) -> Tensor:
-        return T.transpose(T.reshape(t, (b, s, h, dk)), (0, 2, 1, 3))
-
-    q = heads(_project(x, params, f"{prefix}.q"))
-    k = heads(_project(x, params, f"{prefix}.k"))
-    v = heads(_project(x, params, f"{prefix}.v"))
-
-    scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dk))
-    weights = T.softmax(scores, axis=-1)
-    out = T.matmul(weights, v)                        # [B,h,S,dk]
-    out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, s, c))
-    return T.matmul(out, params[f"{prefix}.o.weight"])
+    q, k, v = (_project(x, params, f"{prefix}.{proj}") for proj in ("q", "k", "v"))
+    out = T.attention_core(q, k, v, cfg.num_heads)
+    return T.linear(out, params[f"{prefix}.o.weight"])
 
 
 def ffn(x: Tensor, params: dict[str, Tensor], prefix: str = "ffn") -> Tensor:
-    hidden = T.add(T.matmul(x, params[f"{prefix}.w1"]), params[f"{prefix}.b1"])
-    hidden = T.gelu(hidden)
-    return T.add(T.matmul(hidden, params[f"{prefix}.w2"]), params[f"{prefix}.b2"])
+    hidden = T.gelu(T.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
+    return T.linear(hidden, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
 
 
 def _drop_path_mask(batch: int, drop_prob: float, rng: np.random.Generator,
@@ -311,23 +298,18 @@ def block(x: Tensor, params: dict[str, Tensor], cfg: ModelConfig, prefix: str,
     train_drop = mode == "train" and drop_prob > 0.0
     if train_drop and rng is None:
         raise ValueError("drop-path in train mode needs an rng")
-    b = x.shape[0]
 
-    branch = attention(T.layer_norm(x, params[f"{prefix}.norm1.gamma"],
-                                    params[f"{prefix}.norm1.beta"]), params, cfg,
-                       prefix=f"{prefix}.attn")
-    if train_drop:
-        mask = _drop_path_mask(b, drop_prob, rng, x.data.dtype)
-        branch = T.mul(branch, Tensor(mask))
-    x = T.add(x, branch)
+    def residual(x: Tensor, branch: Tensor) -> Tensor:
+        if train_drop:
+            branch = T.mul(branch, Tensor(_drop_path_mask(x.shape[0], drop_prob, rng, x.data.dtype)))
+        return T.add(x, branch)
 
-    branch = ffn(T.layer_norm(x, params[f"{prefix}.norm2.gamma"],
-                              params[f"{prefix}.norm2.beta"]), params,
-                 prefix=f"{prefix}.ffn")
-    if train_drop:
-        mask = _drop_path_mask(b, drop_prob, rng, x.data.dtype)
-        branch = T.mul(branch, Tensor(mask))
-    return T.add(x, branch)
+    x = residual(x, attention(T.layer_norm(x, params[f"{prefix}.norm1.gamma"],
+                                           params[f"{prefix}.norm1.beta"]), params, cfg,
+                              prefix=f"{prefix}.attn"))
+    return residual(x, ffn(T.layer_norm(x, params[f"{prefix}.norm2.gamma"],
+                                        params[f"{prefix}.norm2.beta"]), params,
+                           prefix=f"{prefix}.ffn"))
 
 
 def cls_head(tokens: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
@@ -335,8 +317,8 @@ def cls_head(tokens: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Ten
     b = tokens.shape[0]
     cls = T.narrow(tokens, 1, 0, cfg.num_cls_tokens)
     flat = T.reshape(cls, (b, cfg.num_cls_tokens * cfg.embed_dim))
-    hidden = T.gelu(T.add(T.matmul(flat, params["head.w1"]), params["head.b1"]))
-    return T.add(T.matmul(hidden, params["head.w2"]), params["head.b2"])
+    hidden = T.gelu(T.linear(flat, params["head.w1"], params["head.b1"]))
+    return T.linear(hidden, params["head.w2"], params["head.b2"])
 
 
 def forward(cfg: ModelConfig, params: dict[str, Tensor], images: Tensor,
@@ -351,7 +333,7 @@ def forward(cfg: ModelConfig, params: dict[str, Tensor], images: Tensor,
         raise ValueError(f"unknown mode {mode!r}")
     b = images.shape[0]
     x = patchify(images, cfg.patch_size)              # [B,L,D]
-    x = T.add(T.matmul(x, params["patch_embed.weight"]), params["patch_embed.bias"])
+    x = T.linear(x, params["patch_embed.weight"], params["patch_embed.bias"])
 
     if cfg.pos_embed == "learnable":
         pos = params["pos_embed"]

@@ -66,61 +66,34 @@ def init_optim(kind: str, params: dict[str, Tensor], lr_peak: float = 0.002,
     return state
 
 
-def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
-               state: OptimState, lr: float) -> None:
-    """Decoupled-decay Adam update, in place, over sorted parameter paths."""
-    if lr < 0:
-        raise ValueError("lr must be >= 0")
-    state.t += 1
-    t = state.t
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
-    for path in sorted(params):
-        p = params[path]
-        g = grads[path]
-        if g.shape != p.data.shape:
-            raise ValueError(f"grad shape {g.shape} != param shape {p.data.shape} at {path}")
-        m = state.m[path]
-        v = state.v[path]
-        m += (1.0 - state.beta1) * (g - m)
-        v += (1.0 - state.beta2) * (g * g - v)
-        mhat = m / bc1
-        vhat = v / bc2
-        wd = 0.0 if excluded_from_decay(path, p.shape) else state.weight_decay
-        # decay is decoupled and computed from the pre-step parameter
-        decay = lr * wd * p.data if wd else 0.0
-        p.data -= lr * mhat / (np.sqrt(vhat) + state.eps)
-        if wd:
-            p.data -= decay
-
-
-def lion_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
-              state: OptimState, lr: float) -> None:
-    """Sign-of-interpolated-momentum update; moment refreshed after the step."""
-    if lr < 0:
-        raise ValueError("lr must be >= 0")
-    state.t += 1
-    for path in sorted(params):
-        p = params[path]
-        g = grads[path]
-        if g.shape != p.data.shape:
-            raise ValueError(f"grad shape {g.shape} != param shape {p.data.shape} at {path}")
-        m = state.m[path]
-        update = np.sign(state.beta1 * m + (1.0 - state.beta1) * g)
-        wd = 0.0 if excluded_from_decay(path, p.shape) else state.weight_decay
-        decay = lr * wd * p.data if wd else 0.0
-        p.data -= lr * update
-        if wd:
-            p.data -= decay
-        m += (1.0 - state.beta2) * (g - m)
-
-
 def step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
          state: OptimState, lr: float) -> None:
-    if state.kind == "adamw":
-        adamw_step(params, grads, state, lr)
-    else:
-        lion_step(params, grads, state, lr)
+    """One in-place update over sorted parameter paths: AdamW (Adam with
+    decoupled decay) or Lion (sign of the interpolated momentum, moment
+    refreshed after the step). Decay is taken from the pre-step parameter."""
+    if lr < 0:
+        raise ValueError("lr must be >= 0")
+    state.t += 1
+    bc1 = 1.0 - state.beta1 ** state.t
+    bc2 = 1.0 - state.beta2 ** state.t
+    for path in sorted(params):
+        p = params[path]
+        g = grads[path]
+        if g.shape != p.data.shape:
+            raise ValueError(f"grad shape {g.shape} != param shape {p.data.shape} at {path}")
+        m = state.m[path]
+        wd = 0.0 if excluded_from_decay(path, p.shape) else state.weight_decay
+        decay = lr * wd * p.data if wd else 0.0
+        if state.kind == "adamw":
+            v = state.v[path]
+            m += (1.0 - state.beta1) * (g - m)
+            v += (1.0 - state.beta2) * (g * g - v)
+            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        else:
+            p.data -= lr * np.sign(state.beta1 * m + (1.0 - state.beta1) * g)
+            m += (1.0 - state.beta2) * (g - m)
+        if wd:
+            p.data -= decay
 
 
 def lr_schedule(step_idx: int, total_steps: int, warmup_steps: int,

@@ -1,10 +1,10 @@
 """Dense tensors with tape-based reverse-mode automatic differentiation.
 
-The op set is closed over what the model needs: matmul (with stacked batch
-dims), elementwise arithmetic, softmax, layer norm, gelu, soft-target
-cross entropy, and the shape plumbing (reshape / transpose / concat / narrow
-/ broadcast). Training runs in float32; gradient checking runs the same code
-in float64.
+The op set is closed over what the model needs: the dense layer `linear`,
+the fused multi-head `attention_core`, elementwise add / mul, sum, layer
+norm, gelu, soft-target cross entropy, and the shape plumbing (reshape /
+transpose / concat / narrow / broadcast). Training runs in float32; gradient
+checking runs the same code in float64.
 
 Determinism: all reductions go through numpy with a fixed evaluation order,
 so repeated runs on the same inputs produce bitwise-identical results.
@@ -106,26 +106,17 @@ class Tape:
         return len(self._nodes)
 
     def __enter__(self) -> "Tape":
-        _push_tape(self)
+        if not hasattr(_tls, "stack"):
+            _tls.stack = []
+        _tls.stack.append(self)
         return self
 
     def __exit__(self, *exc):
-        _pop_tape(self)
+        _tls.stack.pop()
         return False
 
 
 _tls = threading.local()
-
-
-def _push_tape(tape: Tape) -> None:
-    stack = getattr(_tls, "stack", None)
-    if stack is None:
-        stack = _tls.stack = []
-    stack.append(tape)
-
-
-def _pop_tape(tape: Tape) -> None:
-    _tls.stack.pop()
 
 
 def _active_tape() -> Tape | None:
@@ -183,26 +174,24 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), lambda g: (_unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)))
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    c = a.data.dtype.type(c)
-    return _make(a.data * c, (a,), lambda g: (g * c,))
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; stacked leading dims broadcast as in numpy."""
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
-    data = np.matmul(a.data, b.data)
-    ad, bd = a.data, b.data
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x @ w (+ b) for w [in, out] and b [out]: the leading dims of x flatten
+    into one 2-D GEMM for the forward, dX and dW; db is one column sum."""
+    inputs = (x, w) if b is None else (x, w, b)
+    if w.ndim != 2 or x.shape[-1:] != w.shape[:1] or (b is not None and b.shape != w.shape[1:]):
+        raise ShapeError("linear needs x [..., in], w [in, out] and b [out], got "
+                         + ", ".join(str(t.shape) for t in inputs))
+    x2 = x.data.reshape(-1, w.shape[0])
+    out = x2 @ w.data
+    if b is not None:
+        out += b.data
 
     def vjp(g):
-        ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), a.shape)
-        gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), b.shape)
-        return ga, gb
+        g2 = g.reshape(-1, w.shape[1])
+        gx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
+        return gx, x2.T @ g2, g2.sum(axis=0) if b is not None else None
 
-    return _make(data, (a, b), vjp)
+    return _make(out.reshape(x.shape[:-1] + w.shape[1:]), inputs, vjp)
 
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -271,19 +260,43 @@ def gelu(a: Tensor) -> Tensor:
     return _make(data, (a,), vjp)
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    x = a.data
-    if not (-x.ndim <= axis < x.ndim):
-        raise ShapeError(f"softmax axis {axis} out of bounds for shape {a.shape}")
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+def attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head softmax(q k^T / sqrt(d)) v for q, k, v [B,S,C] with C split
+    into `heads` heads of d channels; the head split and merge are views.
+
+    One tape node, which keeps only the attention weights P. Its VJP is the
+    FlashAttention backward algebra without tiling: dV = P^T g, dP = g V^T,
+    dS = P * (dP - rowsum(dP * P)) / sqrt(d), dQ = dS K, dK = dS^T Q.
+    """
+    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape or heads < 1 or q.shape[2] % heads:
+        raise ShapeError(f"attention_core needs equal [B,S,C] q, k, v with C divisible by {heads} "
+                         f"heads, got {q.shape}, {k.shape}, {v.shape}")
+    b, s, c = q.shape
+    d = c // heads
+
+    def split(a: np.ndarray) -> np.ndarray:       # [B,S,C] -> [B,h,S,d]
+        return a.reshape(b, s, heads, d).transpose(0, 2, 1, 3)
+
+    def merge(a: np.ndarray) -> np.ndarray:       # [B,h,S,d] -> [B,S,C]
+        return a.transpose(0, 2, 1, 3).reshape(b, s, c)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scale = q.data.dtype.type(1.0 / np.sqrt(d))
+    p = qh @ kh.transpose(0, 1, 3, 2)
+    p *= scale
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - dot),)
+        gh = split(g)
+        dp = gh @ vh.transpose(0, 1, 3, 2)
+        ds = dp - (dp * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= scale
+        return merge(ds @ kh), merge(ds.transpose(0, 1, 3, 2) @ qh), merge(p.transpose(0, 1, 3, 2) @ gh)
 
-    return _make(y.astype(x.dtype, copy=False), (a,), vjp)
+    return _make(merge(p @ vh), (q, k, v), vjp)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:

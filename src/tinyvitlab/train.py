@@ -282,7 +282,8 @@ def train(cfg: TrainConfig, train_ds: D.Dataset, test_ds: D.Dataset,
     total_steps = cfg.epochs * spe
     warmup_steps = cfg.warmup_epochs * spe
     if warmup_steps >= total_steps:
-        warmup_steps = max(total_steps // 10, 1)
+        # a one-step run gets no warmup; lr_schedule needs warmup < total
+        warmup_steps = min(max(total_steps // 10, 1), total_steps - 1)
 
     start_epoch = 0
     if resume is not None:

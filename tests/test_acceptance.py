@@ -314,7 +314,7 @@ def test_criterion_9_positional_information():
            wins >= 2, "; ".join(details))
 
 
-def test_criterion_10_profiler_bookkeeping():
+def test_criterion_10_profiler_bookkeeping(phase_clock):
     cfg = M.ModelConfig()  # baseline shape: C=192, h=12, depth=9
     params = M.init_params(cfg, np.random.default_rng(0))
     rng = np.random.default_rng(1)
@@ -323,17 +323,21 @@ def test_criterion_10_profiler_bookkeeping():
     prof = TR.profile_step(cfg, params, batch, warmup=1, steps=3)
     total = prof.forward_ms + prof.backward_ms + prof.optim_ms
     sum_ok = abs(total - prof.total_ms) <= 0.01 * prof.total_ms
-    order_ok = prof.backward_ms > prof.forward_ms
-    eval_ok = prof.eval_ms > 0
+    timed_ok = min(prof.forward_ms, prof.backward_ms, prof.optim_ms, prof.eval_ms) > 0
+    # a fake clock that only the phases advance: each must get exactly its own time
+    with phase_clock():
+        fake = TR.profile_step(cfg, params, batch, warmup=0, steps=1)
+    phases_ok = fake == TR.StepProfile(1000.0, 2000.0, 4000.0, 7000.0, 8000.0)
 
     unit = TR.activation_estimate_bytes(cfg, 1)
     linear_ok = all(TR.activation_estimate_bytes(cfg, b) == b * unit for b in (2, 4, 8))
 
-    report(10, "profiler phases sum within 1%, backward > forward, eval timed, "
-           "linear activation estimates",
-           sum_ok and order_ok and eval_ok and linear_ok,
+    report(10, "profiler phases sum within 1%, every phase timed, exact phase "
+           "attribution on a fake clock, linear activation estimates",
+           sum_ok and timed_ok and phases_ok and linear_ok,
            f"fwd={prof.forward_ms:.1f}ms bwd={prof.backward_ms:.1f}ms "
-           f"opt={prof.optim_ms:.1f}ms eval={prof.eval_ms:.1f}ms linear={linear_ok}")
+           f"opt={prof.optim_ms:.1f}ms eval={prof.eval_ms:.1f}ms fake={fake} "
+           f"linear={linear_ok}")
 
 
 def test_criterion_11_checkpoint_resume_fidelity(tmp_path):

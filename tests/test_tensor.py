@@ -13,17 +13,19 @@ def t64(arr, grad=False):
 
 
 # ---------------------------------------------------------------------------
-# matmul
+# linear
 
 class TestMatmul:
+    """`linear`: x @ w (+ b), one 2-D GEMM over the flattened leading dims."""
+
     def test_identity_bitwise(self):
         rng = np.random.default_rng(0)
         a = t64(rng.standard_normal((6, 6)))
-        out = T.matmul(a, t64(np.eye(6)))
+        out = T.linear(a, t64(np.eye(6)))
         assert np.array_equal(out.data, a.data)
 
     def test_hand_arithmetic(self):
-        out = T.matmul(t64([[1, 2], [3, 4]]), t64([[5], [6]]))
+        out = T.linear(t64([[1, 2], [3, 4]]), t64([[5], [6]]))
         assert np.array_equal(out.data, [[17.0], [39.0]])
 
     def test_against_triple_loop_oracle(self):
@@ -35,53 +37,101 @@ class TestMatmul:
             for j in range(3):
                 for k in range(5):
                     expected[i, j] += a[i, k] * b[k, j]
-        out = T.matmul(t64(a), t64(b)).data
+        out = T.linear(t64(a), t64(b)).data
         assert np.max(np.abs(out - expected) / np.maximum(np.abs(expected), 1e-12)) <= 1e-12
 
     def test_associativity(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
             a, b, c = (t64(rng.standard_normal((8, 8))) for _ in range(3))
-            lhs = T.matmul(T.matmul(a, b), c).data
-            rhs = T.matmul(a, T.matmul(b, c)).data
+            lhs = T.linear(T.linear(a, b), c).data
+            rhs = T.linear(a, T.linear(b, c)).data
             assert np.max(np.abs(lhs - rhs)) <= 1e-10 * np.max(np.abs(lhs))
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(T.ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            T.matmul(t64(np.zeros((2, 3))), t64(np.zeros((2, 3))))
+            T.linear(t64(np.zeros((2, 3))), t64(np.zeros((2, 3))))
+
+    def test_bias_added_to_every_row(self):
+        out = T.linear(t64([[1, 2], [3, 4]]), t64([[5], [6]]), t64([0.5]))
+        assert np.array_equal(out.data, [[17.5], [39.5]])
+
+    def test_bias_shape_mismatch_rejected(self):
+        with pytest.raises(T.ShapeError, match=r"\(2, 2\), \(3,\)"):
+            T.linear(t64(np.zeros((1, 2))), t64(np.zeros((2, 2))), t64(np.zeros(3)))
+
+    def test_leading_dims_match_per_sample_products(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((2, 3, 4, 5))
+        w = rng.standard_normal((5, 6))
+        b = rng.standard_normal(6)
+        out = T.linear(t64(x), t64(w), t64(b)).data
+        assert out.shape == (2, 3, 4, 6)
+        for i in range(2):
+            for j in range(3):
+                assert np.allclose(out[i, j], x[i, j] @ w + b, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# softmax
+# attention core (the softmax over scores lives inside it)
+
+def attend(q, k, v, heads=1):
+    return T.attention_core(t64(q), t64(k), t64(v), heads).data
+
 
 class TestSoftmax:
     def test_uniform_logits(self):
-        out = T.softmax(t64([0.0, 0.0, 0.0, 0.0]), axis=-1)
-        assert np.allclose(out.data, 0.25)
+        # zero queries score every key equally: each output row is the mean of v
+        rng = np.random.default_rng(8)
+        v = rng.standard_normal((2, 4, 6))
+        out = attend(np.zeros((2, 4, 6)), rng.standard_normal((2, 4, 6)), v, heads=3)
+        assert np.allclose(out, np.broadcast_to(v.mean(axis=1, keepdims=True), v.shape),
+                           rtol=0, atol=1e-12)
 
     def test_single_element_axis(self):
-        assert T.softmax(t64([3.7]), axis=0).data == pytest.approx([1.0])
+        # S=1: the lone key gets weight 1, so the output is v
+        v = np.array([[[3.7, -1.0]]])
+        assert attend(np.array([[[2.0, 5.0]]]), np.array([[[-4.0, 1.0]]]), v) == pytest.approx(v)
 
     def test_large_logits_no_overflow(self):
-        out = T.softmax(t64([1000.0, 0.0]), axis=-1)
-        assert np.all(np.isfinite(out.data))
-        assert out.data[0] == pytest.approx(1.0)
-        assert out.data[1] == pytest.approx(0.0, abs=1e-300)
+        # scores 1e3 apart: all weight on the first key, finite forward and backward
+        q = t64([[[1000.0], [1000.0]]], grad=True)
+        k = t64([[[1.0], [0.0]]], grad=True)
+        v = t64([[[2.0], [-3.0]]], grad=True)
+        with Tape() as tape:
+            out = T.attention_core(q, k, v, 1)
+            backward(T.sum_(out), tape)
+        assert np.array_equal(out.data, [[[2.0], [2.0]]])
+        assert all(np.all(np.isfinite(t.grad)) for t in (q, k, v))
 
     @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=16))
     @settings(max_examples=200, deadline=None)
     def test_rows_sum_to_one_and_positive(self, logits):
-        out = T.softmax(t64(logits), axis=-1).data
-        assert abs(out.sum() - 1.0) <= 1e-6
-        assert np.all(out >= 0)
+        s = len(logits)
+        # one head of s channels: query 0 is e_0 and key j holds the logit on
+        # channel 0, scaled by sqrt(s) to cancel the 1/sqrt(d) score scale
+        q = np.zeros((1, s, s))
+        q[0, :, 0] = 1.0
+        k = np.zeros((1, s, s))
+        k[0, :, 0] = np.asarray(logits) * np.sqrt(s)
+        assert np.all(np.abs(attend(q, k, np.ones((1, s, s))) - 1.0) <= 1e-6)
+        # with v = I the output rows are the attention weights themselves
+        weights = attend(q, k, np.eye(s)[None])[0, 0]
+        assert abs(weights.sum() - 1.0) <= 1e-6
+        assert np.all(weights >= 0)
         # strictly positive wherever exp(logit - max) is representable;
         # below the float64 underflow threshold 0.0 is unavoidable
         gap = np.asarray(logits) - max(logits)
-        assert np.all(out[gap > -700] > 0)
+        assert np.all(weights[gap > -700] > 0)
 
-    def test_axis_out_of_bounds(self):
-        with pytest.raises(T.ShapeError):
-            T.softmax(t64([1.0, 2.0]), axis=3)
+    def test_heads_must_divide_channels(self):
+        x = np.zeros((1, 2, 6))
+        with pytest.raises(T.ShapeError, match="divisible by 4 heads"):
+            attend(x, x, x, heads=4)
+
+    def test_operand_shapes_must_match(self):
+        with pytest.raises(T.ShapeError, match=r"\(1, 2, 4\).*\(1, 3, 4\)"):
+            attend(np.zeros((1, 2, 4)), np.zeros((1, 3, 4)), np.zeros((1, 2, 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +216,17 @@ class TestBackward:
         assert np.array_equal(x.grad, np.ones((2, 3)))
 
     def test_matmul_analytic_rule(self):
+        # linear's VJP: dX = g W^T, dW = X^T g, db = column sums of g
         rng = np.random.default_rng(5)
         a = t64(rng.standard_normal((3, 4)), grad=True)
-        b = t64(rng.standard_normal((4, 2)), grad=True)
+        w = t64(rng.standard_normal((4, 2)), grad=True)
+        b = t64(rng.standard_normal(2), grad=True)
+        g = rng.standard_normal((3, 2))
         with Tape() as tape:
-            backward(T.sum_(T.matmul(a, b)), tape)
-        g = np.ones((3, 2))
-        assert np.allclose(a.grad, g @ b.data.T)
-        assert np.allclose(b.grad, a.data.T @ g)
+            backward(T.sum_(T.mul(T.linear(a, w, b), t64(g))), tape)
+        assert np.allclose(a.grad, g @ w.data.T)
+        assert np.allclose(w.grad, a.data.T @ g)
+        assert np.allclose(b.grad, g.sum(axis=0))
 
     def test_accumulation_over_shared_use(self):
         x = t64([1.0, 2.0], grad=True)
@@ -207,7 +260,7 @@ class TestBackward:
         for _ in range(2):
             wt = t64(w.copy(), grad=True)
             with Tape() as tape:
-                out = T.sum_(T.gelu(T.matmul(t64(x), wt)))
+                out = T.sum_(T.gelu(T.linear(t64(x), wt)))
                 backward(out, tape)
             grads.append(wt.grad.copy())
         assert np.array_equal(grads[0], grads[1])
@@ -222,10 +275,10 @@ class TestBackward:
         targets = np.full((3, 4), 0.25)
 
         def f():
-            h = T.gelu(T.matmul(t64(x), w1))
-            h = T.layer_norm(h, g1, b1)
-            h = T.softmax(T.matmul(h, w2), axis=-1)
-            return T.cross_entropy(T.matmul(h, t64(np.eye(4))), targets)
+            h = T.gelu(T.linear(t64(x), w1))
+            h = T.reshape(T.layer_norm(h, g1, b1), (1, 3, 8))
+            h = T.reshape(T.attention_core(h, h, h, heads=2), (3, 8))
+            return T.cross_entropy(T.linear(h, w2), targets)
 
         assert grad_check(f, [w1, g1, b1, w2], h=1e-5) < 1e-4
 
@@ -264,15 +317,59 @@ class TestGradCheck:
 
 
 # ---------------------------------------------------------------------------
+# VJPs against finite differences over random shapes
+
+def cotangent_error(op, inputs, seed):
+    """grad_check of sum(op(*inputs) * r) for a fixed random cotangent r."""
+    r = t64(np.random.default_rng(seed).standard_normal(op(*inputs).shape))
+    return grad_check(lambda: T.sum_(T.mul(op(*inputs), r)), list(inputs), h=1e-5)
+
+
+def random_inputs(seed, *shapes):
+    rng = np.random.default_rng(seed)
+    return [t64(rng.standard_normal(shape), grad=True) for shape in shapes]
+
+
+VJP_SETTINGS = settings(max_examples=30, derandomize=True, deadline=None)
+seeds = st.integers(0, 2 ** 32 - 1)
+extents = st.integers(1, 4)
+
+
+class TestVjpProperties:
+    @given(lead=st.lists(st.integers(1, 3), max_size=2), n_in=extents, n_out=extents,
+           bias=st.booleans(), seed=seeds)
+    @VJP_SETTINGS
+    def test_linear(self, lead, n_in, n_out, bias, seed):
+        shapes = [(*lead, n_in), (n_in, n_out)] + [(n_out,)] * bias
+        assert cotangent_error(T.linear, random_inputs(seed, *shapes), seed + 1) < 1e-4
+
+    @given(b=st.integers(1, 3), s=st.integers(1, 5), heads=st.integers(1, 3), d=extents,
+           seed=seeds)
+    @VJP_SETTINGS
+    def test_attention_core(self, b, s, heads, d, seed):
+        qkv = random_inputs(seed, *[(b, s, heads * d)] * 3)
+        err = cotangent_error(lambda q, k, v: T.attention_core(q, k, v, heads), qkv, seed + 1)
+        assert err < 1e-4
+
+    @given(op=st.sampled_from([T.add, T.mul]), m=extents, n=extents,
+           other=st.sampled_from(["row", "column", "vector"]), seed=seeds)
+    @VJP_SETTINGS
+    def test_broadcast_arithmetic(self, op, m, n, other, seed):
+        shape = {"row": (1, n), "column": (m, 1), "vector": (n,)}[other]
+        assert cotangent_error(op, random_inputs(seed, (m, n), shape), seed + 1) < 1e-4
+
+
+# ---------------------------------------------------------------------------
 # debug numerics
 
 def test_debug_mode_flags_nonfinite():
+    big, factor = (Tensor(np.array([v], dtype=np.float32)) for v in (1e38, 1e10))
     T.set_debug_checks(True)
     try:
         with pytest.raises(T.NumericsError):
-            T.scale(Tensor(np.array([1e38], dtype=np.float32)), 1e10)
+            T.mul(big, factor)
     finally:
         T.set_debug_checks(False)
     # off by default: same op passes silently
-    out = T.scale(Tensor(np.array([1e38], dtype=np.float32)), 1e10)
+    out = T.mul(big, factor)
     assert np.isinf(out.data[0])
