@@ -114,7 +114,7 @@ def train_config(args: argparse.Namespace) -> TR.TrainConfig:
     if args.config:
         for key, raw in parse_config_file(args.config).items():
             if key not in _OPTIONS:
-                raise ValueError(f"unknown config key {key!r}")
+                raise ValueError(f"unknown config key {key!r} (value {raw!r})")
             try:
                 assign(key, _value_type(key)(raw))
             except ValueError as exc:
@@ -133,8 +133,7 @@ def _data_dir(args) -> Path:
     return Path(path)
 
 
-def cmd_train(args) -> int:
-    cfg = train_config(args)
+def cmd_train(args, cfg: TR.TrainConfig) -> int:
     data_dir = _data_dir(args)
     train_ds = D.load_cifar10(data_dir, "train")
     test_ds = D.load_cifar10(data_dir, "test")
@@ -157,7 +156,7 @@ def _config_fields(cls, saved, where: str) -> dict:
     return dict(saved)
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args, _cfg: TR.TrainConfig) -> int:
     if not args.resume:
         raise SystemExit("eval needs --resume <checkpoint>")
     ckpt = D.load_checkpoint(args.resume)
@@ -179,9 +178,8 @@ def _batch_sizes(raw: str) -> list[int]:
     return sizes
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args, run: TR.TrainConfig) -> int:
     """Profile the training step per batch size: one line each to stdout and bench.log."""
-    run = train_config(args)
     cfg = run.model
     cfg.validate()
     rng = np.random.default_rng(run.seed)
@@ -202,8 +200,7 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def cmd_grad_check(args) -> int:
-    run = train_config(args)
+def cmd_grad_check(args, run: TR.TrainConfig) -> int:
     cfg = M.ModelConfig(
         image_size=16, embed_dim=32, num_heads=4, depth=2,
         num_cls_tokens=run.model.num_cls_tokens,
@@ -239,8 +236,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.fn(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        cfg = train_config(args)
+    except (OSError, ValueError) as exc:   # an unreadable or malformed --config file
+        parser.error(f"--config: {exc}")
+    return args.fn(args, cfg)
 
 
 if __name__ == "__main__":

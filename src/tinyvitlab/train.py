@@ -8,12 +8,16 @@ a checkpoint reproduces the uninterrupted loss sequence exactly.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import os
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -100,9 +104,79 @@ def rng_for(seed: int, purpose: str, *indices: int) -> np.random.Generator:
         np.random.SeedSequence((seed, tag) + tuple(indices))))
 
 
-def _max_threads() -> int:
-    cap = os.environ.get("THREADS")
-    return int(cap) if cap else os.cpu_count() or 1
+# ---------------------------------------------------------------------------
+# BLAS threads
+
+class _OpenBlas(NamedTuple):
+    get: Callable[[], int]
+    set: Callable[[int], None]
+    start: int   # the count it started with: OPENBLAS_NUM_THREADS, else the CPUs it saw
+
+
+# (get, set) symbol names: numpy >= 2 wheels' scipy-openblas, then older wheels'
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+)
+
+
+@functools.cache
+def _openblas() -> _OpenBlas | None:
+    """The thread-count controls of the OpenBLAS that numpy's Linux wheel
+    ships in numpy.libs (already loaded, so ctypes gets the same instance),
+    or None if none is found."""
+    for lib in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*")):
+        try:
+            dll = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            if hasattr(dll, get_name) and hasattr(dll, set_name):
+                get, set_ = getattr(dll, get_name), getattr(dll, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return _OpenBlas(get, set_, get())
+    return None
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _step_blas_threads(workers: int) -> int | None:
+    """The OpenBLAS thread count parallel_train_step runs its shards under,
+    or None when no OpenBLAS is found and the step runs unpinned.
+
+    One worker keeps the starting count. More workers split the usable CPUs:
+    each of the min(workers, cpus) pool threads gets cpus // pool BLAS
+    threads, at least 1 and at most the starting count.
+    """
+    blas = _openblas()
+    if blas is None:
+        return None
+    if workers == 1:
+        return blas.start
+    ncpu = _usable_cpus()
+    return max(1, min(blas.start, ncpu // min(workers, ncpu)))
+
+
+@contextlib.contextmanager
+def _blas_threads(count: int | None):
+    """Run the block under `count` OpenBLAS threads (None: leave it), then
+    restore the count from before."""
+    if count is None:
+        yield
+        return
+    blas = _openblas()
+    before = blas.get()
+    blas.set(count)
+    try:
+        yield
+    finally:
+        blas.set(before)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +261,9 @@ def parallel_train_step(cfg: M.ModelConfig, params: dict[str, Tensor],
 
     Each worker owns a private parameter replica (shared read-only data,
     private grad buffers) and a private drop-path rng stream, so K=1
-    reproduces the serial step bitwise.
+    reproduces the serial step bitwise. K>1 workers run under
+    `_step_blas_threads(K)` OpenBLAS threads, so shards and BLAS threads
+    together do not oversubscribe the usable CPUs.
     """
     b = len(batch.images)
     if b % workers != 0:
@@ -203,7 +279,8 @@ def parallel_train_step(cfg: M.ModelConfig, params: dict[str, Tensor],
     if workers == 1:
         results = [work(0)]
     else:
-        with ThreadPoolExecutor(max_workers=min(workers, _max_threads())) as pool:
+        with (_blas_threads(_step_blas_threads(workers)),
+              ThreadPoolExecutor(max_workers=min(workers, _usable_cpus())) as pool):
             results = list(pool.map(work, range(workers)))
 
     grads: dict[str, np.ndarray] = {}
@@ -240,9 +317,11 @@ def _grad_norm(grads: dict[str, np.ndarray]) -> float:
                              for g in grads.values())))
 
 
-def _check_resumable(ckpt: D.Checkpoint, cfg: TrainConfig) -> None:
+def _check_resumable(ckpt: D.Checkpoint, cfg: TrainConfig, blas_threads: int | None) -> None:
     """Refuse a checkpoint whose model config, or whose fields that fix the
-    step sequence and LR schedule, differ from the run's; name each one."""
+    step sequence and LR schedule, differ from the run's; name each one.
+    Then refuse one whose step ran under another OpenBLAS thread count,
+    which can change the gradients' bits."""
     saved = {f"model.{k}": v for k, v in ckpt.model_config.items()}
     run = {f"model.{k}": v for k, v in asdict(cfg.model).items()}
     for k in ("epochs", "batch_size", "warmup_epochs", "seed", "workers"):
@@ -251,6 +330,12 @@ def _check_resumable(ckpt: D.Checkpoint, cfg: TrainConfig) -> None:
              for k in sorted(saved.keys() | run.keys()) if saved.get(k) != run.get(k)]
     if diffs:
         raise D.CheckpointError("checkpoint does not match this run: " + "; ".join(diffs))
+    saved_blas = ckpt.train_config.get("blas_threads")
+    if saved_blas != blas_threads:
+        raise D.CheckpointError(
+            f"checkpoint does not match this run: blas_threads is {saved_blas!r} in the "
+            f"checkpoint, {blas_threads!r} in the run (OPENBLAS_NUM_THREADS or the CPU "
+            f"affinity sets it, split over the workers)")
 
 
 def steps_per_epoch(n: int, cfg: TrainConfig) -> int:
@@ -285,10 +370,12 @@ def train(cfg: TrainConfig, train_ds: D.Dataset, test_ds: D.Dataset,
         # a one-step run gets no warmup; lr_schedule needs warmup < total
         warmup_steps = min(max(total_steps // 10, 1), total_steps - 1)
 
+    # bitwise resume needs the step's BLAS thread count, so it is saved and checked
+    blas_threads = _step_blas_threads(cfg.workers)
     start_epoch = 0
     if resume is not None:
         ckpt = D.load_checkpoint(resume)
-        _check_resumable(ckpt, cfg)
+        _check_resumable(ckpt, cfg, blas_threads)
         params = {k: Tensor(v, requires_grad=True) for k, v in sorted(ckpt.params.items())}
         state = O.OptimState.from_meta(ckpt.optim_meta, ckpt.optim_arrays)
         start_epoch = ckpt.epoch
@@ -347,7 +434,8 @@ def train(cfg: TrainConfig, train_ds: D.Dataset, test_ds: D.Dataset,
 
             D.save_checkpoint(
                 ckpt_path, params=params,
-                model_config=asdict(cfg.model), train_config=asdict(cfg),
+                model_config=asdict(cfg.model),
+                train_config={**asdict(cfg), "blas_threads": blas_threads},
                 optim_meta=state.meta(), optim_arrays=state.to_arrays(),
                 rng_state={"seed": cfg.seed, "next_epoch": epoch + 1},
                 epoch=epoch + 1)

@@ -1,6 +1,7 @@
 """Training loop: deterministic batching, sharded-gradient equivalence,
 checkpoint resume, profiling bookkeeping, and the CLI plumbing."""
 
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -163,6 +164,83 @@ class TestParallelStep:
             assert np.array_equal(v.data, before[k])
             assert v.grad is None or not np.any(v.grad)
 
+    @staticmethod
+    def watch_shards(monkeypatch, get_count, fail=False):
+        """Record the BLAS count each shard starts under; optionally raise."""
+        seen = []
+        real = TR._shard_gradients
+
+        def shard(*args):
+            seen.append(get_count())
+            if fail:
+                raise RuntimeError("shard failed")
+            return real(*args)
+
+        monkeypatch.setattr(TR, "_shard_gradients", shard)
+        return seen
+
+    # (count OpenBLAS started with, usable CPUs, workers, per-shard count)
+    @pytest.mark.parametrize("start,cpus,workers,pinned", [
+        (8, 4, 2, 2), (8, 2, 4, 1), (4, 6, 4, 1), (3, 16, 2, 3), (1, 4, 2, 1)])
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_blas_threads_pinned_and_restored(self, monkeypatch, start, cpus, workers,
+                                              pinned, fail):
+        count = [5]   # a stand-in OpenBLAS whose thread count is this cell
+        monkeypatch.setattr(TR, "_openblas", lambda: TR._OpenBlas(
+            lambda: count[0], lambda n: count.__setitem__(0, n), start))
+        monkeypatch.setattr(TR, "_usable_cpus", lambda: cpus)
+        cfg, params, batch = self.setup_case()
+        seen = self.watch_shards(monkeypatch, lambda: count[0], fail)
+        assert TR._step_blas_threads(workers) == pinned
+        assert TR._step_blas_threads(1) == start
+        with pytest.raises(RuntimeError) if fail else contextlib.nullcontext():
+            TR.parallel_train_step(cfg, params, batch, workers=workers)
+        assert seen and set(seen) == {pinned}
+        assert count == [5]
+        if not fail:   # one worker runs under whatever count is set
+            seen.clear()
+            TR.parallel_train_step(cfg, params, batch, workers=1)
+            assert seen == [5] and count == [5]
+
+    def test_unpinned_without_openblas(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(TR, "_OPENBLAS_SYMBOLS", (("no_get_threads", "no_set_threads"),))
+        monkeypatch.setattr(TR, "_openblas", TR._openblas.__wrapped__)   # uncached lookup
+        assert TR._openblas() is None and TR._step_blas_threads(2) is None
+        cfg, params, batch = self.setup_case()
+        unpinned, _ = TR.parallel_train_step(cfg, params, batch, workers=2)
+        serial, _ = TR.parallel_train_step(cfg, params, batch, workers=1)
+        for k in serial:
+            assert np.abs(serial[k] - unpinned[k]).max() <= 1e-10 * max(np.abs(serial[k]).max(), 1.0)
+        ds = D.synthetic_dataset("two-class-blobs", 16, seed=8)
+        result = TR.train(tiny_train_config(epochs=1, workers=2), ds, ds, tmp_path / "out")
+        ckpt = D.load_checkpoint(result.checkpoint_path)
+        assert "blas_threads" in ckpt.train_config and ckpt.train_config["blas_threads"] is None
+
+    @pytest.mark.parametrize("count", ["derived", 1, 2])
+    def test_sharded_bits_fixed_by_blas_count(self, monkeypatch, count):
+        # at this shape OpenBLAS 0.3.31 gives other gradient bits under 1 and
+        # 2 threads (seen on a 2-vCPU x86 box), so the count is part of a run
+        blas = TR._openblas()
+        if blas is None:
+            pytest.skip("no OpenBLAS thread control found in this numpy")
+        if count == "derived":
+            count = TR._step_blas_threads(2)
+        else:
+            monkeypatch.setattr(TR, "_step_blas_threads", lambda workers: count)
+        cfg = M.ModelConfig(embed_dim=96, num_heads=4, depth=2)
+        rng = np.random.default_rng(0)
+        params = M.init_params(cfg, rng)
+        batch = A.SoftBatch(rng.standard_normal((32, 3, 32, 32)).astype(np.float32),
+                            np.full((32, 10), 0.1, np.float32))
+        before = blas.get()
+        seen = self.watch_shards(monkeypatch, blas.get)
+        a, loss_a = TR.parallel_train_step(cfg, params, batch, workers=2)
+        b, loss_b = TR.parallel_train_step(cfg, params, batch, workers=2)
+        assert seen == [count] * 4 and blas.get() == before
+        assert loss_a == loss_b
+        for k in a:
+            assert np.array_equal(a[k], b[k]), k
+
 
 # ---------------------------------------------------------------------------
 # evaluation and the full loop
@@ -275,12 +353,16 @@ class TestTrainLoop:
             ("batch_size", {}, {"batch_size": 4}),
             ("warmup_epochs", {}, {"warmup_epochs": 0}),
             ("seed", {}, {"seed": 1}),
-            ("workers", {}, {"workers": 2}))])
-    def test_resume_refuses_mismatched_run(self, tmp_path, one_epoch_checkpoint,
+            ("workers", {}, {"workers": 2}),
+            ("blas_threads", {}, {}))])
+    def test_resume_refuses_mismatched_run(self, tmp_path, monkeypatch, one_epoch_checkpoint,
                                            field, model_kw, train_kw):
         ds = D.synthetic_dataset("two-class-blobs", 16, seed=8)
         model = dataclasses.replace(tiny_train_config().model, **model_kw)
         cfg = tiny_train_config(model=model, **train_kw)
+        if field == "blas_threads":   # as if OPENBLAS_NUM_THREADS or the affinity changed
+            saved = D.load_checkpoint(one_epoch_checkpoint).train_config["blas_threads"]
+            monkeypatch.setattr(TR, "_step_blas_threads", lambda workers: (saved or 0) + 1)
         with pytest.raises(D.CheckpointError, match=rf"does not match this run: {field} is"):
             TR.train(cfg, ds, ds, tmp_path / "out", resume=one_epoch_checkpoint)
 
@@ -494,6 +576,22 @@ class TestCli:
         out = capsys.readouterr().out
         assert "max_relative_error=" in out
         assert rc == 0
+
+    @pytest.mark.parametrize("line, shown", [
+        ("momentum=0.9", "unknown config key 'momentum' (value '0.9')"),
+        ("no_mixup=ture", "config key 'no_mixup': expected a bool"),
+        ("epochs 5", "expected key=value, got 'epochs 5'"),
+    ])
+    def test_bad_config_file_is_a_usage_error(self, line, shown, tmp_path, monkeypatch,
+                                              capsys):
+        monkeypatch.delenv("DATA_DIR", raising=False)   # refused before data is read
+        p = tmp_path / "run.cfg"
+        p.write_text(line + "\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--config", str(p)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: --config: " in err and shown in err
 
     def test_train_without_data_dir_exits(self, monkeypatch):
         monkeypatch.delenv("DATA_DIR", raising=False)
