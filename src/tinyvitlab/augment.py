@@ -11,6 +11,7 @@ coordinates, keeping outputs bit-exact across platforms.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 from importlib import resources
@@ -168,13 +169,11 @@ _TRANSLATE_MAX = 10     # pixels at level 9
 _ROTATE_MAX = 30.0      # degrees at level 9
 
 
-def load_policy(path=None) -> list[list[tuple[str, float, int]]]:
-    """Parse the embedded sub-policy table (one per line, op,p,level;op,p,level)."""
-    if path is None:
-        text = resources.files("tinyvitlab").joinpath("autoaugment_cifar10.txt").read_text()
-    else:
-        with open(path) as fh:
-            text = fh.read()
+@functools.cache
+def load_policy() -> tuple[tuple[tuple[str, float, int], ...], ...]:
+    """Parse the embedded sub-policy table (one per line, op,p,level;op,p,level),
+    once; the result is immutable, so every caller can share it."""
+    text = resources.files("tinyvitlab").joinpath("autoaugment_cifar10.txt").read_text()
     policy = []
     for line in text.splitlines():
         line = line.strip()
@@ -184,18 +183,8 @@ def load_policy(path=None) -> list[list[tuple[str, float, int]]]:
         for stage in line.split(";"):
             op, p, m = stage.split(",")
             stages.append((op, float(p), int(m)))
-        policy.append(stages)
-    return policy
-
-
-_POLICY_CACHE: list | None = None
-
-
-def _policy() -> list:
-    global _POLICY_CACHE
-    if _POLICY_CACHE is None:
-        _POLICY_CACHE = load_policy()
-    return _POLICY_CACHE
+        policy.append(tuple(stages))
+    return tuple(policy)
 
 
 def _sample_coords(image: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -363,7 +352,7 @@ def base_augment(image: np.ndarray, use_autoaugment: bool,
         out = out[:, :, ::-1]
     out = np.ascontiguousarray(out)
     if use_autoaugment:
-        policy = _policy()
+        policy = load_policy()
         sub = policy[int(rng.integers(0, len(policy)))]
         for op, p, level in sub:
             if rng.random() < p:

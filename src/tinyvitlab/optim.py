@@ -10,6 +10,7 @@ import numpy as np
 from tinyvitlab.tensor import Tensor
 
 OPTIMIZERS = ("adamw", "lion")
+_BETAS = {"adamw": (0.9, 0.999), "lion": (0.9, 0.99)}   # (beta1, beta2) by kind
 
 def excluded_from_decay(path: str, shape: tuple[int, ...]) -> bool:
     """Biases and layer-norm affines (every 1-D parameter), CLS tokens and
@@ -51,14 +52,12 @@ class OptimState:
 
 
 def init_optim(kind: str, params: dict[str, Tensor], lr_peak: float = 0.002,
-               weight_decay: float = 0.05, betas: tuple[float, float] | None = None,
-               eps: float = 1e-8) -> OptimState:
+               weight_decay: float = 0.05) -> OptimState:
     if kind not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {kind!r}")
-    if betas is None:
-        betas = (0.9, 0.999) if kind == "adamw" else (0.9, 0.99)
+    beta1, beta2 = _BETAS[kind]
     state = OptimState(kind=kind, lr_peak=lr_peak, weight_decay=weight_decay,
-                       beta1=betas[0], beta2=betas[1], eps=eps)
+                       beta1=beta1, beta2=beta2)
     for path in sorted(params):
         state.m[path] = np.zeros_like(params[path].data)
         if kind == "adamw":

@@ -4,7 +4,9 @@ The op set is closed over what the model needs: the dense layer `linear`,
 the fused multi-head `attention_core`, elementwise add / mul, sum, layer
 norm, gelu, soft-target cross entropy, and the shape plumbing (reshape /
 transpose / concat / narrow / broadcast). Training runs in float32; gradient
-checking runs the same code in float64.
+checking runs the same code in float64. Ops record nodes on the active
+`Tape`; `grads = backward(loss, tape, params)` returns the gradients, which
+are values, not state kept on tensors.
 
 Determinism: all reductions go through numpy with a fixed evaluation order,
 so repeated runs on the same inputs produce bitwise-identical results.
@@ -46,9 +48,9 @@ def set_debug_checks(enabled: bool) -> None:
 
 
 class Tensor:
-    """Dense n-dimensional array with an optional gradient buffer."""
+    """Dense n-dimensional array; ops on a tape record it if it requires grad."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -57,7 +59,6 @@ class Tensor:
         elif arr.dtype not in (F32, F64):
             arr = arr.astype(F32)
         self.data = arr
-        self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
 
     @property
@@ -79,9 +80,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -89,18 +87,17 @@ class Tensor:
 class Tape:
     """Ordered record of primitive applications for one forward pass.
 
-    Nodes are appended in execution order (topological by construction);
-    ``backward`` replays them once, in reverse. A Tape is confined to one
-    worker thread. Usable as a context manager::
+    Nodes are (output, inputs, vjp) triples in execution order (topological
+    by construction); ``backward`` pops them, in reverse, so it runs once per
+    tape. A Tape is confined to one worker thread. Usable as a context manager::
 
         with Tape() as tape:
             loss = ...
-        backward(loss, tape)
+        grads = backward(loss, tape, params)
     """
 
     def __init__(self):
-        self._nodes: list = []
-        self._produced: set[int] = set()
+        self._nodes: list[tuple[Tensor, tuple[Tensor, ...], object]] = []
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -146,17 +143,7 @@ def _make(data: np.ndarray, inputs: tuple[Tensor, ...], vjp) -> Tensor:
     rec = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(data, requires_grad=rec)
     if rec:
-        def node():
-            g = out.grad
-            if g is None:
-                return
-            for t, gt in zip(inputs, vjp(g)):
-                if t.requires_grad and gt is not None:
-                    if t.grad is None:
-                        t.grad = np.zeros_like(t.data)
-                    t.grad += gt
-        tape._nodes.append(node)
-        tape._produced.add(id(out))
+        tape._nodes.append((out, inputs, vjp))
     return out
 
 
@@ -354,15 +341,28 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 # ---------------------------------------------------------------------------
 # backward and gradient checking
 
-def backward(loss: Tensor, tape: Tape) -> None:
-    """Reverse-accumulate gradients of a scalar loss through the tape."""
+def backward(loss: Tensor, tape: Tape, wrt) -> list[np.ndarray]:
+    """d loss / d t for each t in `wrt`, in order; zeros where the loss does
+    not reach t. Pops the nodes in reverse and drops each, with its output's
+    cotangent, once its VJP has run, leaving the tape empty. A VJP may return
+    one array for two inputs, or a view, so cotangents are summed out of
+    place; the returned arrays may share memory: treat them as read-only."""
     if loss.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if id(loss) not in tape._produced:
+    nodes = tape._nodes
+    if not any(out is loss for out, _, _ in nodes):
         raise GraphError("loss tensor was not produced under this tape")
-    loss.grad = np.ones_like(loss.data)
-    for node in reversed(tape._nodes):
-        node()
+    cotangents = {id(loss): np.ones_like(loss.data)}   # keyed by tensor identity
+    while nodes:
+        out, inputs, vjp = nodes.pop()
+        g = cotangents.pop(id(out), None)
+        if g is None:
+            continue
+        for t, gt in zip(inputs, vjp(g)):
+            if t.requires_grad and gt is not None:
+                prev = cotangents.get(id(t))
+                cotangents[id(t)] = gt if prev is None else prev + gt
+    return [cotangents.get(id(t), np.zeros_like(t.data)) for t in wrt]
 
 
 def grad_check(f, params: list[Tensor], h: float = 1e-5,
@@ -375,23 +375,11 @@ def grad_check(f, params: list[Tensor], h: float = 1e-5,
     """
     if h <= 0:
         raise ValueError("grad_check h must be positive")
-    for p in params:
-        p.zero_grad()
     with Tape() as tape:
         loss = f()
-        if loss.size != 1:
-            raise ValueError("grad_check requires a scalar-valued f")
-        backward(loss, tape)
-    analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data) for p in params]
-    for p in params:
-        p.zero_grad()
+    analytic = backward(loss, tape, params)
     if rng is None:
         rng = np.random.default_rng(0)
-
-    def eval_f() -> float:
-        out = f()
-        return float(out.data.reshape(-1)[0])
-
     worst = 0.0
     for p, ga in zip(params, analytic):
         n = p.size
@@ -404,9 +392,9 @@ def grad_check(f, params: list[Tensor], h: float = 1e-5,
         for i in coords:
             orig = flat[i]
             flat[i] = orig + h
-            fp = eval_f()
+            fp = f().item()
             flat[i] = orig - h
-            fm = eval_f()
+            fm = f().item()
             flat[i] = orig
             numeric = (fp - fm) / (2.0 * h)
             a = float(gflat[i])

@@ -11,11 +11,12 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import json
 import os
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -236,19 +237,16 @@ def _shard_gradients(cfg: M.ModelConfig, params: dict[str, Tensor],
                      rng: np.random.Generator | None
                      ) -> tuple[dict[str, np.ndarray], float, float]:
     """The training step's gradient pass on one shard: train-mode forward,
-    cross entropy and backward through a private parameter replica.
+    cross entropy and backward. Only reads `params`, so shards can share it.
 
     Returns (grads, loss, seconds spent in forward and loss).
     """
-    replica = {k: Tensor(v.data, requires_grad=True) for k, v in params.items()}
     with Tape() as tape:
         t0 = time.perf_counter()
-        logits = M.forward(cfg, replica, Tensor(images), mode="train", rng=rng)
+        logits = M.forward(cfg, params, Tensor(images), mode="train", rng=rng)
         loss = cross_entropy(logits, targets)
         forward_s = time.perf_counter() - t0
-        backward(loss, tape)
-    grads = {k: (t.grad if t.grad is not None else np.zeros_like(t.data))
-             for k, t in replica.items()}
+    grads = dict(zip(params, backward(loss, tape, params.values())))
     return grads, loss.item(), forward_s
 
 
@@ -259,11 +257,10 @@ def parallel_train_step(cfg: M.ModelConfig, params: dict[str, Tensor],
     """Shard the batch over worker threads, average gradients in ascending
     worker order, and return (averaged grads, mean loss).
 
-    Each worker owns a private parameter replica (shared read-only data,
-    private grad buffers) and a private drop-path rng stream, so K=1
-    reproduces the serial step bitwise. K>1 workers run under
-    `_step_blas_threads(K)` OpenBLAS threads, so shards and BLAS threads
-    together do not oversubscribe the usable CPUs.
+    Workers share `params` read-only, and each owns its tape, gradients and
+    drop-path rng stream, so K=1 reproduces the serial step bitwise. K>1
+    workers run under `_step_blas_threads(K)` OpenBLAS threads, so shards
+    and BLAS threads together do not oversubscribe the usable CPUs.
     """
     b = len(batch.images)
     if b % workers != 0:
@@ -283,12 +280,9 @@ def parallel_train_step(cfg: M.ModelConfig, params: dict[str, Tensor],
               ThreadPoolExecutor(max_workers=min(workers, _usable_cpus())) as pool):
             results = list(pool.map(work, range(workers)))
 
-    grads: dict[str, np.ndarray] = {}
-    for path in sorted(params):
-        acc = results[0][0][path].copy()
-        for w in range(1, workers):
-            acc += results[w][0][path]
-        grads[path] = acc / workers
+    # summed out of place, in worker order: backward's arrays may share memory
+    grads = {path: functools.reduce(np.add, [r[0][path] for r in results]) / workers
+             for path in sorted(params)}
     loss = sum(r[1] for r in results) / workers
     return grads, loss
 
@@ -317,25 +311,41 @@ def _grad_norm(grads: dict[str, np.ndarray]) -> float:
                              for g in grads.values())))
 
 
-def _check_resumable(ckpt: D.Checkpoint, cfg: TrainConfig, blas_threads: int | None) -> None:
-    """Refuse a checkpoint whose model config, or whose fields that fix the
-    step sequence and LR schedule, differ from the run's; name each one.
-    Then refuse one whose step ran under another OpenBLAS thread count,
-    which can change the gradients' bits."""
-    saved = {f"model.{k}": v for k, v in ckpt.model_config.items()}
-    run = {f"model.{k}": v for k, v in asdict(cfg.model).items()}
-    for k in ("epochs", "batch_size", "warmup_epochs", "seed", "workers"):
-        saved[k], run[k] = ckpt.train_config.get(k), getattr(cfg, k)
-    diffs = [f"{k} is {saved.get(k)!r} in the checkpoint, {run.get(k)!r} in the run"
-             for k in sorted(saved.keys() | run.keys()) if saved.get(k) != run.get(k)]
-    if diffs:
-        raise D.CheckpointError("checkpoint does not match this run: " + "; ".join(diffs))
-    saved_blas = ckpt.train_config.get("blas_threads")
-    if saved_blas != blas_threads:
-        raise D.CheckpointError(
-            f"checkpoint does not match this run: blas_threads is {saved_blas!r} in the "
-            f"checkpoint, {blas_threads!r} in the run (OPENBLAS_NUM_THREADS or the CPU "
-            f"affinity sets it, split over the workers)")
+def _check_resumable(ckpt: D.Checkpoint, cfg: TrainConfig, train_config: dict) -> None:
+    """Refuse a checkpoint that does not fit the run, naming what differs:
+    a field of the saved train config (blas_threads too: another OpenBLAS
+    thread count can change the gradients' bits), then a param or optimizer
+    moment whose name or shape the run's model and optimizer do not give."""
+    def diffs(saved: dict, run: dict) -> str:
+        return "; ".join(
+            f"{k} is {saved.get(k)!r} in the checkpoint, {run.get(k)!r} in the run"
+            + (" (OPENBLAS_NUM_THREADS or the CPU affinity sets it, split over the workers)"
+               if k == "blas_threads" else "")
+            for k in sorted(saved.keys() | run.keys(), key=lambda k: (k == "blas_threads", k))
+            if saved.get(k) != run.get(k))
+
+    def flat(tc: dict) -> dict:   # `model` and `augment` expanded one level
+        out = {}
+        for k, v in tc.items():
+            nested = k in ("model", "augment") and isinstance(v, dict)
+            out.update({f"{k}.{kk}": vv for kk, vv in v.items()} if nested else {k: v})
+        return out
+
+    def members(params: dict, optim_arrays: dict) -> dict:
+        return {f"{section}/{k}": a.shape for section, arrays in
+                (("params", params), ("optim", optim_arrays)) for k, a in arrays.items()}
+
+    # JSON holds tuples as lists; compare like with like
+    if msg := diffs(flat(ckpt.train_config), flat(json.loads(json.dumps(train_config)))):
+        raise D.CheckpointError("checkpoint does not match this run: " + msg)
+    if ckpt.optim_meta is None:
+        raise D.CheckpointError("checkpoint holds no optimizer state: its header's optim is null")
+    # whitening changes the values init_params gives, not the shapes
+    params = M.init_params(replace(cfg.model, patch_init="random"), np.random.default_rng(0))
+    run_members = members(params, O.init_optim(cfg.optimizer, params).to_arrays())
+    if msg := diffs(members(ckpt.params, ckpt.optim_arrays), run_members):
+        raise D.CheckpointError("checkpoint members do not fit this run's model (shape, or "
+                                "None where absent): " + msg)
 
 
 def steps_per_epoch(n: int, cfg: TrainConfig) -> int:
@@ -371,11 +381,11 @@ def train(cfg: TrainConfig, train_ds: D.Dataset, test_ds: D.Dataset,
         warmup_steps = min(max(total_steps // 10, 1), total_steps - 1)
 
     # bitwise resume needs the step's BLAS thread count, so it is saved and checked
-    blas_threads = _step_blas_threads(cfg.workers)
+    train_config = {**asdict(cfg), "blas_threads": _step_blas_threads(cfg.workers)}
     start_epoch = 0
     if resume is not None:
         ckpt = D.load_checkpoint(resume)
-        _check_resumable(ckpt, cfg, blas_threads)
+        _check_resumable(ckpt, cfg, train_config)
         params = {k: Tensor(v, requires_grad=True) for k, v in sorted(ckpt.params.items())}
         state = O.OptimState.from_meta(ckpt.optim_meta, ckpt.optim_arrays)
         start_epoch = ckpt.epoch
@@ -435,7 +445,7 @@ def train(cfg: TrainConfig, train_ds: D.Dataset, test_ds: D.Dataset,
             D.save_checkpoint(
                 ckpt_path, params=params,
                 model_config=asdict(cfg.model),
-                train_config={**asdict(cfg), "blas_threads": blas_threads},
+                train_config=train_config,
                 optim_meta=state.meta(), optim_arrays=state.to_arrays(),
                 rng_state={"seed": cfg.seed, "next_epoch": epoch + 1},
                 epoch=epoch + 1)
