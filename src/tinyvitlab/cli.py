@@ -163,6 +163,7 @@ def cmd_eval(args, _cfg: TR.TrainConfig) -> int:
     saved = _config_fields(M.ModelConfig, ckpt.model_config, "model_config")
     saved["mla"] = M.MlaConfig(**_config_fields(M.MlaConfig, saved["mla"], "model_config.mla"))
     cfg = M.ModelConfig(**saved)
+    TR.check_params(ckpt.params, cfg)
     params = {k: Tensor(v, requires_grad=True) for k, v in sorted(ckpt.params.items())}
     test_ds = D.load_cifar10(_data_dir(args), "test")
     acc = TR.evaluate(cfg, params, test_ds)
@@ -179,7 +180,7 @@ def _batch_sizes(raw: str) -> list[int]:
 
 
 def cmd_bench(args, run: TR.TrainConfig) -> int:
-    """Profile the training step per batch size: one line each to stdout and bench.log."""
+    """Profile run's training step per batch size: one line each to stdout and bench.log."""
     cfg = run.model
     cfg.validate()
     rng = np.random.default_rng(run.seed)
@@ -190,7 +191,7 @@ def cmd_bench(args, run: TR.TrainConfig) -> int:
         for bs in args.sizes:
             images = rng.standard_normal((bs, 3, cfg.image_size, cfg.image_size), np.float32)
             targets = np.full((bs, cfg.num_classes), 1.0 / cfg.num_classes, np.float32)
-            p = TR.profile_step(cfg, params, A.SoftBatch(images, targets))
+            p = TR.profile_step(run, params, A.SoftBatch(images, targets))
             line = (f"bs={bs} forward_ms={p.forward_ms:.2f} backward_ms={p.backward_ms:.2f} "
                     f"optim_ms={p.optim_ms:.2f} total_ms={p.total_ms:.2f} "
                     f"train_images_per_sec={1000.0 * bs / p.total_ms:.2f} "
@@ -242,6 +243,9 @@ def main(argv=None) -> int:
         cfg = train_config(args)
     except (OSError, ValueError) as exc:   # an unreadable or malformed --config file
         parser.error(f"--config: {exc}")
+    if args.command == "bench" and cfg.workers != 1:
+        parser.error(f"--workers: bench times the phases of one unsharded step, so it needs "
+                     f"workers=1, got {cfg.workers}")
     return args.fn(args, cfg)
 
 

@@ -278,8 +278,7 @@ def attention(x: Tensor, params: dict[str, Tensor], cfg: ModelConfig,
 
 
 def ffn(x: Tensor, params: dict[str, Tensor], prefix: str = "ffn") -> Tensor:
-    hidden = T.gelu(T.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
-    return T.linear(hidden, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
+    return T.mlp(x, *(params[f"{prefix}.{name}"] for name in ("w1", "b1", "w2", "b2")))
 
 
 def _drop_path_mask(batch: int, drop_prob: float, rng: np.random.Generator,
@@ -300,9 +299,8 @@ def block(x: Tensor, params: dict[str, Tensor], cfg: ModelConfig, prefix: str,
         raise ValueError("drop-path in train mode needs an rng")
 
     def residual(x: Tensor, branch: Tensor) -> Tensor:
-        if train_drop:
-            branch = T.mul(branch, Tensor(_drop_path_mask(x.shape[0], drop_prob, rng, x.data.dtype)))
-        return T.add(x, branch)
+        mask = _drop_path_mask(x.shape[0], drop_prob, rng, x.data.dtype) if train_drop else None
+        return T.add(x, branch, mask)
 
     x = residual(x, attention(T.layer_norm(x, params[f"{prefix}.norm1.gamma"],
                                            params[f"{prefix}.norm1.beta"]), params, cfg,
@@ -317,8 +315,7 @@ def cls_head(tokens: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Ten
     b = tokens.shape[0]
     cls = T.narrow(tokens, 1, 0, cfg.num_cls_tokens)
     flat = T.reshape(cls, (b, cfg.num_cls_tokens * cfg.embed_dim))
-    hidden = T.gelu(T.linear(flat, params["head.w1"], params["head.b1"]))
-    return T.linear(hidden, params["head.w2"], params["head.b2"])
+    return T.mlp(flat, *(params[f"head.{name}"] for name in ("w1", "b1", "w2", "b2")))
 
 
 def forward(cfg: ModelConfig, params: dict[str, Tensor], images: Tensor,
@@ -331,7 +328,6 @@ def forward(cfg: ModelConfig, params: dict[str, Tensor], images: Tensor,
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
-    b = images.shape[0]
     x = patchify(images, cfg.patch_size)              # [B,L,D]
     x = T.linear(x, params["patch_embed.weight"], params["patch_embed.bias"])
 
@@ -340,12 +336,7 @@ def forward(cfg: ModelConfig, params: dict[str, Tensor], images: Tensor,
     else:
         pos = positional_table(cfg.pos_embed, cfg.num_patches, cfg.embed_dim,
                                dtype=images.data.dtype)
-    x = T.add(x, pos)
-
-    cls = T.broadcast_to(T.reshape(params["cls_token"],
-                                   (1, cfg.num_cls_tokens, cfg.embed_dim)),
-                         (b, cfg.num_cls_tokens, cfg.embed_dim))
-    x = T.concat([cls, x], axis=1)
+    x = T.prepend_tokens(params["cls_token"], T.add(x, pos))
 
     for i in range(cfg.depth):
         rate = cfg.drop_path_rate * i / max(cfg.depth - 1, 1)

@@ -11,6 +11,8 @@ from tinyvitlab.tensor import Tensor
 
 OPTIMIZERS = ("adamw", "lion")
 _BETAS = {"adamw": (0.9, 0.999), "lion": (0.9, 0.99)}   # (beta1, beta2) by kind
+_EPS = 1e-8   # AdamW's denominator floor
+
 
 def excluded_from_decay(path: str, shape: tuple[int, ...]) -> bool:
     """Biases and layer-norm affines (every 1-D parameter), CLS tokens and
@@ -20,14 +22,11 @@ def excluded_from_decay(path: str, shape: tuple[int, ...]) -> bool:
 
 @dataclass
 class OptimState:
-    """Per-parameter moment buffers and step counter for one optimizer run."""
+    """Per-parameter moment buffers and step counter for one optimizer run;
+    the betas are `_BETAS[kind]` and eps is `_EPS`."""
 
     kind: str                       # one of OPTIMIZERS
-    lr_peak: float = 0.002
     weight_decay: float = 0.05
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -38,26 +37,13 @@ class OptimState:
         return out
 
     def meta(self) -> dict:
-        return {"kind": self.kind, "lr_peak": self.lr_peak,
-                "weight_decay": self.weight_decay, "beta1": self.beta1,
-                "beta2": self.beta2, "eps": self.eps, "t": self.t}
-
-    @classmethod
-    def from_meta(cls, meta: dict, arrays: dict[str, np.ndarray]) -> "OptimState":
-        state = cls(**meta)
-        for key, arr in arrays.items():
-            kind, path = key.split(".", 1)
-            (state.m if kind == "m" else state.v)[path] = arr
-        return state
+        return {"kind": self.kind, "weight_decay": self.weight_decay, "t": self.t}
 
 
-def init_optim(kind: str, params: dict[str, Tensor], lr_peak: float = 0.002,
-               weight_decay: float = 0.05) -> OptimState:
+def init_optim(kind: str, params: dict[str, Tensor], weight_decay: float = 0.05) -> OptimState:
     if kind not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {kind!r}")
-    beta1, beta2 = _BETAS[kind]
-    state = OptimState(kind=kind, lr_peak=lr_peak, weight_decay=weight_decay,
-                       beta1=beta1, beta2=beta2)
+    state = OptimState(kind=kind, weight_decay=weight_decay)
     for path in sorted(params):
         state.m[path] = np.zeros_like(params[path].data)
         if kind == "adamw":
@@ -73,8 +59,9 @@ def step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
     if lr < 0:
         raise ValueError("lr must be >= 0")
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    beta1, beta2 = _BETAS[state.kind]
+    bc1 = 1.0 - beta1 ** state.t
+    bc2 = 1.0 - beta2 ** state.t
     for path in sorted(params):
         p = params[path]
         g = grads[path]
@@ -85,12 +72,12 @@ def step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         decay = lr * wd * p.data if wd else 0.0
         if state.kind == "adamw":
             v = state.v[path]
-            m += (1.0 - state.beta1) * (g - m)
-            v += (1.0 - state.beta2) * (g * g - v)
-            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+            m += (1.0 - beta1) * (g - m)
+            v += (1.0 - beta2) * (g * g - v)
+            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
         else:
-            p.data -= lr * np.sign(state.beta1 * m + (1.0 - state.beta1) * g)
-            m += (1.0 - state.beta2) * (g - m)
+            p.data -= lr * np.sign(beta1 * m + (1.0 - beta1) * g)
+            m += (1.0 - beta2) * (g - m)
         if wd:
             p.data -= decay
 

@@ -1,12 +1,13 @@
 """Dense tensors with tape-based reverse-mode automatic differentiation.
 
 The op set is closed over what the model needs: the dense layer `linear`,
-the fused multi-head `attention_core`, elementwise add / mul, sum, layer
-norm, gelu, soft-target cross entropy, and the shape plumbing (reshape /
-transpose / concat / narrow / broadcast). Training runs in float32; gradient
-checking runs the same code in float64. Ops record nodes on the active
-`Tape`; `grads = backward(loss, tape, params)` returns the gradients, which
-are values, not state kept on tensors.
+the fused exact-GELU `mlp`, the fused multi-head `attention_core`, `add`
+(with an optional constant scale on its second operand: the drop-path
+residual), layer norm, soft-target cross entropy, and the shape plumbing
+(reshape / transpose / narrow / prepend_tokens). Training runs in float32;
+gradient checking runs the same code in float64. Ops record nodes on the
+active `Tape`; `grads = backward(loss, tape, params)` returns the gradients,
+which are values, not state kept on tensors.
 
 Determinism: all reductions go through numpy with a fixed evaluation order,
 so repeated runs on the same inputs produce bitwise-identical results.
@@ -32,19 +33,6 @@ class ShapeError(ValueError):
 
 class GraphError(RuntimeError):
     """A tensor was not produced under the tape being replayed."""
-
-
-class NumericsError(FloatingPointError):
-    """A non-finite value was produced while debug checking is on."""
-
-
-_check_numerics = False
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """Toggle NaN/Inf detection on every op output (off for benchmarks)."""
-    global _check_numerics
-    _check_numerics = bool(enabled)
 
 
 class Tensor:
@@ -137,8 +125,6 @@ def _make(data: np.ndarray, inputs: tuple[Tensor, ...], vjp) -> Tensor:
     `vjp` maps the output cotangent to a tuple of per-input cotangents
     (None entries are skipped).
     """
-    if _check_numerics and not np.all(np.isfinite(data)):
-        raise NumericsError("non-finite value produced")
     tape = _active_tape()
     rec = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(data, requires_grad=rec)
@@ -150,15 +136,14 @@ def _make(data: np.ndarray, inputs: tuple[Tensor, ...], vjp) -> Tensor:
 # ---------------------------------------------------------------------------
 # arithmetic
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data + b.data
-    return _make(data, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data * b.data
-    ad, bd = a.data, b.data
-    return _make(data, (a, b), lambda g: (_unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)))
+def add(a: Tensor, b: Tensor, b_scale: np.ndarray | None = None) -> Tensor:
+    """a + b, or a + b * b_scale for a constant array `b_scale` (the
+    drop-path mask of a residual), broadcasting like numpy."""
+    if b_scale is None:
+        return _make(a.data + b.data, (a, b),
+                     lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
+    return _make(a.data + b.data * b_scale, (a, b),
+                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g * b_scale, b.shape)))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -181,15 +166,41 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _make(out.reshape(x.shape[:-1] + w.shape[1:]), inputs, vjp)
 
 
-def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """gelu(x @ w1 + b1) @ w2 + b2 with the exact erf GELU h * Phi(h), for
+    x [..., in], w1 [in, hidden] and w2 [hidden, out]. One tape node, which
+    keeps the pre-activation h and Phi(h) and recomputes h * Phi(h) in its
+    VJP; the GEMMs are linear's."""
+    if (w1.ndim != 2 or w2.ndim != 2 or x.shape[-1:] != w1.shape[:1] or b1.shape != w1.shape[1:]
+            or w2.shape[:1] != w1.shape[1:] or b2.shape != w2.shape[1:]):
+        raise ShapeError("mlp needs x [..., in], w1 [in, hidden], b1 [hidden], w2 [hidden, out] "
+                         "and b2 [out], got " + ", ".join(str(t.shape) for t in (x, w1, b1, w2, b2)))
+    x2 = x.data.reshape(-1, w1.shape[0])
+    h = x2 @ w1.data
+    h += b1.data
+    phi = np.multiply(h, _INV_SQRT2)          # Phi(h) = (1 + erf(h / sqrt 2)) / 2, in place
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
+    out = np.multiply(h, phi) @ w2.data
+    out += b2.data
 
     def vjp(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).astype(a.data.dtype, copy=False),)
+        g2 = g.reshape(-1, w2.shape[1])
+        buf = np.multiply(h, phi)
+        gw2 = buf.T @ g2
+        np.multiply(h, -0.5, out=buf)          # buf becomes GELU'(h) = Phi(h) + h pdf(h)
+        buf *= h
+        np.exp(buf, out=buf)
+        buf *= _INV_SQRT_2PI
+        buf *= h
+        buf += phi
+        gh = g2 @ w2.data.T
+        gh *= buf
+        gx = (gh @ w1.data.T).reshape(x.shape) if x.requires_grad else None
+        return gx, x2.T @ gh, gh.sum(axis=0), gw2, g2.sum(axis=0)
 
-    return _make(data, (a,), vjp)
+    return _make(out.reshape(x.shape[:-1] + w2.shape[1:]), (x, w1, b1, w2, b2), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +217,6 @@ def transpose(a: Tensor, axes) -> Tensor:
     return _make(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
 
 
-def concat(tensors: list[Tensor], axis: int) -> Tensor:
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
-    return _make(data, tuple(tensors), lambda g: tuple(np.split(g, splits, axis=axis)))
-
-
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     idx = [slice(None)] * a.ndim
     idx[axis] = slice(start, start + length)
@@ -225,27 +230,20 @@ def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
     return _make(a.data[idx].copy(), (a,), vjp)
 
 
-def broadcast_to(a: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-    data = np.broadcast_to(a.data, shape).copy()
-    return _make(data, (a,), lambda g: (_unbroadcast(g, a.shape),))
+def prepend_tokens(tokens: Tensor, x: Tensor) -> Tensor:
+    """[B, n+L, C]: the n rows of `tokens` [n,C], shared by every sample,
+    in front of each sample of x [B,L,C]."""
+    if tokens.ndim != 2 or x.ndim != 3 or tokens.shape[1] != x.shape[2]:
+        raise ShapeError(f"prepend_tokens needs tokens [n,C] and x [B,L,C], "
+                         f"got {tokens.shape} and {x.shape}")
+    n = tokens.shape[0]
+    data = np.concatenate([np.broadcast_to(tokens.data, (x.shape[0],) + tokens.shape), x.data],
+                          axis=1)
+    return _make(data, (tokens, x), lambda g: (g[:, :n].sum(axis=0), g[:, n:]))
 
 
 # ---------------------------------------------------------------------------
-# nonlinearities
-
-def gelu(a: Tensor) -> Tensor:
-    """Exact Gaussian-CDF gelu: x * Phi(x)."""
-    x = a.data
-    phi = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    data = (x * phi).astype(x.dtype, copy=False)
-
-    def vjp(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-        return ((g * (phi + x * pdf)).astype(x.dtype, copy=False),)
-
-    return _make(data, (a,), vjp)
-
+# attention, normalization and loss
 
 def attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """Multi-head softmax(q k^T / sqrt(d)) v for q, k, v [B,S,C] with C split

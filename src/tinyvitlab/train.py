@@ -311,19 +311,36 @@ def _grad_norm(grads: dict[str, np.ndarray]) -> float:
                              for g in grads.values())))
 
 
-def _check_resumable(ckpt: D.Checkpoint, cfg: TrainConfig, train_config: dict) -> None:
-    """Refuse a checkpoint that does not fit the run, naming what differs:
-    a field of the saved train config (blas_threads too: another OpenBLAS
-    thread count can change the gradients' bits), then a param or optimizer
-    moment whose name or shape the run's model and optimizer do not give."""
-    def diffs(saved: dict, run: dict) -> str:
-        return "; ".join(
-            f"{k} is {saved.get(k)!r} in the checkpoint, {run.get(k)!r} in the run"
-            + (" (OPENBLAS_NUM_THREADS or the CPU affinity sets it, split over the workers)"
-               if k == "blas_threads" else "")
-            for k in sorted(saved.keys() | run.keys(), key=lambda k: (k == "blas_threads", k))
-            if saved.get(k) != run.get(k))
+def _diffs(saved: dict, run: dict) -> str:
+    """One 'k is x in the checkpoint, y in the run' clause per key whose
+    values differ (None where absent); blas_threads comes last."""
+    return "; ".join(
+        f"{k} is {saved.get(k)!r} in the checkpoint, {run.get(k)!r} in the run"
+        + (" (OPENBLAS_NUM_THREADS or the CPU affinity sets it, split over the workers)"
+           if k == "blas_threads" else "")
+        for k in sorted(saved.keys() | run.keys(), key=lambda k: (k == "blas_threads", k))
+        if saved.get(k) != run.get(k))
 
+
+def check_params(params: dict[str, np.ndarray], cfg: M.ModelConfig) -> None:
+    """Refuse checkpoint params whose names or shapes model `cfg` does not
+    give, with a CheckpointError naming each such member."""
+    # whitening changes the values init_params gives, not the shapes
+    run = M.init_params(replace(cfg, patch_init="random"), np.random.default_rng(0))
+    if msg := _diffs({f"params/{k}": a.shape for k, a in params.items()},
+                     {f"params/{k}": t.shape for k, t in run.items()}):
+        raise D.CheckpointError("checkpoint params do not fit the model (shape, or None "
+                                "where absent): " + msg)
+
+
+def _resume(ckpt: D.Checkpoint, cfg: TrainConfig, train_config: dict
+            ) -> tuple[dict[str, Tensor], O.OptimState]:
+    """The params and optimizer state to continue from. A checkpoint that
+    does not fit the run is refused, naming what differs: a field of the
+    saved train config (blas_threads too: another OpenBLAS thread count can
+    change the gradients' bits), a param, the optimizer step count, or a
+    moment whose name or shape the run's optimizer does not give. Of the
+    header's optim only t is read; the rest of the state is the run's."""
     def flat(tc: dict) -> dict:   # `model` and `augment` expanded one level
         out = {}
         for k, v in tc.items():
@@ -331,21 +348,25 @@ def _check_resumable(ckpt: D.Checkpoint, cfg: TrainConfig, train_config: dict) -
             out.update({f"{k}.{kk}": vv for kk, vv in v.items()} if nested else {k: v})
         return out
 
-    def members(params: dict, optim_arrays: dict) -> dict:
-        return {f"{section}/{k}": a.shape for section, arrays in
-                (("params", params), ("optim", optim_arrays)) for k, a in arrays.items()}
-
     # JSON holds tuples as lists; compare like with like
-    if msg := diffs(flat(ckpt.train_config), flat(json.loads(json.dumps(train_config)))):
+    if msg := _diffs(flat(ckpt.train_config), flat(json.loads(json.dumps(train_config)))):
         raise D.CheckpointError("checkpoint does not match this run: " + msg)
+    check_params(ckpt.params, cfg.model)
     if ckpt.optim_meta is None:
         raise D.CheckpointError("checkpoint holds no optimizer state: its header's optim is null")
-    # whitening changes the values init_params gives, not the shapes
-    params = M.init_params(replace(cfg.model, patch_init="random"), np.random.default_rng(0))
-    run_members = members(params, O.init_optim(cfg.optimizer, params).to_arrays())
-    if msg := diffs(members(ckpt.params, ckpt.optim_arrays), run_members):
-        raise D.CheckpointError("checkpoint members do not fit this run's model (shape, or "
-                                "None where absent): " + msg)
+    t = ckpt.optim_meta.get("t")
+    if type(t) is not int or t < 0:
+        raise D.CheckpointError(f"checkpoint optim t is {t!r}, not a non-negative int")
+    params = {k: Tensor(v, requires_grad=True) for k, v in sorted(ckpt.params.items())}
+    state = O.init_optim(cfg.optimizer, params, weight_decay=cfg.weight_decay)
+    if msg := _diffs({f"optim/{k}": a.shape for k, a in ckpt.optim_arrays.items()},
+                     {f"optim/{k}": a.shape for k, a in state.to_arrays().items()}):
+        raise D.CheckpointError("checkpoint optimizer moments do not fit this run (shape, "
+                                "or None where absent): " + msg)
+    state.t = t
+    state.m = {k: ckpt.optim_arrays[f"m.{k}"] for k in state.m}
+    state.v = {k: ckpt.optim_arrays[f"v.{k}"] for k in state.v}
+    return params, state
 
 
 def steps_per_epoch(n: int, cfg: TrainConfig) -> int:
@@ -385,9 +406,7 @@ def train(cfg: TrainConfig, train_ds: D.Dataset, test_ds: D.Dataset,
     start_epoch = 0
     if resume is not None:
         ckpt = D.load_checkpoint(resume)
-        _check_resumable(ckpt, cfg, train_config)
-        params = {k: Tensor(v, requires_grad=True) for k, v in sorted(ckpt.params.items())}
-        state = O.OptimState.from_meta(ckpt.optim_meta, ckpt.optim_arrays)
+        params, state = _resume(ckpt, cfg, train_config)
         start_epoch = ckpt.epoch
     else:
         init_rng = rng_for(cfg.seed, "init")
@@ -395,8 +414,7 @@ def train(cfg: TrainConfig, train_ds: D.Dataset, test_ds: D.Dataset,
         if cfg.model.patch_init == "whitening":
             patch_sample = sample_patches(train_ds, cfg.model, rng_for(cfg.seed, "whiten"))
         params = M.init_params(cfg.model, init_rng, patch_sample=patch_sample)
-        state = O.init_optim(cfg.optimizer, params, lr_peak=cfg.lr_peak,
-                             weight_decay=cfg.weight_decay)
+        state = O.init_optim(cfg.optimizer, params, weight_decay=cfg.weight_decay)
 
     records: list[MetricsRecord] = []
     step_losses: list[float] = []
@@ -469,21 +487,22 @@ def sample_patches(ds: D.Dataset, cfg: M.ModelConfig,
 # ---------------------------------------------------------------------------
 # profiling
 
-def profile_step(cfg: M.ModelConfig, params: dict[str, Tensor],
+def profile_step(cfg: TrainConfig, params: dict[str, Tensor],
                  batch: A.SoftBatch, warmup: int = 3, steps: int = 10) -> StepProfile:
-    """Wall-clock per phase of the training step (train-mode forward with
-    cfg's drop-path, backward, AdamW update of `params`) and of an eval-mode
-    forward, averaged over `steps` after `warmup` discarded iterations."""
-    state = O.init_optim("adamw", params)
+    """Wall-clock per phase of one unsharded training step of run `cfg`
+    (train-mode forward with its model's drop-path, backward, and its
+    optimizer's update of `params` at lr_peak) and of an eval-mode forward,
+    averaged over `steps` after `warmup` discarded iterations."""
+    state = O.init_optim(cfg.optimizer, params, weight_decay=cfg.weight_decay)
     laps = []
     for it in range(warmup + steps):
         t0 = time.perf_counter()
-        grads, _, forward_s = _shard_gradients(cfg, params, batch.images, batch.targets,
-                                               rng_for(0, "droppath", 0, it, 0))
+        grads, _, forward_s = _shard_gradients(cfg.model, params, batch.images, batch.targets,
+                                               rng_for(cfg.seed, "droppath", 0, it, 0))
         t1 = time.perf_counter()
-        O.step(params, grads, state, state.lr_peak)
+        O.step(params, grads, state, cfg.lr_peak)
         t2 = time.perf_counter()
-        M.forward(cfg, params, Tensor(batch.images), mode="eval")
+        M.forward(cfg.model, params, Tensor(batch.images), mode="eval")
         t3 = time.perf_counter()
         # in StepProfile's field order: forward, backward, optimizer, total, eval
         laps.append((forward_s, t1 - t0 - forward_s, t2 - t1, t2 - t0, t3 - t2))

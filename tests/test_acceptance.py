@@ -163,7 +163,7 @@ def test_criterion_5_optimizer_oracles_and_schedule():
 
     # a [1,1] matrix: 1-D parameters are biases and affines, which skip decay
     p = {"w.weight": Tensor(np.array([[0.5]]), requires_grad=True)}
-    st = O.init_optim("adamw", p, lr_peak=0.002, weight_decay=0.05)
+    st = O.init_optim("adamw", p, weight_decay=0.05)
     for g in grads:
         O.step(p, {"w.weight": np.array([[g]])}, st, 0.002)
     adamw_err = abs(p["w.weight"].data[0, 0] - theta_ref)
@@ -175,7 +175,7 @@ def test_criterion_5_optimizer_oracles_and_schedule():
         theta_l = theta_l - 0.0002 * u - 0.0002 * 0.5 * theta_l
         ml = 0.99 * ml + 0.01 * g
     p = {"w.weight": Tensor(np.array([[0.5]]), requires_grad=True)}
-    st = O.init_optim("lion", p, lr_peak=0.0002, weight_decay=0.5)
+    st = O.init_optim("lion", p, weight_decay=0.5)
     for g in grads:
         O.step(p, {"w.weight": np.array([[g]])}, st, 0.0002)
     lion_exact = p["w.weight"].data[0, 0] == theta_l
@@ -320,13 +320,14 @@ def test_criterion_10_profiler_bookkeeping(phase_clock):
     rng = np.random.default_rng(1)
     batch = A.SoftBatch(rng.standard_normal((8, 3, 32, 32)).astype(np.float32),
                         np.full((8, 10), 0.1, np.float32))
-    prof = TR.profile_step(cfg, params, batch, warmup=1, steps=3)
+    run = TR.TrainConfig(model=cfg)
+    prof = TR.profile_step(run, params, batch, warmup=1, steps=3)
     total = prof.forward_ms + prof.backward_ms + prof.optim_ms
     sum_ok = abs(total - prof.total_ms) <= 0.01 * prof.total_ms
     timed_ok = min(prof.forward_ms, prof.backward_ms, prof.optim_ms, prof.eval_ms) > 0
     # a fake clock that only the phases advance: each must get exactly its own time
     with phase_clock():
-        fake = TR.profile_step(cfg, params, batch, warmup=0, steps=1)
+        fake = TR.profile_step(run, params, batch, warmup=0, steps=1)
     phases_ok = fake == TR.StepProfile(1000.0, 2000.0, 4000.0, 7000.0, 8000.0)
 
     unit = TR.activation_estimate_bytes(cfg, 1)

@@ -450,6 +450,28 @@ class TestForward:
                          rng=np.random.default_rng(0))
         assert err < 1e-4
 
+    @pytest.mark.parametrize("n_cls", [1, 2])
+    def test_train_mode_grad_check_with_drop_path(self, n_cls):
+        # depth 2 at rate 0.5: block 1 draws one mask per residual, each of
+        # which keeps some of the 4 samples and drops the others at this seed
+        mask_seed, batch = 2, 4
+        draws = np.random.default_rng(mask_seed)
+        masks = [M._drop_path_mask(batch, 0.5, draws, np.dtype(np.float64)) for _ in range(2)]
+        assert all(0 < np.count_nonzero(m) < batch for m in masks)
+        rng = np.random.default_rng(16)
+        cfg = tiny_config(n_cls=n_cls, drop_path_rate=0.5)
+        params = M.grad_check_point(cfg, rng)
+        images = Tensor(rng.standard_normal((batch, 3, 16, 16)), dtype=np.float64)
+        targets = np.full((batch, 10), 0.1)
+
+        def f():   # the rng is rebuilt per call, so every call draws the same masks
+            return cross_entropy(M.forward(cfg, params, images, mode="train",
+                                           rng=np.random.default_rng(mask_seed)), targets)
+
+        err = grad_check(f, list(params.values()), h=1e-5, max_coords=3,
+                         rng=np.random.default_rng(0))
+        assert err < 1e-4
+
 
 # ---------------------------------------------------------------------------
 # parameter accounting

@@ -35,7 +35,7 @@ def scalar_lion_reference(theta, grads, lr, wd, b1=0.9, b2=0.99):
 def run_steps(kind, theta0, grads, lr, wd):
     # a [1,1] matrix: 1-D parameters are biases and affines, which skip decay
     params = {"w.weight": Tensor(np.array([[theta0]]), requires_grad=True)}
-    state = O.init_optim(kind, params, lr_peak=lr, weight_decay=wd)
+    state = O.init_optim(kind, params, weight_decay=wd)
     for g in grads:
         O.step(params, {"w.weight": np.array([[g]])}, state, lr)
     return params["w.weight"].data[0, 0], state
@@ -182,15 +182,20 @@ class TestStateRoundTrip:
             "a.weight": Tensor(rng.standard_normal((3, 3)), requires_grad=True),
             "b.bias": Tensor(rng.standard_normal(3), requires_grad=True),
         }
-        state = O.init_optim("adamw", params, lr_peak=0.003, weight_decay=0.1)
+        state = O.init_optim("adamw", params, weight_decay=0.1)
         for _ in range(3):
             grads = {k: rng.standard_normal(p.shape) for k, p in params.items()}
             O.step(params, grads, state, 0.003)
 
-        # copy: checkpoint loading hands back fresh arrays, not live buffers
-        rebuilt = O.OptimState.from_meta(
-            state.meta(), {k: a.copy() for k, a in state.to_arrays().items()})
-        assert rebuilt.t == 3 and rebuilt.kind == "adamw"
+        # rebuilt as a resume does: the run's optimizer, with the saved t and
+        # moments (copies: checkpoint loading hands back fresh arrays)
+        meta = state.meta()
+        assert meta == {"kind": "adamw", "weight_decay": 0.1, "t": 3}
+        arrays = {k: a.copy() for k, a in state.to_arrays().items()}
+        rebuilt = O.init_optim("adamw", params, weight_decay=0.1)
+        rebuilt.t = meta["t"]
+        rebuilt.m = {k: arrays[f"m.{k}"] for k in rebuilt.m}
+        rebuilt.v = {k: arrays[f"v.{k}"] for k in rebuilt.v}
         for k in params:
             assert np.array_equal(rebuilt.m[k], state.m[k])
             assert np.array_equal(rebuilt.v[k], state.v[k])

@@ -12,6 +12,18 @@ def t64(arr, grad=False):
     return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=grad)
 
 
+def total(y, r=None):
+    """sum(y * r) (r defaults to ones) as a [1, 1] tensor: y flattened to one
+    row and projected by `linear` onto the constant column r."""
+    r = np.ones(y.size) if r is None else np.asarray(r, dtype=np.float64)
+    return T.linear(T.reshape(y, (1, y.size)), t64(r.reshape(y.size, 1)))
+
+
+def square_sum(x):
+    """sum(x * x) for a 1-D x: the row x times the column x."""
+    return T.linear(T.reshape(x, (1, x.size)), T.reshape(x, (x.size, 1)))
+
+
 # ---------------------------------------------------------------------------
 # linear
 
@@ -100,7 +112,7 @@ class TestSoftmax:
         v = t64([[[2.0], [-3.0]]], grad=True)
         with Tape() as tape:
             out = T.attention_core(q, k, v, 1)
-            grads = backward(T.sum_(out), tape, [q, k, v])
+            grads = backward(total(out), tape, [q, k, v])
         assert np.array_equal(out.data, [[[2.0], [2.0]]])
         assert all(np.all(np.isfinite(g)) for g in grads)
 
@@ -162,12 +174,40 @@ class TestLayerNorm:
 # ---------------------------------------------------------------------------
 # activations
 
+def gelu(v):
+    """The exact GELU at v through `mlp` with 1x1 identity weights."""
+    one, zero = t64([[1.0]]), t64([0.0])
+    return T.mlp(t64([[v]]), one, zero, one, zero).data[0, 0]
+
+
 class TestActivation:
     def test_zero(self):
-        assert T.gelu(t64([0.0])).data[0] == 0.0
+        assert gelu(0.0) == 0.0
 
     def test_gelu_at_one_matches_gaussian_cdf(self):
-        assert T.gelu(t64([1.0])).data[0] == pytest.approx(0.841345, abs=1e-6)
+        assert gelu(1.0) == pytest.approx(0.841345, abs=1e-6)
+
+    def test_mlp_shape_mismatch_names_shapes(self):
+        x, w1, b1 = t64(np.zeros((2, 3))), t64(np.zeros((3, 4))), t64(np.zeros(4))
+        with pytest.raises(T.ShapeError, match=r"\(2, 3\), \(3, 4\), \(4,\), \(5, 2\), \(2,\)"):
+            T.mlp(x, w1, b1, t64(np.zeros((5, 2))), t64(np.zeros(2)))
+
+
+# ---------------------------------------------------------------------------
+# token prologue
+
+class TestPrependTokens:
+    def test_tokens_lead_every_sample(self):
+        rng = np.random.default_rng(10)
+        tokens, x = rng.standard_normal((2, 3)), rng.standard_normal((4, 5, 3))
+        out = T.prepend_tokens(t64(tokens), t64(x)).data
+        assert out.shape == (4, 7, 3)
+        assert all(np.array_equal(out[i, :2], tokens) for i in range(4))
+        assert np.array_equal(out[:, 2:], x)
+
+    def test_channel_mismatch_rejected(self):
+        with pytest.raises(T.ShapeError, match=r"\(1, 4\) and \(2, 5, 3\)"):
+            T.prepend_tokens(t64(np.zeros((1, 4))), t64(np.zeros((2, 5, 3))))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +252,7 @@ class TestBackward:
     def test_grad_of_sum_is_ones(self):
         x = t64(np.arange(6.0).reshape(2, 3), grad=True)
         with Tape() as tape:
-            [dx] = backward(T.sum_(x), tape, [x])
+            [dx] = backward(total(x), tape, [x])
         assert np.array_equal(dx, np.ones((2, 3)))
 
     def test_matmul_analytic_rule(self):
@@ -223,7 +263,7 @@ class TestBackward:
         b = t64(rng.standard_normal(2), grad=True)
         g = rng.standard_normal((3, 2))
         with Tape() as tape:
-            da, dw, db = backward(T.sum_(T.mul(T.linear(a, w, b), t64(g))), tape, [a, w, b])
+            da, dw, db = backward(total(T.linear(a, w, b), g), tape, [a, w, b])
         assert np.allclose(da, g @ w.data.T)
         assert np.allclose(dw, a.data.T @ g)
         assert np.allclose(db, g.sum(axis=0))
@@ -231,34 +271,34 @@ class TestBackward:
     def test_accumulation_over_shared_use(self):
         x = t64([1.0, 2.0], grad=True)
         with Tape() as tape:
-            [dx] = backward(T.add(T.sum_(x), T.sum_(x)), tape, [x])
+            [dx] = backward(T.add(total(x), total(x)), tape, [x])
         assert np.array_equal(dx, [2.0, 2.0])
 
     def test_shared_cotangent_not_accumulated_in_place(self):
         # add hands one array to both of its inputs: y's first cotangent is
-        # the one x gets, so adding y's second into it in place would leak
-        # r * c into dx
+        # the one x gets, so adding y's second (from yc = y * c, recorded
+        # first) into it in place would leak r * c into dx
         rng = np.random.default_rng(9)
         x, y = t64(rng.standard_normal(4), grad=True), t64(rng.standard_normal(4), grad=True)
         c, r = rng.standard_normal(4), rng.standard_normal(4)
         with Tape() as tape:
-            yc = T.mul(y, t64(c))
+            yc = T.add(t64(np.zeros(4)), y, c)
             u = T.add(T.add(x, y), yc)
-            dx, dy = backward(T.sum_(T.mul(u, t64(r))), tape, [x, y])
+            dx, dy = backward(total(u, r), tape, [x, y])
         assert np.array_equal(dx, r)
         assert np.array_equal(dy, r + r * c)
 
     def test_unreached_tensor_gets_zeros(self):
         x, unused = t64([1.0, 2.0], grad=True), t64(np.ones((2, 2)), grad=True)
         with Tape() as tape:
-            dx, du = backward(T.sum_(T.mul(x, x)), tape, [x, unused])
+            dx, du = backward(total(T.add(x, x), [1.0, 2.0]), tape, [x, unused])
         assert np.array_equal(dx, [2.0, 4.0])
         assert np.array_equal(du, np.zeros((2, 2)))
 
     def test_tape_is_consumed(self):
         x = t64([1.0, 2.0], grad=True)
         with Tape() as tape:
-            loss = T.sum_(T.mul(x, x))
+            loss = total(x)
         assert len(tape) == 2
         backward(loss, tape, [x])
         assert len(tape) == 0
@@ -268,7 +308,7 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         x = t64([1.0, 2.0], grad=True)
         with Tape() as tape:
-            y = T.mul(x, x)
+            y = T.add(x, x)
         with pytest.raises(ValueError):
             backward(y, tape, [x])
 
@@ -277,7 +317,7 @@ class TestBackward:
         with Tape():
             pass
         with Tape() as other:
-            y = T.sum_(x)
+            y = total(x)
         with Tape() as empty:
             pass
         with pytest.raises(T.GraphError):
@@ -287,17 +327,21 @@ class TestBackward:
         rng = np.random.default_rng(6)
         w = rng.standard_normal((16, 16))
         x = rng.standard_normal((8, 16))
+        w2, b = t64(rng.standard_normal((16, 4))), t64(np.zeros(16))
         grads = []
         for _ in range(2):
             wt = t64(w.copy(), grad=True)
             with Tape() as tape:
-                out = T.sum_(T.gelu(T.linear(t64(x), wt)))
+                out = total(T.mlp(t64(x), wt, b, w2, t64(np.zeros(4))))
             grads += backward(out, tape, [wt])
         assert np.array_equal(grads[0], grads[1])
 
     def test_three_block_composite_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         w1 = t64(rng.standard_normal((5, 8)) * 0.5, grad=True)
+        c1 = t64(rng.standard_normal(8) * 0.1, grad=True)
+        v1 = t64(rng.standard_normal((8, 8)) * 0.5, grad=True)
+        d1 = t64(rng.standard_normal(8) * 0.1, grad=True)
         g1 = t64(np.ones(8), grad=True)
         b1 = t64(np.zeros(8), grad=True)
         w2 = t64(rng.standard_normal((8, 4)) * 0.5, grad=True)
@@ -305,12 +349,12 @@ class TestBackward:
         targets = np.full((3, 4), 0.25)
 
         def f():
-            h = T.gelu(T.linear(t64(x), w1))
+            h = T.mlp(t64(x), w1, c1, v1, d1)
             h = T.reshape(T.layer_norm(h, g1, b1), (1, 3, 8))
             h = T.reshape(T.attention_core(h, h, h, heads=2), (3, 8))
             return T.cross_entropy(T.linear(h, w2), targets)
 
-        assert grad_check(f, [w1, g1, b1, w2], h=1e-5) < 1e-4
+        assert grad_check(f, [w1, c1, v1, d1, g1, b1, w2], h=1e-5) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +363,7 @@ class TestBackward:
 class TestGradCheck:
     def test_quadratic_near_exact(self):
         x = t64([1.0, 2.0, 3.0], grad=True)
-        err = grad_check(lambda: T.sum_(T.mul(x, x)), [x], h=1e-5)
+        err = grad_check(lambda: square_sum(x), [x], h=1e-5)
         assert err < 1e-8
 
     def test_detects_planted_backward_bug(self):
@@ -329,7 +373,7 @@ class TestGradCheck:
         def bad_square(a):
             return T._make(a.data * a.data, (a,), lambda g: (4.0 * a.data * g,))
 
-        err = grad_check(lambda: T.sum_(bad_square(x)), [x], h=1e-5)
+        err = grad_check(lambda: total(bad_square(x)), [x], h=1e-5)
         # |2g - g| / max(2g, g) = 0.5 under the implemented error formula
         assert err > 1e-2
         assert err == pytest.approx(0.5, abs=1e-4)
@@ -337,11 +381,11 @@ class TestGradCheck:
     def test_rejects_non_scalar(self):
         x = t64([1.0, 2.0], grad=True)
         with pytest.raises(ValueError):
-            grad_check(lambda: T.mul(x, x), [x])
+            grad_check(lambda: T.add(x, x), [x])
 
     def test_coordinate_subsampling(self):
         x = t64(np.linspace(0.1, 1.0, 50), grad=True)
-        err = grad_check(lambda: T.sum_(T.mul(x, x)), [x], h=1e-5, max_coords=7,
+        err = grad_check(lambda: square_sum(x), [x], h=1e-5, max_coords=7,
                          rng=np.random.default_rng(0))
         assert err < 1e-8
 
@@ -351,8 +395,8 @@ class TestGradCheck:
 
 def cotangent_error(op, inputs, seed):
     """grad_check of sum(op(*inputs) * r) for a fixed random cotangent r."""
-    r = t64(np.random.default_rng(seed).standard_normal(op(*inputs).shape))
-    return grad_check(lambda: T.sum_(T.mul(op(*inputs), r)), list(inputs), h=1e-5)
+    r = np.random.default_rng(seed).standard_normal(op(*inputs).shape)
+    return grad_check(lambda: total(op(*inputs), r), list(inputs), h=1e-5)
 
 
 def random_inputs(seed, *shapes):
@@ -381,25 +425,26 @@ class TestVjpProperties:
         err = cotangent_error(lambda q, k, v: T.attention_core(q, k, v, heads), qkv, seed + 1)
         assert err < 1e-4
 
-    @given(op=st.sampled_from([T.add, T.mul]), m=extents, n=extents,
+    @given(lead=st.lists(st.integers(1, 3), max_size=2), n_in=extents, hidden=extents,
+           n_out=extents, seed=seeds)
+    @VJP_SETTINGS
+    def test_mlp(self, lead, n_in, hidden, n_out, seed):
+        shapes = [(*lead, n_in), (n_in, hidden), (hidden,), (hidden, n_out), (n_out,)]
+        assert cotangent_error(T.mlp, random_inputs(seed, *shapes), seed + 1) < 1e-4
+
+    @given(n=extents, b=extents, length=extents, c=extents, seed=seeds)
+    @VJP_SETTINGS
+    def test_prepend_tokens(self, n, b, length, c, seed):
+        inputs = random_inputs(seed, (n, c), (b, length, c))
+        assert cotangent_error(T.prepend_tokens, inputs, seed + 1) < 1e-4
+
+    @given(scaled=st.booleans(), m=extents, n=extents,
            other=st.sampled_from(["row", "column", "vector"]), seed=seeds)
     @VJP_SETTINGS
-    def test_broadcast_arithmetic(self, op, m, n, other, seed):
+    def test_broadcast_arithmetic(self, scaled, m, n, other, seed):
+        # add, and add with a constant b_scale: the drop-path residual a + b * mask
         shape = {"row": (1, n), "column": (m, 1), "vector": (n,)}[other]
-        assert cotangent_error(op, random_inputs(seed, (m, n), shape), seed + 1) < 1e-4
-
-
-# ---------------------------------------------------------------------------
-# debug numerics
-
-def test_debug_mode_flags_nonfinite():
-    big, factor = (Tensor(np.array([v], dtype=np.float32)) for v in (1e38, 1e10))
-    T.set_debug_checks(True)
-    try:
-        with pytest.raises(T.NumericsError):
-            T.mul(big, factor)
-    finally:
-        T.set_debug_checks(False)
-    # off by default: same op passes silently
-    out = T.mul(big, factor)
-    assert np.isinf(out.data[0])
+        scale = np.random.default_rng(seed + 2).standard_normal(shape) if scaled else None
+        inputs = random_inputs(seed, (m, n), shape)
+        err = cotangent_error(lambda a, b: T.add(a, b, scale), inputs, seed + 1)
+        assert err < 1e-4

@@ -370,13 +370,22 @@ class TestTrainLoop:
         with pytest.raises(D.CheckpointError, match=rf"does not match this run: {field} is"):
             TR.train(cfg, ds, ds, tmp_path / "out", resume=one_epoch_checkpoint)
 
+    # `shown` None: the edit is ignored, and the resume continues bitwise as
+    # from the unedited checkpoint (of the header's optim only t is read)
     @pytest.mark.parametrize("shown, edit", [
         ("optim is null", lambda params, optim_meta: (params, None)),
         ("params/head.b2 is None", lambda params, optim_meta: (
             {k: v for k, v in params.items() if k != "head.b2"}, optim_meta)),
         (r"params/head.b2 is \(3,\)", lambda params, optim_meta: (
             {**params, "head.b2": np.zeros(3, np.float32)}, optim_meta)),
-    ], ids=["optim-null", "param-missing", "param-shape"])
+        ("optim t is -1", lambda params, optim_meta: (params, {**optim_meta, "t": -1})),
+        ("optim t is None", lambda params, optim_meta: (
+            params, {k: v for k, v in optim_meta.items() if k != "t"})),
+        (None, lambda params, optim_meta: (params, {**optim_meta, "momentum": 0.9})),
+        (None, lambda params, optim_meta: (
+            params, {**optim_meta, "beta1": 0.0, "weight_decay": 0.9})),
+    ], ids=["optim-null", "param-missing", "param-shape", "optim-t-negative", "optim-t-missing",
+            "optim-unknown-key", "optim-stale-hyperparameters"])
     def test_resume_refuses_malformed_checkpoint(self, tmp_path, one_epoch_checkpoint,
                                                  shown, edit):
         ds = D.synthetic_dataset("two-class-blobs", 16, seed=8)
@@ -387,8 +396,17 @@ class TestTrainLoop:
                           train_config=ckpt.train_config, optim_meta=optim_meta,
                           optim_arrays=ckpt.optim_arrays, rng_state=ckpt.rng_state,
                           epoch=ckpt.epoch)
-        with pytest.raises(D.CheckpointError, match=shown):
-            TR.train(tiny_train_config(), ds, ds, tmp_path / "out", resume=bad)
+        if shown is not None:
+            with pytest.raises(D.CheckpointError, match=shown):
+                TR.train(tiny_train_config(), ds, ds, tmp_path / "out", resume=bad)
+            return
+        edited = TR.train(tiny_train_config(), ds, ds, tmp_path / "out", resume=bad)
+        clean = TR.train(tiny_train_config(), ds, ds, tmp_path / "clean",
+                         resume=one_epoch_checkpoint)
+        assert edited.step_losses == clean.step_losses
+        a, b = (D.load_checkpoint(r.checkpoint_path) for r in (edited, clean))
+        assert all(np.array_equal(a.params[k], b.params[k]) for k in b.params)
+        assert a.optim_meta == b.optim_meta
 
     def test_one_step_run(self, tmp_path):
         # one batch in one epoch: the fallback warmup must stay below the total
@@ -441,7 +459,8 @@ class TestProfiler:
         batch = A.SoftBatch(
             rng.standard_normal((16, 3, 32, 32)).astype(np.float32),
             np.full((16, 10), 0.1, dtype=np.float32))
-        prof = TR.profile_step(cfg, params, batch, warmup=1, steps=3)
+        run = tiny_train_config(model=cfg)
+        prof = TR.profile_step(run, params, batch, warmup=1, steps=3)
         # guards against a phase that runs inside the step but outside the sum
         total = prof.forward_ms + prof.backward_ms + prof.optim_ms
         assert abs(total - prof.total_ms) <= 0.01 * prof.total_ms
@@ -449,8 +468,24 @@ class TestProfiler:
                    for k in ("forward_ms", "backward_ms", "optim_ms", "eval_ms"))
         # on a clock only the phases advance, each phase gets exactly its own time
         with phase_clock():
-            fake = TR.profile_step(cfg, params, batch, warmup=1, steps=2)
+            fake = TR.profile_step(run, params, batch, warmup=1, steps=2)
         assert fake == TR.StepProfile(1000.0, 2000.0, 4000.0, 7000.0, 8000.0)
+
+    def test_runs_the_configured_optimizer(self, monkeypatch):
+        run = tiny_train_config(optimizer="lion", lr_peak=3e-4, weight_decay=0.2)
+        params = M.init_params(run.model, np.random.default_rng(0))
+        batch = A.SoftBatch(np.zeros((2, 3, 32, 32), np.float32),
+                            np.full((2, 10), 0.1, np.float32))
+        seen = []
+        real_step = O.step
+
+        def spy(params, grads, state, lr):
+            seen.append((state.kind, state.weight_decay, lr, len(state.v)))
+            real_step(params, grads, state, lr)
+
+        monkeypatch.setattr(O, "step", spy)
+        TR.profile_step(run, params, batch, warmup=1, steps=1)
+        assert seen == [("lion", 0.2, 3e-4, 0)] * 2
 
     def test_activation_estimate_linear_in_batch(self):
         cfg = M.ModelConfig()
@@ -594,6 +629,30 @@ class TestCli:
                           optim_arrays={}, rng_state={}, epoch=1)
         with pytest.raises(D.CheckpointError, match=field):
             cli.main(["eval", "--resume", str(path)])
+
+    @pytest.mark.parametrize("edit, shown", [
+        (lambda params: {k: v for k, v in params.items() if k != "head.b2"},
+         "params/head.b2 is None"),
+        (lambda params: {**params, "head.w2": np.zeros((32, 3), np.float32)},
+         r"params/head.w2 is \(32, 3\) in the checkpoint, \(32, 10\)"),
+    ], ids=["param-missing", "param-shape"])
+    def test_eval_refuses_params_that_do_not_fit(self, edit, shown, tmp_path, monkeypatch):
+        monkeypatch.delenv("DATA_DIR", raising=False)   # refused before data is read
+        model = tiny_train_config().model
+        params = {k: t.data for k, t in M.init_params(model, np.random.default_rng(0)).items()}
+        path = tmp_path / "checkpoint.tvlb"
+        D.save_checkpoint(path, params=edit(params), model_config=dataclasses.asdict(model),
+                          train_config={}, optim_meta=None, optim_arrays={}, rng_state={},
+                          epoch=1)
+        with pytest.raises(D.CheckpointError, match=shown):
+            cli.main(["eval", "--resume", str(path)])
+
+    def test_bench_refuses_workers(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(self.BENCH + ["--workers", "2", "--sizes", "2", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "bench.log").exists()
 
     def test_grad_check_command(self, capsys):
         rc = cli.main(["grad-check", "--mla", "qk", "--seed", "3"])
