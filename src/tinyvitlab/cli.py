@@ -104,7 +104,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def train_config(args: argparse.Namespace) -> TR.TrainConfig:
-    """TrainConfig() overridden by the config file, then by CLI flags."""
+    """TrainConfig() overridden by the config file, then by CLI flags, and
+    validated: a bad value raises ValueError naming its field."""
     cfg = TR.TrainConfig()
 
     def assign(key: str, value) -> None:
@@ -123,6 +124,7 @@ def train_config(args: argparse.Namespace) -> TR.TrainConfig:
         val = getattr(args, key, None)
         if val is not None and val is not False:
             assign(key, val)
+    cfg.validate()
     return cfg
 
 
@@ -182,7 +184,6 @@ def _batch_sizes(raw: str) -> list[int]:
 def cmd_bench(args, run: TR.TrainConfig) -> int:
     """Profile run's training step per batch size: one line each to stdout and bench.log."""
     cfg = run.model
-    cfg.validate()
     rng = np.random.default_rng(run.seed)
     params = M.init_params(cfg, rng)
     out = Path(args.out)
@@ -241,8 +242,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = train_config(args)
-    except (OSError, ValueError) as exc:   # an unreadable or malformed --config file
-        parser.error(f"--config: {exc}")
+    except (OSError, ValueError) as exc:   # an unreadable --config file or a bad value
+        parser.error(f"--config: {exc}" if args.config else str(exc))
     if args.command == "bench" and cfg.workers != 1:
         parser.error(f"--workers: bench times the phases of one unsharded step, so it needs "
                      f"workers=1, got {cfg.workers}")

@@ -70,6 +70,9 @@ class ModelConfig:
         self.validate()
 
     def validate(self) -> None:
+        for name in ("num_heads", "patch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.embed_dim % self.num_heads != 0:
             raise ConfigError(f"embed_dim {self.embed_dim} not divisible by num_heads {self.num_heads}")
         if self.image_size % self.patch_size != 0:
@@ -116,7 +119,7 @@ def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=np.fl
 # ---------------------------------------------------------------------------
 # tokenization
 
-def patchify(images: Tensor, patch: int) -> Tensor:
+def patchify(images: np.ndarray, patch: int) -> np.ndarray:
     """Rearrange [B,3,H,W] into a patch sequence [B,L,3*P*P].
 
     Row i*(W/P)+j holds the channel-major flattening of the PxP patch at
@@ -128,9 +131,8 @@ def patchify(images: Tensor, patch: int) -> Tensor:
     if hh % patch != 0 or ww % patch != 0:
         raise ConfigError(f"image extents {hh}x{ww} not divisible by patch {patch}")
     gh, gw = hh // patch, ww // patch
-    x = T.reshape(images, (b, c, gh, patch, gw, patch))
-    x = T.transpose(x, (0, 2, 4, 1, 3, 5))          # [B, gh, gw, C, P, P]
-    return T.reshape(x, (b, gh * gw, c * patch * patch))
+    x = images.reshape(b, c, gh, patch, gw, patch).transpose(0, 2, 4, 1, 3, 5)  # [B,gh,gw,C,P,P]
+    return x.reshape(b, gh * gw, c * patch * patch)
 
 
 def sinusoidal_table(length: int, channels: int, dtype=np.float32) -> np.ndarray:
@@ -191,12 +193,14 @@ def whitening_init(patch_sample: np.ndarray, out_dim: int,
 
 def mla_factor(variant_set: set[str], proj: str, embed_dim: int, d_c: int,
                rng: np.random.Generator, dtype=np.float32) -> dict[str, np.ndarray]:
-    """Allocate one projection: factored (down [d_c,C] + up [C,d_c]) when
-    `proj` is in the compressed set, otherwise a full [C,C] matrix."""
+    """Allocate one projection in `linear`'s [in, out] layout: factored
+    (down [C,d_c] then up [d_c,C]) when `proj` is in the compressed set,
+    otherwise a full [C,C] matrix."""
     if proj in variant_set:
+        # drawn [out, in] and stored transposed, so each seed keeps its init values
         return {
-            "down": trunc_normal(rng, (d_c, embed_dim), dtype=dtype),
-            "up": trunc_normal(rng, (embed_dim, d_c), dtype=dtype),
+            "down": trunc_normal(rng, (d_c, embed_dim), dtype=dtype).T.copy(),
+            "up": trunc_normal(rng, (embed_dim, d_c), dtype=dtype).T.copy(),
         }
     return {"weight": trunc_normal(rng, (embed_dim, embed_dim), dtype=dtype)}
 
@@ -251,19 +255,16 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32,
 
 
 def effective_projection(params: dict[str, Tensor], prefix: str) -> np.ndarray:
-    """The projection as one [C_in, C_out] matrix (up/down collapsed)."""
+    """The projection as one [C_in, C_out] matrix (down @ up when factored)."""
     if f"{prefix}.weight" in params:
         return params[f"{prefix}.weight"].data
-    down = params[f"{prefix}.down"].data
-    up = params[f"{prefix}.up"].data
-    return down.T @ up.T
+    return params[f"{prefix}.down"].data @ params[f"{prefix}.up"].data
 
 
 def _project(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
     if f"{prefix}.weight" in params:
         return T.linear(x, params[f"{prefix}.weight"])
-    latent = T.linear(x, T.transpose(params[f"{prefix}.down"], (1, 0)))
-    return T.linear(latent, T.transpose(params[f"{prefix}.up"], (1, 0)))
+    return T.linear(T.linear(x, params[f"{prefix}.down"]), params[f"{prefix}.up"])
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +312,12 @@ def block(x: Tensor, params: dict[str, Tensor], cfg: ModelConfig, prefix: str,
 
 
 def cls_head(tokens: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
-    """Concatenate the CLS-token outputs and run the 2-layer projection MLP."""
+    """Apply the final layer norm to the CLS-token rows of [B,S,C] (the
+    other rows are not read), concatenate them and run the 2-layer
+    projection MLP."""
     b = tokens.shape[0]
-    cls = T.narrow(tokens, 1, 0, cfg.num_cls_tokens)
+    cls = T.layer_norm(T.narrow(tokens, 1, 0, cfg.num_cls_tokens),
+                       params["norm.gamma"], params["norm.beta"])
     flat = T.reshape(cls, (b, cfg.num_cls_tokens * cfg.embed_dim))
     return T.mlp(flat, *(params[f"head.{name}"] for name in ("w1", "b1", "w2", "b2")))
 
@@ -328,8 +332,8 @@ def forward(cfg: ModelConfig, params: dict[str, Tensor], images: Tensor,
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
-    x = patchify(images, cfg.patch_size)              # [B,L,D]
-    x = T.linear(x, params["patch_embed.weight"], params["patch_embed.bias"])
+    x = T.linear(Tensor(patchify(images.data, cfg.patch_size)),
+                 params["patch_embed.weight"], params["patch_embed.bias"])
 
     if cfg.pos_embed == "learnable":
         pos = params["pos_embed"]
@@ -341,8 +345,6 @@ def forward(cfg: ModelConfig, params: dict[str, Tensor], images: Tensor,
     for i in range(cfg.depth):
         rate = cfg.drop_path_rate * i / max(cfg.depth - 1, 1)
         x = block(x, params, cfg, f"blocks.{i}", drop_prob=rate, mode=mode, rng=rng)
-
-    x = T.layer_norm(x, params["norm.gamma"], params["norm.beta"])
     return cls_head(x, params, cfg)
 
 

@@ -4,10 +4,12 @@ The op set is closed over what the model needs: the dense layer `linear`,
 the fused exact-GELU `mlp`, the fused multi-head `attention_core`, `add`
 (with an optional constant scale on its second operand: the drop-path
 residual), layer norm, soft-target cross entropy, and the shape plumbing
-(reshape / transpose / narrow / prepend_tokens). Training runs in float32;
-gradient checking runs the same code in float64. Ops record nodes on the
-active `Tape`; `grads = backward(loss, tape, params)` returns the gradients,
-which are values, not state kept on tensors.
+for the CLS tokens (reshape / narrow / prepend_tokens). No op transposes:
+weights are stored in `linear`'s [in, out] layout, and constant inputs
+such as images are rearranged in numpy before they reach an op. Training
+runs in float32; gradient checking runs the same code in float64. Ops
+record nodes on the active `Tape`; `grads = backward(loss, tape, params)`
+returns the gradients, which are values, not state kept on tensors.
 
 Determinism: all reductions go through numpy with a fixed evaluation order,
 so repeated runs on the same inputs produce bitwise-identical results.
@@ -209,12 +211,6 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
-
-
-def transpose(a: Tensor, axes) -> Tensor:
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    return _make(a.data.transpose(axes), (a,), lambda g: (g.transpose(inv),))
 
 
 def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:

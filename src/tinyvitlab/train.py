@@ -51,8 +51,14 @@ class TrainConfig:
     augment: A.AugmentConfig = field(default_factory=A.AugmentConfig)
 
     def validate(self) -> None:
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        for name in ("epochs", "batch_size", "workers", "eval_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("warmup_epochs", "lr_peak", "lr_min"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.optimizer not in O.OPTIMIZERS:
+            raise ValueError(f"unknown optimizer {self.optimizer!r}, expected one of {O.OPTIMIZERS}")
         if self.batch_size % self.workers != 0:
             raise ValueError(f"batch_size {self.batch_size} not divisible by workers {self.workers}")
         aug = self.augment
@@ -481,7 +487,7 @@ def sample_patches(ds: D.Dataset, cfg: M.ModelConfig,
     n_img = min(len(ds), max(max_patches // cfg.num_patches, 1))
     idx = rng.choice(len(ds), size=n_img, replace=False)
     images = D.normalize(ds.images[idx])
-    return M.patchify(Tensor(images), cfg.patch_size).data.reshape(-1, cfg.patch_dim)
+    return M.patchify(images, cfg.patch_size).reshape(-1, cfg.patch_dim)
 
 
 # ---------------------------------------------------------------------------

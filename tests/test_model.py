@@ -60,12 +60,12 @@ def attention_oracle(x, params, cfg, prefix="attn"):
 
 class TestPatchify:
     def test_shape(self):
-        img = Tensor(np.zeros((1, 3, 32, 32), dtype=np.float32))
+        img = np.zeros((1, 3, 32, 32), dtype=np.float32)
         assert M.patchify(img, 4).shape == (1, 64, 48)
 
     def test_constant_image(self):
-        img = Tensor(np.full((1, 3, 32, 32), 7.0, dtype=np.float32))
-        out = M.patchify(img, 4).data
+        img = np.full((1, 3, 32, 32), 7.0, dtype=np.float32)
+        out = M.patchify(img, 4)
         assert np.all(out == 7.0)
 
     def test_single_pixel_index_mapping(self):
@@ -73,14 +73,14 @@ class TestPatchify:
         for r, c in [(0, 0), (3, 7), (12, 30), (31, 31), (17, 2)]:
             img = np.zeros((1, 3, 32, 32), dtype=np.float32)
             img[0, 1, r, c] = 1.0
-            out = M.patchify(Tensor(img), 4).data[0]
+            out = M.patchify(img, 4)[0]
             rows = np.flatnonzero(out.sum(axis=1))
             assert list(rows) == [(r // 4) * 8 + (c // 4)]
 
     def test_exhaustive_permutation(self):
         # unique value per position: patchify must be a pure permutation
         img = np.arange(3 * 16 * 16, dtype=np.float64).reshape(1, 3, 16, 16)
-        out = M.patchify(Tensor(img, dtype=np.float64), 4).data[0]
+        out = M.patchify(img, 4)[0]
         assert sorted(out.reshape(-1).tolist()) == sorted(img.reshape(-1).tolist())
         # row 0 = channel-major flattening of the top-left 4x4 patch
         expected = img[0, :, :4, :4].reshape(-1)
@@ -88,11 +88,11 @@ class TestPatchify:
 
     def test_indivisible_extent_rejected(self):
         with pytest.raises(M.ConfigError):
-            M.patchify(Tensor(np.zeros((1, 3, 30, 30), dtype=np.float32)), 4)
+            M.patchify(np.zeros((1, 3, 30, 30), dtype=np.float32), 4)
 
     def test_unbatched_image_rejected(self):
         with pytest.raises(T.ShapeError, match="B,C,H,W"):
-            M.patchify(Tensor(np.zeros((3, 32, 32), dtype=np.float32)), 4)
+            M.patchify(np.zeros((3, 32, 32), dtype=np.float32), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +214,7 @@ class TestMlaFactor:
     def test_rank_bound(self):
         rng = np.random.default_rng(6)
         f = M.mla_factor({"k"}, "k", 64, 12, rng, dtype=np.float64)
-        effective = f["up"] @ f["down"]
+        effective = f["down"] @ f["up"]
         assert np.linalg.matrix_rank(effective) <= 12
 
     def test_svd_truncation_reproduces_full_attention(self):
@@ -230,8 +230,8 @@ class TestMlaFactor:
         fcfg = tiny_config(variant="q", d_c=dc)
         fparams = dict(params)
         del fparams["attn.q.weight"]
-        fparams["attn.q.down"] = Tensor((u[:, :dc] @ np.diag(s[:dc])).T, requires_grad=True)
-        fparams["attn.q.up"] = Tensor(vt[:dc].T, requires_grad=True)
+        fparams["attn.q.down"] = Tensor(u[:, :dc] @ np.diag(s[:dc]), requires_grad=True)
+        fparams["attn.q.up"] = Tensor(vt[:dc], requires_grad=True)
         assert np.allclose(M.effective_projection(fparams, "attn.q"), w_ref, atol=1e-12)
 
         x = Tensor(rng.standard_normal((1, 6, c)), dtype=np.float64)
@@ -376,9 +376,14 @@ class TestClsHead:
         cfg = tiny_config(n_cls=1)
         params = M.init_params(cfg, rng, dtype=np.float64)
         assert params["head.w1"].shape == (cfg.embed_dim, cfg.embed_dim)
+        params["norm.gamma"].data += rng.normal(0.0, 0.5, cfg.embed_dim)
+        params["norm.beta"].data += rng.normal(0.0, 0.5, cfg.embed_dim)
         tokens = Tensor(rng.standard_normal((2, cfg.seq_len, cfg.embed_dim)), dtype=np.float64)
         out = M.cls_head(tokens, params, cfg).data
-        h = tokens.data[:, 0, :] @ params["head.w1"].data + params["head.b1"].data
+        cls = tokens.data[:, 0, :]
+        cls = (cls - cls.mean(axis=1, keepdims=True)) / np.sqrt(cls.var(axis=1, keepdims=True) + 1e-6)
+        cls = cls * params["norm.gamma"].data + params["norm.beta"].data
+        h = cls @ params["head.w1"].data + params["head.b1"].data
         h = h * 0.5 * (1.0 + erf(h / np.sqrt(2.0)))
         expected = h @ params["head.w2"].data + params["head.b2"].data
         assert np.allclose(out, expected, atol=1e-12)
@@ -401,6 +406,40 @@ class TestForward:
         params = M.init_params(cfg, np.random.default_rng(0))
         images = Tensor(np.random.default_rng(1).standard_normal((4, 3, 16, 16)).astype(np.float32))
         assert M.forward(cfg, params, images).shape == (4, 10)
+
+    @pytest.mark.parametrize("n_cls", [1, 2])
+    def test_final_norm_on_cls_rows_matches_norm_of_all_rows(self, n_cls, monkeypatch):
+        # normalizing only the CLS rows must give the logits, bit for bit, of
+        # normalizing all S rows and then keeping the CLS rows
+        rng = np.random.default_rng(17)
+        cfg = tiny_config(n_cls=n_cls)
+        params = M.init_params(cfg, rng)
+        params["norm.gamma"].data += rng.normal(0.0, 0.5, cfg.embed_dim).astype(np.float32)
+        params["norm.beta"].data += rng.normal(0.0, 0.5, cfg.embed_dim).astype(np.float32)
+        images = Tensor(rng.standard_normal((3, 3, 16, 16)).astype(np.float32))
+        heads, cls_head = [], M.cls_head
+        monkeypatch.setattr(M, "cls_head", lambda x, p, c: heads.append(x) or cls_head(x, p, c))
+        logits = M.forward(cfg, params, images).data
+        normed = T.layer_norm(heads[0], params["norm.gamma"], params["norm.beta"]).data
+        flat = normed[:, :n_cls].reshape(3, n_cls * cfg.embed_dim)
+        expected = T.mlp(Tensor(flat), *(params[f"head.{k}"] for k in ("w1", "b1", "w2", "b2")))
+        assert logits.tobytes() == expected.data.tobytes()
+
+    @pytest.mark.parametrize("cfg, nodes", [
+        (M.ModelConfig(embed_dim=192, num_heads=12, depth=9, drop_path_rate=0.1), 98),
+        (M.ModelConfig(embed_dim=64, num_heads=4, depth=3, mla=M.MlaConfig("kv", d_c=16),
+                       num_cls_tokens=2, drop_path_rate=0.1), 44),
+    ], ids=["paper", "desk"])
+    def test_train_tape_records_only_differentiable_ops(self, cfg, nodes):
+        # per block 2 layer norms, 4-7 linear, attention_core, mlp, 2 adds;
+        # no node for the patch rearrangement or for a weight's layout
+        rng = np.random.default_rng(0)
+        params = M.init_params(cfg, rng)
+        images = Tensor(rng.standard_normal((2, 3, 32, 32)).astype(np.float32))
+        with T.Tape() as tape:
+            cross_entropy(M.forward(cfg, params, images, mode="train", rng=rng),
+                          np.full((2, 10), 0.1, np.float32))
+        assert len(tape) == nodes
 
     def test_eval_bitwise_deterministic(self):
         cfg = tiny_config()
@@ -471,6 +510,15 @@ class TestForward:
         err = grad_check(f, list(params.values()), h=1e-5, max_coords=3,
                          rng=np.random.default_rng(0))
         assert err < 1e-4
+
+
+class TestModelConfig:
+    @pytest.mark.parametrize("value", [0, -4])
+    @pytest.mark.parametrize("name", ["num_heads", "patch_size"])
+    def test_nonpositive_divisor_is_named(self, name, value):
+        # refused before embed_dim % num_heads or image_size % patch_size is taken
+        with pytest.raises(M.ConfigError, match=f"{name} must be >= 1, got {value}"):
+            M.ModelConfig(**{name: value})
 
 
 # ---------------------------------------------------------------------------

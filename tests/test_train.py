@@ -13,7 +13,6 @@ from tinyvitlab import data as D
 from tinyvitlab import model as M
 from tinyvitlab import optim as O
 from tinyvitlab import train as TR
-from tinyvitlab.tensor import Tensor
 
 
 def tiny_train_config(**kw):
@@ -408,6 +407,17 @@ class TestTrainLoop:
         assert all(np.array_equal(a.params[k], b.params[k]) for k in b.params)
         assert a.optim_meta == b.optim_meta
 
+    def test_check_params_refuses_old_layout_mla_factor(self):
+        # down was stored [d_c, C] before it moved to linear's [in, out]
+        # layout; d_c < embed_dim, so the old shape can never fit
+        model = M.ModelConfig(image_size=16, embed_dim=32, num_heads=4, depth=1,
+                              mla=M.MlaConfig("kv", 8))
+        params = {k: t.data for k, t in M.init_params(model, np.random.default_rng(0)).items()}
+        params["blocks.0.attn.k.down"] = params["blocks.0.attn.k.down"].T.copy()
+        with pytest.raises(D.CheckpointError, match=r"params/blocks.0.attn.k.down is \(8, 32\) "
+                                                    r"in the checkpoint, \(32, 8\)"):
+            TR.check_params(params, model)
+
     def test_one_step_run(self, tmp_path):
         # one batch in one epoch: the fallback warmup must stay below the total
         ds = D.synthetic_dataset("two-class-blobs", 8, seed=10)
@@ -425,6 +435,21 @@ class TestTrainLoop:
     def test_batch_worker_divisibility_validated(self):
         with pytest.raises(ValueError):
             tiny_train_config(batch_size=10, workers=4).validate()
+
+    @pytest.mark.parametrize("name, value, shown", [
+        ("epochs", 0, "epochs must be >= 1, got 0"),
+        ("batch_size", 0, "batch_size must be >= 1, got 0"),
+        ("workers", 0, "workers must be >= 1, got 0"),
+        ("workers", -1, "workers must be >= 1, got -1"),
+        ("eval_every", 0, "eval_every must be >= 1, got 0"),
+        ("warmup_epochs", -1, "warmup_epochs must be >= 0, got -1"),
+        ("lr_peak", -1e-3, "lr_peak must be >= 0, got -0.001"),
+        ("lr_min", -1e-5, "lr_min must be >= 0, got -1e-05"),
+        ("optimizer", "sgd", "unknown optimizer 'sgd'"),
+    ])
+    def test_bad_value_is_refused_by_name(self, name, value, shown):
+        with pytest.raises(ValueError, match=shown):
+            tiny_train_config(**{name: value}).validate()
 
     def test_default_recipe_validates(self):
         TR.TrainConfig().validate()
@@ -508,7 +533,7 @@ class TestProfiler:
         assert out.shape[0] % cfg.num_patches == 0
         # whitening fits the patch embedding, so rows must be patchify's rows
         idx = np.random.default_rng(0).choice(len(ds), size=len(ds), replace=False)
-        rows = M.patchify(Tensor(D.normalize(ds.images[idx])), cfg.patch_size).data
+        rows = M.patchify(D.normalize(ds.images[idx]), cfg.patch_size)
         assert np.array_equal(out, rows.reshape(-1, cfg.patch_dim))
 
 
@@ -647,6 +672,14 @@ class TestCli:
         with pytest.raises(D.CheckpointError, match=shown):
             cli.main(["eval", "--resume", str(path)])
 
+    def test_bench_refuses_bad_flag_value_by_name(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(self.BENCH + ["--heads", "0", "--sizes", "2", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: num_heads must be >= 1, got 0" in err and "--config:" not in err
+        assert not (tmp_path / "bench.log").exists()
+
     def test_bench_refuses_workers(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(self.BENCH + ["--workers", "2", "--sizes", "2", "--out", str(tmp_path)])
@@ -664,6 +697,11 @@ class TestCli:
         ("momentum=0.9", "unknown config key 'momentum' (value '0.9')"),
         ("no_mixup=ture", "config key 'no_mixup': expected a bool"),
         ("epochs 5", "expected key=value, got 'epochs 5'"),
+        ("optimizer=sgd", "unknown optimizer 'sgd'"),
+        ("mla=xyz", "unknown mla variant 'xyz'"),
+        ("workers=0", "workers must be >= 1, got 0"),
+        ("heads=0", "num_heads must be >= 1, got 0"),
+        ("batch_size=0", "batch_size must be >= 1, got 0"),
     ])
     def test_bad_config_file_is_a_usage_error(self, line, shown, tmp_path, monkeypatch,
                                               capsys):
