@@ -70,7 +70,8 @@ class ModelConfig:
         self.validate()
 
     def validate(self) -> None:
-        for name in ("num_heads", "patch_size"):
+        for name in ("image_size", "patch_size", "embed_dim", "num_heads", "depth",
+                     "ffn_ratio", "num_classes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.embed_dim % self.num_heads != 0:

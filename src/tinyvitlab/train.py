@@ -54,9 +54,11 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "workers", "eval_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("warmup_epochs", "lr_peak", "lr_min"):
+        for name in ("warmup_epochs", "lr_peak", "lr_min", "weight_decay"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.subset_per_class is not None and self.subset_per_class < 1:
+            raise ValueError(f"subset_per_class must be >= 1 or None, got {self.subset_per_class}")
         if self.optimizer not in O.OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}, expected one of {O.OPTIMIZERS}")
         if self.batch_size % self.workers != 0:
@@ -153,21 +155,23 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _step_blas_threads(workers: int) -> int | None:
-    """The OpenBLAS thread count parallel_train_step runs its shards under,
-    or None when no OpenBLAS is found and the step runs unpinned.
+def _step_blas_threads(shards: int) -> int | None:
+    """The OpenBLAS thread count _run_shards runs `shards` shards under, or
+    None when no OpenBLAS is found and they run unpinned. Its two callers
+    are parallel_train_step (one shard per worker) and evaluate (one shard
+    per usable CPU of each batch).
 
-    One worker keeps the starting count. More workers split the usable CPUs:
-    each of the min(workers, cpus) pool threads gets cpus // pool BLAS
+    One shard keeps the starting count. More shards split the usable CPUs:
+    each of the min(shards, cpus) pool threads gets cpus // pool BLAS
     threads, at least 1 and at most the starting count.
     """
     blas = _openblas()
     if blas is None:
         return None
-    if workers == 1:
+    if shards == 1:
         return blas.start
     ncpu = _usable_cpus()
-    return max(1, min(blas.start, ncpu // min(workers, ncpu)))
+    return max(1, min(blas.start, ncpu // min(shards, ncpu)))
 
 
 @contextlib.contextmanager
@@ -184,6 +188,18 @@ def _blas_threads(count: int | None):
         yield
     finally:
         blas.set(before)
+
+
+def _run_shards(fn: Callable[[int], object], n: int) -> list:
+    """[fn(0), ..., fn(n - 1)], in shard order. One shard runs inline under
+    the current BLAS count; more run on min(n, usable CPUs) pool threads
+    under `_step_blas_threads(n)` OpenBLAS threads, and the count from
+    before is restored afterwards, also when a shard raises."""
+    if n == 1:
+        return [fn(0)]
+    with (_blas_threads(_step_blas_threads(n)),
+          ThreadPoolExecutor(max_workers=min(n, _usable_cpus())) as pool):
+        return list(pool.map(fn, range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +280,10 @@ def parallel_train_step(cfg: M.ModelConfig, params: dict[str, Tensor],
     worker order, and return (averaged grads, mean loss).
 
     Workers share `params` read-only, and each owns its tape, gradients and
-    drop-path rng stream, so K=1 reproduces the serial step bitwise. K>1
-    workers run under `_step_blas_threads(K)` OpenBLAS threads, so shards
-    and BLAS threads together do not oversubscribe the usable CPUs.
+    drop-path rng stream, so K=1 reproduces the serial step bitwise. The
+    workers run through _run_shards: K>1 run under `_step_blas_threads(K)`
+    OpenBLAS threads, so shards and BLAS threads together do not
+    oversubscribe the usable CPUs.
     """
     b = len(batch.images)
     if b % workers != 0:
@@ -279,12 +296,7 @@ def parallel_train_step(cfg: M.ModelConfig, params: dict[str, Tensor],
         return _shard_gradients(cfg, params, batch.images[lo:lo + shard],
                                 batch.targets[lo:lo + shard], rngs[w])
 
-    if workers == 1:
-        results = [work(0)]
-    else:
-        with (_blas_threads(_step_blas_threads(workers)),
-              ThreadPoolExecutor(max_workers=min(workers, _usable_cpus())) as pool):
-            results = list(pool.map(work, range(workers)))
+    results = _run_shards(work, workers)
 
     # summed out of place, in worker order: backward's arrays may share memory
     grads = {path: functools.reduce(np.add, [r[0][path] for r in results]) / workers
@@ -299,13 +311,25 @@ def parallel_train_step(cfg: M.ModelConfig, params: dict[str, Tensor],
 def evaluate(cfg: M.ModelConfig, params: dict[str, Tensor], ds: D.Dataset,
              batch_size: int = 256) -> float:
     """Argmax-logit accuracy in eval mode (ties go to the lower class index,
-    which is numpy argmax behavior)."""
+    which is numpy argmax behavior).
+
+    Each batch is cut into min(usable CPUs, batch) contiguous, non-empty
+    shards whose eval-mode forwards run through _run_shards, like the
+    training step's; their logits are concatenated in order. Logits match
+    an unsharded forward within float32 rounding. Shards of 16 images or
+    more have given the same bits, but not every batch does: OpenBLAS picks
+    other GEMM kernels for very small shards (1-2 images gave differences
+    up to 3e-8).
+    """
     if len(ds) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     correct = 0
     for images, labels in eval_batches(ds, batch_size):
-        logits = M.forward(cfg, params, Tensor(images.astype(np.float32)), mode="eval")
-        correct += int((np.argmax(logits.data, axis=1) == labels).sum())
+        shards = np.array_split(images.astype(np.float32), min(_usable_cpus(), len(images)))
+        logits = np.concatenate(_run_shards(
+            lambda i: M.forward(cfg, params, Tensor(shards[i]), mode="eval").data,
+            len(shards)))
+        correct += int((np.argmax(logits, axis=1) == labels).sum())
     return correct / len(ds)
 
 

@@ -520,6 +520,14 @@ class TestModelConfig:
         with pytest.raises(M.ConfigError, match=f"{name} must be >= 1, got {value}"):
             M.ModelConfig(**{name: value})
 
+    @pytest.mark.parametrize("name, value", [
+        ("embed_dim", 0), ("image_size", 0), ("depth", 0), ("depth", -1),
+        ("ffn_ratio", 0), ("num_classes", 0)])
+    def test_nonpositive_size_is_named(self, name, value):
+        # each would otherwise build an empty array or a model with no blocks
+        with pytest.raises(M.ConfigError, match=f"{name} must be >= 1, got {value}"):
+            M.ModelConfig(**{name: value})
+
 
 # ---------------------------------------------------------------------------
 # parameter accounting

@@ -13,6 +13,7 @@ from tinyvitlab import data as D
 from tinyvitlab import model as M
 from tinyvitlab import optim as O
 from tinyvitlab import train as TR
+from tinyvitlab.tensor import Tensor
 
 
 def tiny_train_config(**kw):
@@ -261,6 +262,69 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             TR.evaluate(cfg, params, ds)
 
+    @staticmethod
+    def watch_forwards(monkeypatch, get_count=lambda: None, fail=False):
+        """Record [images, logits, BLAS count] of each model forward, from
+        whichever thread runs it; optionally raise instead of running it."""
+        calls = []
+        real = M.forward
+
+        def forward(cfg, params, x, **kwargs):
+            call = [x.data, None, get_count()]
+            calls.append(call)
+            if fail:
+                raise RuntimeError("shard failed")
+            out = real(cfg, params, x, **kwargs)
+            call[1] = out.data
+            return out
+
+        monkeypatch.setattr(M, "forward", forward)
+        return calls
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("n, batch_size", [(20, 7), (1, 256)])
+    def test_sharded_forwards_match_unsharded(self, monkeypatch, cpus, n, batch_size):
+        blobs = D.synthetic_dataset("two-class-blobs", 20, seed=4)
+        cfg = tiny_train_config().model
+        params = M.init_params(cfg, np.random.default_rng(0))
+        images = D.normalize(blobs.images[:n]).astype(np.float32)
+        unsharded = M.forward(cfg, params, Tensor(images), mode="eval").data
+        # labelled with the model's own (varied) predictions, so a shard out
+        # of order costs accuracy
+        ds = dataclasses.replace(blobs, images=blobs.images[:n],
+                                 labels=np.argmax(unsharded, axis=1))
+        monkeypatch.setattr(TR, "_usable_cpus", lambda: cpus)
+        calls = self.watch_forwards(monkeypatch)
+        acc = TR.evaluate(cfg, params, ds, batch_size=batch_size)
+
+        batches = [len(ds.images[i:i + batch_size]) for i in range(0, n, batch_size)]
+        assert len(calls) == sum(min(cpus, b) for b in batches)
+        assert all(len(x) >= 1 for x, _, _ in calls)
+        # threads finish in any order: put the shards back by their first image
+        first = [np.flatnonzero((images == x[0]).all(axis=(1, 2, 3)))[0] for x, _, _ in calls]
+        ordered = [calls[i] for i in np.argsort(first)]
+        assert np.array_equal(np.concatenate([x for x, _, _ in ordered]), images)
+        logits = np.concatenate([out for _, out, _ in ordered])
+        assert np.abs(logits - unsharded).max() <= 1e-6
+        assert acc == 1.0
+
+    # (usable CPUs, BLAS count each shard runs under when OpenBLAS started at 8)
+    @pytest.mark.parametrize("cpus, pinned", [(1, 5), (2, 1), (3, 1)])
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_blas_threads_pinned_and_restored(self, monkeypatch, cpus, pinned, fail):
+        count = [5]   # a stand-in OpenBLAS whose thread count is this cell
+        monkeypatch.setattr(TR, "_openblas", lambda: TR._OpenBlas(
+            lambda: count[0], lambda n: count.__setitem__(0, n), 8))
+        monkeypatch.setattr(TR, "_usable_cpus", lambda: cpus)
+        ds = D.synthetic_dataset("two-class-blobs", 8, seed=4)
+        cfg = tiny_train_config().model
+        params = M.init_params(cfg, np.random.default_rng(0))
+        calls = self.watch_forwards(monkeypatch, lambda: count[0], fail)
+        with pytest.raises(RuntimeError, match="shard failed") if fail else contextlib.nullcontext():
+            TR.evaluate(cfg, params, ds)
+        assert calls and {c for _, _, c in calls} == {pinned}
+        assert count == [5]
+
 
 class TestTrainLoop:
     def test_two_epoch_run_artifacts(self, tmp_path):
@@ -445,6 +509,8 @@ class TestTrainLoop:
         ("warmup_epochs", -1, "warmup_epochs must be >= 0, got -1"),
         ("lr_peak", -1e-3, "lr_peak must be >= 0, got -0.001"),
         ("lr_min", -1e-5, "lr_min must be >= 0, got -1e-05"),
+        ("weight_decay", -0.05, "weight_decay must be >= 0, got -0.05"),
+        ("subset_per_class", 0, "subset_per_class must be >= 1 or None, got 0"),
         ("optimizer", "sgd", "unknown optimizer 'sgd'"),
     ])
     def test_bad_value_is_refused_by_name(self, name, value, shown):
@@ -453,6 +519,7 @@ class TestTrainLoop:
 
     def test_default_recipe_validates(self):
         TR.TrainConfig().validate()
+        TR.TrainConfig(weight_decay=0.0, subset_per_class=1).validate()
 
     def test_repeat_factor_must_divide_batch(self):
         aug = A.AugmentConfig(repeated_factor=3)
@@ -678,6 +745,13 @@ class TestCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "error: num_heads must be >= 1, got 0" in err and "--config:" not in err
+        assert not (tmp_path / "bench.log").exists()
+
+    def test_bench_refuses_empty_model(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bench", "--dim", "0", "--sizes", "2", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "error: embed_dim must be >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "bench.log").exists()
 
     def test_bench_refuses_workers(self, tmp_path, capsys):
