@@ -182,13 +182,19 @@ def _batch_sizes(raw: str) -> list[int]:
 
 
 def cmd_bench(args, run: TR.TrainConfig) -> int:
-    """Profile run's training step per batch size: one line each to stdout and bench.log."""
+    """Print the model's parameter counts on one `params` line, then profile
+    run's training step per batch size, one `bs=` line each; all lines go to
+    stdout and bench.log."""
     cfg = run.model
     rng = np.random.default_rng(run.seed)
     params = M.init_params(cfg, rng)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    counts = {**M.param_count(params), "attention_per_layer": M.attention_params_per_layer(cfg)}
     with open(out / "bench.log", "a") as log:
+        line = "params " + " ".join(f"{group}={n}" for group, n in counts.items())
+        print(line)
+        log.write(line + "\n")
         for bs in args.sizes:
             images = rng.standard_normal((bs, 3, cfg.image_size, cfg.image_size), np.float32)
             targets = np.full((bs, cfg.num_classes), 1.0 / cfg.num_classes, np.float32)

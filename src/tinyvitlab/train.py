@@ -473,7 +473,7 @@ def train(cfg: TrainConfig, train_ds: D.Dataset, test_ds: D.Dataset,
                 images_seen += len(batch.images)
             epoch_secs = time.perf_counter() - epoch_start
 
-            val_acc = 0.0
+            val_acc = float("nan")   # not measured this epoch; the last epoch always is
             if (epoch + 1) % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
                 val_acc = evaluate(cfg.model, params, test_ds)
             record = MetricsRecord(

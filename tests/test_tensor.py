@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 
 from tinyvitlab import tensor as T
 from tinyvitlab.tensor import Tensor, Tape, backward, grad_check
@@ -191,6 +192,57 @@ class TestActivation:
         x, w1, b1 = t64(np.zeros((2, 3))), t64(np.zeros((3, 4))), t64(np.zeros(4))
         with pytest.raises(T.ShapeError, match=r"\(2, 3\), \(3, 4\), \(4,\), \(5, 2\), \(2,\)"):
             T.mlp(x, w1, b1, t64(np.zeros((5, 2))), t64(np.zeros(2)))
+
+
+class TestErf:
+    def test_float32_max_abs_error(self):
+        grid = np.linspace(-8.0, 8.0, 2_000_001, dtype=np.float32)   # many blocks and a tail
+        got = T.erf(grid)
+        assert got.dtype == np.float32
+        assert np.abs(got.astype(np.float64) - special.erf(grid.astype(np.float64))).max() <= 1e-6
+
+    def test_float32_special_values(self):
+        got = T.erf(np.array([0.0, -0.0, np.inf, -np.inf, np.nan], np.float32))
+        assert got[0] == 0.0 and not np.signbit(got[0])
+        assert got[1] == 0.0 and np.signbit(got[1])
+        assert got[2] == 1.0 and got[3] == -1.0 and np.isnan(got[4])
+
+    def test_row_bits_independent_of_array_size(self):
+        big = np.random.default_rng(0).normal(0.0, 2.0, (521, 769)).astype(np.float32)
+        whole = T.erf(big)
+        cdf = T._normal_cdf(big)
+        edge = T._BLOCK // big.shape[1]  # the row that straddles the first block boundary
+        for i in (0, edge, edge + 1, 520):
+            assert np.array_equal(T.erf(big[i]), whole[i])
+            assert np.array_equal(T._normal_cdf(big[i:i + 1]), cdf[i:i + 1])
+
+    def test_float64_is_scipy_bitwise(self):
+        x = np.random.default_rng(1).normal(0.0, 3.0, 300_001)
+        assert np.array_equal(T.erf(x), special.erf(x))
+        assert np.array_equal(T._normal_cdf(x), (special.erf(x * T._INV_SQRT2) + 1.0) * 0.5)
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-4), (np.float64, 1e-10)])
+    def test_mlp_across_blocks_matches_oracle(self, dtype, tol):
+        # 3 x 97 rows of 607 hidden units: a full block and a partial one
+        rng = np.random.default_rng(2)
+        x, w1, b1, w2, b2 = arrays = [rng.normal(0.0, 1.0, s) / np.sqrt(s[0] if len(s) == 2 else 1)
+                                      for s in [(3, 97, 8), (8, 607), (607,), (607, 5), (5,)]]
+        r = rng.standard_normal((3, 97, 5))
+        # unblocked float64 numpy: y and the gradients of sum(y * r)
+        x2, g2 = x.reshape(-1, 8), r.reshape(-1, 5)
+        h = x2 @ w1 + b1
+        phi = (1.0 + special.erf(h / np.sqrt(2.0))) / 2.0
+        gh = (g2 @ w2.T) * (phi + h * np.exp(-h * h / 2.0) / np.sqrt(2.0 * np.pi))
+        want = [(h * phi) @ w2 + b2, (gh @ w1.T).reshape(x.shape), x2.T @ gh, gh.sum(axis=0),
+                (h * phi).T @ g2, g2.sum(axis=0)]
+        ins = [Tensor(a, requires_grad=True, dtype=dtype) for a in arrays]
+        with Tape() as tape:
+            y = T.mlp(*ins)
+            loss = T.linear(T.reshape(y, (1, y.size)), Tensor(r.reshape(-1, 1), dtype=dtype))
+        got = [y.data.reshape(-1, 5)] + backward(loss, tape, ins)
+        for g, w in zip(got, want):
+            assert g.dtype == dtype
+            assert np.allclose(g, w, rtol=tol, atol=tol * np.abs(w).max())
 
 
 # ---------------------------------------------------------------------------

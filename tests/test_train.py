@@ -341,6 +341,15 @@ class TestTrainLoop:
                     "images_per_sec=", "peak_activation_bytes=", "wall_seconds="):
             assert key in lines[0]
 
+    def test_skipped_evaluations_log_nan(self, tmp_path):
+        ds = D.synthetic_dataset("two-class-blobs", 16, seed=5)
+        result = TR.train(tiny_train_config(epochs=3, eval_every=2), ds, ds, tmp_path / "out")
+        accs = [r.val_acc for r in result.records]
+        assert np.isnan(accs[0]) and not np.isnan(accs[1]) and not np.isnan(accs[2])
+        assert result.final is result.records[-1] and 0.0 <= result.final.val_acc <= 1.0
+        lines = (tmp_path / "out" / "metrics.log").read_text().splitlines()
+        assert [" val_acc=nan " in line for line in lines] == [True, False, False]
+
     def test_learns_blobs(self, tmp_path):
         # two-class blobs are separable by channel means; a few epochs of a
         # tiny model should beat chance comfortably
@@ -691,10 +700,16 @@ class TestCli:
         assert rc == 0
         out = capsys.readouterr().out.splitlines()
         log = (tmp_path / "bench.log").read_text().splitlines()
-        assert out == log and len(log) == 2
+        assert out == log and len(log) == 3
+        head, counts = log[0].split(" ", 1)
+        counts = {k: int(v) for k, v in (kv.split("=") for kv in counts.split())}
+        cfg = M.ModelConfig(embed_dim=32, num_heads=4, depth=1, mla=M.MlaConfig(d_c=8))
+        assert head == "params"
+        assert counts == {**M.param_count(M.init_params(cfg, np.random.default_rng(0))),
+                          "attention_per_layer": M.attention_params_per_layer(cfg)}
         keys = ["bs", "forward_ms", "backward_ms", "optim_ms", "total_ms",
                 "train_images_per_sec", "eval_images_per_sec"]
-        for line, bs in zip(log, (2, 4)):
+        for line, bs in zip(log[1:], (2, 4)):
             fields = dict(kv.split("=") for kv in line.split())
             assert list(fields) == keys and fields["bs"] == str(bs)
             assert all(float(fields[k]) > 0 for k in keys[1:])
