@@ -164,7 +164,10 @@ def cmd_eval(args, _cfg: TR.TrainConfig) -> int:
     ckpt = D.load_checkpoint(args.resume)
     saved = _config_fields(M.ModelConfig, ckpt.model_config, "model_config")
     saved["mla"] = M.MlaConfig(**_config_fields(M.MlaConfig, saved["mla"], "model_config.mla"))
-    cfg = M.ModelConfig(**saved)
+    try:
+        cfg = M.ModelConfig(**saved)
+    except (M.ConfigError, TypeError) as exc:   # out of range, or of the wrong type
+        raise D.CheckpointError(f"checkpoint model_config is not a valid model: {exc}") from None
     TR.check_params(ckpt.params, cfg)
     params = {k: Tensor(v, requires_grad=True) for k, v in sorted(ckpt.params.items())}
     test_ds = D.load_cifar10(_data_dir(args), "test")

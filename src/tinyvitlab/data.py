@@ -83,13 +83,6 @@ def normalize(raw: np.ndarray) -> np.ndarray:
     return (x - CIFAR10_MEAN.reshape(shape)) / CIFAR10_STD.reshape(shape)
 
 
-def denormalize(x: np.ndarray) -> np.ndarray:
-    """Inverse of normalize, rounded back to uint8."""
-    shape = (3, 1, 1) if x.ndim >= 3 else (3,)
-    raw = (x * CIFAR10_STD.reshape(shape) + CIFAR10_MEAN.reshape(shape)) * 255.0
-    return np.clip(np.rint(raw), 0, 255).astype(np.uint8)
-
-
 def subset_per_class(ds: Dataset, per_class: int, num_classes: int = 10) -> Dataset:
     """Deterministic first-K-per-class subset (reproducible small runs)."""
     keep = []

@@ -255,13 +255,6 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32,
     return dict(sorted(params.items()))
 
 
-def effective_projection(params: dict[str, Tensor], prefix: str) -> np.ndarray:
-    """The projection as one [C_in, C_out] matrix (down @ up when factored)."""
-    if f"{prefix}.weight" in params:
-        return params[f"{prefix}.weight"].data
-    return params[f"{prefix}.down"].data @ params[f"{prefix}.up"].data
-
-
 def _project(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
     if f"{prefix}.weight" in params:
         return T.linear(x, params[f"{prefix}.weight"])

@@ -119,7 +119,6 @@ def rng_for(seed: int, purpose: str, *indices: int) -> np.random.Generator:
 class _OpenBlas(NamedTuple):
     get: Callable[[], int]
     set: Callable[[int], None]
-    start: int   # the count it started with: OPENBLAS_NUM_THREADS, else the CPUs it saw
 
 
 # (get, set) symbol names: numpy >= 2 wheels' scipy-openblas, then older wheels'
@@ -144,7 +143,7 @@ def _openblas() -> _OpenBlas | None:
                 get, set_ = getattr(dll, get_name), getattr(dll, set_name)
                 get.argtypes, get.restype = [], ctypes.c_int
                 set_.argtypes, set_.restype = [ctypes.c_int], None
-                return _OpenBlas(get, set_, get())
+                return _OpenBlas(get, set_)
     return None
 
 
@@ -155,35 +154,16 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _step_blas_threads(shards: int) -> int | None:
-    """The OpenBLAS thread count _run_shards runs `shards` shards under, or
-    None when no OpenBLAS is found and they run unpinned. Its two callers
-    are parallel_train_step (one shard per worker) and evaluate (one shard
-    per usable CPU of each batch).
-
-    One shard keeps the starting count. More shards split the usable CPUs:
-    each of the min(shards, cpus) pool threads gets cpus // pool BLAS
-    threads, at least 1 and at most the starting count.
-    """
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block under one OpenBLAS thread (unpinned when no OpenBLAS is
+    found), then restore the count from before."""
     blas = _openblas()
     if blas is None:
-        return None
-    if shards == 1:
-        return blas.start
-    ncpu = _usable_cpus()
-    return max(1, min(blas.start, ncpu // min(shards, ncpu)))
-
-
-@contextlib.contextmanager
-def _blas_threads(count: int | None):
-    """Run the block under `count` OpenBLAS threads (None: leave it), then
-    restore the count from before."""
-    if count is None:
         yield
         return
-    blas = _openblas()
     before = blas.get()
-    blas.set(count)
+    blas.set(1)
     try:
         yield
     finally:
@@ -192,13 +172,13 @@ def _blas_threads(count: int | None):
 
 def _run_shards(fn: Callable[[int], object], n: int) -> list:
     """[fn(0), ..., fn(n - 1)], in shard order. One shard runs inline under
-    the current BLAS count; more run on min(n, usable CPUs) pool threads
-    under `_step_blas_threads(n)` OpenBLAS threads, and the count from
-    before is restored afterwards, also when a shard raises."""
+    the current BLAS count. More run on min(n, usable CPUs) pool threads,
+    each shard under exactly one OpenBLAS thread, so their bits depend on n
+    and not on the CPU count or OPENBLAS_NUM_THREADS; the count from before
+    is restored afterwards, also when a shard raises."""
     if n == 1:
         return [fn(0)]
-    with (_blas_threads(_step_blas_threads(n)),
-          ThreadPoolExecutor(max_workers=min(n, _usable_cpus())) as pool):
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=min(n, _usable_cpus())) as pool:
         return list(pool.map(fn, range(n)))
 
 
@@ -281,9 +261,9 @@ def parallel_train_step(cfg: M.ModelConfig, params: dict[str, Tensor],
 
     Workers share `params` read-only, and each owns its tape, gradients and
     drop-path rng stream, so K=1 reproduces the serial step bitwise. The
-    workers run through _run_shards: K>1 run under `_step_blas_threads(K)`
-    OpenBLAS threads, so shards and BLAS threads together do not
-    oversubscribe the usable CPUs.
+    workers run through _run_shards: K=1 runs inline under the current
+    OpenBLAS count, K>1 run each under one OpenBLAS thread, so their bits
+    follow from K alone.
     """
     b = len(batch.images)
     if b % workers != 0:
@@ -315,11 +295,11 @@ def evaluate(cfg: M.ModelConfig, params: dict[str, Tensor], ds: D.Dataset,
 
     Each batch is cut into min(usable CPUs, batch) contiguous, non-empty
     shards whose eval-mode forwards run through _run_shards, like the
-    training step's; their logits are concatenated in order. Logits match
-    an unsharded forward within float32 rounding. Shards of 16 images or
-    more have given the same bits, but not every batch does: OpenBLAS picks
-    other GEMM kernels for very small shards (1-2 images gave differences
-    up to 3e-8).
+    training step's (more than one shard: one OpenBLAS thread each); their
+    logits are concatenated in order. Logits match an unsharded forward
+    within float32 rounding. Shards of 16 images or more have given the
+    same bits, but not every batch does: OpenBLAS picks other GEMM kernels
+    for very small shards (1-2 images gave differences up to 3e-8).
     """
     if len(ds) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
@@ -346,8 +326,8 @@ def _diffs(saved: dict, run: dict) -> str:
     values differ (None where absent); blas_threads comes last."""
     return "; ".join(
         f"{k} is {saved.get(k)!r} in the checkpoint, {run.get(k)!r} in the run"
-        + (" (OPENBLAS_NUM_THREADS or the CPU affinity sets it, split over the workers)"
-           if k == "blas_threads" else "")
+        + (" (it matters only with one worker, which runs under the current count: "
+           "OPENBLAS_NUM_THREADS, else the CPUs OpenBLAS saw)" if k == "blas_threads" else "")
         for k in sorted(saved.keys() | run.keys(), key=lambda k: (k == "blas_threads", k))
         if saved.get(k) != run.get(k))
 
@@ -367,10 +347,12 @@ def _resume(ckpt: D.Checkpoint, cfg: TrainConfig, train_config: dict
             ) -> tuple[dict[str, Tensor], O.OptimState]:
     """The params and optimizer state to continue from. A checkpoint that
     does not fit the run is refused, naming what differs: a field of the
-    saved train config (blas_threads too: another OpenBLAS thread count can
-    change the gradients' bits), a param, the optimizer step count, or a
-    moment whose name or shape the run's optimizer does not give. Of the
-    header's optim only t is read; the rest of the state is the run's."""
+    saved train config (blas_threads too: with one worker, another OpenBLAS
+    thread count can change the gradients' bits; sharded steps always run
+    at one thread), an epoch outside [0, epochs), a param, the optimizer
+    step count, or a moment whose name or shape the run's optimizer does
+    not give. Of the header's optim only t is read; the rest of the state
+    is the run's."""
     def flat(tc: dict) -> dict:   # `model` and `augment` expanded one level
         out = {}
         for k, v in tc.items():
@@ -381,6 +363,9 @@ def _resume(ckpt: D.Checkpoint, cfg: TrainConfig, train_config: dict
     # JSON holds tuples as lists; compare like with like
     if msg := _diffs(flat(ckpt.train_config), flat(json.loads(json.dumps(train_config)))):
         raise D.CheckpointError("checkpoint does not match this run: " + msg)
+    if not 0 <= ckpt.epoch < cfg.epochs:
+        raise D.CheckpointError(f"checkpoint epoch is {ckpt.epoch}, outside [0, {cfg.epochs}) "
+                                f"(epoch {cfg.epochs} means the run has finished)")
     check_params(ckpt.params, cfg.model)
     if ckpt.optim_meta is None:
         raise D.CheckpointError("checkpoint holds no optimizer state: its header's optim is null")
@@ -431,8 +416,11 @@ def train(cfg: TrainConfig, train_ds: D.Dataset, test_ds: D.Dataset,
         # a one-step run gets no warmup; lr_schedule needs warmup < total
         warmup_steps = min(max(total_steps // 10, 1), total_steps - 1)
 
-    # bitwise resume needs the step's BLAS thread count, so it is saved and checked
-    train_config = {**asdict(cfg), "blas_threads": _step_blas_threads(cfg.workers)}
+    # bitwise resume needs the BLAS thread count the step's shards run under,
+    # so it is saved and checked: the current count for one worker, else one
+    blas = _openblas()
+    train_config = {**asdict(cfg), "blas_threads": None if blas is None
+                    else blas.get() if cfg.workers == 1 else 1}
     start_epoch = 0
     if resume is not None:
         ckpt = D.load_checkpoint(resume)

@@ -41,12 +41,19 @@ def _find_cifar() -> Path | None:
     return None
 
 
+def effective_projection(params, prefix):
+    """The projection as one [C_in, C_out] matrix (down @ up when factored)."""
+    if f"{prefix}.weight" in params:
+        return params[f"{prefix}.weight"].data
+    return params[f"{prefix}.down"].data @ params[f"{prefix}.up"].data
+
+
 def attention_oracle(x, params, cfg, prefix="attn"):
     """Independent per-head loop with scalar softmax."""
     h, dk = cfg.num_heads, cfg.head_dim
-    wq = M.effective_projection(params, f"{prefix}.q")
-    wk = M.effective_projection(params, f"{prefix}.k")
-    wv = M.effective_projection(params, f"{prefix}.v")
+    wq = effective_projection(params, f"{prefix}.q")
+    wk = effective_projection(params, f"{prefix}.k")
+    wv = effective_projection(params, f"{prefix}.v")
     wo = params[f"{prefix}.o.weight"].data
     q, k, v = x @ wq, x @ wk, x @ wv
     s = x.shape[0]

@@ -29,12 +29,19 @@ def make_attn_params(cfg, rng, dtype=np.float64, prefix="attn"):
     return params
 
 
+def effective_projection(params, prefix):
+    """The projection as one [C_in, C_out] matrix (down @ up when factored)."""
+    if f"{prefix}.weight" in params:
+        return params[f"{prefix}.weight"].data
+    return params[f"{prefix}.down"].data @ params[f"{prefix}.up"].data
+
+
 def attention_oracle(x, params, cfg, prefix="attn"):
     """Naive per-head loop: explicit Q/K/V materialization, scalar softmax."""
     h, dk = cfg.num_heads, cfg.head_dim
-    wq = M.effective_projection(params, f"{prefix}.q")
-    wk = M.effective_projection(params, f"{prefix}.k")
-    wv = M.effective_projection(params, f"{prefix}.v")
+    wq = effective_projection(params, f"{prefix}.q")
+    wk = effective_projection(params, f"{prefix}.k")
+    wv = effective_projection(params, f"{prefix}.v")
     wo = params[f"{prefix}.o.weight"].data
     q, k, v = x @ wq, x @ wk, x @ wv
     s = x.shape[0]
@@ -171,7 +178,7 @@ class TestAttention:
         params = make_attn_params(cfg, rng)
         x = rng.standard_normal((1, cfg.embed_dim))
         out = M.attention(Tensor(x[None], dtype=np.float64), params, cfg).data[0]
-        wv = M.effective_projection(params, "attn.v")
+        wv = effective_projection(params, "attn.v")
         wo = params["attn.o.weight"].data
         assert np.allclose(out, (x @ wv) @ wo, atol=1e-12)
 
@@ -182,7 +189,7 @@ class TestAttention:
         params["attn.q.weight"] = Tensor(np.zeros((32, 32)), requires_grad=True)
         x = rng.standard_normal((5, cfg.embed_dim))
         out = M.attention(Tensor(x[None], dtype=np.float64), params, cfg).data[0]
-        wv = M.effective_projection(params, "attn.v")
+        wv = effective_projection(params, "attn.v")
         wo = params["attn.o.weight"].data
         expected = np.tile(((x @ wv).mean(axis=0) @ wo), (5, 1))
         assert np.allclose(out, expected, atol=1e-12)
@@ -232,7 +239,7 @@ class TestMlaFactor:
         del fparams["attn.q.weight"]
         fparams["attn.q.down"] = Tensor(u[:, :dc] @ np.diag(s[:dc]), requires_grad=True)
         fparams["attn.q.up"] = Tensor(vt[:dc], requires_grad=True)
-        assert np.allclose(M.effective_projection(fparams, "attn.q"), w_ref, atol=1e-12)
+        assert np.allclose(effective_projection(fparams, "attn.q"), w_ref, atol=1e-12)
 
         x = Tensor(rng.standard_normal((1, 6, c)), dtype=np.float64)
         full = M.attention(x, params, cfg).data

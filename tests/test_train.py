@@ -3,6 +3,11 @@ checkpoint resume, profiling bookkeeping, and the CLI plumbing."""
 
 import contextlib
 import dataclasses
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +30,26 @@ def tiny_train_config(**kw):
                     workers=1, seed=0, model=model, augment=aug)
     defaults.update(kw)
     return TR.TrainConfig(**defaults)
+
+
+def blas_case():
+    """A 96/4/2 float32 model and a 32-image batch: at this shape OpenBLAS
+    0.3.31 gives 16-image shards other gradient bits under 1 and 2 threads
+    (seen on a 2-vCPU x86 box)."""
+    cfg = M.ModelConfig(embed_dim=96, num_heads=4, depth=2)
+    rng = np.random.default_rng(0)
+    params = M.init_params(cfg, rng)
+    batch = A.SoftBatch(rng.standard_normal((32, 3, 32, 32)).astype(np.float32),
+                        np.full((32, 10), 0.1, np.float32))
+    return cfg, params, batch
+
+
+def grad_digest(grads, loss):
+    """A hex digest of a step's gradient bytes, in sorted path order, and loss."""
+    h = hashlib.sha256(repr(loss).encode())
+    for k in sorted(grads):
+        h.update(grads[k].tobytes())
+    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -178,33 +203,28 @@ class TestParallelStep:
         monkeypatch.setattr(TR, "_shard_gradients", shard)
         return seen
 
-    # (count OpenBLAS started with, usable CPUs, workers, per-shard count)
+    # (OpenBLAS count before the step, usable CPUs, workers, per-shard count):
+    # one worker runs inline under the current count, more at one thread each
     @pytest.mark.parametrize("start,cpus,workers,pinned", [
-        (8, 4, 2, 2), (8, 2, 4, 1), (4, 6, 4, 1), (3, 16, 2, 3), (1, 4, 2, 1)])
+        (8, 4, 2, 1), (8, 2, 4, 1), (4, 6, 4, 1), (3, 16, 2, 1), (1, 4, 2, 1), (3, 16, 1, 3)])
     @pytest.mark.parametrize("fail", [False, True])
     def test_blas_threads_pinned_and_restored(self, monkeypatch, start, cpus, workers,
                                               pinned, fail):
-        count = [5]   # a stand-in OpenBLAS whose thread count is this cell
+        count = [start]   # a stand-in OpenBLAS whose thread count is this cell
         monkeypatch.setattr(TR, "_openblas", lambda: TR._OpenBlas(
-            lambda: count[0], lambda n: count.__setitem__(0, n), start))
+            lambda: count[0], lambda n: count.__setitem__(0, n)))
         monkeypatch.setattr(TR, "_usable_cpus", lambda: cpus)
         cfg, params, batch = self.setup_case()
         seen = self.watch_shards(monkeypatch, lambda: count[0], fail)
-        assert TR._step_blas_threads(workers) == pinned
-        assert TR._step_blas_threads(1) == start
         with pytest.raises(RuntimeError) if fail else contextlib.nullcontext():
             TR.parallel_train_step(cfg, params, batch, workers=workers)
         assert seen and set(seen) == {pinned}
-        assert count == [5]
-        if not fail:   # one worker runs under whatever count is set
-            seen.clear()
-            TR.parallel_train_step(cfg, params, batch, workers=1)
-            assert seen == [5] and count == [5]
+        assert count == [start]
 
     def test_unpinned_without_openblas(self, monkeypatch, tmp_path):
         monkeypatch.setattr(TR, "_OPENBLAS_SYMBOLS", (("no_get_threads", "no_set_threads"),))
         monkeypatch.setattr(TR, "_openblas", TR._openblas.__wrapped__)   # uncached lookup
-        assert TR._openblas() is None and TR._step_blas_threads(2) is None
+        assert TR._openblas() is None
         cfg, params, batch = self.setup_case()
         unpinned, _ = TR.parallel_train_step(cfg, params, batch, workers=2)
         serial, _ = TR.parallel_train_step(cfg, params, batch, workers=1)
@@ -215,30 +235,62 @@ class TestParallelStep:
         ckpt = D.load_checkpoint(result.checkpoint_path)
         assert "blas_threads" in ckpt.train_config and ckpt.train_config["blas_threads"] is None
 
-    @pytest.mark.parametrize("count", ["derived", 1, 2])
-    def test_sharded_bits_fixed_by_blas_count(self, monkeypatch, count):
+    @pytest.mark.parametrize("start", ["derived", 1, 2])
+    def test_sharded_bits_fixed_by_blas_count(self, monkeypatch, start):
         # at this shape OpenBLAS 0.3.31 gives other gradient bits under 1 and
-        # 2 threads (seen on a 2-vCPU x86 box), so the count is part of a run
+        # 2 threads (seen on a 2-vCPU x86 box), so every shard runs at one
+        # thread whatever the count before the step ("derived": the one
+        # OpenBLAS derived at start-up from OPENBLAS_NUM_THREADS or the CPUs)
         blas = TR._openblas()
         if blas is None:
             pytest.skip("no OpenBLAS thread control found in this numpy")
-        if count == "derived":
-            count = TR._step_blas_threads(2)
-        else:
-            monkeypatch.setattr(TR, "_step_blas_threads", lambda workers: count)
-        cfg = M.ModelConfig(embed_dim=96, num_heads=4, depth=2)
-        rng = np.random.default_rng(0)
-        params = M.init_params(cfg, rng)
-        batch = A.SoftBatch(rng.standard_normal((32, 3, 32, 32)).astype(np.float32),
-                            np.full((32, 10), 0.1, np.float32))
+        cfg, params, batch = blas_case()
         before = blas.get()
         seen = self.watch_shards(monkeypatch, blas.get)
-        a, loss_a = TR.parallel_train_step(cfg, params, batch, workers=2)
-        b, loss_b = TR.parallel_train_step(cfg, params, batch, workers=2)
-        assert seen == [count] * 4 and blas.get() == before
+        try:
+            if start != "derived":
+                blas.set(start)
+            a, loss_a = TR.parallel_train_step(cfg, params, batch, workers=2)
+            after = blas.get()
+            blas.set(1)
+            b, loss_b = TR.parallel_train_step(cfg, params, batch, workers=2)
+        finally:
+            blas.set(before)
+        assert seen == [1] * 4 and after == (before if start == "derived" else start)
         assert loss_a == loss_b
         for k in a:
             assert np.array_equal(a[k], b[k]), k
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_sharded_bits_fixed_across_cpu_counts(self, monkeypatch, workers):
+        # the per-shard BLAS count once followed the CPU count, which gave
+        # other bits at this shape with 4 or 8 CPUs than with 1-3
+        cfg, params, batch = blas_case()
+        digests = {}
+        for cpus in (1, 2, 3, 4, 8):
+            monkeypatch.setattr(TR, "_usable_cpus", lambda: cpus)
+            digests[cpus] = grad_digest(*TR.parallel_train_step(cfg, params, batch,
+                                                                workers=workers))
+        assert len(set(digests.values())) == 1, digests
+
+    def test_sharded_bits_fixed_across_openblas_env(self):
+        if TR._openblas() is None:
+            pytest.skip("no OpenBLAS thread control found in this numpy")
+        src = Path(TR.__file__).parents[1]
+        child = ("import sys; sys.path[:0] = sys.argv[1:]; import test_train as T; "
+                 "from tinyvitlab import train as TR; "
+                 "cfg, params, batch = T.blas_case(); "
+                 "print(TR._openblas().get(), "
+                 "T.grad_digest(*TR.parallel_train_step(cfg, params, batch, workers=2)))")
+        out = {}
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            run = subprocess.run([sys.executable, "-c", child, str(src), str(Path(__file__).parent)],
+                                 env=env, capture_output=True, text=True, timeout=300)
+            assert run.returncode == 0, run.stderr
+            out[threads] = run.stdout.split()
+        assert out["1"][0] == "1"
+        assert out["1"][1] == out["2"][1], out
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +360,13 @@ class TestEvaluate:
         assert np.abs(logits - unsharded).max() <= 1e-6
         assert acc == 1.0
 
-    # (usable CPUs, BLAS count each shard runs under when OpenBLAS started at 8)
+    # (usable CPUs, BLAS count each shard runs under when OpenBLAS is at 5)
     @pytest.mark.parametrize("cpus, pinned", [(1, 5), (2, 1), (3, 1)])
     @pytest.mark.parametrize("fail", [False, True])
     def test_blas_threads_pinned_and_restored(self, monkeypatch, cpus, pinned, fail):
         count = [5]   # a stand-in OpenBLAS whose thread count is this cell
         monkeypatch.setattr(TR, "_openblas", lambda: TR._OpenBlas(
-            lambda: count[0], lambda n: count.__setitem__(0, n), 8))
+            lambda: count[0], lambda n: count.__setitem__(0, n)))
         monkeypatch.setattr(TR, "_usable_cpus", lambda: cpus)
         ds = D.synthetic_dataset("two-class-blobs", 8, seed=4)
         cfg = tiny_train_config().model
@@ -436,11 +488,48 @@ class TestTrainLoop:
         ds = D.synthetic_dataset("two-class-blobs", 16, seed=8)
         model = dataclasses.replace(tiny_train_config().model, **model_kw)
         cfg = tiny_train_config(model=model, **train_kw)
-        if field == "blas_threads":   # as if OPENBLAS_NUM_THREADS or the affinity changed
+        if field == "blas_threads":   # one worker, and OPENBLAS_NUM_THREADS or the CPUs changed
             saved = D.load_checkpoint(one_epoch_checkpoint).train_config["blas_threads"]
-            monkeypatch.setattr(TR, "_step_blas_threads", lambda workers: (saved or 0) + 1)
+            monkeypatch.setattr(TR, "_openblas", lambda: TR._OpenBlas(
+                lambda: (saved or 0) + 1, lambda n: None))
         with pytest.raises(D.CheckpointError, match=rf"does not match this run: {field} is"):
             TR.train(cfg, ds, ds, tmp_path / "out", resume=one_epoch_checkpoint)
+
+    @pytest.mark.parametrize("epoch", ["finished", -1])
+    def test_resume_refuses_epoch_out_of_range(self, tmp_path, one_epoch_checkpoint, epoch):
+        # resuming a finished run once raised IndexError at records[-1]
+        ds = D.synthetic_dataset("two-class-blobs", 16, seed=8)
+        if epoch == "finished":
+            path, epoch = TR.train(tiny_train_config(), ds, ds, tmp_path / "full").checkpoint_path, 2
+        else:
+            ckpt = D.load_checkpoint(one_epoch_checkpoint)
+            path = tmp_path / "bad.tvlb"
+            D.save_checkpoint(path, params=ckpt.params, model_config=ckpt.model_config,
+                              train_config=ckpt.train_config, optim_meta=ckpt.optim_meta,
+                              optim_arrays=ckpt.optim_arrays, rng_state=ckpt.rng_state,
+                              epoch=epoch)
+        with pytest.raises(D.CheckpointError, match=rf"checkpoint epoch is {epoch}, outside \[0, 2\)"):
+            TR.train(tiny_train_config(), ds, ds, tmp_path / "out", resume=path)
+
+    def test_sharded_resume_across_cpu_counts(self, tmp_path, monkeypatch):
+        # every shard runs at one BLAS thread, so a sharded run's checkpoint
+        # resumes bitwise under another CPU count
+        ds = D.synthetic_dataset("two-class-blobs", 24, seed=7)
+        cfg = tiny_train_config(epochs=3, workers=2)
+        monkeypatch.setattr(TR, "_usable_cpus", lambda: 2)
+        full = TR.train(cfg, ds, ds, tmp_path / "full")
+        part = TR.train(cfg, ds, ds, tmp_path / "part", stop_after_epoch=1)
+        monkeypatch.setattr(TR, "_usable_cpus", lambda: 4)
+        resumed = TR.train(cfg, ds, ds, tmp_path / "resumed", resume=part.checkpoint_path)
+
+        assert resumed.step_losses == full.step_losses[TR.steps_per_epoch(len(ds), cfg):]
+        a = D.load_checkpoint(full.checkpoint_path)
+        b = D.load_checkpoint(resumed.checkpoint_path)
+        assert a.train_config == b.train_config and a.train_config["blas_threads"] in (1, None)
+        for k in a.params:
+            assert np.array_equal(a.params[k], b.params[k])
+        for k in a.optim_arrays:
+            assert np.array_equal(a.optim_arrays[k], b.optim_arrays[k])
 
     # `shown` None: the edit is ignored, and the resume continues bitwise as
     # from the unedited checkpoint (of the header's optim only t is read)
@@ -726,6 +815,12 @@ class TestCli:
         ({"embed_dim": 32, "depth_typo": 2}, "'mla'"),
         ({"embed_dim": 32, "depth_typo": 2, "mla": {"variant": "none", "d_c": 8}}, "depth_typo"),
         (dict(dataclasses.asdict(M.ModelConfig()), mla="kv"), "model_config.mla"),
+        (dict(dataclasses.asdict(M.ModelConfig()), embed_dim=0),
+         "model_config is not a valid model: embed_dim must be >= 1, got 0"),
+        (dict(dataclasses.asdict(M.ModelConfig()), mla={"variant": "xyz", "d_c": 48}),
+         "model_config is not a valid model: unknown mla variant 'xyz'"),
+        (dict(dataclasses.asdict(M.ModelConfig()), embed_dim="192"),
+         "model_config is not a valid model: '<' not supported"),
     ])
     def test_eval_refuses_malformed_model_config(self, model_config, field, tmp_path,
                                                  monkeypatch):
