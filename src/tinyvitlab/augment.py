@@ -20,6 +20,8 @@ import numpy as np
 
 from scipy import ndimage
 
+from tinyvitlab.model import check_fields
+
 
 @dataclass
 class AugmentConfig:
@@ -37,6 +39,7 @@ class AugmentConfig:
     repeated_factor: int = 4
 
     def validate(self) -> None:
+        check_fields(self, repeated_factor=1)
         if not (0.0 <= self.erase_prob <= 1.0):
             raise ValueError("erase_prob must be in [0, 1]")
         if not (0.0 <= self.label_smoothing < 1.0):
@@ -44,8 +47,6 @@ class AugmentConfig:
         lo, hi = self.erase_area_range
         if not (0.0 < lo <= hi < 1.0):
             raise ValueError("erase_area_range must lie inside (0, 1)")
-        if self.repeated_factor < 1:
-            raise ValueError("repeated_factor must be >= 1")
 
     @classmethod
     def disabled(cls) -> "AugmentConfig":

@@ -166,7 +166,7 @@ def cmd_eval(args, _cfg: TR.TrainConfig) -> int:
     saved["mla"] = M.MlaConfig(**_config_fields(M.MlaConfig, saved["mla"], "model_config.mla"))
     try:
         cfg = M.ModelConfig(**saved)
-    except (M.ConfigError, TypeError) as exc:   # out of range, or of the wrong type
+    except M.ConfigError as exc:   # out of range, or of the wrong type
         raise D.CheckpointError(f"checkpoint model_config is not a valid model: {exc}") from None
     TR.check_params(ckpt.params, cfg)
     params = {k: Tensor(v, requires_grad=True) for k, v in sorted(ckpt.params.items())}
@@ -253,9 +253,8 @@ def main(argv=None) -> int:
         cfg = train_config(args)
     except (OSError, ValueError) as exc:   # an unreadable --config file or a bad value
         parser.error(f"--config: {exc}" if args.config else str(exc))
-    if args.command == "bench" and cfg.workers != 1:
-        parser.error(f"--workers: bench times the phases of one unsharded step, so it needs "
-                     f"workers=1, got {cfg.workers}")
+    if args.command == "bench" and (odd := [bs for bs in args.sizes if bs % cfg.workers]):
+        parser.error(f"--sizes: batch sizes {odd} not divisible by workers {cfg.workers}")
     return args.fn(args, cfg)
 
 

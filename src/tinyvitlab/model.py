@@ -9,6 +9,8 @@ iterated in sorted order everywhere that order matters.
 
 from __future__ import annotations
 
+import types
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +24,24 @@ PATCH_INIT_KINDS = ("random", "whitening")
 
 
 class ConfigError(ValueError):
-    """Model configuration violates a structural invariant."""
+    """A configuration field has the wrong type or violates an invariant."""
+
+
+def check_fields(config, **minimums: float) -> None:
+    """Refuse, naming it, a field of dataclass `config` annotated bool, int,
+    float or str (or one of them or None) whose value has another type (an
+    int is not a bool; a float field takes an int), then a field named in
+    `minimums` whose value is below its minimum."""
+    for name, hint in typing.get_type_hints(type(config)).items():
+        kinds = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+        value = getattr(config, name)
+        if set(kinds) <= {bool, int, float, str, type(None)} and not any(
+                isinstance(value, (int, float) if k is float else k)
+                and (k is bool or not isinstance(value, bool)) for k in kinds):
+            raise ConfigError(f"{name} must be {getattr(hint, '__name__', hint)}, got {value!r}")
+    for name, least in minimums.items():
+        if getattr(config, name) < least:
+            raise ConfigError(f"{name} must be >= {least}, got {getattr(config, name)}")
 
 
 @dataclass
@@ -42,6 +61,7 @@ class MlaConfig:
         return set(self.variant)  # "qk" -> {"q", "k"} etc.
 
     def validate(self, embed_dim: int) -> None:
+        check_fields(self)
         if self.variant not in MLA_VARIANTS:
             raise ConfigError(f"unknown mla variant {self.variant!r}")
         if self.variant != "none":
@@ -70,16 +90,12 @@ class ModelConfig:
         self.validate()
 
     def validate(self) -> None:
-        for name in ("image_size", "patch_size", "embed_dim", "num_heads", "depth",
-                     "ffn_ratio", "num_classes"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        check_fields(self, image_size=1, patch_size=1, embed_dim=1, num_heads=1, depth=1,
+                     ffn_ratio=1, num_classes=1, num_cls_tokens=1)
         if self.embed_dim % self.num_heads != 0:
             raise ConfigError(f"embed_dim {self.embed_dim} not divisible by num_heads {self.num_heads}")
         if self.image_size % self.patch_size != 0:
             raise ConfigError(f"image_size {self.image_size} not divisible by patch_size {self.patch_size}")
-        if self.num_cls_tokens < 1:
-            raise ConfigError("num_cls_tokens must be >= 1")
         if self.pos_embed not in POS_EMBED_KINDS:
             raise ConfigError(f"unknown pos_embed kind {self.pos_embed!r}")
         if self.pos_embed == "sinusoidal" and self.embed_dim % 2 != 0:

@@ -8,7 +8,7 @@ for the CLS tokens (reshape / narrow / prepend_tokens). No op transposes:
 weights are stored in `linear`'s [in, out] layout, and constant inputs
 such as images are rearranged in numpy before they reach an op. Training
 runs in float32; gradient checking runs the same code in float64. The
-GELU's erf is `erf` below: a rational approximation in float32 and
+GELU's erf (in `_normal_cdf`) is a rational approximation in float32 and
 `scipy.special.erf` in float64, so scipy serves only the float64 path. Ops
 record nodes on the active `Tape`; `grads = backward(loss, tape, params)`
 returns the gradients, which are values, not state kept on tensors.
@@ -182,19 +182,6 @@ def _scratch(a: np.ndarray, count: int) -> list[np.ndarray]:
     return [np.empty(min(a.size, _BLOCK), a.dtype) for _ in range(count)]
 
 
-def erf(x: np.ndarray) -> np.ndarray:
-    """erf(x) as a new array: `scipy.special.erf` for float64, and for
-    float32 the rational erf of Eigen and XLA (max abs error 4.4e-7; +-0
-    keep their sign, +-inf give +-1, nan stays nan), one block at a time."""
-    if x.dtype != F32:
-        return special.erf(x)
-    out = np.array(x, order="C")
-    x2, acc = _scratch(out, 2)
-    for (b,) in _blocks(out):
-        _erf32_block(b, x2[:b.size], acc[:b.size])
-    return out
-
-
 def _normal_cdf(h: np.ndarray) -> np.ndarray:
     """Phi(h) = (1 + erf(h / sqrt 2)) / 2 for a C-contiguous h. In float32
     one pass over the blocks does all four steps while a block is in cache."""
@@ -251,8 +238,8 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """gelu(x @ w1 + b1) @ w2 + b2 with the exact erf GELU h * Phi(h), for
     x [..., in], w1 [in, hidden] and w2 [hidden, out]. One tape node, which
     keeps the pre-activation h and Phi(h) and recomputes h * Phi(h) in its
-    VJP; the GEMMs are linear's. Phi(h) uses `erf`: the rational erf in
-    float32, and scipy's only in float64. Phi and the VJP's GELU'(h) are
+    VJP; the GEMMs are linear's. Phi(h) uses the rational erf in float32,
+    and scipy's only in float64. Phi and the VJP's GELU'(h) are
     computed block by block with scratch allocated per call."""
     if (w1.ndim != 2 or w2.ndim != 2 or x.shape[-1:] != w1.shape[:1] or b1.shape != w1.shape[1:]
             or w2.shape[:1] != w1.shape[1:] or b2.shape != w2.shape[1:]):

@@ -51,12 +51,8 @@ class TrainConfig:
     augment: A.AugmentConfig = field(default_factory=A.AugmentConfig)
 
     def validate(self) -> None:
-        for name in ("epochs", "batch_size", "workers", "eval_every"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("warmup_epochs", "lr_peak", "lr_min", "weight_decay"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        M.check_fields(self, epochs=1, batch_size=1, workers=1, eval_every=1,
+                       warmup_epochs=0, lr_peak=0, lr_min=0, weight_decay=0)
         if self.subset_per_class is not None and self.subset_per_class < 1:
             raise ValueError(f"subset_per_class must be >= 1 or None, got {self.subset_per_class}")
         if self.optimizer not in O.OPTIMIZERS:
@@ -73,11 +69,11 @@ class TrainConfig:
 
 @dataclass
 class StepProfile:
-    forward_ms: float
-    backward_ms: float
+    forward_ms: float    # the slowest shard's train-mode forward and loss
+    backward_ms: float   # the rest of the gradient pass: backward, shard reduction
     optim_ms: float
-    total_ms: float   # forward + backward + optimizer: the training step
-    eval_ms: float    # one eval-mode forward of the same batch
+    total_ms: float      # forward + backward + optimizer: the training step
+    eval_ms: float       # evaluate's sharded eval-mode forward of the same batch
 
 
 @dataclass
@@ -234,30 +230,13 @@ def eval_batches(ds: D.Dataset, batch_size: int):
 # ---------------------------------------------------------------------------
 # gradient computation
 
-def _shard_gradients(cfg: M.ModelConfig, params: dict[str, Tensor],
-                     images: np.ndarray, targets: np.ndarray,
-                     rng: np.random.Generator | None
-                     ) -> tuple[dict[str, np.ndarray], float, float]:
-    """The training step's gradient pass on one shard: train-mode forward,
-    cross entropy and backward. Only reads `params`, so shards can share it.
-
-    Returns (grads, loss, seconds spent in forward and loss).
-    """
-    with Tape() as tape:
-        t0 = time.perf_counter()
-        logits = M.forward(cfg, params, Tensor(images), mode="train", rng=rng)
-        loss = cross_entropy(logits, targets)
-        forward_s = time.perf_counter() - t0
-    grads = dict(zip(params, backward(loss, tape, params.values())))
-    return grads, loss.item(), forward_s
-
-
-def parallel_train_step(cfg: M.ModelConfig, params: dict[str, Tensor],
-                        batch: A.SoftBatch, workers: int, seed: int = 0,
-                        epoch: int = 0, step_idx: int = 0
-                        ) -> tuple[dict[str, np.ndarray], float]:
-    """Shard the batch over worker threads, average gradients in ascending
-    worker order, and return (averaged grads, mean loss).
+def _sharded_gradients(cfg: M.ModelConfig, params: dict[str, Tensor],
+                       batch: A.SoftBatch, workers: int, seed: int, epoch: int,
+                       step_idx: int) -> tuple[dict[str, np.ndarray], float, float]:
+    """The training step's gradient pass: shard the batch over worker
+    threads, run a train-mode forward, cross entropy and backward on each,
+    average the gradients in ascending worker order, and return (averaged
+    grads, mean loss, seconds the slowest shard spent in forward and loss).
 
     Workers share `params` read-only, and each owns its tape, gradients and
     drop-path rng stream, so K=1 reproduces the serial step bitwise. The
@@ -269,12 +248,16 @@ def parallel_train_step(cfg: M.ModelConfig, params: dict[str, Tensor],
     if b % workers != 0:
         raise ValueError(f"batch size {b} not divisible by workers {workers}")
     shard = b // workers
-    rngs = [rng_for(seed, "droppath", epoch, step_idx, w) for w in range(workers)]
 
     def work(w: int):
         lo = w * shard
-        return _shard_gradients(cfg, params, batch.images[lo:lo + shard],
-                                batch.targets[lo:lo + shard], rngs[w])
+        with Tape() as tape:
+            t0 = time.perf_counter()
+            logits = M.forward(cfg, params, Tensor(batch.images[lo:lo + shard]), mode="train",
+                               rng=rng_for(seed, "droppath", epoch, step_idx, w))
+            loss = cross_entropy(logits, batch.targets[lo:lo + shard])
+            forward_s = time.perf_counter() - t0
+        return dict(zip(params, backward(loss, tape, params.values()))), loss.item(), forward_s
 
     results = _run_shards(work, workers)
 
@@ -282,34 +265,45 @@ def parallel_train_step(cfg: M.ModelConfig, params: dict[str, Tensor],
     grads = {path: functools.reduce(np.add, [r[0][path] for r in results]) / workers
              for path in sorted(params)}
     loss = sum(r[1] for r in results) / workers
-    return grads, loss
+    return grads, loss, max(r[2] for r in results)
+
+
+def parallel_train_step(cfg: M.ModelConfig, params: dict[str, Tensor],
+                        batch: A.SoftBatch, workers: int, seed: int = 0,
+                        epoch: int = 0, step_idx: int = 0
+                        ) -> tuple[dict[str, np.ndarray], float]:
+    """The step `train` runs: (averaged grads, mean loss) of
+    _sharded_gradients over `workers` shards of the batch."""
+    return _sharded_gradients(cfg, params, batch, workers, seed, epoch, step_idx)[:2]
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 
+def _eval_logits(cfg: M.ModelConfig, params: dict[str, Tensor],
+                 images: np.ndarray) -> np.ndarray:
+    """Eval-mode logits of a batch, from min(usable CPUs, batch) contiguous
+    shards run through _run_shards like the training step's (more than one
+    shard: one OpenBLAS thread each) and concatenated in order. They match
+    an unsharded forward within float32 rounding: shards of 16 images or
+    more have given the same bits, but OpenBLAS picks other GEMM kernels
+    for very small shards (1-2 images gave differences up to 3e-8)."""
+    shards = np.array_split(images.astype(np.float32, copy=False),
+                            min(_usable_cpus(), len(images)))
+    return np.concatenate(_run_shards(
+        lambda i: M.forward(cfg, params, Tensor(shards[i]), mode="eval").data, len(shards)))
+
+
 def evaluate(cfg: M.ModelConfig, params: dict[str, Tensor], ds: D.Dataset,
              batch_size: int = 256) -> float:
     """Argmax-logit accuracy in eval mode (ties go to the lower class index,
-    which is numpy argmax behavior).
-
-    Each batch is cut into min(usable CPUs, batch) contiguous, non-empty
-    shards whose eval-mode forwards run through _run_shards, like the
-    training step's (more than one shard: one OpenBLAS thread each); their
-    logits are concatenated in order. Logits match an unsharded forward
-    within float32 rounding. Shards of 16 images or more have given the
-    same bits, but not every batch does: OpenBLAS picks other GEMM kernels
-    for very small shards (1-2 images gave differences up to 3e-8).
-    """
+    which is numpy argmax behavior), each batch's logits from the sharded
+    forward of _eval_logits."""
     if len(ds) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     correct = 0
     for images, labels in eval_batches(ds, batch_size):
-        shards = np.array_split(images.astype(np.float32), min(_usable_cpus(), len(images)))
-        logits = np.concatenate(_run_shards(
-            lambda i: M.forward(cfg, params, Tensor(shards[i]), mode="eval").data,
-            len(shards)))
-        correct += int((np.argmax(logits, axis=1) == labels).sum())
+        correct += int((np.argmax(_eval_logits(cfg, params, images), axis=1) == labels).sum())
     return correct / len(ds)
 
 
@@ -507,20 +501,22 @@ def sample_patches(ds: D.Dataset, cfg: M.ModelConfig,
 
 def profile_step(cfg: TrainConfig, params: dict[str, Tensor],
                  batch: A.SoftBatch, warmup: int = 3, steps: int = 10) -> StepProfile:
-    """Wall-clock per phase of one unsharded training step of run `cfg`
-    (train-mode forward with its model's drop-path, backward, and its
-    optimizer's update of `params` at lr_peak) and of an eval-mode forward,
-    averaged over `steps` after `warmup` discarded iterations."""
+    """Wall-clock per phase of run `cfg`'s training step as `train` runs it
+    over cfg.workers shards (forward with its model's drop-path, backward,
+    and its optimizer's update of `params` at lr_peak) and of `evaluate`'s
+    eval-mode forward of the same batch, averaged over `steps` after
+    `warmup` discarded iterations. Iteration `it` draws drop-path as step
+    `it` of epoch 0."""
     state = O.init_optim(cfg.optimizer, params, weight_decay=cfg.weight_decay)
     laps = []
     for it in range(warmup + steps):
         t0 = time.perf_counter()
-        grads, _, forward_s = _shard_gradients(cfg.model, params, batch.images, batch.targets,
-                                               rng_for(cfg.seed, "droppath", 0, it, 0))
+        grads, _, forward_s = _sharded_gradients(cfg.model, params, batch, cfg.workers,
+                                                 cfg.seed, 0, it)
         t1 = time.perf_counter()
         O.step(params, grads, state, cfg.lr_peak)
         t2 = time.perf_counter()
-        M.forward(cfg.model, params, Tensor(batch.images), mode="eval")
+        _eval_logits(cfg.model, params, batch.images)
         t3 = time.perf_counter()
         # in StepProfile's field order: forward, backward, optimizer, total, eval
         laps.append((forward_s, t1 - t0 - forward_s, t2 - t1, t2 - t0, t3 - t2))

@@ -535,6 +535,23 @@ class TestModelConfig:
         with pytest.raises(M.ConfigError, match=f"{name} must be >= 1, got {value}"):
             M.ModelConfig(**{name: value})
 
+    @pytest.mark.parametrize("kwargs, shown", [
+        (dict(embed_dim=192.0), "embed_dim must be int, got 192.0"),
+        (dict(depth=2.5), "depth must be int, got 2.5"),
+        (dict(num_cls_tokens=True), "num_cls_tokens must be int, got True"),
+        (dict(mla=M.MlaConfig("kv", 16.0)), "d_c must be int, got 16.0"),
+        (dict(pos_embed=None), "pos_embed must be str, got None"),
+        (dict(drop_path_rate="0.1"), "drop_path_rate must be float, got '0.1'"),
+    ])
+    def test_wrong_type_is_named(self, kwargs, shown):
+        # a float size or d_c and a bool count once passed validation, then failed
+        # in init_params without naming the field
+        with pytest.raises(M.ConfigError, match=shown):
+            M.ModelConfig(**kwargs)
+
+    def test_float_field_takes_an_int(self):
+        assert M.ModelConfig(drop_path_rate=0).drop_path_rate == 0
+
 
 # ---------------------------------------------------------------------------
 # parameter accounting

@@ -194,31 +194,35 @@ class TestActivation:
             T.mlp(x, w1, b1, t64(np.zeros((5, 2))), t64(np.zeros(2)))
 
 
+def phi64(h):
+    """The normal CDF (1 + erf(h / sqrt 2)) / 2 in float64, from scipy."""
+    return (1.0 + special.erf(np.asarray(h, np.float64) / np.sqrt(2.0))) / 2.0
+
+
 class TestErf:
+    """The rational float32 erf, through the normal CDF that `mlp` uses."""
+
     def test_float32_max_abs_error(self):
         grid = np.linspace(-8.0, 8.0, 2_000_001, dtype=np.float32)   # many blocks and a tail
-        got = T.erf(grid)
+        got = T._normal_cdf(grid)
         assert got.dtype == np.float32
-        assert np.abs(got.astype(np.float64) - special.erf(grid.astype(np.float64))).max() <= 1e-6
+        # half of erf's 1e-6, since Phi = (1 + erf) / 2
+        assert np.abs(got.astype(np.float64) - phi64(grid)).max() <= 5e-7
 
     def test_float32_special_values(self):
-        got = T.erf(np.array([0.0, -0.0, np.inf, -np.inf, np.nan], np.float32))
-        assert got[0] == 0.0 and not np.signbit(got[0])
-        assert got[1] == 0.0 and np.signbit(got[1])
-        assert got[2] == 1.0 and got[3] == -1.0 and np.isnan(got[4])
+        got = T._normal_cdf(np.array([np.inf, -np.inf, np.nan], np.float32))
+        assert got[0] == 1.0 and got[1] == 0.0 and np.isnan(got[2])
 
     def test_row_bits_independent_of_array_size(self):
         big = np.random.default_rng(0).normal(0.0, 2.0, (521, 769)).astype(np.float32)
-        whole = T.erf(big)
         cdf = T._normal_cdf(big)
         edge = T._BLOCK // big.shape[1]  # the row that straddles the first block boundary
         for i in (0, edge, edge + 1, 520):
-            assert np.array_equal(T.erf(big[i]), whole[i])
+            assert np.array_equal(T._normal_cdf(big[i]), cdf[i])
             assert np.array_equal(T._normal_cdf(big[i:i + 1]), cdf[i:i + 1])
 
     def test_float64_is_scipy_bitwise(self):
         x = np.random.default_rng(1).normal(0.0, 3.0, 300_001)
-        assert np.array_equal(T.erf(x), special.erf(x))
         assert np.array_equal(T._normal_cdf(x), (special.erf(x * T._INV_SQRT2) + 1.0) * 0.5)
 
     @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-4), (np.float64, 1e-10)])

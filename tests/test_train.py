@@ -190,17 +190,18 @@ class TestParallelStep:
 
     @staticmethod
     def watch_shards(monkeypatch, get_count, fail=False):
-        """Record the BLAS count each shard starts under; optionally raise."""
+        """Record the BLAS count each shard's forward starts under; optionally
+        raise instead of running it."""
         seen = []
-        real = TR._shard_gradients
+        real = M.forward
 
-        def shard(*args):
+        def forward(*args, **kwargs):
             seen.append(get_count())
             if fail:
                 raise RuntimeError("shard failed")
-            return real(*args)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(TR, "_shard_gradients", shard)
+        monkeypatch.setattr(M, "forward", forward)
         return seen
 
     # (OpenBLAS count before the step, usable CPUs, workers, per-shard count):
@@ -610,6 +611,14 @@ class TestTrainLoop:
         ("weight_decay", -0.05, "weight_decay must be >= 0, got -0.05"),
         ("subset_per_class", 0, "subset_per_class must be >= 1 or None, got 0"),
         ("optimizer", "sgd", "unknown optimizer 'sgd'"),
+        ("epochs", 2.0, "epochs must be int, got 2.0"),
+        ("workers", 1.5, "workers must be int, got 1.5"),
+        ("seed", True, "seed must be int, got True"),
+        ("lr_peak", "0.1", "lr_peak must be float, got '0.1'"),
+        ("subset_per_class", 2.5, r"subset_per_class must be int \| None, got 2\.5"),
+        ("optimizer", None, "optimizer must be str, got None"),
+        ("augment", A.AugmentConfig(use_mixup=1), "use_mixup must be bool, got 1"),
+        ("augment", A.AugmentConfig(repeated_factor=4.0), "repeated_factor must be int, got 4.0"),
     ])
     def test_bad_value_is_refused_by_name(self, name, value, shown):
         with pytest.raises(ValueError, match=shown):
@@ -618,6 +627,7 @@ class TestTrainLoop:
     def test_default_recipe_validates(self):
         TR.TrainConfig().validate()
         TR.TrainConfig(weight_decay=0.0, subset_per_class=1).validate()
+        TR.TrainConfig(lr_peak=1, weight_decay=0).validate()   # a float field takes an int
 
     def test_repeat_factor_must_divide_batch(self):
         aug = A.AugmentConfig(repeated_factor=3)
@@ -660,6 +670,43 @@ class TestProfiler:
         with phase_clock():
             fake = TR.profile_step(run, params, batch, warmup=1, steps=2)
         assert fake == TR.StepProfile(1000.0, 2000.0, 4000.0, 7000.0, 8000.0)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_step_is_the_training_step(self, workers):
+        # one profiled step updates params bitwise as train's step does
+        model = M.ModelConfig(image_size=16, embed_dim=32, num_heads=4, depth=2,
+                              mla=M.MlaConfig("kv", 8), drop_path_rate=0.2)
+        run = tiny_train_config(model=model, workers=workers, seed=3, lr_peak=1e-2)
+        rng = np.random.default_rng(4)
+        batch = A.SoftBatch(rng.standard_normal((8, 3, 16, 16)).astype(np.float32),
+                            np.full((8, 10), 0.1, np.float32))
+        profiled = M.init_params(model, np.random.default_rng(5))
+        stepped = {k: Tensor(t.data.copy(), requires_grad=True) for k, t in profiled.items()}
+        TR.profile_step(run, profiled, batch, warmup=0, steps=1)
+        grads, _ = TR.parallel_train_step(model, stepped, batch, workers, seed=run.seed,
+                                          epoch=0, step_idx=0)
+        O.step(stepped, grads, O.init_optim(run.optimizer, stepped,
+                                            weight_decay=run.weight_decay), run.lr_peak)
+        for k in stepped:
+            assert np.array_equal(profiled[k].data, stepped[k].data), k
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_eval_phase_shards_like_evaluate(self, monkeypatch, cpus):
+        run = tiny_train_config(workers=2)
+        params = M.init_params(run.model, np.random.default_rng(0))
+        batch = A.SoftBatch(np.zeros((6, 3, 32, 32), np.float32),
+                            np.full((6, 10), 0.1, np.float32))
+        monkeypatch.setattr(TR, "_usable_cpus", lambda: cpus)
+        modes = []
+        real = M.forward
+
+        def forward(*args, mode, **kwargs):
+            modes.append((mode, len(args[2].data)))
+            return real(*args, mode=mode, **kwargs)
+
+        monkeypatch.setattr(M, "forward", forward)
+        TR.profile_step(run, params, batch, warmup=0, steps=1)
+        assert sorted(modes) == sorted([("train", 3)] * 2 + [("eval", 6 // cpus)] * cpus)
 
     def test_runs_the_configured_optimizer(self, monkeypatch):
         run = tiny_train_config(optimizer="lion", lr_peak=3e-4, weight_decay=0.2)
@@ -820,7 +867,7 @@ class TestCli:
         (dict(dataclasses.asdict(M.ModelConfig()), mla={"variant": "xyz", "d_c": 48}),
          "model_config is not a valid model: unknown mla variant 'xyz'"),
         (dict(dataclasses.asdict(M.ModelConfig()), embed_dim="192"),
-         "model_config is not a valid model: '<' not supported"),
+         "model_config is not a valid model: embed_dim must be int, got '192'"),
     ])
     def test_eval_refuses_malformed_model_config(self, model_config, field, tmp_path,
                                                  monkeypatch):
@@ -864,11 +911,17 @@ class TestCli:
         assert "error: embed_dim must be >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "bench.log").exists()
 
-    def test_bench_refuses_workers(self, tmp_path, capsys):
+    def test_bench_profiles_sharded_step(self, tmp_path):
+        rc = cli.main(self.BENCH + ["--workers", "2", "--sizes", "4", "--out", str(tmp_path)])
+        assert rc == 0
+        log = (tmp_path / "bench.log").read_text().splitlines()
+        assert len(log) == 2 and log[1].startswith("bs=4 ")
+
+    def test_bench_refuses_sizes_indivisible_by_workers(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
-            cli.main(self.BENCH + ["--workers", "2", "--sizes", "2", "--out", str(tmp_path)])
+            cli.main(self.BENCH + ["--workers", "2", "--sizes", "4,3", "--out", str(tmp_path)])
         assert exc.value.code == 2
-        assert "--workers" in capsys.readouterr().err
+        assert "--sizes: batch sizes [3] not divisible by workers 2" in capsys.readouterr().err
         assert not (tmp_path / "bench.log").exists()
 
     def test_grad_check_command(self, capsys):
