@@ -13,48 +13,53 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
 from scipy import ndimage
 
-from tinyvitlab.model import check_fields
+from tinyvitlab.model import ConfigError, check_fields
 
 
-@dataclass
+@dataclass(slots=True)
 class AugmentConfig:
     use_base_augment: bool = True  # pad-reflect crop + horizontal flip
-    use_autoaugment: bool = True
+    use_autoaugment: bool = True   # needs use_base_augment
     use_mixup: bool = True
     use_cutmix: bool = True
-    use_random_erasing: bool = True
-    use_repeated_augment: bool = True
     mixup_alpha: float = 0.8
     cutmix_alpha: float = 1.0
-    erase_prob: float = 0.25
+    erase_prob: float = 0.25       # 0: no random erasing
     erase_area_range: tuple[float, float] = (0.02, 0.33)
     label_smoothing: float = 0.1
-    repeated_factor: int = 4
+    repeated_factor: int = 4       # 1: no repeated augmentation
 
     def validate(self) -> None:
         check_fields(self, repeated_factor=1)
+        if self.use_autoaugment and not self.use_base_augment:
+            raise ConfigError("use_autoaugment needs use_base_augment, which is False")
+        for name in ("mixup_alpha", "cutmix_alpha"):
+            if not getattr(self, name) > 0:   # NaN too
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
         if not (0.0 <= self.erase_prob <= 1.0):
-            raise ValueError("erase_prob must be in [0, 1]")
+            raise ConfigError(f"erase_prob must be in [0, 1], got {self.erase_prob}")
         if not (0.0 <= self.label_smoothing < 1.0):
-            raise ValueError("label_smoothing must be in [0, 1)")
-        lo, hi = self.erase_area_range
-        if not (0.0 < lo <= hi < 1.0):
-            raise ValueError("erase_area_range must lie inside (0, 1)")
+            raise ConfigError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
+        area = self.erase_area_range
+        if not (isinstance(area, (tuple, list)) and len(area) == 2 and all(
+                isinstance(x, (int, float)) and not isinstance(x, bool) for x in area)):
+            raise ConfigError(f"erase_area_range must be a pair of numbers, got {area!r}")
+        if not (0.0 < area[0] <= area[1] < 1.0):
+            raise ConfigError(f"erase_area_range must lie inside (0, 1), got {area!r}")
 
     @classmethod
     def disabled(cls) -> "AugmentConfig":
         """Normalize-only pipeline (every toggle off, no smoothing)."""
         return cls(use_base_augment=False, use_autoaugment=False,
-                   use_mixup=False, use_cutmix=False,
-                   use_random_erasing=False, use_repeated_augment=False,
-                   label_smoothing=0.0)
+                   use_mixup=False, use_cutmix=False, erase_prob=0.0,
+                   label_smoothing=0.0, repeated_factor=1)
 
 
 @dataclass

@@ -44,7 +44,7 @@ def check_fields(config, **minimums: float) -> None:
             raise ConfigError(f"{name} must be >= {least}, got {getattr(config, name)}")
 
 
-@dataclass
+@dataclass(slots=True)
 class MlaConfig:
     """Low-rank (latent) compression settings for attention projections.
 
@@ -71,7 +71,7 @@ class MlaConfig:
                 raise ConfigError(f"d_c={self.d_c} must be < embed_dim={embed_dim} to compress")
 
 
-@dataclass
+@dataclass(slots=True)
 class ModelConfig:
     image_size: int = 32
     patch_size: int = 4
@@ -84,7 +84,7 @@ class ModelConfig:
     pos_embed: str = "learnable"  # one of POS_EMBED_KINDS
     patch_init: str = "random"    # one of PATCH_INIT_KINDS
     mla: MlaConfig = field(default_factory=MlaConfig)
-    drop_path_rate: float = 0.0
+    drop_path_rate: float = 0.1   # the recipe's; the last block's drop-path rate
 
     def __post_init__(self):
         self.validate()

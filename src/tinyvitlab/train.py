@@ -33,7 +33,7 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class TrainConfig:
     epochs: int = 100
     batch_size: int = 256
@@ -46,23 +46,21 @@ class TrainConfig:
     seed: int = 0
     eval_every: int = 1
     subset_per_class: int | None = None
-    # the recipe regularizes with stochastic depth; ModelConfig() alone does not
-    model: M.ModelConfig = field(default_factory=lambda: M.ModelConfig(drop_path_rate=0.1))
+    model: M.ModelConfig = field(default_factory=M.ModelConfig)
     augment: A.AugmentConfig = field(default_factory=A.AugmentConfig)
 
     def validate(self) -> None:
         M.check_fields(self, epochs=1, batch_size=1, workers=1, eval_every=1,
                        warmup_epochs=0, lr_peak=0, lr_min=0, weight_decay=0)
         if self.subset_per_class is not None and self.subset_per_class < 1:
-            raise ValueError(f"subset_per_class must be >= 1 or None, got {self.subset_per_class}")
+            raise M.ConfigError(f"subset_per_class must be >= 1 or None, got {self.subset_per_class}")
         if self.optimizer not in O.OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}, expected one of {O.OPTIMIZERS}")
+            raise M.ConfigError(f"unknown optimizer {self.optimizer!r}, expected one of {O.OPTIMIZERS}")
         if self.batch_size % self.workers != 0:
-            raise ValueError(f"batch_size {self.batch_size} not divisible by workers {self.workers}")
-        aug = self.augment
-        if aug.use_repeated_augment and self.batch_size % aug.repeated_factor != 0:
-            raise ValueError(f"repeat factor {aug.repeated_factor} must divide "
-                             f"batch size {self.batch_size}")
+            raise M.ConfigError(f"batch_size {self.batch_size} not divisible by workers {self.workers}")
+        if self.batch_size % self.augment.repeated_factor != 0:
+            raise M.ConfigError(f"repeat factor {self.augment.repeated_factor} must divide "
+                                f"batch size {self.batch_size}")
         self.model.validate()
         self.augment.validate()
 
@@ -181,17 +179,12 @@ def _run_shards(fn: Callable[[int], object], n: int) -> list:
 # ---------------------------------------------------------------------------
 # batch building
 
-def _repeat_factor(aug: A.AugmentConfig) -> int:
-    """How often each source image appears in a batch (1: no repetition)."""
-    return aug.repeated_factor if aug.use_repeated_augment else 1
-
-
 def build_batches(ds: D.Dataset, cfg: TrainConfig, epoch: int,
                   num_classes: int):
     """Yield augmented SoftBatches for one epoch, deterministically."""
     aug = cfg.augment
     order = rng_for(cfg.seed, "shuffle", epoch).permutation(len(ds))
-    batches = A.repeated_indices(order, cfg.batch_size, _repeat_factor(aug))
+    batches = A.repeated_indices(order, cfg.batch_size, aug.repeated_factor)
     for b, idx in enumerate(batches):
         rng = rng_for(cfg.seed, "augment", epoch, b)
         raws = []
@@ -201,7 +194,7 @@ def build_batches(ds: D.Dataset, cfg: TrainConfig, epoch: int,
             else:
                 raws.append(ds.images[i])
         images = D.normalize(np.stack(raws))
-        if aug.use_random_erasing:
+        if aug.erase_prob > 0:
             images = np.stack([A.random_erase(im, aug.erase_prob,
                                               aug.erase_area_range, rng)
                                for im in images])
@@ -294,13 +287,30 @@ def _eval_logits(cfg: M.ModelConfig, params: dict[str, Tensor],
         lambda i: M.forward(cfg, params, Tensor(shards[i]), mode="eval").data, len(shards)))
 
 
+def check_dataset(ds: D.Dataset, cfg: M.ModelConfig, what: str) -> None:
+    """Refuse, with a DataError naming `what` and the dataset, images that
+    are not [N, 3, image_size, image_size] or a label outside
+    [0, num_classes) of model `cfg`."""
+    where = f"{what} ({ds.name}, split {ds.split})"
+    want = (3, cfg.image_size, cfg.image_size)
+    if ds.images.shape[1:] != want:
+        raise D.DataError(f"{where}: images are {list(ds.images.shape[1:])} per sample, "
+                          f"the model takes {list(want)}")
+    bad = np.flatnonzero((ds.labels < 0) | (ds.labels >= cfg.num_classes))
+    if bad.size:
+        raise D.DataError(f"{where}: label {ds.labels[bad[0]]} at index {bad[0]} is outside "
+                          f"[0, {cfg.num_classes})")
+
+
 def evaluate(cfg: M.ModelConfig, params: dict[str, Tensor], ds: D.Dataset,
              batch_size: int = 256) -> float:
     """Argmax-logit accuracy in eval mode (ties go to the lower class index,
     which is numpy argmax behavior), each batch's logits from the sharded
-    forward of _eval_logits."""
+    forward of _eval_logits. A dataset that does not fit `cfg` is refused
+    (see check_dataset)."""
     if len(ds) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
+    check_dataset(ds, cfg, "ds")
     correct = 0
     for images, labels in eval_batches(ds, batch_size):
         correct += int((np.argmax(_eval_logits(cfg, params, images), axis=1) == labels).sum())
@@ -380,7 +390,7 @@ def _resume(ckpt: D.Checkpoint, cfg: TrainConfig, train_config: dict
 
 def steps_per_epoch(n: int, cfg: TrainConfig) -> int:
     """The number of batches build_batches yields for n images."""
-    return n // (cfg.batch_size // _repeat_factor(cfg.augment))
+    return n // (cfg.batch_size // cfg.augment.repeated_factor)
 
 
 def train(cfg: TrainConfig, train_ds: D.Dataset, test_ds: D.Dataset,
@@ -390,8 +400,12 @@ def train(cfg: TrainConfig, train_ds: D.Dataset, test_ds: D.Dataset,
 
     `stop_after_epoch` ends the run early while keeping the LR schedule of
     the full `cfg.epochs` plan, so a later resume continues seamlessly.
+    A dataset that does not fit the model (see check_dataset) is refused
+    before the first step.
     """
     cfg.validate()
+    check_dataset(train_ds, cfg.model, "train_ds")
+    check_dataset(test_ds, cfg.model, "test_ds")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics_path = out_dir / "metrics.log"

@@ -138,8 +138,9 @@ def test_criterion_3_mla_parameter_accounting():
 
 
 def test_criterion_4_sharded_gradient_equivalence():
+    # no drop-path: each shard draws its own masks
     cfg = M.ModelConfig(image_size=16, embed_dim=32, num_heads=4, depth=2,
-                        mla=M.MlaConfig("qk", 8))
+                        mla=M.MlaConfig("qk", 8), drop_path_rate=0.0)
     worst = 0.0
     for case in range(20):
         rng = np.random.default_rng(2000 + case)
@@ -261,7 +262,7 @@ def test_criterion_7_desk_scale_learnability(tmp_path):
     model = M.ModelConfig(embed_dim=64, num_heads=4, depth=3,
                           drop_path_rate=0.0, mla=M.MlaConfig("none", 16))
     aug = A.AugmentConfig(use_mixup=False, use_cutmix=False,
-                          use_repeated_augment=False, use_random_erasing=False)
+                          repeated_factor=1, erase_prob=0.0)
     cfg = TR.TrainConfig(epochs=10, batch_size=128, lr_peak=0.002,
                          warmup_epochs=1, workers=min(os.cpu_count() or 1, 8),
                          seed=0, subset_per_class=500, eval_every=10,

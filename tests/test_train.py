@@ -44,6 +44,25 @@ def blas_case():
     return cfg, params, batch
 
 
+# a dataset that does not fit a 32-pixel, 2-class model: (how, what the error shows)
+MISFITS = [
+    ("size", r"images are \[3, 16, 16\] per sample, the model takes \[3, 32, 32\]"),
+    ("label", r"label 5 at index 3 is outside \[0, 2\)"),
+    ("negative-label", r"label -1 at index 0 is outside \[0, 2\)"),
+]
+
+
+def misfit_dataset(how):
+    """16 two-class images that do not fit a 32-pixel, 2-class model."""
+    ds = D.synthetic_dataset("two-class-blobs", 16, seed=8, image_size=16 if how == "size" else 32)
+    labels = ds.labels.copy()
+    if how == "label":
+        labels[3] = 5
+    elif how == "negative-label":
+        labels[0] = -1
+    return dataclasses.replace(ds, labels=labels)
+
+
 def grad_digest(grads, loss):
     """A hex digest of a step's gradient bytes, in sorted path order, and loss."""
     h = hashlib.sha256(repr(loss).encode())
@@ -101,7 +120,6 @@ class TestBuildBatches:
     def test_repeated_augment_batch_composition(self):
         ds = D.synthetic_dataset("two-class-blobs", 30, seed=3)
         aug = A.AugmentConfig.disabled()
-        aug.use_repeated_augment = True
         aug.repeated_factor = 3
         cfg = tiny_train_config(batch_size=12, augment=aug)
         order = TR.rng_for(cfg.seed, "shuffle", 0).permutation(len(ds))
@@ -116,7 +134,6 @@ class TestBuildBatches:
         cfg = tiny_train_config(batch_size=8)
         assert TR.steps_per_epoch(33, cfg) == 4
         aug = A.AugmentConfig.disabled()
-        aug.use_repeated_augment = True
         aug.repeated_factor = 3
         cfg = tiny_train_config(batch_size=12, augment=aug)
         assert TR.steps_per_epoch(24, cfg) == 6
@@ -124,12 +141,12 @@ class TestBuildBatches:
     @pytest.mark.parametrize("factor", [1, 2, 4])
     @pytest.mark.parametrize("repeat", [True, False])
     def test_steps_per_epoch_counts_build_batches(self, factor, repeat):
-        # train's LR schedule is laid out from steps_per_epoch
+        # train's LR schedule is laid out from steps_per_epoch; without
+        # repetition the factor is 1, whatever factor would repeat
         aug = A.AugmentConfig.disabled()
-        aug.use_repeated_augment = repeat
-        aug.repeated_factor = factor
+        aug.repeated_factor = factor if repeat else 1
         cfg = tiny_train_config(batch_size=8, augment=aug)
-        sources = 8 // factor if repeat else 8    # distinct images per batch
+        sources = 8 // aug.repeated_factor    # distinct images per batch
         for n in (sources - 1, sources, 3 * sources + 1):
             ds = D.synthetic_dataset("two-class-blobs", max(n, 2), seed=4)
             ds = dataclasses.replace(ds, images=ds.images[:n], labels=ds.labels[:n])
@@ -142,9 +159,9 @@ class TestBuildBatches:
 
 class TestParallelStep:
     @staticmethod
-    def setup_case(workers_seed=0, b=8):
+    def setup_case(workers_seed=0, b=8, **model):
         cfg = M.ModelConfig(image_size=16, embed_dim=32, num_heads=4, depth=2,
-                            mla=M.MlaConfig("kv", 8))
+                            mla=M.MlaConfig("kv", 8), **model)
         rng = np.random.default_rng(workers_seed)
         params = M.init_params(cfg, rng, dtype=np.float64)
         images = rng.standard_normal((b, 3, 16, 16))
@@ -161,7 +178,8 @@ class TestParallelStep:
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_sharded_matches_serial(self, workers):
-        cfg, params, batch = self.setup_case(b=8)
+        # no drop-path: each shard draws its own masks
+        cfg, params, batch = self.setup_case(b=8, drop_path_rate=0.0)
         serial, loss_s = TR.parallel_train_step(cfg, params, batch, workers=1)
         sharded, loss_k = TR.parallel_train_step(cfg, params, batch, workers=workers)
         assert abs(loss_s - loss_k) <= 1e-12 * max(abs(loss_s), 1.0)
@@ -226,7 +244,7 @@ class TestParallelStep:
         monkeypatch.setattr(TR, "_OPENBLAS_SYMBOLS", (("no_get_threads", "no_set_threads"),))
         monkeypatch.setattr(TR, "_openblas", TR._openblas.__wrapped__)   # uncached lookup
         assert TR._openblas() is None
-        cfg, params, batch = self.setup_case()
+        cfg, params, batch = self.setup_case(drop_path_rate=0.0)
         unpinned, _ = TR.parallel_train_step(cfg, params, batch, workers=2)
         serial, _ = TR.parallel_train_step(cfg, params, batch, workers=1)
         for k in serial:
@@ -314,6 +332,16 @@ class TestEvaluate:
         params = M.init_params(cfg, np.random.default_rng(0))
         with pytest.raises(ValueError):
             TR.evaluate(cfg, params, ds)
+
+    @pytest.mark.parametrize("how, shown", MISFITS, ids=[m[0] for m in MISFITS])
+    def test_dataset_that_does_not_fit_is_refused(self, how, shown):
+        # once a broadcast error from add, an IndexError from one_hot, or a
+        # negative label silently read as the last class
+        cfg = dataclasses.replace(tiny_train_config().model, num_classes=2)
+        params = M.init_params(cfg, np.random.default_rng(0))
+        with pytest.raises(D.DataError, match=r"ds \(synthetic-two-class-blobs, split train\): "
+                                              + shown):
+            TR.evaluate(cfg, params, misfit_dataset(how))
 
     @staticmethod
     def watch_forwards(monkeypatch, get_count=lambda: None, fail=False):
@@ -496,6 +524,23 @@ class TestTrainLoop:
         with pytest.raises(D.CheckpointError, match=rf"does not match this run: {field} is"):
             TR.train(cfg, ds, ds, tmp_path / "out", resume=one_epoch_checkpoint)
 
+    def test_resume_refuses_checkpoint_with_removed_augment_switches(self, tmp_path,
+                                                                     one_epoch_checkpoint):
+        # checkpoints written while AugmentConfig still had these two fields
+        ds = D.synthetic_dataset("two-class-blobs", 16, seed=8)
+        ckpt = D.load_checkpoint(one_epoch_checkpoint)
+        old = {**ckpt.train_config, "augment": {
+            **ckpt.train_config["augment"], "use_random_erasing": False,
+            "use_repeated_augment": False}}
+        path = tmp_path / "old.tvlb"
+        D.save_checkpoint(path, params=ckpt.params, model_config=ckpt.model_config,
+                          train_config=old, optim_meta=ckpt.optim_meta,
+                          optim_arrays=ckpt.optim_arrays, rng_state=ckpt.rng_state,
+                          epoch=ckpt.epoch)
+        with pytest.raises(D.CheckpointError, match="augment.use_random_erasing is False in the "
+                           "checkpoint, None in the run; augment.use_repeated_augment is False"):
+            TR.train(tiny_train_config(), ds, ds, tmp_path / "out", resume=path)
+
     @pytest.mark.parametrize("epoch", ["finished", -1])
     def test_resume_refuses_epoch_out_of_range(self, tmp_path, one_epoch_checkpoint, epoch):
         # resuming a finished run once raised IndexError at records[-1]
@@ -595,6 +640,18 @@ class TestTrainLoop:
         result = TR.train(cfg, ds, ds, tmp_path / "out")
         assert np.isfinite(result.final.train_loss)
 
+    @pytest.mark.parametrize("which", ["train_ds", "test_ds"])
+    @pytest.mark.parametrize("how, shown", MISFITS, ids=[m[0] for m in MISFITS])
+    def test_dataset_that_does_not_fit_is_refused(self, monkeypatch, tmp_path, which, how, shown):
+        fits = D.synthetic_dataset("two-class-blobs", 16, seed=8)
+        sets = {"train_ds": fits, "test_ds": fits, which: misfit_dataset(how)}
+        cfg = tiny_train_config(model=dataclasses.replace(tiny_train_config().model,
+                                                          num_classes=2))
+        monkeypatch.setattr(TR, "parallel_train_step", None)   # refused before the first step
+        with pytest.raises(D.DataError, match=rf"{which} \(synthetic-two-class-blobs, split "
+                                              rf"train\): {shown}"):
+            TR.train(cfg, sets["train_ds"], sets["test_ds"], tmp_path / "out")
+
     def test_batch_worker_divisibility_validated(self):
         with pytest.raises(ValueError):
             tiny_train_config(batch_size=10, workers=4).validate()
@@ -619,13 +676,34 @@ class TestTrainLoop:
         ("optimizer", None, "optimizer must be str, got None"),
         ("augment", A.AugmentConfig(use_mixup=1), "use_mixup must be bool, got 1"),
         ("augment", A.AugmentConfig(repeated_factor=4.0), "repeated_factor must be int, got 4.0"),
+        # each once passed validation: numpy refused the first mixed batch
+        # ("a <= 0"), unpacking the range failed, or AutoAugment was skipped
+        ("augment", A.AugmentConfig(mixup_alpha=0.0), "mixup_alpha must be > 0, got 0.0"),
+        ("augment", A.AugmentConfig(cutmix_alpha=-1.0), "cutmix_alpha must be > 0, got -1.0"),
+        ("augment", A.AugmentConfig(mixup_alpha=float("nan")), "mixup_alpha must be > 0, got nan"),
+        ("augment", A.AugmentConfig(erase_area_range=0.2),
+         "erase_area_range must be a pair of numbers, got 0.2"),
+        ("augment", A.AugmentConfig(erase_area_range=(0.1, 0.2, 0.3)),
+         r"erase_area_range must be a pair of numbers, got \(0.1, 0.2, 0.3\)"),
+        ("augment", A.AugmentConfig(erase_area_range=(0.1, "0.3")),
+         r"erase_area_range must be a pair of numbers, got \(0.1, '0.3'\)"),
+        ("augment", A.AugmentConfig(use_base_augment=False),
+         "use_autoaugment needs use_base_augment, which is False"),
     ])
     def test_bad_value_is_refused_by_name(self, name, value, shown):
-        with pytest.raises(ValueError, match=shown):
+        with pytest.raises(M.ConfigError, match=shown):
             tiny_train_config(**{name: value}).validate()
+
+    @pytest.mark.parametrize("config", [M.MlaConfig(), M.ModelConfig(), A.AugmentConfig(),
+                                        TR.TrainConfig()], ids=lambda c: type(c).__name__)
+    def test_config_refuses_unknown_attribute(self, config):
+        # a misspelled or removed field is an error, not a new attribute
+        with pytest.raises(AttributeError):
+            config.not_a_field = False
 
     def test_default_recipe_validates(self):
         TR.TrainConfig().validate()
+        assert TR.TrainConfig().model == M.ModelConfig()   # one drop-path default
         TR.TrainConfig(weight_decay=0.0, subset_per_class=1).validate()
         TR.TrainConfig(lr_peak=1, weight_decay=0).validate()   # a float field takes an int
 
@@ -633,14 +711,24 @@ class TestTrainLoop:
         aug = A.AugmentConfig(repeated_factor=3)
         with pytest.raises(ValueError, match="repeat factor 3 must divide batch size 128"):
             TR.TrainConfig(batch_size=128, augment=aug).validate()
-        aug.use_repeated_augment = False
+        aug.repeated_factor = 1   # no repetition
         TR.TrainConfig(batch_size=128, augment=aug).validate()
+
+    @staticmethod
+    def readme_config():
+        # the README's library example
+        return TR.TrainConfig(epochs=10, batch_size=128,
+                              model=M.ModelConfig(embed_dim=64, num_heads=4, depth=3),
+                              augment=A.AugmentConfig())
+
+    def test_readme_library_example_mirrors_cli(self):
+        args = cli.build_parser().parse_args(["train", "--epochs", "10", "--batch-size", "128",
+                                              "--dim", "64", "--heads", "4", "--depth", "3"])
+        assert cli.train_config(args) == self.readme_config()
 
     def test_readme_library_example_trains(self, tmp_path):
         # the README's library config, one epoch on synthetic images
-        cfg = TR.TrainConfig(epochs=10, batch_size=128,
-                             model=M.ModelConfig(embed_dim=64, num_heads=4, depth=3),
-                             augment=A.AugmentConfig())
+        cfg = self.readme_config()
         train_ds = D.synthetic_dataset("two-class-blobs", 32, seed=12)
         test_ds = D.synthetic_dataset("two-class-blobs", 16, seed=13)
         result = TR.train(cfg, train_ds, test_ds, tmp_path / "out", stop_after_epoch=1)
