@@ -11,10 +11,9 @@ coordinates, keeping outputs bit-exact across platforms.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
-from importlib import resources
+from typing import Literal
 
 import numpy as np
 
@@ -25,8 +24,9 @@ from tinyvitlab.model import ConfigError, check_fields
 
 @dataclass(slots=True)
 class AugmentConfig:
-    use_base_augment: bool = True  # pad-reflect crop + horizontal flip
-    use_autoaugment: bool = True   # needs use_base_augment
+    # "crop_flip": pad-reflect crop + horizontal flip; "autoaugment": that,
+    # then a CIFAR10_POLICY sub-policy; "none": raw pixels
+    base_augment: Literal["autoaugment", "crop_flip", "none"] = "autoaugment"
     use_mixup: bool = True
     use_cutmix: bool = True
     mixup_alpha: float = 0.8
@@ -38,8 +38,6 @@ class AugmentConfig:
 
     def validate(self) -> None:
         check_fields(self, repeated_factor=1)
-        if self.use_autoaugment and not self.use_base_augment:
-            raise ConfigError("use_autoaugment needs use_base_augment, which is False")
         for name in ("mixup_alpha", "cutmix_alpha"):
             if not getattr(self, name) > 0:   # NaN too
                 raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
@@ -56,9 +54,8 @@ class AugmentConfig:
 
     @classmethod
     def disabled(cls) -> "AugmentConfig":
-        """Normalize-only pipeline (every toggle off, no smoothing)."""
-        return cls(use_base_augment=False, use_autoaugment=False,
-                   use_mixup=False, use_cutmix=False, erase_prob=0.0,
+        """Normalize-only pipeline (every augmentation off, no smoothing)."""
+        return cls(base_augment="none", use_mixup=False, use_cutmix=False, erase_prob=0.0,
                    label_smoothing=0.0, repeated_factor=1)
 
 
@@ -175,22 +172,35 @@ _TRANSLATE_MAX = 10     # pixels at level 9
 _ROTATE_MAX = 30.0      # degrees at level 9
 
 
-@functools.cache
-def load_policy() -> tuple[tuple[tuple[str, float, int], ...], ...]:
-    """Parse the embedded sub-policy table (one per line, op,p,level;op,p,level),
-    once; the result is immutable, so every caller can share it."""
-    text = resources.files("tinyvitlab").joinpath("autoaugment_cifar10.txt").read_text()
-    policy = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        stages = []
-        for stage in line.split(";"):
-            op, p, m = stage.split(",")
-            stages.append((op, float(p), int(m)))
-        policy.append(tuple(stages))
-    return tuple(policy)
+# The fixed CIFAR-10 AutoAugment policy: 25 sub-policies, each two
+# (op, probability, magnitude level) stages. Magnitude levels are 0-9.
+CIFAR10_POLICY = (
+    (("invert", 0.1, 7), ("contrast", 0.2, 6)),
+    (("rotate", 0.7, 2), ("translate_x", 0.3, 9)),
+    (("sharpness", 0.8, 1), ("sharpness", 0.9, 3)),
+    (("shear_y", 0.5, 8), ("translate_y", 0.7, 9)),
+    (("autocontrast", 0.5, 8), ("equalize", 0.9, 2)),
+    (("shear_y", 0.2, 7), ("posterize", 0.3, 7)),
+    (("color", 0.4, 3), ("brightness", 0.6, 7)),
+    (("sharpness", 0.3, 9), ("brightness", 0.7, 9)),
+    (("equalize", 0.6, 5), ("equalize", 0.5, 1)),
+    (("contrast", 0.6, 7), ("sharpness", 0.6, 5)),
+    (("color", 0.7, 7), ("translate_x", 0.5, 8)),
+    (("equalize", 0.3, 7), ("autocontrast", 0.4, 8)),
+    (("translate_y", 0.4, 3), ("sharpness", 0.2, 6)),
+    (("brightness", 0.9, 6), ("color", 0.2, 8)),
+    (("solarize", 0.5, 2), ("invert", 0.0, 3)),
+    (("equalize", 0.2, 0), ("autocontrast", 0.6, 0)),
+    (("equalize", 0.2, 8), ("equalize", 0.6, 4)),
+    (("color", 0.9, 9), ("equalize", 0.6, 6)),
+    (("autocontrast", 0.8, 4), ("solarize", 0.2, 8)),
+    (("brightness", 0.1, 3), ("color", 0.7, 0)),
+    (("solarize", 0.4, 5), ("autocontrast", 0.9, 3)),
+    (("translate_y", 0.9, 9), ("translate_y", 0.7, 9)),
+    (("autocontrast", 0.9, 2), ("solarize", 0.8, 3)),
+    (("equalize", 0.8, 8), ("invert", 0.1, 3)),
+    (("translate_y", 0.7, 9), ("autocontrast", 0.9, 1)),
+)
 
 
 def _sample_coords(image: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -358,8 +368,7 @@ def base_augment(image: np.ndarray, use_autoaugment: bool,
         out = out[:, :, ::-1]
     out = np.ascontiguousarray(out)
     if use_autoaugment:
-        policy = load_policy()
-        sub = policy[int(rng.integers(0, len(policy)))]
+        sub = CIFAR10_POLICY[int(rng.integers(0, len(CIFAR10_POLICY)))]
         for op, p, level in sub:
             if rng.random() < p:
                 out = apply_policy_op(out, op, level, rng)

@@ -19,7 +19,6 @@ import numpy as np
 from tinyvitlab import augment as A
 from tinyvitlab import data as D
 from tinyvitlab import model as M
-from tinyvitlab import optim as O
 from tinyvitlab import train as TR
 from tinyvitlab.tensor import Tensor, grad_check, cross_entropy
 
@@ -37,8 +36,8 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     return values
 
 
-# Flag / config-file key -> TrainConfig field path. Defaults and types come
-# from TrainConfig(); a "no_" key is a switch that clears its bool field.
+# Flag / config-file key -> TrainConfig field path. Defaults, types and the
+# allowed values of a Literal field come from TrainConfig's annotations.
 _OPTIONS = {
     "epochs": "epochs",
     "batch_size": "batch_size",
@@ -57,13 +56,10 @@ _OPTIONS = {
     "pos_embed": "model.pos_embed",
     "patch_init": "model.patch_init",
     "drop_path": "model.drop_path_rate",
-    "no_aa": "augment.use_autoaugment",
-    "no_mixup": "augment.use_mixup",
-    "no_cutmix": "augment.use_cutmix",
+    "base_augment": "augment.base_augment",
+    "mixup": "augment.use_mixup",
+    "cutmix": "augment.use_cutmix",
 }
-
-_CHOICES = {"optimizer": O.OPTIMIZERS, "mla": M.MLA_VARIANTS,
-            "pos_embed": M.POS_EMBED_KINDS, "patch_init": M.PATCH_INIT_KINDS}
 
 
 def _field(cfg: TR.TrainConfig, key: str) -> tuple[object, str]:
@@ -81,10 +77,14 @@ def _parse_bool(raw: str) -> bool:
 
 
 def _value_type(key: str):
+    """(parser, allowed values or None) of option `key`, from the annotation
+    of the field it sets: a Literal field takes one of its values."""
     owner, name = _field(TR.TrainConfig(), key)
     hint = typing.get_type_hints(type(owner))[name]
+    if typing.get_origin(hint) is typing.Literal:
+        return str, typing.get_args(hint)
     kind = next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
-    return _parse_bool if kind is bool else kind
+    return (_parse_bool if kind is bool else kind), None
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -92,13 +92,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data-dir", default=None, help="CIFAR-10 binary dir (default: $DATA_DIR)")
     defaults = TR.TrainConfig()
     for key, path in _OPTIONS.items():
-        flag = "--" + key.replace("_", "-")
-        if key.startswith("no_"):
-            p.add_argument(flag, action="store_true", help=f"set {path} to False")
-        else:
-            owner, name = _field(defaults, key)
-            p.add_argument(flag, type=_value_type(key), choices=_CHOICES.get(key),
-                           default=None, help=f"{path} (default: {getattr(owner, name)})")
+        owner, name = _field(defaults, key)
+        parse, choices = _value_type(key)
+        p.add_argument("--" + key.replace("_", "-"), type=parse, choices=choices, default=None,
+                       help=f"{path} (default: {getattr(owner, name)})")
     p.add_argument("--out", default="out")
     p.add_argument("--resume", default=None, help="checkpoint to resume from")
 
@@ -107,23 +104,18 @@ def train_config(args: argparse.Namespace) -> TR.TrainConfig:
     """TrainConfig() overridden by the config file, then by CLI flags, and
     validated: a bad value raises ValueError naming its field."""
     cfg = TR.TrainConfig()
-
-    def assign(key: str, value) -> None:
-        owner, name = _field(cfg, key)
-        setattr(owner, name, not value if key.startswith("no_") else value)
-
+    values = {}
     if args.config:
         for key, raw in parse_config_file(args.config).items():
             if key not in _OPTIONS:
                 raise ValueError(f"unknown config key {key!r} (value {raw!r})")
             try:
-                assign(key, _value_type(key)(raw))
+                values[key] = _value_type(key)[0](raw)
             except ValueError as exc:
                 raise ValueError(f"config key {key!r}: {exc}") from None
-    for key in _OPTIONS:
-        val = getattr(args, key, None)
-        if val is not None and val is not False:
-            assign(key, val)
+    values.update({key: getattr(args, key) for key in _OPTIONS if getattr(args, key) is not None})
+    for key, value in values.items():
+        setattr(*_field(cfg, key), value)
     cfg.validate()
     return cfg
 
@@ -166,7 +158,7 @@ def cmd_eval(args, _cfg: TR.TrainConfig) -> int:
     saved["mla"] = M.MlaConfig(**_config_fields(M.MlaConfig, saved["mla"], "model_config.mla"))
     try:
         cfg = M.ModelConfig(**saved)
-    except M.ConfigError as exc:   # out of range, or of the wrong type
+    except M.ConfigError as exc:   # out of range, of the wrong type, or not allowed
         raise D.CheckpointError(f"checkpoint model_config is not a valid model: {exc}") from None
     TR.check_params(ckpt.params, cfg)
     params = {k: Tensor(v, requires_grad=True) for k, v in sorted(ckpt.params.items())}

@@ -174,8 +174,10 @@ def save_checkpoint(path: str | Path, *, params: dict, model_config: dict,
                     train_config: dict, optim_meta: dict | None = None,
                     optim_arrays: dict[str, np.ndarray] | None = None,
                     rng_state: dict | None = None, epoch: int = 0) -> None:
-    """Write a checkpoint atomically (temp file beside `path`, fsync, rename),
-    so a crash leaves the previous file intact. Every tensor must be float32."""
+    """Write a checkpoint atomically: a temp file beside `path`, fsync and
+    rename, so a crash leaves the previous file intact; then, on POSIX, fsync
+    the directory, so a power loss cannot undo the rename. Every tensor must
+    be float32."""
     members = {}
     for section, tensors in (("params", params), ("optim", optim_arrays or {})):
         for key, value in sorted(tensors.items()):
@@ -195,6 +197,12 @@ def save_checkpoint(path: str | Path, *, params: dict, model_config: dict,
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
+        if os.name == "posix":
+            fd = os.open(tmp.parent, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
     finally:
         tmp.unlink(missing_ok=True)
 

@@ -9,18 +9,18 @@ iterated in sorted order everywhere that order matters.
 
 from __future__ import annotations
 
+import math
 import types
 import typing
 from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
 from tinyvitlab import tensor as T
 from tinyvitlab.tensor import Tensor
 
-MLA_VARIANTS = ("none", "q", "k", "qk", "kv", "qkv")
-POS_EMBED_KINDS = ("learnable", "sinusoidal", "zero")
-PATCH_INIT_KINDS = ("random", "whitening")
+MlaVariant = Literal["none", "q", "k", "qk", "kv", "qkv"]
 
 
 class ConfigError(ValueError):
@@ -30,18 +30,25 @@ class ConfigError(ValueError):
 def check_fields(config, **minimums: float) -> None:
     """Refuse, naming it, a field of dataclass `config` annotated bool, int,
     float or str (or one of them or None) whose value has another type (an
-    int is not a bool; a float field takes an int), then a field named in
-    `minimums` whose value is below its minimum."""
+    int is not a bool; a float field takes an int), a field annotated with a
+    Literal whose value is not one of the Literal's, then a field named in
+    `minimums` whose value is below its minimum, NaN or infinite."""
     for name, hint in typing.get_type_hints(type(config)).items():
         kinds = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
         value = getattr(config, name)
+        if typing.get_origin(hint) is Literal and value not in typing.get_args(hint):
+            raise ConfigError(f"{name} must be one of "
+                              f"{', '.join(map(repr, typing.get_args(hint)))}, got {value!r}")
         if set(kinds) <= {bool, int, float, str, type(None)} and not any(
                 isinstance(value, (int, float) if k is float else k)
                 and (k is bool or not isinstance(value, bool)) for k in kinds):
             raise ConfigError(f"{name} must be {getattr(hint, '__name__', hint)}, got {value!r}")
     for name, least in minimums.items():
-        if getattr(config, name) < least:
-            raise ConfigError(f"{name} must be >= {least}, got {getattr(config, name)}")
+        value = getattr(config, name)
+        if value < least:
+            raise ConfigError(f"{name} must be >= {least}, got {value}")
+        if not value < math.inf:   # NaN fails every comparison
+            raise ConfigError(f"{name} must be finite, got {value}")
 
 
 @dataclass(slots=True)
@@ -52,7 +59,7 @@ class MlaConfig:
     pair; `d_c` is the latent dimension shared by all compressed projections.
     """
 
-    variant: str = "none"
+    variant: MlaVariant = "none"
     d_c: int = 48
 
     def compressed(self) -> set[str]:
@@ -62,8 +69,6 @@ class MlaConfig:
 
     def validate(self, embed_dim: int) -> None:
         check_fields(self)
-        if self.variant not in MLA_VARIANTS:
-            raise ConfigError(f"unknown mla variant {self.variant!r}")
         if self.variant != "none":
             if self.d_c < 1:
                 raise ConfigError("compression dim d_c must be >= 1")
@@ -81,8 +86,8 @@ class ModelConfig:
     ffn_ratio: int = 4
     num_classes: int = 10
     num_cls_tokens: int = 1
-    pos_embed: str = "learnable"  # one of POS_EMBED_KINDS
-    patch_init: str = "random"    # one of PATCH_INIT_KINDS
+    pos_embed: Literal["learnable", "sinusoidal", "zero"] = "learnable"
+    patch_init: Literal["random", "whitening"] = "random"
     mla: MlaConfig = field(default_factory=MlaConfig)
     drop_path_rate: float = 0.1   # the recipe's; the last block's drop-path rate
 
@@ -96,12 +101,8 @@ class ModelConfig:
             raise ConfigError(f"embed_dim {self.embed_dim} not divisible by num_heads {self.num_heads}")
         if self.image_size % self.patch_size != 0:
             raise ConfigError(f"image_size {self.image_size} not divisible by patch_size {self.patch_size}")
-        if self.pos_embed not in POS_EMBED_KINDS:
-            raise ConfigError(f"unknown pos_embed kind {self.pos_embed!r}")
         if self.pos_embed == "sinusoidal" and self.embed_dim % 2 != 0:
             raise ConfigError("sinusoidal positional table needs an even embed_dim")
-        if self.patch_init not in PATCH_INIT_KINDS:
-            raise ConfigError(f"unknown patch_init kind {self.patch_init!r}")
         if not (0.0 <= self.drop_path_rate < 1.0):
             raise ConfigError("drop_path_rate must be in [0, 1)")
         self.mla.validate(self.embed_dim)

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
 from tinyvitlab.tensor import Tensor
 
-OPTIMIZERS = ("adamw", "lion")
+Optimizer = Literal["adamw", "lion"]
 _BETAS = {"adamw": (0.9, 0.999), "lion": (0.9, 0.99)}   # (beta1, beta2) by kind
 _EPS = 1e-8   # AdamW's denominator floor
 
@@ -25,7 +27,7 @@ class OptimState:
     """Per-parameter moment buffers and step counter for one optimizer run;
     the betas are `_BETAS[kind]` and eps is `_EPS`."""
 
-    kind: str                       # one of OPTIMIZERS
+    kind: Optimizer
     weight_decay: float = 0.05
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
@@ -40,8 +42,9 @@ class OptimState:
         return {"kind": self.kind, "weight_decay": self.weight_decay, "t": self.t}
 
 
-def init_optim(kind: str, params: dict[str, Tensor], weight_decay: float = 0.05) -> OptimState:
-    if kind not in OPTIMIZERS:
+def init_optim(kind: Optimizer, params: dict[str, Tensor],
+               weight_decay: float = 0.05) -> OptimState:
+    if kind not in typing.get_args(Optimizer):
         raise ValueError(f"unknown optimizer {kind!r}")
     state = OptimState(kind=kind, weight_decay=weight_decay)
     for path in sorted(params):

@@ -13,6 +13,7 @@ import ctypes
 import functools
 import json
 import os
+import re
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -37,7 +38,7 @@ class TrainingDiverged(RuntimeError):
 class TrainConfig:
     epochs: int = 100
     batch_size: int = 256
-    optimizer: str = "adamw"
+    optimizer: O.Optimizer = "adamw"
     lr_peak: float = 0.002
     lr_min: float = 1e-5
     weight_decay: float = 0.05
@@ -54,8 +55,6 @@ class TrainConfig:
                        warmup_epochs=0, lr_peak=0, lr_min=0, weight_decay=0)
         if self.subset_per_class is not None and self.subset_per_class < 1:
             raise M.ConfigError(f"subset_per_class must be >= 1 or None, got {self.subset_per_class}")
-        if self.optimizer not in O.OPTIMIZERS:
-            raise M.ConfigError(f"unknown optimizer {self.optimizer!r}, expected one of {O.OPTIMIZERS}")
         if self.batch_size % self.workers != 0:
             raise M.ConfigError(f"batch_size {self.batch_size} not divisible by workers {self.workers}")
         if self.batch_size % self.augment.repeated_factor != 0:
@@ -187,13 +186,12 @@ def build_batches(ds: D.Dataset, cfg: TrainConfig, epoch: int,
     batches = A.repeated_indices(order, cfg.batch_size, aug.repeated_factor)
     for b, idx in enumerate(batches):
         rng = rng_for(cfg.seed, "augment", epoch, b)
-        raws = []
-        for i in idx:
-            if aug.use_base_augment:
-                raws.append(A.base_augment(ds.images[i], aug.use_autoaugment, rng))
-            else:
-                raws.append(ds.images[i])
-        images = D.normalize(np.stack(raws))
+        if aug.base_augment == "none":
+            raws = ds.images[idx]
+        else:
+            raws = np.stack([A.base_augment(ds.images[i], aug.base_augment == "autoaugment", rng)
+                             for i in idx])
+        images = D.normalize(raws)
         if aug.erase_prob > 0:
             images = np.stack([A.random_erase(im, aug.erase_prob,
                                               aug.erase_area_range, rng)
@@ -397,6 +395,8 @@ def train(cfg: TrainConfig, train_ds: D.Dataset, test_ds: D.Dataset,
           out_dir: str | Path, resume: str | Path | None = None,
           stop_after_epoch: int | None = None) -> TrainResult:
     """Run the full recipe; emits metrics rows and a checkpoint per epoch.
+    A resumed run first drops the metrics rows of the checkpoint's epoch and
+    later ones, which it runs again.
 
     `stop_after_epoch` ends the run early while keeping the LR schedule of
     the full `cfg.epochs` plan, so a later resume continues seamlessly.
@@ -434,6 +434,11 @@ def train(cfg: TrainConfig, train_ds: D.Dataset, test_ds: D.Dataset,
         ckpt = D.load_checkpoint(resume)
         params, state = _resume(ckpt, cfg, train_config)
         start_epoch = ckpt.epoch
+        # a crash between an epoch's row and its checkpoint left a row that
+        # this run writes again; a torn last row is dropped too
+        rows = metrics_path.read_text().splitlines(True) if metrics_path.exists() else []
+        metrics_path.write_text("".join(row for row in rows if (
+            m := re.match(r"epoch=(\d+) .*\n", row)) and int(m[1]) < start_epoch))
     else:
         init_rng = rng_for(cfg.seed, "init")
         patch_sample = None

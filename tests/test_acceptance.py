@@ -8,6 +8,7 @@ found (set DATA_DIR or place the files under data/cifar-10-batches-bin).
 
 import os
 import time
+import typing
 import zlib
 from pathlib import Path
 
@@ -75,7 +76,7 @@ def test_criterion_1_gradient_correctness():
     # C=32, h=4, depth=2, 16 patch tokens, all six variants, n_cls in {1,2}
     t0 = time.perf_counter()
     worst = 0.0
-    for variant in M.MLA_VARIANTS:
+    for variant in typing.get_args(M.MlaVariant):
         for n_cls in (1, 2):
             cfg = M.ModelConfig(image_size=16, embed_dim=32, num_heads=4,
                                 depth=2, num_cls_tokens=n_cls,
@@ -100,7 +101,7 @@ def test_criterion_1_gradient_correctness():
 
 
 def test_criterion_2_attention_oracle_equivalence():
-    variants = list(M.MLA_VARIANTS)
+    variants = typing.get_args(M.MlaVariant)
     lengths = [1, 5, 65]
     worst = 0.0
     for case in range(50):

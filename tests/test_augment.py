@@ -185,9 +185,8 @@ class TestRepeatedIndices:
 
 class TestPolicyTable:
     def test_structure(self):
-        policy = A.load_policy()
-        assert len(policy) == 25
-        for sub in policy:
+        assert len(A.CIFAR10_POLICY) == 25
+        for sub in A.CIFAR10_POLICY:
             assert len(sub) == 2
             for op, p, level in sub:
                 assert 0.0 <= p <= 1.0
@@ -196,7 +195,7 @@ class TestPolicyTable:
     def test_every_op_runs(self):
         rng = np.random.default_rng(11)
         img = rand_uint8(rng)
-        ops = {op for sub in A.load_policy() for op, _, _ in sub}
+        ops = {op for sub in A.CIFAR10_POLICY for op, _, _ in sub}
         for op in sorted(ops):
             out = A.apply_policy_op(img, op, 5, np.random.default_rng(0))
             assert out.shape == img.shape and out.dtype == np.uint8

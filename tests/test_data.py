@@ -2,6 +2,8 @@
 its fault handling."""
 
 import json
+import os
+import stat
 import zipfile
 
 import numpy as np
@@ -366,6 +368,27 @@ class TestCheckpoint:
         assert ck.epoch == 2
         for k, v in kw["params"].items():
             assert np.array_equal(ck.params[k], v)
+
+    @pytest.mark.skipif(os.name != "posix", reason="directories are fsynced on POSIX only")
+    def test_directory_fsynced_after_rename(self, tmp_path, monkeypatch):
+        # without it, a power loss after the rename can bring back the old file
+        events = []
+        real_fsync, real_replace = D.os.fsync, D.os.replace
+
+        def fsync(fd):
+            st = os.fstat(fd)   # True: the checkpoint's directory
+            events.append(("fsync", stat.S_ISDIR(st.st_mode)
+                           and os.path.samestat(st, os.stat(tmp_path))))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", os.path.dirname(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(D.os, "fsync", fsync)
+        monkeypatch.setattr(D.os, "replace", replace)
+        self.sample(tmp_path)
+        assert events == [("fsync", False), ("replace", str(tmp_path)), ("fsync", True)]
 
     def test_no_optimizer_section(self, tmp_path):
         path, _ = self.sample(tmp_path, optim_meta=None, optim_arrays=None)

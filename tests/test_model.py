@@ -1,6 +1,7 @@
 """Model ops against independent oracles: patchify index mapping, naive
 attention loops, SVD factorization, finite differences."""
 
+import typing
 import zlib
 
 import numpy as np
@@ -194,7 +195,7 @@ class TestAttention:
         expected = np.tile(((x @ wv).mean(axis=0) @ wo), (5, 1))
         assert np.allclose(out, expected, atol=1e-12)
 
-    @pytest.mark.parametrize("variant", M.MLA_VARIANTS)
+    @pytest.mark.parametrize("variant", typing.get_args(M.MlaVariant))
     @pytest.mark.parametrize("seq", [1, 5, 65])
     def test_matches_naive_loop_oracle(self, variant, seq):
         rng = np.random.default_rng((zlib.crc32(variant.encode()), seq))
@@ -540,8 +541,13 @@ class TestModelConfig:
         (dict(depth=2.5), "depth must be int, got 2.5"),
         (dict(num_cls_tokens=True), "num_cls_tokens must be int, got True"),
         (dict(mla=M.MlaConfig("kv", 16.0)), "d_c must be int, got 16.0"),
-        (dict(pos_embed=None), "pos_embed must be str, got None"),
+        (dict(pos_embed=None), "pos_embed must be one of 'learnable', 'sinusoidal', 'zero', "
+                               "got None"),
         (dict(drop_path_rate="0.1"), "drop_path_rate must be float, got '0.1'"),
+        (dict(patch_init="whiten"), "patch_init must be one of 'random', 'whitening', "
+                                    "got 'whiten'"),
+        (dict(mla=M.MlaConfig("kvq")), "variant must be one of 'none', 'q', 'k', 'qk', 'kv', "
+                                       "'qkv', got 'kvq'"),
     ])
     def test_wrong_type_is_named(self, kwargs, shown):
         # a float size or d_c and a bool count once passed validation, then failed

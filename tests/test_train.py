@@ -7,6 +7,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -461,6 +462,35 @@ class TestTrainLoop:
         for k in a.optim_arrays:
             assert np.array_equal(a.optim_arrays[k], b.optim_arrays[k])
 
+    def test_resume_after_failed_save_logs_each_epoch_once(self, tmp_path, monkeypatch):
+        # epoch 1's row was written, then its checkpoint save failed: the
+        # resumed run runs epoch 1 again and once logged it twice
+        ds = D.synthetic_dataset("two-class-blobs", 24, seed=7)
+        cfg = tiny_train_config(epochs=3, batch_size=8)
+        full = TR.train(cfg, ds, ds, tmp_path / "full")
+        real_save, saves = D.save_checkpoint, []
+
+        def second_save_fails(*args, **kwargs):
+            saves.append(kwargs["epoch"])
+            if len(saves) == 2:
+                raise OSError("disk full")
+            real_save(*args, **kwargs)
+
+        monkeypatch.setattr(D, "save_checkpoint", second_save_fails)
+        with pytest.raises(OSError, match="disk full"):
+            TR.train(cfg, ds, ds, tmp_path / "out")
+        assert saves == [1, 2]
+        monkeypatch.setattr(D, "save_checkpoint", real_save)
+        out = tmp_path / "out"
+        assert D.load_checkpoint(out / "checkpoint.tvlb").epoch == 1
+        resumed = TR.train(cfg, ds, ds, out, resume=out / "checkpoint.tvlb")
+
+        rows = (out / "metrics.log").read_text().splitlines()
+        assert [row.split()[0] for row in rows] == ["epoch=0", "epoch=1", "epoch=2"]
+        assert resumed.final.train_loss == full.final.train_loss
+        spe = TR.steps_per_epoch(len(ds), cfg)
+        assert resumed.step_losses == full.step_losses[spe:]
+
     def test_divergence_reports_lr_and_grad_norm(self, tmp_path):
         ds = D.synthetic_dataset("two-class-blobs", 16, seed=8)
         cfg = tiny_train_config(epochs=1)
@@ -511,6 +541,8 @@ class TestTrainLoop:
             ("lr_peak", {}, {"lr_peak": 2e-3}),
             ("augment.use_mixup", {}, {"augment": dataclasses.replace(
                 A.AugmentConfig.disabled(), use_mixup=True)}),
+            ("augment.base_augment", {}, {"augment": dataclasses.replace(
+                A.AugmentConfig.disabled(), base_augment="crop_flip")}),
             ("blas_threads", {}, {}))])
     def test_resume_refuses_mismatched_run(self, tmp_path, monkeypatch, one_epoch_checkpoint,
                                            field, model_kw, train_kw):
@@ -526,19 +558,26 @@ class TestTrainLoop:
 
     def test_resume_refuses_checkpoint_with_removed_augment_switches(self, tmp_path,
                                                                      one_epoch_checkpoint):
-        # checkpoints written while AugmentConfig still had these two fields
+        # checkpoints written while AugmentConfig still had these four fields,
+        # and use_base_augment / use_autoaugment in place of base_augment
         ds = D.synthetic_dataset("two-class-blobs", 16, seed=8)
         ckpt = D.load_checkpoint(one_epoch_checkpoint)
+        augment = dict(ckpt.train_config["augment"])
+        del augment["base_augment"]
         old = {**ckpt.train_config, "augment": {
-            **ckpt.train_config["augment"], "use_random_erasing": False,
-            "use_repeated_augment": False}}
+            **augment, "use_base_augment": False, "use_autoaugment": False,
+            "use_random_erasing": False, "use_repeated_augment": False}}
         path = tmp_path / "old.tvlb"
         D.save_checkpoint(path, params=ckpt.params, model_config=ckpt.model_config,
                           train_config=old, optim_meta=ckpt.optim_meta,
                           optim_arrays=ckpt.optim_arrays, rng_state=ckpt.rng_state,
                           epoch=ckpt.epoch)
-        with pytest.raises(D.CheckpointError, match="augment.use_random_erasing is False in the "
-                           "checkpoint, None in the run; augment.use_repeated_augment is False"):
+        with pytest.raises(D.CheckpointError, match=(
+                "augment.base_augment is None in the checkpoint, 'none' in the run; "
+                "augment.use_autoaugment is False in the checkpoint, None in the run; "
+                "augment.use_base_augment is False in the checkpoint, None in the run; "
+                "augment.use_random_erasing is False in the checkpoint, None in the run; "
+                "augment.use_repeated_augment is False")):
             TR.train(tiny_train_config(), ds, ds, tmp_path / "out", resume=path)
 
     @pytest.mark.parametrize("epoch", ["finished", -1])
@@ -667,17 +706,17 @@ class TestTrainLoop:
         ("lr_min", -1e-5, "lr_min must be >= 0, got -1e-05"),
         ("weight_decay", -0.05, "weight_decay must be >= 0, got -0.05"),
         ("subset_per_class", 0, "subset_per_class must be >= 1 or None, got 0"),
-        ("optimizer", "sgd", "unknown optimizer 'sgd'"),
+        ("optimizer", "sgd", "optimizer must be one of 'adamw', 'lion', got 'sgd'"),
         ("epochs", 2.0, "epochs must be int, got 2.0"),
         ("workers", 1.5, "workers must be int, got 1.5"),
         ("seed", True, "seed must be int, got True"),
         ("lr_peak", "0.1", "lr_peak must be float, got '0.1'"),
         ("subset_per_class", 2.5, r"subset_per_class must be int \| None, got 2\.5"),
-        ("optimizer", None, "optimizer must be str, got None"),
+        ("optimizer", None, "optimizer must be one of 'adamw', 'lion', got None"),
         ("augment", A.AugmentConfig(use_mixup=1), "use_mixup must be bool, got 1"),
         ("augment", A.AugmentConfig(repeated_factor=4.0), "repeated_factor must be int, got 4.0"),
         # each once passed validation: numpy refused the first mixed batch
-        # ("a <= 0"), unpacking the range failed, or AutoAugment was skipped
+        # ("a <= 0") or unpacking the range failed
         ("augment", A.AugmentConfig(mixup_alpha=0.0), "mixup_alpha must be > 0, got 0.0"),
         ("augment", A.AugmentConfig(cutmix_alpha=-1.0), "cutmix_alpha must be > 0, got -1.0"),
         ("augment", A.AugmentConfig(mixup_alpha=float("nan")), "mixup_alpha must be > 0, got nan"),
@@ -687,8 +726,16 @@ class TestTrainLoop:
          r"erase_area_range must be a pair of numbers, got \(0.1, 0.2, 0.3\)"),
         ("augment", A.AugmentConfig(erase_area_range=(0.1, "0.3")),
          r"erase_area_range must be a pair of numbers, got \(0.1, '0.3'\)"),
-        ("augment", A.AugmentConfig(use_base_augment=False),
-         "use_autoaugment needs use_base_augment, which is False"),
+        # a value outside the field's Literal
+        ("augment", A.AugmentConfig(base_augment="crop"),
+         "base_augment must be one of 'autoaugment', 'crop_flip', 'none', got 'crop'"),
+        ("augment", A.AugmentConfig(base_augment=False),
+         "base_augment must be one of 'autoaugment', 'crop_flip', 'none', got False"),
+        # NaN passed the minimum and inf passed it too: the run then diverged at step 1
+        *((name, value, f"{name} must be finite, got {value}")
+          for name in ("lr_peak", "lr_min", "weight_decay")
+          for value in (float("nan"), float("inf"))),
+        ("lr_peak", float("-inf"), "lr_peak must be >= 0, got -inf"),
     ])
     def test_bad_value_is_refused_by_name(self, name, value, shown):
         with pytest.raises(M.ConfigError, match=shown):
@@ -852,26 +899,26 @@ class TestCli:
         with pytest.raises(ValueError, match="key=value"):
             cli.parse_config_file(p)
 
-    # every flag / config-file key the CLI has accepted, with a sample value
-    LEGACY = {
+    # every flag / config-file key the CLI accepts, with a sample value
+    SAMPLES = {
         "epochs": "5", "batch_size": "64", "workers": "2", "optimizer": "lion",
         "lr": "0.01", "weight_decay": "0.1", "seed": "3", "subset_per_class": "50",
         "mla": "kv", "dc": "24", "num_cls": "2", "dim": "96", "heads": "4",
         "depth": "3", "pos_embed": "sinusoidal", "patch_init": "whitening",
-        "drop_path": "0.2", "no_aa": "true", "no_mixup": "true", "no_cutmix": "true",
+        "drop_path": "0.2", "base_augment": "crop_flip", "mixup": "false", "cutmix": "no",
     }
 
     def test_no_flags_is_train_config_default(self):
         assert cli.train_config(self.parse(["train"])) == TR.TrainConfig()
 
     def test_every_flag_and_config_key_accepted(self, tmp_path):
+        assert self.SAMPLES.keys() == cli._OPTIONS.keys() and len(self.SAMPLES) == 20
         argv = ["train"]
-        for key, value in self.LEGACY.items():
-            flag = "--" + key.replace("_", "-")
-            argv += [flag] if key.startswith("no_") else [flag, value]
+        for key, value in self.SAMPLES.items():
+            argv += ["--" + key.replace("_", "-"), value]
         from_flags = cli.train_config(self.parse(argv))
         p = tmp_path / "run.cfg"
-        p.write_text("".join(f"{k}={v}\n" for k, v in self.LEGACY.items()))
+        p.write_text("".join(f"{k}={v}\n" for k, v in self.SAMPLES.items()))
         from_file = cli.train_config(self.parse(["train", "--config", str(p)]))
         assert from_flags == from_file != TR.TrainConfig()
 
@@ -893,17 +940,18 @@ class TestCli:
 
     def test_config_bools_are_strict(self, tmp_path):
         p = tmp_path / "run.cfg"
-        p.write_text("no_mixup=false\nno_cutmix=YES\n")
+        p.write_text("mixup=true\ncutmix=NO\n")
         cfg = cli.train_config(self.parse(["train", "--config", str(p)]))
         assert cfg.augment.use_mixup and not cfg.augment.use_cutmix
-        p.write_text("no_mixup=ture\n")
-        with pytest.raises(ValueError, match="no_mixup.*'ture'"):
+        p.write_text("mixup=ture\n")
+        with pytest.raises(ValueError, match="mixup.*'ture'"):
             cli.train_config(self.parse(["train", "--config", str(p)]))
 
     def test_flags_map_to_train_config(self):
         args = self.parse(["train", "--mla", "kv", "--dc", "24", "--num-cls", "2",
                            "--pos-embed", "zero", "--patch-init", "whitening",
-                           "--optimizer", "lion", "--no-aa", "--drop-path", "0"])
+                           "--optimizer", "lion", "--base-augment", "crop_flip",
+                           "--drop-path", "0", "--cutmix", "0"])
         cfg = cli.train_config(args)
         assert cfg.model.mla.variant == "kv" and cfg.model.mla.d_c == 24
         assert cfg.model.num_cls_tokens == 2
@@ -911,11 +959,30 @@ class TestCli:
         assert cfg.model.patch_init == "whitening"
         assert cfg.model.drop_path_rate == 0.0
         assert cfg.optimizer == "lion"
-        assert not cfg.augment.use_autoaugment and cfg.augment.use_mixup
+        assert cfg.augment.base_augment == "crop_flip" and cfg.augment.use_mixup
+        assert not cfg.augment.use_cutmix
 
     @staticmethod
     def parse(argv):
         return cli.build_parser().parse_args(argv)
+
+    def test_help_lists_each_literal_fields_values(self, capsys):
+        with pytest.raises(SystemExit):
+            self.parse(["train", "--help"])
+        shown = " ".join(capsys.readouterr().out.split())
+        for flag, owner, name in (("--optimizer", TR.TrainConfig, "optimizer"),
+                                  ("--mla", M.MlaConfig, "variant"),
+                                  ("--pos-embed", M.ModelConfig, "pos_embed"),
+                                  ("--patch-init", M.ModelConfig, "patch_init"),
+                                  ("--base-augment", A.AugmentConfig, "base_augment")):
+            values = typing.get_args(typing.get_type_hints(owner)[name])
+            assert len(values) >= 2 and f"{flag} {{{','.join(values)}}}" in shown
+
+    def test_flag_outside_its_literal_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self.parse(["train", "--base-augment", "crop"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'crop'" in capsys.readouterr().err
 
     BENCH = ["bench", "--dim", "32", "--heads", "4", "--depth", "1", "--dc", "8"]
 
@@ -953,7 +1020,8 @@ class TestCli:
         (dict(dataclasses.asdict(M.ModelConfig()), embed_dim=0),
          "model_config is not a valid model: embed_dim must be >= 1, got 0"),
         (dict(dataclasses.asdict(M.ModelConfig()), mla={"variant": "xyz", "d_c": 48}),
-         "model_config is not a valid model: unknown mla variant 'xyz'"),
+         "model_config is not a valid model: variant must be one of 'none', 'q', 'k', 'qk', "
+         "'kv', 'qkv', got 'xyz'"),
         (dict(dataclasses.asdict(M.ModelConfig()), embed_dim="192"),
          "model_config is not a valid model: embed_dim must be int, got '192'"),
     ])
@@ -1020,10 +1088,12 @@ class TestCli:
 
     @pytest.mark.parametrize("line, shown", [
         ("momentum=0.9", "unknown config key 'momentum' (value '0.9')"),
-        ("no_mixup=ture", "config key 'no_mixup': expected a bool"),
+        ("mixup=ture", "config key 'mixup': expected a bool"),
         ("epochs 5", "expected key=value, got 'epochs 5'"),
-        ("optimizer=sgd", "unknown optimizer 'sgd'"),
-        ("mla=xyz", "unknown mla variant 'xyz'"),
+        ("optimizer=sgd", "optimizer must be one of 'adamw', 'lion', got 'sgd'"),
+        ("mla=xyz", "variant must be one of 'none', 'q', 'k', 'qk', 'kv', 'qkv', got 'xyz'"),
+        ("base_augment=crop", "base_augment must be one of 'autoaugment', 'crop_flip', "
+                              "'none', got 'crop'"),
         ("workers=0", "workers must be >= 1, got 0"),
         ("heads=0", "num_heads must be >= 1, got 0"),
         ("batch_size=0", "batch_size must be >= 1, got 0"),
