@@ -289,8 +289,12 @@ def attention(x: Tensor, params: dict[str, Tensor], cfg: ModelConfig,
     return T.linear(out, params[f"{prefix}.o.weight"])
 
 
-def ffn(x: Tensor, params: dict[str, Tensor], prefix: str = "ffn") -> Tensor:
-    return T.mlp(x, *(params[f"{prefix}.{name}"] for name in ("w1", "b1", "w2", "b2")))
+def ffn(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
+    """The pre-norm FFN branch of block `prefix` on its residual stream x:
+    layer norm `{prefix}.norm2`, then the GELU MLP `{prefix}.ffn`, as one
+    tape node (T.norm_mlp)."""
+    return T.norm_mlp(x, *(params[f"{prefix}.{name}"] for name in (
+        "norm2.gamma", "norm2.beta", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")))
 
 
 def _drop_path_mask(batch: int, drop_prob: float, rng: np.random.Generator,
@@ -317,9 +321,7 @@ def block(x: Tensor, params: dict[str, Tensor], cfg: ModelConfig, prefix: str,
     x = residual(x, attention(T.layer_norm(x, params[f"{prefix}.norm1.gamma"],
                                            params[f"{prefix}.norm1.beta"]), params, cfg,
                               prefix=f"{prefix}.attn"))
-    return residual(x, ffn(T.layer_norm(x, params[f"{prefix}.norm2.gamma"],
-                                        params[f"{prefix}.norm2.beta"]), params,
-                           prefix=f"{prefix}.ffn"))
+    return residual(x, ffn(x, params, prefix))
 
 
 def cls_head(tokens: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:

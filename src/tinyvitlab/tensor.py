@@ -1,17 +1,26 @@
 """Dense tensors with tape-based reverse-mode automatic differentiation.
 
 The op set is closed over what the model needs: the dense layer `linear`,
-the fused exact-GELU `mlp`, the fused multi-head `attention_core`, `add`
-(with an optional constant scale on its second operand: the drop-path
-residual), layer norm, soft-target cross entropy, and the shape plumbing
-for the CLS tokens (reshape / narrow / prepend_tokens). No op transposes:
-weights are stored in `linear`'s [in, out] layout, and constant inputs
-such as images are rearranged in numpy before they reach an op. Training
-runs in float32; gradient checking runs the same code in float64. The
-GELU's erf (in `_normal_cdf`) is a rational approximation in float32 and
+the fused exact-GELU `mlp` and its pre-norm form `norm_mlp` (a block's
+layer norm and FFN), the fused multi-head `attention_core`, `add` (with an
+optional constant scale on its second operand: the drop-path residual),
+`layer_norm`, soft-target `cross_entropy`, and the shape plumbing for the
+CLS tokens (reshape / narrow / prepend_tokens). No op transposes: weights
+are stored in `linear`'s [in, out] layout, and constant inputs such as
+images are rearranged in numpy before they reach an op. Training runs in
+float32; gradient checking runs the same code in float64. The GELU's erf
+(in `_normal_cdf`) is a rational approximation in float32 and
 `scipy.special.erf` in float64, so scipy serves only the float64 path. Ops
 record nodes on the active `Tape`; `grads = backward(loss, tape, params)`
 returns the gradients, which are values, not state kept on tensors.
+
+A node keeps its input tensors and what its VJP cannot cheaply rebuild
+from them: `mlp` its pre-activation h (Phi(h) is recomputed);
+`layer_norm` the row statistics mu and inv (xhat is rebuilt); `norm_mlp`
+mu, inv and h (the normalized input and Phi(h) are rebuilt);
+`attention_core` the attention weights P; `add` its constant scale;
+`cross_entropy` its targets and log-probabilities; the other ops nothing.
+A train-mode forward of the paper recipe at batch 32 keeps 251 MB.
 
 Determinism: all reductions go through numpy with a fixed evaluation order,
 so repeated runs on the same inputs produce bitwise-identical results.
@@ -182,23 +191,43 @@ def _scratch(a: np.ndarray, count: int) -> list[np.ndarray]:
     return [np.empty(min(a.size, _BLOCK), a.dtype) for _ in range(count)]
 
 
-def _normal_cdf(h: np.ndarray) -> np.ndarray:
-    """Phi(h) = (1 + erf(h / sqrt 2)) / 2 for a C-contiguous h. In float32
-    one pass over the blocks does all four steps while a block is in cache."""
-    if h.dtype != F32:
-        phi = np.multiply(h, _INV_SQRT2)
-        special.erf(phi, out=phi)
-        phi += 1.0
-        phi *= 0.5
-        return phi
-    phi = np.empty_like(h)
-    x2, acc = _scratch(phi, 2)
-    for hb, b in _blocks(h, phi):
+def _normal_cdf(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Phi(h) = (1 + erf(h / sqrt 2)) / 2 for a C-contiguous h, into `out`
+    (a new array if None), block by block: each block's four steps run while
+    it is in cache. The erf is the rational one in float32, scipy's in
+    float64."""
+    out = np.empty_like(h) if out is None else out
+    x2, acc = _scratch(out, 2)
+    for hb, b in _blocks(h, out):
         np.multiply(hb, _INV_SQRT2, out=b)
-        _erf32_block(b, x2[:b.size], acc[:b.size])
+        if b.dtype == F32:
+            _erf32_block(b, x2[:b.size], acc[:b.size])
+        else:
+            special.erf(b, out=b)
         b += 1.0
         b *= 0.5
-    return phi
+    return out
+
+
+def _gelu(h: np.ndarray, gh: np.ndarray | None = None) -> np.ndarray:
+    """h * Phi(h), written block by block with no full-size Phi(h). Given the
+    cotangent gh of the GELU output, the same pass also scales gh in place
+    by GELU'(h) = Phi(h) + h pdf(h): a VJP recomputes Phi(h) rather than
+    keeping it."""
+    a = np.empty_like(h)
+    phi, d = _scratch(h, 2)
+    for hb, ab, *gb in _blocks(h, a, *(() if gh is None else (gh,))):
+        pb, db = _normal_cdf(hb, phi[:hb.size]), d[:hb.size]
+        np.multiply(hb, pb, out=ab)
+        if gb:
+            np.multiply(hb, -0.5, out=db)
+            db *= hb
+            np.exp(db, out=db)
+            db *= _INV_SQRT_2PI
+            db *= hb
+            db += pb
+            gb[0] *= db
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -234,42 +263,67 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return _make(out.reshape(x.shape[:-1] + w.shape[1:]), inputs, vjp)
 
 
-def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """gelu(x @ w1 + b1) @ w2 + b2 with the exact erf GELU h * Phi(h), for
-    x [..., in], w1 [in, hidden] and w2 [hidden, out]. One tape node, which
-    keeps the pre-activation h and Phi(h) and recomputes h * Phi(h) in its
-    VJP; the GEMMs are linear's. Phi(h) uses the rational erf in float32,
-    and scipy's only in float64. Phi and the VJP's GELU'(h) are
-    computed block by block with scratch allocated per call."""
+def _check_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> None:
     if (w1.ndim != 2 or w2.ndim != 2 or x.shape[-1:] != w1.shape[:1] or b1.shape != w1.shape[1:]
             or w2.shape[:1] != w1.shape[1:] or b2.shape != w2.shape[1:]):
         raise ShapeError("mlp needs x [..., in], w1 [in, hidden], b1 [hidden], w2 [hidden, out] "
                          "and b2 [out], got " + ", ".join(str(t.shape) for t in (x, w1, b1, w2, b2)))
-    x2 = x.data.reshape(-1, w1.shape[0])
+
+
+def _mlp_forward(x2: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
+    """(h, out) for rows x2: the pre-activation h = x2 w1 + b1, which the
+    VJP keeps, and out = gelu(h) w2 + b2."""
     h = x2 @ w1.data
     h += b1.data
-    phi = _normal_cdf(h)
-    out = np.multiply(h, phi) @ w2.data
+    out = _gelu(h) @ w2.data
     out += b2.data
+    return h, out
+
+
+def _mlp_vjp(x2: np.ndarray, h: np.ndarray, g: np.ndarray, w1: Tensor, w2: Tensor):
+    """(d x2, dw1, db1, dw2, db2) of _mlp_forward for the output cotangent
+    g; gelu(h) and GELU'(h) come from one recomputing pass over h."""
+    g2 = g.reshape(-1, w2.shape[1])
+    gh = g2 @ w2.data.T
+    gw2 = _gelu(h, gh).T @ g2
+    return gh @ w1.data.T, x2.T @ gh, gh.sum(axis=0), gw2, g2.sum(axis=0)
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """gelu(x @ w1 + b1) @ w2 + b2 with the exact erf GELU h * Phi(h), for
+    x [..., in], w1 [in, hidden] and w2 [hidden, out]. One tape node, which
+    keeps x and the pre-activation h; its VJP recomputes Phi(h). The GEMMs
+    are linear's; the GELU and its derivative run block by block (_gelu)."""
+    _check_mlp(x, w1, b1, w2, b2)
+    x2 = x.data.reshape(-1, w1.shape[0])
+    h, out = _mlp_forward(x2, w1, b1, w2, b2)
 
     def vjp(g):
-        g2 = g.reshape(-1, w2.shape[1])
-        gw2 = np.multiply(h, phi).T @ g2
-        gh = g2 @ w2.data.T
-        (d,) = _scratch(h, 1)
-        for hb, pb, gb in _blocks(h, phi, gh):    # gh *= GELU'(h) = Phi(h) + h pdf(h)
-            db = d[:hb.size]
-            np.multiply(hb, -0.5, out=db)
-            db *= hb
-            np.exp(db, out=db)
-            db *= _INV_SQRT_2PI
-            db *= hb
-            db += pb
-            gb *= db
-        gx = (gh @ w1.data.T).reshape(x.shape) if x.requires_grad else None
-        return gx, x2.T @ gh, gh.sum(axis=0), gw2, g2.sum(axis=0)
+        gx, *gw = _mlp_vjp(x2, h, g, w1, w2)
+        return (gx.reshape(x.shape) if x.requires_grad else None, *gw)
 
     return _make(out.reshape(x.shape[:-1] + w2.shape[1:]), (x, w1, b1, w2, b2), vjp)
+
+
+def norm_mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
+             b2: Tensor, eps: float = 1e-6) -> Tensor:
+    """mlp(layer_norm(x, gamma, beta, eps), w1, b1, w2, b2): a pre-norm FFN
+    as one tape node. It keeps x, the row statistics mu and inv, and h; its
+    VJP rebuilds the normalized input from them and recomputes Phi(h)."""
+    _check_norm(x, gamma, beta, eps)
+    _check_mlp(x, w1, b1, w2, b2)
+    c = x.shape[-1]
+    xhat, mu, inv = _normalize(x.data, eps)
+    h, out = _mlp_forward(_affine(xhat, gamma, beta).reshape(-1, c), w1, b1, w2, b2)
+    del xhat
+
+    def vjp(g):
+        xhat = x.data - mu
+        xhat *= inv
+        gxn, *gw = _mlp_vjp(_affine(xhat.copy(), gamma, beta).reshape(-1, c), h, g, w1, w2)
+        return (*_norm_vjp(xhat, inv, gamma, gxn.reshape(x.shape)), *gw)
+
+    return _make(out.reshape(x.shape[:-1] + w2.shape[1:]), (x, gamma, beta, w1, b1, w2, b2), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +368,9 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 
     One tape node, which keeps only the attention weights P. Its VJP is the
     FlashAttention backward algebra without tiling: dV = P^T g, dP = g V^T,
-    dS = P * (dP - rowsum(dP * P)) / sqrt(d), dQ = dS K, dK = dS^T Q.
+    dS = P * (dP - rowsum(dP * P)) / sqrt(d), dQ = dS K, dK = dS^T Q. The
+    1/sqrt(d) is applied to q and to dQ and dK, each a quarter of P's size at
+    the paper recipe, rather than to the scores and to dS.
     """
     if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape or heads < 1 or q.shape[2] % heads:
         raise ShapeError(f"attention_core needs equal [B,S,C] q, k, v with C divisible by {heads} "
@@ -330,57 +386,104 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
     scale = q.data.dtype.type(1.0 / np.sqrt(d))
-    p = qh @ kh.transpose(0, 1, 3, 2)
-    p *= scale
+    p = (qh * scale) @ kh.transpose(0, 1, 3, 2)
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
 
     def vjp(g):
         gh = split(g)
-        dp = gh @ vh.transpose(0, 1, 3, 2)
-        ds = dp - (dp * p).sum(axis=-1, keepdims=True)
+        ds = gh @ vh.transpose(0, 1, 3, 2)       # dP, made into sqrt(d) dS in place
+        ds -= np.einsum("...ij,...ij->...i", ds, p)[..., None]
         ds *= p
-        ds *= scale
-        return merge(ds @ kh), merge(ds.transpose(0, 1, 3, 2) @ qh), merge(p.transpose(0, 1, 3, 2) @ gh)
+        gq, gk = merge(ds @ kh), merge(ds.transpose(0, 1, 3, 2) @ qh)
+        gq *= scale
+        gk *= scale
+        return gq, gk, merge(p.transpose(0, 1, 3, 2) @ gh)
 
     return _make(merge(p @ vh), (q, k, v), vjp)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
-    """Normalize over the last axis (biased variance), then affine."""
-    if x.shape[-1] != gamma.shape[-1] or x.shape[-1] != beta.shape[-1]:
-        raise ShapeError(f"layer_norm channel mismatch: {x.shape} vs {gamma.shape}/{beta.shape}")
+def _check_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> None:
+    if gamma.shape != x.shape[-1:] or beta.shape != x.shape[-1:]:
+        raise ShapeError(f"layer_norm needs x [..., C], gamma [C] and beta [C], "
+                         f"got {x.shape}, {gamma.shape}, {beta.shape}")
     if eps <= 0:
         raise ValueError("layer_norm eps must be positive")
-    xd = x.data
-    mu = xd.mean(axis=-1, keepdims=True)
-    var = ((xd - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xd - mu) * inv
-    data = (xhat * gamma.data + beta.data).astype(xd.dtype, copy=False)
+
+
+def _normalize(x: np.ndarray, eps: float):
+    """(xhat, mu, inv) over the last axis of x: the row means mu, the
+    inverse standard deviations inv = 1 / sqrt(biased var + eps), and
+    xhat = (x - mu) * inv. x is centred once and the variance is one
+    contraction of the centred rows."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xhat = x - mu
+    var = np.einsum("...i,...i->...", xhat, xhat)[..., None]
+    var /= x.shape[-1]
+    var += eps
+    inv = np.sqrt(var, out=var)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    return xhat, mu, inv
+
+
+def _affine(xhat: np.ndarray, gamma: Tensor, beta: Tensor) -> np.ndarray:
+    """xhat * gamma + beta, in place in xhat."""
+    xhat *= gamma.data
+    xhat += beta.data
+    return xhat
+
+
+def _norm_vjp(xhat: np.ndarray, inv: np.ndarray, gamma: Tensor, g: np.ndarray):
+    """(dx, dgamma, dbeta) of layer norm for the output cotangent g, given
+    the rebuilt xhat (overwritten) and inv:
+    dx = inv * (g gamma - mean(g gamma) - xhat mean(g gamma xhat))."""
+    c = xhat.shape[-1]
+    g2 = g.reshape(-1, c)
+    dgamma = np.einsum("ni,ni->i", g2, xhat.reshape(-1, c))
+    dbeta = np.einsum("ni->i", g2)
+    dx = g * gamma.data
+    m1 = np.einsum("...i->...", dx)[..., None]
+    m1 /= c
+    m2 = np.einsum("...i,...i->...", dx, xhat)[..., None]
+    m2 /= c
+    xhat *= m2
+    dx -= xhat
+    dx -= m1
+    dx *= inv
+    return dx, dgamma, dbeta
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
+    """Normalize over the last axis (biased variance), then the affine
+    gamma [C], beta [C]. One tape node, which keeps x and the row statistics
+    mu and inv; its VJP rebuilds xhat from them."""
+    _check_norm(x, gamma, beta, eps)
+    xhat, mu, inv = _normalize(x.data, eps)
 
     def vjp(g):
-        dgamma = _unbroadcast(g * xhat, gamma.shape)
-        dbeta = _unbroadcast(g, beta.shape)
-        dxhat = g * gamma.data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        dx = (inv * (dxhat - m1 - xhat * m2)).astype(xd.dtype, copy=False)
-        return dx, dgamma, dbeta
+        xhat = x.data - mu
+        xhat *= inv
+        return _norm_vjp(xhat, inv, gamma, g)
 
-    return _make(data, (x, gamma, beta), vjp)
+    return _make(_affine(xhat, gamma, beta), (x, gamma, beta), vjp)
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:
     """Mean over the batch of -sum(targets * log_softmax(logits)).
 
     `targets` rows must be probability distributions (soft labels from
-    MixUp / CutMix / smoothing are the normal case).
+    MixUp / CutMix / smoothing are the normal case): a row with a negative
+    or NaN entry, or that does not sum to 1 within 1e-5, is refused by index.
     """
     t = targets.data if isinstance(targets, Tensor) else np.asarray(targets)
     if logits.ndim != 2 or t.shape != logits.shape:
         raise ShapeError(f"cross_entropy expects matching B x C, got {logits.shape} and {t.shape}")
+    bad = ~(t >= 0).all(axis=-1)   # NaN fails >= 0
+    if bad.any():
+        raise ValueError(f"cross_entropy target row {int(np.argmax(bad))} has an entry that is "
+                         f"negative or NaN: {t[bad][0]!r}")
     sums = t.sum(axis=-1)
     bad = np.abs(sums - 1.0) > 1e-5
     if bad.any():

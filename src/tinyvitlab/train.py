@@ -140,6 +140,23 @@ def _openblas() -> _OpenBlas | None:
     return None
 
 
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Once per process, have glibc's malloc keep the memory a step frees
+    mapped for the next step: arrays under 32 MiB come from the heap rather
+    than their own mmap, and free heap memory is returned to the system only
+    past 1 GiB. Otherwise each step faults its arrays' pages in again. The
+    thresholds change where memory comes from, not what is computed. Does
+    nothing where the C library has no mallopt (it is glibc's)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):   # no C library to load, or no mallopt
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD, at glibc's largest: a paper-recipe step's arrays are smaller
+    mallopt(-1, 1 << 30)    # M_TRIM_THRESHOLD
+
+
 def _usable_cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -235,6 +252,7 @@ def _sharded_gradients(cfg: M.ModelConfig, params: dict[str, Tensor],
     OpenBLAS count, K>1 run each under one OpenBLAS thread, so their bits
     follow from K alone.
     """
+    _keep_freed_memory()
     b = len(batch.images)
     if b % workers != 0:
         raise ValueError(f"batch size {b} not divisible by workers {workers}")
@@ -279,6 +297,7 @@ def _eval_logits(cfg: M.ModelConfig, params: dict[str, Tensor],
     an unsharded forward within float32 rounding: shards of 16 images or
     more have given the same bits, but OpenBLAS picks other GEMM kernels
     for very small shards (1-2 images gave differences up to 3e-8)."""
+    _keep_freed_memory()
     shards = np.array_split(images.astype(np.float32, copy=False),
                             min(_usable_cpus(), len(images)))
     return np.concatenate(_run_shards(
@@ -544,18 +563,20 @@ def profile_step(cfg: TrainConfig, params: dict[str, Tensor],
 
 def activation_estimate_bytes(cfg: M.ModelConfig, batch_size: int,
                               dtype_bytes: int = 4) -> int:
-    """Analytic peak-live-activation estimate for one forward walk; train()
-    logs it as metrics.log's peak_activation_bytes.
+    """Bytes of the arrays a train-mode forward's tape keeps for backward;
+    train() logs it as metrics.log's peak_activation_bytes.
 
-    Counts the largest working set among the pipeline stages; exactly linear
-    in batch size by construction (per-sample shapes only).
+    Per block: the LN1 output, q, k and v, each compressed projection's
+    latent, the attention weights P, the attention and o outputs, the FFN's
+    pre-activation h, the FFN output, the two residual sums and the two
+    layer norms' row statistics (mu and inv). Tokenization keeps the patch
+    rows, their embedding, its sum with the positional table and the token
+    sequence; the head its CLS rows, their norm and statistics, its h and
+    the logits. Exactly linear in batch size (per-sample shapes only).
     """
-    s, c = cfg.seq_len, cfg.embed_dim
-    h = cfg.num_heads
-    per_proj_latent = cfg.mla.d_c * len(cfg.mla.compressed())
-    attn_ws = 3 * s * c + 2 * h * s * s + s * c + s * per_proj_latent
-    ffn_ws = s * cfg.ffn_ratio * c + s * c
-    tokenize_ws = cfg.num_patches * cfg.patch_dim + s * c
-    block_peak = s * c + max(attn_ws, ffn_ws)  # residual stream + branch
-    per_sample = max(tokenize_ws, block_peak)
-    return per_sample * batch_size * dtype_bytes
+    s, c, n = cfg.seq_len, cfg.embed_dim, cfg.num_cls_tokens
+    per_block = (9 * s * c + cfg.num_heads * s * s + cfg.ffn_ratio * s * c + 4 * s
+                 + s * cfg.mla.d_c * len(cfg.mla.compressed()))
+    tokenize = cfg.num_patches * (cfg.patch_dim + 2 * c) + s * c
+    head = 2 * n * c + 2 * n + c + cfg.num_classes
+    return (cfg.depth * per_block + tokenize + head) * batch_size * dtype_bytes

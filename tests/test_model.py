@@ -1,6 +1,7 @@
 """Model ops against independent oracles: patchify index mapping, naive
 attention loops, SVD factorization, finite differences."""
 
+import tracemalloc
 import typing
 import zlib
 
@@ -256,48 +257,56 @@ class TestMlaFactor:
 # FFN
 
 class TestFfn:
+    """M.ffn is the pre-norm FFN branch of a block: layer norm norm2, then
+    the GELU MLP ffn, as one tape node."""
+
     @staticmethod
     def params(rng, c=6, hidden=24, dtype=np.float64, scale=1.0):
         return {
-            "ffn.w1": Tensor(rng.standard_normal((c, hidden)) * scale, requires_grad=True),
-            "ffn.b1": Tensor(np.zeros(hidden), requires_grad=True, dtype=dtype),
-            "ffn.w2": Tensor(rng.standard_normal((hidden, c)) * scale, requires_grad=True),
-            "ffn.b2": Tensor(np.zeros(c), requires_grad=True, dtype=dtype),
+            "blk.norm2.gamma": Tensor(np.ones(c), requires_grad=True, dtype=dtype),
+            "blk.norm2.beta": Tensor(np.zeros(c), requires_grad=True, dtype=dtype),
+            "blk.ffn.w1": Tensor(rng.standard_normal((c, hidden)) * scale, requires_grad=True),
+            "blk.ffn.b1": Tensor(np.zeros(hidden), requires_grad=True, dtype=dtype),
+            "blk.ffn.w2": Tensor(rng.standard_normal((hidden, c)) * scale, requires_grad=True),
+            "blk.ffn.b2": Tensor(np.zeros(c), requires_grad=True, dtype=dtype),
         }
 
     def test_zero_input_zero_biases(self):
         rng = np.random.default_rng(8)
         p = self.params(rng)
-        out = M.ffn(Tensor(np.zeros((3, 6))), p).data
+        out = M.ffn(Tensor(np.zeros((3, 6))), p, "blk").data
         assert np.allclose(out, 0.0)
 
     def test_identity_like_construction(self):
-        # w1 routes x0 into hidden0 with a +5 shift (gelu ~ identity there),
-        # b2 removes the shift: out0 ~ x0
+        # norm2 maps the row [x0, -x0] to [1, -1] * gamma + beta, so gamma
+        # x0 / 1 and beta 0 give back the row; w1 routes it into hidden0 with
+        # a +5 shift (gelu ~ identity there), b2 removes the shift: out0 ~ x0
         c, hidden = 2, 8
-        p = {
-            "ffn.w1": Tensor(np.zeros((c, hidden)), dtype=np.float64),
-            "ffn.b1": Tensor(np.zeros(hidden), dtype=np.float64),
-            "ffn.w2": Tensor(np.zeros((hidden, c)), dtype=np.float64),
-            "ffn.b2": Tensor(np.zeros(c), dtype=np.float64),
-        }
-        p["ffn.w1"].data[0, 0] = 1.0
-        p["ffn.b1"].data[0] = 5.0
-        p["ffn.w2"].data[0, 0] = 1.0
-        p["ffn.b2"].data[0] = -5.0
-        x = np.array([[0.37, -1.2]])
-        out = M.ffn(Tensor(x, dtype=np.float64), p).data
+        p = self.params(np.random.default_rng(0), c, hidden)
+        for name in ("ffn.w1", "ffn.w2"):
+            p[f"blk.{name}"].data[:] = 0.0
+        p["blk.norm2.gamma"].data[:] = 0.37
+        p["blk.ffn.w1"].data[0, 0] = 1.0
+        p["blk.ffn.b1"].data[0] = 5.0
+        p["blk.ffn.w2"].data[0, 0] = 1.0
+        p["blk.ffn.b2"].data[0] = -5.0
+        x = np.array([[0.37, -0.37]])
+        out = M.ffn(Tensor(x, dtype=np.float64), p, "blk").data
         assert out[0, 0] == pytest.approx(0.37, abs=1e-5)
         assert out[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_random_matches_composition_oracle(self):
         rng = np.random.default_rng(9)
         p = self.params(rng)
+        p["blk.norm2.gamma"].data += rng.normal(0.0, 0.5, 6)
+        p["blk.norm2.beta"].data += rng.normal(0.0, 0.5, 6)
         x = rng.standard_normal((4, 6))
-        h = x @ p["ffn.w1"].data + p["ffn.b1"].data
+        h = (x - x.mean(axis=1, keepdims=True)) / np.sqrt(x.var(axis=1, keepdims=True) + 1e-6)
+        h = h * p["blk.norm2.gamma"].data + p["blk.norm2.beta"].data
+        h = h @ p["blk.ffn.w1"].data + p["blk.ffn.b1"].data
         h = h * 0.5 * (1.0 + erf(h / np.sqrt(2.0)))
-        expected = h @ p["ffn.w2"].data + p["ffn.b2"].data
-        out = M.ffn(Tensor(x, dtype=np.float64), p).data
+        expected = h @ p["blk.ffn.w2"].data + p["blk.ffn.b2"].data
+        out = M.ffn(Tensor(x, dtype=np.float64), p, "blk").data
         assert np.abs(out - expected).max() <= 1e-10
 
 
@@ -322,11 +331,8 @@ class TestBlock:
         p.update({
             "blk.norm1.gamma": Tensor(np.ones(c), dtype=np.float64),
             "blk.norm1.beta": Tensor(np.zeros(c), dtype=np.float64),
-            "blk.norm2.gamma": Tensor(np.ones(c), dtype=np.float64),
-            "blk.norm2.beta": Tensor(np.zeros(c), dtype=np.float64),
         })
-        for k, v in TestFfn.params(rng, c, cfg.ffn_ratio * c, scale=scale).items():
-            p[f"blk.{k}"] = v
+        p.update(TestFfn.params(rng, c, cfg.ffn_ratio * c, scale=scale))
         return p
 
     def test_no_drop_train_equals_eval(self):
@@ -348,9 +354,29 @@ class TestBlock:
         # drop the attention branch, keep the ffn branch (scaled by 1/keep)
         out = M.block(x, p, cfg, "blk", drop_prob=drop, mode="train",
                       rng=_ScriptedRng([0.99, 0.0])).data
-        ffn_branch = M.ffn(T.layer_norm(x, p["blk.norm2.gamma"], p["blk.norm2.beta"]),
-                           p, prefix="blk.ffn").data
+        ffn_branch = M.ffn(x, p, "blk").data
         assert np.allclose(out, x.data + ffn_branch / (1.0 - drop), atol=1e-12)
+
+    def test_train_block_keeps_no_normalized_copy_or_phi(self):
+        # a float32 train-mode block keeps, per sample, the LN1 output, q, k,
+        # v, the attention and o outputs, the residual sum, the FFN output
+        # and the block output ([S,C] each), P, h and four row statistics.
+        # A kept normalized copy would add one more [S,C] array, Phi(h) four.
+        rng = np.random.default_rng(15)
+        cfg = M.ModelConfig(embed_dim=64, num_heads=4, depth=1)
+        params = M.init_params(cfg, rng)
+        b, s, c = 4, cfg.seq_len, cfg.embed_dim
+        x = Tensor(rng.standard_normal((b, s, c)).astype(np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with T.Tape():
+                M.block(x, params, cfg, "blocks.0", mode="train")
+                retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        kept = 4 * b * (9 * s * c + cfg.num_heads * s * s + s * cfg.ffn_ratio * c + 4 * s)
+        assert 0.9 * kept <= retained < kept + x.data.nbytes // 2
 
     @pytest.mark.parametrize("zeroed", ["attn", "ffn"])
     def test_monte_carlo_expectation(self, zeroed):
@@ -434,12 +460,12 @@ class TestForward:
         assert logits.tobytes() == expected.data.tobytes()
 
     @pytest.mark.parametrize("cfg, nodes", [
-        (M.ModelConfig(embed_dim=192, num_heads=12, depth=9, drop_path_rate=0.1), 98),
+        (M.ModelConfig(embed_dim=192, num_heads=12, depth=9, drop_path_rate=0.1), 89),
         (M.ModelConfig(embed_dim=64, num_heads=4, depth=3, mla=M.MlaConfig("kv", d_c=16),
-                       num_cls_tokens=2, drop_path_rate=0.1), 44),
+                       num_cls_tokens=2, drop_path_rate=0.1), 41),
     ], ids=["paper", "desk"])
     def test_train_tape_records_only_differentiable_ops(self, cfg, nodes):
-        # per block 2 layer norms, 4-7 linear, attention_core, mlp, 2 adds;
+        # per block a layer norm, 4-7 linear, attention_core, norm_mlp, 2 adds;
         # no node for the patch rearrangement or for a weight's layout
         rng = np.random.default_rng(0)
         params = M.init_params(cfg, rng)

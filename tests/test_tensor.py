@@ -171,6 +171,13 @@ class TestLayerNorm:
         with pytest.raises(ValueError):
             T.layer_norm(t64([[1.0]]), t64([1.0]), t64([0.0]), eps=0.0)
 
+    @pytest.mark.parametrize("ffn", [[], [(3, 4), (4,), (4, 3), (3,)]], ids=["layer_norm", "norm_mlp"])
+    def test_affine_must_be_channel_vectors(self, ffn):
+        op = T.norm_mlp if ffn else T.layer_norm
+        x, gamma, beta = t64(np.zeros((2, 3))), t64(np.ones((1, 3))), t64(np.zeros(3))
+        with pytest.raises(T.ShapeError, match=r"\(2, 3\), \(1, 3\), \(3,\)"):
+            op(x, gamma, beta, *(t64(np.zeros(s)) for s in ffn))
+
 
 # ---------------------------------------------------------------------------
 # activations
@@ -197,6 +204,46 @@ class TestActivation:
 def phi64(h):
     """The normal CDF (1 + erf(h / sqrt 2)) / 2 in float64, from scipy."""
     return (1.0 + special.erf(np.asarray(h, np.float64) / np.sqrt(2.0))) / 2.0
+
+
+def layer_norm_oracle(x, gamma, beta, g, eps=1e-6):
+    """Float64 layer norm of x and its VJP (dx, dgamma, dbeta) for the
+    cotangent g, by the textbook formulas on whole arrays."""
+    sd = np.sqrt(x.var(axis=-1, keepdims=True) + eps)
+    xhat = (x - x.mean(axis=-1, keepdims=True)) / sd
+    dxhat = g * gamma
+    dx = (dxhat - dxhat.mean(axis=-1, keepdims=True)
+          - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)) / sd
+    c = x.shape[-1]
+    return xhat * gamma + beta, [dx, (g * xhat).reshape(-1, c).sum(axis=0), g.reshape(-1, c).sum(axis=0)]
+
+
+def mlp_oracle(x, w1, b1, w2, b2, g):
+    """Float64 gelu(x w1 + b1) w2 + b2 and its VJP for the cotangent g,
+    with Phi(h) and GELU'(h) from scipy on whole arrays."""
+    x2, g2 = x.reshape(-1, w1.shape[0]), g.reshape(-1, w2.shape[1])
+    h = x2 @ w1 + b1
+    phi = phi64(h)
+    gh = (g2 @ w2.T) * (phi + h * np.exp(-h * h / 2.0) / np.sqrt(2.0 * np.pi))
+    y = ((h * phi) @ w2 + b2).reshape(x.shape[:-1] + w2.shape[1:])
+    return y, [(gh @ w1.T).reshape(x.shape), x2.T @ gh, gh.sum(axis=0), (h * phi).T @ g2,
+               g2.sum(axis=0)]
+
+
+def norm_mlp_oracle(x, gamma, beta, w1, b1, w2, b2, g):
+    """The unfused composition: layer_norm_oracle, then mlp_oracle."""
+    xn, _ = layer_norm_oracle(x, gamma, beta, np.zeros_like(x))
+    y, (gxn, *gw) = mlp_oracle(xn, w1, b1, w2, b2, g)
+    return y, layer_norm_oracle(x, gamma, beta, gxn)[1] + gw
+
+
+def op_and_vjp(op, arrays, g, dtype=np.float64):
+    """op's output and its VJP for the cotangent g, through the tape."""
+    ins = [Tensor(a, requires_grad=True, dtype=dtype) for a in arrays]
+    with Tape() as tape:
+        y = op(*ins)
+        loss = T.linear(T.reshape(y, (1, y.size)), Tensor(g.reshape(-1, 1), dtype=dtype))
+    return y.data, backward(loss, tape, ins)
 
 
 class TestErf:
@@ -229,22 +276,12 @@ class TestErf:
     def test_mlp_across_blocks_matches_oracle(self, dtype, tol):
         # 3 x 97 rows of 607 hidden units: a full block and a partial one
         rng = np.random.default_rng(2)
-        x, w1, b1, w2, b2 = arrays = [rng.normal(0.0, 1.0, s) / np.sqrt(s[0] if len(s) == 2 else 1)
-                                      for s in [(3, 97, 8), (8, 607), (607,), (607, 5), (5,)]]
+        arrays = [rng.normal(0.0, 1.0, s) / np.sqrt(s[0] if len(s) == 2 else 1)
+                  for s in [(3, 97, 8), (8, 607), (607,), (607, 5), (5,)]]
         r = rng.standard_normal((3, 97, 5))
-        # unblocked float64 numpy: y and the gradients of sum(y * r)
-        x2, g2 = x.reshape(-1, 8), r.reshape(-1, 5)
-        h = x2 @ w1 + b1
-        phi = (1.0 + special.erf(h / np.sqrt(2.0))) / 2.0
-        gh = (g2 @ w2.T) * (phi + h * np.exp(-h * h / 2.0) / np.sqrt(2.0 * np.pi))
-        want = [(h * phi) @ w2 + b2, (gh @ w1.T).reshape(x.shape), x2.T @ gh, gh.sum(axis=0),
-                (h * phi).T @ g2, g2.sum(axis=0)]
-        ins = [Tensor(a, requires_grad=True, dtype=dtype) for a in arrays]
-        with Tape() as tape:
-            y = T.mlp(*ins)
-            loss = T.linear(T.reshape(y, (1, y.size)), Tensor(r.reshape(-1, 1), dtype=dtype))
-        got = [y.data.reshape(-1, 5)] + backward(loss, tape, ins)
-        for g, w in zip(got, want):
+        y, grads = op_and_vjp(T.mlp, arrays, r, dtype)
+        want_y, want = mlp_oracle(*arrays, r)
+        for g, w in zip([y] + grads, [want_y] + want):
             assert g.dtype == dtype
             assert np.allclose(g, w, rtol=tol, atol=tol * np.abs(w).max())
 
@@ -299,6 +336,13 @@ class TestCrossEntropy:
     def test_non_normalized_target_rejected(self):
         with pytest.raises(ValueError, match="sums to"):
             T.cross_entropy(t64(np.zeros((1, 3))), np.array([[0.5, 0.2, 0.2]]))
+
+    @pytest.mark.parametrize("row", [[np.nan, 0.5, 0.5], [2.0, -1.0, 0.0]], ids=["nan", "negative"])
+    def test_target_row_outside_simplex_rejected(self, row):
+        # both rows pass a sum test: NaN compares false, and 2 - 1 + 0 is 1
+        targets = np.array([[0.0, 1.0, 0.0], row])
+        with pytest.raises(ValueError, match=r"target row 1 has an entry that is negative or NaN"):
+            T.cross_entropy(t64(np.zeros((2, 3))), targets)
 
 
 # ---------------------------------------------------------------------------
@@ -504,3 +548,85 @@ class TestVjpProperties:
         inputs = random_inputs(seed, (m, n), shape)
         err = cotangent_error(lambda a, b: T.add(a, b, scale), inputs, seed + 1)
         assert err < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# layer norm and the pre-norm FFN against numpy oracles
+
+ORACLES = {"layer_norm": (T.layer_norm, layer_norm_oracle),
+           "norm_mlp": (T.norm_mlp, norm_mlp_oracle),
+           "mlp": (T.mlp, mlp_oracle)}
+
+
+def oracle_shapes(name, lead, c, hidden, n_out):
+    ffn = [(c, hidden), (hidden,), (hidden, n_out), (n_out,)]
+    return {"layer_norm": [(*lead, c), (c,), (c,)], "mlp": [(*lead, c)] + ffn,
+            "norm_mlp": [(*lead, c), (c,), (c,)] + ffn}[name]
+
+
+def oracle_error(name, lead, c, hidden, n_out, seed):
+    """Max error of op `name`'s output and VJP, in float64, against its
+    numpy oracle at random inputs and a random cotangent, relative to each
+    array's largest entry or 1 if that is smaller (rows of one or two
+    channels normalize to constants, so their dx is O(eps) and all
+    rounding)."""
+    op, oracle = ORACLES[name]
+    rng = np.random.default_rng(seed)
+    arrays = [rng.standard_normal(s) for s in oracle_shapes(name, lead, c, hidden, n_out)]
+    r = rng.standard_normal(op(*[t64(a) for a in arrays]).shape)
+    y, grads = op_and_vjp(op, arrays, r)
+    want_y, want = oracle(*arrays, r)
+    return max(np.abs(g - w).max() / max(np.abs(w).max(), 1.0)
+               for g, w in zip([y] + grads, [want_y] + want))
+
+
+class TestOracleVjp:
+    @given(name=st.sampled_from(["layer_norm", "norm_mlp"]),
+           lead=st.lists(st.integers(1, 3), max_size=2), c=st.integers(1, 8),
+           hidden=st.integers(1, 8), n_out=st.integers(1, 5), seed=seeds)
+    @VJP_SETTINGS
+    def test_matches_numpy_oracle(self, name, lead, c, hidden, n_out, seed):
+        assert oracle_error(name, lead, c, hidden, n_out, seed) < 1e-10
+
+    def test_norm_mlp_is_layer_norm_then_mlp_bitwise_forward(self):
+        rng = np.random.default_rng(12)
+        x, gamma, beta = (t64(rng.standard_normal(s)) for s in [(2, 5, 6), (6,), (6,)])
+        ffn = [t64(rng.standard_normal(s)) for s in [(6, 24), (24,), (24, 6), (6,)]]
+        fused = T.norm_mlp(x, gamma, beta, *ffn).data
+        assert fused.tobytes() == T.mlp(T.layer_norm(x, gamma, beta), *ffn).data.tobytes()
+
+
+def _norm_vjp_without_mean_term(xhat, inv, gamma, g):
+    """A planted bug: layer norm's dx without its - mean(g gamma) term."""
+    dx, dgamma, dbeta = _REAL_NORM_VJP(xhat, inv, gamma, g)
+    return dx + inv * (g * gamma.data).mean(axis=-1, keepdims=True), dgamma, dbeta
+
+
+def _gelu_with_phi_as_derivative(h, gh=None):
+    """A planted bug: GELU'(h) taken as Phi(h), without the h pdf(h) term."""
+    a = _REAL_GELU(h)
+    if gh is not None:
+        gh *= T._normal_cdf(h)
+    return a
+
+
+_REAL_NORM_VJP, _REAL_GELU = T._norm_vjp, T._gelu
+
+
+class TestPlantedVjpBugs:
+    """The float64 finite-difference grad_check and the numpy oracle pass
+    each op, and each must fail when a planted bug breaks its VJP."""
+
+    @pytest.mark.parametrize("name, helper, planted", [
+        ("layer_norm", "_norm_vjp", _norm_vjp_without_mean_term),
+        ("norm_mlp", "_norm_vjp", _norm_vjp_without_mean_term),
+        ("norm_mlp", "_gelu", _gelu_with_phi_as_derivative),
+        ("mlp", "_gelu", _gelu_with_phi_as_derivative),
+    ], ids=["layer_norm-norm", "norm_mlp-norm", "norm_mlp-gelu", "mlp-gelu"])
+    def test_planted_bug_is_caught(self, name, helper, planted, monkeypatch):
+        shapes = oracle_shapes(name, (3, 4), 6, 8, 5)
+        assert oracle_error(name, (3, 4), 6, 8, 5, seed=3) < 1e-10
+        assert cotangent_error(ORACLES[name][0], random_inputs(3, *shapes), 4) < 1e-6
+        monkeypatch.setattr(T, helper, planted)
+        assert oracle_error(name, (3, 4), 6, 8, 5, seed=3) > 1e-2
+        assert cotangent_error(ORACLES[name][0], random_inputs(3, *shapes), 4) > 1e-2

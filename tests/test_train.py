@@ -2,11 +2,15 @@
 checkpoint resume, profiling bookkeeping, and the CLI plumbing."""
 
 import contextlib
+import ctypes
 import dataclasses
+import functools
 import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
+import types
 import typing
 from pathlib import Path
 
@@ -19,7 +23,7 @@ from tinyvitlab import data as D
 from tinyvitlab import model as M
 from tinyvitlab import optim as O
 from tinyvitlab import train as TR
-from tinyvitlab.tensor import Tensor
+from tinyvitlab.tensor import Tape, Tensor
 
 
 def tiny_train_config(**kw):
@@ -194,6 +198,42 @@ class TestParallelStep:
         b, _ = TR.parallel_train_step(cfg, params, batch, workers=4)
         for k in a:
             assert np.array_equal(a[k], b[k])
+
+    @staticmethod
+    def fake_libc(monkeypatch, **symbols):
+        """Serve ctypes.CDLL(None), the C library, as a namespace of
+        `symbols`, and give _keep_freed_memory a fresh once-per-process cache."""
+        real = ctypes.CDLL
+        monkeypatch.setattr(ctypes, "CDLL", lambda name, *a, **k: (
+            types.SimpleNamespace(**symbols) if name is None else real(name, *a, **k)))
+        monkeypatch.setattr(TR, "_keep_freed_memory",
+                            functools.cache(TR._keep_freed_memory.__wrapped__))
+
+    @pytest.mark.parametrize("first", ["step", "eval"])
+    def test_malloc_thresholds_set_once_per_process(self, first, monkeypatch):
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        self.fake_libc(monkeypatch, mallopt=mallopt)
+        cfg, params, batch = self.setup_case()
+        paths = {"step": lambda: TR.parallel_train_step(cfg, params, batch, workers=2),
+                 "eval": lambda: TR._eval_logits(cfg, params, batch.images)}
+        paths[first]()
+        # M_MMAP_THRESHOLD 32 MiB, M_TRIM_THRESHOLD 1 GiB
+        assert calls == [(-3, 32 << 20), (-1, 1 << 30)]
+        for path in ("step", "eval", "step"):
+            paths[path]()
+        assert len(calls) == 2
+
+    def test_without_mallopt_the_step_runs_unchanged(self, monkeypatch):
+        cfg, params, batch = self.setup_case()
+        want, loss = TR.parallel_train_step(cfg, params, batch, workers=1)
+        self.fake_libc(monkeypatch)   # a C library with no mallopt
+        got, got_loss = TR.parallel_train_step(cfg, params, batch, workers=1)
+        assert got_loss == loss and all(np.array_equal(got[k], want[k]) for k in want)
 
     def test_indivisible_shard_rejected(self):
         cfg, params, batch = self.setup_case(b=6)
@@ -864,6 +904,25 @@ class TestProfiler:
         one = TR.activation_estimate_bytes(cfg, 1)
         for b in (2, 7, 64, 256):
             assert TR.activation_estimate_bytes(cfg, b) == b * one
+
+    @pytest.mark.parametrize("cfg, batch", [
+        (M.ModelConfig(), 2),
+        (M.ModelConfig(embed_dim=64, num_heads=4, depth=3, mla=M.MlaConfig("kv", d_c=16),
+                       num_cls_tokens=2), 8),
+    ], ids=["paper", "desk"])
+    def test_activation_estimate_matches_retained_bytes(self, cfg, batch):
+        rng = np.random.default_rng(0)
+        params = M.init_params(cfg, rng)
+        images = Tensor(rng.standard_normal((batch, 3, 32, 32)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with Tape():
+                M.forward(cfg, params, images, mode="train", rng=rng)
+                retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert abs(TR.activation_estimate_bytes(cfg, batch) - retained) <= 0.1 * retained
 
     def test_activation_estimate_grows_with_model(self):
         small = TR.activation_estimate_bytes(
