@@ -272,29 +272,31 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32,
     return dict(sorted(params.items()))
 
 
-def _project(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
-    if f"{prefix}.weight" in params:
-        return T.linear(x, params[f"{prefix}.weight"])
-    return T.linear(T.linear(x, params[f"{prefix}.down"]), params[f"{prefix}.up"])
-
-
 # ---------------------------------------------------------------------------
 # forward pieces
 
-def attention(x: Tensor, params: dict[str, Tensor], cfg: ModelConfig,
-              prefix: str = "attn") -> Tensor:
-    """Multi-head scaled dot-product attention over [B,S,C]."""
-    q, k, v = (_project(x, params, f"{prefix}.{proj}") for proj in ("q", "k", "v"))
-    out = T.attention_core(q, k, v, cfg.num_heads)
-    return T.linear(out, params[f"{prefix}.o.weight"])
+def attention(x: Tensor, params: dict[str, Tensor], cfg: ModelConfig, prefix: str,
+              mask: np.ndarray | None = None) -> Tensor:
+    """The pre-norm attention branch of block `prefix` with its residual,
+    x + mask * attention(norm1(x)), as one tape node (T.norm_attention).
+    It reads `{prefix}.norm1.*` and `{prefix}.attn.{q,k,v,o}.*`, where each
+    of q, k and v is a full `weight` or, under MLA, a `down`/`up` pair.
+    `mask` is the drop-path mask [B,1,1]; None keeps the branch whole."""
+    attn = f"{prefix}.attn"
+    projections = [(params[f"{attn}.{proj}.weight"],) if f"{attn}.{proj}.weight" in params
+                   else (params[f"{attn}.{proj}.down"], params[f"{attn}.{proj}.up"])
+                   for proj in ("q", "k", "v")]
+    return T.norm_attention(x, params[f"{prefix}.norm1.gamma"], params[f"{prefix}.norm1.beta"],
+                            projections, params[f"{attn}.o.weight"], cfg.num_heads, mask)
 
 
-def ffn(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
-    """The pre-norm FFN branch of block `prefix` on its residual stream x:
-    layer norm `{prefix}.norm2`, then the GELU MLP `{prefix}.ffn`, as one
-    tape node (T.norm_mlp)."""
+def ffn(x: Tensor, params: dict[str, Tensor], prefix: str,
+        mask: np.ndarray | None = None) -> Tensor:
+    """The pre-norm FFN branch of block `prefix` with its residual,
+    x + mask * ffn(norm2(x)): layer norm `{prefix}.norm2`, then the GELU
+    MLP `{prefix}.ffn`, as one tape node (T.norm_mlp)."""
     return T.norm_mlp(x, *(params[f"{prefix}.{name}"] for name in (
-        "norm2.gamma", "norm2.beta", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")))
+        "norm2.gamma", "norm2.beta", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")), mask)
 
 
 def _drop_path_mask(batch: int, drop_prob: float, rng: np.random.Generator,
@@ -307,21 +309,21 @@ def _drop_path_mask(batch: int, drop_prob: float, rng: np.random.Generator,
 def block(x: Tensor, params: dict[str, Tensor], cfg: ModelConfig, prefix: str,
           drop_prob: float = 0.0, mode: str = "train",
           rng: np.random.Generator | None = None) -> Tensor:
-    """Pre-norm transformer block with per-sample stochastic depth."""
+    """Pre-norm transformer block with per-sample stochastic depth: two tape
+    nodes, the attention branch then the FFN branch, each with its residual.
+    In train mode with drop_prob > 0 each branch gets its own drop-path mask,
+    the attention branch's drawn first."""
     if not (0.0 <= drop_prob < 1.0):
         raise ConfigError("drop_prob must be in [0, 1)")
     train_drop = mode == "train" and drop_prob > 0.0
     if train_drop and rng is None:
         raise ValueError("drop-path in train mode needs an rng")
 
-    def residual(x: Tensor, branch: Tensor) -> Tensor:
-        mask = _drop_path_mask(x.shape[0], drop_prob, rng, x.data.dtype) if train_drop else None
-        return T.add(x, branch, mask)
+    def mask() -> np.ndarray | None:
+        return _drop_path_mask(x.shape[0], drop_prob, rng, x.data.dtype) if train_drop else None
 
-    x = residual(x, attention(T.layer_norm(x, params[f"{prefix}.norm1.gamma"],
-                                           params[f"{prefix}.norm1.beta"]), params, cfg,
-                              prefix=f"{prefix}.attn"))
-    return residual(x, ffn(x, params, prefix))
+    x = attention(x, params, cfg, prefix, mask())
+    return ffn(x, params, prefix, mask())
 
 
 def cls_head(tokens: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:

@@ -1,15 +1,16 @@
 """Dense tensors with tape-based reverse-mode automatic differentiation.
 
 The op set is closed over what the model needs: the dense layer `linear`,
-the fused exact-GELU `mlp` and its pre-norm form `norm_mlp` (a block's
-layer norm and FFN), the fused multi-head `attention_core`, `add` (with an
-optional constant scale on its second operand: the drop-path residual),
-`layer_norm`, soft-target `cross_entropy`, and the shape plumbing for the
-CLS tokens (reshape / narrow / prepend_tokens). No op transposes: weights
-are stored in `linear`'s [in, out] layout, and constant inputs such as
-images are rearranged in numpy before they reach an op. Training runs in
-float32; gradient checking runs the same code in float64. The GELU's erf
-(in `_normal_cdf`) is a rational approximation in float32 and
+the fused exact-GELU `mlp`, a block's two residual branches as one op each
+(`norm_attention`: layer norm, the q/k/v projections, multi-head
+attention, the output projection and the drop-path residual; `norm_mlp`:
+layer norm, the FFN and the drop-path residual), `add`, `layer_norm`,
+soft-target `cross_entropy`, and the shape plumbing for the CLS tokens
+(reshape / narrow / prepend_tokens). No op transposes: weights are stored
+in `linear`'s [in, out] layout, and constant inputs such as images are
+rearranged in numpy before they reach an op. Training runs in float32;
+gradient checking runs the same code in float64. The GELU's erf (in
+`_normal_cdf`) is a rational approximation in float32 and
 `scipy.special.erf` in float64, so scipy serves only the float64 path. Ops
 record nodes on the active `Tape`; `grads = backward(loss, tape, params)`
 returns the gradients, which are values, not state kept on tensors.
@@ -18,9 +19,14 @@ A node keeps its input tensors and what its VJP cannot cheaply rebuild
 from them: `mlp` its pre-activation h (Phi(h) is recomputed);
 `layer_norm` the row statistics mu and inv (xhat is rebuilt); `norm_mlp`
 mu, inv and h (the normalized input and Phi(h) are rebuilt);
-`attention_core` the attention weights P; `add` its constant scale;
-`cross_entropy` its targets and log-probabilities; the other ops nothing.
-A train-mode forward of the paper recipe at batch 32 keeps 251 MB.
+`norm_attention` mu, inv, the first-stage q/k/v GEMM output, any
+up-projected q, k or v and the attention weights P (the normalized input
+and the attention output P v are rebuilt); `cross_entropy` its targets and
+log-probabilities; the other ops nothing. A train-mode forward of the
+paper recipe at batch 32 keeps 193 MB, and the step peaks at 214 MB in
+backward. An op that no tape records frees what only its VJP would read:
+`norm_attention` drops P and q, k, v before its output projection, and
+`mlp` and `norm_mlp` write the GELU over h.
 
 Determinism: all reductions go through numpy with a fixed evaluation order,
 so repeated runs on the same inputs produce bitwise-identical results.
@@ -146,16 +152,23 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def _recording(inputs: tuple[Tensor, ...]) -> Tape | None:
+    """The active tape if it will record an op on `inputs`, else None. An op
+    that no tape will replay keeps nothing for a VJP and may free or
+    overwrite its intermediates early."""
+    tape = _active_tape()
+    return tape if tape is not None and any(t.requires_grad for t in inputs) else None
+
+
 def _make(data: np.ndarray, inputs: tuple[Tensor, ...], vjp) -> Tensor:
     """Wrap an op result, recording a backward node if a tape is active.
 
     `vjp` maps the output cotangent to a tuple of per-input cotangents
     (None entries are skipped).
     """
-    tape = _active_tape()
-    rec = tape is not None and any(t.requires_grad for t in inputs)
-    out = Tensor(data, requires_grad=rec)
-    if rec:
+    tape = _recording(inputs)
+    out = Tensor(data, requires_grad=tape is not None)
+    if tape is not None:
         tape._nodes.append((out, inputs, vjp))
     return out
 
@@ -209,16 +222,15 @@ def _normal_cdf(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _gelu(h: np.ndarray, gh: np.ndarray | None = None) -> np.ndarray:
-    """h * Phi(h), written block by block with no full-size Phi(h). Given the
-    cotangent gh of the GELU output, the same pass also scales gh in place
-    by GELU'(h) = Phi(h) + h pdf(h): a VJP recomputes Phi(h) rather than
-    keeping it."""
-    a = np.empty_like(h)
+def _gelu(h: np.ndarray, gh: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """h * Phi(h) into `out` (a new array if None; h itself overwrites h),
+    written block by block with no full-size Phi(h). Given the cotangent gh
+    of the GELU output, the same pass also scales gh in place by GELU'(h) =
+    Phi(h) + h pdf(h): a VJP recomputes Phi(h) rather than keeping it."""
+    a = np.empty_like(h) if out is None else out
     phi, d = _scratch(h, 2)
     for hb, ab, *gb in _blocks(h, a, *(() if gh is None else (gh,))):
         pb, db = _normal_cdf(hb, phi[:hb.size]), d[:hb.size]
-        np.multiply(hb, pb, out=ab)
         if gb:
             np.multiply(hb, -0.5, out=db)
             db *= hb
@@ -227,20 +239,17 @@ def _gelu(h: np.ndarray, gh: np.ndarray | None = None) -> np.ndarray:
             db *= hb
             db += pb
             gb[0] *= db
+        np.multiply(hb, pb, out=ab)
     return a
 
 
 # ---------------------------------------------------------------------------
 # arithmetic
 
-def add(a: Tensor, b: Tensor, b_scale: np.ndarray | None = None) -> Tensor:
-    """a + b, or a + b * b_scale for a constant array `b_scale` (the
-    drop-path mask of a residual), broadcasting like numpy."""
-    if b_scale is None:
-        return _make(a.data + b.data, (a, b),
-                     lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
-    return _make(a.data + b.data * b_scale, (a, b),
-                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g * b_scale, b.shape)))
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """a + b, broadcasting like numpy."""
+    return _make(a.data + b.data, (a, b),
+                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -270,14 +279,15 @@ def _check_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Non
                          "and b2 [out], got " + ", ".join(str(t.shape) for t in (x, w1, b1, w2, b2)))
 
 
-def _mlp_forward(x2: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor):
-    """(h, out) for rows x2: the pre-activation h = x2 w1 + b1, which the
-    VJP keeps, and out = gelu(h) w2 + b2."""
+def _mlp_forward(x2: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, keep: bool):
+    """(h, out) for rows x2: the pre-activation h = x2 w1 + b1, which a VJP
+    keeps, and out = gelu(h) w2 + b2. Unless `keep`, the GELU overwrites h
+    and h is None."""
     h = x2 @ w1.data
     h += b1.data
-    out = _gelu(h) @ w2.data
+    out = _gelu(h, out=None if keep else h) @ w2.data
     out += b2.data
-    return h, out
+    return (h if keep else None), out
 
 
 def _mlp_vjp(x2: np.ndarray, h: np.ndarray, g: np.ndarray, w1: Tensor, w2: Tensor):
@@ -295,35 +305,15 @@ def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     keeps x and the pre-activation h; its VJP recomputes Phi(h). The GEMMs
     are linear's; the GELU and its derivative run block by block (_gelu)."""
     _check_mlp(x, w1, b1, w2, b2)
+    inputs = (x, w1, b1, w2, b2)
     x2 = x.data.reshape(-1, w1.shape[0])
-    h, out = _mlp_forward(x2, w1, b1, w2, b2)
+    h, out = _mlp_forward(x2, w1, b1, w2, b2, keep=_recording(inputs) is not None)
 
     def vjp(g):
         gx, *gw = _mlp_vjp(x2, h, g, w1, w2)
         return (gx.reshape(x.shape) if x.requires_grad else None, *gw)
 
-    return _make(out.reshape(x.shape[:-1] + w2.shape[1:]), (x, w1, b1, w2, b2), vjp)
-
-
-def norm_mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
-             b2: Tensor, eps: float = 1e-6) -> Tensor:
-    """mlp(layer_norm(x, gamma, beta, eps), w1, b1, w2, b2): a pre-norm FFN
-    as one tape node. It keeps x, the row statistics mu and inv, and h; its
-    VJP rebuilds the normalized input from them and recomputes Phi(h)."""
-    _check_norm(x, gamma, beta, eps)
-    _check_mlp(x, w1, b1, w2, b2)
-    c = x.shape[-1]
-    xhat, mu, inv = _normalize(x.data, eps)
-    h, out = _mlp_forward(_affine(xhat, gamma, beta).reshape(-1, c), w1, b1, w2, b2)
-    del xhat
-
-    def vjp(g):
-        xhat = x.data - mu
-        xhat *= inv
-        gxn, *gw = _mlp_vjp(_affine(xhat.copy(), gamma, beta).reshape(-1, c), h, g, w1, w2)
-        return (*_norm_vjp(xhat, inv, gamma, gxn.reshape(x.shape)), *gw)
-
-    return _make(out.reshape(x.shape[:-1] + w2.shape[1:]), (x, gamma, beta, w1, b1, w2, b2), vjp)
+    return _make(out.reshape(x.shape[:-1] + w2.shape[1:]), inputs, vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -360,49 +350,7 @@ def prepend_tokens(tokens: Tensor, x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# attention, normalization and loss
-
-def attention_core(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
-    """Multi-head softmax(q k^T / sqrt(d)) v for q, k, v [B,S,C] with C split
-    into `heads` heads of d channels; the head split and merge are views.
-
-    One tape node, which keeps only the attention weights P. Its VJP is the
-    FlashAttention backward algebra without tiling: dV = P^T g, dP = g V^T,
-    dS = P * (dP - rowsum(dP * P)) / sqrt(d), dQ = dS K, dK = dS^T Q. The
-    1/sqrt(d) is applied to q and to dQ and dK, each a quarter of P's size at
-    the paper recipe, rather than to the scores and to dS.
-    """
-    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape or heads < 1 or q.shape[2] % heads:
-        raise ShapeError(f"attention_core needs equal [B,S,C] q, k, v with C divisible by {heads} "
-                         f"heads, got {q.shape}, {k.shape}, {v.shape}")
-    b, s, c = q.shape
-    d = c // heads
-
-    def split(a: np.ndarray) -> np.ndarray:       # [B,S,C] -> [B,h,S,d]
-        return a.reshape(b, s, heads, d).transpose(0, 2, 1, 3)
-
-    def merge(a: np.ndarray) -> np.ndarray:       # [B,h,S,d] -> [B,S,C]
-        return a.transpose(0, 2, 1, 3).reshape(b, s, c)
-
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    scale = q.data.dtype.type(1.0 / np.sqrt(d))
-    p = (qh * scale) @ kh.transpose(0, 1, 3, 2)
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        gh = split(g)
-        ds = gh @ vh.transpose(0, 1, 3, 2)       # dP, made into sqrt(d) dS in place
-        ds -= np.einsum("...ij,...ij->...i", ds, p)[..., None]
-        ds *= p
-        gq, gk = merge(ds @ kh), merge(ds.transpose(0, 1, 3, 2) @ qh)
-        gq *= scale
-        gk *= scale
-        return gq, gk, merge(p.transpose(0, 1, 3, 2) @ gh)
-
-    return _make(merge(p @ vh), (q, k, v), vjp)
-
+# layer normalization
 
 def _check_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> None:
     if gamma.shape != x.shape[-1:] or beta.shape != x.shape[-1:]:
@@ -426,6 +374,13 @@ def _normalize(x: np.ndarray, eps: float):
     np.divide(1.0, inv, out=inv)
     xhat *= inv
     return xhat, mu, inv
+
+
+def _xhat(x: np.ndarray, mu: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """xhat = (x - mu) * inv, rebuilt by a VJP from the kept row statistics."""
+    xhat = x - mu
+    xhat *= inv
+    return xhat
 
 
 def _affine(xhat: np.ndarray, gamma: Tensor, beta: Tensor) -> np.ndarray:
@@ -461,14 +416,182 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     mu and inv; its VJP rebuilds xhat from them."""
     _check_norm(x, gamma, beta, eps)
     xhat, mu, inv = _normalize(x.data, eps)
+    return _make(_affine(xhat, gamma, beta), (x, gamma, beta),
+                 lambda g: _norm_vjp(_xhat(x.data, mu, inv), inv, gamma, g))
+
+
+# ---------------------------------------------------------------------------
+# a block's two residual branches: x + mask * branch(layer_norm(x))
+
+def _residual(x: np.ndarray, y: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    """x + y * mask (x + y if mask is None), in place in the branch output y,
+    shaped like x."""
+    y = y.reshape(x.shape)
+    if mask is not None:
+        y *= mask
+    y += x
+    return y
+
+
+def _residual_vjp(xhat: np.ndarray, inv: np.ndarray, gamma: Tensor, gxn: np.ndarray,
+                  g: np.ndarray):
+    """(dx, dgamma, dbeta) of x + branch(layer_norm(x)) for the cotangent g
+    of the sum, given the cotangent gxn of the normalized input: layer
+    norm's VJP, plus g along the residual."""
+    dx, dgamma, dbeta = _norm_vjp(xhat, inv, gamma, gxn)
+    dx += g
+    return dx, dgamma, dbeta
+
+
+def norm_mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
+             b2: Tensor, mask: np.ndarray | None = None, eps: float = 1e-6) -> Tensor:
+    """x + mask * mlp(layer_norm(x, gamma, beta, eps), w1, b1, w2, b2): a
+    pre-norm FFN branch and its residual as one tape node. `mask` is a
+    constant that broadcasts against x, such as a drop-path mask [B,1,1];
+    None means 1. The node keeps x, the row statistics mu and inv, and h;
+    its VJP rebuilds the normalized input and recomputes Phi(h). When no
+    tape records it, the GELU overwrites h."""
+    _check_norm(x, gamma, beta, eps)
+    _check_mlp(x, w1, b1, w2, b2)
+    if w2.shape[1:] != x.shape[-1:]:
+        raise ShapeError(f"norm_mlp's residual needs w2 [hidden, C] for x [..., C], "
+                         f"got {w2.shape} and {x.shape}")
+    inputs = (x, gamma, beta, w1, b1, w2, b2)
+    c = x.shape[-1]
+    xhat, mu, inv = _normalize(x.data, eps)
+    h, out = _mlp_forward(_affine(xhat, gamma, beta).reshape(-1, c), w1, b1, w2, b2,
+                          keep=_recording(inputs) is not None)
+    del xhat
 
     def vjp(g):
-        xhat = x.data - mu
-        xhat *= inv
-        return _norm_vjp(xhat, inv, gamma, g)
+        xhat = _xhat(x.data, mu, inv)
+        gxn, *gw = _mlp_vjp(_affine(xhat.copy(), gamma, beta).reshape(-1, c), h,
+                            g if mask is None else g * mask, w1, w2)
+        return (*_residual_vjp(xhat, inv, gamma, gxn.reshape(x.shape), g), *gw)
 
-    return _make(_affine(xhat, gamma, beta), (x, gamma, beta), vjp)
+    return _make(_residual(x.data, out, mask), inputs, vjp)
 
+
+def _attention_weights(qh: np.ndarray, kh: np.ndarray) -> np.ndarray:
+    """P = softmax(q k^T / sqrt(d)) over the keys for per-head q and k
+    [..., S, d]. The 1/sqrt(d) scales q, a quarter of P's size at the paper
+    recipe, rather than the scores."""
+    scale = qh.dtype.type(1.0 / np.sqrt(qh.shape[-1]))
+    p = (qh * scale) @ kh.swapaxes(-1, -2)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
+
+
+def _softmax_vjp(dp: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The cotangent P * (dP - rowsum(dP * P)) of the softmax inputs whose
+    rows P are, for the cotangent dP of P, in place in dP."""
+    dp -= np.einsum("...ij,...ij->...i", dp, p)[..., None]
+    dp *= p
+    return dp
+
+
+def _check_attention(x: Tensor, projections, wo: Tensor, heads: int) -> None:
+    c = x.shape[-1]
+    if not (x.ndim == 3 and heads >= 1 and c % heads == 0 and len(projections) == 3
+            and wo.shape == (c, c) and all(
+                len(p) == 1 and p[0].shape == (c, c)
+                or len(p) == 2 and p[0].ndim == 2 and p[0].shape[0] == c
+                and p[1].shape == (p[0].shape[1], c) for p in projections)):
+        raise ShapeError(f"norm_attention needs x [B,S,C] with C divisible by {heads} heads, "
+                         f"q, k and v each (w [C,C],) or (down [C,d_c], up [d_c,C]), and wo [C,C], "
+                         f"got x {x.shape}, q/k/v {[[t.shape for t in p] for p in projections]}, "
+                         f"wo {wo.shape}")
+
+
+def norm_attention(x: Tensor, gamma: Tensor, beta: Tensor, projections, wo: Tensor, heads: int,
+                   mask: np.ndarray | None = None, eps: float = 1e-6) -> Tensor:
+    """x + mask * (attention(layer_norm(x, gamma, beta, eps)) @ wo): a
+    pre-norm multi-head attention branch and its residual as one tape node.
+
+    `projections` holds q's, k's and v's weights, each (w,) for a full [C,C]
+    projection or (down, up) for a latent one, [C,d_c] then [d_c,C]. The
+    first-stage matrices of all three run as one GEMM; the `up` GEMMs
+    follow. Attention is softmax(q k^T / sqrt(d)) v per head, with C split
+    into `heads` heads of d channels; the head split and merge are views.
+    `mask` is as in norm_mlp.
+
+    The node keeps x, the row statistics mu and inv, the first-stage output
+    (a latent is a view of it), the up-projected q, k or v, and the
+    attention weights P. Its VJP rebuilds the normalized input and the
+    attention output P v, and runs the FlashAttention backward algebra
+    without tiling: dV = P^T g, dP = g V^T, dS = P * (dP - rowsum(dP * P))
+    / sqrt(d), dQ = dS K, dK = dS^T Q. The normalized input's cotangent is
+    one GEMM of the first stage's. When no tape records the node, P and
+    q, k, v are freed before the output projection.
+    """
+    _check_norm(x, gamma, beta, eps)
+    _check_attention(x, projections, wo, heads)
+    inputs = (x, gamma, beta, *(t for proj in projections for t in proj), wo)
+    b, s, c = x.shape
+    d = c // heads
+    scale = x.dtype.type(1.0 / np.sqrt(d))
+
+    def split(a: np.ndarray) -> np.ndarray:       # [B*S,C] -> [B,h,S,d]
+        return a.reshape(b, s, heads, d).transpose(0, 2, 1, 3)
+
+    def merge(a: np.ndarray) -> np.ndarray:       # [B,h,S,d] -> [B*S,C]
+        return a.transpose(0, 2, 1, 3).reshape(b * s, c)
+
+    def stacked() -> np.ndarray:                  # the first-stage matrices side by side
+        return np.concatenate([proj[0].data for proj in projections], axis=1)
+
+    cols = np.cumsum([0] + [proj[0].shape[1] for proj in projections])
+    xhat, mu, inv = _normalize(x.data, eps)
+    first = _affine(xhat, gamma, beta).reshape(-1, c) @ stacked()
+    del xhat
+    qkv = [first[:, lo:hi] if len(proj) == 1 else first[:, lo:hi] @ proj[1].data
+           for proj, lo, hi in zip(projections, cols, cols[1:])]
+    qh, kh, vh = map(split, qkv)
+    p = _attention_weights(qh, kh)
+    ctx = p @ vh
+    if _recording(inputs) is None:
+        del p, first, qkv, qh, kh, vh
+    y = merge(ctx) @ wo.data
+    del ctx
+
+    def cotangents(ds: np.ndarray, gh: np.ndarray):
+        """dQ, dK and dV as [B*S,C] rows, one at a time."""
+        gt = merge(ds @ kh)
+        gt *= scale
+        yield gt
+        gt = merge(ds.swapaxes(-1, -2) @ qh)
+        gt *= scale
+        yield gt
+        yield merge(p.swapaxes(-1, -2) @ gh)
+
+    def vjp(g):
+        gy = (g if mask is None else g * mask).reshape(-1, c)
+        gwo = merge(p @ vh).T @ gy
+        gh = split(gy @ wo.data.T)
+        ds = _softmax_vjp(gh @ vh.swapaxes(-1, -2), p)      # sqrt(d) dS
+        gfirst, gups = np.empty_like(first), []
+        for proj, lo, hi, gt in zip(projections, cols, cols[1:], cotangents(ds, gh)):
+            if len(proj) == 2:
+                gups.append(first[:, lo:hi].T @ gt)
+                gt = gt @ proj[1].data.T
+            else:
+                gups.append(None)
+            gfirst[:, lo:hi] = gt
+        del ds, gh
+        xhat = _xhat(x.data, mu, inv)
+        gw1 = _affine(xhat.copy(), gamma, beta).reshape(-1, c).T @ gfirst
+        dnorm = _residual_vjp(xhat, inv, gamma, (gfirst @ stacked().T).reshape(x.shape), g)
+        gprojections = [gw for lo, hi, gup in zip(cols, cols[1:], gups)
+                        for gw in (gw1[:, lo:hi], gup) if gw is not None]
+        return (*dnorm, *gprojections, gwo)
+
+    return _make(_residual(x.data, y, mask), inputs, vjp)
+
+
+# ---------------------------------------------------------------------------
+# loss
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:
     """Mean over the batch of -sum(targets * log_softmax(logits)).

@@ -563,20 +563,28 @@ def profile_step(cfg: TrainConfig, params: dict[str, Tensor],
 
 def activation_estimate_bytes(cfg: M.ModelConfig, batch_size: int,
                               dtype_bytes: int = 4) -> int:
-    """Bytes of the arrays a train-mode forward's tape keeps for backward;
-    train() logs it as metrics.log's peak_activation_bytes.
+    """Peak bytes of a training step's activations: the arrays a train-mode
+    forward's tape keeps for backward, plus the scratch of the VJP that
+    needs the most, the last block's FFN branch (T.norm_mlp). train() logs
+    it as metrics.log's peak_activation_bytes.
 
-    Per block: the LN1 output, q, k and v, each compressed projection's
-    latent, the attention weights P, the attention and o outputs, the FFN's
-    pre-activation h, the FFN output, the two residual sums and the two
-    layer norms' row statistics (mu and inv). Tokenization keeps the patch
-    rows, their embedding, its sum with the positional table and the token
-    sequence; the head its CLS rows, their norm and statistics, its h and
-    the logits. Exactly linear in batch size (per-sample shapes only).
+    Per block the tape keeps the two branch outputs, the first-stage q/k/v
+    GEMM output (each compressed projection's latent in it), the
+    up-projected q, k or v, the attention weights P, the FFN's
+    pre-activation h and the two layer norms' row statistics (mu and inv).
+    Tokenization keeps the patch rows, their embedding, its sum with the
+    positional table and the token sequence; the head its CLS rows, their
+    norm and statistics, its h and the logits. The last FFN branch's VJP
+    adds the cotangent of its output and that times the drop-path mask,
+    the rebuilt normalized input (twice: before and after the affine), and
+    the cotangent of h and the recomputed GELU of h, each hidden-sized.
+    Exactly linear in batch size (per-sample shapes only; the GELU passes'
+    fixed-size block buffers are left out).
     """
-    s, c, n = cfg.seq_len, cfg.embed_dim, cfg.num_cls_tokens
-    per_block = (9 * s * c + cfg.num_heads * s * s + cfg.ffn_ratio * s * c + 4 * s
+    s, c, n, r = cfg.seq_len, cfg.embed_dim, cfg.num_cls_tokens, cfg.ffn_ratio
+    per_block = (5 * s * c + cfg.num_heads * s * s + r * s * c + 4 * s
                  + s * cfg.mla.d_c * len(cfg.mla.compressed()))
     tokenize = cfg.num_patches * (cfg.patch_dim + 2 * c) + s * c
     head = 2 * n * c + 2 * n + c + cfg.num_classes
-    return (cfg.depth * per_block + tokenize + head) * batch_size * dtype_bytes
+    ffn_vjp = (4 + 2 * r) * s * c
+    return (cfg.depth * per_block + tokenize + head + ffn_vjp) * batch_size * dtype_bytes

@@ -49,14 +49,18 @@ def effective_projection(params, prefix):
     return params[f"{prefix}.down"].data @ params[f"{prefix}.up"].data
 
 
-def attention_oracle(x, params, cfg, prefix="attn"):
-    """Independent per-head loop with scalar softmax."""
+def attention_oracle(x, params, cfg, prefix="blk"):
+    """The attention branch with its residual, x + attention(norm1(x)): a
+    float64 layer norm, then an independent per-head loop with scalar
+    softmax."""
     h, dk = cfg.num_heads, cfg.head_dim
-    wq = effective_projection(params, f"{prefix}.q")
-    wk = effective_projection(params, f"{prefix}.k")
-    wv = effective_projection(params, f"{prefix}.v")
-    wo = params[f"{prefix}.o.weight"].data
-    q, k, v = x @ wq, x @ wk, x @ wv
+    wq = effective_projection(params, f"{prefix}.attn.q")
+    wk = effective_projection(params, f"{prefix}.attn.k")
+    wv = effective_projection(params, f"{prefix}.attn.v")
+    wo = params[f"{prefix}.attn.o.weight"].data
+    xn = (x - x.mean(axis=-1, keepdims=True)) / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-6)
+    xn = xn * params[f"{prefix}.norm1.gamma"].data + params[f"{prefix}.norm1.beta"].data
+    q, k, v = xn @ wq, xn @ wk, xn @ wv
     s = x.shape[0]
     heads = []
     for i in range(h):
@@ -69,7 +73,7 @@ def attention_oracle(x, params, cfg, prefix="attn"):
             w /= w.sum()
             out[a] = w @ vi
         heads.append(out)
-    return np.concatenate(heads, axis=1) @ wo
+    return x + np.concatenate(heads, axis=1) @ wo
 
 
 def test_criterion_1_gradient_correctness():
@@ -114,11 +118,13 @@ def test_criterion_2_attention_oracle_equivalence():
         for proj in ("q", "k", "v"):
             fac = M.mla_factor(cfg.mla.compressed(), proj, 32, 8, rng, np.float64)
             for name, arr in fac.items():
-                params[f"attn.{proj}.{name}"] = Tensor(arr * 10, requires_grad=True)
-        params["attn.o.weight"] = Tensor(
+                params[f"blk.attn.{proj}.{name}"] = Tensor(arr * 10, requires_grad=True)
+        params["blk.attn.o.weight"] = Tensor(
             M.trunc_normal(rng, (32, 32), dtype=np.float64) * 10, requires_grad=True)
         x = rng.standard_normal((seq, 32))
-        got = M.attention(Tensor(x[None], dtype=np.float64), params, cfg).data[0]
+        params["blk.norm1.gamma"] = Tensor(1.0 + 0.5 * rng.standard_normal(32), requires_grad=True)
+        params["blk.norm1.beta"] = Tensor(0.5 * rng.standard_normal(32), requires_grad=True)
+        got = M.attention(Tensor(x[None], dtype=np.float64), params, cfg, "blk").data[0]
         want = attention_oracle(x, params, cfg)
         rel = np.abs(got - want).max() / max(np.abs(want).max(), 1e-300)
         worst = max(worst, rel)

@@ -19,14 +19,17 @@ def tiny_config(variant="none", d_c=8, n_cls=1, **kw):
                          num_cls_tokens=n_cls, mla=M.MlaConfig(variant, d_c), **kw)
 
 
-def make_attn_params(cfg, rng, dtype=np.float64, prefix="attn"):
+def make_attn_params(cfg, rng, dtype=np.float64, prefix="blk"):
+    """Block `prefix`'s attention-branch parameters: norm1 with a fixed
+    non-trivial affine (drawing nothing from rng), then q, k, v and o."""
     c, dc = cfg.embed_dim, cfg.mla.d_c
     compressed = cfg.mla.compressed()
-    params = {}
+    params = {f"{prefix}.norm1.gamma": Tensor(np.linspace(0.5, 1.5, c), requires_grad=True, dtype=dtype),
+              f"{prefix}.norm1.beta": Tensor(np.linspace(-0.2, 0.2, c), requires_grad=True, dtype=dtype)}
     for proj in ("q", "k", "v"):
         for name, arr in M.mla_factor(compressed, proj, c, dc, rng, dtype).items():
-            params[f"{prefix}.{proj}.{name}"] = Tensor(arr * 10, requires_grad=True)
-    params[f"{prefix}.o.weight"] = Tensor(
+            params[f"{prefix}.attn.{proj}.{name}"] = Tensor(arr * 10, requires_grad=True)
+    params[f"{prefix}.attn.o.weight"] = Tensor(
         M.trunc_normal(rng, (c, c), dtype=dtype) * 10, requires_grad=True)
     return params
 
@@ -38,14 +41,23 @@ def effective_projection(params, prefix):
     return params[f"{prefix}.down"].data @ params[f"{prefix}.up"].data
 
 
-def attention_oracle(x, params, cfg, prefix="attn"):
-    """Naive per-head loop: explicit Q/K/V materialization, scalar softmax."""
+def norm1(x, params, prefix="blk"):
+    """Float64 layer norm of the rows of x with block `prefix`'s norm1 affine."""
+    xhat = (x - x.mean(axis=-1, keepdims=True)) / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-6)
+    return xhat * params[f"{prefix}.norm1.gamma"].data + params[f"{prefix}.norm1.beta"].data
+
+
+def attention_oracle(x, params, cfg, prefix="blk"):
+    """The attention branch with its residual, x + attention(norm1(x)): a
+    float64 layer norm, then a naive per-head loop with explicit Q/K/V
+    materialization and a scalar softmax."""
     h, dk = cfg.num_heads, cfg.head_dim
-    wq = effective_projection(params, f"{prefix}.q")
-    wk = effective_projection(params, f"{prefix}.k")
-    wv = effective_projection(params, f"{prefix}.v")
-    wo = params[f"{prefix}.o.weight"].data
-    q, k, v = x @ wq, x @ wk, x @ wv
+    wq = effective_projection(params, f"{prefix}.attn.q")
+    wk = effective_projection(params, f"{prefix}.attn.k")
+    wv = effective_projection(params, f"{prefix}.attn.v")
+    wo = params[f"{prefix}.attn.o.weight"].data
+    xn = norm1(x, params, prefix)
+    q, k, v = xn @ wq, xn @ wk, xn @ wv
     s = x.shape[0]
     heads = []
     for i in range(h):
@@ -61,7 +73,7 @@ def attention_oracle(x, params, cfg, prefix="attn"):
             for b in range(s):
                 out[a] += w[b] * vi[b]
         heads.append(out)
-    return np.concatenate(heads, axis=1) @ wo
+    return x + np.concatenate(heads, axis=1) @ wo
 
 
 # ---------------------------------------------------------------------------
@@ -179,21 +191,21 @@ class TestAttention:
         cfg = tiny_config()
         params = make_attn_params(cfg, rng)
         x = rng.standard_normal((1, cfg.embed_dim))
-        out = M.attention(Tensor(x[None], dtype=np.float64), params, cfg).data[0]
-        wv = effective_projection(params, "attn.v")
-        wo = params["attn.o.weight"].data
-        assert np.allclose(out, (x @ wv) @ wo, atol=1e-12)
+        out = M.attention(Tensor(x[None], dtype=np.float64), params, cfg, "blk").data[0]
+        wv = effective_projection(params, "blk.attn.v")
+        wo = params["blk.attn.o.weight"].data
+        assert np.allclose(out, x + (norm1(x, params) @ wv) @ wo, atol=1e-12)
 
     def test_zero_query_uniform_attention(self):
         rng = np.random.default_rng(4)
         cfg = tiny_config()
         params = make_attn_params(cfg, rng)
-        params["attn.q.weight"] = Tensor(np.zeros((32, 32)), requires_grad=True)
+        params["blk.attn.q.weight"] = Tensor(np.zeros((32, 32)), requires_grad=True)
         x = rng.standard_normal((5, cfg.embed_dim))
-        out = M.attention(Tensor(x[None], dtype=np.float64), params, cfg).data[0]
-        wv = effective_projection(params, "attn.v")
-        wo = params["attn.o.weight"].data
-        expected = np.tile(((x @ wv).mean(axis=0) @ wo), (5, 1))
+        out = M.attention(Tensor(x[None], dtype=np.float64), params, cfg, "blk").data[0]
+        wv = effective_projection(params, "blk.attn.v")
+        wo = params["blk.attn.o.weight"].data
+        expected = x + np.tile(((norm1(x, params) @ wv).mean(axis=0) @ wo), (5, 1))
         assert np.allclose(out, expected, atol=1e-12)
 
     @pytest.mark.parametrize("variant", typing.get_args(M.MlaVariant))
@@ -203,7 +215,7 @@ class TestAttention:
         cfg = tiny_config(variant=variant)
         params = make_attn_params(cfg, rng)
         x = rng.standard_normal((seq, cfg.embed_dim))
-        out = M.attention(Tensor(x[None], dtype=np.float64), params, cfg).data[0]
+        out = M.attention(Tensor(x[None], dtype=np.float64), params, cfg, "blk").data[0]
         expected = attention_oracle(x, params, cfg)
         scale = np.abs(expected).max()
         assert np.abs(out - expected).max() <= 1e-10 * max(scale, 1.0)
@@ -234,18 +246,18 @@ class TestMlaFactor:
         # rank-dc reference obtained by SVD truncation
         u, s, vt = np.linalg.svd(rng.standard_normal((c, c)))
         w_ref = u[:, :dc] @ np.diag(s[:dc]) @ vt[:dc]
-        params["attn.q.weight"] = Tensor(w_ref, requires_grad=True)
+        params["blk.attn.q.weight"] = Tensor(w_ref, requires_grad=True)
 
         fcfg = tiny_config(variant="q", d_c=dc)
         fparams = dict(params)
-        del fparams["attn.q.weight"]
-        fparams["attn.q.down"] = Tensor(u[:, :dc] @ np.diag(s[:dc]), requires_grad=True)
-        fparams["attn.q.up"] = Tensor(vt[:dc], requires_grad=True)
-        assert np.allclose(effective_projection(fparams, "attn.q"), w_ref, atol=1e-12)
+        del fparams["blk.attn.q.weight"]
+        fparams["blk.attn.q.down"] = Tensor(u[:, :dc] @ np.diag(s[:dc]), requires_grad=True)
+        fparams["blk.attn.q.up"] = Tensor(vt[:dc], requires_grad=True)
+        assert np.allclose(effective_projection(fparams, "blk.attn.q"), w_ref, atol=1e-12)
 
         x = Tensor(rng.standard_normal((1, 6, c)), dtype=np.float64)
-        full = M.attention(x, params, cfg).data
-        fact = M.attention(x, fparams, fcfg).data
+        full = M.attention(x, params, cfg, "blk").data
+        fact = M.attention(x, fparams, fcfg, "blk").data
         assert np.abs(full - fact).max() <= 1e-10 * max(np.abs(full).max(), 1.0)
 
     def test_compression_must_compress(self):
@@ -257,8 +269,8 @@ class TestMlaFactor:
 # FFN
 
 class TestFfn:
-    """M.ffn is the pre-norm FFN branch of a block: layer norm norm2, then
-    the GELU MLP ffn, as one tape node."""
+    """M.ffn is the pre-norm FFN branch of a block with its residual: x plus
+    layer norm norm2, then the GELU MLP ffn, as one tape node."""
 
     @staticmethod
     def params(rng, c=6, hidden=24, dtype=np.float64, scale=1.0):
@@ -280,7 +292,8 @@ class TestFfn:
     def test_identity_like_construction(self):
         # norm2 maps the row [x0, -x0] to [1, -1] * gamma + beta, so gamma
         # x0 / 1 and beta 0 give back the row; w1 routes it into hidden0 with
-        # a +5 shift (gelu ~ identity there), b2 removes the shift: out0 ~ x0
+        # a +5 shift (gelu ~ identity there), b2 removes the shift: the
+        # branch gives ~x0 in channel 0 and 0 in channel 1, added to x
         c, hidden = 2, 8
         p = self.params(np.random.default_rng(0), c, hidden)
         for name in ("ffn.w1", "ffn.w2"):
@@ -292,8 +305,8 @@ class TestFfn:
         p["blk.ffn.b2"].data[0] = -5.0
         x = np.array([[0.37, -0.37]])
         out = M.ffn(Tensor(x, dtype=np.float64), p, "blk").data
-        assert out[0, 0] == pytest.approx(0.37, abs=1e-5)
-        assert out[0, 1] == pytest.approx(0.0, abs=1e-12)
+        assert out[0, 0] == pytest.approx(2 * 0.37, abs=1e-5)
+        assert out[0, 1] == pytest.approx(-0.37, abs=1e-12)
 
     def test_random_matches_composition_oracle(self):
         rng = np.random.default_rng(9)
@@ -305,7 +318,7 @@ class TestFfn:
         h = h * p["blk.norm2.gamma"].data + p["blk.norm2.beta"].data
         h = h @ p["blk.ffn.w1"].data + p["blk.ffn.b1"].data
         h = h * 0.5 * (1.0 + erf(h / np.sqrt(2.0)))
-        expected = h @ p["blk.ffn.w2"].data + p["blk.ffn.b2"].data
+        expected = x + h @ p["blk.ffn.w2"].data + p["blk.ffn.b2"].data
         out = M.ffn(Tensor(x, dtype=np.float64), p, "blk").data
         assert np.abs(out - expected).max() <= 1e-10
 
@@ -326,12 +339,8 @@ class _ScriptedRng:
 class TestBlock:
     @staticmethod
     def block_params(cfg, rng, scale=1.0):
-        p = make_attn_params(cfg, rng, prefix="blk.attn")
+        p = make_attn_params(cfg, rng)
         c = cfg.embed_dim
-        p.update({
-            "blk.norm1.gamma": Tensor(np.ones(c), dtype=np.float64),
-            "blk.norm1.beta": Tensor(np.zeros(c), dtype=np.float64),
-        })
         p.update(TestFfn.params(rng, c, cfg.ffn_ratio * c, scale=scale))
         return p
 
@@ -354,14 +363,15 @@ class TestBlock:
         # drop the attention branch, keep the ffn branch (scaled by 1/keep)
         out = M.block(x, p, cfg, "blk", drop_prob=drop, mode="train",
                       rng=_ScriptedRng([0.99, 0.0])).data
-        ffn_branch = M.ffn(x, p, "blk").data
+        ffn_branch = M.ffn(x, p, "blk").data - x.data
         assert np.allclose(out, x.data + ffn_branch / (1.0 - drop), atol=1e-12)
 
     def test_train_block_keeps_no_normalized_copy_or_phi(self):
-        # a float32 train-mode block keeps, per sample, the LN1 output, q, k,
-        # v, the attention and o outputs, the residual sum, the FFN output
-        # and the block output ([S,C] each), P, h and four row statistics.
-        # A kept normalized copy would add one more [S,C] array, Phi(h) four.
+        # a float32 train-mode block is two tape nodes, which keep, per
+        # sample, the first-stage q/k/v GEMM output (three [S,C] arrays), the
+        # two branch outputs ([S,C] each), P, h and four row statistics.
+        # Keeping either normalized input, the attention output, the o
+        # output or the FFN output would add one more [S,C] array, Phi(h) four.
         rng = np.random.default_rng(15)
         cfg = M.ModelConfig(embed_dim=64, num_heads=4, depth=1)
         params = M.init_params(cfg, rng)
@@ -375,8 +385,31 @@ class TestBlock:
                 retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        kept = 4 * b * (9 * s * c + cfg.num_heads * s * s + s * cfg.ffn_ratio * c + 4 * s)
+        kept = 4 * b * (5 * s * c + cfg.num_heads * s * s + s * cfg.ffn_ratio * c + 4 * s)
         assert 0.9 * kept <= retained < kept + x.data.nbytes // 2
+
+    def test_eval_block_peak_frees_attention_early_and_gelu_in_place(self):
+        # with no tape the attention branch frees P and q, k, v before its
+        # output projection, and the FFN branch writes the GELU over h. At
+        # this size the block's peak is then the softmax: the first-stage
+        # q/k/v output (three [S,C] arrays per sample), the scaled q and P.
+        # Keeping P and q, k, v through the projection would add two [S,C]
+        # arrays to it; a separate GELU output makes the FFN's peak higher.
+        rng = np.random.default_rng(18)
+        cfg = M.ModelConfig(embed_dim=64, num_heads=4, depth=1)
+        params = M.init_params(cfg, rng)
+        b, s, c = 64, cfg.seq_len, cfg.embed_dim
+        x = Tensor(rng.standard_normal((b, s, c)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            M.block(x, params, cfg, "blocks.0", mode="eval")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        row = 4 * b * s * c
+        softmax = 4 * row + 4 * b * cfg.num_heads * s * s
+        assert softmax <= peak < softmax + row // 2
 
     @pytest.mark.parametrize("zeroed", ["attn", "ffn"])
     def test_monte_carlo_expectation(self, zeroed):
@@ -460,13 +493,13 @@ class TestForward:
         assert logits.tobytes() == expected.data.tobytes()
 
     @pytest.mark.parametrize("cfg, nodes", [
-        (M.ModelConfig(embed_dim=192, num_heads=12, depth=9, drop_path_rate=0.1), 89),
+        (M.ModelConfig(embed_dim=192, num_heads=12, depth=9, drop_path_rate=0.1), 26),
         (M.ModelConfig(embed_dim=64, num_heads=4, depth=3, mla=M.MlaConfig("kv", d_c=16),
-                       num_cls_tokens=2, drop_path_rate=0.1), 41),
+                       num_cls_tokens=2, drop_path_rate=0.1), 14),
     ], ids=["paper", "desk"])
     def test_train_tape_records_only_differentiable_ops(self, cfg, nodes):
-        # per block a layer norm, 4-7 linear, attention_core, norm_mlp, 2 adds;
-        # no node for the patch rearrangement or for a weight's layout
+        # per block norm_attention and norm_mlp, with their drop-path
+        # residuals; no node for the patch rearrangement or a weight's layout
         rng = np.random.default_rng(0)
         params = M.init_params(cfg, rng)
         images = Tensor(rng.standard_normal((2, 3, 32, 32)).astype(np.float32))
@@ -526,24 +559,26 @@ class TestForward:
     @pytest.mark.parametrize("n_cls", [1, 2])
     def test_train_mode_grad_check_with_drop_path(self, n_cls):
         # depth 2 at rate 0.5: block 1 draws one mask per residual, each of
-        # which keeps some of the 4 samples and drops the others at this seed
+        # which keeps some of the 4 samples and drops the others at this
+        # seed; the masks enter the two fused branch VJPs, for every variant
         mask_seed, batch = 2, 4
         draws = np.random.default_rng(mask_seed)
         masks = [M._drop_path_mask(batch, 0.5, draws, np.dtype(np.float64)) for _ in range(2)]
         assert all(0 < np.count_nonzero(m) < batch for m in masks)
-        rng = np.random.default_rng(16)
-        cfg = tiny_config(n_cls=n_cls, drop_path_rate=0.5)
-        params = M.grad_check_point(cfg, rng)
-        images = Tensor(rng.standard_normal((batch, 3, 16, 16)), dtype=np.float64)
-        targets = np.full((batch, 10), 0.1)
+        for variant in typing.get_args(M.MlaVariant):
+            rng = np.random.default_rng(16)
+            cfg = tiny_config(variant, n_cls=n_cls, drop_path_rate=0.5)
+            params = M.grad_check_point(cfg, rng)
+            images = Tensor(rng.standard_normal((batch, 3, 16, 16)), dtype=np.float64)
+            targets = np.full((batch, 10), 0.1)
 
-        def f():   # the rng is rebuilt per call, so every call draws the same masks
-            return cross_entropy(M.forward(cfg, params, images, mode="train",
-                                           rng=np.random.default_rng(mask_seed)), targets)
+            def f():   # the rng is rebuilt per call, so every call draws the same masks
+                return cross_entropy(M.forward(cfg, params, images, mode="train",
+                                               rng=np.random.default_rng(mask_seed)), targets)
 
-        err = grad_check(f, list(params.values()), h=1e-5, max_coords=3,
-                         rng=np.random.default_rng(0))
-        assert err < 1e-4
+            err = grad_check(f, list(params.values()), h=1e-5, max_coords=3,
+                             rng=np.random.default_rng(0))
+            assert err < 1e-4, variant
 
 
 class TestModelConfig:

@@ -86,10 +86,26 @@ class TestMatmul:
 
 
 # ---------------------------------------------------------------------------
-# attention core (the softmax over scores lives inside it)
+# softmax attention, the core of norm_attention
 
 def attend(q, k, v, heads=1):
-    return T.attention_core(t64(q), t64(k), t64(v), heads).data
+    """Multi-head softmax(q k^T / sqrt(d)) v for float64 q, k, v [B,S,C]
+    through the attention weights norm_attention computes."""
+    b, s, c = np.shape(q)
+
+    def split(a):
+        return np.asarray(a, np.float64).reshape(b, s, heads, c // heads).transpose(0, 2, 1, 3)
+
+    out = T._attention_weights(split(q), split(k)) @ split(v)
+    return out.transpose(0, 2, 1, 3).reshape(b, s, c)
+
+
+def attention_inputs(x, wq, wk, wv, wo, grad=False):
+    """norm_attention's arguments with full projections and the identity
+    affine, as float64 tensors: (x, gamma, beta, projections, wo)."""
+    c = np.shape(x)[-1]
+    gamma, beta, *w = (t64(a, grad) for a in (np.ones(c), np.zeros(c), wq, wk, wv, wo))
+    return t64(x, grad), gamma, beta, [(w[0],), (w[1],), (w[2],)], w[3]
 
 
 class TestSoftmax:
@@ -107,14 +123,16 @@ class TestSoftmax:
         assert attend(np.array([[[2.0, 5.0]]]), np.array([[[-4.0, 1.0]]]), v) == pytest.approx(v)
 
     def test_large_logits_no_overflow(self):
-        # scores 1e3 apart: all weight on the first key, finite forward and backward
-        q = t64([[[1000.0], [1000.0]]], grad=True)
-        k = t64([[[1.0], [0.0]]], grad=True)
-        v = t64([[[2.0], [-3.0]]], grad=True)
+        # the rows [1, -1] and [-1, 1] normalize to themselves; q = k = 1000
+        # times them scores each row's own key about 1.4e6 above the other:
+        # all weight on it, so with v = o = I the branch adds the row itself
+        x = np.array([[[1.0, -1.0], [-1.0, 1.0]]])
+        big, eye = 1000.0 * np.eye(2), np.eye(2)
+        inputs = attention_inputs(x, big, big, eye, eye, grad=True)
         with Tape() as tape:
-            out = T.attention_core(q, k, v, 1)
-            grads = backward(total(out), tape, [q, k, v])
-        assert np.array_equal(out.data, [[[2.0], [2.0]]])
+            out = T.norm_attention(*inputs, heads=1)
+            grads = backward(total(out), tape, [inputs[0], *(w for (w,) in inputs[3])])
+        assert np.allclose(out.data, 2.0 * x, rtol=0, atol=1e-5)
         assert all(np.all(np.isfinite(g)) for g in grads)
 
     @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=16))
@@ -138,13 +156,15 @@ class TestSoftmax:
         assert np.all(weights[gap > -700] > 0)
 
     def test_heads_must_divide_channels(self):
-        x = np.zeros((1, 2, 6))
+        w = np.zeros((6, 6))
         with pytest.raises(T.ShapeError, match="divisible by 4 heads"):
-            attend(x, x, x, heads=4)
+            T.norm_attention(*attention_inputs(np.zeros((1, 2, 6)), w, w, w, w), heads=4)
 
     def test_operand_shapes_must_match(self):
-        with pytest.raises(T.ShapeError, match=r"\(1, 2, 4\).*\(1, 3, 4\)"):
-            attend(np.zeros((1, 2, 4)), np.zeros((1, 3, 4)), np.zeros((1, 2, 4)))
+        w = np.zeros((4, 4))
+        with pytest.raises(T.ShapeError, match=r"\(1, 2, 4\).*\(3, 4\)"):
+            T.norm_attention(*attention_inputs(np.zeros((1, 2, 4)), w, np.zeros((3, 4)), w, w),
+                             heads=1)
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +250,85 @@ def mlp_oracle(x, w1, b1, w2, b2, g):
                g2.sum(axis=0)]
 
 
-def norm_mlp_oracle(x, gamma, beta, w1, b1, w2, b2, g):
-    """The unfused composition: layer_norm_oracle, then mlp_oracle."""
+def norm_mlp_oracle(x, gamma, beta, w1, b1, w2, b2, g, mask=None):
+    """The unfused composition: layer_norm_oracle, mlp_oracle, then the
+    masked residual x + mask * y."""
+    m = 1.0 if mask is None else mask
     xn, _ = layer_norm_oracle(x, gamma, beta, np.zeros_like(x))
-    y, (gxn, *gw) = mlp_oracle(xn, w1, b1, w2, b2, g)
-    return y, layer_norm_oracle(x, gamma, beta, gxn)[1] + gw
+    y, (gxn, *gw) = mlp_oracle(xn, w1, b1, w2, b2, g * m)
+    dx, *gnorm = layer_norm_oracle(x, gamma, beta, gxn)[1]
+    return x + m * y, [dx + g, *gnorm, *gw]
+
+
+def group(weights, latents):
+    """q's, k's and v's weights from a flat sequence: (w,) for a full
+    projection (latent 0), (down, up) for one through a latent of that size."""
+    it = iter(weights)
+    return [tuple(next(it) for _ in range(1 if dc == 0 else 2)) for dc in latents]
+
+
+def attention_shapes(b, s, c, latents):
+    """norm_attention's flat input shapes: x, gamma, beta, the q/k/v weights
+    in `group` order, wo."""
+    return ([(b, s, c), (c,), (c,)]
+            + [shape for dc in latents for shape in ([(c, c)] if dc == 0 else [(c, dc), (dc, c)])]
+            + [(c, c)])
+
+
+def norm_attention_op(heads, latents, mask=None):
+    """norm_attention over attention_shapes' flat inputs."""
+    def op(x, gamma, beta, *w):
+        return T.norm_attention(x, gamma, beta, group(w[:-1], latents), w[-1], heads, mask)
+    return op
+
+
+def norm_attention_oracle(heads, latents, mask=None):
+    """Float64 x + mask * attention(layer_norm(x)) @ wo and its VJP for the
+    cotangent g, over norm_attention_op's inputs then g: layer_norm_oracle,
+    a naive per-sample, per-head attention by the textbook softmax
+    formulas, then the masked residual."""
+    def oracle(x, gamma, beta, *w):
+        *w, wo, g = w
+        m = 1.0 if mask is None else mask
+        b, s, c = x.shape
+        d = c // heads
+        xn, _ = layer_norm_oracle(x, gamma, beta, np.zeros_like(x))
+        chains = [[xn] for _ in range(3)]     # each projection's input, latent, output
+        for chain, ws in zip(chains, group(w, latents)):
+            for wi in ws:
+                chain.append(chain[-1] @ wi)
+        q, k, v = (chain[-1] for chain in chains)
+        gy = g * m
+        go = gy @ wo.T
+        o, dq, dk, dv = (np.zeros_like(x) for _ in range(4))
+        for i in range(b):
+            for h in range(heads):
+                cols = slice(h * d, (h + 1) * d)
+                qi, ki, vi, goi = (a[i, :, cols] for a in (q, k, v, go))
+                scores = qi @ ki.T / np.sqrt(d)
+                p = np.exp(scores - scores.max(axis=1, keepdims=True))
+                p /= p.sum(axis=1, keepdims=True)
+                o[i, :, cols] = p @ vi
+                dp = goi @ vi.T
+                ds = p * (dp - (dp * p).sum(axis=1, keepdims=True)) / np.sqrt(d)
+                dq[i, :, cols], dk[i, :, cols], dv[i, :, cols] = ds @ ki, ds.T @ qi, p.T @ goi
+        gxn, gw = np.zeros_like(x), []
+        for chain, ws, gt in zip(chains, group(w, latents), (dq, dk, dv)):
+            gchain = []
+            for inp, wi in reversed(list(zip(chain, ws))):
+                gchain.insert(0, inp.reshape(-1, inp.shape[-1]).T @ gt.reshape(-1, gt.shape[-1]))
+                gt = gt @ wi.T
+            gw += gchain
+            gxn += gt
+        dx, *gnorm = layer_norm_oracle(x, gamma, beta, gxn)[1]
+        gwo = o.reshape(-1, c).T @ gy.reshape(-1, c)
+        return x + m * (o @ wo), [dx + g, *gnorm, *gw, gwo]
+    return oracle
+
+
+def drop_mask(seed, shape):
+    """A drop-path-like constant: each entry 0 or 2, at random."""
+    return np.where(np.random.default_rng(seed).random(shape) < 0.5, 0.0, 2.0)
 
 
 def op_and_vjp(op, arrays, g, dtype=np.float64):
@@ -382,7 +476,7 @@ class TestBackward:
         x, y = t64(rng.standard_normal(4), grad=True), t64(rng.standard_normal(4), grad=True)
         c, r = rng.standard_normal(4), rng.standard_normal(4)
         with Tape() as tape:
-            yc = T.add(t64(np.zeros(4)), y, c)
+            yc = T.reshape(T.linear(T.reshape(y, (1, 4)), t64(np.diag(c))), (4,))
             u = T.add(T.add(x, y), yc)
             dx, dy = backward(total(u, r), tape, [x, y])
         assert np.array_equal(dx, r)
@@ -445,16 +539,18 @@ class TestBackward:
         g1 = t64(np.ones(8), grad=True)
         b1 = t64(np.zeros(8), grad=True)
         w2 = t64(rng.standard_normal((8, 4)) * 0.5, grad=True)
+        q1, o1 = (t64(rng.standard_normal((8, 8)) * 0.5, grad=True) for _ in range(2))
+        k1, k2 = t64(rng.standard_normal((8, 3)), grad=True), t64(rng.standard_normal((3, 8)), grad=True)
         x = rng.standard_normal((3, 5))
         targets = np.full((3, 4), 0.25)
 
         def f():
-            h = T.mlp(t64(x), w1, c1, v1, d1)
-            h = T.reshape(T.layer_norm(h, g1, b1), (1, 3, 8))
-            h = T.reshape(T.attention_core(h, h, h, heads=2), (3, 8))
+            h = T.reshape(T.mlp(t64(x), w1, c1, v1, d1), (1, 3, 8))
+            h = T.reshape(T.norm_attention(h, g1, b1, [(q1,), (k1, k2), (q1,)], o1, heads=2),
+                          (3, 8))
             return T.cross_entropy(T.linear(h, w2), targets)
 
-        assert grad_check(f, [w1, c1, v1, d1, g1, b1, w2], h=1e-5) < 1e-4
+        assert grad_check(f, [w1, c1, v1, d1, g1, b1, q1, k1, k2, o1, w2], h=1e-5) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -507,6 +603,7 @@ def random_inputs(seed, *shapes):
 VJP_SETTINGS = settings(max_examples=30, derandomize=True, deadline=None)
 seeds = st.integers(0, 2 ** 32 - 1)
 extents = st.integers(1, 4)
+latent_sets = st.tuples(*[st.integers(0, 3)] * 3)   # 0: a full projection
 
 
 class TestVjpProperties:
@@ -518,11 +615,12 @@ class TestVjpProperties:
         assert cotangent_error(T.linear, random_inputs(seed, *shapes), seed + 1) < 1e-4
 
     @given(b=st.integers(1, 3), s=st.integers(1, 5), heads=st.integers(1, 3), d=extents,
-           seed=seeds)
+           latents=latent_sets, masked=st.booleans(), seed=seeds)
     @VJP_SETTINGS
-    def test_attention_core(self, b, s, heads, d, seed):
-        qkv = random_inputs(seed, *[(b, s, heads * d)] * 3)
-        err = cotangent_error(lambda q, k, v: T.attention_core(q, k, v, heads), qkv, seed + 1)
+    def test_norm_attention(self, b, s, heads, d, latents, masked, seed):
+        mask = drop_mask(seed + 2, (b, 1, 1)) if masked else None
+        inputs = random_inputs(seed, *attention_shapes(b, s, heads * d, latents))
+        err = cotangent_error(norm_attention_op(heads, latents, mask), inputs, seed + 1)
         assert err < 1e-4
 
     @given(lead=st.lists(st.integers(1, 3), max_size=2), n_in=extents, hidden=extents,
@@ -538,41 +636,36 @@ class TestVjpProperties:
         inputs = random_inputs(seed, (n, c), (b, length, c))
         assert cotangent_error(T.prepend_tokens, inputs, seed + 1) < 1e-4
 
-    @given(scaled=st.booleans(), m=extents, n=extents,
-           other=st.sampled_from(["row", "column", "vector"]), seed=seeds)
+    @given(m=extents, n=extents, other=st.sampled_from(["row", "column", "vector"]), seed=seeds)
     @VJP_SETTINGS
-    def test_broadcast_arithmetic(self, scaled, m, n, other, seed):
-        # add, and add with a constant b_scale: the drop-path residual a + b * mask
+    def test_broadcast_arithmetic(self, m, n, other, seed):
         shape = {"row": (1, n), "column": (m, 1), "vector": (n,)}[other]
-        scale = np.random.default_rng(seed + 2).standard_normal(shape) if scaled else None
-        inputs = random_inputs(seed, (m, n), shape)
-        err = cotangent_error(lambda a, b: T.add(a, b, scale), inputs, seed + 1)
-        assert err < 1e-4
+        assert cotangent_error(T.add, random_inputs(seed, (m, n), shape), seed + 1) < 1e-4
 
 
 # ---------------------------------------------------------------------------
-# layer norm and the pre-norm FFN against numpy oracles
+# layer norm and the two residual branches against numpy oracles
 
-ORACLES = {"layer_norm": (T.layer_norm, layer_norm_oracle),
-           "norm_mlp": (T.norm_mlp, norm_mlp_oracle),
-           "mlp": (T.mlp, mlp_oracle)}
+def ffn_case(name, lead, c, hidden, n_out, mask=None):
+    """(op, oracle, input shapes) of layer_norm, mlp or norm_mlp, whose
+    residual makes its output c wide and which takes `mask`."""
+    x, norm = (*lead, c), [(c,), (c,)]
+    if name == "layer_norm":
+        return T.layer_norm, layer_norm_oracle, [x] + norm
+    if name == "mlp":
+        return T.mlp, mlp_oracle, [x, (c, hidden), (hidden,), (hidden, n_out), (n_out,)]
+    return (lambda *a: T.norm_mlp(*a, mask=mask), lambda *a: norm_mlp_oracle(*a, mask=mask),
+            [x] + norm + [(c, hidden), (hidden,), (hidden, c), (c,)])
 
 
-def oracle_shapes(name, lead, c, hidden, n_out):
-    ffn = [(c, hidden), (hidden,), (hidden, n_out), (n_out,)]
-    return {"layer_norm": [(*lead, c), (c,), (c,)], "mlp": [(*lead, c)] + ffn,
-            "norm_mlp": [(*lead, c), (c,), (c,)] + ffn}[name]
-
-
-def oracle_error(name, lead, c, hidden, n_out, seed):
-    """Max error of op `name`'s output and VJP, in float64, against its
-    numpy oracle at random inputs and a random cotangent, relative to each
-    array's largest entry or 1 if that is smaller (rows of one or two
+def oracle_error(op, oracle, shapes, seed):
+    """Max error of `op`'s output and VJP, in float64, against its numpy
+    oracle at random inputs of `shapes` and a random cotangent, relative to
+    each array's largest entry or 1 if that is smaller (rows of one or two
     channels normalize to constants, so their dx is O(eps) and all
     rounding)."""
-    op, oracle = ORACLES[name]
     rng = np.random.default_rng(seed)
-    arrays = [rng.standard_normal(s) for s in oracle_shapes(name, lead, c, hidden, n_out)]
+    arrays = [rng.standard_normal(s) for s in shapes]
     r = rng.standard_normal(op(*[t64(a) for a in arrays]).shape)
     y, grads = op_and_vjp(op, arrays, r)
     want_y, want = oracle(*arrays, r)
@@ -583,17 +676,28 @@ def oracle_error(name, lead, c, hidden, n_out, seed):
 class TestOracleVjp:
     @given(name=st.sampled_from(["layer_norm", "norm_mlp"]),
            lead=st.lists(st.integers(1, 3), max_size=2), c=st.integers(1, 8),
-           hidden=st.integers(1, 8), n_out=st.integers(1, 5), seed=seeds)
+           hidden=st.integers(1, 8), n_out=st.integers(1, 5), masked=st.booleans(), seed=seeds)
     @VJP_SETTINGS
-    def test_matches_numpy_oracle(self, name, lead, c, hidden, n_out, seed):
-        assert oracle_error(name, lead, c, hidden, n_out, seed) < 1e-10
+    def test_matches_numpy_oracle(self, name, lead, c, hidden, n_out, masked, seed):
+        mask = drop_mask(seed + 2, (*lead, 1)) if masked else None
+        assert oracle_error(*ffn_case(name, lead, c, hidden, n_out, mask), seed) < 1e-10
+
+    @given(b=st.integers(1, 3), s=st.integers(1, 5), heads=st.integers(1, 3), d=extents,
+           latents=latent_sets, masked=st.booleans(), seed=seeds)
+    @VJP_SETTINGS
+    def test_norm_attention_matches_numpy_oracle(self, b, s, heads, d, latents, masked, seed):
+        mask = drop_mask(seed + 2, (b, 1, 1)) if masked else None
+        err = oracle_error(norm_attention_op(heads, latents, mask),
+                           norm_attention_oracle(heads, latents, mask),
+                           attention_shapes(b, s, heads * d, latents), seed)
+        assert err < 1e-10
 
     def test_norm_mlp_is_layer_norm_then_mlp_bitwise_forward(self):
         rng = np.random.default_rng(12)
         x, gamma, beta = (t64(rng.standard_normal(s)) for s in [(2, 5, 6), (6,), (6,)])
         ffn = [t64(rng.standard_normal(s)) for s in [(6, 24), (24,), (24, 6), (6,)]]
         fused = T.norm_mlp(x, gamma, beta, *ffn).data
-        assert fused.tobytes() == T.mlp(T.layer_norm(x, gamma, beta), *ffn).data.tobytes()
+        assert fused.tobytes() == T.add(x, T.mlp(T.layer_norm(x, gamma, beta), *ffn)).data.tobytes()
 
 
 def _norm_vjp_without_mean_term(xhat, inv, gamma, g):
@@ -602,15 +706,33 @@ def _norm_vjp_without_mean_term(xhat, inv, gamma, g):
     return dx + inv * (g * gamma.data).mean(axis=-1, keepdims=True), dgamma, dbeta
 
 
-def _gelu_with_phi_as_derivative(h, gh=None):
+def _gelu_with_phi_as_derivative(h, gh=None, out=None):
     """A planted bug: GELU'(h) taken as Phi(h), without the h pdf(h) term."""
-    a = _REAL_GELU(h)
+    a = _REAL_GELU(h, out=out)
     if gh is not None:
         gh *= T._normal_cdf(h)
     return a
 
 
+def _softmax_vjp_without_rowsum(dp, p):
+    """A planted bug: dS taken as P * dP, without the - rowsum(dP * P) term."""
+    dp *= p
+    return dp
+
+
+def _residual_vjp_without_g(xhat, inv, gamma, gxn, g):
+    """A planted bug: the residual's + g left out of dx."""
+    return T._norm_vjp(xhat, inv, gamma, gxn)
+
+
 _REAL_NORM_VJP, _REAL_GELU = T._norm_vjp, T._gelu
+PLANTED_CASES = {
+    **{name: ffn_case(name, (3, 4), 6, 8, 5, drop_mask(5, (3, 4, 1)))
+       for name in ("layer_norm", "norm_mlp", "mlp")},
+    "norm_attention": (norm_attention_op(2, (0, 2, 0), drop_mask(5, (2, 1, 1))),
+                       norm_attention_oracle(2, (0, 2, 0), drop_mask(5, (2, 1, 1))),
+                       attention_shapes(2, 4, 6, (0, 2, 0))),
+}
 
 
 class TestPlantedVjpBugs:
@@ -622,11 +744,15 @@ class TestPlantedVjpBugs:
         ("norm_mlp", "_norm_vjp", _norm_vjp_without_mean_term),
         ("norm_mlp", "_gelu", _gelu_with_phi_as_derivative),
         ("mlp", "_gelu", _gelu_with_phi_as_derivative),
-    ], ids=["layer_norm-norm", "norm_mlp-norm", "norm_mlp-gelu", "mlp-gelu"])
+        ("norm_mlp", "_residual_vjp", _residual_vjp_without_g),
+        ("norm_attention", "_softmax_vjp", _softmax_vjp_without_rowsum),
+        ("norm_attention", "_residual_vjp", _residual_vjp_without_g),
+    ], ids=["layer_norm-norm", "norm_mlp-norm", "norm_mlp-gelu", "mlp-gelu", "norm_mlp-residual",
+            "norm_attention-softmax", "norm_attention-residual"])
     def test_planted_bug_is_caught(self, name, helper, planted, monkeypatch):
-        shapes = oracle_shapes(name, (3, 4), 6, 8, 5)
-        assert oracle_error(name, (3, 4), 6, 8, 5, seed=3) < 1e-10
-        assert cotangent_error(ORACLES[name][0], random_inputs(3, *shapes), 4) < 1e-6
+        op, oracle, shapes = PLANTED_CASES[name]
+        assert oracle_error(op, oracle, shapes, seed=3) < 1e-10
+        assert cotangent_error(op, random_inputs(3, *shapes), 4) < 1e-6
         monkeypatch.setattr(T, helper, planted)
-        assert oracle_error(name, (3, 4), 6, 8, 5, seed=3) > 1e-2
-        assert cotangent_error(ORACLES[name][0], random_inputs(3, *shapes), 4) > 1e-2
+        assert oracle_error(op, oracle, shapes, seed=3) > 1e-2
+        assert cotangent_error(op, random_inputs(3, *shapes), 4) > 1e-2
