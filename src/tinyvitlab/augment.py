@@ -24,33 +24,24 @@ from tinyvitlab.model import ConfigError, check_fields
 
 @dataclass(slots=True)
 class AugmentConfig:
+    """The augmentation study's six knobs. The recipe's fixed values are the
+    constants MIXUP_ALPHA, CUTMIX_ALPHA and ERASE_AREA_RANGE."""
+
     # "crop_flip": pad-reflect crop + horizontal flip; "autoaugment": that,
     # then a CIFAR10_POLICY sub-policy; "none": raw pixels
     base_augment: Literal["autoaugment", "crop_flip", "none"] = "autoaugment"
     use_mixup: bool = True
     use_cutmix: bool = True
-    mixup_alpha: float = 0.8
-    cutmix_alpha: float = 1.0
     erase_prob: float = 0.25       # 0: no random erasing
-    erase_area_range: tuple[float, float] = (0.02, 0.33)
     label_smoothing: float = 0.1
     repeated_factor: int = 4       # 1: no repeated augmentation
 
     def validate(self) -> None:
         check_fields(self, repeated_factor=1)
-        for name in ("mixup_alpha", "cutmix_alpha"):
-            if not getattr(self, name) > 0:   # NaN too
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
         if not (0.0 <= self.erase_prob <= 1.0):
             raise ConfigError(f"erase_prob must be in [0, 1], got {self.erase_prob}")
         if not (0.0 <= self.label_smoothing < 1.0):
             raise ConfigError(f"label_smoothing must be in [0, 1), got {self.label_smoothing}")
-        area = self.erase_area_range
-        if not (isinstance(area, (tuple, list)) and len(area) == 2 and all(
-                isinstance(x, (int, float)) and not isinstance(x, bool) for x in area)):
-            raise ConfigError(f"erase_area_range must be a pair of numbers, got {area!r}")
-        if not (0.0 < area[0] <= area[1] < 1.0):
-            raise ConfigError(f"erase_area_range must lie inside (0, 1), got {area!r}")
 
     @classmethod
     def disabled(cls) -> "AugmentConfig":
@@ -82,8 +73,6 @@ def label_smooth(targets: np.ndarray, eps: float, num_classes: int) -> np.ndarra
     onehot = (np.all((t == 0) | (t == 1), axis=None) and np.all(t.sum(axis=1) == 1))
     if not onehot:
         raise ValueError("label_smooth requires one-hot input rows")
-    if eps == 0.0:
-        return t.copy()
     return (t * (1.0 - eps) + eps / num_classes).astype(np.float32)
 
 
@@ -129,13 +118,13 @@ def cutmix(batch: SoftBatch, alpha: float, rng: np.random.Generator) -> SoftBatc
 
 
 def random_erase(image: np.ndarray, prob: float, area_range: tuple[float, float],
-                 rng: np.random.Generator, max_attempts: int = 10) -> np.ndarray:
+                 rng: np.random.Generator) -> np.ndarray:
     """Fill a random rectangle with standard-normal noise (post-normalization
-    space) with probability `prob`; skipped if no rectangle fits."""
+    space) with probability `prob`; skipped if no rectangle fits in 10 draws."""
     if rng.random() >= prob:
         return image
     h, w = image.shape[-2:]
-    for _ in range(max_attempts):
+    for _ in range(10):
         frac = rng.uniform(*area_range)
         aspect = rng.uniform(0.3, 3.3)
         target = frac * h * w
@@ -171,6 +160,12 @@ _SHEAR_MAX = 0.3
 _TRANSLATE_MAX = 10     # pixels at level 9
 _ROTATE_MAX = 30.0      # degrees at level 9
 
+# The recipe's fixed values: the alphas of the Beta(alpha, alpha) that MixUp
+# and CutMix draw their mixing weight from, DeiT's (arXiv:2012.12877), and the
+# range that random erasing draws the erased fraction of the image from.
+MIXUP_ALPHA = 0.8
+CUTMIX_ALPHA = 1.0
+ERASE_AREA_RANGE = (0.02, 0.33)
 
 # The fixed CIFAR-10 AutoAugment policy: 25 sub-policies, each two
 # (op, probability, magnitude level) stages. Magnitude levels are 0-9.

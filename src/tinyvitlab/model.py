@@ -374,8 +374,6 @@ def grad_check_point(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Te
     for name, p in params.items():
         if p.data.ndim == 2 and "norm" not in name:
             p.data *= (1.0 / np.sqrt(p.data.shape[0])) / 0.02
-        elif name == "cls_token" or name == "pos_embed":
-            p.data *= 10.0
         elif "bias" in name or ".b" in name or "beta" in name:
             p.data += rng.normal(0.0, 0.05, p.data.shape)
     return params

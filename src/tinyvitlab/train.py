@@ -11,7 +11,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import json
 import os
 import re
 import time
@@ -195,10 +194,9 @@ def _run_shards(fn: Callable[[int], object], n: int) -> list:
 # ---------------------------------------------------------------------------
 # batch building
 
-def build_batches(ds: D.Dataset, cfg: TrainConfig, epoch: int,
-                  num_classes: int):
+def build_batches(ds: D.Dataset, cfg: TrainConfig, epoch: int):
     """Yield augmented SoftBatches for one epoch, deterministically."""
-    aug = cfg.augment
+    aug, num_classes = cfg.augment, cfg.model.num_classes
     order = rng_for(cfg.seed, "shuffle", epoch).permutation(len(ds))
     batches = A.repeated_indices(order, cfg.batch_size, aug.repeated_factor)
     for b, idx in enumerate(batches):
@@ -210,8 +208,7 @@ def build_batches(ds: D.Dataset, cfg: TrainConfig, epoch: int,
                              for i in idx])
         images = D.normalize(raws)
         if aug.erase_prob > 0:
-            images = np.stack([A.random_erase(im, aug.erase_prob,
-                                              aug.erase_area_range, rng)
+            images = np.stack([A.random_erase(im, aug.erase_prob, A.ERASE_AREA_RANGE, rng)
                                for im in images])
         targets = A.label_smooth(A.one_hot(ds.labels[idx], num_classes),
                                  aug.label_smoothing, num_classes)
@@ -224,9 +221,9 @@ def build_batches(ds: D.Dataset, cfg: TrainConfig, epoch: int,
             else:
                 use_mix = False
         if use_mix:
-            batch = A.mixup(batch, aug.mixup_alpha, mix_rng)
+            batch = A.mixup(batch, A.MIXUP_ALPHA, mix_rng)
         elif use_cut:
-            batch = A.cutmix(batch, aug.cutmix_alpha, mix_rng)
+            batch = A.cutmix(batch, A.CUTMIX_ALPHA, mix_rng)
         yield batch
 
 
@@ -381,8 +378,7 @@ def _resume(ckpt: D.Checkpoint, cfg: TrainConfig, train_config: dict
             out.update({f"{k}.{kk}": vv for kk, vv in v.items()} if nested else {k: v})
         return out
 
-    # JSON holds tuples as lists; compare like with like
-    if msg := _diffs(flat(ckpt.train_config), flat(json.loads(json.dumps(train_config)))):
+    if msg := _diffs(flat(ckpt.train_config), flat(train_config)):
         raise D.CheckpointError("checkpoint does not match this run: " + msg)
     if not 0 <= ckpt.epoch < cfg.epochs:
         raise D.CheckpointError(f"checkpoint epoch is {ckpt.epoch}, outside [0, {cfg.epochs}) "
@@ -428,11 +424,10 @@ def train(cfg: TrainConfig, train_ds: D.Dataset, test_ds: D.Dataset,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics_path = out_dir / "metrics.log"
-    ckpt_path = out_dir / "checkpoint.tvlb"
+    ckpt_path = out_dir / "checkpoint.npz"
 
-    num_classes = cfg.model.num_classes
     if cfg.subset_per_class is not None:
-        train_ds = D.subset_per_class(train_ds, cfg.subset_per_class, num_classes)
+        train_ds = D.subset_per_class(train_ds, cfg.subset_per_class, cfg.model.num_classes)
 
     spe = steps_per_epoch(len(train_ds), cfg)
     if spe == 0:
@@ -476,7 +471,7 @@ def train(cfg: TrainConfig, train_ds: D.Dataset, test_ds: D.Dataset,
             epoch_start = time.perf_counter()
             losses = []
             images_seen = 0
-            for step_idx, batch in enumerate(build_batches(train_ds, cfg, epoch, num_classes)):
+            for step_idx, batch in enumerate(build_batches(train_ds, cfg, epoch)):
                 global_step = epoch * spe + step_idx
                 lr = O.lr_schedule(global_step, total_steps, warmup_steps,
                                    cfg.lr_peak, cfg.lr_min)
@@ -525,10 +520,10 @@ def train(cfg: TrainConfig, train_ds: D.Dataset, test_ds: D.Dataset,
                        step_losses=step_losses, checkpoint_path=ckpt_path)
 
 
-def sample_patches(ds: D.Dataset, cfg: M.ModelConfig,
-                   rng: np.random.Generator, max_patches: int = 20000) -> np.ndarray:
-    """Normalized raw patch rows for whitening initialization."""
-    n_img = min(len(ds), max(max_patches // cfg.num_patches, 1))
+def sample_patches(ds: D.Dataset, cfg: M.ModelConfig, rng: np.random.Generator) -> np.ndarray:
+    """Normalized raw patch rows for whitening initialization: all patches
+    of 20,000 // num_patches images (at least one, at most the dataset)."""
+    n_img = min(len(ds), max(20000 // cfg.num_patches, 1))
     idx = rng.choice(len(ds), size=n_img, replace=False)
     images = D.normalize(ds.images[idx])
     return M.patchify(images, cfg.patch_size).reshape(-1, cfg.patch_dim)
@@ -561,12 +556,11 @@ def profile_step(cfg: TrainConfig, params: dict[str, Tensor],
     return StepProfile(*(1000.0 * sum(phase) / steps for phase in zip(*laps[warmup:])))
 
 
-def activation_estimate_bytes(cfg: M.ModelConfig, batch_size: int,
-                              dtype_bytes: int = 4) -> int:
-    """Peak bytes of a training step's activations: the arrays a train-mode
-    forward's tape keeps for backward, plus the scratch of the VJP that
-    needs the most, the last block's FFN branch (T.norm_mlp). train() logs
-    it as metrics.log's peak_activation_bytes.
+def activation_estimate_bytes(cfg: M.ModelConfig, batch_size: int) -> int:
+    """Peak bytes of a training step's float32 activations: the arrays a
+    train-mode forward's tape keeps for backward, plus the scratch of the
+    VJP that needs the most, the last block's FFN branch (T.norm_mlp).
+    train() logs it as metrics.log's peak_activation_bytes.
 
     Per block the tape keeps the two branch outputs, the first-stage q/k/v
     GEMM output (each compressed projection's latent in it), the
@@ -587,4 +581,5 @@ def activation_estimate_bytes(cfg: M.ModelConfig, batch_size: int,
     tokenize = cfg.num_patches * (cfg.patch_dim + 2 * c) + s * c
     head = 2 * n * c + 2 * n + c + cfg.num_classes
     ffn_vjp = (4 + 2 * r) * s * c
-    return (cfg.depth * per_block + tokenize + head + ffn_vjp) * batch_size * dtype_bytes
+    return ((cfg.depth * per_block + tokenize + head + ffn_vjp) * batch_size
+            * np.dtype(np.float32).itemsize)

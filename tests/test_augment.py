@@ -330,8 +330,6 @@ class TestBaseAugment:
         with pytest.raises(ValueError):
             A.AugmentConfig(label_smoothing=1.0).validate()
         with pytest.raises(ValueError):
-            A.AugmentConfig(erase_area_range=(0.5, 0.2)).validate()
-        with pytest.raises(ValueError):
             A.AugmentConfig(repeated_factor=0).validate()
         A.AugmentConfig().validate()
         assert A.AugmentConfig.disabled().label_smoothing == 0.0

@@ -7,6 +7,8 @@ import dataclasses
 import functools
 import hashlib
 import os
+import re
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -76,6 +78,34 @@ def grad_digest(grads, loss):
     return h.hexdigest()
 
 
+def crash_run():
+    """The run TestCrashResume kills and resumes: three epochs of four
+    8-image steps, full augmentation stack, tiny model, one worker."""
+    cfg = tiny_train_config(epochs=3, augment=A.AugmentConfig(repeated_factor=2))
+    return cfg, D.synthetic_dataset("two-class-blobs", 16, seed=7)
+
+
+def train_until_killed(out, owner, name, call, before):
+    """Train crash_run() into `out`, and SIGKILL this process at call number
+    `call` of `name` in `owner` ("train" or "os"): as the call starts if
+    `before`, else as it returns."""
+    target = TR if owner == "train" else os
+    real, calls = getattr(target, name), []
+
+    def dying(*args, **kwargs):
+        calls.append(None)
+        if before and len(calls) == call:
+            os.kill(os.getpid(), signal.SIGKILL)
+        result = real(*args, **kwargs)
+        if len(calls) == call:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return result
+
+    setattr(target, name, dying)
+    cfg, ds = crash_run()
+    TR.train(cfg, ds, ds, out)
+
+
 # ---------------------------------------------------------------------------
 # rng derivation
 
@@ -100,8 +130,8 @@ class TestBuildBatches:
         ds = D.synthetic_dataset("two-class-blobs", 32, seed=1)
         # full stack; batch size divisible by the default repeat factor of 4
         cfg = tiny_train_config(augment=A.AugmentConfig(), batch_size=12)
-        a = list(TR.build_batches(ds, cfg, epoch=0, num_classes=10))
-        b = list(TR.build_batches(ds, cfg, epoch=0, num_classes=10))
+        a = list(TR.build_batches(ds, cfg, epoch=0))
+        b = list(TR.build_batches(ds, cfg, epoch=0))
         assert len(a) == len(b) > 0
         for x, y in zip(a, b):
             assert x.images.shape == (12, 3, 32, 32) and x.images.dtype == np.float32
@@ -112,14 +142,14 @@ class TestBuildBatches:
     def test_epochs_differ(self):
         ds = D.synthetic_dataset("two-class-blobs", 32, seed=1)
         cfg = tiny_train_config()
-        a = next(iter(TR.build_batches(ds, cfg, epoch=0, num_classes=10)))
-        b = next(iter(TR.build_batches(ds, cfg, epoch=1, num_classes=10)))
+        a = next(iter(TR.build_batches(ds, cfg, epoch=0)))
+        b = next(iter(TR.build_batches(ds, cfg, epoch=1)))
         assert not np.array_equal(a.images, b.images)
 
     def test_disabled_pipeline_targets_are_hard_labels(self):
         ds = D.synthetic_dataset("two-class-blobs", 16, seed=2)
         cfg = tiny_train_config()
-        for batch in TR.build_batches(ds, cfg, epoch=0, num_classes=10):
+        for batch in TR.build_batches(ds, cfg, epoch=0):
             assert set(np.unique(batch.targets)) <= {0.0, 1.0}
 
     def test_repeated_augment_batch_composition(self):
@@ -128,7 +158,7 @@ class TestBuildBatches:
         aug.repeated_factor = 3
         cfg = tiny_train_config(batch_size=12, augment=aug)
         order = TR.rng_for(cfg.seed, "shuffle", 0).permutation(len(ds))
-        batches = list(TR.build_batches(ds, cfg, epoch=0, num_classes=10))
+        batches = list(TR.build_batches(ds, cfg, epoch=0))
         assert len(batches) == TR.steps_per_epoch(len(ds), cfg)
         first_sources = order[:4]
         labels = ds.labels[np.repeat(first_sources, 3)]
@@ -155,7 +185,7 @@ class TestBuildBatches:
         for n in (sources - 1, sources, 3 * sources + 1):
             ds = D.synthetic_dataset("two-class-blobs", max(n, 2), seed=4)
             ds = dataclasses.replace(ds, images=ds.images[:n], labels=ds.labels[:n])
-            batches = list(TR.build_batches(ds, cfg, epoch=0, num_classes=10))
+            batches = list(TR.build_batches(ds, cfg, epoch=0))
             assert TR.steps_per_epoch(n, cfg) == len(batches), n
 
 
@@ -522,8 +552,8 @@ class TestTrainLoop:
         assert saves == [1, 2]
         monkeypatch.setattr(D, "save_checkpoint", real_save)
         out = tmp_path / "out"
-        assert D.load_checkpoint(out / "checkpoint.tvlb").epoch == 1
-        resumed = TR.train(cfg, ds, ds, out, resume=out / "checkpoint.tvlb")
+        assert D.load_checkpoint(out / "checkpoint.npz").epoch == 1
+        resumed = TR.train(cfg, ds, ds, out, resume=out / "checkpoint.npz")
 
         rows = (out / "metrics.log").read_text().splitlines()
         assert [row.split()[0] for row in rows] == ["epoch=0", "epoch=1", "epoch=2"]
@@ -537,7 +567,7 @@ class TestTrainLoop:
         result = TR.train(cfg, ds, ds, tmp_path / "seed")
         ckpt = D.load_checkpoint(result.checkpoint_path)
         poisoned = {k: np.full_like(v, np.nan) for k, v in ckpt.params.items()}
-        bad = tmp_path / "bad.tvlb"
+        bad = tmp_path / "bad.npz"
         D.save_checkpoint(bad, params=poisoned, model_config=ckpt.model_config,
                           train_config=ckpt.train_config, optim_meta=ckpt.optim_meta,
                           optim_arrays=ckpt.optim_arrays, rng_state={"seed": 0},
@@ -598,22 +628,27 @@ class TestTrainLoop:
 
     def test_resume_refuses_checkpoint_with_removed_augment_switches(self, tmp_path,
                                                                      one_epoch_checkpoint):
-        # checkpoints written while AugmentConfig still had these four fields,
-        # and use_base_augment / use_autoaugment in place of base_augment
+        # checkpoints written while AugmentConfig still had the recipe's
+        # fixed values and the four switches, use_base_augment /
+        # use_autoaugment in place of base_augment
         ds = D.synthetic_dataset("two-class-blobs", 16, seed=8)
         ckpt = D.load_checkpoint(one_epoch_checkpoint)
         augment = dict(ckpt.train_config["augment"])
         del augment["base_augment"]
         old = {**ckpt.train_config, "augment": {
-            **augment, "use_base_augment": False, "use_autoaugment": False,
+            **augment, "mixup_alpha": 0.8, "cutmix_alpha": 1.0, "erase_area_range": [0.02, 0.33],
+            "use_base_augment": False, "use_autoaugment": False,
             "use_random_erasing": False, "use_repeated_augment": False}}
-        path = tmp_path / "old.tvlb"
+        path = tmp_path / "old.npz"
         D.save_checkpoint(path, params=ckpt.params, model_config=ckpt.model_config,
                           train_config=old, optim_meta=ckpt.optim_meta,
                           optim_arrays=ckpt.optim_arrays, rng_state=ckpt.rng_state,
                           epoch=ckpt.epoch)
-        with pytest.raises(D.CheckpointError, match=(
+        with pytest.raises(D.CheckpointError, match=re.escape(
                 "augment.base_augment is None in the checkpoint, 'none' in the run; "
+                "augment.cutmix_alpha is 1.0 in the checkpoint, None in the run; "
+                "augment.erase_area_range is [0.02, 0.33] in the checkpoint, None in the run; "
+                "augment.mixup_alpha is 0.8 in the checkpoint, None in the run; "
                 "augment.use_autoaugment is False in the checkpoint, None in the run; "
                 "augment.use_base_augment is False in the checkpoint, None in the run; "
                 "augment.use_random_erasing is False in the checkpoint, None in the run; "
@@ -628,7 +663,7 @@ class TestTrainLoop:
             path, epoch = TR.train(tiny_train_config(), ds, ds, tmp_path / "full").checkpoint_path, 2
         else:
             ckpt = D.load_checkpoint(one_epoch_checkpoint)
-            path = tmp_path / "bad.tvlb"
+            path = tmp_path / "bad.npz"
             D.save_checkpoint(path, params=ckpt.params, model_config=ckpt.model_config,
                               train_config=ckpt.train_config, optim_meta=ckpt.optim_meta,
                               optim_arrays=ckpt.optim_arrays, rng_state=ckpt.rng_state,
@@ -677,7 +712,7 @@ class TestTrainLoop:
         ds = D.synthetic_dataset("two-class-blobs", 16, seed=8)
         ckpt = D.load_checkpoint(one_epoch_checkpoint)
         params, optim_meta = edit(ckpt.params, ckpt.optim_meta)
-        bad = tmp_path / "bad.tvlb"
+        bad = tmp_path / "bad.npz"
         D.save_checkpoint(bad, params=params, model_config=ckpt.model_config,
                           train_config=ckpt.train_config, optim_meta=optim_meta,
                           optim_arrays=ckpt.optim_arrays, rng_state=ckpt.rng_state,
@@ -693,6 +728,30 @@ class TestTrainLoop:
         a, b = (D.load_checkpoint(r.checkpoint_path) for r in (edited, clean))
         assert all(np.array_equal(a.params[k], b.params[k]) for k in b.params)
         assert a.optim_meta == b.optim_meta
+
+    @pytest.mark.parametrize("edit, shown", [
+        (lambda arrays: {k: v for k, v in arrays.items() if k != "m.head.b2"},
+         r"optim/m.head.b2 is None in the checkpoint, \(10,\) in the run"),
+        (lambda arrays: {**arrays, "v.head.w2": np.zeros((32, 3), np.float32)},
+         r"optim/v.head.w2 is \(32, 3\) in the checkpoint, \(32, 10\) in the run"),
+    ], ids=["moment-missing", "moment-shape"])
+    def test_resume_refuses_optimizer_moment_that_does_not_fit(self, tmp_path,
+                                                               one_epoch_checkpoint, edit, shown):
+        ds = D.synthetic_dataset("two-class-blobs", 16, seed=8)
+        ckpt = D.load_checkpoint(one_epoch_checkpoint)
+        bad = tmp_path / "bad.npz"
+        D.save_checkpoint(bad, params=ckpt.params, model_config=ckpt.model_config,
+                          train_config=ckpt.train_config, optim_meta=ckpt.optim_meta,
+                          optim_arrays=edit(ckpt.optim_arrays), rng_state=ckpt.rng_state,
+                          epoch=ckpt.epoch)
+        with pytest.raises(D.CheckpointError, match="optimizer moments do not fit this run.*"
+                                                    + shown):
+            TR.train(tiny_train_config(), ds, ds, tmp_path / "out", resume=bad)
+
+    def test_dataset_smaller_than_one_batch_refused(self, tmp_path):
+        ds = D.synthetic_dataset("two-class-blobs", 4, seed=8)
+        with pytest.raises(ValueError, match="dataset smaller than one batch"):
+            TR.train(tiny_train_config(batch_size=8), ds, ds, tmp_path / "out")
 
     def test_check_params_refuses_old_layout_mla_factor(self):
         # down was stored [d_c, C] before it moved to linear's [in, out]
@@ -755,26 +814,15 @@ class TestTrainLoop:
         ("optimizer", None, "optimizer must be one of 'adamw', 'lion', got None"),
         ("augment", A.AugmentConfig(use_mixup=1), "use_mixup must be bool, got 1"),
         ("augment", A.AugmentConfig(repeated_factor=4.0), "repeated_factor must be int, got 4.0"),
-        # each once passed validation: numpy refused the first mixed batch
-        # ("a <= 0") or unpacking the range failed
-        ("augment", A.AugmentConfig(mixup_alpha=0.0), "mixup_alpha must be > 0, got 0.0"),
-        ("augment", A.AugmentConfig(cutmix_alpha=-1.0), "cutmix_alpha must be > 0, got -1.0"),
-        ("augment", A.AugmentConfig(mixup_alpha=float("nan")), "mixup_alpha must be > 0, got nan"),
-        ("augment", A.AugmentConfig(erase_area_range=0.2),
-         "erase_area_range must be a pair of numbers, got 0.2"),
-        ("augment", A.AugmentConfig(erase_area_range=(0.1, 0.2, 0.3)),
-         r"erase_area_range must be a pair of numbers, got \(0.1, 0.2, 0.3\)"),
-        ("augment", A.AugmentConfig(erase_area_range=(0.1, "0.3")),
-         r"erase_area_range must be a pair of numbers, got \(0.1, '0.3'\)"),
+        # NaN passed the minimum and inf passed it too: the run then diverged at step 1
+        *((name, value, f"{name} must be finite, got {value}")
+          for name in ("lr_peak", "lr_min", "weight_decay")
+          for value in (float("nan"), float("inf"))),
         # a value outside the field's Literal
         ("augment", A.AugmentConfig(base_augment="crop"),
          "base_augment must be one of 'autoaugment', 'crop_flip', 'none', got 'crop'"),
         ("augment", A.AugmentConfig(base_augment=False),
          "base_augment must be one of 'autoaugment', 'crop_flip', 'none', got False"),
-        # NaN passed the minimum and inf passed it too: the run then diverged at step 1
-        *((name, value, f"{name} must be finite, got {value}")
-          for name in ("lr_peak", "lr_min", "weight_decay")
-          for value in (float("nan"), float("inf"))),
         ("lr_peak", float("-inf"), "lr_peak must be >= 0, got -inf"),
     ])
     def test_bad_value_is_refused_by_name(self, name, value, shown):
@@ -820,6 +868,44 @@ class TestTrainLoop:
         test_ds = D.synthetic_dataset("two-class-blobs", 16, seed=13)
         result = TR.train(cfg, train_ds, test_ds, tmp_path / "out", stop_after_epoch=1)
         assert len(result.records) == 1 and np.isfinite(result.final.train_loss)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="no SIGKILL on this platform")
+class TestCrashResume:
+    @pytest.fixture(scope="class")
+    def uninterrupted(self, tmp_path_factory):
+        cfg, ds = crash_run()
+        return TR.train(cfg, ds, ds, tmp_path_factory.mktemp("full"))
+
+    # where a child process running crash_run() kills itself (see
+    # train_until_killed), and the epoch of the checkpoint it leaves
+    @pytest.mark.parametrize("owner, name, call, before, epoch", [
+        ("train", "parallel_train_step", 6, False, 1),   # epoch 1, step 1: grads not yet applied
+        ("os", "replace", 2, True, 1),    # epoch 1's checkpoint written to the temp file only
+        ("os", "replace", 2, False, 2),   # ... renamed into place, the directory not yet fsynced
+    ], ids=["mid-step", "before-replace", "before-dir-fsync"])
+    def test_resume_after_sigkill_matches_uninterrupted_run(self, tmp_path, uninterrupted,
+                                                            owner, name, call, before, epoch):
+        out = tmp_path / "out"
+        child = ("import sys; sys.path[:0] = sys.argv[1:3]; import test_train as T; "
+                 "T.train_until_killed(sys.argv[3], sys.argv[4], sys.argv[5], "
+                 "int(sys.argv[6]), sys.argv[7] == 'before')")
+        run = subprocess.run([sys.executable, "-c", child, str(Path(TR.__file__).parents[1]),
+                              str(Path(__file__).parent), str(out), owner, name, str(call),
+                              "before" if before else "after"],
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == -signal.SIGKILL, run.stderr
+        assert D.load_checkpoint(out / "checkpoint.npz").epoch == epoch
+
+        cfg, ds = crash_run()
+        resumed = TR.train(cfg, ds, ds, out, resume=out / "checkpoint.npz")
+        assert resumed.step_losses == uninterrupted.step_losses[epoch * TR.steps_per_epoch(
+            len(ds), cfg):]
+        rows = (out / "metrics.log").read_text().splitlines()
+        assert [row.split()[0] for row in rows] == ["epoch=0", "epoch=1", "epoch=2"]
+        a, b = (D.load_checkpoint(r.checkpoint_path) for r in (uninterrupted, resumed))
+        assert all(np.array_equal(a.params[k], b.params[k]) for k in a.params)
+        assert not (out / "checkpoint.npz.tmp").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -1095,7 +1181,7 @@ class TestCli:
     def test_eval_refuses_malformed_model_config(self, model_config, field, tmp_path,
                                                  monkeypatch):
         monkeypatch.delenv("DATA_DIR", raising=False)   # refused before data is read
-        path = tmp_path / "checkpoint.tvlb"
+        path = tmp_path / "checkpoint.npz"
         D.save_checkpoint(path, params={"w": np.ones((2, 2), np.float32)},
                           model_config=model_config, train_config={}, optim_meta={},
                           optim_arrays={}, rng_state={}, epoch=1)
@@ -1112,7 +1198,7 @@ class TestCli:
         monkeypatch.delenv("DATA_DIR", raising=False)   # refused before data is read
         model = tiny_train_config().model
         params = {k: t.data for k, t in M.init_params(model, np.random.default_rng(0)).items()}
-        path = tmp_path / "checkpoint.tvlb"
+        path = tmp_path / "checkpoint.npz"
         D.save_checkpoint(path, params=edit(params), model_config=dataclasses.asdict(model),
                           train_config={}, optim_meta=None, optim_arrays={}, rng_state={},
                           epoch=1)
@@ -1175,6 +1261,29 @@ class TestCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "error: --config: " in err and shown in err
+
+    def test_train_then_eval(self, tmp_path, capsys):
+        # CIFAR-10 binary files of 10 records each, labels 0-9, random pixels
+        data, out = tmp_path / "cifar", tmp_path / "out"
+        data.mkdir()
+        rng = np.random.default_rng(0)
+        for name in D.TRAIN_FILES + D.TEST_FILES:
+            (data / name).write_bytes(np.hstack([
+                np.arange(10, dtype=np.uint8)[:, None],
+                rng.integers(0, 256, (10, D.RECORD_BYTES - 1), dtype=np.uint8)]).tobytes())
+        assert cli.main(["train", "--data-dir", str(data), "--out", str(out), "--epochs", "1",
+                         "--batch-size", "8", "--dim", "32", "--heads", "4", "--depth", "1",
+                         "--subset-per-class", "2"]) == 0
+        final, ckpt = capsys.readouterr().out.splitlines()[-2:]
+        assert final.startswith("final: epoch=0 ")
+        assert ckpt == f"checkpoint: {out / 'checkpoint.npz'}"
+        # 2 of each class's 5 train images: 20, two per 8-image step at repeated_factor 4
+        assert D.load_checkpoint(out / "checkpoint.npz").optim_meta["t"] == 10
+
+        assert cli.main(["eval", "--data-dir", str(data), "--resume",
+                         str(out / "checkpoint.npz")]) == 0
+        val_acc = float(re.search(r" val_acc=(\S+) ", final)[1])
+        assert capsys.readouterr().out == f"val_acc={val_acc:.4f} n=10\n"
 
     def test_train_without_data_dir_exits(self, monkeypatch):
         monkeypatch.delenv("DATA_DIR", raising=False)
