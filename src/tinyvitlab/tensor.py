@@ -16,17 +16,18 @@ record nodes on the active `Tape`; `grads = backward(loss, tape, params)`
 returns the gradients, which are values, not state kept on tensors.
 
 A node keeps its input tensors and what its VJP cannot cheaply rebuild
-from them: `mlp` its pre-activation h (Phi(h) is recomputed);
-`layer_norm` the row statistics mu and inv (xhat is rebuilt); `norm_mlp`
-mu, inv and h (the normalized input and Phi(h) are rebuilt);
-`norm_attention` mu, inv, the first-stage q/k/v GEMM output, any
-up-projected q, k or v and the attention weights P (the normalized input
-and the attention output P v are rebuilt); `cross_entropy` its targets and
-log-probabilities; the other ops nothing. A train-mode forward of the
-paper recipe at batch 32 keeps 193 MB, and the step peaks at 214 MB in
-backward. An op that no tape records frees what only its VJP would read:
-`norm_attention` drops P and q, k, v before its output projection, and
-`mlp` and `norm_mlp` write the GELU over h.
+from them: `layer_norm`, `norm_mlp` and `norm_attention` the layer norm's
+row statistics mu and inv, `norm_attention` also each softmax row's max m
+and sum of exponentials l ([B,h,S,1], 1/S of the attention weights P);
+`cross_entropy` its targets and log-probabilities; the other ops nothing.
+A VJP rebuilds every other intermediate it reads (the normalized input,
+the q/k/v GEMM outputs, P, the FFN's pre-activation h and Phi(h)) with the
+forward's operations in the forward's order, so bit for bit: activation
+recomputation (arXiv:1604.06174), with P rebuilt from m and l as in
+FlashAttention's backward (arXiv:2205.14135). So an op frees the same
+memory with or without a tape. A train-mode forward of the paper recipe
+at batch 32 keeps 36 MB (two [S,C] arrays per block and sample), and the
+step peaks at 55 MB in backward (tracemalloc).
 
 Determinism: all reductions go through numpy with a fixed evaluation order,
 so repeated runs on the same inputs produce bitwise-identical results.
@@ -58,6 +59,10 @@ _ERF_CLIP = F32(4.0)
 # this timed fastest of 32-256 rows; much smaller blocks pay Python's
 # per-ufunc overhead.
 _BLOCK = 96 * 1024
+# Bytes of the attention weights P per chunk of samples that norm_attention's
+# core runs over, forward and VJP: about two samples at the paper recipe, so P
+# stays in a 2 MB L2 through the softmax and the GEMMs that read it.
+_ATTENTION_CHUNK = 512 * 1024
 
 
 class ShapeError(ValueError):
@@ -152,23 +157,17 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _recording(inputs: tuple[Tensor, ...]) -> Tape | None:
-    """The active tape if it will record an op on `inputs`, else None. An op
-    that no tape will replay keeps nothing for a VJP and may free or
-    overwrite its intermediates early."""
-    tape = _active_tape()
-    return tape if tape is not None and any(t.requires_grad for t in inputs) else None
-
-
 def _make(data: np.ndarray, inputs: tuple[Tensor, ...], vjp) -> Tensor:
-    """Wrap an op result, recording a backward node if a tape is active.
+    """Wrap an op result, recording a backward node if a tape is active and
+    an input requires grad.
 
     `vjp` maps the output cotangent to a tuple of per-input cotangents
     (None entries are skipped).
     """
-    tape = _recording(inputs)
-    out = Tensor(data, requires_grad=tape is not None)
-    if tape is not None:
+    tape = _active_tape()
+    recorded = tape is not None and any(t.requires_grad for t in inputs)
+    out = Tensor(data, requires_grad=recorded)
+    if recorded:
         tape._nodes.append((out, inputs, vjp))
     return out
 
@@ -279,41 +278,49 @@ def _check_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Non
                          "and b2 [out], got " + ", ".join(str(t.shape) for t in (x, w1, b1, w2, b2)))
 
 
-def _mlp_forward(x2: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, keep: bool):
-    """(h, out) for rows x2: the pre-activation h = x2 w1 + b1, which a VJP
-    keeps, and out = gelu(h) w2 + b2. Unless `keep`, the GELU overwrites h
-    and h is None."""
+def _gelu_hidden(x2: np.ndarray, w1: Tensor, b1: Tensor, gh: np.ndarray | None = None) -> np.ndarray:
+    """gelu(h) for rows x2, written over the pre-activation h = x2 w1 + b1.
+    The forward calls it with gh None. A VJP calls it again, which rebuilds
+    h bit for bit, with the cotangent gh of gelu(h), which the same pass
+    scales in place by GELU'(h) (see _gelu)."""
     h = x2 @ w1.data
     h += b1.data
-    out = _gelu(h, out=None if keep else h) @ w2.data
+    return _gelu(h, gh, out=h)
+
+
+def _mlp_forward(x2: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> np.ndarray:
+    """gelu(x2 w1 + b1) w2 + b2 for rows x2."""
+    out = _gelu_hidden(x2, w1, b1) @ w2.data
     out += b2.data
-    return (h if keep else None), out
+    return out
 
 
-def _mlp_vjp(x2: np.ndarray, h: np.ndarray, g: np.ndarray, w1: Tensor, w2: Tensor):
+def _mlp_vjp(x2: np.ndarray, g: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor):
     """(d x2, dw1, db1, dw2, db2) of _mlp_forward for the output cotangent
-    g; gelu(h) and GELU'(h) come from one recomputing pass over h."""
+    g; h, gelu(h) and GELU'(h) come from one pass that rebuilds h."""
     g2 = g.reshape(-1, w2.shape[1])
     gh = g2 @ w2.data.T
-    gw2 = _gelu(h, gh).T @ g2
+    gw2 = _gelu_hidden(x2, w1, b1, gh).T @ g2
     return gh @ w1.data.T, x2.T @ gh, gh.sum(axis=0), gw2, g2.sum(axis=0)
 
 
 def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """gelu(x @ w1 + b1) @ w2 + b2 with the exact erf GELU h * Phi(h), for
     x [..., in], w1 [in, hidden] and w2 [hidden, out]. One tape node, which
-    keeps x and the pre-activation h; its VJP recomputes Phi(h). The GEMMs
-    are linear's; the GELU and its derivative run block by block (_gelu)."""
+    keeps only x: the GELU is written over h, and the VJP rebuilds h from x
+    with the forward's GEMM and bias add (_gelu_hidden), then recomputes
+    Phi(h). The GEMMs are linear's; the GELU and its derivative run block
+    by block (_gelu). As the paper recipe's head at batch 32, it keeps
+    nothing beyond x where h would take 25 KB."""
     _check_mlp(x, w1, b1, w2, b2)
-    inputs = (x, w1, b1, w2, b2)
     x2 = x.data.reshape(-1, w1.shape[0])
-    h, out = _mlp_forward(x2, w1, b1, w2, b2, keep=_recording(inputs) is not None)
 
     def vjp(g):
-        gx, *gw = _mlp_vjp(x2, h, g, w1, w2)
+        gx, *gw = _mlp_vjp(x2, g, w1, b1, w2)
         return (gx.reshape(x.shape) if x.requires_grad else None, *gw)
 
-    return _make(out.reshape(x.shape[:-1] + w2.shape[1:]), inputs, vjp)
+    return _make(_mlp_forward(x2, w1, b1, w2, b2).reshape(x.shape[:-1] + w2.shape[1:]),
+                 (x, w1, b1, w2, b2), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -448,39 +455,60 @@ def norm_mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2:
     """x + mask * mlp(layer_norm(x, gamma, beta, eps), w1, b1, w2, b2): a
     pre-norm FFN branch and its residual as one tape node. `mask` is a
     constant that broadcasts against x, such as a drop-path mask [B,1,1];
-    None means 1. The node keeps x, the row statistics mu and inv, and h;
-    its VJP rebuilds the normalized input and recomputes Phi(h). When no
-    tape records it, the GELU overwrites h."""
+    None means 1. The node keeps x and the row statistics mu and inv; the
+    GELU is written over h. Its VJP rebuilds the normalized input and h
+    with the forward's operations, so bit for bit, then recomputes Phi(h).
+    At the paper recipe's batch 32 the node keeps 17 KB beyond x, where h
+    would take 6.4 MB, and its VJP's scratch is 17.6 MB, the step's largest."""
     _check_norm(x, gamma, beta, eps)
     _check_mlp(x, w1, b1, w2, b2)
     if w2.shape[1:] != x.shape[-1:]:
         raise ShapeError(f"norm_mlp's residual needs w2 [hidden, C] for x [..., C], "
                          f"got {w2.shape} and {x.shape}")
-    inputs = (x, gamma, beta, w1, b1, w2, b2)
     c = x.shape[-1]
     xhat, mu, inv = _normalize(x.data, eps)
-    h, out = _mlp_forward(_affine(xhat, gamma, beta).reshape(-1, c), w1, b1, w2, b2,
-                          keep=_recording(inputs) is not None)
+    out = _mlp_forward(_affine(xhat, gamma, beta).reshape(-1, c), w1, b1, w2, b2)
     del xhat
 
     def vjp(g):
-        xhat = _xhat(x.data, mu, inv)
-        gxn, *gw = _mlp_vjp(_affine(xhat.copy(), gamma, beta).reshape(-1, c), h,
-                            g if mask is None else g * mask, w1, w2)
-        return (*_residual_vjp(xhat, inv, gamma, gxn.reshape(x.shape), g), *gw)
+        gxn, *gw = _mlp_vjp(_affine(_xhat(x.data, mu, inv), gamma, beta).reshape(-1, c),
+                            g if mask is None else g * mask, w1, b1, w2)
+        return (*_residual_vjp(_xhat(x.data, mu, inv), inv, gamma, gxn.reshape(x.shape), g),
+                *gw)
 
-    return _make(_residual(x.data, out, mask), inputs, vjp)
+    return _make(_residual(x.data, out, mask), (x, gamma, beta, w1, b1, w2, b2), vjp)
 
 
-def _attention_weights(qh: np.ndarray, kh: np.ndarray) -> np.ndarray:
-    """P = softmax(q k^T / sqrt(d)) over the keys for per-head q and k
-    [..., S, d]. The 1/sqrt(d) scales q, a quarter of P's size at the paper
-    recipe, rather than the scores."""
-    scale = qh.dtype.type(1.0 / np.sqrt(qh.shape[-1]))
-    p = (qh * scale) @ kh.swapaxes(-1, -2)
-    p -= p.max(axis=-1, keepdims=True)
+def _first_stage(projections) -> np.ndarray:
+    """q's, k's and v's first-stage matrices side by side, [C, sum of widths]."""
+    return np.concatenate([proj[0].data for proj in projections], axis=1)
+
+
+def _qkv(xn: np.ndarray, projections, cols) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(first, [q, k, v]) for the normalized rows xn [N,C]: one GEMM of q's,
+    k's and v's first-stage matrices side by side (first's columns `cols`),
+    then each latent's `up` GEMM; a full projection's q, k or v is a view of
+    first. The forward and the VJP both call it, so the VJP's are the
+    forward's bit for bit."""
+    first = xn @ _first_stage(projections)
+    return first, [first[:, lo:hi] if len(proj) == 1 else first[:, lo:hi] @ proj[1].data
+                   for proj, lo, hi in zip(projections, cols, cols[1:])]
+
+
+def _attention_weights(qs: np.ndarray, kh: np.ndarray, m: np.ndarray, l: np.ndarray,
+                       rebuild: bool = False) -> np.ndarray:
+    """P = softmax(qs k^T) over the keys for the scaled per-head q `qs` and k
+    [n,h,S,d], as exp(qs k^T - m) / l with each row's max m and sum of
+    exponentials l [n,h,S,1]. The forward writes m and l; a VJP (rebuild)
+    reads them and rebuilds P with the forward's operations, bit for bit."""
+    p = qs @ kh.swapaxes(-1, -2)
+    if not rebuild:
+        p.max(axis=-1, keepdims=True, out=m)
+    p -= m
     np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+    if not rebuild:
+        p.sum(axis=-1, keepdims=True, out=l)
+    p /= l
     return p
 
 
@@ -513,18 +541,19 @@ def norm_attention(x: Tensor, gamma: Tensor, beta: Tensor, projections, wo: Tens
     `projections` holds q's, k's and v's weights, each (w,) for a full [C,C]
     projection or (down, up) for a latent one, [C,d_c] then [d_c,C]. The
     first-stage matrices of all three run as one GEMM; the `up` GEMMs
-    follow. Attention is softmax(q k^T / sqrt(d)) v per head, with C split
-    into `heads` heads of d channels; the head split and merge are views.
-    `mask` is as in norm_mlp.
+    follow (_qkv). Attention is softmax(q k^T / sqrt(d)) v per head, with C
+    split into `heads` heads of d channels; the head split and merge are
+    views. `mask` is as in norm_mlp. The attention core runs over chunks
+    of samples whose P is about _ATTENTION_CHUNK bytes, so P stays in cache.
 
-    The node keeps x, the row statistics mu and inv, the first-stage output
-    (a latent is a view of it), the up-projected q, k or v, and the
-    attention weights P. Its VJP rebuilds the normalized input and the
-    attention output P v, and runs the FlashAttention backward algebra
-    without tiling: dV = P^T g, dP = g V^T, dS = P * (dP - rowsum(dP * P))
-    / sqrt(d), dQ = dS K, dK = dS^T Q. The normalized input's cotangent is
-    one GEMM of the first stage's. When no tape records the node, P and
-    q, k, v are freed before the output projection.
+    The node keeps x, the layer norm's row statistics mu and inv, and the
+    softmax's row max m and sum l ([B,h,S,1], 1/S of P). Its VJP rebuilds
+    the normalized input, first, q, k, v and, chunk by chunk, P and P v,
+    all bit for bit, and runs the FlashAttention backward algebra: dV = P^T
+    g, dP = g V^T, dS = P * (dP - rowsum(dP * P)) / sqrt(d), dQ = dS K,
+    dK = dS^T Q. The normalized input's cotangent is one GEMM of the first
+    stage's. At the paper recipe's batch 32 the node keeps 0.2 MB beyond
+    x, where the first stage and P would take 11.3 MB.
     """
     _check_norm(x, gamma, beta, eps)
     _check_attention(x, projections, wo, heads)
@@ -532,57 +561,65 @@ def norm_attention(x: Tensor, gamma: Tensor, beta: Tensor, projections, wo: Tens
     b, s, c = x.shape
     d = c // heads
     scale = x.dtype.type(1.0 / np.sqrt(d))
+    step = max(1, _ATTENTION_CHUNK // (heads * s * s * x.dtype.itemsize))
+    chunks = [slice(lo, lo + step) for lo in range(0, b, step)]
+    cols = np.cumsum([0] + [proj[0].shape[1] for proj in projections])
 
     def split(a: np.ndarray) -> np.ndarray:       # [B*S,C] -> [B,h,S,d]
         return a.reshape(b, s, heads, d).transpose(0, 2, 1, 3)
 
-    def merge(a: np.ndarray) -> np.ndarray:       # [B,h,S,d] -> [B*S,C]
-        return a.transpose(0, 2, 1, 3).reshape(b * s, c)
+    def rows() -> np.ndarray:                     # a new [B*S,C], written through split views
+        return np.empty((b * s, c), x.dtype)
 
-    def stacked() -> np.ndarray:                  # the first-stage matrices side by side
-        return np.concatenate([proj[0].data for proj in projections], axis=1)
+    def normalized() -> np.ndarray:               # the VJP's rebuilt layer norm output [B*S,C]
+        return _affine(_xhat(x.data, mu, inv), gamma, beta).reshape(-1, c)
 
-    cols = np.cumsum([0] + [proj[0].shape[1] for proj in projections])
     xhat, mu, inv = _normalize(x.data, eps)
-    first = _affine(xhat, gamma, beta).reshape(-1, c) @ stacked()
+    first, qkv = _qkv(_affine(xhat, gamma, beta).reshape(-1, c), projections, cols)
     del xhat
-    qkv = [first[:, lo:hi] if len(proj) == 1 else first[:, lo:hi] @ proj[1].data
-           for proj, lo, hi in zip(projections, cols, cols[1:])]
     qh, kh, vh = map(split, qkv)
-    p = _attention_weights(qh, kh)
-    ctx = p @ vh
-    if _recording(inputs) is None:
-        del p, first, qkv, qh, kh, vh
-    y = merge(ctx) @ wo.data
+    m, l = np.empty((2, b, heads, s, 1), x.dtype)
+    ctx = rows()
+    for sl in chunks:
+        np.matmul(_attention_weights(qh[sl] * scale, kh[sl], m[sl], l[sl]), vh[sl],
+                  out=split(ctx)[sl])
+    del first, qkv, qh, kh, vh
+    y = ctx @ wo.data
     del ctx
-
-    def cotangents(ds: np.ndarray, gh: np.ndarray):
-        """dQ, dK and dV as [B*S,C] rows, one at a time."""
-        gt = merge(ds @ kh)
-        gt *= scale
-        yield gt
-        gt = merge(ds.swapaxes(-1, -2) @ qh)
-        gt *= scale
-        yield gt
-        yield merge(p.swapaxes(-1, -2) @ gh)
 
     def vjp(g):
         gy = (g if mask is None else g * mask).reshape(-1, c)
-        gwo = merge(p @ vh).T @ gy
-        gh = split(gy @ wo.data.T)
-        ds = _softmax_vjp(gh @ vh.swapaxes(-1, -2), p)      # sqrt(d) dS
-        gfirst, gups = np.empty_like(first), []
-        for proj, lo, hi, gt in zip(projections, cols, cols[1:], cotangents(ds, gh)):
+        first, qkv = _qkv(normalized(), projections, cols)
+        qh, kh, vh = map(split, qkv)
+        go = split(gy @ wo.data.T)
+        gfirst, ctx = np.empty_like(first), rows()
+        # dQ, dK and dV go straight into gfirst's columns for a full projection
+        gq, gk, gv = (gfirst[:, lo:hi] if len(proj) == 1 else rows()
+                      for proj, lo, hi in zip(projections, cols, cols[1:]))
+        for sl in chunks:
+            p = _attention_weights(qh[sl] * scale, kh[sl], m[sl], l[sl], rebuild=True)
+            np.matmul(p, vh[sl], out=split(ctx)[sl])
+            np.matmul(p.swapaxes(-1, -2), go[sl], out=split(gv)[sl])
+            ds = _softmax_vjp(go[sl] @ vh[sl].swapaxes(-1, -2), p)      # sqrt(d) dS
+            np.matmul(ds, kh[sl], out=split(gq)[sl])
+            np.matmul(ds.swapaxes(-1, -2), qh[sl], out=split(gk)[sl])
+            del p, ds     # before the next chunk's
+        del qkv, qh, kh, vh, go
+        gwo = ctx.T @ gy
+        del ctx
+        gq *= scale
+        gk *= scale
+        gups = []
+        for proj, lo, hi, gt in zip(projections, cols, cols[1:], (gq, gk, gv)):
             if len(proj) == 2:
                 gups.append(first[:, lo:hi].T @ gt)
-                gt = gt @ proj[1].data.T
+                np.matmul(gt, proj[1].data.T, out=gfirst[:, lo:hi])
             else:
                 gups.append(None)
-            gfirst[:, lo:hi] = gt
-        del ds, gh
-        xhat = _xhat(x.data, mu, inv)
-        gw1 = _affine(xhat.copy(), gamma, beta).reshape(-1, c).T @ gfirst
-        dnorm = _residual_vjp(xhat, inv, gamma, (gfirst @ stacked().T).reshape(x.shape), g)
+        del first, gq, gk, gv, gt
+        gw1 = normalized().T @ gfirst
+        dnorm = _residual_vjp(_xhat(x.data, mu, inv), inv, gamma,
+                              (gfirst @ _first_stage(projections).T).reshape(x.shape), g)
         gprojections = [gw for lo, hi, gup in zip(cols, cols[1:], gups)
                         for gw in (gw1[:, lo:hi], gup) if gw is not None]
         return (*dnorm, *gprojections, gwo)
@@ -659,6 +696,13 @@ def grad_check(f, params: list[Tensor], h: float = 1e-5,
     `f` must be a deterministic closure over `params` returning a scalar
     Tensor; parameters should be float64. With `max_coords`, a random subset
     of coordinates per parameter is probed (for large models).
+
+    A central difference (f(p + h) - f(p - h)) / 2h carries rounding of
+    about eps |f| / h, eps the machine epsilon of the parameter's dtype, so
+    a coordinate's error counts only the part of |analytic - numeric| above
+    that floor, relative to max(|analytic|, |numeric|, 1e-8). Without the
+    floor, a gradient coordinate near zero turns rounding into a large
+    relative error.
     """
     if h <= 0:
         raise ValueError("grad_check h must be positive")
@@ -676,6 +720,7 @@ def grad_check(f, params: list[Tensor], h: float = 1e-5,
             coords = range(n)
         flat = p.data.reshape(-1)
         gflat = ga.reshape(-1)
+        eps = float(np.finfo(p.dtype).eps)
         for i in coords:
             orig = flat[i]
             flat[i] = orig + h
@@ -685,6 +730,7 @@ def grad_check(f, params: list[Tensor], h: float = 1e-5,
             flat[i] = orig
             numeric = (fp - fm) / (2.0 * h)
             a = float(gflat[i])
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+            rounding = eps * max(abs(fp), abs(fm)) / h
+            rel = max(abs(a - numeric) - rounding, 0.0) / max(abs(a), abs(numeric), 1e-8)
             worst = max(worst, rel)
     return worst

@@ -26,7 +26,7 @@ from tinyvitlab import augment as A
 from tinyvitlab import data as D
 from tinyvitlab import model as M
 from tinyvitlab import optim as O
-from tinyvitlab.tensor import Tensor, Tape, backward, cross_entropy
+from tinyvitlab.tensor import _BLOCK, Tensor, Tape, backward, cross_entropy
 
 
 class TrainingDiverged(RuntimeError):
@@ -144,9 +144,12 @@ def _keep_freed_memory() -> None:
     """Once per process, have glibc's malloc keep the memory a step frees
     mapped for the next step: arrays under 32 MiB come from the heap rather
     than their own mmap, and free heap memory is returned to the system only
-    past 1 GiB. Otherwise each step faults its arrays' pages in again. The
-    thresholds change where memory comes from, not what is computed. Does
-    nothing where the C library has no mallopt (it is glibc's)."""
+    past 1 GiB. Otherwise each step faults its arrays' pages in again. It
+    also caps malloc at one arena, so the shard threads of the step and of
+    evaluate reuse the memory the main thread freed rather than each keeping
+    an arena of its own. These settings change where memory comes from, not
+    what is computed. Does nothing where the C library has no mallopt (it
+    is glibc's)."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, TypeError, AttributeError):   # no C library to load, or no mallopt
@@ -154,6 +157,7 @@ def _keep_freed_memory() -> None:
     mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
     mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD, at glibc's largest: a paper-recipe step's arrays are smaller
     mallopt(-1, 1 << 30)    # M_TRIM_THRESHOLD
+    mallopt(-8, 1)          # M_ARENA_MAX
 
 
 def _usable_cpus() -> int:
@@ -557,29 +561,36 @@ def profile_step(cfg: TrainConfig, params: dict[str, Tensor],
 
 
 def activation_estimate_bytes(cfg: M.ModelConfig, batch_size: int) -> int:
-    """Peak bytes of a training step's float32 activations: the arrays a
-    train-mode forward's tape keeps for backward, plus the scratch of the
-    VJP that needs the most, the last block's FFN branch (T.norm_mlp).
-    train() logs it as metrics.log's peak_activation_bytes.
+    """Estimated peak bytes a float32 training step allocates beyond the
+    parameters, through its tape and backward; train() logs it as
+    metrics.log's peak_activation_bytes. Affine in the batch size: a fixed
+    term plus batch_size times a per-sample one.
 
-    Per block the tape keeps the two branch outputs, the first-stage q/k/v
-    GEMM output (each compressed projection's latent in it), the
-    up-projected q, k or v, the attention weights P, the FFN's
-    pre-activation h and the two layer norms' row statistics (mu and inv).
-    Tokenization keeps the patch rows, their embedding, its sum with the
-    positional table and the token sequence; the head its CLS rows, their
-    norm and statistics, its h and the logits. The last FFN branch's VJP
-    adds the cotangent of its output and that times the drop-path mask,
-    the rebuilt normalized input (twice: before and after the affine), and
-    the cotangent of h and the recomputed GELU of h, each hidden-sized.
-    Exactly linear in batch size (per-sample shapes only; the GELU passes'
-    fixed-size block buffers are left out).
+    Per sample it counts what a train-mode forward's tape keeps and the
+    scratch of the costliest VJP. Per block the tape keeps the two branch
+    inputs ([S,C] each; the last block's output is the head's input), the
+    two layer norms' row statistics (mu and inv) and the softmax's row max
+    and sum ([h,S] each). Tokenization keeps the patch rows, their
+    embedding, its sum with the positional table and the token sequence;
+    the head its CLS rows, their norm and its statistics, the logits and
+    their log-probabilities. The costliest VJP is a block's FFN branch
+    (T.norm_mlp; the attention branch's is 5-13% smaller at the two
+    recipes): the cotangent of its output and that times the drop-path
+    mask, the rebuilt normalized input, and the rebuilt h and its
+    cotangent, each hidden-sized.
+
+    The fixed term is the GELU passes' four block buffers and half the
+    parameter gradients. Backward fills the gradients as it drains the
+    tape, so its peak comes at its first VJPs (the whole tape, few
+    gradients) at large batches and at its last (every gradient, little
+    tape) at small ones; counting half of them puts the estimate within
+    5% of tracemalloc's peak at a quarter of both recipes' batches, and
+    14% above it at the paper recipe's batch 32.
     """
     s, c, n, r = cfg.seq_len, cfg.embed_dim, cfg.num_cls_tokens, cfg.ffn_ratio
-    per_block = (5 * s * c + cfg.num_heads * s * s + r * s * c + 4 * s
-                 + s * cfg.mla.d_c * len(cfg.mla.compressed()))
+    per_block = 2 * s * c + 4 * s + 2 * cfg.num_heads * s
     tokenize = cfg.num_patches * (cfg.patch_dim + 2 * c) + s * c
-    head = 2 * n * c + 2 * n + c + cfg.num_classes
-    ffn_vjp = (4 + 2 * r) * s * c
-    return ((cfg.depth * per_block + tokenize + head + ffn_vjp) * batch_size
-            * np.dtype(np.float32).itemsize)
+    head = 2 * n * c + 2 * n + 2 * cfg.num_classes
+    ffn_vjp = (3 + 2 * r) * s * c
+    fixed = 4 * _BLOCK + M.param_elements(cfg) // 2
+    return ((cfg.depth * per_block + tokenize + head + ffn_vjp) * batch_size + fixed) * 4

@@ -368,10 +368,12 @@ class TestBlock:
 
     def test_train_block_keeps_no_normalized_copy_or_phi(self):
         # a float32 train-mode block is two tape nodes, which keep, per
-        # sample, the first-stage q/k/v GEMM output (three [S,C] arrays), the
-        # two branch outputs ([S,C] each), P, h and four row statistics.
-        # Keeping either normalized input, the attention output, the o
-        # output or the FFN output would add one more [S,C] array, Phi(h) four.
+        # sample, the FFN branch's input and the block's output ([S,C]
+        # each), the two layer norms' row statistics (four [S] arrays) and
+        # the softmax's row max and sum ([h,S] each). Keeping any [S,C]
+        # intermediate (a normalized input, q, k, v, the attention output,
+        # the FFN output) would add one more [S,C] array, keeping P h*S/C
+        # of them and h four.
         rng = np.random.default_rng(15)
         cfg = M.ModelConfig(embed_dim=64, num_heads=4, depth=1)
         params = M.init_params(cfg, rng)
@@ -385,31 +387,39 @@ class TestBlock:
                 retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        kept = 4 * b * (5 * s * c + cfg.num_heads * s * s + s * cfg.ffn_ratio * c + 4 * s)
-        assert 0.9 * kept <= retained < kept + x.data.nbytes // 2
+        kept = 4 * b * (2 * s * c + 4 * s + 2 * cfg.num_heads * s)
+        assert kept <= retained < kept + x.data.nbytes // 2
 
     def test_eval_block_peak_frees_attention_early_and_gelu_in_place(self):
-        # with no tape the attention branch frees P and q, k, v before its
-        # output projection, and the FFN branch writes the GELU over h. At
-        # this size the block's peak is then the softmax: the first-stage
-        # q/k/v output (three [S,C] arrays per sample), the scaled q and P.
-        # Keeping P and q, k, v through the projection would add two [S,C]
-        # arrays to it; a separate GELU output makes the FFN's peak higher.
+        # the attention branch runs its core over chunks of samples, so its
+        # peak is the first-stage q/k/v output and the attention output
+        # (four [S,C] arrays per sample), the row statistics, and one
+        # chunk's scaled q and P; a P of the whole batch would add 3.6 rows
+        # (row = one [S,C] array per sample). The FFN branch writes the GELU
+        # over h: its peak is the normalized input, h (four [S,C] arrays)
+        # and the GELU's four block buffers; a separate GELU output would add
+        # four rows.
         rng = np.random.default_rng(18)
         cfg = M.ModelConfig(embed_dim=64, num_heads=4, depth=1)
         params = M.init_params(cfg, rng)
-        b, s, c = 64, cfg.seq_len, cfg.embed_dim
+        b, s, c, heads = 64, cfg.seq_len, cfg.embed_dim, cfg.num_heads
         x = Tensor(rng.standard_normal((b, s, c)).astype(np.float32))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            M.block(x, params, cfg, "blocks.0", mode="eval")
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+
+        def peak(branch):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                branch()
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
         row = 4 * b * s * c
-        softmax = 4 * row + 4 * b * cfg.num_heads * s * s
-        assert softmax <= peak < softmax + row // 2
+        chunk = T._ATTENTION_CHUNK // (4 * heads * s * s)
+        softmax = 4 * row + 4 * b * (2 * s + 2 * heads * s) + 4 * chunk * (s * c + heads * s * s)
+        assert softmax <= peak(lambda: M.attention(x, params, cfg, "blocks.0")) < softmax + row // 2
+        gelu = 5 * row + 4 * b * 2 * s + 4 * 4 * T._BLOCK
+        assert gelu <= peak(lambda: M.ffn(x, params, "blocks.0")) < gelu + row // 2
 
     @pytest.mark.parametrize("zeroed", ["attn", "ffn"])
     def test_monte_carlo_expectation(self, zeroed):
@@ -638,6 +648,15 @@ class TestParamCount:
         counts = M.param_count(params)
         assert counts["total"] == sum(p.size for p in params.values())
         assert counts["attention"] == 2 * M.attention_params_per_layer(cfg)
+
+    @pytest.mark.parametrize("cfg", [
+        M.ModelConfig(),
+        M.ModelConfig(embed_dim=64, num_heads=4, depth=3, mla=M.MlaConfig("kv", 16),
+                      num_cls_tokens=2, pos_embed="sinusoidal", ffn_ratio=2, num_classes=7),
+    ], ids=["paper", "desk-like"])
+    def test_param_elements_match_init(self, cfg):
+        params = M.init_params(cfg, np.random.default_rng(0))
+        assert M.param_elements(cfg) == sum(p.size for p in params.values())
 
     @pytest.mark.parametrize("variant", ["q", "k", "qk", "kv", "qkv"])
     def test_factoring_strictly_reduces_total(self, variant):

@@ -96,7 +96,9 @@ def attend(q, k, v, heads=1):
     def split(a):
         return np.asarray(a, np.float64).reshape(b, s, heads, c // heads).transpose(0, 2, 1, 3)
 
-    out = T._attention_weights(split(q), split(k)) @ split(v)
+    qh = split(q)
+    m, l = np.empty((2, *qh.shape[:-1], 1))     # the row max and sum the forward keeps
+    out = T._attention_weights(qh * (1.0 / np.sqrt(c // heads)), split(k), m, l) @ split(v)
     return out.transpose(0, 2, 1, 3).reshape(b, s, c)
 
 
@@ -574,6 +576,21 @@ class TestGradCheck:
         assert err > 1e-2
         assert err == pytest.approx(0.5, abs=1e-4)
 
+    def test_rounding_floor_hides_no_wrong_gradient(self):
+        # f = 1000 + x^2 at x = 1e-9: rounding 1000 +- 1e-10 moves the
+        # central difference by about eps * 1000 / h = 2e-8, ten times the
+        # true gradient 2e-9; only the error above that floor counts. A
+        # doubled VJP on the same f is still caught.
+        x = t64([1e-9], grad=True)
+        offset = t64([[1000.0]])
+        assert grad_check(lambda: T.add(square_sum(x), offset), [x], h=1e-5) == 0.0
+
+        def bad_square(a):
+            return T._make(a.data * a.data, (a,), lambda g: (4.0 * a.data * g,))
+
+        y = t64([0.5], grad=True)
+        assert grad_check(lambda: T.add(total(bad_square(y)), offset), [y], h=1e-5) > 0.49
+
     def test_rejects_non_scalar(self):
         x = t64([1.0, 2.0], grad=True)
         with pytest.raises(ValueError):
@@ -725,7 +742,19 @@ def _residual_vjp_without_g(xhat, inv, gamma, gxn, g):
     return T._norm_vjp(xhat, inv, gamma, gxn)
 
 
+def _gelu_hidden_without_b1(x2, w1, b1, gh=None):
+    """A planted bug: the VJP rebuilds h as x2 w1, without b1."""
+    return _REAL_GELU_HIDDEN(x2, w1, b1 if gh is None else t64(np.zeros(b1.shape)), gh)
+
+
+def _weights_without_row_max(qs, kh, m, l, rebuild=False):
+    """A planted bug: the VJP rebuilds P as exp(q k^T) / l, without the kept
+    row max m."""
+    return _REAL_WEIGHTS(qs, kh, np.zeros_like(m) if rebuild else m, l, rebuild)
+
+
 _REAL_NORM_VJP, _REAL_GELU = T._norm_vjp, T._gelu
+_REAL_GELU_HIDDEN, _REAL_WEIGHTS = T._gelu_hidden, T._attention_weights
 PLANTED_CASES = {
     **{name: ffn_case(name, (3, 4), 6, 8, 5, drop_mask(5, (3, 4, 1)))
        for name in ("layer_norm", "norm_mlp", "mlp")},
@@ -747,8 +776,12 @@ class TestPlantedVjpBugs:
         ("norm_mlp", "_residual_vjp", _residual_vjp_without_g),
         ("norm_attention", "_softmax_vjp", _softmax_vjp_without_rowsum),
         ("norm_attention", "_residual_vjp", _residual_vjp_without_g),
+        ("norm_mlp", "_gelu_hidden", _gelu_hidden_without_b1),
+        ("mlp", "_gelu_hidden", _gelu_hidden_without_b1),
+        ("norm_attention", "_attention_weights", _weights_without_row_max),
     ], ids=["layer_norm-norm", "norm_mlp-norm", "norm_mlp-gelu", "mlp-gelu", "norm_mlp-residual",
-            "norm_attention-softmax", "norm_attention-residual"])
+            "norm_attention-softmax", "norm_attention-residual", "norm_mlp-rebuilt-h",
+            "mlp-rebuilt-h", "norm_attention-rebuilt-p"])
     def test_planted_bug_is_caught(self, name, helper, planted, monkeypatch):
         op, oracle, shapes = PLANTED_CASES[name]
         assert oracle_error(op, oracle, shapes, seed=3) < 1e-10
@@ -756,3 +789,73 @@ class TestPlantedVjpBugs:
         monkeypatch.setattr(T, helper, planted)
         assert oracle_error(op, oracle, shapes, seed=3) > 1e-2
         assert cotangent_error(op, random_inputs(3, *shapes), 4) > 1e-2
+
+
+class TestRebuildBits:
+    """In float32, every array a VJP rebuilds from what its node keeps is
+    bitwise the forward's: norm_attention's first-stage output, any
+    up-projected q, k or v (_qkv) and each chunk's P (_attention_weights),
+    and the pre-activation h of norm_mlp and mlp (_gelu_hidden's input to
+    _gelu). The batch spans three attention chunks."""
+
+    @staticmethod
+    def record(monkeypatch) -> dict[str, list]:
+        """Copies of what _qkv returns, of each P, and of each h entering the
+        GELU, tagged by whether the VJP computed it, in call order."""
+        seen = {"qkv": [], "p": [], "h": []}
+        real_qkv, real_weights, real_gelu = T._qkv, T._attention_weights, T._gelu
+
+        def qkv(xn, projections, cols):
+            first, outs = real_qkv(xn, projections, cols)
+            seen["qkv"].append([a.copy() for a in (first, *outs)])
+            return first, outs
+
+        def weights(qs, kh, m, l, rebuild=False):
+            p = real_weights(qs, kh, m, l, rebuild)
+            seen["p"].append((rebuild, p.copy()))
+            return p
+
+        def gelu(h, gh=None, out=None):
+            seen["h"].append((gh is not None, h.copy()))
+            return real_gelu(h, gh, out)
+
+        for name, fn in (("_qkv", qkv), ("_attention_weights", weights), ("_gelu", gelu)):
+            monkeypatch.setattr(T, name, fn)
+        return seen
+
+    def run(self, op, shapes, out_shape, monkeypatch) -> dict[str, list]:
+        """What record() saw over op's float32 forward and VJP at random inputs."""
+        rng = np.random.default_rng(2)
+        arrays = [rng.standard_normal(shape) for shape in shapes]
+        seen = self.record(monkeypatch)
+        op_and_vjp(op, arrays, rng.standard_normal(out_shape), dtype=np.float32)
+        return seen
+
+    @staticmethod
+    def assert_rebuilt_bitwise(tagged):
+        forward = [a for rebuilt, a in tagged if not rebuilt]
+        rebuilt = [a for was_rebuilt, a in tagged if was_rebuilt]
+        assert forward and len(rebuilt) == len(forward)
+        assert all(a.dtype == np.float32 and a.tobytes() == b.tobytes()
+                   for a, b in zip(forward, rebuilt))
+
+    @pytest.mark.parametrize("latents", [(0, 0, 0), (8, 0, 12)], ids=["full", "latent"])
+    @pytest.mark.parametrize("masked", [False, True], ids=["whole", "drop-path"])
+    def test_norm_attention(self, latents, masked, monkeypatch):
+        b, s, c, heads = 16, 65, 64, 4        # 7 samples per chunk: 7, 7, 2
+        mask = drop_mask(1, (b, 1, 1)).astype(np.float32) if masked else None
+        seen = self.run(norm_attention_op(heads, latents, mask),
+                        attention_shapes(b, s, c, latents), (b, s, c), monkeypatch)
+        forward, rebuilt = seen["qkv"]       # first, q, k, v
+        assert [a.tobytes() for a in forward] == [a.tobytes() for a in rebuilt]
+        assert [was_rebuilt for was_rebuilt, _ in seen["p"]] == [False] * 3 + [True] * 3
+        self.assert_rebuilt_bitwise(seen["p"])
+
+    @pytest.mark.parametrize("name, masked", [("norm_mlp", False), ("norm_mlp", True),
+                                              ("mlp", False)])
+    def test_hidden(self, name, masked, monkeypatch):
+        mask = drop_mask(1, (4, 9, 1)).astype(np.float32) if masked else None
+        op, _, shapes = ffn_case(name, (4, 9), 8, 16, 3, mask)
+        seen = self.run(op, shapes, (4, 9, 3 if name == "mlp" else 8), monkeypatch)
+        assert [was_rebuilt for was_rebuilt, _ in seen["h"]] == [False, True]
+        self.assert_rebuilt_bitwise(seen["h"])
