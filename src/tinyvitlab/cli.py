@@ -230,7 +230,7 @@ def cmd_grad_check(args, run: TR.TrainConfig) -> int:
 
         err = grad_check(f, list(params.values()), h=1e-5, max_coords=5,
                          rng=np.random.default_rng(1))
-        print(f"{mode}: max_relative_error={err:.3e}")
+        print(f"{mode}: max_relative_error_above_rounding_floor={err:.3e}")
         worst = max(worst, err)
     return 0 if worst < 1e-4 else 1
 

@@ -409,11 +409,3 @@ def attention_params_per_layer(cfg: ModelConfig) -> int:
         n += 2 * c * dc if proj in compressed else c * c
     return n
 
-
-def param_elements(cfg: ModelConfig) -> int:
-    """Parameter elements init_params(cfg) allocates, from the config alone."""
-    c, n, hidden = cfg.embed_dim, cfg.num_cls_tokens, cfg.ffn_ratio * cfg.embed_dim
-    block = attention_params_per_layer(cfg) + 4 * c + 2 * c * hidden + hidden + c
-    pos = cfg.num_patches * c if cfg.pos_embed == "learnable" else 0
-    return ((cfg.patch_dim + 1 + n) * c + cfg.depth * block + 2 * c
-            + n * c * c + c + (c + 1) * cfg.num_classes + pos)

@@ -14,6 +14,7 @@ import functools
 import os
 import re
 import time
+import tracemalloc
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict, replace
@@ -26,7 +27,7 @@ from tinyvitlab import augment as A
 from tinyvitlab import data as D
 from tinyvitlab import model as M
 from tinyvitlab import optim as O
-from tinyvitlab.tensor import _BLOCK, Tensor, Tape, backward, cross_entropy
+from tinyvitlab.tensor import Tensor, Tape, backward, cross_entropy
 
 
 class TrainingDiverged(RuntimeError):
@@ -74,6 +75,15 @@ class StepProfile:
 
 @dataclass
 class MetricsRecord:
+    """One metrics.log row. peak_activation_bytes is measured: the
+    tracemalloc peak of one training step, the last of the first epoch the
+    run runs (after a resume, of the first epoch it runs), counted
+    from the bytes traced at that step's start; every row of the run holds
+    that one step's peak. tracemalloc counts the whole process, so the peak
+    includes every shard. At workers > 1 the shards' allocations interleave,
+    so it varies by a few percent between runs (47.7-49.2 MB over 6 runs of
+    the desk recipe at batch 128, 2 workers). It is 0 when another tracer
+    stopped tracemalloc during that step."""
     epoch: int
     train_loss: float
     val_acc: float
@@ -246,6 +256,8 @@ def _sharded_gradients(cfg: M.ModelConfig, params: dict[str, Tensor],
     threads, run a train-mode forward, cross entropy and backward on each,
     average the gradients in ascending worker order, and return (averaged
     grads, mean loss, seconds the slowest shard spent in forward and loss).
+    With one worker the grads are backward's own arrays, which may share
+    memory: treat them as read-only.
 
     Workers share `params` read-only, and each owns its tape, gradients and
     drop-path rng stream, so K=1 reproduces the serial step bitwise. The
@@ -270,10 +282,14 @@ def _sharded_gradients(cfg: M.ModelConfig, params: dict[str, Tensor],
         return dict(zip(params, backward(loss, tape, params.values()))), loss.item(), forward_s
 
     results = _run_shards(work, workers)
-
-    # summed out of place, in worker order: backward's arrays may share memory
-    grads = {path: functools.reduce(np.add, [r[0][path] for r in results]) / workers
-             for path in sorted(params)}
+    grads = results[0][0]   # one shard: dividing by 1 is exact
+    if workers > 1:
+        # summed out of place, in worker order, as backward's arrays may share
+        # memory; the sum is a new array, divided in place
+        grads = {path: functools.reduce(np.add, [r[0][path] for r in results])
+                 for path in sorted(params)}
+        for g in grads.values():
+            g /= workers
     loss = sum(r[1] for r in results) / workers
     return grads, loss, max(r[2] for r in results)
 
@@ -405,6 +421,26 @@ def _resume(ckpt: D.Checkpoint, cfg: TrainConfig, train_config: dict
     return params, state
 
 
+def _traced_peak(step: Callable[[], tuple]) -> tuple[tuple, int]:
+    """(step(), the tracemalloc peak of the bytes traced during it, counted
+    from those traced at its start). If tracemalloc is already tracing, its
+    peak is reset and tracing stays on; otherwise it runs for the step only.
+    The peak is 0 if tracing stopped during the step (another tracer stopped
+    it)."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    else:
+        tracemalloc.reset_peak()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = step()
+        return out, max(tracemalloc.get_traced_memory()[1] - base, 0)   # (0, 0) once stopped
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
 def steps_per_epoch(n: int, cfg: TrainConfig) -> int:
     """The number of batches build_batches yields for n images."""
     return n // (cfg.batch_size // cfg.augment.repeated_factor)
@@ -479,9 +515,14 @@ def train(cfg: TrainConfig, train_ds: D.Dataset, test_ds: D.Dataset,
                 global_step = epoch * spe + step_idx
                 lr = O.lr_schedule(global_step, total_steps, warmup_steps,
                                    cfg.lr_peak, cfg.lr_min)
-                grads, loss = parallel_train_step(cfg.model, params, batch,
-                                                  cfg.workers, seed=cfg.seed,
-                                                  epoch=epoch, step_idx=step_idx)
+                step = functools.partial(parallel_train_step, cfg.model, params, batch,
+                                         cfg.workers, seed=cfg.seed, epoch=epoch,
+                                         step_idx=step_idx)
+                # metrics.log's peak; not the first step, whose time is the run's set-up
+                if epoch == start_epoch and step_idx == spe - 1:
+                    (grads, loss), peak_bytes = _traced_peak(step)
+                else:
+                    grads, loss = step()
                 if not (np.isfinite(loss) and all(np.isfinite(g).all() for g in grads.values())):
                     raise TrainingDiverged(
                         f"non-finite loss or gradient at epoch {epoch} step {step_idx}: "
@@ -501,7 +542,7 @@ def train(cfg: TrainConfig, train_ds: D.Dataset, test_ds: D.Dataset,
                 val_acc=val_acc,
                 lr=lr,
                 images_per_sec=images_seen / max(epoch_secs, 1e-9),
-                peak_activation_bytes=activation_estimate_bytes(cfg.model, cfg.batch_size),
+                peak_activation_bytes=peak_bytes,
                 wall_seconds=time.perf_counter() - wall_start,
             )
             records.append(record)
@@ -559,38 +600,3 @@ def profile_step(cfg: TrainConfig, params: dict[str, Tensor],
         laps.append((forward_s, t1 - t0 - forward_s, t2 - t1, t2 - t0, t3 - t2))
     return StepProfile(*(1000.0 * sum(phase) / steps for phase in zip(*laps[warmup:])))
 
-
-def activation_estimate_bytes(cfg: M.ModelConfig, batch_size: int) -> int:
-    """Estimated peak bytes a float32 training step allocates beyond the
-    parameters, through its tape and backward; train() logs it as
-    metrics.log's peak_activation_bytes. Affine in the batch size: a fixed
-    term plus batch_size times a per-sample one.
-
-    Per sample it counts what a train-mode forward's tape keeps and the
-    scratch of the costliest VJP. Per block the tape keeps the two branch
-    inputs ([S,C] each; the last block's output is the head's input), the
-    two layer norms' row statistics (mu and inv) and the softmax's row max
-    and sum ([h,S] each). Tokenization keeps the patch rows, their
-    embedding, its sum with the positional table and the token sequence;
-    the head its CLS rows, their norm and its statistics, the logits and
-    their log-probabilities. The costliest VJP is a block's FFN branch
-    (T.norm_mlp; the attention branch's is 5-13% smaller at the two
-    recipes): the cotangent of its output and that times the drop-path
-    mask, the rebuilt normalized input, and the rebuilt h and its
-    cotangent, each hidden-sized.
-
-    The fixed term is the GELU passes' four block buffers and half the
-    parameter gradients. Backward fills the gradients as it drains the
-    tape, so its peak comes at its first VJPs (the whole tape, few
-    gradients) at large batches and at its last (every gradient, little
-    tape) at small ones; counting half of them puts the estimate within
-    5% of tracemalloc's peak at a quarter of both recipes' batches, and
-    14% above it at the paper recipe's batch 32.
-    """
-    s, c, n, r = cfg.seq_len, cfg.embed_dim, cfg.num_cls_tokens, cfg.ffn_ratio
-    per_block = 2 * s * c + 4 * s + 2 * cfg.num_heads * s
-    tokenize = cfg.num_patches * (cfg.patch_dim + 2 * c) + s * c
-    head = 2 * n * c + 2 * n + 2 * cfg.num_classes
-    ffn_vjp = (3 + 2 * r) * s * c
-    fixed = 4 * _BLOCK + M.param_elements(cfg) // 2
-    return ((cfg.depth * per_block + tokenize + head + ffn_vjp) * batch_size + fixed) * 4

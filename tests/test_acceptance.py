@@ -345,16 +345,11 @@ def test_criterion_10_profiler_bookkeeping(phase_clock):
         fake = TR.profile_step(run, params, batch, warmup=0, steps=1)
     phases_ok = fake == TR.StepProfile(1000.0, 2000.0, 4000.0, 7000.0, 8000.0)
 
-    fixed = TR.activation_estimate_bytes(cfg, 0)
-    unit = TR.activation_estimate_bytes(cfg, 1) - fixed
-    affine_ok = all(TR.activation_estimate_bytes(cfg, b) - fixed == b * unit for b in (2, 4, 8))
-
     report(10, "profiler phases sum within 1%, every phase timed, exact phase "
-           "attribution on a fake clock, affine activation estimates",
-           sum_ok and timed_ok and phases_ok and affine_ok,
+           "attribution on a fake clock",
+           sum_ok and timed_ok and phases_ok,
            f"fwd={prof.forward_ms:.1f}ms bwd={prof.backward_ms:.1f}ms "
-           f"opt={prof.optim_ms:.1f}ms eval={prof.eval_ms:.1f}ms fake={fake} "
-           f"affine={affine_ok}")
+           f"opt={prof.optim_ms:.1f}ms eval={prof.eval_ms:.1f}ms fake={fake}")
 
 
 def test_criterion_11_checkpoint_resume_fidelity(tmp_path):
