@@ -211,10 +211,14 @@ def cmd_bench(args, run: TR.TrainConfig) -> int:
 
 def cmd_grad_check(args, run: TR.TrainConfig) -> int:
     """Finite-difference check of the float64 gradients of a small model of
-    run's MLA variant and CLS count, in eval mode and in train mode."""
+    run's MLA variant, CLS count and positional table, in eval mode and in
+    train mode. A frozen table (sinusoidal or zero) is an input without a
+    gradient. run's patch_init stays unused: it changes only the initial
+    values, and the check runs at its own random point."""
     cfg = M.ModelConfig(
         image_size=16, embed_dim=32, num_heads=4, depth=2,
-        num_cls_tokens=run.model.num_cls_tokens, drop_path_rate=0.5,
+        num_cls_tokens=run.model.num_cls_tokens, pos_embed=run.model.pos_embed,
+        drop_path_rate=0.5,
         mla=M.MlaConfig(variant=run.model.mla.variant, d_c=min(run.model.mla.d_c, 8)))
     rng = np.random.default_rng(run.seed)
     # well-conditioned 64-bit verification point; training-scale init leaves

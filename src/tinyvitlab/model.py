@@ -211,7 +211,7 @@ def whitening_init(patch_sample: np.ndarray, out_dim: int,
 
 def mla_factor(variant_set: set[str], proj: str, embed_dim: int, d_c: int,
                rng: np.random.Generator, dtype=np.float32) -> dict[str, np.ndarray]:
-    """Allocate one projection in `linear`'s [in, out] layout: factored
+    """Allocate one projection in [in, out] layout: factored
     (down [C,d_c] then up [d_c,C]) when `proj` is in the compressed set,
     otherwise a full [C,C] matrix."""
     if proj in variant_set:
@@ -327,14 +327,11 @@ def block(x: Tensor, params: dict[str, Tensor], cfg: ModelConfig, prefix: str,
 
 
 def cls_head(tokens: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
-    """Apply the final layer norm to the CLS-token rows of [B,S,C] (the
-    other rows are not read), concatenate them and run the 2-layer
-    projection MLP."""
-    b = tokens.shape[0]
-    cls = T.layer_norm(T.narrow(tokens, 1, 0, cfg.num_cls_tokens),
-                       params["norm.gamma"], params["norm.beta"])
-    flat = T.reshape(cls, (b, cfg.num_cls_tokens * cfg.embed_dim))
-    return T.mlp(flat, *(params[f"head.{name}"] for name in ("w1", "b1", "w2", "b2")))
+    """The final layer norm on the CLS-token rows of [B,S,C] (the other rows
+    are not read), their concatenation and the 2-layer projection MLP, as
+    one tape node (T.head)."""
+    return T.head(tokens, cfg.num_cls_tokens, *(params[name] for name in (
+        "norm.gamma", "norm.beta", "head.w1", "head.b1", "head.w2", "head.b2")))
 
 
 def forward(cfg: ModelConfig, params: dict[str, Tensor], images: Tensor,
@@ -347,15 +344,13 @@ def forward(cfg: ModelConfig, params: dict[str, Tensor], images: Tensor,
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
-    x = T.linear(Tensor(patchify(images.data, cfg.patch_size)),
-                 params["patch_embed.weight"], params["patch_embed.bias"])
-
     if cfg.pos_embed == "learnable":
         pos = params["pos_embed"]
     else:
         pos = positional_table(cfg.pos_embed, cfg.num_patches, cfg.embed_dim,
                                dtype=images.data.dtype)
-    x = T.prepend_tokens(params["cls_token"], T.add(x, pos))
+    x = T.embed(patchify(images.data, cfg.patch_size), params["patch_embed.weight"],
+                params["patch_embed.bias"], pos, params["cls_token"])
 
     for i in range(cfg.depth):
         rate = cfg.drop_path_rate * i / max(cfg.depth - 1, 1)

@@ -1,33 +1,35 @@
 """Dense tensors with tape-based reverse-mode automatic differentiation.
 
-The op set is closed over what the model needs: the dense layer `linear`,
-the fused exact-GELU `mlp`, a block's two residual branches as one op each
-(`norm_attention`: layer norm, the q/k/v projections, multi-head
-attention, the output projection and the drop-path residual; `norm_mlp`:
-layer norm, the FFN and the drop-path residual), `add`, `layer_norm`,
-soft-target `cross_entropy`, and the shape plumbing for the CLS tokens
-(reshape / narrow / prepend_tokens). No op transposes: weights are stored
-in `linear`'s [in, out] layout, and constant inputs such as images are
-rearranged in numpy before they reach an op. Training runs in float32;
-gradient checking runs the same code in float64. The GELU's erf (in
-`_normal_cdf`) is a rational approximation in float32 and
-`scipy.special.erf` in float64, so scipy serves only the float64 path. Ops
-record nodes on the active `Tape`; `grads = backward(loss, tape, params)`
-returns the gradients, which are values, not state kept on tensors.
+The op set is closed over what the model needs, five ops: the token stem
+`embed` (the patch projection, the positional table and the CLS tokens in
+front), a block's two residual branches as one op each (`norm_attention`:
+layer norm, the q/k/v projections, multi-head attention, the output
+projection and the drop-path residual; `norm_mlp`: layer norm, the
+exact-GELU FFN and the drop-path residual), the `head` (layer norm of the
+CLS rows, then the GELU MLP on them side by side) and soft-target
+`cross_entropy`. No op transposes: weights are stored in [in, out] layout,
+and constant inputs such as images are rearranged in numpy before they
+reach an op. Training runs in float32; gradient checking runs the same
+code in float64. The GELU's erf (in `_normal_cdf`) is a rational
+approximation in float32 and `scipy.special.erf` in float64, so scipy
+serves only the float64 path. Ops record nodes on the active `Tape`;
+`grads = backward(loss, tape, params)` returns the gradients, which are
+values, not state kept on tensors.
 
 A node keeps its input tensors and what its VJP cannot cheaply rebuild
-from them: `layer_norm`, `norm_mlp` and `norm_attention` the layer norm's
-row statistics mu and inv, `norm_attention` also each softmax row's max m
-and sum of exponentials l ([B,h,S,1], 1/S of the attention weights P);
-`cross_entropy` its targets and log-probabilities; the other ops nothing.
-A VJP rebuilds every other intermediate it reads (the normalized input,
-the q/k/v GEMM outputs, P, the FFN's pre-activation h and Phi(h)) with the
-forward's operations in the forward's order, so bit for bit: activation
-recomputation (arXiv:1604.06174), with P rebuilt from m and l as in
-FlashAttention's backward (arXiv:2205.14135). So an op frees the same
-memory with or without a tape. A train-mode forward of the paper recipe
-at batch 32 keeps 36 MB (two [S,C] arrays per block and sample), and the
-step peaks at 55 MB in backward (tracemalloc).
+from them: `embed` the constant patch rows; `norm_mlp` and
+`norm_attention` the layer norm's row statistics mu and inv,
+`norm_attention` also each softmax row's max m and sum of exponentials l
+([B,h,S,1], 1/S of the attention weights P); `head` a copy of the CLS rows
+it reads and their mu and inv; `cross_entropy` its targets and
+log-probabilities. A VJP rebuilds every other intermediate it reads (the
+normalized input, the q/k/v GEMM outputs, P, the GELU's pre-activation h
+and Phi(h)) with the forward's operations in the forward's order, so bit
+for bit: activation recomputation (arXiv:1604.06174), with P rebuilt from
+m and l as in FlashAttention's backward (arXiv:2205.14135). So an op frees
+the same memory with or without a tape. A train-mode forward of the paper
+recipe at batch 32 is 21 tape nodes and keeps 33 MB (two [S,C] arrays per
+block and sample), and the step peaks at 52 MB in backward (tracemalloc).
 
 Determinism: all reductions go through numpy with a fixed evaluation order,
 so repeated runs on the same inputs produce bitwise-identical results.
@@ -147,16 +149,6 @@ def _active_tape() -> Tape | None:
     return stack[-1] if stack else None
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum `grad` down to `shape` (inverse of numpy broadcasting)."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, extent in enumerate(shape):
-        if extent == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad
-
-
 def _make(data: np.ndarray, inputs: tuple[Tensor, ...], vjp) -> Tensor:
     """Wrap an op result, recording a backward node if a tape is active and
     an input requires grad.
@@ -170,6 +162,35 @@ def _make(data: np.ndarray, inputs: tuple[Tensor, ...], vjp) -> Tensor:
     if recorded:
         tape._nodes.append((out, inputs, vjp))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the token stem
+
+def embed(patches: np.ndarray, w: Tensor, b: Tensor, pos: Tensor, tokens: Tensor) -> Tensor:
+    """[B, n+L, C]: the n rows of `tokens` [n,C], shared by every sample, in
+    front of each sample's patches @ w + b + pos, for the constant patch
+    rows [B,L,D], w [D,C], b [C] and a positional table pos [L,C], learnable
+    or frozen. One 2-D GEMM over the flattened batch gives the projection
+    and dW; the node keeps the patch rows."""
+    p = np.shape(patches)
+    if not (len(p) == 3 and w.ndim == 2 and tokens.ndim == 2 and p[2:] == w.shape[:1]
+            and b.shape == w.shape[1:] == tokens.shape[1:] and pos.shape == (p[1], *b.shape)):
+        raise ShapeError("embed needs patches [B,L,D], w [D,C], b [C], pos [L,C] and tokens [n,C], "
+                         f"got {p}, " + ", ".join(str(t.shape) for t in (w, b, pos, tokens)))
+    (batch, length, _), (n, c) = p, tokens.shape
+    x2 = patches.reshape(-1, w.shape[0])
+    y = x2 @ w.data
+    y += b.data
+    out = np.empty((batch, n + length, c), y.dtype)
+    out[:, :n] = tokens.data
+    np.add(y.reshape(batch, length, c), pos.data, out=out[:, n:])
+
+    def vjp(g):
+        g2 = g[:, n:].reshape(-1, c)
+        return x2.T @ g2, g2.sum(axis=0), g[:, n:].sum(axis=0), g[:, :n].sum(axis=0)
+
+    return _make(out, (w, b, pos, tokens), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -243,39 +264,16 @@ def _gelu(h: np.ndarray, gh: np.ndarray | None = None, out: np.ndarray | None = 
 
 
 # ---------------------------------------------------------------------------
-# arithmetic
+# the GELU MLP, shared by norm_mlp and head
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """a + b, broadcasting like numpy."""
-    return _make(a.data + b.data, (a, b),
-                 lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w (+ b) for w [in, out] and b [out]: the leading dims of x flatten
-    into one 2-D GEMM for the forward, dX and dW; db is one column sum."""
-    inputs = (x, w) if b is None else (x, w, b)
-    if w.ndim != 2 or x.shape[-1:] != w.shape[:1] or (b is not None and b.shape != w.shape[1:]):
-        raise ShapeError("linear needs x [..., in], w [in, out] and b [out], got "
-                         + ", ".join(str(t.shape) for t in inputs))
-    x2 = x.data.reshape(-1, w.shape[0])
-    out = x2 @ w.data
-    if b is not None:
-        out += b.data
-
-    def vjp(g):
-        g2 = g.reshape(-1, w.shape[1])
-        gx = (g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None
-        return gx, x2.T @ g2, g2.sum(axis=0) if b is not None else None
-
-    return _make(out.reshape(x.shape[:-1] + w.shape[1:]), inputs, vjp)
-
-
-def _check_mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> None:
-    if (w1.ndim != 2 or w2.ndim != 2 or x.shape[-1:] != w1.shape[:1] or b1.shape != w1.shape[1:]
+def _check_mlp(op: str, width: int, *operands: Tensor) -> None:
+    """Refuse w1, b1, w2 and b2, the last four of `operands`, unless w1 takes
+    `width` inputs and the four chain; the message lists every operand."""
+    w1, b1, w2, b2 = operands[-4:]
+    if (w1.ndim != 2 or w2.ndim != 2 or w1.shape[0] != width or b1.shape != w1.shape[1:]
             or w2.shape[:1] != w1.shape[1:] or b2.shape != w2.shape[1:]):
-        raise ShapeError("mlp needs x [..., in], w1 [in, hidden], b1 [hidden], w2 [hidden, out] "
-                         "and b2 [out], got " + ", ".join(str(t.shape) for t in (x, w1, b1, w2, b2)))
+        raise ShapeError(f"{op} needs w1 [{width}, hidden], b1 [hidden], w2 [hidden, out] and "
+                         f"b2 [out], got " + ", ".join(str(t.shape) for t in operands))
 
 
 def _gelu_hidden(x2: np.ndarray, w1: Tensor, b1: Tensor, gh: np.ndarray | None = None) -> np.ndarray:
@@ -304,67 +302,15 @@ def _mlp_vjp(x2: np.ndarray, g: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor):
     return gh @ w1.data.T, x2.T @ gh, gh.sum(axis=0), gw2, g2.sum(axis=0)
 
 
-def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """gelu(x @ w1 + b1) @ w2 + b2 with the exact erf GELU h * Phi(h), for
-    x [..., in], w1 [in, hidden] and w2 [hidden, out]. One tape node, which
-    keeps only x: the GELU is written over h, and the VJP rebuilds h from x
-    with the forward's GEMM and bias add (_gelu_hidden), then recomputes
-    Phi(h). The GEMMs are linear's; the GELU and its derivative run block
-    by block (_gelu). As the paper recipe's head at batch 32, it keeps
-    nothing beyond x where h would take 25 KB."""
-    _check_mlp(x, w1, b1, w2, b2)
-    x2 = x.data.reshape(-1, w1.shape[0])
-
-    def vjp(g):
-        gx, *gw = _mlp_vjp(x2, g, w1, b1, w2)
-        return (gx.reshape(x.shape) if x.requires_grad else None, *gw)
-
-    return _make(_mlp_forward(x2, w1, b1, w2, b2).reshape(x.shape[:-1] + w2.shape[1:]),
-                 (x, w1, b1, w2, b2), vjp)
-
-
-# ---------------------------------------------------------------------------
-# shape plumbing
-
-def reshape(a: Tensor, shape) -> Tensor:
-    shape = tuple(shape)
-    return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
-
-
-def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
-    idx = [slice(None)] * a.ndim
-    idx[axis] = slice(start, start + length)
-    idx = tuple(idx)
-
-    def vjp(g):
-        full = np.zeros_like(a.data)
-        full[idx] = g
-        return (full,)
-
-    return _make(a.data[idx].copy(), (a,), vjp)
-
-
-def prepend_tokens(tokens: Tensor, x: Tensor) -> Tensor:
-    """[B, n+L, C]: the n rows of `tokens` [n,C], shared by every sample,
-    in front of each sample of x [B,L,C]."""
-    if tokens.ndim != 2 or x.ndim != 3 or tokens.shape[1] != x.shape[2]:
-        raise ShapeError(f"prepend_tokens needs tokens [n,C] and x [B,L,C], "
-                         f"got {tokens.shape} and {x.shape}")
-    n = tokens.shape[0]
-    data = np.concatenate([np.broadcast_to(tokens.data, (x.shape[0],) + tokens.shape), x.data],
-                          axis=1)
-    return _make(data, (tokens, x), lambda g: (g[:, :n].sum(axis=0), g[:, n:]))
-
-
 # ---------------------------------------------------------------------------
 # layer normalization
 
-def _check_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> None:
+def _check_norm(op: str, x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> None:
     if gamma.shape != x.shape[-1:] or beta.shape != x.shape[-1:]:
-        raise ShapeError(f"layer_norm needs x [..., C], gamma [C] and beta [C], "
+        raise ShapeError(f"{op} needs x [..., C], gamma [C] and beta [C], "
                          f"got {x.shape}, {gamma.shape}, {beta.shape}")
     if eps <= 0:
-        raise ValueError("layer_norm eps must be positive")
+        raise ValueError(f"{op} eps must be positive")
 
 
 def _normalize(x: np.ndarray, eps: float):
@@ -417,14 +363,33 @@ def _norm_vjp(xhat: np.ndarray, inv: np.ndarray, gamma: Tensor, g: np.ndarray):
     return dx, dgamma, dbeta
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
-    """Normalize over the last axis (biased variance), then the affine
-    gamma [C], beta [C]. One tape node, which keeps x and the row statistics
-    mu and inv; its VJP rebuilds xhat from them."""
-    _check_norm(x, gamma, beta, eps)
-    xhat, mu, inv = _normalize(x.data, eps)
-    return _make(_affine(xhat, gamma, beta), (x, gamma, beta),
-                 lambda g: _norm_vjp(_xhat(x.data, mu, inv), inv, gamma, g))
+# ---------------------------------------------------------------------------
+# the head
+
+def head(x: Tensor, n: int, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
+         b2: Tensor, eps: float = 1e-6) -> Tensor:
+    """gelu(z @ w1 + b1) @ w2 + b2 for z, each sample's first n rows of x
+    [B,S,C] after layer_norm(gamma, beta, eps), side by side: [B, n*C], so
+    w1 is [n*C, hidden]. The other rows are not read. One tape node, which
+    keeps a copy of the n rows and their row statistics mu and inv; the
+    GELU is written over h. Its VJP rebuilds the normalized rows and h, as
+    norm_mlp's does, and hands the rows past n a zero cotangent."""
+    if x.ndim != 3 or not 1 <= n <= x.shape[1]:
+        raise ShapeError(f"head needs x [B,S,C] and 1 <= n <= S rows, got {x.shape} and n={n}")
+    _check_norm("head", x, gamma, beta, eps)
+    _check_mlp("head", n * x.shape[2], x, gamma, beta, w1, b1, w2, b2)
+    rows = x.data[:, :n].copy()
+    xhat, mu, inv = _normalize(rows, eps)
+    out = _mlp_forward(_affine(xhat, gamma, beta).reshape(x.shape[0], -1), w1, b1, w2, b2)
+
+    def vjp(g):
+        gxn, *gw = _mlp_vjp(_affine(_xhat(rows, mu, inv), gamma, beta).reshape(x.shape[0], -1),
+                            g, w1, b1, w2)
+        dx = np.zeros_like(x.data)
+        dx[:, :n], *gnorm = _norm_vjp(_xhat(rows, mu, inv), inv, gamma, gxn.reshape(rows.shape))
+        return dx, *gnorm, *gw
+
+    return _make(out, (x, gamma, beta, w1, b1, w2, b2), vjp)
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +425,8 @@ def norm_mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2:
     with the forward's operations, so bit for bit, then recomputes Phi(h).
     At the paper recipe's batch 32 the node keeps 17 KB beyond x, where h
     would take 6.4 MB, and its VJP's scratch is 17.6 MB, the step's largest."""
-    _check_norm(x, gamma, beta, eps)
-    _check_mlp(x, w1, b1, w2, b2)
+    _check_norm("norm_mlp", x, gamma, beta, eps)
+    _check_mlp("norm_mlp", x.shape[-1], x, gamma, beta, w1, b1, w2, b2)
     if w2.shape[1:] != x.shape[-1:]:
         raise ShapeError(f"norm_mlp's residual needs w2 [hidden, C] for x [..., C], "
                          f"got {w2.shape} and {x.shape}")
@@ -555,7 +520,7 @@ def norm_attention(x: Tensor, gamma: Tensor, beta: Tensor, projections, wo: Tens
     stage's. At the paper recipe's batch 32 the node keeps 0.2 MB beyond
     x, where the first stage and P would take 11.3 MB.
     """
-    _check_norm(x, gamma, beta, eps)
+    _check_norm("norm_attention", x, gamma, beta, eps)
     _check_attention(x, projections, wo, heads)
     inputs = (x, gamma, beta, *(t for proj in projections for t in proj), wo)
     b, s, c = x.shape

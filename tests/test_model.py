@@ -497,19 +497,21 @@ class TestForward:
         heads, cls_head = [], M.cls_head
         monkeypatch.setattr(M, "cls_head", lambda x, p, c: heads.append(x) or cls_head(x, p, c))
         logits = M.forward(cfg, params, images).data
-        normed = T.layer_norm(heads[0], params["norm.gamma"], params["norm.beta"]).data
+        normed = T._affine(T._normalize(heads[0].data, 1e-6)[0], params["norm.gamma"],
+                           params["norm.beta"])
         flat = normed[:, :n_cls].reshape(3, n_cls * cfg.embed_dim)
-        expected = T.mlp(Tensor(flat), *(params[f"head.{k}"] for k in ("w1", "b1", "w2", "b2")))
-        assert logits.tobytes() == expected.data.tobytes()
+        expected = T._mlp_forward(flat, *(params[f"head.{k}"] for k in ("w1", "b1", "w2", "b2")))
+        assert logits.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("cfg, nodes", [
-        (M.ModelConfig(embed_dim=192, num_heads=12, depth=9, drop_path_rate=0.1), 26),
+        (M.ModelConfig(embed_dim=192, num_heads=12, depth=9, drop_path_rate=0.1), 21),
         (M.ModelConfig(embed_dim=64, num_heads=4, depth=3, mla=M.MlaConfig("kv", d_c=16),
-                       num_cls_tokens=2, drop_path_rate=0.1), 14),
+                       num_cls_tokens=2, drop_path_rate=0.1), 9),
     ], ids=["paper", "desk"])
     def test_train_tape_records_only_differentiable_ops(self, cfg, nodes):
-        # per block norm_attention and norm_mlp, with their drop-path
-        # residuals; no node for the patch rearrangement or a weight's layout
+        # embed, per block norm_attention and norm_mlp with their drop-path
+        # residuals, head and cross_entropy; no node for the patch
+        # rearrangement or a weight's layout
         rng = np.random.default_rng(0)
         params = M.init_params(cfg, rng)
         images = Tensor(rng.standard_normal((2, 3, 32, 32)).astype(np.float32))

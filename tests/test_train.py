@@ -505,8 +505,8 @@ class TestTrainLoop:
             assert key in lines[0]
 
     def test_logs_the_measured_step_peak(self, tmp_path):
-        # the paper recipe at batch 32, one worker: the step peaked at 55.4 MB
-        # on numpy 2.4; the tape alone keeps 36 MB, so a forward-only number
+        # the paper recipe at batch 32, one worker: the step peaked at 52.2 MB
+        # on numpy 2.4; the tape alone keeps 33 MB, so a forward-only number
         # fails the lower bound
         ds = D.synthetic_dataset("two-class-blobs", 32, seed=5)
         cfg = tiny_train_config(epochs=1, batch_size=32,
@@ -1263,6 +1263,14 @@ class TestCli:
         assert ("eval: max_relative_error_above_rounding_floor=" in out
                 and "train: max_relative_error_above_rounding_floor=" in out)
         assert rc == 0
+
+    @pytest.mark.parametrize("pos_embed", ["sinusoidal", "zero"])
+    def test_grad_check_command_checks_the_positional_table(self, pos_embed, monkeypatch):
+        checked, point = [], M.grad_check_point
+        monkeypatch.setattr(M, "grad_check_point",
+                            lambda cfg, rng: checked.append(cfg) or point(cfg, rng))
+        assert cli.main(["grad-check", "--pos-embed", pos_embed, "--num-cls", "2"]) == 0
+        assert [cfg.pos_embed for cfg in checked] == [pos_embed]
 
     @pytest.mark.parametrize("line, shown", [
         ("momentum=0.9", "unknown config key 'momentum' (value '0.9')"),
