@@ -21,11 +21,17 @@ from scipy import ndimage
 
 from tinyvitlab.model import ConfigError, check_fields
 
+# The recipe's fixed values: the alphas of the Beta(alpha, alpha) that MixUp
+# and CutMix draw their mixing weight from, DeiT's (arXiv:2012.12877), and the
+# range that random erasing draws the erased fraction of the image from.
+MIXUP_ALPHA = 0.8
+CUTMIX_ALPHA = 1.0
+ERASE_AREA_RANGE = (0.02, 0.33)
+
 
 @dataclass(slots=True)
 class AugmentConfig:
-    """The augmentation study's six knobs. The recipe's fixed values are the
-    constants MIXUP_ALPHA, CUTMIX_ALPHA and ERASE_AREA_RANGE."""
+    """The augmentation study's six knobs; the recipe's fixed values are the constants above."""
 
     # "crop_flip": pad-reflect crop + horizontal flip; "autoaugment": that,
     # then a CIFAR10_POLICY sub-policy; "none": raw pixels
@@ -82,27 +88,27 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return out
 
 
-def mixup(batch: SoftBatch, alpha: float, rng: np.random.Generator) -> SoftBatch:
-    """Convex-combine each sample with a permuted partner, lam ~ Beta(a, a)."""
+def mixup(batch: SoftBatch, rng: np.random.Generator) -> SoftBatch:
+    """Convex-combine each sample with a permuted partner, lam ~ Beta(a, a), a = MIXUP_ALPHA."""
     b = len(batch.images)
     if b < 2:
         warnings.warn("mixup skipped: batch size < 2")
         return batch
-    lam = np.float32(rng.beta(alpha, alpha))
+    lam = np.float32(rng.beta(MIXUP_ALPHA, MIXUP_ALPHA))
     perm = rng.permutation(b)
     images = lam * batch.images + (1.0 - lam) * batch.images[perm]
     targets = lam * batch.targets + (1.0 - lam) * batch.targets[perm]
     return SoftBatch(images.astype(np.float32), targets.astype(np.float32))
 
 
-def cutmix(batch: SoftBatch, alpha: float, rng: np.random.Generator) -> SoftBatch:
+def cutmix(batch: SoftBatch, rng: np.random.Generator) -> SoftBatch:
     """Paste a partner rectangle; label weight is the exact kept-area ratio."""
     b = len(batch.images)
     if b < 2:
         warnings.warn("cutmix skipped: batch size < 2")
         return batch
     h, w = batch.images.shape[-2:]
-    lam = rng.beta(alpha, alpha)
+    lam = rng.beta(CUTMIX_ALPHA, CUTMIX_ALPHA)
     perm = rng.permutation(b)
     cut = np.sqrt(1.0 - lam)
     ch, cw = int(np.round(h * cut)), int(np.round(w * cut))
@@ -117,15 +123,14 @@ def cutmix(batch: SoftBatch, alpha: float, rng: np.random.Generator) -> SoftBatc
     return SoftBatch(images, targets.astype(np.float32))
 
 
-def random_erase(image: np.ndarray, prob: float, area_range: tuple[float, float],
-                 rng: np.random.Generator) -> np.ndarray:
-    """Fill a random rectangle with standard-normal noise (post-normalization
-    space) with probability `prob`; skipped if no rectangle fits in 10 draws."""
+def random_erase(image: np.ndarray, prob: float, rng: np.random.Generator) -> np.ndarray:
+    """Fill a random rectangle (ERASE_AREA_RANGE of the area) with standard-normal noise
+    (post-normalization space) with probability `prob`; skipped if none fits in 10 draws."""
     if rng.random() >= prob:
         return image
     h, w = image.shape[-2:]
     for _ in range(10):
-        frac = rng.uniform(*area_range)
+        frac = rng.uniform(*ERASE_AREA_RANGE)
         aspect = rng.uniform(0.3, 3.3)
         target = frac * h * w
         eh = int(np.round(np.sqrt(target * aspect)))
@@ -159,13 +164,6 @@ _ENHANCE_MAX = 0.9      # enhancement factor range: 1 +- level/9 * 0.9
 _SHEAR_MAX = 0.3
 _TRANSLATE_MAX = 10     # pixels at level 9
 _ROTATE_MAX = 30.0      # degrees at level 9
-
-# The recipe's fixed values: the alphas of the Beta(alpha, alpha) that MixUp
-# and CutMix draw their mixing weight from, DeiT's (arXiv:2012.12877), and the
-# range that random erasing draws the erased fraction of the image from.
-MIXUP_ALPHA = 0.8
-CUTMIX_ALPHA = 1.0
-ERASE_AREA_RANGE = (0.02, 0.33)
 
 # The fixed CIFAR-10 AutoAugment policy: 25 sub-policies, each two
 # (op, probability, magnitude level) stages. Magnitude levels are 0-9.

@@ -11,11 +11,13 @@ from pathlib import Path
 
 import numpy as np
 
+from tinyvitlab.model import PATCH_SIZE
 from tinyvitlab.tensor import Tensor
 
 CIFAR10_MEAN = np.array([0.4914, 0.4822, 0.4465], dtype=np.float32)
 CIFAR10_STD = np.array([0.2470, 0.2435, 0.2616], dtype=np.float32)
 
+CIFAR10_CLASSES = 10
 RECORD_BYTES = 3073  # 1 label byte + 3 * 32 * 32 pixel bytes
 TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 TEST_FILES = ["test_batch.bin"]
@@ -44,7 +46,7 @@ class Dataset:
         return len(self.labels)
 
 
-def load_cifar10(data_dir: str | Path, split: str, num_classes: int = 10) -> Dataset:
+def load_cifar10(data_dir: str | Path, split: str) -> Dataset:
     """Read the standard CIFAR-10 binary batch files.
 
     Each 3073-byte record is one label byte followed by the R, G, B planes
@@ -66,10 +68,10 @@ def load_cifar10(data_dir: str | Path, split: str, num_classes: int = 10) -> Dat
                             f"(length not a multiple of {RECORD_BYTES})")
         arr = np.frombuffer(raw, dtype=np.uint8).reshape(-1, RECORD_BYTES)
         lbl = arr[:, 0].astype(np.int64)
-        bad = np.flatnonzero(lbl >= num_classes)
+        bad = np.flatnonzero(lbl >= CIFAR10_CLASSES)
         if bad.size:
             off = int(bad[0]) * RECORD_BYTES
-            raise DataError(f"{path}: label byte {int(lbl[bad[0]])} > {num_classes - 1} "
+            raise DataError(f"{path}: label byte {int(lbl[bad[0]])} > {CIFAR10_CLASSES - 1} "
                             f"at offset {off}")
         images.append(arr[:, 1:].reshape(-1, 3, 32, 32))
         labels.append(lbl)
@@ -83,7 +85,7 @@ def normalize(raw: np.ndarray) -> np.ndarray:
     return (x - CIFAR10_MEAN.reshape(shape)) / CIFAR10_STD.reshape(shape)
 
 
-def subset_per_class(ds: Dataset, per_class: int, num_classes: int = 10) -> Dataset:
+def subset_per_class(ds: Dataset, per_class: int, num_classes: int) -> Dataset:
     """Deterministic first-K-per-class subset (reproducible small runs)."""
     keep = []
     counts = [0] * num_classes
@@ -97,8 +99,7 @@ def subset_per_class(ds: Dataset, per_class: int, num_classes: int = 10) -> Data
     return Dataset(ds.images[idx], ds.labels[idx], ds.split, f"{ds.name}-sub{per_class}")
 
 
-def synthetic_dataset(kind: str, n: int, seed: int, image_size: int = 32,
-                      patch: int = 4) -> Dataset:
+def synthetic_dataset(kind: str, n: int, seed: int, image_size: int = 32) -> Dataset:
     """Deterministic desk-scale datasets.
 
     two-class-blobs: per-class channel means separated by 2 sigma of pixel
@@ -122,7 +123,7 @@ def synthetic_dataset(kind: str, n: int, seed: int, image_size: int = 32,
         noise = rng.normal(0.0, 16.0, size=(n, 3, image_size, image_size))
         images = np.clip(mu + noise, 0, 255).astype(np.uint8)
     elif kind == "striped-patches":
-        grid = image_size // patch
+        grid = image_size // PATCH_SIZE
         images = np.empty((n, 3, image_size, image_size), dtype=np.uint8)
         lo, hi = 96.0, 224.0
         for i in range(n):
@@ -131,7 +132,7 @@ def synthetic_dataset(kind: str, n: int, seed: int, image_size: int = 32,
             # position separates them, so the task stays learnable
             bands = (np.arange(grid) % 2).astype(np.float64)
             level = np.where(bands > 0, hi, lo)
-            band = np.repeat(level, patch)  # one value per pixel row/column
+            band = np.repeat(level, PATCH_SIZE)  # one value per pixel row/column
             if labels[i] == 0:  # horizontal bands
                 img = np.tile(band[:, None], (1, image_size))
             else:               # vertical bands

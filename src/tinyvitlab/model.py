@@ -22,6 +22,12 @@ from tinyvitlab.tensor import Tensor
 
 MlaVariant = Literal["none", "q", "k", "qk", "kv", "qkv"]
 
+PATCH_SIZE = 4          # the recipe's fixed values, not options: a patch's side in pixels,
+FFN_RATIO = 4           # the FFN's hidden width in multiples of embed_dim,
+INIT_STD = 0.02         # and trunc_normal's std, which every weight is drawn with
+PATCH_DIM = 3 * PATCH_SIZE ** 2  # a patch row's length: three channels of PATCH_SIZE^2 pixels
+_WHITENING_EPS = 1e-5   # floors the patch covariance's eigenvalues in whitening_init
+
 
 class ConfigError(ValueError):
     """A configuration field has the wrong type or violates an invariant."""
@@ -79,11 +85,9 @@ class MlaConfig:
 @dataclass(slots=True)
 class ModelConfig:
     image_size: int = 32
-    patch_size: int = 4
     embed_dim: int = 192
     num_heads: int = 12
     depth: int = 9
-    ffn_ratio: int = 4
     num_classes: int = 10
     num_cls_tokens: int = 1
     pos_embed: Literal["learnable", "sinusoidal", "zero"] = "learnable"
@@ -95,12 +99,12 @@ class ModelConfig:
         self.validate()
 
     def validate(self) -> None:
-        check_fields(self, image_size=1, patch_size=1, embed_dim=1, num_heads=1, depth=1,
-                     ffn_ratio=1, num_classes=1, num_cls_tokens=1)
+        check_fields(self, image_size=1, embed_dim=1, num_heads=1, depth=1, num_classes=1,
+                     num_cls_tokens=1)
         if self.embed_dim % self.num_heads != 0:
             raise ConfigError(f"embed_dim {self.embed_dim} not divisible by num_heads {self.num_heads}")
-        if self.image_size % self.patch_size != 0:
-            raise ConfigError(f"image_size {self.image_size} not divisible by patch_size {self.patch_size}")
+        if self.image_size % PATCH_SIZE != 0:
+            raise ConfigError(f"image_size {self.image_size} not divisible by PATCH_SIZE {PATCH_SIZE}")
         if self.pos_embed == "sinusoidal" and self.embed_dim % 2 != 0:
             raise ConfigError("sinusoidal positional table needs an even embed_dim")
         if not (0.0 <= self.drop_path_rate < 1.0):
@@ -109,7 +113,7 @@ class ModelConfig:
 
     @property
     def num_patches(self) -> int:
-        return (self.image_size // self.patch_size) ** 2
+        return (self.image_size // PATCH_SIZE) ** 2
 
     @property
     def head_dim(self) -> int:
@@ -119,25 +123,22 @@ class ModelConfig:
     def seq_len(self) -> int:
         return self.num_patches + self.num_cls_tokens
 
-    @property
-    def patch_dim(self) -> int:
-        return 3 * self.patch_size ** 2
 
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=np.float32) -> np.ndarray:
-    """Normal(0, std) resampled until within +-2 std."""
-    out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > 2.0 * std
+def trunc_normal(rng: np.random.Generator, shape, dtype=np.float32) -> np.ndarray:
+    """Normal(0, INIT_STD) resampled until within +-2 INIT_STD."""
+    out = rng.normal(0.0, INIT_STD, size=shape)
+    bad = np.abs(out) > 2.0 * INIT_STD
     while bad.any():
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 2.0 * std
+        out[bad] = rng.normal(0.0, INIT_STD, size=int(bad.sum()))
+        bad = np.abs(out) > 2.0 * INIT_STD
     return out.astype(dtype)
 
 
 # ---------------------------------------------------------------------------
 # tokenization
 
-def patchify(images: np.ndarray, patch: int) -> np.ndarray:
+def patchify(images: np.ndarray) -> np.ndarray:
     """Rearrange [B,3,H,W] into a patch sequence [B,L,3*P*P].
 
     Row i*(W/P)+j holds the channel-major flattening of the PxP patch at
@@ -146,11 +147,12 @@ def patchify(images: np.ndarray, patch: int) -> np.ndarray:
     if images.ndim != 4:
         raise T.ShapeError(f"patchify expects [B,C,H,W] images, got {images.shape}")
     b, c, hh, ww = images.shape
-    if hh % patch != 0 or ww % patch != 0:
-        raise ConfigError(f"image extents {hh}x{ww} not divisible by patch {patch}")
-    gh, gw = hh // patch, ww // patch
-    x = images.reshape(b, c, gh, patch, gw, patch).transpose(0, 2, 4, 1, 3, 5)  # [B,gh,gw,C,P,P]
-    return x.reshape(b, gh * gw, c * patch * patch)
+    p = PATCH_SIZE
+    if hh % p != 0 or ww % p != 0:
+        raise ConfigError(f"image extents {hh}x{ww} not divisible by PATCH_SIZE {p}")
+    gh, gw = hh // p, ww // p
+    x = images.reshape(b, c, gh, p, gw, p).transpose(0, 2, 4, 1, 3, 5)  # [B,gh,gw,C,P,P]
+    return x.reshape(b, gh * gw, c * p * p)
 
 
 def sinusoidal_table(length: int, channels: int, dtype=np.float32) -> np.ndarray:
@@ -181,8 +183,7 @@ def positional_table(kind: str, length: int, channels: int,
 
 
 def whitening_init(patch_sample: np.ndarray, out_dim: int,
-                   rng: np.random.Generator, eps: float = 1e-5,
-                   dtype=np.float32) -> np.ndarray:
+                   rng: np.random.Generator, dtype=np.float32) -> np.ndarray:
     """Patch-embedding matrix [D, out_dim] whose first min(out_dim, D)
     filters are inverse-sqrt-eigenvalue-scaled eigenvectors of the sample
     patch covariance, so embedded patches are approximately decorrelated
@@ -199,7 +200,7 @@ def whitening_init(patch_sample: np.ndarray, out_dim: int,
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1]
     evals, evecs = evals[order], evecs[:, order]
-    floored = np.maximum(evals, 0.0) + eps
+    floored = np.maximum(evals, 0.0) + _WHITENING_EPS
     k = min(out_dim, d)
     weight = trunc_normal(rng, (d, out_dim), dtype=np.float64)
     weight[:, :k] = evecs[:, :k] / np.sqrt(floored[:k])[None, :]
@@ -227,7 +228,7 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32,
                 patch_sample: np.ndarray | None = None) -> dict[str, Tensor]:
     """Build the full parameter map. `patch_sample` (raw patch rows) is
     required when cfg.patch_init == "whitening"."""
-    c, d = cfg.embed_dim, cfg.patch_dim
+    c, d = cfg.embed_dim, PATCH_DIM
     p: dict[str, np.ndarray] = {}
 
     if cfg.patch_init == "whitening":
@@ -241,7 +242,7 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32,
     p["cls_token"] = trunc_normal(rng, (cfg.num_cls_tokens, c), dtype=dtype)
 
     compressed = cfg.mla.compressed()
-    hidden = cfg.ffn_ratio * c
+    hidden = FFN_RATIO * c
     for i in range(cfg.depth):
         pre = f"blocks.{i}"
         p[f"{pre}.norm1.gamma"] = np.ones(c, dtype=dtype)
@@ -307,8 +308,7 @@ def _drop_path_mask(batch: int, drop_prob: float, rng: np.random.Generator,
 
 
 def block(x: Tensor, params: dict[str, Tensor], cfg: ModelConfig, prefix: str,
-          drop_prob: float = 0.0, mode: str = "train",
-          rng: np.random.Generator | None = None) -> Tensor:
+          drop_prob: float, mode: str, rng: np.random.Generator | None = None) -> Tensor:
     """Pre-norm transformer block with per-sample stochastic depth: two tape
     nodes, the attention branch then the FFN branch, each with its residual.
     In train mode with drop_prob > 0 each branch gets its own drop-path mask,
@@ -349,7 +349,7 @@ def forward(cfg: ModelConfig, params: dict[str, Tensor], images: Tensor,
     else:
         pos = positional_table(cfg.pos_embed, cfg.num_patches, cfg.embed_dim,
                                dtype=images.data.dtype)
-    x = T.embed(patchify(images.data, cfg.patch_size), params["patch_embed.weight"],
+    x = T.embed(patchify(images.data), params["patch_embed.weight"],
                 params["patch_embed.bias"], pos, params["cls_token"])
 
     for i in range(cfg.depth):
@@ -362,13 +362,13 @@ def grad_check_point(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Te
     """Random float64 parameter point for gradient verification.
 
     Matrices are fan-in scaled and biases jittered so signals (and therefore
-    gradients) stay O(1) through the depth; at the training init (sigma 0.02)
-    early-layer gradients shrink below finite-difference resolution.
+    gradients) stay O(1) through the depth; at the training init (sigma
+    INIT_STD) early-layer gradients shrink below finite-difference resolution.
     """
     params = init_params(cfg, rng, dtype=np.float64)
     for name, p in params.items():
         if p.data.ndim == 2 and "norm" not in name:
-            p.data *= (1.0 / np.sqrt(p.data.shape[0])) / 0.02
+            p.data *= (1.0 / np.sqrt(p.data.shape[0])) / INIT_STD
         elif "bias" in name or ".b" in name or "beta" in name:
             p.data += rng.normal(0.0, 0.05, p.data.shape)
     return params
@@ -403,4 +403,3 @@ def attention_params_per_layer(cfg: ModelConfig) -> int:
     for proj in ("q", "k", "v"):
         n += 2 * c * dc if proj in compressed else c * c
     return n
-

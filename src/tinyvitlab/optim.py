@@ -86,7 +86,7 @@ def step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
 
 
 def lr_schedule(step_idx: int, total_steps: int, warmup_steps: int,
-                lr_peak: float, lr_min: float = 1e-5) -> float:
+                lr_peak: float, lr_min: float) -> float:
     """Linear warmup from 0 to lr_peak, then half-cosine decay to lr_min."""
     if not (0 <= step_idx <= total_steps):
         raise ValueError(f"step {step_idx} outside [0, {total_steps}]")

@@ -45,6 +45,7 @@ from scipy import special
 F32 = np.float32
 F64 = np.float64
 
+LAYER_NORM_EPS = 1e-6   # every layer norm's: added to the row variance
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT_2PI = 0.3989422804014327
 
@@ -305,12 +306,10 @@ def _mlp_vjp(x2: np.ndarray, g: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor):
 # ---------------------------------------------------------------------------
 # layer normalization
 
-def _check_norm(op: str, x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> None:
+def _check_norm(op: str, x: Tensor, gamma: Tensor, beta: Tensor) -> None:
     if gamma.shape != x.shape[-1:] or beta.shape != x.shape[-1:]:
         raise ShapeError(f"{op} needs x [..., C], gamma [C] and beta [C], "
                          f"got {x.shape}, {gamma.shape}, {beta.shape}")
-    if eps <= 0:
-        raise ValueError(f"{op} eps must be positive")
 
 
 def _normalize(x: np.ndarray, eps: float):
@@ -367,19 +366,19 @@ def _norm_vjp(xhat: np.ndarray, inv: np.ndarray, gamma: Tensor, g: np.ndarray):
 # the head
 
 def head(x: Tensor, n: int, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
-         b2: Tensor, eps: float = 1e-6) -> Tensor:
+         b2: Tensor) -> Tensor:
     """gelu(z @ w1 + b1) @ w2 + b2 for z, each sample's first n rows of x
-    [B,S,C] after layer_norm(gamma, beta, eps), side by side: [B, n*C], so
+    [B,S,C] after layer_norm(gamma, beta), side by side: [B, n*C], so
     w1 is [n*C, hidden]. The other rows are not read. One tape node, which
     keeps a copy of the n rows and their row statistics mu and inv; the
     GELU is written over h. Its VJP rebuilds the normalized rows and h, as
     norm_mlp's does, and hands the rows past n a zero cotangent."""
     if x.ndim != 3 or not 1 <= n <= x.shape[1]:
         raise ShapeError(f"head needs x [B,S,C] and 1 <= n <= S rows, got {x.shape} and n={n}")
-    _check_norm("head", x, gamma, beta, eps)
+    _check_norm("head", x, gamma, beta)
     _check_mlp("head", n * x.shape[2], x, gamma, beta, w1, b1, w2, b2)
     rows = x.data[:, :n].copy()
-    xhat, mu, inv = _normalize(rows, eps)
+    xhat, mu, inv = _normalize(rows, LAYER_NORM_EPS)
     out = _mlp_forward(_affine(xhat, gamma, beta).reshape(x.shape[0], -1), w1, b1, w2, b2)
 
     def vjp(g):
@@ -416,8 +415,8 @@ def _residual_vjp(xhat: np.ndarray, inv: np.ndarray, gamma: Tensor, gxn: np.ndar
 
 
 def norm_mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
-             b2: Tensor, mask: np.ndarray | None = None, eps: float = 1e-6) -> Tensor:
-    """x + mask * mlp(layer_norm(x, gamma, beta, eps), w1, b1, w2, b2): a
+             b2: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """x + mask * mlp(layer_norm(x, gamma, beta), w1, b1, w2, b2): a
     pre-norm FFN branch and its residual as one tape node. `mask` is a
     constant that broadcasts against x, such as a drop-path mask [B,1,1];
     None means 1. The node keeps x and the row statistics mu and inv; the
@@ -425,13 +424,13 @@ def norm_mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2:
     with the forward's operations, so bit for bit, then recomputes Phi(h).
     At the paper recipe's batch 32 the node keeps 17 KB beyond x, where h
     would take 6.4 MB, and its VJP's scratch is 17.6 MB, the step's largest."""
-    _check_norm("norm_mlp", x, gamma, beta, eps)
+    _check_norm("norm_mlp", x, gamma, beta)
     _check_mlp("norm_mlp", x.shape[-1], x, gamma, beta, w1, b1, w2, b2)
     if w2.shape[1:] != x.shape[-1:]:
         raise ShapeError(f"norm_mlp's residual needs w2 [hidden, C] for x [..., C], "
                          f"got {w2.shape} and {x.shape}")
     c = x.shape[-1]
-    xhat, mu, inv = _normalize(x.data, eps)
+    xhat, mu, inv = _normalize(x.data, LAYER_NORM_EPS)
     out = _mlp_forward(_affine(xhat, gamma, beta).reshape(-1, c), w1, b1, w2, b2)
     del xhat
 
@@ -499,8 +498,8 @@ def _check_attention(x: Tensor, projections, wo: Tensor, heads: int) -> None:
 
 
 def norm_attention(x: Tensor, gamma: Tensor, beta: Tensor, projections, wo: Tensor, heads: int,
-                   mask: np.ndarray | None = None, eps: float = 1e-6) -> Tensor:
-    """x + mask * (attention(layer_norm(x, gamma, beta, eps)) @ wo): a
+                   mask: np.ndarray | None = None) -> Tensor:
+    """x + mask * (attention(layer_norm(x, gamma, beta)) @ wo): a
     pre-norm multi-head attention branch and its residual as one tape node.
 
     `projections` holds q's, k's and v's weights, each (w,) for a full [C,C]
@@ -520,7 +519,7 @@ def norm_attention(x: Tensor, gamma: Tensor, beta: Tensor, projections, wo: Tens
     stage's. At the paper recipe's batch 32 the node keeps 0.2 MB beyond
     x, where the first stage and P would take 11.3 MB.
     """
-    _check_norm("norm_attention", x, gamma, beta, eps)
+    _check_norm("norm_attention", x, gamma, beta)
     _check_attention(x, projections, wo, heads)
     inputs = (x, gamma, beta, *(t for proj in projections for t in proj), wo)
     b, s, c = x.shape
@@ -539,7 +538,7 @@ def norm_attention(x: Tensor, gamma: Tensor, beta: Tensor, projections, wo: Tens
     def normalized() -> np.ndarray:               # the VJP's rebuilt layer norm output [B*S,C]
         return _affine(_xhat(x.data, mu, inv), gamma, beta).reshape(-1, c)
 
-    xhat, mu, inv = _normalize(x.data, eps)
+    xhat, mu, inv = _normalize(x.data, LAYER_NORM_EPS)
     first, qkv = _qkv(_affine(xhat, gamma, beta).reshape(-1, c), projections, cols)
     del xhat
     qh, kh, vh = map(split, qkv)
@@ -667,7 +666,9 @@ def grad_check(f, params: list[Tensor], h: float = 1e-5,
     a coordinate's error counts only the part of |analytic - numeric| above
     that floor, relative to max(|analytic|, |numeric|, 1e-8). Without the
     floor, a gradient coordinate near zero turns rounding into a large
-    relative error.
+    relative error. The floor leaves out the central difference's
+    truncation error, about h^2 |f'''| / 6, so a coordinate whose true
+    gradient is near 1e-6 can read above 1e-4 on a correct VJP.
     """
     if h <= 0:
         raise ValueError("grad_check h must be positive")

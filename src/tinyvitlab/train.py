@@ -81,9 +81,9 @@ class MetricsRecord:
     from the bytes traced at that step's start; every row of the run holds
     that one step's peak. tracemalloc counts the whole process, so the peak
     includes every shard. At workers > 1 the shards' allocations interleave,
-    so it varies by a few percent between runs (47.7-49.2 MB over 6 runs of
-    the desk recipe at batch 128, 2 workers). It is 0 when another tracer
-    stopped tracemalloc during that step."""
+    so it can vary by a few percent between runs (the desk recipe at batch
+    128, 2 workers, read 45.0 MB in each of 3 runs). It is 0 when another
+    tracer stopped tracemalloc during that step."""
     epoch: int
     train_loss: float
     val_acc: float
@@ -222,7 +222,7 @@ def build_batches(ds: D.Dataset, cfg: TrainConfig, epoch: int):
                              for i in idx])
         images = D.normalize(raws)
         if aug.erase_prob > 0:
-            images = np.stack([A.random_erase(im, aug.erase_prob, A.ERASE_AREA_RANGE, rng)
+            images = np.stack([A.random_erase(im, aug.erase_prob, rng)
                                for im in images])
         targets = A.label_smooth(A.one_hot(ds.labels[idx], num_classes),
                                  aug.label_smoothing, num_classes)
@@ -235,9 +235,9 @@ def build_batches(ds: D.Dataset, cfg: TrainConfig, epoch: int):
             else:
                 use_mix = False
         if use_mix:
-            batch = A.mixup(batch, A.MIXUP_ALPHA, mix_rng)
+            batch = A.mixup(batch, mix_rng)
         elif use_cut:
-            batch = A.cutmix(batch, A.CUTMIX_ALPHA, mix_rng)
+            batch = A.cutmix(batch, mix_rng)
         yield batch
 
 
@@ -571,7 +571,7 @@ def sample_patches(ds: D.Dataset, cfg: M.ModelConfig, rng: np.random.Generator) 
     n_img = min(len(ds), max(20000 // cfg.num_patches, 1))
     idx = rng.choice(len(ds), size=n_img, replace=False)
     images = D.normalize(ds.images[idx])
-    return M.patchify(images, cfg.patch_size).reshape(-1, cfg.patch_dim)
+    return M.patchify(images).reshape(-1, M.PATCH_DIM)
 
 
 # ---------------------------------------------------------------------------
@@ -599,4 +599,3 @@ def profile_step(cfg: TrainConfig, params: dict[str, Tensor],
         # in StepProfile's field order: forward, backward, optimizer, total, eval
         laps.append((forward_s, t1 - t0 - forward_s, t2 - t1, t2 - t0, t3 - t2))
     return StepProfile(*(1000.0 * sum(phase) / steps for phase in zip(*laps[warmup:])))
-

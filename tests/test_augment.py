@@ -51,14 +51,14 @@ class TestMixup:
     def test_targets_stay_distributions(self):
         rng = np.random.default_rng(0)
         for i in range(50):
-            out = A.mixup(soft_batch(rng), 0.8, rng)
+            out = A.mixup(soft_batch(rng), rng)
             assert np.allclose(out.targets.sum(axis=1), 1.0, atol=1e-5)
             assert np.all(out.targets >= 0)
 
     def test_pixels_are_convex_combinations(self):
         rng = np.random.default_rng(1)
         batch = soft_batch(rng, b=4)
-        out = A.mixup(batch, 0.8, rng)
+        out = A.mixup(batch, rng)
         lo = batch.images.min() - 1e-6
         hi = batch.images.max() + 1e-6
         assert np.all(out.images >= lo) and np.all(out.images <= hi)
@@ -67,13 +67,13 @@ class TestMixup:
         rng = np.random.default_rng(2)
         batch = soft_batch(rng, b=1)
         with pytest.warns(UserWarning, match="mixup skipped"):
-            out = A.mixup(batch, 0.8, rng)
+            out = A.mixup(batch, rng)
         assert out is batch
 
     def test_deterministic_under_seed(self):
         base = soft_batch(np.random.default_rng(3))
-        a = A.mixup(base, 0.8, np.random.default_rng(7))
-        b = A.mixup(base, 0.8, np.random.default_rng(7))
+        a = A.mixup(base, np.random.default_rng(7))
+        b = A.mixup(base, np.random.default_rng(7))
         assert np.array_equal(a.images, b.images)
         assert np.array_equal(a.targets, b.targets)
 
@@ -89,7 +89,7 @@ class TestCutmix:
         targets = A.one_hot(np.arange(b), b)
         checked = 0
         for _ in range(200):
-            out = A.cutmix(SoftBatch(images.copy(), targets), 1.0, rng)
+            out = A.cutmix(SoftBatch(images.copy(), targets), rng)
             for i in range(b):
                 vals = np.unique(out.images[i, 0])
                 partners = [int(v) for v in vals if int(v) != i]
@@ -106,7 +106,7 @@ class TestCutmix:
     def test_box_within_bounds_and_targets_valid(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
-            out = A.cutmix(soft_batch(rng), 1.0, rng)
+            out = A.cutmix(soft_batch(rng), rng)
             assert out.images.shape == (8, 3, 32, 32)
             assert np.all(out.targets >= 0)
             assert np.allclose(out.targets.sum(axis=1), 1.0, atol=1e-5)
@@ -119,14 +119,14 @@ class TestRandomErase:
     def test_zero_prob_is_identity(self):
         rng = np.random.default_rng(7)
         img = rng.standard_normal((3, 32, 32)).astype(np.float32)
-        assert A.random_erase(img, 0.0, (0.02, 0.33), rng) is img
+        assert A.random_erase(img, 0.0, rng) is img
 
     def test_erased_area_fraction_in_range(self):
         rng = np.random.default_rng(8)
         hits = 0
         for _ in range(500):
             img = np.zeros((3, 32, 32), np.float32)
-            out = A.random_erase(img, 1.0, (0.02, 0.33), rng)
+            out = A.random_erase(img, 1.0, rng)
             changed = np.count_nonzero(out[0]) if not np.array_equal(out, img) else 0
             if changed == 0:
                 continue
@@ -141,7 +141,7 @@ class TestRandomErase:
         vals = []
         for _ in range(200):
             img = np.full((3, 32, 32), 100.0, np.float32)
-            out = A.random_erase(img, 1.0, (0.2, 0.33), rng)
+            out = A.random_erase(img, 1.0, rng)
             vals.append(out[out != 100.0])
         vals = np.concatenate(vals)
         assert len(vals) > 10_000
@@ -153,7 +153,7 @@ class TestRandomErase:
         erased = 0
         for _ in range(1000):
             img = np.zeros((3, 32, 32), np.float32)
-            out = A.random_erase(img, 0.25, (0.02, 0.33), rng)
+            out = A.random_erase(img, 0.25, rng)
             erased += int(not np.array_equal(out, img))
         assert 200 <= erased <= 300  # binomial(1000, ~0.25), +-3.7 sigma
 

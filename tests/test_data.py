@@ -127,7 +127,7 @@ class TestSynthetic:
 
     def test_striped_patches_share_patch_statistics(self):
         # both classes must look identical once patch positions are discarded
-        ds = D.synthetic_dataset("striped-patches", 200, seed=5, patch=4)
+        ds = D.synthetic_dataset("striped-patches", 200, seed=5)
         patch_means = {0: [], 1: []}
         for img, lbl in zip(ds.images, ds.labels):
             for py in range(8):
@@ -142,7 +142,7 @@ class TestSynthetic:
         assert np.allclose(q0, q1, atol=3.0)
 
     def test_striped_patches_band_structure(self):
-        ds = D.synthetic_dataset("striped-patches", 50, seed=6, patch=4)
+        ds = D.synthetic_dataset("striped-patches", 50, seed=6)
         for img, lbl in zip(ds.images, ds.labels):
             rows = img[0].astype(float).mean(axis=1)
             cols = img[0].astype(float).mean(axis=0)

@@ -82,11 +82,11 @@ def attention_oracle(x, params, cfg, prefix="blk"):
 class TestPatchify:
     def test_shape(self):
         img = np.zeros((1, 3, 32, 32), dtype=np.float32)
-        assert M.patchify(img, 4).shape == (1, 64, 48)
+        assert M.patchify(img).shape == (1, 64, 48)
 
     def test_constant_image(self):
         img = np.full((1, 3, 32, 32), 7.0, dtype=np.float32)
-        out = M.patchify(img, 4)
+        out = M.patchify(img)
         assert np.all(out == 7.0)
 
     def test_single_pixel_index_mapping(self):
@@ -94,14 +94,14 @@ class TestPatchify:
         for r, c in [(0, 0), (3, 7), (12, 30), (31, 31), (17, 2)]:
             img = np.zeros((1, 3, 32, 32), dtype=np.float32)
             img[0, 1, r, c] = 1.0
-            out = M.patchify(img, 4)[0]
+            out = M.patchify(img)[0]
             rows = np.flatnonzero(out.sum(axis=1))
             assert list(rows) == [(r // 4) * 8 + (c // 4)]
 
     def test_exhaustive_permutation(self):
         # unique value per position: patchify must be a pure permutation
         img = np.arange(3 * 16 * 16, dtype=np.float64).reshape(1, 3, 16, 16)
-        out = M.patchify(img, 4)[0]
+        out = M.patchify(img)[0]
         assert sorted(out.reshape(-1).tolist()) == sorted(img.reshape(-1).tolist())
         # row 0 = channel-major flattening of the top-left 4x4 patch
         expected = img[0, :, :4, :4].reshape(-1)
@@ -109,11 +109,11 @@ class TestPatchify:
 
     def test_indivisible_extent_rejected(self):
         with pytest.raises(M.ConfigError):
-            M.patchify(np.zeros((1, 3, 30, 30), dtype=np.float32), 4)
+            M.patchify(np.zeros((1, 3, 30, 30), dtype=np.float32))
 
     def test_unbatched_image_rejected(self):
         with pytest.raises(T.ShapeError, match="B,C,H,W"):
-            M.patchify(np.zeros((3, 32, 32), dtype=np.float32), 4)
+            M.patchify(np.zeros((3, 32, 32), dtype=np.float32))
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +341,7 @@ class TestBlock:
     def block_params(cfg, rng, scale=1.0):
         p = make_attn_params(cfg, rng)
         c = cfg.embed_dim
-        p.update(TestFfn.params(rng, c, cfg.ffn_ratio * c, scale=scale))
+        p.update(TestFfn.params(rng, c, M.FFN_RATIO * c, scale=scale))
         return p
 
     def test_no_drop_train_equals_eval(self):
@@ -383,7 +383,7 @@ class TestBlock:
         try:
             before = tracemalloc.get_traced_memory()[0]
             with T.Tape():
-                M.block(x, params, cfg, "blocks.0", mode="train")
+                M.block(x, params, cfg, "blocks.0", drop_prob=0.0, mode="train")
                 retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -431,7 +431,7 @@ class TestBlock:
         if zeroed == "attn":
             p["blk.attn.o.weight"] = Tensor(np.zeros((32, 32)), requires_grad=True)
         else:
-            p["blk.ffn.w2"] = Tensor(np.zeros((cfg.ffn_ratio * 32, 32)),
+            p["blk.ffn.w2"] = Tensor(np.zeros((M.FFN_RATIO * 32, 32)),
                                      requires_grad=True)
         x = Tensor(rng.standard_normal((1, 5, cfg.embed_dim)), dtype=np.float64)
         ev = M.block(x, p, cfg, "blk", drop_prob=0.0, mode="eval").data
@@ -595,15 +595,15 @@ class TestForward:
 
 class TestModelConfig:
     @pytest.mark.parametrize("value", [0, -4])
-    @pytest.mark.parametrize("name", ["num_heads", "patch_size"])
+    @pytest.mark.parametrize("name", ["num_heads"])
     def test_nonpositive_divisor_is_named(self, name, value):
-        # refused before embed_dim % num_heads or image_size % patch_size is taken
+        # refused before embed_dim % num_heads is taken
         with pytest.raises(M.ConfigError, match=f"{name} must be >= 1, got {value}"):
             M.ModelConfig(**{name: value})
 
     @pytest.mark.parametrize("name, value", [
         ("embed_dim", 0), ("image_size", 0), ("depth", 0), ("depth", -1),
-        ("ffn_ratio", 0), ("num_classes", 0)])
+        ("num_classes", 0)])
     def test_nonpositive_size_is_named(self, name, value):
         # each would otherwise build an empty array or a model with no blocks
         with pytest.raises(M.ConfigError, match=f"{name} must be >= 1, got {value}"):
@@ -627,6 +627,10 @@ class TestModelConfig:
         # in init_params without naming the field
         with pytest.raises(M.ConfigError, match=shown):
             M.ModelConfig(**kwargs)
+
+    def test_image_size_must_be_a_multiple_of_the_patch_size(self):
+        with pytest.raises(M.ConfigError, match="image_size 30 not divisible by PATCH_SIZE 4"):
+            M.ModelConfig(image_size=30)
 
     def test_float_field_takes_an_int(self):
         assert M.ModelConfig(drop_path_rate=0).drop_path_rate == 0

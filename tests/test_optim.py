@@ -139,16 +139,16 @@ class TestDecayExclusions:
 
 class TestSchedule:
     def test_warmup_endpoint_hits_peak(self):
-        assert O.lr_schedule(100, 1000, 100, 0.002) == pytest.approx(0.002, abs=1e-15)
+        assert O.lr_schedule(100, 1000, 100, 0.002, lr_min=1e-5) == pytest.approx(0.002, abs=1e-15)
 
     def test_final_step_hits_floor(self):
         assert O.lr_schedule(1000, 1000, 100, 0.002, lr_min=1e-5) == pytest.approx(1e-5, abs=1e-12)
 
     def test_starts_at_zero(self):
-        assert O.lr_schedule(0, 1000, 100, 0.002) == 0.0
+        assert O.lr_schedule(0, 1000, 100, 0.002, lr_min=1e-5) == 0.0
 
     def test_warmup_is_linear(self):
-        lrs = [O.lr_schedule(s, 1000, 100, 0.002) for s in range(101)]
+        lrs = [O.lr_schedule(s, 1000, 100, 0.002, lr_min=1e-5) for s in range(101)]
         diffs = np.diff(lrs)
         assert np.allclose(diffs, diffs[0], atol=1e-15)
 
@@ -158,21 +158,21 @@ class TestSchedule:
         assert lr == pytest.approx((0.002 + 1e-5) / 2, abs=1e-12)
 
     def test_monotone_after_warmup(self):
-        lrs = [O.lr_schedule(s, 1000, 100, 0.002) for s in range(100, 1001)]
+        lrs = [O.lr_schedule(s, 1000, 100, 0.002, lr_min=1e-5) for s in range(100, 1001)]
         assert all(a >= b for a, b in zip(lrs, lrs[1:]))
 
     def test_no_jump_at_warmup_boundary(self):
-        before = O.lr_schedule(99, 1000, 100, 0.002)
-        at = O.lr_schedule(100, 1000, 100, 0.002)
+        before = O.lr_schedule(99, 1000, 100, 0.002, lr_min=1e-5)
+        at = O.lr_schedule(100, 1000, 100, 0.002, lr_min=1e-5)
         assert at - before <= 0.002 / 100 + 1e-12
 
     def test_bounds_validated(self):
         with pytest.raises(ValueError):
-            O.lr_schedule(-1, 100, 10, 0.002)
+            O.lr_schedule(-1, 100, 10, 0.002, lr_min=1e-5)
         with pytest.raises(ValueError):
-            O.lr_schedule(101, 100, 10, 0.002)
+            O.lr_schedule(101, 100, 10, 0.002, lr_min=1e-5)
         with pytest.raises(ValueError):
-            O.lr_schedule(5, 100, 100, 0.002)
+            O.lr_schedule(5, 100, 100, 0.002, lr_min=1e-5)
 
 
 class TestStateRoundTrip:

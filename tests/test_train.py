@@ -711,6 +711,26 @@ class TestTrainLoop:
                 "augment.use_repeated_augment is False")):
             TR.train(tiny_train_config(), ds, ds, tmp_path / "out", resume=path)
 
+    def test_resume_refuses_checkpoint_with_removed_model_fields(self, tmp_path,
+                                                                 one_epoch_checkpoint):
+        # checkpoints written while ModelConfig still had patch_size and
+        # ffn_ratio, now the constants PATCH_SIZE and FFN_RATIO
+        ds = D.synthetic_dataset("two-class-blobs", 16, seed=8)
+        ckpt = D.load_checkpoint(one_epoch_checkpoint)
+        removed = {"patch_size": M.PATCH_SIZE, "ffn_ratio": M.FFN_RATIO}
+        path = tmp_path / "old.npz"
+        D.save_checkpoint(path, params=ckpt.params,
+                          model_config={**ckpt.model_config, **removed},
+                          train_config={**ckpt.train_config,
+                                        "model": {**ckpt.train_config["model"], **removed}},
+                          optim_meta=ckpt.optim_meta, optim_arrays=ckpt.optim_arrays,
+                          rng_state=ckpt.rng_state, epoch=ckpt.epoch)
+        with pytest.raises(D.CheckpointError, match=re.escape(
+                "does not match this run: "
+                "model.ffn_ratio is 4 in the checkpoint, None in the run; "
+                "model.patch_size is 4 in the checkpoint, None in the run")):
+            TR.train(tiny_train_config(), ds, ds, tmp_path / "out", resume=path)
+
     @pytest.mark.parametrize("epoch", ["finished", -1])
     def test_resume_refuses_epoch_out_of_range(self, tmp_path, one_epoch_checkpoint, epoch):
         # resuming a finished run once raised IndexError at records[-1]
@@ -1045,12 +1065,12 @@ class TestProfiler:
         ds = D.synthetic_dataset("two-class-blobs", 10, seed=10)
         cfg = M.ModelConfig()
         out = TR.sample_patches(ds, cfg, np.random.default_rng(0))
-        assert out.ndim == 2 and out.shape[1] == cfg.patch_dim
+        assert out.ndim == 2 and out.shape[1] == M.PATCH_DIM
         assert out.shape[0] % cfg.num_patches == 0
         # whitening fits the patch embedding, so rows must be patchify's rows
         idx = np.random.default_rng(0).choice(len(ds), size=len(ds), replace=False)
-        rows = M.patchify(D.normalize(ds.images[idx]), cfg.patch_size)
-        assert np.array_equal(out, rows.reshape(-1, cfg.patch_dim))
+        rows = M.patchify(D.normalize(ds.images[idx]))
+        assert np.array_equal(out, rows.reshape(-1, M.PATCH_DIM))
 
 
 # ---------------------------------------------------------------------------
@@ -1195,6 +1215,9 @@ class TestCli:
          "'kv', 'qkv', got 'xyz'"),
         (dict(dataclasses.asdict(M.ModelConfig()), embed_dim="192"),
          "model_config is not a valid model: embed_dim must be int, got '192'"),
+        # written while ModelConfig still had patch_size and ffn_ratio
+        (dict(dataclasses.asdict(M.ModelConfig()), patch_size=4, ffn_ratio=4),
+         re.escape("missing fields [], unknown fields ['ffn_ratio', 'patch_size']")),
     ])
     def test_eval_refuses_malformed_model_config(self, model_config, field, tmp_path,
                                                  monkeypatch):
