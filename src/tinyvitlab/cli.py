@@ -212,9 +212,11 @@ def cmd_bench(args, run: TR.TrainConfig) -> int:
 def cmd_grad_check(args, run: TR.TrainConfig) -> int:
     """Finite-difference check of the float64 gradients of a small model of
     run's MLA variant, CLS count and positional table, in eval mode and in
-    train mode. A frozen table (sinusoidal or zero) is an input without a
-    gradient. run's patch_init stays unused: it changes only the initial
-    values, and the check runs at its own random point."""
+    train mode. Its depth of 2 checks one full block and one pruned block:
+    the last block computes only the CLS rows. A frozen table (sinusoidal
+    or zero) is an input without a gradient. run's patch_init stays unused:
+    it changes only the initial values, and the check runs at its own
+    random point."""
     cfg = M.ModelConfig(
         image_size=16, embed_dim=32, num_heads=4, depth=2,
         num_cls_tokens=run.model.num_cls_tokens, pos_embed=run.model.pos_embed,

@@ -277,18 +277,20 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32,
 # forward pieces
 
 def attention(x: Tensor, params: dict[str, Tensor], cfg: ModelConfig, prefix: str,
-              mask: np.ndarray | None = None) -> Tensor:
+              mask: np.ndarray | None = None, rows: int | None = None) -> Tensor:
     """The pre-norm attention branch of block `prefix` with its residual,
     x + mask * attention(norm1(x)), as one tape node (T.norm_attention).
     It reads `{prefix}.norm1.*` and `{prefix}.attn.{q,k,v,o}.*`, where each
     of q, k and v is a full `weight` or, under MLA, a `down`/`up` pair.
-    `mask` is the drop-path mask [B,1,1]; None keeps the branch whole."""
+    `mask` is the drop-path mask [B,1,1]; None keeps the branch whole.
+    With `rows`, only each sample's first `rows` rows query (keys and values
+    come from all S) and only they are returned, [B,rows,C]."""
     attn = f"{prefix}.attn"
     projections = [(params[f"{attn}.{proj}.weight"],) if f"{attn}.{proj}.weight" in params
                    else (params[f"{attn}.{proj}.down"], params[f"{attn}.{proj}.up"])
                    for proj in ("q", "k", "v")]
     return T.norm_attention(x, params[f"{prefix}.norm1.gamma"], params[f"{prefix}.norm1.beta"],
-                            projections, params[f"{attn}.o.weight"], cfg.num_heads, mask)
+                            projections, params[f"{attn}.o.weight"], cfg.num_heads, mask, rows)
 
 
 def ffn(x: Tensor, params: dict[str, Tensor], prefix: str,
@@ -308,11 +310,15 @@ def _drop_path_mask(batch: int, drop_prob: float, rng: np.random.Generator,
 
 
 def block(x: Tensor, params: dict[str, Tensor], cfg: ModelConfig, prefix: str,
-          drop_prob: float, mode: str, rng: np.random.Generator | None = None) -> Tensor:
+          drop_prob: float, mode: str, rng: np.random.Generator | None = None,
+          rows: int | None = None) -> Tensor:
     """Pre-norm transformer block with per-sample stochastic depth: two tape
     nodes, the attention branch then the FFN branch, each with its residual.
     In train mode with drop_prob > 0 each branch gets its own drop-path mask,
-    the attention branch's drawn first."""
+    the attention branch's drawn first. With `rows`, the block computes and
+    returns only each sample's first `rows` rows, [B,rows,C]: the attention
+    branch reads all S rows as keys and values, and the FFN branch then
+    runs on the rows returned."""
     if not (0.0 <= drop_prob < 1.0):
         raise ConfigError("drop_prob must be in [0, 1)")
     train_drop = mode == "train" and drop_prob > 0.0
@@ -322,15 +328,15 @@ def block(x: Tensor, params: dict[str, Tensor], cfg: ModelConfig, prefix: str,
     def mask() -> np.ndarray | None:
         return _drop_path_mask(x.shape[0], drop_prob, rng, x.data.dtype) if train_drop else None
 
-    x = attention(x, params, cfg, prefix, mask())
+    x = attention(x, params, cfg, prefix, mask(), rows)
     return ffn(x, params, prefix, mask())
 
 
 def cls_head(tokens: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:
-    """The final layer norm on the CLS-token rows of [B,S,C] (the other rows
-    are not read), their concatenation and the 2-layer projection MLP, as
-    one tape node (T.head)."""
-    return T.head(tokens, cfg.num_cls_tokens, *(params[name] for name in (
+    """The final layer norm on the CLS-token rows [B,num_cls_tokens,C], their
+    concatenation and the 2-layer projection MLP, as one tape node
+    (T.head)."""
+    return T.head(tokens, *(params[name] for name in (
         "norm.gamma", "norm.beta", "head.w1", "head.b1", "head.w2", "head.b2")))
 
 
@@ -339,8 +345,10 @@ def forward(cfg: ModelConfig, params: dict[str, Tensor], images: Tensor,
     """Full model: images [B,3,H,W] -> logits [B,num_classes].
 
     CLS tokens receive no positional embedding; drop-path rates ramp
-    linearly from 0 to cfg.drop_path_rate across blocks. Eval mode is a
-    pure function of (params, images).
+    linearly from 0 to cfg.drop_path_rate across blocks. The head reads
+    only the CLS rows, so the last block computes only those: its queries,
+    attention output and FFN cover the num_cls_tokens rows, against the keys
+    and values of all S. Eval mode is a pure function of (params, images).
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -354,7 +362,8 @@ def forward(cfg: ModelConfig, params: dict[str, Tensor], images: Tensor,
 
     for i in range(cfg.depth):
         rate = cfg.drop_path_rate * i / max(cfg.depth - 1, 1)
-        x = block(x, params, cfg, f"blocks.{i}", drop_prob=rate, mode=mode, rng=rng)
+        x = block(x, params, cfg, f"blocks.{i}", drop_prob=rate, mode=mode, rng=rng,
+                  rows=cfg.num_cls_tokens if i == cfg.depth - 1 else None)
     return cls_head(x, params, cfg)
 
 

@@ -16,20 +16,24 @@ serves only the float64 path. Ops record nodes on the active `Tape`;
 `grads = backward(loss, tape, params)` returns the gradients, which are
 values, not state kept on tensors.
 
+`norm_attention` can return only each sample's first rows: the model's
+last block computes just the CLS rows that `head` reads, with keys and
+values from all rows.
+
 A node keeps its input tensors and what its VJP cannot cheaply rebuild
-from them: `embed` the constant patch rows; `norm_mlp` and
-`norm_attention` the layer norm's row statistics mu and inv,
-`norm_attention` also each softmax row's max m and sum of exponentials l
-([B,h,S,1], 1/S of the attention weights P); `head` a copy of the CLS rows
-it reads and their mu and inv; `cross_entropy` its targets and
+from them: `embed` the constant patch rows; `norm_mlp`, `norm_attention`
+and `head` the layer norm's row statistics mu and inv, `norm_attention`
+also each softmax row's max m and sum of exponentials l ([B,h,rows,1],
+1/S of the attention weights P); `cross_entropy` its targets and
 log-probabilities. A VJP rebuilds every other intermediate it reads (the
 normalized input, the q/k/v GEMM outputs, P, the GELU's pre-activation h
 and Phi(h)) with the forward's operations in the forward's order, so bit
 for bit: activation recomputation (arXiv:1604.06174), with P rebuilt from
 m and l as in FlashAttention's backward (arXiv:2205.14135). So an op frees
 the same memory with or without a tape. A train-mode forward of the paper
-recipe at batch 32 is 21 tape nodes and keeps 33 MB (two [S,C] arrays per
-block and sample), and the step peaks at 52 MB in backward (tracemalloc).
+recipe at batch 32 is 21 tape nodes and keeps 30 MB (two [S,C] arrays per
+block and sample, but the last block's FFN branch keeps only the CLS rows),
+and the step peaks at 51 MB in backward (tracemalloc).
 
 Determinism: all reductions go through numpy with a fixed evaluation order,
 so repeated runs on the same inputs produce bitwise-identical results.
@@ -365,28 +369,24 @@ def _norm_vjp(xhat: np.ndarray, inv: np.ndarray, gamma: Tensor, g: np.ndarray):
 # ---------------------------------------------------------------------------
 # the head
 
-def head(x: Tensor, n: int, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
+def head(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
          b2: Tensor) -> Tensor:
-    """gelu(z @ w1 + b1) @ w2 + b2 for z, each sample's first n rows of x
-    [B,S,C] after layer_norm(gamma, beta), side by side: [B, n*C], so
-    w1 is [n*C, hidden]. The other rows are not read. One tape node, which
-    keeps a copy of the n rows and their row statistics mu and inv; the
-    GELU is written over h. Its VJP rebuilds the normalized rows and h, as
-    norm_mlp's does, and hands the rows past n a zero cotangent."""
-    if x.ndim != 3 or not 1 <= n <= x.shape[1]:
-        raise ShapeError(f"head needs x [B,S,C] and 1 <= n <= S rows, got {x.shape} and n={n}")
+    """gelu(z @ w1 + b1) @ w2 + b2 for z, each sample's n rows of x [B,n,C]
+    after layer_norm(gamma, beta), side by side: [B, n*C], so w1 is
+    [n*C, hidden]. One tape node, which keeps the row statistics mu and
+    inv; the GELU is written over h. Its VJP rebuilds the normalized rows
+    and h, as norm_mlp's does."""
+    if x.ndim != 3:
+        raise ShapeError(f"head needs x [B,n,C], got {x.shape}")
     _check_norm("head", x, gamma, beta)
-    _check_mlp("head", n * x.shape[2], x, gamma, beta, w1, b1, w2, b2)
-    rows = x.data[:, :n].copy()
-    xhat, mu, inv = _normalize(rows, LAYER_NORM_EPS)
+    _check_mlp("head", x.shape[1] * x.shape[2], x, gamma, beta, w1, b1, w2, b2)
+    xhat, mu, inv = _normalize(x.data, LAYER_NORM_EPS)
     out = _mlp_forward(_affine(xhat, gamma, beta).reshape(x.shape[0], -1), w1, b1, w2, b2)
 
     def vjp(g):
-        gxn, *gw = _mlp_vjp(_affine(_xhat(rows, mu, inv), gamma, beta).reshape(x.shape[0], -1),
+        gxn, *gw = _mlp_vjp(_affine(_xhat(x.data, mu, inv), gamma, beta).reshape(x.shape[0], -1),
                             g, w1, b1, w2)
-        dx = np.zeros_like(x.data)
-        dx[:, :n], *gnorm = _norm_vjp(_xhat(rows, mu, inv), inv, gamma, gxn.reshape(rows.shape))
-        return dx, *gnorm, *gw
+        return *_norm_vjp(_xhat(x.data, mu, inv), inv, gamma, gxn.reshape(x.shape)), *gw
 
     return _make(out, (x, gamma, beta, w1, b1, w2, b2), vjp)
 
@@ -396,7 +396,7 @@ def head(x: Tensor, n: int, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor,
 
 def _residual(x: np.ndarray, y: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     """x + y * mask (x + y if mask is None), in place in the branch output y,
-    shaped like x."""
+    shaped like x (norm_attention passes the rows it returns)."""
     y = y.reshape(x.shape)
     if mask is not None:
         y *= mask
@@ -408,9 +408,10 @@ def _residual_vjp(xhat: np.ndarray, inv: np.ndarray, gamma: Tensor, gxn: np.ndar
                   g: np.ndarray):
     """(dx, dgamma, dbeta) of x + branch(layer_norm(x)) for the cotangent g
     of the sum, given the cotangent gxn of the normalized input: layer
-    norm's VJP, plus g along the residual."""
+    norm's VJP, plus g along the residual, onto the leading part of dx that
+    g spans (each sample's first rows for norm_attention; all of dx else)."""
     dx, dgamma, dbeta = _norm_vjp(xhat, inv, gamma, gxn)
-    dx += g
+    dx[tuple(slice(k) for k in g.shape)] += g
     return dx, dgamma, dbeta
 
 
@@ -498,42 +499,56 @@ def _check_attention(x: Tensor, projections, wo: Tensor, heads: int) -> None:
 
 
 def norm_attention(x: Tensor, gamma: Tensor, beta: Tensor, projections, wo: Tensor, heads: int,
-                   mask: np.ndarray | None = None) -> Tensor:
-    """x + mask * (attention(layer_norm(x, gamma, beta)) @ wo): a
-    pre-norm multi-head attention branch and its residual as one tape node.
+                   mask: np.ndarray | None = None, rows: int | None = None) -> Tensor:
+    """x + mask * (attention(layer_norm(x, gamma, beta)) @ wo) for each
+    sample's first `rows` query rows (all S if None): a pre-norm multi-head
+    attention branch and its residual as one tape node, [B,rows,C].
 
     `projections` holds q's, k's and v's weights, each (w,) for a full [C,C]
     projection or (down, up) for a latent one, [C,d_c] then [d_c,C]. The
-    first-stage matrices of all three run as one GEMM; the `up` GEMMs
-    follow (_qkv). Attention is softmax(q k^T / sqrt(d)) v per head, with C
-    split into `heads` heads of d channels; the head split and merge are
-    views. `mask` is as in norm_mlp. The attention core runs over chunks
-    of samples whose P is about _ATTENTION_CHUNK bytes, so P stays in cache.
+    first-stage matrices of all three run as one GEMM over all S rows; the
+    `up` GEMMs follow (_qkv). Attention is softmax(q k^T / sqrt(d)) v per
+    head, with C split into `heads` heads of d channels, the queries of the
+    first `rows` rows against the keys and values of all S; the head split
+    and merge are views. So the softmax, P v, the wo GEMM and the residual
+    cover only the rows returned, which is all a CLS-only readout of the
+    last block needs. `mask` is as in norm_mlp. The attention core runs
+    over chunks of samples whose P is about _ATTENTION_CHUNK bytes, so P
+    stays in cache.
 
     The node keeps x, the layer norm's row statistics mu and inv, and the
-    softmax's row max m and sum l ([B,h,S,1], 1/S of P). Its VJP rebuilds
+    softmax's row max m and sum l ([B,h,rows,1], 1/S of P). Its VJP rebuilds
     the normalized input, first, q, k, v and, chunk by chunk, P and P v,
     all bit for bit, and runs the FlashAttention backward algebra: dV = P^T
     g, dP = g V^T, dS = P * (dP - rowsum(dP * P)) / sqrt(d), dQ = dS K,
-    dK = dS^T Q. The normalized input's cotangent is one GEMM of the first
-    stage's. At the paper recipe's batch 32 the node keeps 0.2 MB beyond
-    x, where the first stage and P would take 11.3 MB.
+    dK = dS^T Q; the rows past `rows` get no dQ and no residual cotangent.
+    The normalized input's cotangent is one GEMM of the first stage's. At
+    the paper recipe's batch 32 the node keeps 0.2 MB beyond x, where the
+    first stage and P would take 11.3 MB.
     """
     _check_norm("norm_attention", x, gamma, beta)
     _check_attention(x, projections, wo, heads)
     inputs = (x, gamma, beta, *(t for proj in projections for t in proj), wo)
     b, s, c = x.shape
+    n = s if rows is None else rows
+    if not 1 <= n <= s:
+        raise ShapeError(f"norm_attention returns 1 <= rows <= S query rows, got {x.shape} and rows={n}")
     d = c // heads
     scale = x.dtype.type(1.0 / np.sqrt(d))
-    step = max(1, _ATTENTION_CHUNK // (heads * s * s * x.dtype.itemsize))
+    step = max(1, _ATTENTION_CHUNK // (heads * n * s * x.dtype.itemsize))
     chunks = [slice(lo, lo + step) for lo in range(0, b, step)]
     cols = np.cumsum([0] + [proj[0].shape[1] for proj in projections])
+    counts = (n, s, s)       # the rows of q, k and v that attention reads
 
-    def split(a: np.ndarray) -> np.ndarray:       # [B*S,C] -> [B,h,S,d]
-        return a.reshape(b, s, heads, d).transpose(0, 2, 1, 3)
+    def split(a: np.ndarray) -> np.ndarray:       # [B*count,C] or [B,count,C] -> [B,h,count,d]
+        return a.reshape(b, -1, heads, d).transpose(0, 2, 1, 3)
 
-    def rows() -> np.ndarray:                     # a new [B*S,C], written through split views
-        return np.empty((b * s, c), x.dtype)
+    def empty_rows(count: int) -> np.ndarray:     # a new [B*count,C], written through split views
+        return np.empty((b * count, c), x.dtype)
+
+    def lead(a: np.ndarray, lo: int, hi: int, count: int) -> np.ndarray:
+        # each sample's first `count` rows of [B*S,W]'s columns lo:hi: a [B,count,hi-lo] view
+        return a.reshape(b, s, -1)[:, :count, lo:hi]
 
     def normalized() -> np.ndarray:               # the VJP's rebuilt layer norm output [B*S,C]
         return _affine(_xhat(x.data, mu, inv), gamma, beta).reshape(-1, c)
@@ -542,8 +557,9 @@ def norm_attention(x: Tensor, gamma: Tensor, beta: Tensor, projections, wo: Tens
     first, qkv = _qkv(_affine(xhat, gamma, beta).reshape(-1, c), projections, cols)
     del xhat
     qh, kh, vh = map(split, qkv)
-    m, l = np.empty((2, b, heads, s, 1), x.dtype)
-    ctx = rows()
+    qh = qh[:, :, :n]
+    m, l = np.empty((2, b, heads, n, 1), x.dtype)
+    ctx = empty_rows(n)
     for sl in chunks:
         np.matmul(_attention_weights(qh[sl] * scale, kh[sl], m[sl], l[sl]), vh[sl],
                   out=split(ctx)[sl])
@@ -555,11 +571,13 @@ def norm_attention(x: Tensor, gamma: Tensor, beta: Tensor, projections, wo: Tens
         gy = (g if mask is None else g * mask).reshape(-1, c)
         first, qkv = _qkv(normalized(), projections, cols)
         qh, kh, vh = map(split, qkv)
+        qh = qh[:, :, :n]
         go = split(gy @ wo.data.T)
-        gfirst, ctx = np.empty_like(first), rows()
+        gfirst, ctx = np.empty_like(first), empty_rows(n)
+        gfirst.reshape(b, s, -1)[:, n:, :cols[1]] = 0    # q's columns: no dQ past the rows returned
         # dQ, dK and dV go straight into gfirst's columns for a full projection
-        gq, gk, gv = (gfirst[:, lo:hi] if len(proj) == 1 else rows()
-                      for proj, lo, hi in zip(projections, cols, cols[1:]))
+        gq, gk, gv = (lead(gfirst, lo, hi, count) if len(proj) == 1 else empty_rows(count)
+                      for proj, lo, hi, count in zip(projections, cols, cols[1:], counts))
         for sl in chunks:
             p = _attention_weights(qh[sl] * scale, kh[sl], m[sl], l[sl], rebuild=True)
             np.matmul(p, vh[sl], out=split(ctx)[sl])
@@ -574,10 +592,10 @@ def norm_attention(x: Tensor, gamma: Tensor, beta: Tensor, projections, wo: Tens
         gq *= scale
         gk *= scale
         gups = []
-        for proj, lo, hi, gt in zip(projections, cols, cols[1:], (gq, gk, gv)):
+        for proj, lo, hi, count, gt in zip(projections, cols, cols[1:], counts, (gq, gk, gv)):
             if len(proj) == 2:
-                gups.append(first[:, lo:hi].T @ gt)
-                np.matmul(gt, proj[1].data.T, out=gfirst[:, lo:hi])
+                gups.append(lead(first, lo, hi, count).reshape(b * count, -1).T @ gt)
+                lead(gfirst, lo, hi, count)[...] = (gt @ proj[1].data.T).reshape(b, count, -1)
             else:
                 gups.append(None)
         del first, gq, gk, gv, gt
@@ -588,7 +606,7 @@ def norm_attention(x: Tensor, gamma: Tensor, beta: Tensor, projections, wo: Tens
                         for gw in (gw1[:, lo:hi], gup) if gw is not None]
         return (*dnorm, *gprojections, gwo)
 
-    return _make(_residual(x.data, y, mask), inputs, vjp)
+    return _make(_residual(x.data[:, :n], y, mask), inputs, vjp)
 
 
 # ---------------------------------------------------------------------------

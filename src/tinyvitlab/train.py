@@ -82,7 +82,7 @@ class MetricsRecord:
     that one step's peak. tracemalloc counts the whole process, so the peak
     includes every shard. At workers > 1 the shards' allocations interleave,
     so it can vary by a few percent between runs (the desk recipe at batch
-    128, 2 workers, read 45.0 MB in each of 3 runs). It is 0 when another
+    128, 2 workers, read 39.1-40.6 MB over 3 runs). It is 0 when another
     tracer stopped tracemalloc during that step."""
     epoch: int
     train_loss: float

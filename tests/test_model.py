@@ -455,7 +455,7 @@ class TestClsHead:
         assert params["head.w1"].shape == (cfg.embed_dim, cfg.embed_dim)
         params["norm.gamma"].data += rng.normal(0.0, 0.5, cfg.embed_dim)
         params["norm.beta"].data += rng.normal(0.0, 0.5, cfg.embed_dim)
-        tokens = Tensor(rng.standard_normal((2, cfg.seq_len, cfg.embed_dim)), dtype=np.float64)
+        tokens = Tensor(rng.standard_normal((2, 1, cfg.embed_dim)), dtype=np.float64)
         out = M.cls_head(tokens, params, cfg).data
         cls = tokens.data[:, 0, :]
         cls = (cls - cls.mean(axis=1, keepdims=True)) / np.sqrt(cls.var(axis=1, keepdims=True) + 1e-6)
@@ -473,7 +473,7 @@ class TestClsHead:
     def test_logits_shape(self):
         cfg = tiny_config()
         params = M.init_params(cfg, np.random.default_rng(0))
-        tokens = Tensor(np.zeros((3, cfg.seq_len, cfg.embed_dim), dtype=np.float32))
+        tokens = Tensor(np.zeros((3, cfg.num_cls_tokens, cfg.embed_dim), dtype=np.float32))
         assert M.cls_head(tokens, params, cfg).shape == (3, 10)
 
 
@@ -502,6 +502,40 @@ class TestForward:
         flat = normed[:, :n_cls].reshape(3, n_cls * cfg.embed_dim)
         expected = T._mlp_forward(flat, *(params[f"head.{k}"] for k in ("w1", "b1", "w2", "b2")))
         assert logits.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("n_cls", [1, 2, 3])
+    @pytest.mark.parametrize("variant", ["none", "q", "kv", "qkv"])
+    def test_last_block_computes_only_cls_rows(self, variant, n_cls, depth, monkeypatch):
+        # the last block returns only the CLS rows the head reads; a reference
+        # that runs every block over all S rows and then keeps the first n must
+        # give the same logits and gradients, in eval mode and in train mode
+        # with drop-path (at depth 1 the only block is the pruned one)
+        cfg = M.ModelConfig(image_size=16, embed_dim=32, num_heads=4, depth=depth,
+                            num_cls_tokens=n_cls, mla=M.MlaConfig(variant, 8), drop_path_rate=0.5)
+        params = M.grad_check_point(cfg, np.random.default_rng(19))
+        images = Tensor(np.random.default_rng(20).standard_normal((4, 3, 16, 16)), dtype=np.float64)
+        targets = np.full((4, 10), 0.1)
+
+        def narrow(x, n):      # each sample's first n rows; the others get a zero cotangent
+            pad = ((0, 0), (0, x.shape[1] - n), (0, 0))
+            return T._make(x.data[:, :n].copy(), (x,), lambda g: (np.pad(g, pad),))
+
+        def logits_and_grads(mode):
+            with T.Tape() as tape:
+                logits = M.forward(cfg, params, images, mode, np.random.default_rng(21))
+                loss = cross_entropy(logits, targets)
+            return [logits.data, *T.backward(loss, tape, list(params.values()))]
+
+        for mode in ("eval", "train"):
+            pruned = logits_and_grads(mode)
+            with monkeypatch.context() as patch:
+                block, cls_head = M.block, M.cls_head
+                patch.setattr(M, "block", lambda *a, rows=None, **kw: block(*a, **kw))
+                patch.setattr(M, "cls_head", lambda x, p, c: cls_head(narrow(x, n_cls), p, c))
+                whole = logits_and_grads(mode)
+            for name, got, want in zip(["logits", *params], pruned, whole):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (mode, name)
 
     @pytest.mark.parametrize("cfg, nodes", [
         (M.ModelConfig(embed_dim=192, num_heads=12, depth=9, drop_path_rate=0.1), 21),

@@ -170,6 +170,9 @@ class TestSoftmax:
         with pytest.raises(T.ShapeError, match=r"\(1, 2, 4\).*\(3, 4\)"):
             T.norm_attention(*attention_inputs(np.zeros((1, 2, 4)), w, np.zeros((3, 4)), w, w),
                              heads=1)
+        for rows in (0, 3):
+            with pytest.raises(T.ShapeError, match=rf"1 <= rows <= S .*\(1, 2, 4\) and rows={rows}"):
+                T.norm_attention(*attention_inputs(np.zeros((1, 2, 4)), w, w, w, w), heads=1, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +196,7 @@ class TestLayerNorm:
     def test_affine_must_be_channel_vectors(self, name):
         x, gamma, beta = t64(np.zeros((2, 2, 3))), t64(np.ones((1, 3))), t64(np.zeros(3))
         w, b = t64(np.zeros((3, 3))), t64(np.zeros(3))
-        args = {"norm_mlp": (x, gamma, beta, w, b, w, b), "head": (x, 1, gamma, beta, w, b, w, b),
+        args = {"norm_mlp": (x, gamma, beta, w, b, w, b), "head": (x, gamma, beta, w, b, w, b),
                 "norm_attention": (x, gamma, beta, [(w,)] * 3, w, 1)}[name]
         with pytest.raises(T.ShapeError, match=rf"{name} needs .*\(2, 2, 3\), \(1, 3\), \(3,\)"):
             getattr(T, name)(*args)
@@ -219,15 +222,15 @@ class TestActivation:
         w1, b1 = t64(np.zeros((3, 4))), t64(np.zeros(4))
         with pytest.raises(T.ShapeError, match=r"head needs .*\(2, 1, 3\), \(3,\), \(3,\), "
                                                r"\(3, 4\), \(4,\), \(5, 2\), \(2,\)"):
-            T.head(x, 1, gamma, beta, w1, b1, t64(np.zeros((5, 2))), t64(np.zeros(2)))
+            T.head(x, gamma, beta, w1, b1, t64(np.zeros((5, 2))), t64(np.zeros(2)))
 
     def test_head_reads_n_rows_side_by_side(self):
         x, gamma, beta = t64(np.zeros((2, 2, 3))), t64(np.ones(3)), t64(np.zeros(3))
         w = [t64(np.zeros(s)) for s in [(3, 4), (4,), (4, 2), (2,)]]
         with pytest.raises(T.ShapeError, match=r"head needs w1 \[6, hidden\].*\(3, 4\)"):
-            T.head(x, 2, gamma, beta, *w)
-        with pytest.raises(T.ShapeError, match=r"1 <= n <= S rows, got \(2, 2, 3\) and n=3"):
-            T.head(x, 3, gamma, beta, *w)
+            T.head(x, gamma, beta, *w)
+        with pytest.raises(T.ShapeError, match=r"head needs x \[B,n,C\], got \(2, 3\)"):
+            T.head(t64(np.zeros((2, 3))), gamma, beta, *w)
 
 
 def phi64(h):
@@ -269,14 +272,11 @@ def norm_mlp_oracle(x, gamma, beta, w1, b1, w2, b2, g, mask=None):
     return x + m * y, [dx + g, *gnorm, *gw]
 
 
-def head_oracle(n, x, gamma, beta, w1, b1, w2, b2, g):
-    """Float64 head and its VJP for g: layer_norm_oracle of the first n rows, then mlp_oracle."""
-    b, rows = x.shape[0], x[:, :n]
-    xn, _ = layer_norm_oracle(rows, gamma, beta, np.zeros_like(rows))
-    y, (gxn, *gw) = mlp_oracle(xn.reshape(b, -1), w1, b1, w2, b2, g)
-    dx = np.zeros_like(x)
-    dx[:, :n], *gnorm = layer_norm_oracle(rows, gamma, beta, gxn.reshape(rows.shape))[1]
-    return y, [dx, *gnorm, *gw]
+def head_oracle(x, gamma, beta, w1, b1, w2, b2, g):
+    """Float64 head and its VJP for g: layer_norm_oracle of every row of x [B,n,C], then mlp_oracle."""
+    xn, _ = layer_norm_oracle(x, gamma, beta, np.zeros_like(x))
+    y, (gxn, *gw) = mlp_oracle(xn.reshape(x.shape[0], -1), w1, b1, w2, b2, g)
+    return y, [*layer_norm_oracle(x, gamma, beta, gxn.reshape(x.shape))[1], *gw]
 
 
 def embed_oracle(patches, w, b, pos, tokens, g):
@@ -304,22 +304,25 @@ def attention_shapes(b, s, c, latents):
             + [(c, c)])
 
 
-def norm_attention_op(heads, latents, mask=None):
+def norm_attention_op(heads, latents, mask=None, rows=None):
     """norm_attention over attention_shapes' flat inputs."""
     def op(x, gamma, beta, *w):
-        return T.norm_attention(x, gamma, beta, group(w[:-1], latents), w[-1], heads, mask)
+        return T.norm_attention(x, gamma, beta, group(w[:-1], latents), w[-1], heads, mask, rows)
     return op
 
 
-def norm_attention_oracle(heads, latents, mask=None):
+def norm_attention_oracle(heads, latents, mask=None, rows=None):
     """Float64 x + mask * attention(layer_norm(x)) @ wo and its VJP for the
     cotangent g, over norm_attention_op's inputs then g: layer_norm_oracle,
-    a naive per-sample, per-head attention by the textbook softmax
-    formulas, then the masked residual."""
+    a naive per-sample, per-head attention over all S rows by the textbook
+    softmax formulas, then the masked residual. With `rows`, the output is
+    each sample's first `rows` rows, and g [B,rows,C] is padded with zero
+    rows."""
     def oracle(x, gamma, beta, *w):
         *w, wo, g = w
         m = 1.0 if mask is None else mask
         b, s, c = x.shape
+        g = np.concatenate([g, np.zeros((b, s - g.shape[1], c))], axis=1)
         d = c // heads
         xn, _ = layer_norm_oracle(x, gamma, beta, np.zeros_like(x))
         chains = [[xn] for _ in range(3)]     # each projection's input, latent, output
@@ -351,7 +354,7 @@ def norm_attention_oracle(heads, latents, mask=None):
             gxn += gt
         dx, *gnorm = layer_norm_oracle(x, gamma, beta, gxn)[1]
         gwo = o.reshape(-1, c).T @ gy.reshape(-1, c)
-        return x + m * (o @ wo), [dx + g, *gnorm, *gw, gwo]
+        return (x + m * (o @ wo))[:, :rows], [dx + g, *gnorm, *gw, gwo]
     return oracle
 
 
@@ -527,17 +530,18 @@ class TestBackward:
 
     def test_determinism_bitwise(self):
         rng = np.random.default_rng(6)
-        w, x = rng.standard_normal((32, 16)), t64(rng.standard_normal((8, 3, 16)))
+        w, x = rng.standard_normal((32, 16)), t64(rng.standard_normal((8, 2, 16)))
         rest = [t64(rng.standard_normal(s)) for s in [(16,), (16,), (16,), (16, 4), (4,)]]
         grads = []
         for wt in (t64(w.copy(), grad=True) for _ in range(2)):
             with Tape() as tape:
-                out = total(T.head(x, 2, *rest[:2], wt, *rest[2:]))
+                out = total(T.head(x, *rest[:2], wt, *rest[2:]))
             grads += backward(out, tape, [wt])
         assert np.array_equal(grads[0], grads[1])
 
     def test_three_block_composite_matches_finite_differences(self):
-        # embed, norm_attention with a latent k, then head; fan-in scaled
+        # embed, norm_attention with a latent k returning the one CLS row, then
+        # head; fan-in scaled
         params = random_inputs(7, (5, 8), (8,), (3, 8), (1, 8), (8,), (8,), (8, 8), (8, 3), (3, 8),
                                (8, 8), (8,), (8,), (8, 8), (8,), (8, 4), (4,))
         for p in params:
@@ -547,8 +551,8 @@ class TestBackward:
 
         def f():
             h = T.embed(x, we, be, pos, tok)
-            h = T.norm_attention(h, g1, b1, [(q1,), (k1, k2), (q1,)], o1, heads=2)
-            return T.cross_entropy(T.head(h, 1, *head), np.full((2, 4), 0.25))
+            h = T.norm_attention(h, g1, b1, [(q1,), (k1, k2), (q1,)], o1, heads=2, rows=1)
+            return T.cross_entropy(T.head(h, *head), np.full((2, 4), 0.25))
 
         assert grad_check(f, params, h=1e-5) < 1e-4
 
@@ -626,12 +630,13 @@ class TestVjpProperties:
         assert cotangent_error(op, random_inputs(seed, *shapes), seed + 1) < 1e-4
 
     @given(b=st.integers(1, 3), s=st.integers(1, 5), heads=st.integers(1, 3), d=extents,
-           latents=latent_sets, masked=st.booleans(), seed=seeds)
+           latents=latent_sets, masked=st.booleans(), seed=seeds, data=st.data())
     @VJP_SETTINGS
-    def test_norm_attention(self, b, s, heads, d, latents, masked, seed):
+    def test_norm_attention(self, b, s, heads, d, latents, masked, seed, data):
         mask = drop_mask(seed + 2, (b, 1, 1)) if masked else None
+        rows = data.draw(st.integers(1, s), label="rows")
         inputs = random_inputs(seed, *attention_shapes(b, s, heads * d, latents))
-        err = cotangent_error(norm_attention_op(heads, latents, mask), inputs, seed + 1)
+        err = cotangent_error(norm_attention_op(heads, latents, mask, rows), inputs, seed + 1)
         assert err < 1e-4
 
     # a row of one or two channels normalizes to a constant, so its dx is
@@ -649,18 +654,16 @@ class TestVjpProperties:
 # the stem, the head and the two block branches against numpy oracles
 
 def op_case(name, lead, c, hidden, n, mask=None):
-    """(op, oracle, input shapes) of norm_mlp over x [*lead, c] with `mask`, of head over the
-    first n (at most S) rows of x [B,S,c] into 3 classes, or of embed with n tokens in front
-    of constant patch rows [B,S,hidden]; [B,S] is lead padded with ones."""
+    """(op, oracle, input shapes) of norm_mlp over x [*lead, c] with `mask`, of head over
+    x [B,n,c] into 3 classes, or of embed with n tokens in front of constant patch rows
+    [B,S,hidden]; [B,S] is lead padded with ones."""
     norm = [(c,), (c,)]
     if name == "norm_mlp":
         return (lambda *a: T.norm_mlp(*a, mask=mask), lambda *a: norm_mlp_oracle(*a, mask=mask),
                 [(*lead, c)] + norm + [(c, hidden), (hidden,), (hidden, c), (c,)])
     b, s = (*lead, 1, 1)[:2]
     if name == "head":
-        n = min(n, s)
-        return (lambda x, *w: T.head(x, n, *w), lambda *a: head_oracle(n, *a),
-                [(b, s, c)] + norm + [(n * c, hidden), (hidden,), (hidden, 3), (3,)])
+        return (T.head, head_oracle, [(b, n, c)] + norm + [(n * c, hidden), (hidden,), (hidden, 3), (3,)])
     patches = np.random.default_rng(n).standard_normal((b, s, hidden))
     return (lambda *a: T.embed(patches, *a), lambda *a: embed_oracle(patches, *a),
             [(hidden, c), (c,), (s, c), (n, c)])
@@ -691,12 +694,14 @@ class TestOracleVjp:
         assert oracle_error(*op_case(name, lead, c, hidden, n, mask), seed) < 1e-10
 
     @given(b=st.integers(1, 3), s=st.integers(1, 5), heads=st.integers(1, 3), d=extents,
-           latents=latent_sets, masked=st.booleans(), seed=seeds)
+           latents=latent_sets, masked=st.booleans(), seed=seeds, data=st.data())
     @VJP_SETTINGS
-    def test_norm_attention_matches_numpy_oracle(self, b, s, heads, d, latents, masked, seed):
+    def test_norm_attention_matches_numpy_oracle(self, b, s, heads, d, latents, masked, seed,
+                                                 data):
         mask = drop_mask(seed + 2, (b, 1, 1)) if masked else None
-        err = oracle_error(norm_attention_op(heads, latents, mask),
-                           norm_attention_oracle(heads, latents, mask),
+        rows = data.draw(st.integers(1, s), label="rows")
+        err = oracle_error(norm_attention_op(heads, latents, mask, rows),
+                           norm_attention_oracle(heads, latents, mask, rows),
                            attention_shapes(b, s, heads * d, latents), seed)
         assert err < 1e-10
 
@@ -752,6 +757,10 @@ PLANTED_CASES = {
     "norm_attention": (norm_attention_op(2, (0, 2, 0), drop_mask(5, (2, 1, 1))),
                        norm_attention_oracle(2, (0, 2, 0), drop_mask(5, (2, 1, 1))),
                        attention_shapes(2, 4, 6, (0, 2, 0))),
+    # two of the four query rows, through a latent q
+    "norm_attention-rows": (norm_attention_op(2, (2, 2, 0), drop_mask(5, (2, 1, 1)), rows=2),
+                            norm_attention_oracle(2, (2, 2, 0), drop_mask(5, (2, 1, 1)), rows=2),
+                            attention_shapes(2, 4, 6, (2, 2, 0))),
 }
 
 
@@ -770,9 +779,13 @@ class TestPlantedVjpBugs:
         ("norm_mlp", "_gelu_hidden", _gelu_hidden_without_b1),
         ("head", "_gelu_hidden", _gelu_hidden_without_b1),
         ("norm_attention", "_attention_weights", _weights_without_row_max),
+        ("norm_attention-rows", "_softmax_vjp", _softmax_vjp_without_rowsum),
+        ("norm_attention-rows", "_residual_vjp", _residual_vjp_without_g),
+        ("norm_attention-rows", "_attention_weights", _weights_without_row_max),
     ], ids=["head-norm", "norm_mlp-norm", "norm_mlp-gelu", "head-gelu", "norm_mlp-residual",
             "norm_attention-softmax", "norm_attention-residual", "norm_mlp-rebuilt-h",
-            "head-rebuilt-h", "norm_attention-rebuilt-p"])
+            "head-rebuilt-h", "norm_attention-rebuilt-p", "norm_attention-rows-softmax",
+            "norm_attention-rows-residual", "norm_attention-rows-rebuilt-p"])
     def test_planted_bug_is_caught(self, name, helper, planted, monkeypatch):
         op, oracle, shapes = PLANTED_CASES[name]
         assert oracle_error(op, oracle, shapes, seed=3) < 1e-10
@@ -787,7 +800,7 @@ class TestRebuildBits:
     bitwise the forward's: norm_attention's first-stage output, any
     up-projected q, k or v (_qkv) and each chunk's P (_attention_weights),
     and the pre-activation h of norm_mlp and head (_gelu_hidden's input to
-    _gelu). The batch spans three attention chunks."""
+    _gelu). With all 65 query rows the batch spans three attention chunks."""
 
     @staticmethod
     def record(monkeypatch) -> dict[str, list]:
@@ -830,16 +843,19 @@ class TestRebuildBits:
         assert all(a.dtype == np.float32 and a.tobytes() == b.tobytes()
                    for a, b in zip(forward, rebuilt))
 
-    @pytest.mark.parametrize("latents", [(0, 0, 0), (8, 0, 12)], ids=["full", "latent"])
+    @pytest.mark.parametrize("latents, rows, chunks", [
+        ((0, 0, 0), None, 3), ((8, 0, 12), None, 3), ((0, 0, 0), 40, 2), ((8, 0, 12), 40, 2),
+        ((0, 0, 0), 2, 1), ((8, 0, 12), 2, 1),
+    ], ids=["full", "latent", "full-40-rows", "latent-40-rows", "full-2-rows", "latent-2-rows"])
     @pytest.mark.parametrize("masked", [False, True], ids=["whole", "drop-path"])
-    def test_norm_attention(self, latents, masked, monkeypatch):
-        b, s, c, heads = 16, 65, 64, 4        # 7 samples per chunk: 7, 7, 2
+    def test_norm_attention(self, latents, rows, chunks, masked, monkeypatch):
+        b, s, c, heads = 16, 65, 64, 4        # 7 samples per chunk at 65 rows: 7, 7, 2
         mask = drop_mask(1, (b, 1, 1)).astype(np.float32) if masked else None
-        seen = self.run(norm_attention_op(heads, latents, mask),
-                        attention_shapes(b, s, c, latents), (b, s, c), monkeypatch)
+        seen = self.run(norm_attention_op(heads, latents, mask, rows),
+                        attention_shapes(b, s, c, latents), (b, rows or s, c), monkeypatch)
         forward, rebuilt = seen["qkv"]       # first, q, k, v
         assert [a.tobytes() for a in forward] == [a.tobytes() for a in rebuilt]
-        assert [was_rebuilt for was_rebuilt, _ in seen["p"]] == [False] * 3 + [True] * 3
+        assert [was_rebuilt for was_rebuilt, _ in seen["p"]] == [False] * chunks + [True] * chunks
         self.assert_rebuilt_bitwise(seen["p"])
 
     @pytest.mark.parametrize("name, masked", [("norm_mlp", False), ("norm_mlp", True),

@@ -505,8 +505,8 @@ class TestTrainLoop:
             assert key in lines[0]
 
     def test_logs_the_measured_step_peak(self, tmp_path):
-        # the paper recipe at batch 32, one worker: the step peaked at 52.2 MB
-        # on numpy 2.4; the tape alone keeps 33 MB, so a forward-only number
+        # the paper recipe at batch 32, one worker: the step peaked at 50.6 MB
+        # on numpy 2.4; the tape alone keeps 29.5 MB, so a forward-only number
         # fails the lower bound
         ds = D.synthetic_dataset("two-class-blobs", 32, seed=5)
         cfg = tiny_train_config(epochs=1, batch_size=32,
