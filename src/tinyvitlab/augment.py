@@ -212,10 +212,6 @@ def _affine(image: np.ndarray, inv) -> np.ndarray:
     return _sample_coords(image, sy, sx)
 
 
-def shear_x(image, mag):
-    return _affine(image, lambda y, x: (y, x + mag * y))
-
-
 def shear_y(image, mag):
     return _affine(image, lambda y, x: (y + mag * x, x))
 
@@ -322,8 +318,6 @@ def _signed(rng: np.random.Generator, value: float) -> float:
 def apply_policy_op(image: np.ndarray, op: str, level: int,
                     rng: np.random.Generator) -> np.ndarray:
     frac = level / 9.0
-    if op == "shear_x":
-        return shear_x(image, _signed(rng, frac * _SHEAR_MAX))
     if op == "shear_y":
         return shear_y(image, _signed(rng, frac * _SHEAR_MAX))
     if op == "translate_x":

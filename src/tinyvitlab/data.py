@@ -171,6 +171,11 @@ class Checkpoint:
     epoch: int
 
 
+def temp_path(path: str | Path) -> Path:
+    """The temp file save_checkpoint writes beside `path` and renames over it."""
+    return Path(f"{path}.tmp")
+
+
 def save_checkpoint(path: str | Path, *, params: dict, model_config: dict,
                     train_config: dict, optim_meta: dict | None = None,
                     optim_arrays: dict[str, np.ndarray] | None = None,
@@ -189,7 +194,7 @@ def save_checkpoint(path: str | Path, *, params: dict, model_config: dict,
     header = {"version": VERSION, "model_config": model_config,
               "train_config": train_config, "optim": optim_meta,
               "rng_state": rng_state or {}, "epoch": epoch, "members": sorted(members)}
-    tmp = Path(f"{path}.tmp")
+    tmp = temp_path(path)
     try:
         # a file object, not a path: np.savez appends ".npz" to path strings
         with open(tmp, "wb") as f:

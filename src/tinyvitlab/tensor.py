@@ -17,8 +17,8 @@ serves only the float64 path. Ops record nodes on the active `Tape`;
 values, not state kept on tensors.
 
 `norm_attention` can return only each sample's first rows: the model's
-last block computes just the CLS rows that `head` reads, with keys and
-values from all rows.
+last block computes just the CLS rows that `head` reads. q, k and v each
+run their own GEMMs, so q projects only those rows, and k and v all rows.
 
 A node keeps its input tensors and what its VJP cannot cheaply rebuild
 from them: `embed` the constant patch rows; `norm_mlp`, `norm_attention`
@@ -26,14 +26,14 @@ and `head` the layer norm's row statistics mu and inv, `norm_attention`
 also each softmax row's max m and sum of exponentials l ([B,h,rows,1],
 1/S of the attention weights P); `cross_entropy` its targets and
 log-probabilities. A VJP rebuilds every other intermediate it reads (the
-normalized input, the q/k/v GEMM outputs, P, the GELU's pre-activation h
-and Phi(h)) with the forward's operations in the forward's order, so bit
-for bit: activation recomputation (arXiv:1604.06174), with P rebuilt from
-m and l as in FlashAttention's backward (arXiv:2205.14135). So an op frees
-the same memory with or without a tape. A train-mode forward of the paper
-recipe at batch 32 is 21 tape nodes and keeps 30 MB (two [S,C] arrays per
-block and sample, but the last block's FFN branch keeps only the CLS rows),
-and the step peaks at 51 MB in backward (tracemalloc).
+normalized input, q, k and v, P, the GELU's pre-activation h and Phi(h))
+with the forward's operations in the forward's order, so bit for bit:
+activation recomputation (arXiv:1604.06174), with P rebuilt from m and l
+as in FlashAttention's backward (arXiv:2205.14135). So an op frees the
+same memory with or without a tape. A train-mode forward of the paper
+recipe at batch 32 is 21 tape nodes with the loss and keeps 30 MB (two
+[S,C] arrays per block and sample, but the last block's FFN branch keeps
+only the CLS rows), and the step peaks at 51 MB in backward (tracemalloc).
 
 Determinism: all reductions go through numpy with a fixed evaluation order,
 so repeated runs on the same inputs produce bitwise-identical results.
@@ -444,20 +444,23 @@ def norm_mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2:
     return _make(_residual(x.data, out, mask), (x, gamma, beta, w1, b1, w2, b2), vjp)
 
 
-def _first_stage(projections) -> np.ndarray:
-    """q's, k's and v's first-stage matrices side by side, [C, sum of widths]."""
-    return np.concatenate([proj[0].data for proj in projections], axis=1)
+def _project(xn: np.ndarray, proj) -> tuple[np.ndarray, np.ndarray]:
+    """(first, out) for rows xn [N,C] through one projection's weights:
+    first = xn @ w, which is also out, for a full projection (w,), or
+    first = xn @ down and out = first @ up for a latent one (down, up). The
+    forward and the VJP both call it, so the VJP's are the forward's bit for
+    bit."""
+    first = xn @ proj[0].data
+    return first, first if len(proj) == 1 else first @ proj[1].data
 
 
-def _qkv(xn: np.ndarray, projections, cols) -> tuple[np.ndarray, list[np.ndarray]]:
-    """(first, [q, k, v]) for the normalized rows xn [N,C]: one GEMM of q's,
-    k's and v's first-stage matrices side by side (first's columns `cols`),
-    then each latent's `up` GEMM; a full projection's q, k or v is a view of
-    first. The forward and the VJP both call it, so the VJP's are the
-    forward's bit for bit."""
-    first = xn @ _first_stage(projections)
-    return first, [first[:, lo:hi] if len(proj) == 1 else first[:, lo:hi] @ proj[1].data
-                   for proj, lo, hi in zip(projections, cols, cols[1:])]
+def _project_vjp(xn: np.ndarray, proj, first: np.ndarray, g: np.ndarray):
+    """(d xn, weight cotangents) of _project for the cotangent g of its out."""
+    if len(proj) == 2:
+        gup = first.T @ g
+        g = g @ proj[1].data.T
+        return g @ proj[0].data.T, (xn.T @ g, gup)
+    return g @ proj[0].data.T, (xn.T @ g,)
 
 
 def _attention_weights(qs: np.ndarray, kh: np.ndarray, m: np.ndarray, l: np.ndarray,
@@ -505,26 +508,26 @@ def norm_attention(x: Tensor, gamma: Tensor, beta: Tensor, projections, wo: Tens
     attention branch and its residual as one tape node, [B,rows,C].
 
     `projections` holds q's, k's and v's weights, each (w,) for a full [C,C]
-    projection or (down, up) for a latent one, [C,d_c] then [d_c,C]. The
-    first-stage matrices of all three run as one GEMM over all S rows; the
-    `up` GEMMs follow (_qkv). Attention is softmax(q k^T / sqrt(d)) v per
-    head, with C split into `heads` heads of d channels, the queries of the
-    first `rows` rows against the keys and values of all S; the head split
-    and merge are views. So the softmax, P v, the wo GEMM and the residual
-    cover only the rows returned, which is all a CLS-only readout of the
-    last block needs. `mask` is as in norm_mlp. The attention core runs
-    over chunks of samples whose P is about _ATTENTION_CHUNK bytes, so P
-    stays in cache.
+    projection or (down, up) for a latent one, [C,d_c] then [d_c,C]. Each
+    projects on its own (_project): q each sample's first `rows` rows of the
+    normalized input, k and v all S. Attention is softmax(q k^T / sqrt(d)) v
+    per head, with C split into `heads` heads of d channels; the head split
+    and merge are views. So q, the softmax, P v, the wo GEMM and the
+    residual cover only the rows returned, which is all a CLS-only readout
+    of the last block needs. `mask` is as in norm_mlp. The attention core
+    runs over chunks of samples whose P is about _ATTENTION_CHUNK bytes, so
+    P stays in cache.
 
     The node keeps x, the layer norm's row statistics mu and inv, and the
     softmax's row max m and sum l ([B,h,rows,1], 1/S of P). Its VJP rebuilds
-    the normalized input, first, q, k, v and, chunk by chunk, P and P v,
-    all bit for bit, and runs the FlashAttention backward algebra: dV = P^T
-    g, dP = g V^T, dS = P * (dP - rowsum(dP * P)) / sqrt(d), dQ = dS K,
-    dK = dS^T Q; the rows past `rows` get no dQ and no residual cotangent.
-    The normalized input's cotangent is one GEMM of the first stage's. At
-    the paper recipe's batch 32 the node keeps 0.2 MB beyond x, where the
-    first stage and P would take 11.3 MB.
+    the normalized input, q, k, v (with any latent's first stage) and,
+    chunk by chunk, P and P v, all bit for bit, and runs the FlashAttention
+    backward algebra: dV = P^T g, dP = g V^T, dS = P * (dP - rowsum(dP * P))
+    / sqrt(d), dQ = dS K, dK = dS^T Q. The normalized input's cotangent sums
+    the three projections' (_project_vjp), one at a time, q's on the rows
+    it read; the residual's covers the rows returned. At the paper recipe's
+    batch 32 the node keeps 0.2 MB beyond x, where q, k, v and P would take
+    11.3 MB.
     """
     _check_norm("norm_attention", x, gamma, beta)
     _check_attention(x, projections, wo, heads)
@@ -537,47 +540,35 @@ def norm_attention(x: Tensor, gamma: Tensor, beta: Tensor, projections, wo: Tens
     scale = x.dtype.type(1.0 / np.sqrt(d))
     step = max(1, _ATTENTION_CHUNK // (heads * n * s * x.dtype.itemsize))
     chunks = [slice(lo, lo + step) for lo in range(0, b, step)]
-    cols = np.cumsum([0] + [proj[0].shape[1] for proj in projections])
-    counts = (n, s, s)       # the rows of q, k and v that attention reads
 
-    def split(a: np.ndarray) -> np.ndarray:       # [B*count,C] or [B,count,C] -> [B,h,count,d]
+    def split(a: np.ndarray) -> np.ndarray:       # [B*count,C] -> [B,h,count,d]
         return a.reshape(b, -1, heads, d).transpose(0, 2, 1, 3)
 
-    def empty_rows(count: int) -> np.ndarray:     # a new [B*count,C], written through split views
-        return np.empty((b * count, c), x.dtype)
-
-    def lead(a: np.ndarray, lo: int, hi: int, count: int) -> np.ndarray:
-        # each sample's first `count` rows of [B*S,W]'s columns lo:hi: a [B,count,hi-lo] view
-        return a.reshape(b, s, -1)[:, :count, lo:hi]
-
-    def normalized() -> np.ndarray:               # the VJP's rebuilt layer norm output [B*S,C]
-        return _affine(_xhat(x.data, mu, inv), gamma, beta).reshape(-1, c)
+    def sources(xn: np.ndarray) -> tuple[np.ndarray, ...]:
+        # q's, k's and v's input rows: each sample's first n rows of xn [B*S,C], then all of xn
+        return xn.reshape(b, s, c)[:, :n].reshape(-1, c), xn, xn
 
     xhat, mu, inv = _normalize(x.data, LAYER_NORM_EPS)
-    first, qkv = _qkv(_affine(xhat, gamma, beta).reshape(-1, c), projections, cols)
-    del xhat
-    qh, kh, vh = map(split, qkv)
-    qh = qh[:, :, :n]
+    xs = sources(_affine(xhat, gamma, beta).reshape(-1, c))
+    qh, kh, vh = (split(_project(xr, proj)[1]) for xr, proj in zip(xs, projections))
+    del xhat, xs
     m, l = np.empty((2, b, heads, n, 1), x.dtype)
-    ctx = empty_rows(n)
+    ctx = np.empty((b * n, c), x.dtype)
     for sl in chunks:
         np.matmul(_attention_weights(qh[sl] * scale, kh[sl], m[sl], l[sl]), vh[sl],
                   out=split(ctx)[sl])
-    del first, qkv, qh, kh, vh
+    del qh, kh, vh
     y = ctx @ wo.data
     del ctx
 
     def vjp(g):
         gy = (g if mask is None else g * mask).reshape(-1, c)
-        first, qkv = _qkv(normalized(), projections, cols)
-        qh, kh, vh = map(split, qkv)
-        qh = qh[:, :, :n]
+        xs = sources(_affine(_xhat(x.data, mu, inv), gamma, beta).reshape(-1, c))
+        projected = [_project(xr, proj) for xr, proj in zip(xs, projections)]
+        qh, kh, vh = (split(out) for _, out in projected)
         go = split(gy @ wo.data.T)
-        gfirst, ctx = np.empty_like(first), empty_rows(n)
-        gfirst.reshape(b, s, -1)[:, n:, :cols[1]] = 0    # q's columns: no dQ past the rows returned
-        # dQ, dK and dV go straight into gfirst's columns for a full projection
-        gq, gk, gv = (lead(gfirst, lo, hi, count) if len(proj) == 1 else empty_rows(count)
-                      for proj, lo, hi, count in zip(projections, cols, cols[1:], counts))
+        ctx = np.empty((b * n, c), x.dtype)
+        gq, gk, gv = (np.empty((b * count, c), x.dtype) for count in (n, s, s))
         for sl in chunks:
             p = _attention_weights(qh[sl] * scale, kh[sl], m[sl], l[sl], rebuild=True)
             np.matmul(p, vh[sl], out=split(ctx)[sl])
@@ -586,25 +577,19 @@ def norm_attention(x: Tensor, gamma: Tensor, beta: Tensor, projections, wo: Tens
             np.matmul(ds, kh[sl], out=split(gq)[sl])
             np.matmul(ds.swapaxes(-1, -2), qh[sl], out=split(gk)[sl])
             del p, ds     # before the next chunk's
-        del qkv, qh, kh, vh, go
+        del qh, kh, vh, go
         gwo = ctx.T @ gy
         del ctx
         gq *= scale
         gk *= scale
-        gups = []
-        for proj, lo, hi, count, gt in zip(projections, cols, cols[1:], counts, (gq, gk, gv)):
-            if len(proj) == 2:
-                gups.append(lead(first, lo, hi, count).reshape(b * count, -1).T @ gt)
-                lead(gfirst, lo, hi, count)[...] = (gt @ proj[1].data.T).reshape(b, count, -1)
-            else:
-                gups.append(None)
-        del first, gq, gk, gv, gt
-        gw1 = normalized().T @ gfirst
-        dnorm = _residual_vjp(_xhat(x.data, mu, inv), inv, gamma,
-                              (gfirst @ _first_stage(projections).T).reshape(x.shape), g)
-        gprojections = [gw for lo, hi, gup in zip(cols, cols[1:], gups)
-                        for gw in (gw1[:, lo:hi], gup) if gw is not None]
-        return (*dnorm, *gprojections, gwo)
+        # each projection's input cotangent in turn, q's onto each sample's first n rows
+        gxn, gprojections = np.zeros_like(x.data), []
+        for xr, proj, gt in zip(xs, projections, [gq, gk, gv]):
+            gx, gw = _project_vjp(xr, proj, projected.pop(0)[0], gt)
+            gxn[:, :len(xr) // b] += gx.reshape(b, -1, c)
+            gprojections += gw
+        del xs, gq, gk, gv, gt, gx
+        return (*_residual_vjp(_xhat(x.data, mu, inv), inv, gamma, gxn, g), *gprojections, gwo)
 
     return _make(_residual(x.data[:, :n], y, mask), inputs, vjp)
 

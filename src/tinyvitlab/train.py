@@ -465,6 +465,8 @@ def train(cfg: TrainConfig, train_ds: D.Dataset, test_ds: D.Dataset,
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics_path = out_dir / "metrics.log"
     ckpt_path = out_dir / "checkpoint.npz"
+    # left by a process killed between save_checkpoint's write and its rename
+    D.temp_path(ckpt_path).unlink(missing_ok=True)
 
     if cfg.subset_per_class is not None:
         train_ds = D.subset_per_class(train_ds, cfg.subset_per_class, cfg.model.num_classes)

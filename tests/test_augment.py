@@ -201,9 +201,11 @@ class TestPolicyTable:
             assert out.shape == img.shape and out.dtype == np.uint8
 
     def test_unknown_op_rejected(self):
-        with pytest.raises(ValueError):
-            A.apply_policy_op(rand_uint8(np.random.default_rng(0)), "blur", 5,
-                              np.random.default_rng(0))
+        # shear_x is a classic AutoAugment op, but no sub-policy of the table names it
+        for op in ("blur", "shear_x"):
+            with pytest.raises(ValueError, match=op):
+                A.apply_policy_op(rand_uint8(np.random.default_rng(0)), op, 5,
+                                  np.random.default_rng(0))
 
 
 class TestPixelOps:
@@ -253,7 +255,6 @@ class TestPixelOps:
 class TestGeometry:
     def test_zero_magnitude_is_identity(self):
         img = rand_uint8(np.random.default_rng(17))
-        assert np.array_equal(A.shear_x(img, 0.0), img)
         assert np.array_equal(A.shear_y(img, 0.0), img)
         assert np.array_equal(A.translate_x(img, 0), img)
         assert np.array_equal(A.translate_y(img, 0), img)

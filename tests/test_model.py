@@ -485,9 +485,9 @@ class TestForward:
         assert M.forward(cfg, params, images).shape == (4, 10)
 
     @pytest.mark.parametrize("n_cls", [1, 2])
-    def test_final_norm_on_cls_rows_matches_norm_of_all_rows(self, n_cls, monkeypatch):
-        # normalizing only the CLS rows must give the logits, bit for bit, of
-        # normalizing all S rows and then keeping the CLS rows
+    def test_head_matches_normalize_affine_and_mlp_on_cls_rows(self, n_cls, monkeypatch):
+        # cls_head receives only the n CLS rows, and its logits are, bit for
+        # bit, _normalize + _affine + _mlp_forward on those rows side by side
         rng = np.random.default_rng(17)
         cfg = tiny_config(n_cls=n_cls)
         params = M.init_params(cfg, rng)
@@ -497,9 +497,10 @@ class TestForward:
         heads, cls_head = [], M.cls_head
         monkeypatch.setattr(M, "cls_head", lambda x, p, c: heads.append(x) or cls_head(x, p, c))
         logits = M.forward(cfg, params, images).data
+        assert heads[0].shape == (3, n_cls, cfg.embed_dim)
         normed = T._affine(T._normalize(heads[0].data, 1e-6)[0], params["norm.gamma"],
                            params["norm.beta"])
-        flat = normed[:, :n_cls].reshape(3, n_cls * cfg.embed_dim)
+        flat = normed.reshape(3, n_cls * cfg.embed_dim)
         expected = T._mlp_forward(flat, *(params[f"head.{k}"] for k in ("w1", "b1", "w2", "b2")))
         assert logits.tobytes() == expected.tobytes()
 

@@ -797,22 +797,23 @@ class TestPlantedVjpBugs:
 
 class TestRebuildBits:
     """In float32, every array a VJP rebuilds from what its node keeps is
-    bitwise the forward's: norm_attention's first-stage output, any
-    up-projected q, k or v (_qkv) and each chunk's P (_attention_weights),
-    and the pre-activation h of norm_mlp and head (_gelu_hidden's input to
-    _gelu). With all 65 query rows the batch spans three attention chunks."""
+    bitwise the forward's: norm_attention's q, k and v with any latent's
+    first stage (_project) and each chunk's P (_attention_weights), and the
+    pre-activation h of norm_mlp and head (_gelu_hidden's input to _gelu).
+    With all 65 query rows the batch spans three attention chunks."""
 
     @staticmethod
     def record(monkeypatch) -> dict[str, list]:
-        """Copies of what _qkv returns, of each P, and of each h entering the
-        GELU, tagged by whether the VJP computed it, in call order."""
-        seen = {"qkv": [], "p": [], "h": []}
-        real_qkv, real_weights, real_gelu = T._qkv, T._attention_weights, T._gelu
+        """The row count of each input to _project with copies of the
+        (first, out) it returns, of each P, and of each h entering the GELU,
+        tagged by whether the VJP computed it, in call order."""
+        seen = {"project": [], "p": [], "h": []}
+        real_project, real_weights, real_gelu = T._project, T._attention_weights, T._gelu
 
-        def qkv(xn, projections, cols):
-            first, outs = real_qkv(xn, projections, cols)
-            seen["qkv"].append([a.copy() for a in (first, *outs)])
-            return first, outs
+        def project(xn, proj):
+            first, out = real_project(xn, proj)
+            seen["project"].append((len(xn), first.copy(), out.copy()))
+            return first, out
 
         def weights(qs, kh, m, l, rebuild=False):
             p = real_weights(qs, kh, m, l, rebuild)
@@ -823,7 +824,7 @@ class TestRebuildBits:
             seen["h"].append((gh is not None, h.copy()))
             return real_gelu(h, gh, out)
 
-        for name, fn in (("_qkv", qkv), ("_attention_weights", weights), ("_gelu", gelu)):
+        for name, fn in (("_project", project), ("_attention_weights", weights), ("_gelu", gelu)):
             monkeypatch.setattr(T, name, fn)
         return seen
 
@@ -853,8 +854,11 @@ class TestRebuildBits:
         mask = drop_mask(1, (b, 1, 1)).astype(np.float32) if masked else None
         seen = self.run(norm_attention_op(heads, latents, mask, rows),
                         attention_shapes(b, s, c, latents), (b, rows or s, c), monkeypatch)
-        forward, rebuilt = seen["qkv"]       # first, q, k, v
-        assert [a.tobytes() for a in forward] == [a.tobytes() for a in rebuilt]
+        # q from each sample's first rows, then k and v from all S; the forward's, then the VJP's
+        assert [count for count, _, _ in seen["project"]] == [b * (rows or s), b * s, b * s] * 2
+        forward, rebuilt = seen["project"][:3], seen["project"][3:]
+        assert [(first.tobytes(), out.tobytes()) for _, first, out in forward] == \
+            [(first.tobytes(), out.tobytes()) for _, first, out in rebuilt]
         assert [was_rebuilt for was_rebuilt, _ in seen["p"]] == [False] * chunks + [True] * chunks
         self.assert_rebuilt_bitwise(seen["p"])
 

@@ -106,6 +106,18 @@ def train_until_killed(out, owner, name, call, before):
     TR.train(cfg, ds, ds, out)
 
 
+def run_until_killed(out, owner, name, call, before):
+    """train_until_killed in a child process, which must die by SIGKILL."""
+    child = ("import sys; sys.path[:0] = sys.argv[1:3]; import test_train as T; "
+             "T.train_until_killed(sys.argv[3], sys.argv[4], sys.argv[5], "
+             "int(sys.argv[6]), sys.argv[7] == 'before')")
+    run = subprocess.run([sys.executable, "-c", child, str(Path(TR.__file__).parents[1]),
+                          str(Path(__file__).parent), str(out), owner, name, str(call),
+                          "before" if before else "after"],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == -signal.SIGKILL, run.stderr
+
+
 # ---------------------------------------------------------------------------
 # rng derivation
 
@@ -963,14 +975,7 @@ class TestCrashResume:
     def test_resume_after_sigkill_matches_uninterrupted_run(self, tmp_path, uninterrupted,
                                                             owner, name, call, before, epoch):
         out = tmp_path / "out"
-        child = ("import sys; sys.path[:0] = sys.argv[1:3]; import test_train as T; "
-                 "T.train_until_killed(sys.argv[3], sys.argv[4], sys.argv[5], "
-                 "int(sys.argv[6]), sys.argv[7] == 'before')")
-        run = subprocess.run([sys.executable, "-c", child, str(Path(TR.__file__).parents[1]),
-                              str(Path(__file__).parent), str(out), owner, name, str(call),
-                              "before" if before else "after"],
-                             capture_output=True, text=True, timeout=300)
-        assert run.returncode == -signal.SIGKILL, run.stderr
+        run_until_killed(out, owner, name, call, before)
         assert D.load_checkpoint(out / "checkpoint.npz").epoch == epoch
 
         cfg, ds = crash_run()
@@ -982,6 +987,20 @@ class TestCrashResume:
         a, b = (D.load_checkpoint(r.checkpoint_path) for r in (uninterrupted, resumed))
         assert all(np.array_equal(a.params[k], b.params[k]) for k in a.params)
         assert not (out / "checkpoint.npz.tmp").exists()
+
+    def test_fresh_run_removes_stale_temp_checkpoint(self, tmp_path, monkeypatch):
+        # killed with epoch 1's checkpoint in the temp file only; a new run in
+        # the directory, not a resume, removes that file before its first step
+        out = tmp_path / "out"
+        run_until_killed(out, "os", "replace", 2, True)
+        assert (out / "checkpoint.npz.tmp").exists()
+        stale, real = [], TR.parallel_train_step
+        monkeypatch.setattr(TR, "parallel_train_step", lambda *args, **kwargs: (
+            stale.append((out / "checkpoint.npz.tmp").exists()) or real(*args, **kwargs)))
+        cfg, ds = crash_run()
+        TR.train(cfg, ds, ds, out)
+        assert stale and not any(stale)
+        assert sorted(p.name for p in out.glob("checkpoint*")) == ["checkpoint.npz"]
 
 
 # ---------------------------------------------------------------------------
