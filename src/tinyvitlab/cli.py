@@ -185,10 +185,12 @@ def _batch_sizes(raw: str) -> list[int]:
 def cmd_bench(args, run: TR.TrainConfig) -> int:
     """Print the model's parameter counts on one `params` line, then profile
     run's training step per batch size, one `bs=` line each; all lines go to
-    stdout and bench.log."""
+    stdout and bench.log. The params are drawn with a random patch init even
+    under whitening, which changes only that matrix's initial values, not
+    what a step costs."""
     cfg = run.model
     rng = np.random.default_rng(run.seed)
-    params = M.init_params(cfg, rng)
+    params = M.init_params(dataclasses.replace(cfg, patch_init="random"), rng)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     counts = {**M.param_count(params), "attention_per_layer": M.attention_params_per_layer(cfg)}

@@ -210,66 +210,57 @@ def whitening_init(patch_sample: np.ndarray, out_dim: int,
 # ---------------------------------------------------------------------------
 # parameters
 
-def mla_factor(variant_set: set[str], proj: str, embed_dim: int, d_c: int,
-               rng: np.random.Generator, dtype=np.float32) -> dict[str, np.ndarray]:
-    """Allocate one projection in [in, out] layout: factored
-    (down [C,d_c] then up [d_c,C]) when `proj` is in the compressed set,
-    otherwise a full [C,C] matrix."""
-    if proj in variant_set:
-        # drawn [out, in] and stored transposed, so each seed keeps its init values
-        return {
-            "down": trunc_normal(rng, (d_c, embed_dim), dtype=dtype).T.copy(),
-            "up": trunc_normal(rng, (embed_dim, d_c), dtype=dtype).T.copy(),
-        }
-    return {"weight": trunc_normal(rng, (embed_dim, embed_dim), dtype=dtype)}
+def param_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every parameter's path and shape, in the order init_params draws them.
+    Matrices are [in, out]; q, k or v, when cfg.mla compresses it, is a
+    `down` [C,d_c] then `up` [d_c,C] pair, else a full `weight` [C,C]. The
+    positional table, when learnable, comes last."""
+    c, hidden = cfg.embed_dim, FFN_RATIO * cfg.embed_dim
+    shapes = {"patch_embed.weight": (PATCH_DIM, c), "patch_embed.bias": (c,),
+              "cls_token": (cfg.num_cls_tokens, c)}
+    for i in range(cfg.depth):
+        pre = f"blocks.{i}"
+        shapes.update({f"{pre}.norm1.gamma": (c,), f"{pre}.norm1.beta": (c,)})
+        for proj in ("q", "k", "v"):
+            if proj in cfg.mla.compressed():
+                shapes.update({f"{pre}.attn.{proj}.down": (c, cfg.mla.d_c),
+                               f"{pre}.attn.{proj}.up": (cfg.mla.d_c, c)})
+            else:
+                shapes[f"{pre}.attn.{proj}.weight"] = (c, c)
+        shapes.update({f"{pre}.attn.o.weight": (c, c),
+                       f"{pre}.norm2.gamma": (c,), f"{pre}.norm2.beta": (c,),
+                       f"{pre}.ffn.w1": (c, hidden), f"{pre}.ffn.b1": (hidden,),
+                       f"{pre}.ffn.w2": (hidden, c), f"{pre}.ffn.b2": (c,)})
+    shapes.update({"norm.gamma": (c,), "norm.beta": (c,),
+                   "head.w1": (cfg.num_cls_tokens * c, c), "head.b1": (c,),
+                   "head.w2": (c, cfg.num_classes), "head.b2": (cfg.num_classes,)})
+    if cfg.pos_embed == "learnable":
+        shapes["pos_embed"] = (cfg.num_patches, c)
+    return shapes
 
 
 def init_params(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32,
                 patch_sample: np.ndarray | None = None) -> dict[str, Tensor]:
-    """Build the full parameter map. `patch_sample` (raw patch rows) is
-    required when cfg.patch_init == "whitening"."""
-    c, d = cfg.embed_dim, PATCH_DIM
-    p: dict[str, np.ndarray] = {}
-
-    if cfg.patch_init == "whitening":
-        if patch_sample is None:
-            raise ConfigError("whitening patch_init needs a patch_sample")
-        p["patch_embed.weight"] = whitening_init(patch_sample, c, rng, dtype=dtype)
-    else:
-        p["patch_embed.weight"] = trunc_normal(rng, (d, c), dtype=dtype)
-    p["patch_embed.bias"] = np.zeros(c, dtype=dtype)
-
-    p["cls_token"] = trunc_normal(rng, (cfg.num_cls_tokens, c), dtype=dtype)
-
-    compressed = cfg.mla.compressed()
-    hidden = FFN_RATIO * c
-    for i in range(cfg.depth):
-        pre = f"blocks.{i}"
-        p[f"{pre}.norm1.gamma"] = np.ones(c, dtype=dtype)
-        p[f"{pre}.norm1.beta"] = np.zeros(c, dtype=dtype)
-        for proj in ("q", "k", "v"):
-            for name, arr in mla_factor(compressed, proj, c, cfg.mla.d_c, rng, dtype).items():
-                p[f"{pre}.attn.{proj}.{name}"] = arr
-        p[f"{pre}.attn.o.weight"] = trunc_normal(rng, (c, c), dtype=dtype)
-        p[f"{pre}.norm2.gamma"] = np.ones(c, dtype=dtype)
-        p[f"{pre}.norm2.beta"] = np.zeros(c, dtype=dtype)
-        p[f"{pre}.ffn.w1"] = trunc_normal(rng, (c, hidden), dtype=dtype)
-        p[f"{pre}.ffn.b1"] = np.zeros(hidden, dtype=dtype)
-        p[f"{pre}.ffn.w2"] = trunc_normal(rng, (hidden, c), dtype=dtype)
-        p[f"{pre}.ffn.b2"] = np.zeros(c, dtype=dtype)
-
-    p["norm.gamma"] = np.ones(c, dtype=dtype)
-    p["norm.beta"] = np.zeros(c, dtype=dtype)
-
-    head_in = cfg.num_cls_tokens * c
-    p["head.w1"] = trunc_normal(rng, (head_in, c), dtype=dtype)
-    p["head.b1"] = np.zeros(c, dtype=dtype)
-    p["head.w2"] = trunc_normal(rng, (c, cfg.num_classes), dtype=dtype)
-    p["head.b2"] = np.zeros(cfg.num_classes, dtype=dtype)
-
-    params = {k: Tensor(v, requires_grad=True) for k, v in sorted(p.items())}
-    if cfg.pos_embed == "learnable":
-        params["pos_embed"] = positional_table("learnable", cfg.num_patches, c, rng, dtype)
+    """Build the full parameter map, sorted by path, drawing in param_shapes
+    order: a `gamma` is ones and any other vector zeros; a latent `down` or
+    `up` is drawn [out, in] and stored transposed, so each seed keeps its
+    init values; any other matrix is trunc-normal, but the patch projection
+    is whitened under cfg.patch_init "whitening", which needs
+    `patch_sample` (raw patch rows)."""
+    whiten = cfg.patch_init == "whitening"
+    if whiten and patch_sample is None:
+        raise ConfigError("whitening patch_init needs a patch_sample")
+    params = {}
+    for path, shape in param_shapes(cfg).items():
+        if len(shape) == 1:
+            arr = (np.ones if path.endswith("gamma") else np.zeros)(shape, dtype=dtype)
+        elif whiten and path == "patch_embed.weight":
+            arr = whitening_init(patch_sample, shape[1], rng, dtype=dtype)
+        elif path.endswith((".down", ".up")):
+            arr = trunc_normal(rng, shape[::-1], dtype=dtype).T.copy()
+        else:
+            arr = trunc_normal(rng, shape, dtype=dtype)
+        params[path] = Tensor(arr, requires_grad=True)
     return dict(sorted(params.items()))
 
 
@@ -370,15 +361,16 @@ def forward(cfg: ModelConfig, params: dict[str, Tensor], images: Tensor,
 def grad_check_point(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Tensor]:
     """Random float64 parameter point for gradient verification.
 
-    Matrices are fan-in scaled and biases jittered so signals (and therefore
-    gradients) stay O(1) through the depth; at the training init (sigma
-    INIT_STD) early-layer gradients shrink below finite-difference resolution.
+    Matrices are fan-in scaled and every vector but a layer norm's gamma
+    jittered, so signals (and therefore gradients) stay O(1) through the
+    depth; at the training init (sigma INIT_STD) early-layer gradients
+    shrink below finite-difference resolution.
     """
     params = init_params(cfg, rng, dtype=np.float64)
     for name, p in params.items():
-        if p.data.ndim == 2 and "norm" not in name:
+        if p.data.ndim == 2:
             p.data *= (1.0 / np.sqrt(p.data.shape[0])) / INIT_STD
-        elif "bias" in name or ".b" in name or "beta" in name:
+        elif not name.endswith("gamma"):
             p.data += rng.normal(0.0, 0.05, p.data.shape)
     return params
 
@@ -406,9 +398,5 @@ def param_count(params: dict[str, Tensor]) -> dict[str, int]:
 
 def attention_params_per_layer(cfg: ModelConfig) -> int:
     """Q/K/V/O parameter elements in one block under cfg.mla."""
-    c, dc = cfg.embed_dim, cfg.mla.d_c
-    compressed = cfg.mla.compressed()
-    n = c * c  # output projection
-    for proj in ("q", "k", "v"):
-        n += 2 * c * dc if proj in compressed else c * c
-    return n
+    return sum(math.prod(shape) for path, shape in param_shapes(cfg).items()
+               if path.startswith("blocks.0.attn."))

@@ -17,7 +17,7 @@ import time
 import tracemalloc
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -226,7 +226,7 @@ def build_batches(ds: D.Dataset, cfg: TrainConfig, epoch: int):
                                for im in images])
         targets = A.label_smooth(A.one_hot(ds.labels[idx], num_classes),
                                  aug.label_smoothing, num_classes)
-        batch = A.SoftBatch(images.astype(np.float32), targets)
+        batch = A.SoftBatch(images, targets)
         mix_rng = rng_for(cfg.seed, "mix", epoch, b)
         use_mix, use_cut = aug.use_mixup, aug.use_cutmix
         if use_mix and use_cut:
@@ -373,10 +373,8 @@ def _diffs(saved: dict, run: dict) -> str:
 def check_params(params: dict[str, np.ndarray], cfg: M.ModelConfig) -> None:
     """Refuse checkpoint params whose names or shapes model `cfg` does not
     give, with a CheckpointError naming each such member."""
-    # whitening changes the values init_params gives, not the shapes
-    run = M.init_params(replace(cfg, patch_init="random"), np.random.default_rng(0))
     if msg := _diffs({f"params/{k}": a.shape for k, a in params.items()},
-                     {f"params/{k}": t.shape for k, t in run.items()}):
+                     {f"params/{k}": shape for k, shape in M.param_shapes(cfg).items()}):
         raise D.CheckpointError("checkpoint params do not fit the model (shape, or None "
                                 "where absent): " + msg)
 

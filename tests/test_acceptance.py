@@ -6,6 +6,7 @@ batches on disk; it skips with an explanation when no data directory is
 found (set DATA_DIR or place the files under data/cifar-10-batches-bin).
 """
 
+import math
 import os
 import time
 import typing
@@ -116,7 +117,11 @@ def test_criterion_2_attention_oracle_equivalence():
                             mla=M.MlaConfig(variant, 8))
         params = {}
         for proj in ("q", "k", "v"):
-            fac = M.mla_factor(cfg.mla.compressed(), proj, 32, 8, rng, np.float64)
+            if proj in cfg.mla.compressed():   # drawn [out, in], stored transposed
+                fac = {"down": M.trunc_normal(rng, (8, 32), dtype=np.float64).T.copy(),
+                       "up": M.trunc_normal(rng, (32, 8), dtype=np.float64).T.copy()}
+            else:
+                fac = {"weight": M.trunc_normal(rng, (32, 32), dtype=np.float64)}
             for name, arr in fac.items():
                 params[f"blk.attn.{proj}.{name}"] = Tensor(arr * 10, requires_grad=True)
         params["blk.attn.o.weight"] = Tensor(
@@ -133,12 +138,11 @@ def test_criterion_2_attention_oracle_equivalence():
 
 
 def test_criterion_3_mla_parameter_accounting():
-    rng = np.random.default_rng(0)
-    compressed = M.mla_factor({"q"}, "q", 192, 48, rng)
-    comp_size = compressed["down"].size + compressed["up"].size
-    full_size = M.mla_factor(set(), "q", 192, 48, rng)["weight"].size
-    per_layer = M.attention_params_per_layer(
-        M.ModelConfig(mla=M.MlaConfig("q", 48)))
+    cfg = M.ModelConfig(mla=M.MlaConfig("q", 48))
+    shapes = M.param_shapes(cfg)
+    comp_size = sum(math.prod(shapes[f"blocks.0.attn.q.{name}"]) for name in ("down", "up"))
+    full_size = math.prod(shapes["blocks.0.attn.k.weight"])
+    per_layer = M.attention_params_per_layer(cfg)
     ok = comp_size == 18_432 and full_size == 36_864 and per_layer == 129_024
     report(3, "MLA parameter accounting (18432 / 36864 / 129024)", ok,
            f"compressed={comp_size} full={full_size} variant_q_layer={per_layer}")

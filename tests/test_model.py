@@ -1,6 +1,7 @@
 """Model ops against independent oracles: patchify index mapping, naive
 attention loops, SVD factorization, finite differences."""
 
+import math
 import tracemalloc
 import typing
 import zlib
@@ -27,7 +28,12 @@ def make_attn_params(cfg, rng, dtype=np.float64, prefix="blk"):
     params = {f"{prefix}.norm1.gamma": Tensor(np.linspace(0.5, 1.5, c), requires_grad=True, dtype=dtype),
               f"{prefix}.norm1.beta": Tensor(np.linspace(-0.2, 0.2, c), requires_grad=True, dtype=dtype)}
     for proj in ("q", "k", "v"):
-        for name, arr in M.mla_factor(compressed, proj, c, dc, rng, dtype).items():
+        if proj in compressed:   # drawn [out, in] and stored transposed, as init_params does
+            drawn = {"down": M.trunc_normal(rng, (dc, c), dtype=dtype).T.copy(),
+                     "up": M.trunc_normal(rng, (c, dc), dtype=dtype).T.copy()}
+        else:
+            drawn = {"weight": M.trunc_normal(rng, (c, c), dtype=dtype)}
+        for name, arr in drawn.items():
             params[f"{prefix}.attn.{proj}.{name}"] = Tensor(arr * 10, requires_grad=True)
     params[f"{prefix}.attn.o.weight"] = Tensor(
         M.trunc_normal(rng, (c, c), dtype=dtype) * 10, requires_grad=True)
@@ -226,17 +232,16 @@ class TestAttention:
 
 class TestMlaFactor:
     def test_parameter_arithmetic(self):
-        rng = np.random.default_rng(5)
-        factored = M.mla_factor({"q"}, "q", 192, 48, rng)
-        assert factored["down"].size + factored["up"].size == 2 * 192 * 48 == 18_432
-        full = M.mla_factor(set(), "q", 192, 48, rng)
-        assert full["weight"].size == 192 * 192 == 36_864
+        shapes = M.param_shapes(M.ModelConfig(mla=M.MlaConfig("q", 48)))
+        factored = [math.prod(shapes[f"blocks.0.attn.q.{name}"]) for name in ("down", "up")]
+        assert sum(factored) == 2 * 192 * 48 == 18_432
+        assert math.prod(shapes["blocks.0.attn.k.weight"]) == 192 * 192 == 36_864
 
     def test_rank_bound(self):
         rng = np.random.default_rng(6)
-        f = M.mla_factor({"k"}, "k", 64, 12, rng, dtype=np.float64)
-        effective = f["down"] @ f["up"]
-        assert np.linalg.matrix_rank(effective) <= 12
+        down = M.trunc_normal(rng, (12, 64), dtype=np.float64).T
+        up = M.trunc_normal(rng, (64, 12), dtype=np.float64).T
+        assert np.linalg.matrix_rank(down @ up) <= 12
 
     def test_svd_truncation_reproduces_full_attention(self):
         rng = np.random.default_rng(7)
@@ -673,6 +678,46 @@ class TestModelConfig:
 
 # ---------------------------------------------------------------------------
 # parameter accounting
+
+class TestParamShapes:
+    @pytest.mark.parametrize("variant", typing.get_args(M.MlaVariant))
+    def test_init_params_draws_the_listed_layout(self, variant, monkeypatch):
+        """init_params gives param_shapes' paths and shapes, sorted by path,
+        and draws its matrices in param_shapes' order, a latent pair [out, in]."""
+        sample = np.random.default_rng(1).standard_normal((10 * M.PATCH_DIM, M.PATCH_DIM))
+        drawn, draw = [], M.trunc_normal
+
+        def recording(rng, shape, dtype=np.float32):
+            drawn.append(tuple(shape))
+            return draw(rng, shape, dtype)
+
+        monkeypatch.setattr(M, "trunc_normal", recording)
+        for n_cls in (1, 2, 3):
+            for pos_embed in ("learnable", "sinusoidal", "zero"):
+                for patch_init in ("random", "whitening"):
+                    cfg = tiny_config(variant, n_cls=n_cls, pos_embed=pos_embed,
+                                      patch_init=patch_init)
+                    drawn.clear()
+                    shapes = M.param_shapes(cfg)
+                    params = M.init_params(cfg, np.random.default_rng(0), patch_sample=sample)
+                    assert list(params) == sorted(shapes)
+                    assert {path: t.shape for path, t in params.items()} == shapes
+                    assert drawn == [shape[::-1] if path.endswith((".down", ".up")) else shape
+                                     for path, shape in shapes.items() if len(shape) == 2]
+
+    @pytest.mark.parametrize("cfg, crc, count", [
+        (M.ModelConfig(), "80147dce", 118),
+        (M.ModelConfig(embed_dim=64, num_heads=4, depth=3, num_cls_tokens=2,
+                       mla=M.MlaConfig("kv", 16)), "c12e4d86", 52),
+    ], ids=["paper", "desk"])
+    def test_each_seed_keeps_its_init_values(self, cfg, crc, count):
+        """CRC-32 chained over each sorted path's name, then its array's bytes."""
+        params = M.init_params(cfg, np.random.default_rng(0))
+        chained = 0
+        for path in sorted(params):
+            chained = zlib.crc32(params[path].data.tobytes(), zlib.crc32(path.encode(), chained))
+        assert (f"{chained:08x}", len(params)) == (crc, count)
+
 
 class TestParamCount:
     def test_baseline_attention_layer(self):

@@ -151,6 +151,16 @@ class TestBuildBatches:
             assert np.array_equal(x.targets, y.targets)
             assert np.allclose(x.targets.sum(axis=1), 1.0, atol=1e-5)
 
+    @pytest.mark.parametrize("erase_prob", [0.0, 1.0])
+    @pytest.mark.parametrize("base_augment", ["none", "crop_flip", "autoaugment"])
+    def test_images_are_float32_without_a_cast(self, base_augment, erase_prob):
+        # D.normalize and A.random_erase return float32, so build_batches casts nothing
+        ds = D.synthetic_dataset("two-class-blobs", 16, seed=1)
+        aug = dataclasses.replace(A.AugmentConfig.disabled(), base_augment=base_augment,
+                                  erase_prob=erase_prob)
+        for batch in TR.build_batches(ds, tiny_train_config(augment=aug), epoch=0):
+            assert batch.images.dtype == np.float32
+
     def test_epochs_differ(self):
         ds = D.synthetic_dataset("two-class-blobs", 32, seed=1)
         cfg = tiny_train_config()
@@ -852,6 +862,23 @@ class TestTrainLoop:
                                                     r"in the checkpoint, \(32, 8\)"):
             TR.check_params(params, model)
 
+    def test_check_params_reads_shapes_without_drawing(self, monkeypatch):
+        # a whitening model: its shapes are those of a random patch init
+        model = M.ModelConfig(image_size=16, embed_dim=32, num_heads=4, depth=1,
+                              mla=M.MlaConfig("kv", 8), patch_init="whitening")
+        params = {k: t.data for k, t in M.init_params(
+            dataclasses.replace(model, patch_init="random"), np.random.default_rng(0)).items()}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("check_params drew a parameter")
+
+        monkeypatch.setattr(M, "trunc_normal", refuse)
+        TR.check_params(params, model)
+        params["blocks.0.ffn.b1"] = params["blocks.0.ffn.b1"][:-1]
+        with pytest.raises(D.CheckpointError, match=r"params/blocks.0.ffn.b1 is \(127,\) "
+                                                    r"in the checkpoint, \(128,\) in the run"):
+            TR.check_params(params, model)
+
     def test_one_step_run(self, tmp_path):
         # one batch in one epoch: the fallback warmup must stay below the total
         ds = D.synthetic_dataset("two-class-blobs", 8, seed=10)
@@ -1214,6 +1241,20 @@ class TestCli:
             fields = dict(kv.split("=") for kv in line.split())
             assert list(fields) == keys and fields["bs"] == str(bs)
             assert all(float(fields[k]) > 0 for k in keys[1:])
+
+    def test_bench_runs_a_whitening_model(self, tmp_path, capsys):
+        # whitening changes one matrix's initial values; bench draws a random patch init
+        rc = cli.main(self.BENCH + ["--patch-init", "whitening", "--sizes", "2",
+                                    "--out", str(tmp_path)])
+        assert rc == 0
+        log = (tmp_path / "bench.log").read_text().splitlines()
+        assert capsys.readouterr().out.splitlines() == log and len(log) == 2
+        cfg = M.ModelConfig(embed_dim=32, num_heads=4, depth=1, mla=M.MlaConfig(d_c=8))
+        counts = dict(kv.split("=") for kv in log[0].split()[1:])
+        assert log[0].startswith("params ") and log[1].startswith("bs=2 ")
+        assert {k: int(v) for k, v in counts.items()} == {
+            **M.param_count(M.init_params(cfg, np.random.default_rng(0))),
+            "attention_per_layer": M.attention_params_per_layer(cfg)}
 
     @pytest.mark.parametrize("sizes", ["0", "x", "4,", "2,-1"])
     def test_bench_rejects_bad_sizes(self, sizes, tmp_path, capsys):
