@@ -17,8 +17,6 @@ from typing import Literal
 
 import numpy as np
 
-from scipy import ndimage
-
 from tinyvitlab.model import ConfigError, check_fields
 
 # The recipe's fixed values: the alphas of the Beta(alpha, alpha) that MixUp
@@ -260,10 +258,18 @@ def brightness(image, factor):
     return _blend(np.zeros_like(image, dtype=np.float64), image, factor)
 
 
+_SMOOTH = np.array([[1, 1, 1], [1, 5, 1], [1, 1, 1]], dtype=np.float64) / 13.0
+
+
 def sharpness(image, factor):
-    kernel = np.array([[1, 1, 1], [1, 5, 1], [1, 1, 1]], dtype=np.float64) / 13.0
-    smooth = np.stack([ndimage.convolve(ch.astype(np.float64), kernel, mode="nearest")
-                       for ch in image])
+    # the 3x3 smoothing of an edge-clamped copy, its nine weighted terms added
+    # in the kernel's C order from zero, as ndimage.convolve(mode="nearest")
+    # adds them, so the output is bitwise scipy's
+    h, w = image.shape[-2:]
+    padded = np.pad(image.astype(np.float64), ((0, 0), (1, 1), (1, 1)), mode="edge")
+    smooth = np.zeros(image.shape)
+    for (dy, dx), weight in np.ndenumerate(_SMOOTH):
+        smooth += padded[:, dy:dy + h, dx:dx + w] * weight
     return _blend(smooth, image, factor)
 
 

@@ -6,6 +6,7 @@ import json
 import os
 import zipfile
 import zlib
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -153,11 +154,19 @@ def synthetic_dataset(kind: str, n: int, seed: int, image_size: int = 32) -> Dat
 # CRC-32 per member on read; the zip directory has no checksum, so the
 # header also lists the tensor members. Version-1 files (the "TVLB"
 # container) cannot be read.
+#
+# A load reads and checks every member, but keeps only the params arrays:
+# of each optim member (the AdamW moments, twice the params' bytes) it keeps
+# the shape and the zip CRC-32. Only a resume reads the moments' values,
+# which come from the file again on first access; a file that changed since
+# the load is refused then. `tinyvitlab eval` never holds them.
 
 VERSION = 2
 _HEADER_FIELDS = {"version": int, "model_config": dict, "train_config": dict,
                   "optim": (dict, type(None)), "rng_state": dict, "epoch": int,
                   "members": list}
+_READ_ERRORS = (OSError, EOFError, KeyError, ValueError, NotImplementedError,
+                RuntimeError, zipfile.BadZipFile, zlib.error)
 
 
 @dataclass
@@ -166,9 +175,77 @@ class Checkpoint:
     train_config: dict
     params: dict[str, np.ndarray]
     optim_meta: dict | None
-    optim_arrays: dict[str, np.ndarray]
+    optim_arrays: Mapping[str, np.ndarray]   # a _Moments: read on first value access
     rng_state: dict
     epoch: int
+
+
+def _open(path: str | Path) -> np.lib.npyio.NpzFile:
+    archive = np.load(path, allow_pickle=False)
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise CheckpointError(f"{path}: not an .npz archive")
+    return archive
+
+
+def _member(path: str | Path, archive: np.lib.npyio.NpzFile, name: str) -> tuple[np.ndarray, int]:
+    """Member `name` as a float32 array, which zipfile checked against its
+    CRC-32 on the read, and that CRC-32."""
+    # a member without an .npy header comes back as raw bytes
+    arr = archive[name]
+    if not isinstance(arr, np.ndarray) or arr.dtype != np.float32:
+        raise CheckpointError(f"{path}: member {name!r} is not a float32 array")
+    try:   # np.load looks a name up as is first, then with ".npy"
+        info = archive.zip.getinfo(name)
+    except KeyError:
+        info = archive.zip.getinfo(f"{name}.npy")
+    return arr, info.CRC
+
+
+class _Moments(Mapping):
+    """A loaded checkpoint's optimizer arrays by key, read-only. Keys and len
+    read nothing. The first value access reads every array from the file in
+    one pass and keeps them, writable float32; a member whose CRC-32 or
+    shape differs from the one recorded at load raises CheckpointError,
+    because the file changed since the load."""
+
+    def __init__(self, path: str | Path, recorded: dict[str, tuple[tuple[int, ...], int]]):
+        self._path = path
+        self._recorded = recorded   # key -> (shape, CRC-32)
+        self._arrays: dict[str, np.ndarray] | None = None
+
+    def __getitem__(self, key: str) -> np.ndarray:
+        if key not in self._recorded:
+            raise KeyError(key)
+        if self._arrays is None:
+            self._arrays = self._read()
+        return self._arrays[key]
+
+    def __contains__(self, key) -> bool:   # Mapping's would read the values
+        return key in self._recorded
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._recorded)
+
+    def __len__(self) -> int:
+        return len(self._recorded)
+
+    def _read(self) -> dict[str, np.ndarray]:
+        arrays = {}
+        try:
+            with _open(self._path) as archive:
+                for key, recorded in self._recorded.items():
+                    name = f"optim/{key}"
+                    if name not in archive.files:
+                        raise CheckpointError(f"{self._path}: member {name!r} is gone "
+                                              "since the checkpoint was loaded")
+                    arr, crc = _member(self._path, archive, name)
+                    if (arr.shape, crc) != recorded:
+                        raise CheckpointError(f"{self._path}: member {name!r} changed "
+                                              "since the checkpoint was loaded")
+                    arrays[key] = arr
+        except _READ_ERRORS as exc:
+            raise CheckpointError(f"{self._path}: unreadable checkpoint: {exc}") from exc
+        return arrays
 
 
 def temp_path(path: str | Path) -> Path:
@@ -178,7 +255,7 @@ def temp_path(path: str | Path) -> Path:
 
 def save_checkpoint(path: str | Path, *, params: dict, model_config: dict,
                     train_config: dict, optim_meta: dict | None = None,
-                    optim_arrays: dict[str, np.ndarray] | None = None,
+                    optim_arrays: Mapping[str, np.ndarray] | None = None,
                     rng_state: dict | None = None, epoch: int = 0) -> None:
     """Write a checkpoint atomically: a temp file beside `path`, fsync and
     rename, so a crash leaves the previous file intact; then, on POSIX, fsync
@@ -215,12 +292,11 @@ def save_checkpoint(path: str | Path, *, params: dict, model_config: dict,
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read a checkpoint; any malformed, corrupt or truncated file raises
-    CheckpointError. Returned arrays are writable float32."""
+    CheckpointError. Every member is read and checked, but only the params
+    arrays are kept; the optimizer arrays are read again on first value
+    access (see _Moments). Returned arrays are writable float32."""
     try:
-        archive = np.load(path, allow_pickle=False)
-        if not isinstance(archive, np.lib.npyio.NpzFile):
-            raise CheckpointError(f"{path}: not an .npz archive")
-        with archive:
+        with _open(path) as archive:
             # a member without an .npy header comes back as raw bytes
             header = json.loads(bytes(archive["header"]))
             if not isinstance(header, dict):
@@ -233,20 +309,20 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
                                       f"is not the supported {VERSION}")
             if sorted(set(archive.files) - {"header"}) != header["members"]:
                 raise CheckpointError(f"{path}: archive members differ from the header's list")
-            tensors: dict[str, dict[str, np.ndarray]] = {"params": {}, "optim": {}}
+            params, moments = {}, {}
             for name in header["members"]:
                 section, _, key = name.partition("/")
-                if section not in tensors or not key:
+                if section not in ("params", "optim") or not key:
                     raise CheckpointError(f"{path}: unknown member {name!r}")
-                arr = archive[name]
-                if not isinstance(arr, np.ndarray) or arr.dtype != np.float32:
-                    raise CheckpointError(f"{path}: member {name!r} is not a float32 array")
-                tensors[section][key] = arr
-    except (OSError, EOFError, KeyError, ValueError, NotImplementedError,
-            RuntimeError, zipfile.BadZipFile, zlib.error) as exc:
+                arr, crc = _member(path, archive, name)
+                if section == "params":
+                    params[key] = arr
+                else:
+                    moments[key] = (arr.shape, crc)
+    except _READ_ERRORS as exc:
         raise CheckpointError(f"{path}: unreadable checkpoint: {exc}") from exc
     return Checkpoint(model_config=header["model_config"],
-                      train_config=header["train_config"],
-                      params=tensors["params"], optim_meta=header["optim"],
-                      optim_arrays=tensors["optim"],
+                      train_config=header["train_config"], params=params,
+                      optim_meta=header["optim"],
+                      optim_arrays=_Moments(os.path.abspath(path), moments),
                       rng_state=header["rng_state"], epoch=header["epoch"])

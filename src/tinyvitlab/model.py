@@ -167,19 +167,15 @@ def sinusoidal_table(length: int, channels: int, dtype=np.float32) -> np.ndarray
     return table.astype(dtype)
 
 
-def positional_table(kind: str, length: int, channels: int,
-                     rng: np.random.Generator | None = None, dtype=np.float32) -> Tensor:
-    """Build the positional table: trainable (truncated normal), frozen
-    sinusoidal, or frozen zeros."""
-    if kind == "learnable":
-        if rng is None:
-            raise ValueError("learnable positional table needs an rng")
-        return Tensor(trunc_normal(rng, (length, channels), dtype=dtype), requires_grad=True)
+def positional_table(kind: str, length: int, channels: int, dtype=np.float32) -> Tensor:
+    """Build a frozen positional table: sinusoidal or zeros. A learnable
+    table is a parameter, `pos_embed`, drawn by init_params."""
     if kind == "sinusoidal":
         return Tensor(sinusoidal_table(length, channels, dtype))
     if kind == "zero":
         return Tensor(np.zeros((length, channels), dtype=dtype))
-    raise ConfigError(f"unknown positional table kind {kind!r}")
+    raise ConfigError(f"positional table kind {kind!r} is not one of the frozen kinds "
+                      "'sinusoidal', 'zero'")
 
 
 def whitening_init(patch_sample: np.ndarray, out_dim: int,

@@ -11,8 +11,9 @@ CLS rows, then the GELU MLP on them side by side) and soft-target
 and constant inputs such as images are rearranged in numpy before they
 reach an op. Training runs in float32; gradient checking runs the same
 code in float64. The GELU's erf (in `_normal_cdf`) is a rational
-approximation in float32 and `scipy.special.erf` in float64, so scipy
-serves only the float64 path. Ops record nodes on the active `Tape`;
+approximation in float32 and `scipy.special.erf` in float64; scipy is
+imported on the float64 path only, so a float32 run loads no compiled
+scipy module. Ops record nodes on the active `Tape`;
 `grads = backward(loss, tape, params)` returns the gradients, which are
 values, not state kept on tensors.
 
@@ -44,7 +45,6 @@ from __future__ import annotations
 import threading
 
 import numpy as np
-from scipy import special
 
 F32 = np.float32
 F64 = np.float64
@@ -241,6 +241,7 @@ def _normal_cdf(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if b.dtype == F32:
             _erf32_block(b, x2[:b.size], acc[:b.size])
         else:
+            from scipy import special   # float64 only: a float32 run never loads it
             special.erf(b, out=b)
         b += 1.0
         b *= 0.5

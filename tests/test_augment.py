@@ -251,6 +251,22 @@ class TestPixelOps:
         for fn in (A.color, A.contrast, A.brightness, A.sharpness):
             assert np.array_equal(fn(img, 1.0), img)
 
+    def test_sharpness_is_scipy_bitwise(self):
+        # the numpy smoothing against ndimage's, at every factor the policy draws
+        from scipy import ndimage
+        factors = {1.0 + sign * (level / 9.0 * A._ENHANCE_MAX) for stage in A.CIFAR10_POLICY
+                   for op, _, level in stage if op == "sharpness" for sign in (1, -1)}
+        assert len(factors) == 10
+        kernel = np.array([[1, 1, 1], [1, 5, 1], [1, 1, 1]], dtype=np.float64) / 13.0
+        rng = np.random.default_rng(21)
+        for i in range(1000):
+            shape = (3, 32, 32) if i % 4 else (3, *rng.integers(1, 9, size=2))
+            img = rand_uint8(rng, shape)
+            smooth = np.stack([ndimage.convolve(ch.astype(np.float64), kernel, mode="nearest")
+                               for ch in img])
+            for factor in factors:
+                assert np.array_equal(A.sharpness(img, factor), A._blend(smooth, img, factor))
+
 
 class TestGeometry:
     def test_zero_magnitude_is_identity(self):

@@ -4,6 +4,7 @@ its fault handling."""
 import json
 import os
 import stat
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -394,6 +395,65 @@ class TestCheckpoint:
         path, _ = self.sample(tmp_path, optim_meta=None, optim_arrays=None)
         ck = D.load_checkpoint(path)
         assert ck.optim_meta is None and ck.optim_arrays == {}
+
+    @staticmethod
+    def adamw_sample(tmp_path):
+        """A checkpoint whose m and v moments are twice its params' bytes."""
+        rng = np.random.default_rng(11)
+        params = {f"w{i}": rng.standard_normal((64, 256)).astype(np.float32) for i in range(8)}
+        moments = {f"{kind}.{k}": rng.standard_normal(v.shape).astype(np.float32)
+                   for kind in "mv" for k, v in params.items()}
+        return TestCheckpoint.sample(tmp_path, params=params, optim_arrays=moments)
+
+    def test_load_keeps_the_moments_on_disk(self, tmp_path):
+        path, kw = self.adamw_sample(tmp_path)
+        param_bytes = sum(v.nbytes for v in kw["params"].values())
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ck = D.load_checkpoint(path)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 1.2 * param_bytes, (held, param_bytes)
+        assert len(ck.optim_arrays) == 16 and "m.w0" in ck.optim_arrays
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="open files are listed on Linux only")
+    def test_first_moment_access_reads_them_all(self, tmp_path):
+        path, kw = self.adamw_sample(tmp_path)
+
+        def open_on_path():
+            return [fd for fd in os.listdir("/proc/self/fd")
+                    if os.path.realpath(f"/proc/self/fd/{fd}") == str(path.resolve())]
+
+        ck = D.load_checkpoint(path)
+        assert open_on_path() == []
+        assert ck.optim_arrays.keys() == kw["optim_arrays"].keys()
+        for k, v in kw["optim_arrays"].items():
+            arr = ck.optim_arrays[k]
+            assert arr.dtype == np.float32 and arr.flags.writeable and np.array_equal(arr, v)
+        assert open_on_path() == []
+        path.unlink()   # read once: later accesses hand back the same arrays
+        assert all(ck.optim_arrays[k] is arr for k, arr in ck.optim_arrays.items())
+
+    def test_moments_of_a_replaced_file_are_refused(self, tmp_path):
+        path, kw = self.sample(tmp_path)
+        ck = D.load_checkpoint(path)
+        self.sample(tmp_path, optim_arrays={"m.w.weight": np.zeros((3, 4), np.float32)})
+        assert list(ck.optim_arrays) == ["m.w.weight"] and len(ck.optim_arrays) == 1
+        with pytest.raises(D.CheckpointError, match="member 'optim/m.w.weight' changed"):
+            ck.optim_arrays["m.w.weight"]
+        self.sample(tmp_path, optim_arrays={"m.w.weight": np.ones((4, 3), np.float32)})
+        with pytest.raises(D.CheckpointError, match="member 'optim/m.w.weight' changed"):
+            ck.optim_arrays["m.w.weight"]
+        self.sample(tmp_path, optim_arrays={"m.other": np.ones((3, 4), np.float32)})
+        with pytest.raises(D.CheckpointError, match="member 'optim/m.w.weight' is gone"):
+            ck.optim_arrays["m.w.weight"]
+        path.unlink()
+        with pytest.raises(D.CheckpointError, match="unreadable"):
+            ck.optim_arrays["m.w.weight"]
+        self.sample(tmp_path)   # the file as it was at the load
+        assert np.array_equal(ck.optim_arrays["m.w.weight"], kw["optim_arrays"]["m.w.weight"])
 
 
 def test_dataset_length_mismatch_rejected():

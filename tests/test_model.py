@@ -142,8 +142,13 @@ class TestPositionalTable:
         assert dist.min() > 0
 
     def test_learnable_is_trainable(self):
-        t = M.positional_table("learnable", 8, 16, np.random.default_rng(0))
-        assert t.requires_grad and t.shape == (8, 16)
+        # a learnable table is the parameter init_params draws; positional_table
+        # builds only the frozen kinds and names them
+        cfg = tiny_config(pos_embed="learnable")
+        t = M.init_params(cfg, np.random.default_rng(0))["pos_embed"]
+        assert t.requires_grad and t.shape == (cfg.num_patches, cfg.embed_dim)
+        with pytest.raises(M.ConfigError, match="'sinusoidal', 'zero'"):
+            M.positional_table("learnable", 8, 16)
 
     def test_sinusoidal_frozen(self):
         t = M.positional_table("sinusoidal", 8, 16)

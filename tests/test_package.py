@@ -1,6 +1,8 @@
-"""The package's runtime dependencies stay numpy and scipy."""
+"""The package's runtime dependencies stay numpy and scipy, and a float32
+run loads no compiled scipy module."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -28,3 +30,35 @@ def test_imports_only_stdlib_numpy_and_scipy():
     allowed = {"numpy", "scipy", "tinyvitlab"} | set(sys.stdlib_module_names)
     outside = {p.name: sorted(imported_modules(p) - allowed) for p in sources}
     assert not {name: mods for name, mods in outside.items() if mods}
+
+
+# imports every module, then runs what a float32 run does: one epoch of a tiny
+# model under the full augmentation (with one sure sharpness call, whatever the
+# policy draws), its evaluate and checkpoint save, and a load that reads the
+# moments back; prints the scipy modules loaded on its last line
+FLOAT32_RUN = """
+import importlib, pkgutil, sys, tempfile
+import numpy as np
+import tinyvitlab
+for info in pkgutil.iter_modules(tinyvitlab.__path__):
+    importlib.import_module(f"tinyvitlab.{info.name}")
+from tinyvitlab import augment as A, data as D, model as M, train as TR
+A.sharpness(np.zeros((3, 8, 8), np.uint8), 1.5)
+model = M.ModelConfig(embed_dim=32, num_heads=4, depth=1, num_classes=2)
+cfg = TR.TrainConfig(epochs=1, batch_size=8, warmup_epochs=0, model=model,
+                     augment=A.AugmentConfig(erase_prob=1.0))
+ds = D.synthetic_dataset("two-class-blobs", 16, seed=0)
+with tempfile.TemporaryDirectory() as out:
+    result = TR.train(cfg, ds, ds, out)
+    ckpt = D.load_checkpoint(result.checkpoint_path)
+    assert all(a.dtype == np.float32 for a in ckpt.optim_arrays.values())
+print("loaded:", *sorted(m for m in sys.modules if m.startswith("scipy")))
+"""
+
+
+def test_float32_run_loads_no_compiled_scipy_module():
+    run = subprocess.run([sys.executable, "-c", FLOAT32_RUN], capture_output=True, text=True,
+                         timeout=300, cwd=Path(tinyvitlab.__file__).parents[1])
+    assert run.returncode == 0, run.stderr
+    loaded = set(run.stdout.splitlines()[-1].split()[1:])   # train prints its rows first
+    assert not loaded & {"scipy.special", "scipy.ndimage"}, sorted(loaded)

@@ -39,7 +39,7 @@ def project(x, w, b=None):
 # ---------------------------------------------------------------------------
 # the token stem
 
-class TestMatmul:
+class TestEmbedProjection:
     """`embed`'s patch projection x @ w + b: one GEMM over the flattened batch."""
 
     def test_identity_bitwise(self):
@@ -69,7 +69,7 @@ class TestMatmul:
         assert all(np.allclose(out[i], x[i] @ w + b + pos, rtol=0, atol=1e-12) for i in range(3))
 
 
-class TestPrependTokens:
+class TestEmbedTokens:
     """`embed`'s token prologue: the CLS rows in front of every sample."""
 
     def test_tokens_lead_every_sample(self):
@@ -113,7 +113,7 @@ def attention_inputs(x, wq, wk, wv, wo, grad=False):
     return t64(x, grad), gamma, beta, [(w[0],), (w[1],), (w[2],)], w[3]
 
 
-class TestSoftmax:
+class TestAttentionWeights:
     def test_uniform_logits(self):
         # zero queries score every key equally: each output row is the mean of v
         rng = np.random.default_rng(8)
