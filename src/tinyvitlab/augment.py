@@ -158,11 +158,6 @@ def repeated_indices(order: np.ndarray, batch_size: int, m: int):
 # ---------------------------------------------------------------------------
 # raw-space base augmentation
 
-_ENHANCE_MAX = 0.9      # enhancement factor range: 1 +- level/9 * 0.9
-_SHEAR_MAX = 0.3
-_TRANSLATE_MAX = 10     # pixels at level 9
-_ROTATE_MAX = 30.0      # degrees at level 9
-
 # The fixed CIFAR-10 AutoAugment policy: 25 sub-policies, each two
 # (op, probability, magnitude level) stages. Magnitude levels are 0-9.
 CIFAR10_POLICY = (
@@ -194,20 +189,14 @@ CIFAR10_POLICY = (
 )
 
 
-def _sample_coords(image: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    h, w = image.shape[-2:]
-    ys = np.clip(np.rint(ys).astype(int), 0, h - 1)
-    xs = np.clip(np.rint(xs).astype(int), 0, w - 1)
-    return image[:, ys, xs]
-
-
 def _affine(image: np.ndarray, inv) -> np.ndarray:
     """Nearest-neighbor resample with clamp-to-edge source coordinates."""
     h, w = image.shape[-2:]
     yy, xx = np.meshgrid(np.arange(h, dtype=np.float64),
                          np.arange(w, dtype=np.float64), indexing="ij")
     sy, sx = inv(yy, xx)
-    return _sample_coords(image, sy, sx)
+    return image[:, np.clip(np.rint(sy).astype(int), 0, h - 1),
+                 np.clip(np.rint(sx).astype(int), 0, w - 1)]
 
 
 def shear_y(image, mag):
@@ -321,32 +310,30 @@ def _signed(rng: np.random.Generator, value: float) -> float:
     return -value if rng.random() < 0.5 else value
 
 
+# Each policy op's function and the rule that turns its magnitude fraction
+# f = level / 9 and the rng into the op's argument; None: the op takes none.
+# Only the +- rules draw from the rng: one draw, the sign.
+_POLICY_OPS = {
+    "shear_y": (shear_y, lambda f, rng: _signed(rng, f * 0.3)),
+    "translate_x": (translate_x, lambda f, rng: _signed(rng, f * 10)),   # pixels at level 9
+    "translate_y": (translate_y, lambda f, rng: _signed(rng, f * 10)),
+    "rotate": (rotate, lambda f, rng: _signed(rng, f * 30.0)),           # degrees at level 9
+    **{op.__name__: (op, lambda f, rng: 1.0 + _signed(rng, f * 0.9))   # enhancement factor
+       for op in (color, contrast, brightness, sharpness)},
+    "posterize": (posterize, lambda f, rng: 8 - int(f * 4)),   # bits kept
+    "solarize": (solarize, lambda f, rng: int(256 - f * 256)),  # threshold
+    **{op.__name__: (op, None) for op in (autocontrast, equalize, invert)},
+}
+
+
 def apply_policy_op(image: np.ndarray, op: str, level: int,
                     rng: np.random.Generator) -> np.ndarray:
-    frac = level / 9.0
-    if op == "shear_y":
-        return shear_y(image, _signed(rng, frac * _SHEAR_MAX))
-    if op == "translate_x":
-        return translate_x(image, _signed(rng, frac * _TRANSLATE_MAX))
-    if op == "translate_y":
-        return translate_y(image, _signed(rng, frac * _TRANSLATE_MAX))
-    if op == "rotate":
-        return rotate(image, _signed(rng, frac * _ROTATE_MAX))
-    if op in ("color", "contrast", "brightness", "sharpness"):
-        factor = 1.0 + _signed(rng, frac * _ENHANCE_MAX)
-        return {"color": color, "contrast": contrast,
-                "brightness": brightness, "sharpness": sharpness}[op](image, factor)
-    if op == "posterize":
-        return posterize(image, 8 - int(frac * 4))
-    if op == "solarize":
-        return solarize(image, int(256 - frac * 256))
-    if op == "autocontrast":
-        return autocontrast(image)
-    if op == "equalize":
-        return equalize(image)
-    if op == "invert":
-        return invert(image)
-    raise ValueError(f"unknown policy op {op!r}")
+    """Run policy op `op` at magnitude `level` (0-9), its argument from the
+    op's rule in _POLICY_OPS."""
+    if op not in _POLICY_OPS:
+        raise ValueError(f"unknown policy op {op!r}")
+    fn, rule = _POLICY_OPS[op]
+    return fn(image) if rule is None else fn(image, rule(level / 9.0, rng))
 
 
 def base_augment(image: np.ndarray, use_autoaugment: bool,

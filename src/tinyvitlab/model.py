@@ -9,6 +9,7 @@ iterated in sorted order everywhere that order matters.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import types
 import typing
@@ -37,6 +38,7 @@ def check_fields(config, **minimums: float) -> None:
     """Refuse, naming it, a field of dataclass `config` annotated bool, int,
     float or str (or one of them or None) whose value has another type (an
     int is not a bool; a float field takes an int), a field annotated with a
+    dataclass whose value is not an instance of it, a field annotated with a
     Literal whose value is not one of the Literal's, then a field named in
     `minimums` whose value is below its minimum, NaN or infinite."""
     for name, hint in typing.get_type_hints(type(config)).items():
@@ -45,9 +47,10 @@ def check_fields(config, **minimums: float) -> None:
         if typing.get_origin(hint) is Literal and value not in typing.get_args(hint):
             raise ConfigError(f"{name} must be one of "
                               f"{', '.join(map(repr, typing.get_args(hint)))}, got {value!r}")
-        if set(kinds) <= {bool, int, float, str, type(None)} and not any(
-                isinstance(value, (int, float) if k is float else k)
-                and (k is bool or not isinstance(value, bool)) for k in kinds):
+        wrong_scalar = set(kinds) <= {bool, int, float, str, type(None)} and not any(
+            isinstance(value, (int, float) if k is float else k)
+            and (k is bool or not isinstance(value, bool)) for k in kinds)
+        if wrong_scalar or (dataclasses.is_dataclass(hint) and not isinstance(value, hint)):
             raise ConfigError(f"{name} must be {getattr(hint, '__name__', hint)}, got {value!r}")
     for name, least in minimums.items():
         value = getattr(config, name)
@@ -114,15 +117,6 @@ class ModelConfig:
     @property
     def num_patches(self) -> int:
         return (self.image_size // PATCH_SIZE) ** 2
-
-    @property
-    def head_dim(self) -> int:
-        return self.embed_dim // self.num_heads
-
-    @property
-    def seq_len(self) -> int:
-        return self.num_patches + self.num_cls_tokens
-
 
 
 def trunc_normal(rng: np.random.Generator, shape, dtype=np.float32) -> np.ndarray:

@@ -322,14 +322,19 @@ def _eval_logits(cfg: M.ModelConfig, params: dict[str, Tensor],
 
 
 def check_dataset(ds: D.Dataset, cfg: M.ModelConfig, what: str) -> None:
-    """Refuse, with a DataError naming `what` and the dataset, images that
-    are not [N, 3, image_size, image_size] or a label outside
-    [0, num_classes) of model `cfg`."""
+    """Refuse, with a DataError naming `what`, the dataset and the field,
+    images that are not uint8 [N, 3, image_size, image_size], labels that
+    are not 1-D integers, or a label outside [0, num_classes) of model `cfg`."""
     where = f"{what} ({ds.name}, split {ds.split})"
     want = (3, cfg.image_size, cfg.image_size)
     if ds.images.shape[1:] != want:
         raise D.DataError(f"{where}: images are {list(ds.images.shape[1:])} per sample, "
                           f"the model takes {list(want)}")
+    if ds.images.dtype != np.uint8:
+        raise D.DataError(f"{where}: images are {ds.images.dtype}, the model takes uint8 pixels")
+    if ds.labels.ndim != 1 or not np.issubdtype(ds.labels.dtype, np.integer):
+        raise D.DataError(f"{where}: labels are {ds.labels.dtype} of shape "
+                          f"{list(ds.labels.shape)}, the model takes 1-D integer classes")
     bad = np.flatnonzero((ds.labels < 0) | (ds.labels >= cfg.num_classes))
     if bad.size:
         raise D.DataError(f"{where}: label {ds.labels[bad[0]]} at index {bad[0]} is outside "

@@ -54,7 +54,7 @@ def attention_oracle(x, params, cfg, prefix="blk"):
     """The attention branch with its residual, x + attention(norm1(x)): a
     float64 layer norm, then an independent per-head loop with scalar
     softmax."""
-    h, dk = cfg.num_heads, cfg.head_dim
+    h, dk = cfg.num_heads, cfg.embed_dim // cfg.num_heads
     wq = effective_projection(params, f"{prefix}.attn.q")
     wk = effective_projection(params, f"{prefix}.attn.k")
     wv = effective_projection(params, f"{prefix}.attn.v")

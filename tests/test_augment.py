@@ -12,6 +12,18 @@ def rand_uint8(rng, shape=(3, 32, 32)):
     return rng.integers(0, 256, size=shape, dtype=np.uint8)
 
 
+class ScriptedRng:
+    """An rng whose random() always returns `value`; it counts the calls.
+    The policy draws a negative sign below 0.5 and a positive one above."""
+
+    def __init__(self, value):
+        self.value, self.calls = value, 0
+
+    def random(self):
+        self.calls += 1
+        return self.value
+
+
 def soft_batch(rng, b=8, n=10):
     images = rng.standard_normal((b, 3, 32, 32)).astype(np.float32)
     targets = A.one_hot(rng.integers(0, n, size=b), n)
@@ -200,6 +212,50 @@ class TestPolicyTable:
             out = A.apply_policy_op(img, op, 5, np.random.default_rng(0))
             assert out.shape == img.shape and out.dtype == np.uint8
 
+    def test_argument_rules(self):
+        # each op's arguments at magnitude fraction f = level / 9 and sign s, and
+        # the draws it takes: the AutoAugment paper's ranges (arXiv:1805.09501)
+        def span(most):   # +-f * most, its sign one draw
+            return (lambda f, s: (s * (f * most),)), 1
+        enhance = (lambda f, s: (1.0 + s * (f * 0.9),)), 1
+        plain = (lambda f, s: ()), 0
+        rules = {"shear_y": span(0.3), "translate_x": span(10), "translate_y": span(10),
+                 "rotate": span(30.0), "color": enhance, "contrast": enhance,
+                 "brightness": enhance, "sharpness": enhance,
+                 "posterize": ((lambda f, s: (8 - int(f * 4),)), 0),
+                 "solarize": ((lambda f, s: (int(256 - f * 256),)), 0),
+                 "autocontrast": plain, "equalize": plain, "invert": plain}
+        stages = {(op, level) for sub in A.CIFAR10_POLICY for op, _, level in sub}
+        assert {op for op, _ in stages} == set(rules)
+        img = rand_uint8(np.random.default_rng(17))
+        for op, level in sorted(stages):
+            for draw, sign in ((0.25, -1), (0.75, 1)):
+                args_of, draws = rules[op]
+                args = args_of(level / 9.0, sign)
+                rng = ScriptedRng(draw)
+                out = A.apply_policy_op(img, op, level, rng)
+                assert rng.calls == draws, (op, level)
+                assert np.array_equal(out, getattr(A, op)(img, *args)), (op, level, sign)
+        for op, level, draw, fn, arg in (("translate_x", 9, 0.25, A.translate_x, -10.0),
+                                         ("translate_x", 9, 0.75, A.translate_x, 10.0),
+                                         ("posterize", 7, 0.25, A.posterize, 5),
+                                         ("solarize", 2, 0.75, A.solarize, 199)):
+            assert np.array_equal(A.apply_policy_op(img, op, level, ScriptedRng(draw)),
+                                  fn(img, arg))
+
+    def test_table_holds_the_policy_ops(self):
+        assert set(A._POLICY_OPS) == {op for sub in A.CIFAR10_POLICY for op, _, _ in sub}
+
+    def test_draws_do_not_depend_on_pixels(self):
+        # a batch's draws can then be made apart from its pixel work
+        a, b = rand_uint8(np.random.default_rng(18)), rand_uint8(np.random.default_rng(19))
+        b[0] = 0   # a dark channel: equalize and autocontrast take other paths
+        for seed in range(200):
+            ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)
+            A.base_augment(a, True, ra)
+            A.base_augment(b, True, rb)
+            assert ra.random() == rb.random(), seed
+
     def test_unknown_op_rejected(self):
         # shear_x is a classic AutoAugment op, but no sub-policy of the table names it
         for op in ("blur", "shear_x"):
@@ -254,8 +310,9 @@ class TestPixelOps:
     def test_sharpness_is_scipy_bitwise(self):
         # the numpy smoothing against ndimage's, at every factor the policy draws
         from scipy import ndimage
-        factors = {1.0 + sign * (level / 9.0 * A._ENHANCE_MAX) for stage in A.CIFAR10_POLICY
-                   for op, _, level in stage if op == "sharpness" for sign in (1, -1)}
+        rule = A._POLICY_OPS["sharpness"][1]
+        factors = {rule(level / 9.0, ScriptedRng(draw)) for stage in A.CIFAR10_POLICY
+                   for op, _, level in stage if op == "sharpness" for draw in (0.25, 0.75)}
         assert len(factors) == 10
         kernel = np.array([[1, 1, 1], [1, 5, 1], [1, 1, 1]], dtype=np.float64) / 13.0
         rng = np.random.default_rng(21)

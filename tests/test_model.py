@@ -57,7 +57,7 @@ def attention_oracle(x, params, cfg, prefix="blk"):
     """The attention branch with its residual, x + attention(norm1(x)): a
     float64 layer norm, then a naive per-head loop with explicit Q/K/V
     materialization and a scalar softmax."""
-    h, dk = cfg.num_heads, cfg.head_dim
+    h, dk = cfg.num_heads, cfg.embed_dim // cfg.num_heads
     wq = effective_projection(params, f"{prefix}.attn.q")
     wk = effective_projection(params, f"{prefix}.attn.k")
     wv = effective_projection(params, f"{prefix}.attn.v")
@@ -387,7 +387,7 @@ class TestBlock:
         rng = np.random.default_rng(15)
         cfg = M.ModelConfig(embed_dim=64, num_heads=4, depth=1)
         params = M.init_params(cfg, rng)
-        b, s, c = 4, cfg.seq_len, cfg.embed_dim
+        b, s, c = 4, cfg.num_patches + cfg.num_cls_tokens, cfg.embed_dim
         x = Tensor(rng.standard_normal((b, s, c)).astype(np.float32), requires_grad=True)
         tracemalloc.start()
         try:
@@ -412,7 +412,7 @@ class TestBlock:
         rng = np.random.default_rng(18)
         cfg = M.ModelConfig(embed_dim=64, num_heads=4, depth=1)
         params = M.init_params(cfg, rng)
-        b, s, c, heads = 64, cfg.seq_len, cfg.embed_dim, cfg.num_heads
+        b, s, c, heads = 64, cfg.num_patches + cfg.num_cls_tokens, cfg.embed_dim, cfg.num_heads
         x = Tensor(rng.standard_normal((b, s, c)).astype(np.float32))
 
         def peak(branch):
@@ -666,6 +666,8 @@ class TestModelConfig:
                                     "got 'whiten'"),
         (dict(mla=M.MlaConfig("kvq")), "variant must be one of 'none', 'q', 'k', 'qk', 'kv', "
                                        "'qkv', got 'kvq'"),
+        # once an AttributeError from its validate
+        (dict(mla={"variant": "q"}), r"mla must be MlaConfig, got \{'variant': 'q'\}"),
     ])
     def test_wrong_type_is_named(self, kwargs, shown):
         # a float size or d_c and a bool count once passed validation, then failed

@@ -56,18 +56,34 @@ MISFITS = [
     ("size", r"images are \[3, 16, 16\] per sample, the model takes \[3, 32, 32\]"),
     ("label", r"label 5 at index 3 is outside \[0, 2\)"),
     ("negative-label", r"label -1 at index 0 is outside \[0, 2\)"),
+    # once a TypeError from equalize's bincount, a silent run on pixels above
+    # 255, an IndexError from one_hot and a ValueError from label_smooth
+    ("float64-images", r"images are float64, the model takes uint8 pixels"),
+    ("int16-images", r"images are int16, the model takes uint8 pixels"),
+    ("float-labels", r"labels are float64 of shape \[16\], the model takes 1-D integer classes"),
+    ("column-labels", r"labels are int64 of shape \[16, 1\], the model takes 1-D integer "
+                      r"classes"),
 ]
 
 
 def misfit_dataset(how):
     """16 two-class images that do not fit a 32-pixel, 2-class model."""
     ds = D.synthetic_dataset("two-class-blobs", 16, seed=8, image_size=16 if how == "size" else 32)
-    labels = ds.labels.copy()
+    images, labels = ds.images, ds.labels.copy()
     if how == "label":
         labels[3] = 5
     elif how == "negative-label":
         labels[0] = -1
-    return dataclasses.replace(ds, labels=labels)
+    elif how == "float64-images":
+        images = images.astype(np.float64)
+    elif how == "int16-images":
+        images = images.astype(np.int16)
+        images[0, 0, 0, 0] = 299
+    elif how == "float-labels":
+        labels = labels.astype(np.float64)
+    elif how == "column-labels":
+        labels = labels[:, None]
+    return dataclasses.replace(ds, images=images, labels=labels)
 
 
 def grad_digest(grads, loss):
@@ -943,6 +959,14 @@ class TestTrainLoop:
     def test_bad_value_is_refused_by_name(self, name, value, shown):
         with pytest.raises(M.ConfigError, match=shown):
             tiny_train_config(**{name: value}).validate()
+
+    @pytest.mark.parametrize("name, shown", [("model", "model must be ModelConfig, got None"),
+                                             ("augment", "augment must be AugmentConfig, got None")],
+                             ids=["model", "augment"])
+    def test_nested_config_of_another_type_is_refused(self, name, shown):
+        # once an AttributeError from its validate
+        with pytest.raises(M.ConfigError, match=shown):
+            TR.TrainConfig(**{name: None}).validate()
 
     @pytest.mark.parametrize("config", [M.MlaConfig(), M.ModelConfig(), A.AugmentConfig(),
                                         TR.TrainConfig()], ids=lambda c: type(c).__name__)
