@@ -54,33 +54,74 @@ def init_optim(kind: Optimizer, params: dict[str, Tensor],
     return state
 
 
+def _check_grads(params: dict[str, Tensor], grads: dict[str, np.ndarray]) -> None:
+    """Refuse, with a ValueError naming the paths, grads that lack a
+    parameter or have one more, or whose shape or dtype is not the
+    parameter's (a float64 gradient is not cast into float32 moments)."""
+    if missing := sorted(params.keys() - grads.keys()):
+        raise ValueError(f"grads lack parameter(s) {', '.join(missing)}")
+    if extra := sorted(grads.keys() - params.keys()):
+        raise ValueError(f"grads have no parameter for {', '.join(extra)}")
+    for path in sorted(params):
+        g, p = grads[path], params[path].data
+        if g.shape != p.shape:
+            raise ValueError(f"grad shape {g.shape} != param shape {p.shape} at {path}")
+        if g.dtype != p.dtype:
+            raise ValueError(f"grad dtype {g.dtype} != param dtype {p.dtype} at {path}")
+
+
 def step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
          state: OptimState, lr: float) -> None:
     """One in-place update over sorted parameter paths: AdamW (Adam with
     decoupled decay) or Lion (sign of the interpolated momentum, moment
-    refreshed after the step). Decay is taken from the pre-step parameter."""
+    refreshed after the step). Decay is taken from the pre-step parameter.
+    Grads that do not fit `params` are refused first (see _check_grads).
+    Each parameter's temporaries are written into two scratch arrays of its
+    shape, through the same operations in the same order as the plain
+    expressions in the comments, so with the same bits."""
     if lr < 0:
         raise ValueError("lr must be >= 0")
+    _check_grads(params, grads)
     state.t += 1
     beta1, beta2 = _BETAS[state.kind]
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t
     for path in sorted(params):
-        p = params[path]
-        g = grads[path]
-        if g.shape != p.data.shape:
-            raise ValueError(f"grad shape {g.shape} != param shape {p.data.shape} at {path}")
-        m = state.m[path]
+        p, g, m = params[path], grads[path], state.m[path]
         wd = 0.0 if excluded_from_decay(path, p.shape) else state.weight_decay
         decay = lr * wd * p.data if wd else 0.0
+        s, s2 = np.empty_like(m), np.empty_like(m)
         if state.kind == "adamw":
             v = state.v[path]
-            m += (1.0 - beta1) * (g - m)
-            v += (1.0 - beta2) * (g * g - v)
-            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
+            # m += (1 - beta1) * (g - m)
+            np.subtract(g, m, out=s)
+            s *= 1.0 - beta1
+            m += s
+            # v += (1 - beta2) * (g * g - v)
+            np.multiply(g, g, out=s)
+            s -= v
+            s *= 1.0 - beta2
+            v += s
+            # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            np.divide(m, bc1, out=s)
+            s *= lr
+            np.divide(v, bc2, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += _EPS
+            s /= s2
+            p.data -= s
         else:
-            p.data -= lr * np.sign(beta1 * m + (1.0 - beta1) * g)
-            m += (1.0 - beta2) * (g - m)
+            # p -= lr * sign(beta1 * m + (1 - beta1) * g)
+            np.multiply(m, beta1, out=s)
+            np.multiply(g, 1.0 - beta1, out=s2)
+            s += s2
+            np.sign(s, out=s)
+            s *= lr
+            p.data -= s
+            # m += (1 - beta2) * (g - m)
+            np.subtract(g, m, out=s)
+            s *= 1.0 - beta2
+            m += s
         if wd:
             p.data -= decay
 

@@ -34,7 +34,7 @@ as in FlashAttention's backward (arXiv:2205.14135). So an op frees the
 same memory with or without a tape. A train-mode forward of the paper
 recipe at batch 32 is 21 tape nodes with the loss and keeps 30 MB (two
 [S,C] arrays per block and sample, but the last block's FFN branch keeps
-only the CLS rows), and the step peaks at 51 MB in backward (tracemalloc).
+only the CLS rows), and the step peaks at 49 MB in backward (tracemalloc).
 
 Determinism: all reductions go through numpy with a fixed evaluation order,
 so repeated runs on the same inputs produce bitwise-identical results.
@@ -635,10 +635,12 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 
 def backward(loss: Tensor, tape: Tape, wrt) -> list[np.ndarray]:
     """d loss / d t for each t in `wrt`, in order; zeros where the loss does
-    not reach t. Pops the nodes in reverse and drops each, with its output's
-    cotangent, once its VJP has run, leaving the tape empty. A VJP may return
-    one array for two inputs, or a view, so cotangents are summed out of
-    place; the returned arrays may share memory: treat them as read-only."""
+    not reach t. Pops the nodes in reverse, leaving the tape empty: a node's
+    output is dropped before its VJP runs (only its identity keys its
+    cotangent), so it is freed then unless the caller holds it, and the rest
+    of the node, with the output's cotangent, once the VJP has run. A VJP may
+    return one array for two inputs, or a view, so cotangents are summed out
+    of place; the returned arrays may share memory: treat them as read-only."""
     if loss.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
     nodes = tape._nodes
@@ -648,13 +650,19 @@ def backward(loss: Tensor, tape: Tape, wrt) -> list[np.ndarray]:
     while nodes:
         out, inputs, vjp = nodes.pop()
         g = cotangents.pop(id(out), None)
-        if g is None:
-            continue
-        for t, gt in zip(inputs, vjp(g)):
-            if t.requires_grad and gt is not None:
-                prev = cotangents.get(id(t))
-                cotangents[id(t)] = gt if prev is None else prev + gt
+        del out
+        if g is not None:
+            _accumulate(cotangents, inputs, vjp(g))
     return [cotangents.get(id(t), np.zeros_like(t.data)) for t in wrt]
+
+
+def _accumulate(cotangents: dict, inputs: tuple[Tensor, ...], grads) -> None:
+    """Add a VJP's per-input cotangents into `cotangents`, out of place. Its
+    own frame holds the inputs and the summands, so none outlives it."""
+    for t, gt in zip(inputs, grads):
+        if t.requires_grad and gt is not None:
+            prev = cotangents.get(id(t))
+            cotangents[id(t)] = gt if prev is None else prev + gt
 
 
 def grad_check(f, params: list[Tensor], h: float = 1e-5,

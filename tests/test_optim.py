@@ -2,6 +2,7 @@
 decay exclusion rules, and state round-trips."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +113,102 @@ class TestLion:
         params = {"w.weight": Tensor(np.zeros(2), requires_grad=True)}
         state = O.init_optim("lion", params)
         assert state.v == {}
+
+
+def expression_step(params, grads, state, lr):
+    """O.step as plain numpy expressions, one temporary array per operation:
+    the reference whose bits the scratch-buffer update must keep."""
+    state.t += 1
+    beta1, beta2 = O._BETAS[state.kind]
+    bc1, bc2 = 1.0 - beta1 ** state.t, 1.0 - beta2 ** state.t
+    for path in sorted(params):
+        p, g, m = params[path], grads[path], state.m[path]
+        wd = 0.0 if O.excluded_from_decay(path, p.shape) else state.weight_decay
+        decay = lr * wd * p.data if wd else 0.0
+        if state.kind == "adamw":
+            v = state.v[path]
+            m += (1.0 - beta1) * (g - m)
+            v += (1.0 - beta2) * (g * g - v)
+            p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + O._EPS)
+        else:
+            p.data -= lr * np.sign(beta1 * m + (1.0 - beta1) * g)
+            m += (1.0 - beta2) * (g - m)
+        if wd:
+            p.data -= decay
+
+
+def f32_params(rng):
+    """A decayed matrix and an excluded bias, float32."""
+    return {"blocks.0.mlp.fc1.weight": Tensor(rng.standard_normal((24, 40)).astype(np.float32),
+                                              requires_grad=True),
+            "blocks.0.mlp.fc1.bias": Tensor(rng.standard_normal(40).astype(np.float32),
+                                            requires_grad=True)}
+
+
+class TestStepInputs:
+    """Grads that do not fit the params are refused by path, before any
+    state moves."""
+
+    @pytest.mark.parametrize("kind", ["adamw", "lion"])
+    @pytest.mark.parametrize("case, shown", [
+        # once KeyError: 'blocks.0.mlp.fc1.weight'
+        ("missing", r"grads lack parameter\(s\) blocks\.0\.mlp\.fc1\.weight"),
+        ("extra", r"grads have no parameter for blocks\.0\.extra"),
+        # once cast into the float32 moments and params without a word
+        ("float64", r"grad dtype float64 != param dtype float32 at blocks\.0\.mlp\.fc1\.bias"),
+    ])
+    def test_refused_by_path(self, kind, case, shown):
+        rng = np.random.default_rng(0)
+        params = f32_params(rng)
+        grads = {k: np.ones(p.shape, np.float32) for k, p in params.items()}
+        if case == "missing":
+            del grads["blocks.0.mlp.fc1.weight"]
+        elif case == "extra":
+            grads["blocks.0.extra"] = np.ones(3, np.float32)
+        else:
+            grads["blocks.0.mlp.fc1.bias"] = grads["blocks.0.mlp.fc1.bias"].astype(np.float64)
+        before = {k: p.data.copy() for k, p in params.items()}
+        state = O.init_optim(kind, params)
+        with pytest.raises(ValueError, match=shown):
+            O.step(params, grads, state, 0.01)
+        assert state.t == 0
+        assert all(np.array_equal(params[k].data, before[k]) for k in params)
+        assert not any(m.any() for m in state.m.values())
+
+
+class TestUpdateBits:
+    @pytest.mark.parametrize("kind", ["adamw", "lion"])
+    @pytest.mark.parametrize("wd", [0.0, 0.05])
+    def test_matches_the_expressions_bitwise(self, kind, wd):
+        rng = np.random.default_rng(1)
+        params = f32_params(rng)
+        ref = {k: Tensor(p.data.copy(), requires_grad=True) for k, p in params.items()}
+        state, ref_state = O.init_optim(kind, params, wd), O.init_optim(kind, ref, wd)
+        for it in range(8):
+            grads = {k: (rng.standard_normal(p.shape) * 10.0 ** (it % 3 - 1)).astype(np.float32)
+                     for k, p in params.items()}
+            lr = O.lr_schedule(it, 8, 2, 2e-3, 1e-5)
+            O.step(params, grads, state, lr)
+            expression_step(ref, grads, ref_state, lr)
+        for k in params:
+            assert params[k].data.tobytes() == ref[k].data.tobytes(), k
+            assert state.m[k].tobytes() == ref_state.m[k].tobytes(), k
+            if kind == "adamw":
+                assert state.v[k].tobytes() == ref_state.v[k].tobytes(), k
+
+    def test_adamw_update_holds_three_param_sized_arrays(self):
+        # two scratch arrays and the pre-step decay; the expressions held
+        # four at the denominator's sqrt, even with numpy's temporary elision
+        params = {"w.weight": Tensor(np.ones((512, 512), np.float32), requires_grad=True)}
+        grads = {"w.weight": np.full((512, 512), 0.5, np.float32)}
+        state = O.init_optim("adamw", params)
+        tracemalloc.start()
+        try:
+            O.step(params, grads, state, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 3 * 512 * 512 * 4 <= peak < 3.5 * 512 * 512 * 4
 
 
 def real_shape(path):

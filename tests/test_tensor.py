@@ -1,5 +1,7 @@
 """Autodiff core: op semantics, backward rules, gradient checking."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -492,6 +494,21 @@ class TestBackward:
             dx, dy = backward(total(u, r), tape, [x, y])
         assert np.array_equal(dx, r)
         assert np.array_equal(dy, r + r * c)
+
+    def test_output_dropped_before_its_vjp(self):
+        # once backward held the popped node's output while its VJP ran, and
+        # the consumer's last input (the same tensor) in its loop variable.
+        # Tensor has no weakref slot: its array, which only it holds, stands in
+        x = t64([1.0, 2.0], grad=True)
+        dead = []
+        with Tape() as tape:
+            mid = T._make(2.0 * x.data, (x,), lambda g: (dead.append(ref() is None) or 2.0 * g,))
+            ref = weakref.ref(mid.data)
+            loss = dot(t64(np.ones(2)), mid)
+        del mid
+        [dx] = backward(loss, tape, [x])
+        assert dead == [True]
+        assert np.array_equal(dx, [2.0, 2.0])
 
     def test_unreached_tensor_gets_zeros(self):
         x, unused = t64([1.0, 2.0], grad=True), t64(np.ones((2, 2)), grad=True)

@@ -14,6 +14,7 @@ import sys
 import tracemalloc
 import types
 import typing
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -453,6 +454,15 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             TR.evaluate(cfg, params, ds)
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_refused(self, batch_size):
+        # once 0 raised range()'s "arg 3 must not be zero" and -1 read accuracy 0.0
+        ds = D.synthetic_dataset("two-class-blobs", 4, seed=4)
+        cfg = tiny_train_config().model
+        params = M.init_params(cfg, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=f"evaluate batch_size must be >= 1, got {batch_size}"):
+            TR.evaluate(cfg, params, ds, batch_size=batch_size)
+
     @pytest.mark.parametrize("how, shown", MISFITS, ids=[m[0] for m in MISFITS])
     def test_dataset_that_does_not_fit_is_refused(self, how, shown):
         # once a broadcast error from add, an IndexError from one_hot, or a
@@ -543,7 +553,7 @@ class TestTrainLoop:
             assert key in lines[0]
 
     def test_logs_the_measured_step_peak(self, tmp_path):
-        # the paper recipe at batch 32, one worker: the step peaked at 50.6 MB
+        # the paper recipe at batch 32, one worker: the step peaked at 49.0 MB
         # on numpy 2.4; the tape alone keeps 29.5 MB, so a forward-only number
         # fails the lower bound
         ds = D.synthetic_dataset("two-class-blobs", 32, seed=5)
@@ -1131,6 +1141,17 @@ class TestProfiler:
         TR.profile_step(run, params, batch, warmup=1, steps=1)
         assert seen == [("lion", 0.2, 3e-4, 0)] * 2
 
+    @pytest.mark.parametrize("arg, value, floor", [("warmup", -1, 0), ("steps", 0, 1)])
+    def test_count_out_of_range_refused(self, arg, value, floor):
+        # once warmup=-1 timed one lap and divided it by steps, so every
+        # phase read a fraction of its time, and steps=0 raised a TypeError
+        run = tiny_train_config()
+        params = M.init_params(run.model, np.random.default_rng(0))
+        batch = A.SoftBatch(np.zeros((2, 3, 32, 32), np.float32),
+                            np.full((2, 10), 0.1, np.float32))
+        with pytest.raises(ValueError, match=f"profile_step {arg} must be >= {floor}, got {value}"):
+            TR.profile_step(run, params, batch, **{"warmup": 0, "steps": 2, arg: value})
+
     def test_sample_patches_shape(self):
         ds = D.synthetic_dataset("two-class-blobs", 10, seed=10)
         cfg = M.ModelConfig()
@@ -1141,6 +1162,51 @@ class TestProfiler:
         idx = np.random.default_rng(0).choice(len(ds), size=len(ds), replace=False)
         rows = M.patchify(D.normalize(ds.images[idx]))
         assert np.array_equal(out, rows.reshape(-1, M.PATCH_DIM))
+
+
+class TestGradRelease:
+    """A step runs with nothing of the step before: the gradients of step k
+    are dead when step k + 1's gradient pass starts."""
+
+    @staticmethod
+    def watch_grads(monkeypatch, name):
+        """Replace TR.<name> with a wrapper that keeps only weakrefs to the
+        gradient arrays it returns, and asserts at entry that those of the
+        call before are dead; returns the list of calls made."""
+        real, refs, calls = getattr(TR, name), [], []
+
+        def watched(*args, **kwargs):
+            alive = sum(r() is not None for r in refs)
+            assert alive == 0, f"{alive} gradient arrays of call {len(calls)} still alive"
+            out = real(*args, **kwargs)
+            refs[:] = [weakref.ref(g) for g in out[0].values()]
+            calls.append(None)
+            return out
+
+        monkeypatch.setattr(TR, name, watched)
+        return calls
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_train_drops_applied_grads(self, monkeypatch, tmp_path, workers):
+        # once `train` kept step k's grads bound until step k + 1 returned,
+        # across evaluate and the checkpoint of an epoch boundary too
+        calls = self.watch_grads(monkeypatch, "parallel_train_step")
+        model = M.ModelConfig(image_size=32, embed_dim=16, num_heads=4, depth=1,
+                              mla=M.MlaConfig("none", 8))
+        cfg = tiny_train_config(model=model, epochs=2, workers=workers)
+        ds = D.synthetic_dataset("two-class-blobs", 16, seed=5)
+        TR.train(cfg, ds, ds, tmp_path / "out")
+        assert len(calls) == 2 * TR.steps_per_epoch(len(ds), cfg)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_profile_step_drops_applied_grads(self, monkeypatch, workers):
+        calls = self.watch_grads(monkeypatch, "_sharded_gradients")
+        run = tiny_train_config(workers=workers)
+        params = M.init_params(run.model, np.random.default_rng(0))
+        batch = A.SoftBatch(np.zeros((4, 3, 32, 32), np.float32),
+                            np.full((4, 10), 0.1, np.float32))
+        TR.profile_step(run, params, batch, warmup=1, steps=2)
+        assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------
