@@ -120,12 +120,15 @@ class ModelConfig:
 
 
 def trunc_normal(rng: np.random.Generator, shape, dtype=np.float32) -> np.ndarray:
-    """Normal(0, INIT_STD) resampled until within +-2 INIT_STD."""
+    """Normal(0, INIT_STD) resampled until within +-2 INIT_STD: each round
+    redraws the entries still outside, in index order, and checks only
+    those."""
     out = rng.normal(0.0, INIT_STD, size=shape)
-    bad = np.abs(out) > 2.0 * INIT_STD
-    while bad.any():
-        out[bad] = rng.normal(0.0, INIT_STD, size=int(bad.sum()))
-        bad = np.abs(out) > 2.0 * INIT_STD
+    flat = out.reshape(-1)
+    bad = np.flatnonzero(np.abs(flat) > 2.0 * INIT_STD)
+    while bad.size:
+        flat[bad] = rng.normal(0.0, INIT_STD, size=bad.size)
+        bad = bad[np.abs(flat[bad]) > 2.0 * INIT_STD]
     return out.astype(dtype)
 
 

@@ -31,10 +31,14 @@ normalized input, q, k and v, P, the GELU's pre-activation h and Phi(h))
 with the forward's operations in the forward's order, so bit for bit:
 activation recomputation (arXiv:1604.06174), with P rebuilt from m and l
 as in FlashAttention's backward (arXiv:2205.14135). So an op frees the
-same memory with or without a tape. A train-mode forward of the paper
-recipe at batch 32 is 21 tape nodes with the loss and keeps 30 MB (two
-[S,C] arrays per block and sample, but the last block's FFN branch keeps
-only the CLS rows), and the step peaks at 49 MB in backward (tracemalloc).
+same memory with or without a tape. `norm_mlp` and `norm_attention` run
+their forward and their VJP over the same chunks of the batch (_CHUNK), so
+the rebuilt arrays stay the forward's bit for bit, and a VJP's scratch is a
+chunk's, not the batch's: only the parameter cotangents span chunks,
+summed in chunk order. A train-mode forward of the paper recipe at batch
+32 is 21 tape nodes with the loss and keeps 30 MB (two [S,C] arrays per
+block and sample, but the last block's FFN branch keeps only the CLS rows),
+and the step peaks at 44 MB in backward (tracemalloc), 138 MB at batch 128.
 
 Determinism: all reductions go through numpy with a fixed evaluation order,
 so repeated runs on the same inputs produce bitwise-identical results.
@@ -66,9 +70,18 @@ _ERF_CLIP = F32(4.0)
 # this timed fastest of 32-256 rows; much smaller blocks pay Python's
 # per-ufunc overhead.
 _BLOCK = 96 * 1024
-# Bytes of the attention weights P per chunk of samples that norm_attention's
-# core runs over, forward and VJP: about two samples at the paper recipe, so P
-# stays in a 2 MB L2 through the softmax and the GEMMs that read it.
+# Bytes per chunk of the block ops' largest arrays: norm_mlp's h over a chunk
+# of rows, norm_attention's q, k and v together over a chunk of samples; at
+# the paper recipe up to 1,024 rows of h and 20 samples. The attention VJP's
+# chunk sets the step's peak. On a 2-vCPU x86 box, interleaved paper steps
+# ran 13-25% slower at 1 MB (341 rows, 7 samples; a 4 MB lower peak) than in
+# one chunk, and within noise of it at 3 MB: GEMMs of fewer rows run slower
+# per row.
+_CHUNK = 3 * 1024 * 1024
+# Bytes of the attention weights P per sub-chunk of samples that
+# norm_attention's core runs over within a chunk, forward and VJP: about two
+# samples at the paper recipe, so P stays in a 2 MB L2 through the softmax and
+# the GEMMs that read it.
 _ATTENTION_CHUNK = 512 * 1024
 
 
@@ -292,9 +305,10 @@ def _gelu_hidden(x2: np.ndarray, w1: Tensor, b1: Tensor, gh: np.ndarray | None =
     return _gelu(h, gh, out=h)
 
 
-def _mlp_forward(x2: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> np.ndarray:
-    """gelu(x2 w1 + b1) w2 + b2 for rows x2."""
-    out = _gelu_hidden(x2, w1, b1) @ w2.data
+def _mlp_forward(x2: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """gelu(x2 w1 + b1) w2 + b2 for rows x2, into `out` (a new array if None)."""
+    out = np.matmul(_gelu_hidden(x2, w1, b1), w2.data, out=out)
     out += b2.data
     return out
 
@@ -395,9 +409,39 @@ def head(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2: Ten
 # ---------------------------------------------------------------------------
 # a block's two residual branches: x + mask * branch(layer_norm(x))
 
+def _chunks(count: int, item_bytes: int) -> list[slice]:
+    """[0, count) cut into the fewest slices whose items, of `item_bytes`
+    each, fill at most _CHUNK bytes (one item at least), their sizes
+    differing by at most one, so no chunk is tiny; one empty slice if count
+    is 0."""
+    pieces = max(1, -(-count // max(1, _CHUNK // item_bytes)))
+    bounds = [count * i // pieces for i in range(pieces + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _mask_like(mask: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray | None:
+    """`mask`, a constant that broadcasts against an array of `shape`, as a
+    read-only view of that shape but for the last axis, which keeps the
+    mask's own extent (1 or C): a chunk of the array's rows slices it."""
+    if mask is None:
+        return None
+    return np.broadcast_to(mask, (*shape[:-1], np.shape(mask)[-1] if np.ndim(mask) else 1))
+
+
+def _add_chunk(sums: list[np.ndarray] | None, parts) -> list[np.ndarray]:
+    """The parameter cotangents summed over chunks in chunk order: the first
+    chunk's own arrays, then each later chunk's added in place."""
+    if sums is None:
+        return list(parts)
+    for total, part in zip(sums, parts):
+        total += part
+    return sums
+
+
 def _residual(x: np.ndarray, y: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     """x + y * mask (x + y if mask is None), in place in the branch output y,
-    shaped like x (norm_attention passes the rows it returns)."""
+    a C-contiguous array the size of x (norm_attention passes the rows it
+    returns)."""
     y = y.reshape(x.shape)
     if mask is not None:
         y *= mask
@@ -422,27 +466,42 @@ def norm_mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2:
     pre-norm FFN branch and its residual as one tape node. `mask` is a
     constant that broadcasts against x, such as a drop-path mask [B,1,1];
     None means 1. The node keeps x and the row statistics mu and inv; the
-    GELU is written over h. Its VJP rebuilds the normalized input and h
-    with the forward's operations, so bit for bit, then recomputes Phi(h).
-    At the paper recipe's batch 32 the node keeps 17 KB beyond x, where h
-    would take 6.4 MB, and its VJP's scratch is 17.6 MB, the step's largest."""
+    GELU is written over h. The forward and the VJP run over the same chunks
+    of x's rows, each with at most _CHUNK bytes of h (_chunks), so the VJP
+    rebuilds each chunk's normalized input and h with the forward's
+    operations, bit for bit, then recomputes Phi(h); only the parameter
+    cotangents span chunks, summed in chunk order. At the paper recipe's
+    batch 32 the node keeps 17 KB beyond x, where h would take 6.4 MB, and
+    its VJP allocates 9.8 MB beyond its 1.6 MB cotangent of x, 11.8 MB at
+    batch 128 (the whole batch took 16.0 and 59.1 MB)."""
     _check_norm("norm_mlp", x, gamma, beta)
     _check_mlp("norm_mlp", x.shape[-1], x, gamma, beta, w1, b1, w2, b2)
     if w2.shape[1:] != x.shape[-1:]:
         raise ShapeError(f"norm_mlp's residual needs w2 [hidden, C] for x [..., C], "
                          f"got {w2.shape} and {x.shape}")
     c = x.shape[-1]
-    xhat, mu, inv = _normalize(x.data, LAYER_NORM_EPS)
-    out = _mlp_forward(_affine(xhat, gamma, beta).reshape(-1, c), w1, b1, w2, b2)
-    del xhat
+    x2 = x.data.reshape(-1, c)
+    masks = _mask_like(mask, x.shape)
+    masks = None if masks is None else masks.reshape(-1, masks.shape[-1])
+    chunks = _chunks(len(x2), w1.shape[1] * x.dtype.itemsize)
+    out = np.empty_like(x2)
+    mu, inv = np.empty((2, len(x2), 1), x.dtype)
+    for sl in chunks:
+        xhat, mu[sl], inv[sl] = _normalize(x2[sl], LAYER_NORM_EPS)
+        _residual(x2[sl], _mlp_forward(_affine(xhat, gamma, beta), w1, b1, w2, b2, out[sl]),
+                  None if masks is None else masks[sl])
 
     def vjp(g):
-        gxn, *gw = _mlp_vjp(_affine(_xhat(x.data, mu, inv), gamma, beta).reshape(-1, c),
-                            g if mask is None else g * mask, w1, b1, w2)
-        return (*_residual_vjp(_xhat(x.data, mu, inv), inv, gamma, gxn.reshape(x.shape), g),
-                *gw)
+        g2, dx, sums = g.reshape(-1, c), np.empty_like(x2), None
+        for sl in chunks:
+            gxn, *gw = _mlp_vjp(_affine(_xhat(x2[sl], mu[sl], inv[sl]), gamma, beta),
+                                g2[sl] if masks is None else g2[sl] * masks[sl], w1, b1, w2)
+            dx[sl], *gnorm = _residual_vjp(_xhat(x2[sl], mu[sl], inv[sl]), inv[sl], gamma, gxn,
+                                           g2[sl])
+            sums = _add_chunk(sums, (*gnorm, *gw))
+        return dx.reshape(x.shape), *sums
 
-    return _make(_residual(x.data, out, mask), (x, gamma, beta, w1, b1, w2, b2), vjp)
+    return _make(out.reshape(x.shape), (x, gamma, beta, w1, b1, w2, b2), vjp)
 
 
 def _project(xn: np.ndarray, proj) -> tuple[np.ndarray, np.ndarray]:
@@ -515,9 +574,11 @@ def norm_attention(x: Tensor, gamma: Tensor, beta: Tensor, projections, wo: Tens
     per head, with C split into `heads` heads of d channels; the head split
     and merge are views. So q, the softmax, P v, the wo GEMM and the
     residual cover only the rows returned, which is all a CLS-only readout
-    of the last block needs. `mask` is as in norm_mlp. The attention core
-    runs over chunks of samples whose P is about _ATTENTION_CHUNK bytes, so
-    P stays in cache.
+    of the last block needs. `mask` is as in norm_mlp. The forward and the
+    VJP run over the same chunks of samples, each with at most _CHUNK bytes
+    of q, k and v (_chunks); within a chunk the attention core runs over
+    sub-chunks of samples whose P is about _ATTENTION_CHUNK bytes, so P
+    stays in cache.
 
     The node keeps x, the layer norm's row statistics mu and inv, and the
     softmax's row max m and sum l ([B,h,rows,1], 1/S of P). Its VJP rebuilds
@@ -526,9 +587,11 @@ def norm_attention(x: Tensor, gamma: Tensor, beta: Tensor, projections, wo: Tens
     backward algebra: dV = P^T g, dP = g V^T, dS = P * (dP - rowsum(dP * P))
     / sqrt(d), dQ = dS K, dK = dS^T Q. The normalized input's cotangent sums
     the three projections' (_project_vjp), one at a time, q's on the rows
-    it read; the residual's covers the rows returned. At the paper recipe's
+    it read; the residual's covers the rows returned. Only the parameter
+    cotangents span chunks, summed in chunk order. At the paper recipe's
     batch 32 the node keeps 0.2 MB beyond x, where q, k, v and P would take
-    11.3 MB.
+    11.3 MB, and its VJP allocates 11.0 MB beyond its 1.6 MB cotangent of
+    x, 13.3 MB at batch 128 (the whole batch took 15.2 and 58.4 MB).
     """
     _check_norm("norm_attention", x, gamma, beta)
     _check_attention(x, projections, wo, heads)
@@ -539,60 +602,77 @@ def norm_attention(x: Tensor, gamma: Tensor, beta: Tensor, projections, wo: Tens
         raise ShapeError(f"norm_attention returns 1 <= rows <= S query rows, got {x.shape} and rows={n}")
     d = c // heads
     scale = x.dtype.type(1.0 / np.sqrt(d))
+    masks = _mask_like(mask, (b, n, c))
+    chunks = _chunks(b, (n + 2 * s) * c * x.dtype.itemsize)   # a sample's q, k and v
     step = max(1, _ATTENTION_CHUNK // (heads * n * s * x.dtype.itemsize))
-    chunks = [slice(lo, lo + step) for lo in range(0, b, step)]
 
-    def split(a: np.ndarray) -> np.ndarray:       # [B*count,C] -> [B,h,count,d]
-        return a.reshape(b, -1, heads, d).transpose(0, 2, 1, 3)
+    def split(a: np.ndarray, k: int) -> np.ndarray:   # [k*count,C] -> [k,h,count,d]
+        return a.reshape(k, -1, heads, d).transpose(0, 2, 1, 3)
 
-    def sources(xn: np.ndarray) -> tuple[np.ndarray, ...]:
-        # q's, k's and v's input rows: each sample's first n rows of xn [B*S,C], then all of xn
-        return xn.reshape(b, s, c)[:, :n].reshape(-1, c), xn, xn
+    def sources(xn: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+        # q's, k's and v's input rows: each sample's first n rows of xn [k*S,C], then all of xn
+        return xn.reshape(k, s, c)[:, :n].reshape(-1, c), xn, xn
 
-    xhat, mu, inv = _normalize(x.data, LAYER_NORM_EPS)
-    xs = sources(_affine(xhat, gamma, beta).reshape(-1, c))
-    qh, kh, vh = (split(_project(xr, proj)[1]) for xr, proj in zip(xs, projections))
-    del xhat, xs
+    def weights(qh, kh, sl: slice, k: int, rebuild: bool = False):
+        # (samples, P) of each sub-chunk of chunk sl, from its q (scaled here) and k
+        for lo in range(0, k, step):
+            sub = slice(lo, lo + step)
+            yield sub, _attention_weights(qh[sub] * scale, kh[sub], m[sl][sub], l[sl][sub],
+                                          rebuild)
+
+    out = np.empty((b, n, c), x.dtype)
+    mu, inv = np.empty((2, b, s, 1), x.dtype)
     m, l = np.empty((2, b, heads, n, 1), x.dtype)
-    ctx = np.empty((b * n, c), x.dtype)
     for sl in chunks:
-        np.matmul(_attention_weights(qh[sl] * scale, kh[sl], m[sl], l[sl]), vh[sl],
-                  out=split(ctx)[sl])
-    del qh, kh, vh
-    y = ctx @ wo.data
-    del ctx
+        k = sl.stop - sl.start
+        xhat, mu[sl], inv[sl] = _normalize(x.data[sl], LAYER_NORM_EPS)
+        xs = sources(_affine(xhat, gamma, beta).reshape(-1, c), k)
+        qh, kh, vh = (split(_project(xr, proj)[1], k) for xr, proj in zip(xs, projections))
+        del xhat, xs
+        ctx = np.empty((k * n, c), x.dtype)
+        for sub, p in weights(qh, kh, sl, k):
+            np.matmul(p, vh[sub], out=split(ctx, k)[sub])
+            del p     # before the next sub-chunk's
+        del qh, kh, vh
+        _residual(x.data[sl, :n], np.matmul(ctx, wo.data, out=out[sl].reshape(-1, c)),
+                  None if masks is None else masks[sl])
+        del ctx
 
     def vjp(g):
-        gy = (g if mask is None else g * mask).reshape(-1, c)
-        xs = sources(_affine(_xhat(x.data, mu, inv), gamma, beta).reshape(-1, c))
-        projected = [_project(xr, proj) for xr, proj in zip(xs, projections)]
-        qh, kh, vh = (split(out) for _, out in projected)
-        go = split(gy @ wo.data.T)
-        ctx = np.empty((b * n, c), x.dtype)
-        gq, gk, gv = (np.empty((b * count, c), x.dtype) for count in (n, s, s))
+        dx, sums = np.empty_like(x.data), None
         for sl in chunks:
-            p = _attention_weights(qh[sl] * scale, kh[sl], m[sl], l[sl], rebuild=True)
-            np.matmul(p, vh[sl], out=split(ctx)[sl])
-            np.matmul(p.swapaxes(-1, -2), go[sl], out=split(gv)[sl])
-            ds = _softmax_vjp(go[sl] @ vh[sl].swapaxes(-1, -2), p)      # sqrt(d) dS
-            np.matmul(ds, kh[sl], out=split(gq)[sl])
-            np.matmul(ds.swapaxes(-1, -2), qh[sl], out=split(gk)[sl])
-            del p, ds     # before the next chunk's
-        del qh, kh, vh, go
-        gwo = ctx.T @ gy
-        del ctx
-        gq *= scale
-        gk *= scale
-        # each projection's input cotangent in turn, q's onto each sample's first n rows
-        gxn, gprojections = np.zeros_like(x.data), []
-        for xr, proj, gt in zip(xs, projections, [gq, gk, gv]):
-            gx, gw = _project_vjp(xr, proj, projected.pop(0)[0], gt)
-            gxn[:, :len(xr) // b] += gx.reshape(b, -1, c)
-            gprojections += gw
-        del xs, gq, gk, gv, gt, gx
-        return (*_residual_vjp(_xhat(x.data, mu, inv), inv, gamma, gxn, g), *gprojections, gwo)
+            k, xb, gb = sl.stop - sl.start, x.data[sl], g[sl]
+            gy = (gb if masks is None else gb * masks[sl]).reshape(-1, c)
+            xs = sources(_affine(_xhat(xb, mu[sl], inv[sl]), gamma, beta).reshape(-1, c), k)
+            projected = [_project(xr, proj) for xr, proj in zip(xs, projections)]
+            qh, kh, vh = (split(y, k) for _, y in projected)
+            go = split(gy @ wo.data.T, k)
+            ctx = np.empty((k * n, c), x.dtype)
+            gq, gk, gv = (np.empty((k * count, c), x.dtype) for count in (n, s, s))
+            for sub, p in weights(qh, kh, sl, k, rebuild=True):
+                np.matmul(p, vh[sub], out=split(ctx, k)[sub])
+                np.matmul(p.swapaxes(-1, -2), go[sub], out=split(gv, k)[sub])
+                ds = _softmax_vjp(go[sub] @ vh[sub].swapaxes(-1, -2), p)      # sqrt(d) dS
+                np.matmul(ds, kh[sub], out=split(gq, k)[sub])
+                np.matmul(ds.swapaxes(-1, -2), qh[sub], out=split(gk, k)[sub])
+                del p, ds     # before the next sub-chunk's
+            del qh, kh, vh, go
+            gwo = ctx.T @ gy
+            del ctx
+            gq *= scale
+            gk *= scale
+            # each projection's input cotangent in turn, q's onto each sample's first n rows
+            gxn, gprojections = np.zeros_like(xb), []
+            for xr, proj, gt in zip(xs, projections, [gq, gk, gv]):
+                gx, gw = _project_vjp(xr, proj, projected.pop(0)[0], gt)
+                gxn[:, :len(xr) // k] += gx.reshape(k, -1, c)
+                gprojections += gw
+            del xs, gq, gk, gv, gt, gx
+            dx[sl], *gnorm = _residual_vjp(_xhat(xb, mu[sl], inv[sl]), inv[sl], gamma, gxn, gb)
+            sums = _add_chunk(sums, (*gnorm, *gprojections, gwo))
+        return dx, *sums
 
-    return _make(_residual(x.data[:, :n], y, mask), inputs, vjp)
+    return _make(out, inputs, vjp)
 
 
 # ---------------------------------------------------------------------------

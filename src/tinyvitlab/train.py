@@ -82,7 +82,7 @@ class MetricsRecord:
     that one step's peak. tracemalloc counts the whole process, so the peak
     includes every shard. At workers > 1 the shards' allocations interleave,
     so it can vary by a few percent between runs (the desk recipe at batch
-    128, 2 workers, read 37.5-38.5 MB over 3 runs). It is 0 when another
+    128, 2 workers, read 29.9-30.5 MB over 3 runs). It is 0 when another
     tracer stopped tracemalloc during that step."""
     epoch: int
     train_loss: float
@@ -540,6 +540,7 @@ def train(cfg: TrainConfig, train_ds: D.Dataset, test_ds: D.Dataset,
                 losses.append(loss)
                 step_losses.append(loss)
                 images_seen += len(batch.images)
+            del batch, step   # the epoch's last: evaluate and the checkpoint run without them
             epoch_secs = time.perf_counter() - epoch_start
 
             val_acc = float("nan")   # not measured this epoch; the last epoch always is

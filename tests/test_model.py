@@ -401,18 +401,20 @@ class TestBlock:
         assert kept <= retained < kept + x.data.nbytes // 2
 
     def test_eval_block_peak_frees_attention_early_and_gelu_in_place(self):
-        # the attention branch runs its core over chunks of samples, so its
-        # peak is the first-stage q/k/v output and the attention output
-        # (four [S,C] arrays per sample), the row statistics, and one
-        # chunk's scaled q and P; a P of the whole batch would add 3.6 rows
-        # (row = one [S,C] array per sample). The FFN branch writes the GELU
-        # over h: its peak is the normalized input, h (four [S,C] arrays)
-        # and the GELU's four block buffers; a separate GELU output would add
-        # four rows.
+        # each branch allocates its output (row = one [S,C] array per sample)
+        # and the row statistics for the whole batch, then runs over chunks
+        # of it (two here), so the rest of its peak is one chunk's. The
+        # attention branch's: the normalized input or the attention output
+        # and q, k and v (four [S,C] arrays per sample of the chunk), and one
+        # P sub-chunk's scaled q and P; a P of the whole chunk would add 1.4
+        # rows. The FFN branch writes the GELU over h: its chunk's normalized
+        # input and h (five [C] arrays per row of the chunk) and the GELU's
+        # four block buffers; a separate GELU output would add two rows.
         rng = np.random.default_rng(18)
         cfg = M.ModelConfig(embed_dim=64, num_heads=4, depth=1)
         params = M.init_params(cfg, rng)
         b, s, c, heads = 64, cfg.num_patches + cfg.num_cls_tokens, cfg.embed_dim, cfg.num_heads
+        hidden = M.FFN_RATIO * c
         x = Tensor(rng.standard_normal((b, s, c)).astype(np.float32))
 
         def peak(branch):
@@ -424,12 +426,51 @@ class TestBlock:
             finally:
                 tracemalloc.stop()
 
+        def largest(chunks):
+            assert len(chunks) >= 2
+            return max(sl.stop - sl.start for sl in chunks)
+
         row = 4 * b * s * c
-        chunk = T._ATTENTION_CHUNK // (4 * heads * s * s)
-        softmax = 4 * row + 4 * b * (2 * s + 2 * heads * s) + 4 * chunk * (s * c + heads * s * s)
+        samples = largest(T._chunks(b, 3 * s * c * 4))
+        sub = T._ATTENTION_CHUNK // (4 * heads * s * s)
+        softmax = (row + 4 * b * (2 * s + 2 * heads * s) + 4 * samples * 4 * s * c
+                   + 4 * sub * (s * c + heads * s * s))
         assert softmax <= peak(lambda: M.attention(x, params, cfg, "blocks.0")) < softmax + row // 2
-        gelu = 5 * row + 4 * b * 2 * s + 4 * 4 * T._BLOCK
+        rows = largest(T._chunks(b * s, hidden * 4))
+        gelu = row + 4 * b * s * 2 + 4 * rows * (c + hidden) + 4 * 4 * T._BLOCK
         assert gelu <= peak(lambda: M.ffn(x, params, "blocks.0")) < gelu + row // 2
+
+    def test_block_vjp_scratch_stays_flat_with_the_batch(self):
+        # what each of a train-mode paper-width block's two VJPs allocates
+        # beyond its input's cotangent (the size of the x it keeps) is one
+        # chunk's scratch and the parameter cotangents: 11.0 and 9.8 MB at
+        # batch 32, 13.3 and 11.8 MB at batch 128, whose chunks hold up to a
+        # fifth more samples and a third more rows. Over the whole batch it
+        # read 15.2 and 16.0 MB, then 58.4 and 59.1 MB.
+        rng = np.random.default_rng(20)
+        cfg = M.ModelConfig()
+        params = M.init_params(cfg, rng)
+
+        def scratch(batch):
+            x = Tensor(rng.standard_normal((batch, cfg.num_patches + 1, cfg.embed_dim))
+                       .astype(np.float32), requires_grad=True)
+            with T.Tape() as tape:
+                M.block(x, params, cfg, "blocks.0", drop_prob=0.1, mode="train",
+                        rng=np.random.default_rng(0))
+            sizes = []
+            for out, inputs, vjp in tape._nodes:
+                g = np.ones(out.shape, np.float32)
+                tracemalloc.start()
+                try:
+                    before = tracemalloc.get_traced_memory()[0]
+                    vjp(g)
+                    sizes.append(tracemalloc.get_traced_memory()[1] - before - inputs[0].data.nbytes)
+                finally:
+                    tracemalloc.stop()
+            return sizes
+
+        for small, large in zip(scratch(32), scratch(128)):
+            assert 0 < large < 1.3 * small
 
     @pytest.mark.parametrize("zeroed", ["attn", "ffn"])
     def test_monte_carlo_expectation(self, zeroed):
@@ -636,6 +677,29 @@ class TestForward:
             err = grad_check(f, list(params.values()), h=1e-5, max_coords=3,
                              rng=np.random.default_rng(0))
             assert err < 1e-4, variant
+
+    @pytest.mark.parametrize("variant, n_cls", [("none", 1), ("qkv", 2)])
+    def test_train_mode_grad_check_across_chunks(self, variant, n_cls, monkeypatch):
+        # a budget of one sample's float64 q, k and v, which holds 12 or 13
+        # rows of h: the batch of 4 runs as four attention chunks and six FFN
+        # chunks
+        cfg = tiny_config(variant, n_cls=n_cls, drop_path_rate=0.5)
+        s = cfg.num_patches + n_cls
+        monkeypatch.setattr(T, "_CHUNK", 3 * s * cfg.embed_dim * 8)
+        assert len(T._chunks(4, 3 * s * cfg.embed_dim * 8)) == 4
+        assert len(T._chunks(4 * s, M.FFN_RATIO * cfg.embed_dim * 8)) >= 5
+        rng = np.random.default_rng(16)
+        params = M.grad_check_point(cfg, rng)
+        images = Tensor(rng.standard_normal((4, 3, 16, 16)), dtype=np.float64)
+        targets = np.full((4, 10), 0.1)
+
+        def f():
+            return cross_entropy(M.forward(cfg, params, images, mode="train",
+                                           rng=np.random.default_rng(2)), targets)
+
+        err = grad_check(f, list(params.values()), h=1e-5, max_coords=3,
+                         rng=np.random.default_rng(0))
+        assert err < 1e-4
 
 
 class TestModelConfig:

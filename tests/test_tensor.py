@@ -887,3 +887,88 @@ class TestRebuildBits:
         seen = self.run(op, shapes, (4, 3) if name == "head" else (4, 9, 8), monkeypatch)
         assert [was_rebuilt for was_rebuilt, _ in seen["h"]] == [False, True]
         self.assert_rebuilt_bitwise(seen["h"])
+
+    # the cases above fit one chunk of the _CHUNK budget; these span two or three
+
+    @pytest.mark.parametrize("latents", [(0, 0, 0), (8, 0, 12)], ids=["full", "latent"])
+    @pytest.mark.parametrize("rows", [None, 2], ids=["all-rows", "2-rows"])
+    @pytest.mark.parametrize("masked", [False, True], ids=["whole", "drop-path"])
+    def test_norm_attention_across_chunks(self, latents, rows, masked, monkeypatch):
+        s, c, heads = 65, 64, 4
+        b = 2 * (T._CHUNK // (3 * s * c * 4)) + 3     # three chunks at all 65 query rows
+        mask = drop_mask(1, (b, 1, 1)).astype(np.float32) if masked else None
+        seen = self.run(norm_attention_op(heads, latents, mask, rows),
+                        attention_shapes(b, s, c, latents), (b, rows or s, c), monkeypatch)
+        counts = [count for count, _, _ in seen["project"]]
+        half = len(counts) // 2
+        # per chunk q from each sample's first rows, then k and v from all S: the
+        # forward's chunks, then the VJP's, the same
+        samples = [count // s for count in counts[1:half:3]]
+        assert len(samples) >= 2 and sum(samples) == b and max(samples) - min(samples) <= 1
+        assert counts == [k * count for k in samples for count in (rows or s, s, s)] * 2
+        forward, rebuilt = seen["project"][:half], seen["project"][half:]
+        assert [(first.tobytes(), out.tobytes()) for _, first, out in forward] == \
+            [(first.tobytes(), out.tobytes()) for _, first, out in rebuilt]
+        self.assert_rebuilt_bitwise(seen["p"])
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["whole", "drop-path"])
+    def test_norm_mlp_across_chunks(self, masked, monkeypatch):
+        # three chunks of h whose bounds fall inside samples, under a per-sample mask
+        c, hidden, b = 16, 256, 4
+        s = (2 * (T._CHUNK // (hidden * 4)) + b) // b
+        mask = drop_mask(1, (b, 1, 1)).astype(np.float32) if masked else None
+        op, _, shapes = op_case("norm_mlp", (b, s), c, hidden, 3, mask)
+        seen = self.run(op, shapes, (b, s, c), monkeypatch)
+        chunks = len(seen["h"]) // 2
+        assert chunks >= 2 and [was_rebuilt for was_rebuilt, _ in seen["h"]] == \
+            [False] * chunks + [True] * chunks
+        assert sum(len(h) for _, h in seen["h"][:chunks]) == b * s
+        self.assert_rebuilt_bitwise(seen["h"])
+
+
+class TestChunks:
+    """norm_mlp and norm_attention cut the batch into the fewest even chunks
+    within _CHUNK bytes, and are exact across chunk boundaries: under a
+    budget of one to three rows or samples, the float64 oracles and finite
+    differences still hold."""
+
+    @pytest.mark.parametrize("count, item_bytes", [
+        (0, 8), (1, 8), (2080, 768 * 4), (32, 195 * 192 * 4), (8320, 768 * 4), (5, 2 ** 40),
+        (3 * (T._CHUNK // 8) + 1, 8)],
+        ids=["empty", "one", "paper-h", "paper-qkv", "paper-h-bs128", "item-past-budget",
+             "just-past-three"])
+    def test_fewest_even_slices_within_budget(self, count, item_bytes):
+        chunks = T._chunks(count, item_bytes)
+        most = max(1, T._CHUNK // item_bytes)
+        sizes = [sl.stop - sl.start for sl in chunks]
+        assert chunks[0].start == 0 and chunks[-1].stop == count
+        assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
+        assert len(chunks) == max(1, -(-count // most))
+        assert max(sizes) <= most and max(sizes) - min(sizes) <= 1
+
+    @given(lead=st.lists(st.integers(1, 4), min_size=1, max_size=2), c=st.integers(3, 6),
+           hidden=st.integers(1, 6), per=st.integers(1, 3), masked=st.booleans(), seed=seeds)
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    def test_norm_mlp(self, lead, c, hidden, per, masked, seed):
+        mask = drop_mask(seed + 2, (*lead, 1)) if masked else None
+        op, oracle, shapes = op_case("norm_mlp", lead, c, hidden, 1, mask)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(T, "_CHUNK", per * hidden * 8)    # `per` float64 rows of h
+            assert oracle_error(op, oracle, shapes, seed) < 1e-10
+            assert cotangent_error(op, random_inputs(seed, *shapes), seed + 1) < 1e-4
+
+    @given(b=st.integers(2, 4), s=st.integers(1, 4), heads=st.integers(1, 2), d=st.integers(1, 3),
+           latents=latent_sets, per=st.integers(1, 2), masked=st.booleans(), seed=seeds,
+           data=st.data())
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    def test_norm_attention(self, b, s, heads, d, latents, per, masked, seed, data):
+        mask = drop_mask(seed + 2, (b, 1, 1)) if masked else None
+        rows = data.draw(st.integers(1, s), label="rows")
+        op = norm_attention_op(heads, latents, mask, rows)
+        shapes = attention_shapes(b, s, heads * d, latents)
+        with pytest.MonkeyPatch.context() as patch:
+            # `per` samples' float64 q, k and v
+            patch.setattr(T, "_CHUNK", per * (rows + 2 * s) * heads * d * 8)
+            assert oracle_error(op, norm_attention_oracle(heads, latents, mask, rows), shapes,
+                                seed) < 1e-10
+            assert cotangent_error(op, random_inputs(seed, *shapes), seed + 1) < 1e-4

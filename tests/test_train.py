@@ -553,16 +553,17 @@ class TestTrainLoop:
             assert key in lines[0]
 
     def test_logs_the_measured_step_peak(self, tmp_path):
-        # the paper recipe at batch 32, one worker: the step peaked at 49.0 MB
-        # on numpy 2.4; the tape alone keeps 29.5 MB, so a forward-only number
-        # fails the lower bound
+        # the paper recipe at batch 32, one worker: the step peaked at 43.7 MB
+        # on numpy 2.4 (49.0 MB when the block VJPs ran over the whole batch);
+        # the tape alone keeps 29.5 MB, so a forward-only number fails the
+        # lower bound
         ds = D.synthetic_dataset("two-class-blobs", 32, seed=5)
         cfg = tiny_train_config(epochs=1, batch_size=32,
                                 model=M.ModelConfig(drop_path_rate=0.1))
         assert not tracemalloc.is_tracing()
         result = TR.train(cfg, ds, ds, tmp_path / "out")
         assert not tracemalloc.is_tracing()
-        assert 45e6 <= result.final.peak_activation_bytes <= 60e6
+        assert 38e6 <= result.final.peak_activation_bytes <= 47e6
 
     def test_leaves_tracemalloc_tracing(self, tmp_path):
         ds = D.synthetic_dataset("two-class-blobs", 16, seed=5)
@@ -1207,6 +1208,38 @@ class TestGradRelease:
                             np.full((4, 10), 0.1, np.float32))
         TR.profile_step(run, params, batch, warmup=1, steps=2)
         assert len(calls) == 3
+
+
+class TestBatchRelease:
+    """An epoch's evaluate and checkpoint run without its last batch."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_train_drops_the_last_batch_before_evaluate_and_save(self, monkeypatch, tmp_path,
+                                                                  workers):
+        # once the step loop's `batch` and `step` kept the epoch's last batch
+        # bound through that epoch's evaluate and save_checkpoint
+        real_batches, refs, checked = TR.build_batches, [], []
+
+        def batches(*args, **kwargs):
+            for batch in real_batches(*args, **kwargs):
+                refs[:] = [weakref.ref(batch.images), weakref.ref(batch.targets)]
+                yield batch
+
+        def watched(name, real):
+            def run(*args, **kwargs):
+                alive = sum(r() is not None for r in refs)
+                assert alive == 0, f"{alive} arrays of the last batch alive at {name}"
+                checked.append(name)
+                return real(*args, **kwargs)
+            return run
+
+        monkeypatch.setattr(TR, "build_batches", batches)
+        monkeypatch.setattr(TR, "evaluate", watched("evaluate", TR.evaluate))
+        monkeypatch.setattr(D, "save_checkpoint", watched("save", D.save_checkpoint))
+        cfg = tiny_train_config(epochs=2, workers=workers)
+        ds = D.synthetic_dataset("two-class-blobs", 16, seed=5)
+        TR.train(cfg, ds, ds, tmp_path / "out")
+        assert checked == ["evaluate", "save"] * 2
 
 
 # ---------------------------------------------------------------------------
