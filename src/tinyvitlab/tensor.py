@@ -10,12 +10,13 @@ CLS rows, then the GELU MLP on them side by side) and soft-target
 `cross_entropy`. No op transposes: weights are stored in [in, out] layout,
 and constant inputs such as images are rearranged in numpy before they
 reach an op. Training runs in float32; gradient checking runs the same
-code in float64. The GELU's erf (in `_normal_cdf`) is a rational
-approximation in float32 and `scipy.special.erf` in float64; scipy is
-imported on the float64 path only, so a float32 run loads no compiled
-scipy module. Ops record nodes on the active `Tape`;
-`grads = backward(loss, tape, params)` returns the gradients, which are
-values, not state kept on tensors.
+code in float64. The GELU's erf (in `_normal_cdf`, which is elementwise)
+is a rational approximation in float32 and `scipy.special.erf` in float64;
+scipy is imported on the float64 path only, so a float32 run loads no
+compiled scipy module. `_gelu` is the one pass that tiles its array: it
+runs the normal CDF and GELU' in cache-sized blocks. Ops record nodes on
+the active `Tape`; `grads = backward(loss, tape, params)` returns the
+gradients, which are values, not state kept on tensors.
 
 `norm_attention` can return only each sample's first rows: the model's
 last block computes just the CLS rows that `head` reads. q, k and v each
@@ -65,10 +66,10 @@ _ERF_P = tuple(F32(c) for c in (-2.72614225801306e-10, 2.77068142495902e-08, -2.
 _ERF_Q = tuple(F32(c) for c in (-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
                                 -7.37332916720468e-03, -1.42647390514189e-02))
 _ERF_CLIP = F32(4.0)
-# Elements per block of the erf and GELU' passes: 384 KB of float32, 128
-# rows of the paper FFN's 768 hidden units. With two threads on a 2 MB L2
-# this timed fastest of 32-256 rows; much smaller blocks pay Python's
-# per-ufunc overhead.
+# Elements per block of _gelu, the one pass that tiles (its erf and GELU'
+# steps; _normal_cdf itself is elementwise): 384 KB of float32, 128 rows of
+# the paper FFN's 768 hidden units. With two threads on a 2 MB L2 this timed
+# fastest of 32-256 rows; much smaller blocks pay Python's per-ufunc overhead.
 _BLOCK = 96 * 1024
 # Bytes per chunk of the block ops' largest arrays: norm_mlp's h over a chunk
 # of rows, norm_attention's q, k and v together over a chunk of samples; at
@@ -212,21 +213,13 @@ def embed(patches: np.ndarray, w: Tensor, b: Tensor, pos: Tensor, tokens: Tensor
 
 
 # ---------------------------------------------------------------------------
-# erf and the normal CDF, in cache-sized blocks
+# erf and the normal CDF, elementwise; _gelu runs them in cache-sized blocks
 
-def _blocks(*arrays: np.ndarray):
-    """Matching blocks of _BLOCK elements from C-contiguous arrays of one
-    size. Every pass over a block is an elementwise ufunc, so an element's
-    bits do not depend on where the block boundaries fall."""
-    flats = [a.reshape(-1) for a in arrays]
-    for i in range(0, flats[0].size, _BLOCK):
-        yield [f[i:i + _BLOCK] for f in flats]
-
-
-def _erf32_block(x: np.ndarray, x2: np.ndarray, acc: np.ndarray) -> None:
-    """erf(x) in place for a float32 block x; x2 and acc are scratch of its size."""
+def _erf32(x: np.ndarray) -> None:
+    """erf(x) in place for a float32 x."""
     np.clip(x, -_ERF_CLIP, _ERF_CLIP, out=x)
-    np.multiply(x, x, out=x2)
+    x2 = x * x
+    acc = np.empty_like(x)
     for coeffs, combine in ((_ERF_P, np.multiply), (_ERF_Q, np.divide)):
         np.multiply(x2, coeffs[0], out=acc)     # Horner in x^2
         for c in coeffs[1:-1]:
@@ -236,49 +229,46 @@ def _erf32_block(x: np.ndarray, x2: np.ndarray, acc: np.ndarray) -> None:
         combine(x, acc, out=x)
 
 
-def _scratch(a: np.ndarray, count: int) -> list[np.ndarray]:
-    """`count` per-call block buffers for the passes over `a`: concurrent
-    shards each get their own."""
-    return [np.empty(min(a.size, _BLOCK), a.dtype) for _ in range(count)]
-
-
 def _normal_cdf(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Phi(h) = (1 + erf(h / sqrt 2)) / 2 for a C-contiguous h, into `out`
-    (a new array if None), block by block: each block's four steps run while
-    it is in cache. The erf is the rational one in float32, scipy's in
-    float64."""
-    out = np.empty_like(h) if out is None else out
-    x2, acc = _scratch(out, 2)
-    for hb, b in _blocks(h, out):
-        np.multiply(hb, _INV_SQRT2, out=b)
-        if b.dtype == F32:
-            _erf32_block(b, x2[:b.size], acc[:b.size])
-        else:
-            from scipy import special   # float64 only: a float32 run never loads it
-            special.erf(b, out=b)
-        b += 1.0
-        b *= 0.5
+    """Phi(h) = (1 + erf(h / sqrt 2)) / 2 into `out` (a new array if None),
+    one elementwise pass per step over all of h: _gelu hands it cache-sized
+    blocks. The erf is the rational one in float32, scipy's in float64."""
+    out = np.multiply(h, _INV_SQRT2, out=out)
+    if out.dtype == F32:
+        _erf32(out)
+    else:
+        from scipy import special   # float64 only: a float32 run never loads it
+        special.erf(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
 
 
 def _gelu(h: np.ndarray, gh: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
-    """h * Phi(h) into `out` (a new array if None; h itself overwrites h),
-    written block by block with no full-size Phi(h). Given the cotangent gh
-    of the GELU output, the same pass also scales gh in place by GELU'(h) =
+    """h * Phi(h) for a C-contiguous h into `out` (a new array if None; h
+    itself overwrites h). The one pass that tiles: it runs block by block of
+    _BLOCK elements, so each block's steps run while it is in cache, with no
+    full-size Phi(h). Every step is an elementwise ufunc, so an element's
+    bits do not depend on where the blocks fall. Given the cotangent gh of
+    the GELU output, the same pass also scales gh in place by GELU'(h) =
     Phi(h) + h pdf(h): a VJP recomputes Phi(h) rather than keeping it."""
     a = np.empty_like(h) if out is None else out
-    phi, d = _scratch(h, 2)
-    for hb, ab, *gb in _blocks(h, a, *(() if gh is None else (gh,))):
-        pb, db = _normal_cdf(hb, phi[:hb.size]), d[:hb.size]
-        if gb:
+    hf, af = h.reshape(-1), a.reshape(-1)
+    gf = None if gh is None else gh.reshape(-1)
+    phi, d = np.empty((2, min(h.size, _BLOCK)), h.dtype)
+    for i in range(0, hf.size, _BLOCK):
+        hb = hf[i:i + _BLOCK]
+        pb = _normal_cdf(hb, phi[:hb.size])
+        if gf is not None:
+            db = d[:hb.size]
             np.multiply(hb, -0.5, out=db)
             db *= hb
             np.exp(db, out=db)
             db *= _INV_SQRT_2PI
             db *= hb
             db += pb
-            gb[0] *= db
-        np.multiply(hb, pb, out=ab)
+            gf[i:i + _BLOCK] *= db
+        np.multiply(hb, pb, out=af[i:i + _BLOCK])
     return a
 
 

@@ -378,7 +378,7 @@ class TestErf:
     """The rational float32 erf, through the normal CDF that the GELU uses."""
 
     def test_float32_max_abs_error(self):
-        grid = np.linspace(-8.0, 8.0, 2_000_001, dtype=np.float32)   # many blocks and a tail
+        grid = np.linspace(-8.0, 8.0, 2_000_001, dtype=np.float32)   # steps of 8e-6, past the clip at +-4
         got = T._normal_cdf(grid)
         assert got.dtype == np.float32
         # half of erf's 1e-6, since Phi = (1 + erf) / 2
@@ -389,12 +389,21 @@ class TestErf:
         assert got[0] == 1.0 and got[1] == 0.0 and np.isnan(got[2])
 
     def test_row_bits_independent_of_array_size(self):
-        big = np.random.default_rng(0).normal(0.0, 2.0, (521, 769)).astype(np.float32)
-        cdf = T._normal_cdf(big)
+        # _gelu runs over blocks of _BLOCK elements: a row's Phi, GELU and
+        # scaled cotangent are the row's alone, wherever the blocks fall
+        rng = np.random.default_rng(0)
+        big = rng.normal(0.0, 2.0, (521, 769)).astype(np.float32)
+        g = rng.normal(0.0, 1.0, big.shape).astype(np.float32)
+        cdf, scaled = T._normal_cdf(big), g.copy()
+        gelu = T._gelu(big, scaled)
         edge = T._BLOCK // big.shape[1]  # the row that straddles the first block boundary
         for i in (0, edge, edge + 1, 520):
             assert np.array_equal(T._normal_cdf(big[i]), cdf[i])
             assert np.array_equal(T._normal_cdf(big[i:i + 1]), cdf[i:i + 1])
+            row = g[i].copy()
+            assert np.array_equal(T._gelu(big[i], row), gelu[i])
+            assert np.array_equal(row, scaled[i])
+            assert np.array_equal(T._gelu(big[i:i + 1]), gelu[i:i + 1])
 
     def test_float64_is_scipy_bitwise(self):
         x = np.random.default_rng(1).normal(0.0, 3.0, 300_001)
