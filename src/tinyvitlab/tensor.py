@@ -39,7 +39,16 @@ chunk's, not the batch's: only the parameter cotangents span chunks,
 summed in chunk order. A train-mode forward of the paper recipe at batch
 32 is 21 tape nodes with the loss and keeps 30 MB (two [S,C] arrays per
 block and sample, but the last block's FFN branch keeps only the CLS rows),
-and the step peaks at 44 MB in backward (tracemalloc), 138 MB at batch 128.
+and the step peaks at 44 MB in backward (tracemalloc), 139 MB at batch 128.
+
+Lanes: within `lanes(threads)` (train runs a one-worker step's shard in
+one), those two ops cut the batch into a multiple of LANES chunks of at
+most _CHUNK / LANES bytes and run them LANES at a time on `threads` pool
+threads, so a one-worker step uses two CPUs. A chunk writes only its own
+slices of the op's arrays, and the parameter cotangents are still summed
+in chunk order, so the bits follow the partition alone, never the thread
+count or schedule. Ops of any other thread run serially over the serial
+partition.
 
 Determinism: all reductions go through numpy with a fixed evaluation order,
 so repeated runs on the same inputs produce bitwise-identical results.
@@ -47,7 +56,10 @@ so repeated runs on the same inputs produce bitwise-identical results.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -77,8 +89,13 @@ _BLOCK = 96 * 1024
 # chunk sets the step's peak. On a 2-vCPU x86 box, interleaved paper steps
 # ran 13-25% slower at 1 MB (341 rows, 7 samples; a 4 MB lower peak) than in
 # one chunk, and within noise of it at 3 MB: GEMMs of fewer rows run slower
-# per row.
+# per row. On the lanes a chunk holds at most _CHUNK / LANES bytes, so the
+# LANES chunks in flight hold no more than one chunk does without them.
 _CHUNK = 3 * 1024 * 1024
+# The lanes' partition: a thread that has lanes (see `lanes`) cuts a batch
+# into a multiple of LANES chunks, whatever the number of lane threads, so
+# the bits depend on whether it has lanes and never on the CPU count.
+LANES = 2
 # Bytes of the attention weights P per sub-chunk of samples that
 # norm_attention's core runs over within a chunk, forward and VJP: about two
 # samples at the paper recipe, so P stays in a 2 MB L2 through the softmax and
@@ -166,6 +183,28 @@ _tls = threading.local()
 def _active_tape() -> Tape | None:
     stack = getattr(_tls, "stack", None)
     return stack[-1] if stack else None
+
+
+@contextlib.contextmanager
+def lanes(threads: int):
+    """Until the block exits, the norm_mlp and norm_attention calls of this
+    thread, forward and VJP, cut the batch into the lanes' partition (_chunks
+    with LANES) and run its chunks LANES at a time on `threads` pool threads,
+    the lanes (in this thread, one after another, if `threads` is 1). Each
+    chunk writes only its own slices of the op's arrays, and the parameter
+    cotangents are summed in chunk order, so the bits do not depend on
+    `threads` or on the thread schedule. Other threads' ops, such as those of
+    shard threads, keep the serial partition. The caller sets the BLAS
+    count the lanes' GEMMs run under."""
+    pool = ThreadPoolExecutor(threads) if threads > 1 else None
+    before = getattr(_tls, "lanes", None)
+    _tls.lanes = map if pool is None else pool.map
+    try:
+        yield
+    finally:
+        _tls.lanes = before
+        if pool is not None:
+            pool.shutdown()
 
 
 def _make(data: np.ndarray, inputs: tuple[Tensor, ...], vjp) -> Tensor:
@@ -399,14 +438,30 @@ def head(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2: Ten
 # ---------------------------------------------------------------------------
 # a block's two residual branches: x + mask * branch(layer_norm(x))
 
-def _chunks(count: int, item_bytes: int) -> list[slice]:
+def _chunks(count: int, item_bytes: int, lanes: int = 1) -> list[slice]:
     """[0, count) cut into the fewest slices whose items, of `item_bytes`
-    each, fill at most _CHUNK bytes (one item at least), their sizes
-    differing by at most one, so no chunk is tiny; one empty slice if count
-    is 0."""
-    pieces = max(1, -(-count // max(1, _CHUNK // item_bytes)))
+    each, fill at most _CHUNK / lanes bytes (one item at least), their
+    number rounded up to a multiple of `lanes` but at most `count`, and
+    their sizes differing by at most one, so no chunk is tiny; one empty
+    slice if count is 0."""
+    pieces = max(1, -(-count // max(1, _CHUNK // lanes // item_bytes)))
+    pieces = min(-(-pieces // lanes) * lanes, max(count, 1))
     bounds = [count * i // pieces for i in range(pieces + 1)]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _block_chunks(count: int, item_bytes: int) -> list[slice]:
+    """_chunks for a block op called on this thread: the lanes' partition
+    if it has lanes, else the serial one."""
+    return _chunks(count, item_bytes, 1 if getattr(_tls, "lanes", None) is None else LANES)
+
+
+def _each_chunk(fn, chunks: list[slice]):
+    """fn(sl) for each chunk, yielded in chunk order: on this thread's lanes
+    LANES chunks at a time if it has lanes, else inline."""
+    run = getattr(_tls, "lanes", None) or map
+    for i in range(0, len(chunks), LANES):
+        yield from run(fn, chunks[i:i + LANES])
 
 
 def _mask_like(mask: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray | None:
@@ -460,10 +515,12 @@ def norm_mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2:
     of x's rows, each with at most _CHUNK bytes of h (_chunks), so the VJP
     rebuilds each chunk's normalized input and h with the forward's
     operations, bit for bit, then recomputes Phi(h); only the parameter
-    cotangents span chunks, summed in chunk order. At the paper recipe's
+    cotangents span chunks, summed in chunk order. With lanes (see `lanes`)
+    the chunks are the lanes' and run LANES at a time. At the paper recipe's
     batch 32 the node keeps 17 KB beyond x, where h would take 6.4 MB, and
-    its VJP allocates 9.8 MB beyond its 1.6 MB cotangent of x, 11.8 MB at
-    batch 128 (the whole batch took 16.0 and 59.1 MB)."""
+    its VJP allocates 9.3 MB beyond its 1.6 MB cotangent of x, 11.1 MB at
+    batch 128, and 10.5 and 12.6 MB on the lanes (the whole batch took 16.0
+    and 59.1 MB)."""
     _check_norm("norm_mlp", x, gamma, beta)
     _check_mlp("norm_mlp", x.shape[-1], x, gamma, beta, w1, b1, w2, b2)
     if w2.shape[1:] != x.shape[-1:]:
@@ -473,23 +530,28 @@ def norm_mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2:
     x2 = x.data.reshape(-1, c)
     masks = _mask_like(mask, x.shape)
     masks = None if masks is None else masks.reshape(-1, masks.shape[-1])
-    chunks = _chunks(len(x2), w1.shape[1] * x.dtype.itemsize)
+    chunks = _block_chunks(len(x2), w1.shape[1] * x.dtype.itemsize)
     out = np.empty_like(x2)
     mu, inv = np.empty((2, len(x2), 1), x.dtype)
-    for sl in chunks:
+
+    def forward(sl: slice) -> None:
         xhat, mu[sl], inv[sl] = _normalize(x2[sl], LAYER_NORM_EPS)
         _residual(x2[sl], _mlp_forward(_affine(xhat, gamma, beta), w1, b1, w2, b2, out[sl]),
                   None if masks is None else masks[sl])
 
+    list(_each_chunk(forward, chunks))
+
     def vjp(g):
-        g2, dx, sums = g.reshape(-1, c), np.empty_like(x2), None
-        for sl in chunks:
+        g2, dx = g.reshape(-1, c), np.empty_like(x2)
+
+        def chunk(sl: slice):   # writes dx[sl], returns the chunk's parameter cotangents
             gxn, *gw = _mlp_vjp(_affine(_xhat(x2[sl], mu[sl], inv[sl]), gamma, beta),
                                 g2[sl] if masks is None else g2[sl] * masks[sl], w1, b1, w2)
             dx[sl], *gnorm = _residual_vjp(_xhat(x2[sl], mu[sl], inv[sl]), inv[sl], gamma, gxn,
                                            g2[sl])
-            sums = _add_chunk(sums, (*gnorm, *gw))
-        return dx.reshape(x.shape), *sums
+            return *gnorm, *gw
+
+        return dx.reshape(x.shape), *functools.reduce(_add_chunk, _each_chunk(chunk, chunks), None)
 
     return _make(out.reshape(x.shape), (x, gamma, beta, w1, b1, w2, b2), vjp)
 
@@ -578,10 +640,12 @@ def norm_attention(x: Tensor, gamma: Tensor, beta: Tensor, projections, wo: Tens
     / sqrt(d), dQ = dS K, dK = dS^T Q. The normalized input's cotangent sums
     the three projections' (_project_vjp), one at a time, q's on the rows
     it read; the residual's covers the rows returned. Only the parameter
-    cotangents span chunks, summed in chunk order. At the paper recipe's
+    cotangents span chunks, summed in chunk order. With lanes (see `lanes`)
+    the chunks are the lanes' and run LANES at a time. At the paper recipe's
     batch 32 the node keeps 0.2 MB beyond x, where q, k, v and P would take
-    11.3 MB, and its VJP allocates 11.0 MB beyond its 1.6 MB cotangent of
-    x, 13.3 MB at batch 128 (the whole batch took 15.2 and 58.4 MB).
+    11.3 MB, and its VJP allocates 9.4 MB beyond its 1.6 MB cotangent of x,
+    11.5 MB at batch 128, and 9.8 and 12.3 MB on the lanes (the whole batch
+    took 15.2 and 58.4 MB).
     """
     _check_norm("norm_attention", x, gamma, beta)
     _check_attention(x, projections, wo, heads)
@@ -593,7 +657,7 @@ def norm_attention(x: Tensor, gamma: Tensor, beta: Tensor, projections, wo: Tens
     d = c // heads
     scale = x.dtype.type(1.0 / np.sqrt(d))
     masks = _mask_like(mask, (b, n, c))
-    chunks = _chunks(b, (n + 2 * s) * c * x.dtype.itemsize)   # a sample's q, k and v
+    chunks = _block_chunks(b, (n + 2 * s) * c * x.dtype.itemsize)   # a sample's q, k and v
     step = max(1, _ATTENTION_CHUNK // (heads * n * s * x.dtype.itemsize))
 
     def split(a: np.ndarray, k: int) -> np.ndarray:   # [k*count,C] -> [k,h,count,d]
@@ -613,7 +677,7 @@ def norm_attention(x: Tensor, gamma: Tensor, beta: Tensor, projections, wo: Tens
     out = np.empty((b, n, c), x.dtype)
     mu, inv = np.empty((2, b, s, 1), x.dtype)
     m, l = np.empty((2, b, heads, n, 1), x.dtype)
-    for sl in chunks:
+    def forward(sl: slice) -> None:
         k = sl.stop - sl.start
         xhat, mu[sl], inv[sl] = _normalize(x.data[sl], LAYER_NORM_EPS)
         xs = sources(_affine(xhat, gamma, beta).reshape(-1, c), k)
@@ -626,11 +690,13 @@ def norm_attention(x: Tensor, gamma: Tensor, beta: Tensor, projections, wo: Tens
         del qh, kh, vh
         _residual(x.data[sl, :n], np.matmul(ctx, wo.data, out=out[sl].reshape(-1, c)),
                   None if masks is None else masks[sl])
-        del ctx
+
+    list(_each_chunk(forward, chunks))
 
     def vjp(g):
-        dx, sums = np.empty_like(x.data), None
-        for sl in chunks:
+        dx = np.empty_like(x.data)
+
+        def chunk(sl: slice):   # writes dx[sl], returns the chunk's parameter cotangents
             k, xb, gb = sl.stop - sl.start, x.data[sl], g[sl]
             gy = (gb if masks is None else gb * masks[sl]).reshape(-1, c)
             xs = sources(_affine(_xhat(xb, mu[sl], inv[sl]), gamma, beta).reshape(-1, c), k)
@@ -659,8 +725,9 @@ def norm_attention(x: Tensor, gamma: Tensor, beta: Tensor, projections, wo: Tens
                 gprojections += gw
             del xs, gq, gk, gv, gt, gx
             dx[sl], *gnorm = _residual_vjp(_xhat(xb, mu[sl], inv[sl]), inv[sl], gamma, gxn, gb)
-            sums = _add_chunk(sums, (*gnorm, *gprojections, gwo))
-        return dx, *sums
+            return *gnorm, *gprojections, gwo
+
+        return dx, *functools.reduce(_add_chunk, _each_chunk(chunk, chunks), None)
 
     return _make(out, inputs, vjp)
 

@@ -27,6 +27,7 @@ from tinyvitlab import augment as A
 from tinyvitlab import data as D
 from tinyvitlab import model as M
 from tinyvitlab import optim as O
+from tinyvitlab import tensor as T
 from tinyvitlab.tensor import Tensor, Tape, backward, cross_entropy
 
 
@@ -82,8 +83,11 @@ class MetricsRecord:
     that one step's peak. tracemalloc counts the whole process, so the peak
     includes every shard. At workers > 1 the shards' allocations interleave,
     so it can vary by a few percent between runs (the desk recipe at batch
-    128, 2 workers, read 29.9-30.5 MB over 3 runs). It is 0 when another
-    tracer stopped tracemalloc during that step."""
+    128, 2 workers, read 29.9-30.5 MB over 3 runs). At one worker the two
+    lanes' chunks interleave the same way, by less: seven steps of one
+    paper bs-32 batch read 43.47-43.94 MB over three processes, most of
+    them 43.92 MB. It is 0 when another tracer stopped tracemalloc during
+    that step."""
     epoch: int
     train_loss: float
     val_acc: float
@@ -156,10 +160,10 @@ def _keep_freed_memory() -> None:
     than their own mmap, and free heap memory is returned to the system only
     past 1 GiB. Otherwise each step faults its arrays' pages in again. It
     also caps malloc at one arena, so the shard threads of the step and of
-    evaluate reuse the memory the main thread freed rather than each keeping
-    an arena of its own. These settings change where memory comes from, not
-    what is computed. Does nothing where the C library has no mallopt (it
-    is glibc's)."""
+    evaluate, and the lanes of a one-shard step, reuse the memory the main
+    thread freed rather than each keeping an arena of its own. These
+    settings change where memory comes from, not what is computed. Does
+    nothing where the C library has no mallopt (it is glibc's)."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, TypeError, AttributeError):   # no C library to load, or no mallopt
@@ -194,15 +198,19 @@ def _one_blas_thread():
 
 
 def _run_shards(fn: Callable[[int], object], n: int) -> list:
-    """[fn(0), ..., fn(n - 1)], in shard order. One shard runs inline under
-    the current BLAS count. More run on min(n, usable CPUs) pool threads,
-    each shard under exactly one OpenBLAS thread, so their bits depend on n
-    and not on the CPU count or OPENBLAS_NUM_THREADS; the count from before
-    is restored afterwards, also when a shard raises."""
-    if n == 1:
-        return [fn(0)]
-    with _one_blas_thread(), ThreadPoolExecutor(max_workers=min(n, _usable_cpus())) as pool:
-        return list(pool.map(fn, range(n)))
+    """[fn(0), ..., fn(n - 1)], in shard order, every shard under exactly one
+    OpenBLAS thread, so the bits depend on n and not on the CPU count or
+    OPENBLAS_NUM_THREADS; the count from before is restored afterwards, also
+    when a shard raises. One shard runs inline, and its block ops run their
+    chunks on min(LANES, usable CPUs) lanes (tensor.lanes), so it uses two
+    CPUs where it has them. More shards run on min(n, usable CPUs) pool
+    threads, whose ops run their chunks serially."""
+    with _one_blas_thread():
+        if n == 1:
+            with T.lanes(min(T.LANES, _usable_cpus())):
+                return [fn(0)]
+        with ThreadPoolExecutor(max_workers=min(n, _usable_cpus())) as pool:
+            return list(pool.map(fn, range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +270,9 @@ def _sharded_gradients(cfg: M.ModelConfig, params: dict[str, Tensor],
 
     Workers share `params` read-only, and each owns its tape, gradients and
     drop-path rng stream, so K=1 reproduces the serial step bitwise. The
-    workers run through _run_shards: K=1 runs inline under the current
-    OpenBLAS count, K>1 run each under one OpenBLAS thread, so their bits
-    follow from K alone.
+    workers run through _run_shards, each under one OpenBLAS thread, and
+    K=1 runs its block ops' chunks on the lanes, so the bits follow from K
+    alone, never from OPENBLAS_NUM_THREADS or the CPU count.
     """
     _keep_freed_memory()
     b = len(batch.images)
@@ -310,16 +318,20 @@ def parallel_train_step(cfg: M.ModelConfig, params: dict[str, Tensor],
 def _eval_logits(cfg: M.ModelConfig, params: dict[str, Tensor],
                  images: np.ndarray) -> np.ndarray:
     """Eval-mode logits of a batch, from min(usable CPUs, batch) contiguous
-    shards run through _run_shards like the training step's (more than one
-    shard: one OpenBLAS thread each) and concatenated in order. They match
-    an unsharded forward within float32 rounding: shards of 16 images or
-    more have given the same bits, but OpenBLAS picks other GEMM kernels
-    for very small shards (1-2 images gave differences up to 3e-8)."""
+    shards run through _run_shards like the training step's (one OpenBLAS
+    thread each) and concatenated in order; one shard (one CPU, or one
+    image) runs inline under the current count. They match an unsharded
+    forward within float32 rounding: shards of 16 images or more have given
+    the same bits, but OpenBLAS picks other GEMM kernels for very small
+    shards (1-2 images gave differences up to 3e-8)."""
     _keep_freed_memory()
     shards = np.array_split(images.astype(np.float32, copy=False),
                             min(_usable_cpus(), len(images)))
-    return np.concatenate(_run_shards(
-        lambda i: M.forward(cfg, params, Tensor(shards[i]), mode="eval").data, len(shards)))
+
+    def logits(i: int) -> np.ndarray:
+        return M.forward(cfg, params, Tensor(shards[i]), mode="eval").data
+
+    return logits(0) if len(shards) == 1 else np.concatenate(_run_shards(logits, len(shards)))
 
 
 def check_dataset(ds: D.Dataset, cfg: M.ModelConfig, what: str) -> None:
@@ -369,13 +381,9 @@ def _grad_norm(grads: dict[str, np.ndarray]) -> float:
 
 def _diffs(saved: dict, run: dict) -> str:
     """One 'k is x in the checkpoint, y in the run' clause per key whose
-    values differ (None where absent); blas_threads comes last."""
-    return "; ".join(
-        f"{k} is {saved.get(k)!r} in the checkpoint, {run.get(k)!r} in the run"
-        + (" (it matters only with one worker, which runs under the current count: "
-           "OPENBLAS_NUM_THREADS, else the CPUs OpenBLAS saw)" if k == "blas_threads" else "")
-        for k in sorted(saved.keys() | run.keys(), key=lambda k: (k == "blas_threads", k))
-        if saved.get(k) != run.get(k))
+    values differ (None where absent), in key order."""
+    return "; ".join(f"{k} is {saved.get(k)!r} in the checkpoint, {run.get(k)!r} in the run"
+                     for k in sorted(saved.keys() | run.keys()) if saved.get(k) != run.get(k))
 
 
 def check_params(params: dict[str, np.ndarray], cfg: M.ModelConfig) -> None:
@@ -391,12 +399,12 @@ def _resume(ckpt: D.Checkpoint, cfg: TrainConfig, train_config: dict
             ) -> tuple[dict[str, Tensor], O.OptimState]:
     """The params and optimizer state to continue from. A checkpoint that
     does not fit the run is refused, naming what differs: a field of the
-    saved train config (blas_threads too: with one worker, another OpenBLAS
-    thread count can change the gradients' bits; sharded steps always run
-    at one thread), an epoch outside [0, epochs), a param, the optimizer
-    step count, or a moment whose name or shape the run's optimizer does
-    not give. Of the header's optim only t is read; the rest of the state
-    is the run's."""
+    saved train config (a removed field, such as the blas_threads that
+    older checkpoints carry, reads None in the run), an epoch outside [0,
+    epochs), a param, the optimizer step count, or a moment whose name or
+    shape the run's optimizer does not give. Every step runs at one OpenBLAS
+    thread, so no thread count is saved. Of the header's optim only t is
+    read; the rest of the state is the run's."""
     def flat(tc: dict) -> dict:   # `model` and `augment` expanded one level
         out = {}
         for k, v in tc.items():
@@ -486,11 +494,7 @@ def train(cfg: TrainConfig, train_ds: D.Dataset, test_ds: D.Dataset,
         # a one-step run gets no warmup; lr_schedule needs warmup < total
         warmup_steps = min(max(total_steps // 10, 1), total_steps - 1)
 
-    # bitwise resume needs the BLAS thread count the step's shards run under,
-    # so it is saved and checked: the current count for one worker, else one
-    blas = _openblas()
-    train_config = {**asdict(cfg), "blas_threads": None if blas is None
-                    else blas.get() if cfg.workers == 1 else 1}
+    train_config = asdict(cfg)
     start_epoch = 0
     if resume is not None:
         ckpt = D.load_checkpoint(resume)

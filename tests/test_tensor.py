@@ -1,6 +1,9 @@
 """Autodiff core: op semantics, backward rules, gradient checking."""
 
+import sys
+import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from tinyvitlab import tensor as T
+from tinyvitlab import train as TR
 from tinyvitlab.tensor import Tensor, Tape, backward, grad_check
 
 
@@ -981,3 +985,152 @@ class TestChunks:
             assert oracle_error(op, norm_attention_oracle(heads, latents, mask, rows), shapes,
                                 seed) < 1e-10
             assert cotangent_error(op, random_inputs(seed, *shapes), seed + 1) < 1e-4
+
+
+class TestLanes:
+    """With lanes, norm_mlp and norm_attention cut the batch into a multiple
+    of LANES chunks of at most _CHUNK / LANES bytes and run them on the lane
+    threads, forward and VJP, with the bits of a serial walk of the same
+    partition; an op on any other thread keeps the serial partition."""
+
+    @pytest.mark.parametrize("count, item_bytes", [
+        (0, 8), (1, 8), (3, 2 ** 40), (2080, 768 * 4), (32, 195 * 192 * 4), (32, 131 * 192 * 4),
+        (5 * (T._CHUNK // 16) - 1, 8)],
+        ids=["empty", "one", "items-past-budget", "paper-h", "paper-qkv", "paper-cls-qkv",
+             "just-under-five"])
+    def test_partition(self, count, item_bytes):
+        chunks = T._chunks(count, item_bytes, T.LANES)
+        most = max(1, T._CHUNK // T.LANES // item_bytes)
+        sizes = [sl.stop - sl.start for sl in chunks]
+        assert chunks[0].start == 0 and chunks[-1].stop == count
+        assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
+        fewest = max(1, -(-count // most))
+        assert len(chunks) == min(-(-fewest // T.LANES) * T.LANES, max(count, 1))
+        assert max(sizes) <= most and max(sizes) - min(sizes) <= 1
+
+    # (op, input shapes, cotangent shape, items the op chunks, bytes of one item) at b = 10
+    # samples: norm_mlp chunks 20 rows of h, whose chunk bounds can fall inside a sample
+    @staticmethod
+    def case(name, dtype, masked):
+        b, s, c, hidden, heads = 10, 5, 8, 12, 2
+        mask = drop_mask(1, (b, 1, 1)).astype(dtype) if masked else None
+        size = np.dtype(dtype).itemsize
+        if name == "norm_mlp":
+            op, _, shapes = op_case("norm_mlp", (b, 2), c, hidden, 1, mask)
+            return op, shapes, (b, 2, c), b * 2, hidden * size
+        latents, rows = ((3, 0, 2), 2) if name == "norm_attention-latent-rows" else ((0, 0, 0), None)
+        return (norm_attention_op(heads, latents, mask, rows), attention_shapes(b, s, c, latents),
+                (b, rows or s, c), b, ((rows or s) + 2 * s) * c * size)
+
+    @staticmethod
+    def watch_chunks(monkeypatch) -> list:
+        """(thread, rows) of each chunk a block op's forward normalizes from
+        now on, in call order."""
+        seen, real = [], T._normalize
+
+        def normalize(x, eps):
+            seen.append((threading.get_ident(), len(x)))
+            return real(x, eps)
+
+        monkeypatch.setattr(T, "_normalize", normalize)
+        return seen
+
+    def walk(self, op, shapes, out_shape, dtype, threads):
+        """op's output and VJP at seeded inputs under lanes of `threads`
+        threads at one BLAS thread, and (thread, rows) of each chunk its
+        forward normalized."""
+        rng = np.random.default_rng(4)
+        arrays = [rng.standard_normal(shape) for shape in shapes]
+        g = rng.standard_normal(out_shape)
+        with pytest.MonkeyPatch.context() as patch, TR._one_blas_thread(), T.lanes(threads):
+            seen = self.watch_chunks(patch)
+            out, grads = op_and_vjp(op, arrays, g, dtype=dtype)
+        return [out, *grads], seen
+
+    @pytest.mark.parametrize("name", ["norm_mlp", "norm_attention", "norm_attention-latent-rows"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    @pytest.mark.parametrize("masked", [False, True], ids=["whole", "drop-path"])
+    @pytest.mark.parametrize("chunks", [2, 3, 5])
+    def test_bits_of_a_serial_walk(self, name, dtype, masked, chunks, monkeypatch):
+        op, shapes, out_shape, count, item = self.case(name, dtype, masked)
+        # a budget of `per` items a lane chunk: `chunks` chunks, rounded up to a multiple of LANES
+        per = -(-count // chunks)
+        monkeypatch.setattr(T, "_CHUNK", T.LANES * per * item)
+        want = [sl.stop - sl.start for sl in T._chunks(count, item, T.LANES)]
+        assert len(want) == -(-chunks // T.LANES) * T.LANES
+        serial, seen_serial = self.walk(op, shapes, out_shape, dtype, 1)
+        laned, seen_laned = self.walk(op, shapes, out_shape, dtype, 2)
+        main = threading.get_ident()
+        assert seen_serial == [(main, n) for n in want]
+        assert sorted(n for _, n in seen_laned) == sorted(want)
+        assert main not in {thread for thread, _ in seen_laned}
+        assert [a.dtype for a in laned] == [np.dtype(dtype)] * len(laned)
+        assert [a.tobytes() for a in laned] == [a.tobytes() for a in serial]
+
+    def test_bits_hold_under_a_short_switch_interval(self, monkeypatch):
+        # the lanes hand the interpreter lock back and forth every microsecond,
+        # over 6 chunks of single samples and 10 runs: a chunk that wrote
+        # outside its slices, or a sum taken in finishing order, would show
+        op, shapes, out_shape, items, item = self.case("norm_attention", np.float32, True)
+        monkeypatch.setattr(T, "_CHUNK", T.LANES * 2 * item)
+        assert len(T._chunks(items, item, T.LANES)) == 6
+        want, _ = self.walk(op, shapes, out_shape, np.float32, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [self.walk(op, shapes, out_shape, np.float32, 2)[0]
+                    for _ in range(10)]
+        finally:
+            sys.setswitchinterval(interval)
+        for got in runs:
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_lane_exception_reaches_the_caller(self, monkeypatch):
+        # a one-shard run's lanes: the error of a chunk's GELU comes out of
+        # _run_shards, and the BLAS count from before is back
+        count = [3]   # a stand-in OpenBLAS whose thread count is this cell
+        monkeypatch.setattr(TR, "_openblas", lambda: TR._OpenBlas(
+            lambda: count[0], lambda n: count.__setitem__(0, n)))
+        monkeypatch.setattr(TR, "_usable_cpus", lambda: 2)
+        op, shapes, out_shape, rows, item = self.case("norm_mlp", np.float32, False)
+        monkeypatch.setattr(T, "_CHUNK", T.LANES * 5 * item)    # 4 chunks of 5 rows
+        failed = []
+
+        def gelu(h, gh=None, out=None):
+            failed.append((threading.get_ident(), count[0]))
+            raise RuntimeError("lane failed")
+
+        monkeypatch.setattr(T, "_gelu", gelu)
+        rng = np.random.default_rng(0)
+        arrays = [rng.standard_normal(shape) for shape in shapes]
+        with pytest.raises(RuntimeError, match="lane failed"):
+            TR._run_shards(lambda _: op_and_vjp(op, arrays, np.ones(out_shape), np.float32), 1)
+        assert failed and threading.get_ident() not in {thread for thread, _ in failed}
+        assert {blas for _, blas in failed} == {1}
+        assert count == [3] and getattr(T._tls, "lanes", None) is None
+
+    def test_shard_threads_keep_the_serial_partition(self, monkeypatch):
+        # ops of _run_shards' shard threads, and of a thread that another
+        # thread's lanes do not cover, run today's chunks one after another
+        op, shapes, out_shape, items, item = self.case("norm_attention", np.float32, True)
+        monkeypatch.setattr(T, "_CHUNK", 4 * item)    # 3 serial chunks; the lanes would cut 6
+        serial = [sl.stop - sl.start for sl in T._chunks(items, item)]
+        assert len(serial) == 3 and len(T._chunks(items, item, T.LANES)) == 6
+        seen = self.watch_chunks(monkeypatch)
+        rng = np.random.default_rng(0)
+        arrays = [rng.standard_normal(shape) for shape in shapes]
+
+        def run(_=None):
+            return op_and_vjp(op, arrays, np.ones(out_shape), np.float32)
+
+        TR._run_shards(run, 2)
+        sharded = seen[:]
+        seen.clear()
+        with T.lanes(2), ThreadPoolExecutor(1) as pool:
+            pool.submit(run).result(timeout=60)
+        assert [n for _, n in seen] == serial and seen[0][0] != threading.get_ident()
+        assert threading.get_ident() not in {thread for thread, _ in sharded}
+        # each shard thread ran one or both shards
+        assert sorted(n for _, n in sharded) == sorted(serial * 2)
+        for thread in {thread for thread, _ in sharded}:
+            assert [n for t, n in sharded if t == thread] in (serial, serial * 2)

@@ -344,9 +344,9 @@ class TestParallelStep:
         return seen
 
     # (OpenBLAS count before the step, usable CPUs, workers, per-shard count):
-    # one worker runs inline under the current count, more at one thread each
+    # every shard runs at one thread, one worker's inline shard too
     @pytest.mark.parametrize("start,cpus,workers,pinned", [
-        (8, 4, 2, 1), (8, 2, 4, 1), (4, 6, 4, 1), (3, 16, 2, 1), (1, 4, 2, 1), (3, 16, 1, 3)])
+        (8, 4, 2, 1), (8, 2, 4, 1), (4, 6, 4, 1), (3, 16, 2, 1), (1, 4, 2, 1), (3, 16, 1, 1)])
     @pytest.mark.parametrize("fail", [False, True])
     def test_blas_threads_pinned_and_restored(self, monkeypatch, start, cpus, workers,
                                               pinned, fail):
@@ -373,7 +373,7 @@ class TestParallelStep:
         ds = D.synthetic_dataset("two-class-blobs", 16, seed=8)
         result = TR.train(tiny_train_config(epochs=1, workers=2), ds, ds, tmp_path / "out")
         ckpt = D.load_checkpoint(result.checkpoint_path)
-        assert "blas_threads" in ckpt.train_config and ckpt.train_config["blas_threads"] is None
+        assert "blas_threads" not in ckpt.train_config
 
     @pytest.mark.parametrize("start", ["derived", 1, 2])
     def test_sharded_bits_fixed_by_blas_count(self, monkeypatch, start):
@@ -431,6 +431,37 @@ class TestParallelStep:
             out[threads] = run.stdout.split()
         assert out["1"][0] == "1"
         assert out["1"][1] == out["2"][1], out
+
+    def test_one_worker_bits_fixed_across_openblas_env(self):
+        # a one-worker step runs its whole shard at one BLAS thread, with its
+        # block ops' chunks on the lanes, so blas_case's bits do not follow
+        # OPENBLAS_NUM_THREADS
+        if TR._openblas() is None:
+            pytest.skip("no OpenBLAS thread control found in this numpy")
+        child = ("import sys; sys.path[:0] = sys.argv[1:]; import test_train as T; "
+                 "from tinyvitlab import train as TR; "
+                 "cfg, params, batch = T.blas_case(); "
+                 "print(TR._openblas().get(), "
+                 "T.grad_digest(*TR.parallel_train_step(cfg, params, batch, workers=1)))")
+        out = {}
+        for threads in ("1", "2"):
+            run = subprocess.run([sys.executable, "-c", child, str(Path(TR.__file__).parents[1]),
+                                  str(Path(__file__).parent)],
+                                 env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                                 capture_output=True, text=True, timeout=300)
+            assert run.returncode == 0, run.stderr
+            out[threads] = run.stdout.split()
+        assert out["1"][0] == "1"
+        assert out["1"][1] == out["2"][1], out
+
+    def test_one_worker_bits_fixed_across_cpu_counts(self, monkeypatch):
+        # the lanes' partition is fixed: one CPU runs the same chunks on one thread
+        cfg, params, batch = blas_case()
+        digests = {}
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(TR, "_usable_cpus", lambda: cpus)
+            digests[cpus] = grad_digest(*TR.parallel_train_step(cfg, params, batch, workers=1))
+        assert len(set(digests.values())) == 1, digests
 
 
 # ---------------------------------------------------------------------------
@@ -719,17 +750,21 @@ class TestTrainLoop:
             ("augment.base_augment", {}, {"augment": dataclasses.replace(
                 A.AugmentConfig.disabled(), base_augment="crop_flip")}),
             ("blas_threads", {}, {}))])
-    def test_resume_refuses_mismatched_run(self, tmp_path, monkeypatch, one_epoch_checkpoint,
+    def test_resume_refuses_mismatched_run(self, tmp_path, one_epoch_checkpoint,
                                            field, model_kw, train_kw):
         ds = D.synthetic_dataset("two-class-blobs", 16, seed=8)
         model = dataclasses.replace(tiny_train_config().model, **model_kw)
         cfg = tiny_train_config(model=model, **train_kw)
-        if field == "blas_threads":   # one worker, and OPENBLAS_NUM_THREADS or the CPUs changed
-            saved = D.load_checkpoint(one_epoch_checkpoint).train_config["blas_threads"]
-            monkeypatch.setattr(TR, "_openblas", lambda: TR._OpenBlas(
-                lambda: (saved or 0) + 1, lambda n: None))
+        path = one_epoch_checkpoint
+        if field == "blas_threads":   # saved while a one-worker step ran under the current count
+            ckpt = D.load_checkpoint(one_epoch_checkpoint)
+            path = tmp_path / "old.npz"
+            D.save_checkpoint(path, params=ckpt.params, model_config=ckpt.model_config,
+                              train_config={**ckpt.train_config, "blas_threads": 2},
+                              optim_meta=ckpt.optim_meta, optim_arrays=ckpt.optim_arrays,
+                              rng_state=ckpt.rng_state, epoch=ckpt.epoch)
         with pytest.raises(D.CheckpointError, match=rf"does not match this run: {field} is"):
-            TR.train(cfg, ds, ds, tmp_path / "out", resume=one_epoch_checkpoint)
+            TR.train(cfg, ds, ds, tmp_path / "out", resume=path)
 
     def test_resume_refuses_checkpoint_with_removed_augment_switches(self, tmp_path,
                                                                      one_epoch_checkpoint):
@@ -810,7 +845,7 @@ class TestTrainLoop:
         assert resumed.step_losses == full.step_losses[TR.steps_per_epoch(len(ds), cfg):]
         a = D.load_checkpoint(full.checkpoint_path)
         b = D.load_checkpoint(resumed.checkpoint_path)
-        assert a.train_config == b.train_config and a.train_config["blas_threads"] in (1, None)
+        assert a.train_config == b.train_config and "blas_threads" not in a.train_config
         for k in a.params:
             assert np.array_equal(a.params[k], b.params[k])
         for k in a.optim_arrays:
