@@ -5,18 +5,29 @@ pixel space; MixUp / CutMix / random erasing operate on normalized float
 images. All randomness comes from explicit numpy Generators, so a fixed seed
 reproduces batches bitwise.
 
+A batch is built in two steps. plan_batch makes every draw of base
+augmentation and random erasing, and reads no pixel; apply_plan then does the
+pixel work across the whole batch: one gather for the crops and flips, one
+call per (op, argument) for each policy stage, then normalization and the
+erase fills. The policy ops take one image [3, H, W] or a batch
+[..., 3, H, W], so base_augment, apply_policy_op and random_erase are the
+one-image calls of the same code.
+
 Geometric policy ops use nearest-neighbor resampling with clamp-to-edge
 coordinates, keeping outputs bit-exact across platforms.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
+from tinyvitlab import data as D
 from tinyvitlab.model import ConfigError, check_fields
 
 # The recipe's fixed values: the alphas of the Beta(alpha, alpha) that MixUp
@@ -96,7 +107,7 @@ def mixup(batch: SoftBatch, rng: np.random.Generator) -> SoftBatch:
     perm = rng.permutation(b)
     images = lam * batch.images + (1.0 - lam) * batch.images[perm]
     targets = lam * batch.targets + (1.0 - lam) * batch.targets[perm]
-    return SoftBatch(images.astype(np.float32), targets.astype(np.float32))
+    return SoftBatch(images.astype(np.float32, copy=False), targets.astype(np.float32))
 
 
 def cutmix(batch: SoftBatch, rng: np.random.Generator) -> SoftBatch:
@@ -121,26 +132,41 @@ def cutmix(batch: SoftBatch, rng: np.random.Generator) -> SoftBatch:
     return SoftBatch(images, targets.astype(np.float32))
 
 
-def random_erase(image: np.ndarray, prob: float, rng: np.random.Generator) -> np.ndarray:
-    """Fill a random rectangle (ERASE_AREA_RANGE of the area) with standard-normal noise
-    (post-normalization space) with probability `prob`; skipped if none fits in 10 draws."""
+def _plan_erase(shape: tuple[int, ...], prob: float, rng: np.random.Generator):
+    """random_erase's draws for an image of `shape` [C, H, W]: None, or the
+    rectangle's corner and its float64 noise, (y, x, noise [C, eh, ew])."""
     if rng.random() >= prob:
-        return image
-    h, w = image.shape[-2:]
+        return None
+    h, w = shape[-2:]
     for _ in range(10):
         frac = rng.uniform(*ERASE_AREA_RANGE)
         aspect = rng.uniform(0.3, 3.3)
         target = frac * h * w
-        eh = int(np.round(np.sqrt(target * aspect)))
-        ew = int(np.round(np.sqrt(target / aspect)))
+        eh = round(math.sqrt(target * aspect))   # to the nearest, ties to even
+        ew = round(math.sqrt(target / aspect))
         if eh < 1 or ew < 1 or eh > h or ew > w:
             continue
         y = int(rng.integers(0, h - eh + 1))
         x = int(rng.integers(0, w - ew + 1))
-        out = image.copy()
-        out[:, y:y + eh, x:x + ew] = rng.standard_normal((image.shape[0], eh, ew)).astype(image.dtype)
-        return out
-    return image
+        return y, x, rng.standard_normal((shape[0], eh, ew))
+    return None
+
+
+def _fill(image: np.ndarray, erasure) -> None:
+    """Write a planned erasure's noise, cast to the image's dtype, into `image` [C, H, W]."""
+    y, x, noise = erasure
+    image[:, y:y + noise.shape[1], x:x + noise.shape[2]] = noise
+
+
+def random_erase(image: np.ndarray, prob: float, rng: np.random.Generator) -> np.ndarray:
+    """Fill a random rectangle (ERASE_AREA_RANGE of the area) with standard-normal noise
+    (post-normalization space) with probability `prob`; skipped if none fits in 10 draws."""
+    erasure = _plan_erase(image.shape, prob, rng)
+    if erasure is None:
+        return image
+    out = image.copy()
+    _fill(out, erasure)
+    return out
 
 
 def repeated_indices(order: np.ndarray, batch_size: int, m: int):
@@ -189,49 +215,72 @@ CIFAR10_POLICY = (
 )
 
 
-def _affine(image: np.ndarray, inv) -> np.ndarray:
+# The geometric and pixel ops take one image [3, H, W] or a batch [..., 3, H, W]:
+# every image of a batch gets what the one-image call gives it, bit for bit.
+# Each image's arithmetic is the one-image call's, element by element; a
+# reduction (contrast's mean) runs image by image.
+
+@functools.lru_cache(maxsize=64)
+def _source_pixels(op: str, arg: float, h: int, w: int) -> np.ndarray:
+    """[h, w]: the flat index of the pixel of an h x w image that each output
+    pixel of geometric op `op` at `arg` reads, its source coordinates rounded
+    to the nearest pixel and clamped to the edge. Read-only: callers share it."""
+    y, x = np.meshgrid(np.arange(h, dtype=np.float64),
+                       np.arange(w, dtype=np.float64), indexing="ij")
+    if op == "shear_y":
+        sy, sx = y + arg * x, x
+    elif op == "translate_x":
+        sy, sx = y, x - arg
+    elif op == "translate_y":
+        sy, sx = y - arg, x
+    else:   # rotate by arg degrees about the centre
+        cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+        rad = np.deg2rad(arg)
+        c, s = np.cos(rad), np.sin(rad)
+        dy, dx = y - cy, x - cx
+        sy, sx = cy + c * dy - s * dx, cx + s * dy + c * dx
+    index = (np.clip(np.rint(sy).astype(int), 0, h - 1) * w
+             + np.clip(np.rint(sx).astype(int), 0, w - 1))
+    index.flags.writeable = False
+    return index
+
+
+def _affine(image: np.ndarray, op: str, arg: float) -> np.ndarray:
     """Nearest-neighbor resample with clamp-to-edge source coordinates."""
     h, w = image.shape[-2:]
-    yy, xx = np.meshgrid(np.arange(h, dtype=np.float64),
-                         np.arange(w, dtype=np.float64), indexing="ij")
-    sy, sx = inv(yy, xx)
-    return image[:, np.clip(np.rint(sy).astype(int), 0, h - 1),
-                 np.clip(np.rint(sx).astype(int), 0, w - 1)]
+    return np.take(image.reshape(image.shape[:-2] + (h * w,)), _source_pixels(op, arg, h, w),
+                   axis=-1)
 
 
 def shear_y(image, mag):
-    return _affine(image, lambda y, x: (y + mag * x, x))
+    return _affine(image, "shear_y", mag)
 
 
 def translate_x(image, px):
-    return _affine(image, lambda y, x: (y, x - px))
+    return _affine(image, "translate_x", px)
 
 
 def translate_y(image, px):
-    return _affine(image, lambda y, x: (y - px, x))
+    return _affine(image, "translate_y", px)
 
 
 def rotate(image, degrees):
-    h, w = image.shape[-2:]
-    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    rad = np.deg2rad(degrees)
-    c, s = np.cos(rad), np.sin(rad)
-
-    def inv(y, x):
-        dy, dx = y - cy, x - cx
-        return cy + c * dy - s * dx, cx + s * dy + c * dx
-
-    return _affine(image, inv)
+    return _affine(image, "rotate", degrees)
 
 
 def _gray(image: np.ndarray) -> np.ndarray:
-    lum = 0.299 * image[0] + 0.587 * image[1] + 0.114 * image[2]
-    return np.broadcast_to(lum, image.shape)
+    lum = (0.299 * image[..., 0, :, :] + 0.587 * image[..., 1, :, :]
+           + 0.114 * image[..., 2, :, :])
+    return np.broadcast_to(lum[..., None, :, :], image.shape)
 
 
 def _blend(base: np.ndarray, image: np.ndarray, factor: float) -> np.ndarray:
-    out = base + factor * (image.astype(np.float64) - base)
-    return np.clip(np.rint(out), 0, 255).astype(np.uint8)
+    # base + factor * (image - base), in place in one float64 copy of the image
+    out = image.astype(np.float64)
+    out -= base
+    out *= factor
+    out += base
+    return np.clip(np.rint(out, out=out), 0, 255, out=out).astype(np.uint8)
 
 
 def color(image, factor):
@@ -239,12 +288,24 @@ def color(image, factor):
 
 
 def contrast(image, factor):
-    mean = np.rint(_gray(image).mean())
-    return _blend(np.full_like(image, mean, dtype=np.float64), image, factor)
+    # each image's mean over its own [3, H, W] view: a mean across the batch
+    # axis too may add in another order
+    gray = _gray(image)
+    mean = [np.rint(gray[i].mean()) for i in np.ndindex(image.shape[:-3])]
+    return _blend(np.reshape(mean, image.shape[:-3] + (1, 1, 1)), image, factor)
 
 
 def brightness(image, factor):
-    return _blend(np.zeros_like(image, dtype=np.float64), image, factor)
+    return _blend(0.0, image, factor)
+
+
+@functools.lru_cache(maxsize=8)
+def _clamped(n: int) -> np.ndarray:
+    """The indices -1, 0, ..., n clamped to [0, n - 1]: one pixel of edge
+    padding. Read-only: callers share it."""
+    index = np.clip(np.arange(-1, n + 1), 0, n - 1)
+    index.flags.writeable = False
+    return index
 
 
 _SMOOTH = np.array([[1, 1, 1], [1, 5, 1], [1, 1, 1]], dtype=np.float64) / 13.0
@@ -253,12 +314,14 @@ _SMOOTH = np.array([[1, 1, 1], [1, 5, 1], [1, 1, 1]], dtype=np.float64) / 13.0
 def sharpness(image, factor):
     # the 3x3 smoothing of an edge-clamped copy, its nine weighted terms added
     # in the kernel's C order from zero, as ndimage.convolve(mode="nearest")
-    # adds them, so the output is bitwise scipy's
+    # adds them, so the output is bitwise scipy's; each term is a slice of
+    # the copy times its weight, so one product per distinct weight serves all
     h, w = image.shape[-2:]
-    padded = np.pad(image.astype(np.float64), ((0, 0), (1, 1), (1, 1)), mode="edge")
+    padded = image.take(_clamped(h), axis=-2).take(_clamped(w), axis=-1).astype(np.float64)
+    scaled = {weight: padded * weight for weight in set(_SMOOTH.flat)}
     smooth = np.zeros(image.shape)
     for (dy, dx), weight in np.ndenumerate(_SMOOTH):
-        smooth += padded[:, dy:dy + h, dx:dx + w] * weight
+        smooth += scaled[weight][..., dy:dy + h, dx:dx + w]
     return _blend(smooth, image, factor)
 
 
@@ -268,7 +331,8 @@ def posterize(image, bits):
 
 
 def solarize(image, threshold):
-    return np.where(image >= threshold, 255 - image.astype(np.int16), image).astype(np.uint8)
+    # 255 - v, for a uint8 v, is v with every bit flipped
+    return image ^ np.uint8(255) * (image >= threshold)
 
 
 def invert(image):
@@ -276,34 +340,29 @@ def invert(image):
 
 
 def autocontrast(image):
-    out = np.empty_like(image)
-    for c in range(image.shape[0]):
-        ch = image[c]
-        lo, hi = int(ch.min()), int(ch.max())
-        if hi <= lo:
-            out[c] = ch
-        else:
-            scale = 255.0 / (hi - lo)
-            out[c] = np.clip(np.rint((ch.astype(np.float64) - lo) * scale), 0, 255).astype(np.uint8)
-    return out
+    # each channel stretched from its own [lo, hi] to [0, 255]; a flat one is
+    # kept, as (v - 0) * 1.0
+    lo = image.min(axis=(-2, -1), keepdims=True).astype(np.int64)
+    hi = image.max(axis=(-2, -1), keepdims=True).astype(np.int64)
+    flat = hi <= lo
+    scale = np.where(flat, 1.0, 255.0 / np.maximum(hi - lo, 1))
+    lo[flat] = 0
+    return np.clip(np.rint((image.astype(np.float64) - lo) * scale), 0, 255).astype(np.uint8)
 
 
 def equalize(image):
-    out = np.empty_like(image)
-    for c in range(image.shape[0]):
-        ch = image[c]
-        hist = np.bincount(ch.reshape(-1), minlength=256)
-        nonzero = hist[hist > 0]
-        if len(nonzero) <= 1:
-            out[c] = ch
-            continue
-        step = (hist.sum() - nonzero[-1]) // 255
-        if step == 0:
-            out[c] = ch
-            continue
-        lut = (np.cumsum(hist) - hist + step // 2) // step
-        out[c] = np.clip(lut, 0, 255).astype(np.uint8)[ch]
-    return out
+    # each channel through the lookup table of its own histogram, one row per
+    # channel; a channel whose pixels outside its highest value number fewer
+    # than 255 (one value alone, too) is kept
+    h, w = image.shape[-2:]
+    channels = image.reshape(-1, h * w)
+    count = len(channels)
+    bins = channels + np.arange(0, 256 * count, 256)[:, None]   # each channel's own 256 bins
+    hist = np.bincount(bins.reshape(-1), minlength=256 * count).reshape(count, 256)
+    step = (h * w - hist[np.arange(count), channels.max(axis=1)]) // 255
+    lut = (np.cumsum(hist, axis=1) - hist + step[:, None] // 2) // np.maximum(step, 1)[:, None]
+    lut[step == 0] = np.arange(256)   # kept
+    return np.clip(lut, 0, 255).astype(np.uint8).take(bins).reshape(image.shape)
 
 
 def _signed(rng: np.random.Generator, value: float) -> float:
@@ -326,30 +385,118 @@ _POLICY_OPS = {
 }
 
 
+def _policy_step(op: str, level: int, rng: np.random.Generator) -> tuple:
+    """(op, its argument at magnitude `level` from the op's rule; None for an op that takes none)."""
+    rule = _POLICY_OPS[op][1]
+    return op, None if rule is None else rule(level / 9.0, rng)
+
+
+def _run_step(images: np.ndarray, step: tuple) -> np.ndarray:
+    op, arg = step
+    fn = _POLICY_OPS[op][0]
+    return fn(images) if arg is None else fn(images, arg)
+
+
 def apply_policy_op(image: np.ndarray, op: str, level: int,
                     rng: np.random.Generator) -> np.ndarray:
     """Run policy op `op` at magnitude `level` (0-9), its argument from the
     op's rule in _POLICY_OPS."""
     if op not in _POLICY_OPS:
         raise ValueError(f"unknown policy op {op!r}")
-    fn, rule = _POLICY_OPS[op]
-    return fn(image) if rule is None else fn(image, rule(level / 9.0, rng))
+    return _run_step(image, _policy_step(op, level, rng))
+
+
+# ---------------------------------------------------------------------------
+# a batch in two steps: every draw first, then the pixel work batch-wide
+
+@dataclass
+class BatchPlan:
+    """A batch's draws, made before any pixel is read. Per image: its crop
+    offsets and flip (crops and flips are None without base augmentation),
+    the (op, argument) each policy stage runs on it (None: the stage's coin
+    said no, or no policy), and its erasure (see _plan_erase; None: none)."""
+
+    crops: np.ndarray | None   # int [B, 2]: (y, x) into the 4-pixel reflect-padded image
+    flips: np.ndarray | None   # bool [B]
+    stages: list[list]         # [stage][image]
+    erasures: list             # [image]
+
+
+def plan_batch(count: int, shape: tuple[int, int, int], base: str, erase_prob: float,
+               rng: np.random.Generator) -> BatchPlan:
+    """The plan of `count` images of `shape` [C, H, W] under base
+    augmentation `base` (AugmentConfig.base_augment) and random erasing at
+    `erase_prob`. The draws come in the order of one base_augment call per
+    image ("crop_flip": crop and flip; "autoaugment": then a sub-policy with
+    each stage's coin and sign; "none": no draw), then, with erase_prob > 0,
+    one random_erase call per image."""
+    integers, random = rng.integers, rng.random
+    crops, flips = [], []
+    stages = [[None] * count for _ in CIFAR10_POLICY[0]]
+    for i in range(count if base != "none" else 0):
+        crops.append((integers(0, 9), integers(0, 9)))
+        flips.append(random() < 0.5)
+        if base == "autoaugment":
+            for stage, (op, p, level) in zip(stages, CIFAR10_POLICY[integers(0, len(CIFAR10_POLICY))]):
+                if random() < p:
+                    stage[i] = _policy_step(op, level, rng)
+    erasures = [_plan_erase(shape, erase_prob, rng) if erase_prob > 0 else None
+                for _ in range(count)]
+    if base == "none":
+        return BatchPlan(None, None, stages, erasures)
+    return BatchPlan(np.array(crops), np.array(flips), stages, erasures)
+
+
+def _reflect_pad4(raws: np.ndarray) -> np.ndarray:
+    """raws [..., H, W] padded by 4 pixels a side as np.pad(mode="reflect")
+    pads it, by five block copies, which take half np.pad's time."""
+    h, w = raws.shape[-2:]
+    if min(h, w) <= 4:   # the reflection runs past the far edge
+        return np.pad(raws, [(0, 0)] * (raws.ndim - 2) + [(4, 4), (4, 4)], mode="reflect")
+    padded = np.empty(raws.shape[:-2] + (h + 8, w + 8), raws.dtype)
+    padded[..., 4:-4, 4:-4] = raws
+    padded[..., 4:-4, :4] = raws[..., 4:0:-1]
+    padded[..., 4:-4, -4:] = raws[..., -2:-6:-1]
+    padded[..., :4, :] = padded[..., 8:4:-1, :]
+    padded[..., -4:, :] = padded[..., -6:-10:-1, :]
+    return padded
+
+
+def _augment_raw(raws: np.ndarray, plan: BatchPlan) -> np.ndarray:
+    """uint8 images raws [B, 3, H, W] cropped, flipped and run through their
+    policy stages: a new array, or raws itself without base augmentation.
+    The crops are one gather of the padded batch's windows, and each stage
+    runs one op call per (op, argument) on the images that draw it."""
+    if plan.crops is None:
+        return raws
+    h, w = raws.shape[-2:]
+    windows = np.lib.stride_tricks.sliding_window_view(_reflect_pad4(raws), (h, w), axis=(-2, -1))
+    out = windows[np.arange(len(raws)), :, plan.crops[:, 0], plan.crops[:, 1]]
+    out[plan.flips] = out[plan.flips, ..., ::-1]
+    for stage in plan.stages:
+        groups: dict[tuple, list[int]] = {}
+        for i, step in enumerate(stage):
+            if step is not None:
+                groups.setdefault(step, []).append(i)
+        for step, rows in groups.items():
+            out[rows] = _run_step(out[rows], step)
+    return out
+
+
+def apply_plan(raws: np.ndarray, plan: BatchPlan) -> np.ndarray:
+    """The float32 batch that `plan` makes of uint8 images raws [B, 3, H, W]:
+    cropped, flipped and run through each policy stage as one call per
+    (op, argument), normalized, then erased."""
+    images = D.normalize(_augment_raw(raws, plan))
+    for image, erasure in zip(images, plan.erasures):
+        if erasure is not None:
+            _fill(image, erasure)
+    return images
 
 
 def base_augment(image: np.ndarray, use_autoaugment: bool,
                  rng: np.random.Generator) -> np.ndarray:
     """Pad-4-reflect + random crop + horizontal flip, then optionally one
     uniformly drawn sub-policy from the fixed CIFAR-10 table. Raw pixel space."""
-    h, w = image.shape[-2:]
-    padded = np.pad(image, ((0, 0), (4, 4), (4, 4)), mode="reflect")
-    oy, ox = int(rng.integers(0, 9)), int(rng.integers(0, 9))
-    out = padded[:, oy:oy + h, ox:ox + w]
-    if rng.random() < 0.5:
-        out = out[:, :, ::-1]
-    out = np.ascontiguousarray(out)
-    if use_autoaugment:
-        sub = CIFAR10_POLICY[int(rng.integers(0, len(CIFAR10_POLICY)))]
-        for op, p, level in sub:
-            if rng.random() < p:
-                out = apply_policy_op(out, op, level, rng)
-    return out
+    plan = plan_batch(1, image.shape, "autoaugment" if use_autoaugment else "crop_flip", 0.0, rng)
+    return _augment_raw(image[None], plan)[0]

@@ -184,10 +184,11 @@ def _batch_sizes(raw: str) -> list[int]:
 
 def cmd_bench(args, run: TR.TrainConfig) -> int:
     """Print the model's parameter counts on one `params` line, then profile
-    run's training step per batch size, one `bs=` line each; all lines go to
-    stdout and bench.log. The params are drawn with a random patch init even
-    under whitening, which changes only that matrix's initial values, not
-    what a step costs."""
+    run's training step and batch build per batch size, one `bs=` line each;
+    all lines go to stdout and bench.log. train_images_per_sec counts both
+    the step (total_ms) and the build (batch_ms). The params are drawn with
+    a random patch init even under whitening, which changes only that
+    matrix's initial values, not what a step costs."""
     cfg = run.model
     rng = np.random.default_rng(run.seed)
     params = M.init_params(dataclasses.replace(cfg, patch_init="random"), rng)
@@ -202,9 +203,10 @@ def cmd_bench(args, run: TR.TrainConfig) -> int:
             images = rng.standard_normal((bs, 3, cfg.image_size, cfg.image_size), np.float32)
             targets = np.full((bs, cfg.num_classes), 1.0 / cfg.num_classes, np.float32)
             p = TR.profile_step(run, params, A.SoftBatch(images, targets))
+            batch_ms = TR.profile_batches(run, bs)
             line = (f"bs={bs} forward_ms={p.forward_ms:.2f} backward_ms={p.backward_ms:.2f} "
-                    f"optim_ms={p.optim_ms:.2f} total_ms={p.total_ms:.2f} "
-                    f"train_images_per_sec={1000.0 * bs / p.total_ms:.2f} "
+                    f"optim_ms={p.optim_ms:.2f} total_ms={p.total_ms:.2f} batch_ms={batch_ms:.2f} "
+                    f"train_images_per_sec={1000.0 * bs / (p.total_ms + batch_ms):.2f} "
                     f"eval_images_per_sec={1000.0 * bs / p.eval_ms:.2f}")
             print(line)
             log.write(line + "\n")

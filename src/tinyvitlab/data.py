@@ -81,9 +81,12 @@ def load_cifar10(data_dir: str | Path, split: str) -> Dataset:
 
 def normalize(raw: np.ndarray) -> np.ndarray:
     """uint8 pixels [...,3,H,W] -> float32, x/255 then per-channel (x-mean)/std."""
-    x = raw.astype(np.float32) / 255.0
+    x = raw.astype(np.float32)
     shape = (3, 1, 1) if x.ndim >= 3 else (3,)
-    return (x - CIFAR10_MEAN.reshape(shape)) / CIFAR10_STD.reshape(shape)
+    x /= 255.0
+    x -= CIFAR10_MEAN.reshape(shape)
+    x /= CIFAR10_STD.reshape(shape)
+    return x
 
 
 def subset_per_class(ds: Dataset, per_class: int, num_classes: int) -> Dataset:

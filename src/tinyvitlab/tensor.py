@@ -98,8 +98,10 @@ _CHUNK = 3 * 1024 * 1024
 LANES = 2
 # Bytes of the attention weights P per sub-chunk of samples that
 # norm_attention's core runs over within a chunk, forward and VJP: about two
-# samples at the paper recipe, so P stays in a 2 MB L2 through the softmax and
-# the GEMMs that read it.
+# samples at the paper recipe. What it buys is memory: P and its softmax
+# temporaries exist for one sub-chunk at a time, which took the one-worker
+# paper bs-32 step peak from 45.0-46.2 to 41.9 MB (50.6-51.5 from 59.8-62.0 MB
+# at two workers), with no step time change beyond noise.
 _ATTENTION_CHUNK = 512 * 1024
 
 
@@ -629,8 +631,8 @@ def norm_attention(x: Tensor, gamma: Tensor, beta: Tensor, projections, wo: Tens
     of the last block needs. `mask` is as in norm_mlp. The forward and the
     VJP run over the same chunks of samples, each with at most _CHUNK bytes
     of q, k and v (_chunks); within a chunk the attention core runs over
-    sub-chunks of samples whose P is about _ATTENTION_CHUNK bytes, so P
-    stays in cache.
+    sub-chunks of samples whose P is about _ATTENTION_CHUNK bytes, so only
+    one sub-chunk's P is alive at a time.
 
     The node keeps x, the layer norm's row statistics mu and inv, and the
     softmax's row max m and sum l ([B,h,rows,1], 1/S of P). Its VJP rebuilds

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import dataclasses
 import functools
+import math
 import os
 import re
 import time
@@ -222,20 +224,12 @@ def build_batches(ds: D.Dataset, cfg: TrainConfig, epoch: int):
     order = rng_for(cfg.seed, "shuffle", epoch).permutation(len(ds))
     batches = A.repeated_indices(order, cfg.batch_size, aug.repeated_factor)
     for b, idx in enumerate(batches):
-        rng = rng_for(cfg.seed, "augment", epoch, b)
-        if aug.base_augment == "none":
-            raws = ds.images[idx]
-        else:
-            raws = np.stack([A.base_augment(ds.images[i], aug.base_augment == "autoaugment", rng)
-                             for i in idx])
-        images = D.normalize(raws)
-        if aug.erase_prob > 0:
-            images = np.stack([A.random_erase(im, aug.erase_prob, rng)
-                               for im in images])
+        plan = A.plan_batch(len(idx), ds.images.shape[1:], aug.base_augment, aug.erase_prob,
+                            rng_for(cfg.seed, "augment", epoch, b))
         targets = A.label_smooth(A.one_hot(ds.labels[idx], num_classes),
                                  aug.label_smoothing, num_classes)
-        batch = A.SoftBatch(images, targets)
-        del raws, images   # the step that runs during the yield reads only `batch`
+        batch = A.SoftBatch(A.apply_plan(ds.images[idx], plan), targets)
+        del plan   # the step that runs during the yield reads only `batch`
         mix_rng = rng_for(cfg.seed, "mix", epoch, b)
         use_mix, use_cut = aug.use_mixup, aug.use_cutmix
         if use_mix and use_cut:
@@ -320,10 +314,11 @@ def _eval_logits(cfg: M.ModelConfig, params: dict[str, Tensor],
     """Eval-mode logits of a batch, from min(usable CPUs, batch) contiguous
     shards run through _run_shards like the training step's (one OpenBLAS
     thread each) and concatenated in order; one shard (one CPU, or one
-    image) runs inline under the current count. They match an unsharded
-    forward within float32 rounding: shards of 16 images or more have given
-    the same bits, but OpenBLAS picks other GEMM kernels for very small
-    shards (1-2 images gave differences up to 3e-8)."""
+    image) runs inline, also under one OpenBLAS thread, and not on the
+    lanes. They match an unsharded forward within float32 rounding: shards
+    of 16 images or more have given the same bits, but OpenBLAS picks other
+    GEMM kernels for very small shards (1-2 images gave differences up to
+    3e-8)."""
     _keep_freed_memory()
     shards = np.array_split(images.astype(np.float32, copy=False),
                             min(_usable_cpus(), len(images)))
@@ -331,7 +326,10 @@ def _eval_logits(cfg: M.ModelConfig, params: dict[str, Tensor],
     def logits(i: int) -> np.ndarray:
         return M.forward(cfg, params, Tensor(shards[i]), mode="eval").data
 
-    return logits(0) if len(shards) == 1 else np.concatenate(_run_shards(logits, len(shards)))
+    if len(shards) == 1:
+        with _one_blas_thread():
+            return logits(0)
+    return np.concatenate(_run_shards(logits, len(shards)))
 
 
 def check_dataset(ds: D.Dataset, cfg: M.ModelConfig, what: str) -> None:
@@ -590,6 +588,28 @@ def sample_patches(ds: D.Dataset, cfg: M.ModelConfig, rng: np.random.Generator) 
 
 # ---------------------------------------------------------------------------
 # profiling
+
+def profile_batches(cfg: TrainConfig, batch_size: int, rounds: int = 5) -> float:
+    """Median milliseconds that build_batches takes for one batch of
+    `batch_size` under run `cfg`'s AugmentConfig, over `rounds` batches (each
+    the only batch of its epoch, after one warm-up), on uint8 noise images
+    seeded by cfg.seed. A repeat factor that does not divide the batch size
+    is cut to their common divisor: it picks which images the batch holds,
+    not the work each one takes."""
+    aug = dataclasses.replace(cfg.augment, repeated_factor=math.gcd(
+        batch_size, cfg.augment.repeated_factor))
+    run = dataclasses.replace(cfg, batch_size=batch_size, augment=aug)
+    n, size = batch_size // aug.repeated_factor, cfg.model.image_size
+    rng = np.random.default_rng(cfg.seed)
+    ds = D.Dataset(rng.integers(0, 256, (n, 3, size, size), dtype=np.uint8),
+                   rng.integers(0, cfg.model.num_classes, n), "train", "noise")
+    laps = []
+    for epoch in range(rounds + 1):
+        t0 = time.perf_counter()
+        next(build_batches(ds, run, epoch))
+        laps.append(time.perf_counter() - t0)
+    return 1000.0 * float(np.median(laps[1:]))
+
 
 def profile_step(cfg: TrainConfig, params: dict[str, Tensor],
                  batch: A.SoftBatch, warmup: int = 3, steps: int = 10) -> StepProfile:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tinyvitlab import augment as A
+from tinyvitlab import data as D
 from tinyvitlab.augment import SoftBatch
 
 
@@ -407,3 +408,95 @@ class TestBaseAugment:
             A.AugmentConfig(repeated_factor=0).validate()
         A.AugmentConfig().validate()
         assert A.AugmentConfig.disabled().label_smoothing == 0.0
+
+
+# ---------------------------------------------------------------------------
+# a batch's plan and its grouped apply
+
+def varied_uint8(rng, n, shape=(3, 32, 32)):
+    """Noise images, with some narrow-range, flat-channel and saturated ones,
+    so autocontrast, equalize and solarize take each of their paths."""
+    images = rng.integers(0, 256, (n, *shape), dtype=np.uint8)
+    images[::3] = images[::3] // 16 + 120
+    images[1::5, 0] = 7
+    images[2::7, :, : shape[1] // 2] = 255
+    return images
+
+
+def one_image(image, crop, flip, steps, erasure):
+    """What the plan makes of one image, by the one-image calls: the crop of
+    the reflect-padded image, the flip, each stage's public op, normalize,
+    and random_erase's fill."""
+    h, w = image.shape[-2:]
+    out = image
+    if crop is not None:
+        padded = np.pad(image, ((0, 0), (4, 4), (4, 4)), mode="reflect")
+        out = padded[:, crop[0]:crop[0] + h, crop[1]:crop[1] + w]
+        out = np.ascontiguousarray(out[:, :, ::-1] if flip else out)
+    for op, arg in (step for step in steps if step is not None):
+        out = getattr(A, op)(out) if arg is None else getattr(A, op)(out, arg)
+    out = D.normalize(out)
+    if erasure is not None:
+        y, x, noise = erasure
+        out = out.copy()
+        out[:, y:y + noise.shape[1], x:x + noise.shape[2]] = noise.astype(out.dtype)
+    return out
+
+
+class TestBatchPlan:
+    def test_grouped_apply_is_the_one_image_apply(self):
+        # every sub-policy with both stages forced on, at each pair of signs,
+        # twice over (other pixels), in a shuffled batch: each (op, argument)
+        # group mixes sub-policies and images
+        rng = np.random.default_rng(30)
+        steps = [tuple(A._policy_step(op, level, ScriptedRng(draw)) for (op, _, level), draw
+                       in zip(sub, draws))
+                 for sub in A.CIFAR10_POLICY
+                 for draws in ((0.25, 0.25), (0.25, 0.75), (0.75, 0.25), (0.75, 0.75))] * 2
+        steps = [steps[i] for i in rng.permutation(len(steps))]
+        n = len(steps)
+        raws = varied_uint8(rng, n)
+        plan = A.BatchPlan(rng.integers(0, 9, (n, 2)), rng.random(n) < 0.5,
+                           [list(stage) for stage in zip(*steps)],
+                           [A._plan_erase((3, 32, 32), 0.5, rng) for _ in range(n)])
+        assert sum(e is not None for e in plan.erasures) > n // 4
+        assert len({step for stage in plan.stages for step in stage}) > 30
+        batch = A.apply_plan(raws, plan)
+        assert batch.dtype == np.float32
+        for i in range(n):
+            assert np.array_equal(batch[i], one_image(raws[i], plan.crops[i], plan.flips[i],
+                                                      steps[i], plan.erasures[i])), steps[i]
+
+    @pytest.mark.parametrize("base", ["none", "crop_flip", "autoaugment"])
+    def test_planned_batch_is_the_one_image_apply(self, base):
+        rng = np.random.default_rng(31)
+        raws = varied_uint8(rng, 40)
+        plan = A.plan_batch(40, (3, 32, 32), base, 0.5, np.random.default_rng(32))
+        batch = A.apply_plan(raws, plan)
+        for i in range(40):
+            crop, flip = (None, None) if base == "none" else (plan.crops[i], plan.flips[i])
+            steps = [stage[i] for stage in plan.stages]
+            assert np.array_equal(batch[i], one_image(raws[i], crop, flip, steps,
+                                                      plan.erasures[i]))
+
+    @pytest.mark.parametrize("shape", [(3, 4, 4), (3, 5, 7), (3, 32, 32)])
+    def test_crop_is_a_window_of_the_reflect_padded_image(self, shape):
+        # base_augment's draws without a policy: two offsets, then the flip
+        img = rand_uint8(np.random.default_rng(33), shape)
+        padded = np.pad(img, ((0, 0), (4, 4), (4, 4)), mode="reflect")
+        ours, theirs = np.random.default_rng(34), np.random.default_rng(34)
+        for _ in range(50):
+            oy, ox = int(theirs.integers(0, 9)), int(theirs.integers(0, 9))
+            crop = padded[:, oy:oy + shape[1], ox:ox + shape[2]]
+            want = crop[:, :, ::-1] if theirs.random() < 0.5 else crop
+            assert np.array_equal(A.base_augment(img, False, ours), want)
+
+    def test_plan_reads_no_pixel(self):
+        # the plan takes the shape alone, and makes no draw for base "none"
+        # without erasing
+        rng = np.random.default_rng(35)
+        before = rng.bit_generator.state
+        plan = A.plan_batch(8, (3, 32, 32), "none", 0.0, rng)
+        assert rng.bit_generator.state == before
+        assert plan.crops is None and plan.erasures == [None] * 8
+        assert plan.stages == [[None] * 8, [None] * 8]

@@ -1,6 +1,7 @@
 """Model ops against independent oracles: patchify index mapping, naive
 attention loops, SVD factorization, finite differences."""
 
+import dataclasses
 import math
 import tracemalloc
 import typing
@@ -191,6 +192,16 @@ class TestWhiteningInit:
     def test_small_sample_rejected(self):
         with pytest.raises(ValueError):
             M.whitening_init(np.zeros((5, 12)), 12, np.random.default_rng(0))
+
+    def test_null_directions_scaled_by_the_floor(self):
+        # a rank-4 sample of 12-wide patches: the 8 filters of its null
+        # space are unit eigenvectors over sqrt(0 + 1e-5), the eigenvalue floor
+        rng = np.random.default_rng(3)
+        sample = rng.standard_normal((600, 4)) @ rng.standard_normal((4, 12))
+        w = M.whitening_init(sample, 12, rng, dtype=np.float64)
+        norms = np.linalg.norm(w, axis=0)
+        assert np.allclose(norms[4:], 1.0 / np.sqrt(1e-5), rtol=1e-6)
+        assert np.all(norms[:4] < 5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +454,10 @@ class TestBlock:
     def test_block_vjp_scratch_stays_flat_with_the_batch(self):
         # what each of a train-mode paper-width block's two VJPs allocates
         # beyond its input's cotangent (the size of the x it keeps) is one
-        # chunk's scratch and the parameter cotangents: 11.0 and 9.8 MB at
-        # batch 32, 13.3 and 11.8 MB at batch 128, whose chunks hold up to a
-        # fifth more samples and a third more rows. Over the whole batch it
-        # read 15.2 and 16.0 MB, then 58.4 and 59.1 MB.
+        # chunk's scratch and the parameter cotangents: 9.4 and 9.3 MB at
+        # batch 32, 11.5 and 11.1 MB at batch 128, whose chunks hold up to a
+        # fifth more samples and a third more rows. With T._CHUNK past the
+        # whole batch it read 16.8 and 17.6 MB, then 64.8 and 65.5 MB.
         rng = np.random.default_rng(20)
         cfg = M.ModelConfig()
         params = M.init_params(cfg, rng)
@@ -529,6 +540,19 @@ class TestClsHead:
 
 
 class TestForward:
+    @pytest.mark.parametrize("depth, rates", [(1, [0.0]), (2, [0.0, 0.3]),
+                                              (4, [0.0, 0.1, 0.2, 0.3])])
+    def test_drop_path_rate_ramps_across_blocks(self, depth, rates, monkeypatch):
+        # block i drops at drop_path_rate * i / (depth - 1): 0 at the first
+        cfg = dataclasses.replace(tiny_config(drop_path_rate=0.3), depth=depth)
+        params = M.init_params(cfg, np.random.default_rng(0))
+        seen, block = [], M.block
+        monkeypatch.setattr(M, "block", lambda *a, **kw: seen.append(kw["drop_prob"])
+                            or block(*a, **kw))
+        M.forward(cfg, params, Tensor(np.zeros((2, 3, 16, 16), np.float32)), mode="train",
+                  rng=np.random.default_rng(1))
+        assert seen == pytest.approx(rates, abs=1e-12)
+
     def test_output_shape(self):
         cfg = tiny_config(n_cls=2)
         params = M.init_params(cfg, np.random.default_rng(0))

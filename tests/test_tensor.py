@@ -461,6 +461,16 @@ class TestCrossEntropy:
         with pytest.raises(ValueError, match="sums to"):
             T.cross_entropy(t64(np.zeros((1, 3))), np.array([[0.5, 0.2, 0.2]]))
 
+    @pytest.mark.parametrize("off", [1e-3, -1e-3])
+    def test_target_row_a_thousandth_off_rejected(self, off):
+        # a soft row (MixUp's) summing to 1 +- 1e-3 is refused; 1 +- 1e-6,
+        # float32 rounding, is not
+        row = np.array([0.6, 0.3, 0.1])
+        targets = np.stack([row, row + off / 3])
+        with pytest.raises(ValueError, match="target row 1 sums to"):
+            T.cross_entropy(t64(np.zeros((2, 3))), targets)
+        T.cross_entropy(t64(np.zeros((2, 3))), np.stack([row, row + off / 3000]))
+
     @pytest.mark.parametrize("row", [[np.nan, 0.5, 0.5], [2.0, -1.0, 0.0]], ids=["nan", "negative"])
     def test_target_row_outside_simplex_rejected(self, row):
         # both rows pass a sum test: NaN compares false, and 2 - 1 + 0 is 1

@@ -15,6 +15,7 @@ import tracemalloc
 import types
 import typing
 import weakref
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +227,42 @@ class TestBuildBatches:
             ds = dataclasses.replace(ds, images=ds.images[:n], labels=ds.labels[:n])
             batches = list(TR.build_batches(ds, cfg, epoch=0))
             assert TR.steps_per_epoch(n, cfg) == len(batches), n
+
+
+class TestBatchBits:
+    """The CRC-32 of one build_batches epoch's images and targets, batch by
+    batch, on seeded uint8 images: what a batch holds may change only in a
+    diff that edits these constants and says why. Keyed by numpy's major
+    version, since NEP 50 changed how numpy 2 promotes the Python-float
+    scalars of the blend, mix and label arithmetic; on a version without
+    constants the test skips and prints its CRCs."""
+
+    DESK = A.AugmentConfig(repeated_factor=4)   # autoaugment, erasing, MixUp/CutMix
+    CASES = {"desk": DESK,
+             "crop_flip": dataclasses.replace(DESK, base_augment="crop_flip"),
+             "none": dataclasses.replace(DESK, base_augment="none")}
+    CRCS = {"2": {"desk": "3:a616ea33", "crop_flip": "3:d7ad493d", "none": "3:7e0ff889"}}
+
+    @staticmethod
+    def dataset(n=96):
+        rng = np.random.default_rng(42)
+        images = rng.integers(0, 256, (n, 3, 32, 32), dtype=np.uint8)
+        images[::4] = images[::4] // 16 + 120   # a narrow range: autocontrast and equalize stretch it
+        images[1::8, 0] = 7                     # a flat channel: both leave it as it is
+        images[2::8, :, :16] = 255              # a saturated half: solarize and posterize cut it
+        return D.Dataset(images, rng.integers(0, 10, n), "train", "bits")
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_epoch_bits(self, case):
+        cfg = tiny_train_config(batch_size=128, seed=5, augment=self.CASES[case])
+        crc = 0
+        for count, batch in enumerate(TR.build_batches(self.dataset(), cfg, epoch=1), 1):
+            crc = zlib.crc32(batch.targets.tobytes(), zlib.crc32(batch.images.tobytes(), crc))
+        got = f"{count}:{crc:08x}"
+        pinned = self.CRCS.get(np.__version__.split(".")[0])
+        if pinned is None:
+            pytest.skip(f"no batch CRCs for numpy {np.__version__}: {case} gives {got}")
+        assert got == pinned[case]
 
 
 # ---------------------------------------------------------------------------
@@ -550,8 +587,9 @@ class TestEvaluate:
         assert np.abs(logits - unsharded).max() <= 1e-6
         assert acc == 1.0
 
-    # (usable CPUs, BLAS count each shard runs under when OpenBLAS is at 5)
-    @pytest.mark.parametrize("cpus, pinned", [(1, 5), (2, 1), (3, 1)])
+    # (usable CPUs, BLAS count each shard runs under when OpenBLAS is at 5):
+    # every shard runs at one thread, a lone shard too
+    @pytest.mark.parametrize("cpus, pinned", [(1, 1), (2, 1), (3, 1)])
     @pytest.mark.parametrize("fail", [False, True])
     def test_blas_threads_pinned_and_restored(self, monkeypatch, cpus, pinned, fail):
         count = [5]   # a stand-in OpenBLAS whose thread count is this cell
@@ -1393,7 +1431,7 @@ class TestCli:
         assert head == "params"
         assert counts == {**M.param_count(M.init_params(cfg, np.random.default_rng(0))),
                           "attention_per_layer": M.attention_params_per_layer(cfg)}
-        keys = ["bs", "forward_ms", "backward_ms", "optim_ms", "total_ms",
+        keys = ["bs", "forward_ms", "backward_ms", "optim_ms", "total_ms", "batch_ms",
                 "train_images_per_sec", "eval_images_per_sec"]
         for line, bs in zip(log[1:], (2, 4)):
             fields = dict(kv.split("=") for kv in line.split())
