@@ -96,7 +96,8 @@ class ModelConfig:
     pos_embed: Literal["learnable", "sinusoidal", "zero"] = "learnable"
     patch_init: Literal["random", "whitening"] = "random"
     mla: MlaConfig = field(default_factory=MlaConfig)
-    drop_path_rate: float = 0.1   # the recipe's; the last block's drop-path rate
+    # block i drops at drop_path_rate * i / max(depth - 1, 1): one block drops nothing
+    drop_path_rate: float = 0.1   # the recipe's; the last block's rate
 
     def __post_init__(self):
         self.validate()

@@ -41,14 +41,14 @@ summed in chunk order. A train-mode forward of the paper recipe at batch
 block and sample, but the last block's FFN branch keeps only the CLS rows),
 and the step peaks at 44 MB in backward (tracemalloc), 139 MB at batch 128.
 
-Lanes: within `lanes(threads)` (train runs a one-worker step's shard in
-one), those two ops cut the batch into a multiple of LANES chunks of at
-most _CHUNK / LANES bytes and run them LANES at a time on `threads` pool
-threads, so a one-worker step uses two CPUs. A chunk writes only its own
-slices of the op's arrays, and the parameter cotangents are still summed
-in chunk order, so the bits follow the partition alone, never the thread
-count or schedule. Ops of any other thread run serially over the serial
-partition.
+Lanes: within `lanes(run)` (train's shard runner runs a lone shard in one,
+with its thread pool's map), those two ops cut the batch into a multiple of
+LANES chunks of at most _CHUNK / LANES bytes and run them LANES at a time
+through `run`, so a one-worker step uses two CPUs. This module starts no
+threads: the runner owns the only pool. A chunk writes only its own slices
+of the op's arrays, and the parameter cotangents are still summed in chunk
+order, so the bits follow the partition alone, never the thread count or
+schedule. Ops of any other thread run serially over the serial partition.
 
 Determinism: all reductions go through numpy with a fixed evaluation order,
 so repeated runs on the same inputs produce bitwise-identical results.
@@ -59,7 +59,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -188,25 +187,24 @@ def _active_tape() -> Tape | None:
 
 
 @contextlib.contextmanager
-def lanes(threads: int):
+def lanes(run):
     """Until the block exits, the norm_mlp and norm_attention calls of this
     thread, forward and VJP, cut the batch into the lanes' partition (_chunks
-    with LANES) and run its chunks LANES at a time on `threads` pool threads,
-    the lanes (in this thread, one after another, if `threads` is 1). Each
-    chunk writes only its own slices of the op's arrays, and the parameter
-    cotangents are summed in chunk order, so the bits do not depend on
-    `threads` or on the thread schedule. Other threads' ops, such as those of
-    shard threads, keep the serial partition. The caller sets the BLAS
-    count the lanes' GEMMs run under."""
-    pool = ThreadPoolExecutor(threads) if threads > 1 else None
+    with LANES) and run its chunks LANES at a time through `run`, a map: a
+    thread pool's runs them on its threads, the lanes, and the builtin `map`
+    in this thread, one after another. Each chunk writes only its own slices
+    of the op's arrays, and the parameter cotangents are summed in chunk
+    order, so the bits do not depend on `run`'s threads or on the thread
+    schedule. Other threads' ops, such as those of shard threads, keep the
+    serial partition. No thread is started here: the caller owns the pool
+    behind `run` (train's shard runner) and sets the BLAS count the lanes'
+    GEMMs run under."""
     before = getattr(_tls, "lanes", None)
-    _tls.lanes = map if pool is None else pool.map
+    _tls.lanes = run
     try:
         yield
     finally:
         _tls.lanes = before
-        if pool is not None:
-            pool.shutdown()
 
 
 def _make(data: np.ndarray, inputs: tuple[Tensor, ...], vjp) -> Tensor:

@@ -122,7 +122,7 @@ def rng_for(seed: int, purpose: str, *indices: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# BLAS threads
+# the machine: BLAS threads, malloc and the shard runner
 
 class _OpenBlas(NamedTuple):
     get: Callable[[], int]
@@ -161,11 +161,11 @@ def _keep_freed_memory() -> None:
     mapped for the next step: arrays under 32 MiB come from the heap rather
     than their own mmap, and free heap memory is returned to the system only
     past 1 GiB. Otherwise each step faults its arrays' pages in again. It
-    also caps malloc at one arena, so the shard threads of the step and of
-    evaluate, and the lanes of a one-shard step, reuse the memory the main
-    thread freed rather than each keeping an arena of its own. These
-    settings change where memory comes from, not what is computed. Does
-    nothing where the C library has no mallopt (it is glibc's)."""
+    also caps malloc at one arena, so the threads of _run_shards' pool, as
+    shards or as lanes, reuse the memory the main thread freed rather than
+    each keeping an arena of its own. These settings change where memory
+    comes from, not what is computed. Does nothing where the C library has
+    no mallopt (it is glibc's)."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, TypeError, AttributeError):   # no C library to load, or no mallopt
@@ -200,19 +200,21 @@ def _one_blas_thread():
 
 
 def _run_shards(fn: Callable[[int], object], n: int) -> list:
-    """[fn(0), ..., fn(n - 1)], in shard order, every shard under exactly one
-    OpenBLAS thread, so the bits depend on n and not on the CPU count or
-    OPENBLAS_NUM_THREADS; the count from before is restored afterwards, also
-    when a shard raises. One shard runs inline, and its block ops run their
-    chunks on min(LANES, usable CPUs) lanes (tensor.lanes), so it uses two
-    CPUs where it has them. More shards run on min(n, usable CPUs) pool
-    threads, whose ops run their chunks serially."""
-    with _one_blas_thread():
+    """[fn(0), ..., fn(n - 1)], in shard order. The one function that touches
+    the machine: it sets malloc up (_keep_freed_memory), starts the only
+    thread pool, of min(max(n, LANES), usable CPUs) threads, and runs every
+    shard under exactly one OpenBLAS thread, so the bits depend on n and not
+    on the CPU count or OPENBLAS_NUM_THREADS; the count from before is
+    restored afterwards, also when a shard raises. More shards run on the
+    pool, whose ops run their chunks serially. One shard runs inline, and
+    its block ops run their chunks on the pool's threads (tensor.lanes), so
+    it uses two CPUs where it has them."""
+    _keep_freed_memory()
+    with _one_blas_thread(), ThreadPoolExecutor(min(max(n, T.LANES), _usable_cpus())) as pool:
         if n == 1:
-            with T.lanes(min(T.LANES, _usable_cpus())):
+            with T.lanes(pool.map):
                 return [fn(0)]
-        with ThreadPoolExecutor(max_workers=min(n, _usable_cpus())) as pool:
-            return list(pool.map(fn, range(n)))
+        return list(pool.map(fn, range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +270,6 @@ def _sharded_gradients(cfg: M.ModelConfig, params: dict[str, Tensor],
     K=1 runs its block ops' chunks on the lanes, so the bits follow from K
     alone, never from OPENBLAS_NUM_THREADS or the CPU count.
     """
-    _keep_freed_memory()
     b = len(batch.images)
     if b % workers != 0:
         raise ValueError(f"batch size {b} not divisible by workers {workers}")
@@ -311,25 +312,18 @@ def parallel_train_step(cfg: M.ModelConfig, params: dict[str, Tensor],
 
 def _eval_logits(cfg: M.ModelConfig, params: dict[str, Tensor],
                  images: np.ndarray) -> np.ndarray:
-    """Eval-mode logits of a batch, from min(usable CPUs, batch) contiguous
-    shards run through _run_shards like the training step's (one OpenBLAS
-    thread each) and concatenated in order; one shard (one CPU, or one
-    image) runs inline, also under one OpenBLAS thread, and not on the
-    lanes. They match an unsharded forward within float32 rounding: shards
-    of 16 images or more have given the same bits, but OpenBLAS picks other
+    """Eval-mode logits of a batch, from min(LANES, batch) contiguous shards
+    run through _run_shards like the training step's (one OpenBLAS thread
+    each) and concatenated in order. The count is fixed by the batch, not the
+    CPUs, so the logits do not follow the machine: on one CPU the two shards
+    run one after the other, and a one-image batch runs its lone shard on the
+    lanes. They match an unsharded forward within float32 rounding: shards of
+    16 images or more have given the same bits, but OpenBLAS picks other
     GEMM kernels for very small shards (1-2 images gave differences up to
     3e-8)."""
-    _keep_freed_memory()
-    shards = np.array_split(images.astype(np.float32, copy=False),
-                            min(_usable_cpus(), len(images)))
-
-    def logits(i: int) -> np.ndarray:
-        return M.forward(cfg, params, Tensor(shards[i]), mode="eval").data
-
-    if len(shards) == 1:
-        with _one_blas_thread():
-            return logits(0)
-    return np.concatenate(_run_shards(logits, len(shards)))
+    shards = np.array_split(images.astype(np.float32, copy=False), min(T.LANES, len(images)))
+    return np.concatenate(_run_shards(
+        lambda i: M.forward(cfg, params, Tensor(shards[i]), mode="eval").data, len(shards)))
 
 
 def check_dataset(ds: D.Dataset, cfg: M.ModelConfig, what: str) -> None:
@@ -355,9 +349,9 @@ def check_dataset(ds: D.Dataset, cfg: M.ModelConfig, what: str) -> None:
 def evaluate(cfg: M.ModelConfig, params: dict[str, Tensor], ds: D.Dataset,
              batch_size: int = 256) -> float:
     """Argmax-logit accuracy in eval mode (ties go to the lower class index,
-    which is numpy argmax behavior), each batch's logits from the sharded
-    forward of _eval_logits. A dataset that does not fit `cfg` is refused
-    (see check_dataset)."""
+    which is numpy argmax behavior), each batch's logits from _eval_logits'
+    min(LANES, batch) shards, so the verdict does not follow the CPU count. A
+    dataset that does not fit `cfg` is refused (see check_dataset)."""
     if len(ds) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     if batch_size < 1:

@@ -14,8 +14,8 @@ def phase_clock(monkeypatch):
     """A context manager under which `time.perf_counter` is a fake clock that
     only the profiled phases advance, each by its own power of two: a
     train-mode `M.forward` by 1 s, `TR.backward` by 2 s, `O.step` by 4 s and
-    an eval-mode forward by 8 s. One usable CPU keeps an eval batch in one
-    shard, so its eval phase is exactly one eval-mode forward."""
+    `TR._eval_logits` by 8 s: the eval phase is one such call, whatever
+    number of shards its eval-mode forwards run in."""
 
     @contextlib.contextmanager
     def installed():
@@ -30,9 +30,9 @@ def phase_clock(monkeypatch):
 
         with monkeypatch.context() as mp:
             mp.setattr(TR.time, "perf_counter", lambda: now[0])
-            mp.setattr(TR, "_usable_cpus", lambda: 1)
             mp.setattr(M, "forward", advancing(
-                M.forward, lambda kw: 1.0 if kw.get("mode") == "train" else 8.0))
+                M.forward, lambda kw: 1.0 if kw.get("mode") == "train" else 0.0))
+            mp.setattr(TR, "_eval_logits", advancing(TR._eval_logits, lambda kw: 8.0))
             mp.setattr(TR, "backward", advancing(TR.backward, lambda kw: 2.0))
             mp.setattr(O, "step", advancing(O.step, lambda kw: 4.0))
             yield

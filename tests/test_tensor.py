@@ -999,8 +999,9 @@ class TestChunks:
 
 class TestLanes:
     """With lanes, norm_mlp and norm_attention cut the batch into a multiple
-    of LANES chunks of at most _CHUNK / LANES bytes and run them on the lane
-    threads, forward and VJP, with the bits of a serial walk of the same
+    of LANES chunks of at most _CHUNK / LANES bytes and run them through the
+    map they are handed (in train, the map of _run_shards' pool, the only
+    pool), forward and VJP, with the bits of a serial walk of the same
     partition; an op on any other thread keeps the serial partition."""
 
     @pytest.mark.parametrize("count, item_bytes", [
@@ -1045,14 +1046,14 @@ class TestLanes:
         monkeypatch.setattr(T, "_normalize", normalize)
         return seen
 
-    def walk(self, op, shapes, out_shape, dtype, threads):
-        """op's output and VJP at seeded inputs under lanes of `threads`
-        threads at one BLAS thread, and (thread, rows) of each chunk its
-        forward normalized."""
+    def walk(self, op, shapes, out_shape, dtype, run):
+        """op's output and VJP at seeded inputs under lanes that run through
+        `run` (the builtin map, or a pool's), at one BLAS thread, and
+        (thread, rows) of each chunk its forward normalized."""
         rng = np.random.default_rng(4)
         arrays = [rng.standard_normal(shape) for shape in shapes]
         g = rng.standard_normal(out_shape)
-        with pytest.MonkeyPatch.context() as patch, TR._one_blas_thread(), T.lanes(threads):
+        with pytest.MonkeyPatch.context() as patch, TR._one_blas_thread(), T.lanes(run):
             seen = self.watch_chunks(patch)
             out, grads = op_and_vjp(op, arrays, g, dtype=dtype)
         return [out, *grads], seen
@@ -1068,8 +1069,9 @@ class TestLanes:
         monkeypatch.setattr(T, "_CHUNK", T.LANES * per * item)
         want = [sl.stop - sl.start for sl in T._chunks(count, item, T.LANES)]
         assert len(want) == -(-chunks // T.LANES) * T.LANES
-        serial, seen_serial = self.walk(op, shapes, out_shape, dtype, 1)
-        laned, seen_laned = self.walk(op, shapes, out_shape, dtype, 2)
+        serial, seen_serial = self.walk(op, shapes, out_shape, dtype, map)
+        with ThreadPoolExecutor(2) as pool:
+            laned, seen_laned = self.walk(op, shapes, out_shape, dtype, pool.map)
         main = threading.get_ident()
         assert seen_serial == [(main, n) for n in want]
         assert sorted(n for _, n in seen_laned) == sorted(want)
@@ -1084,12 +1086,13 @@ class TestLanes:
         op, shapes, out_shape, items, item = self.case("norm_attention", np.float32, True)
         monkeypatch.setattr(T, "_CHUNK", T.LANES * 2 * item)
         assert len(T._chunks(items, item, T.LANES)) == 6
-        want, _ = self.walk(op, shapes, out_shape, np.float32, 1)
+        want, _ = self.walk(op, shapes, out_shape, np.float32, map)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            runs = [self.walk(op, shapes, out_shape, np.float32, 2)[0]
-                    for _ in range(10)]
+            with ThreadPoolExecutor(2) as pool:
+                runs = [self.walk(op, shapes, out_shape, np.float32, pool.map)[0]
+                        for _ in range(10)]
         finally:
             sys.setswitchinterval(interval)
         for got in runs:
@@ -1136,7 +1139,7 @@ class TestLanes:
         TR._run_shards(run, 2)
         sharded = seen[:]
         seen.clear()
-        with T.lanes(2), ThreadPoolExecutor(1) as pool:
+        with T.lanes(map), ThreadPoolExecutor(1) as pool:
             pool.submit(run).result(timeout=60)
         assert [n for _, n in seen] == serial and seen[0][0] != threading.get_ident()
         assert threading.get_ident() not in {thread for thread, _ in sharded}

@@ -26,6 +26,7 @@ from tinyvitlab import cli
 from tinyvitlab import data as D
 from tinyvitlab import model as M
 from tinyvitlab import optim as O
+from tinyvitlab import tensor as T
 from tinyvitlab import train as TR
 from tinyvitlab.tensor import Tensor
 
@@ -560,7 +561,7 @@ class TestEvaluate:
         monkeypatch.setattr(M, "forward", forward)
         return calls
 
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     @pytest.mark.parametrize("n, batch_size", [(20, 7), (1, 256)])
     def test_sharded_forwards_match_unsharded(self, monkeypatch, cpus, n, batch_size):
         blobs = D.synthetic_dataset("two-class-blobs", 20, seed=4)
@@ -577,7 +578,8 @@ class TestEvaluate:
         acc = TR.evaluate(cfg, params, ds, batch_size=batch_size)
 
         batches = [len(ds.images[i:i + batch_size]) for i in range(0, n, batch_size)]
-        assert len(calls) == sum(min(cpus, b) for b in batches)
+        # the shard count follows the batch alone, never the CPU count
+        assert len(calls) == sum(min(T.LANES, b) for b in batches)
         assert all(len(x) >= 1 for x, _, _ in calls)
         # threads finish in any order: put the shards back by their first image
         first = [np.flatnonzero((images == x[0]).all(axis=(1, 2, 3)))[0] for x, _, _ in calls]
@@ -586,6 +588,19 @@ class TestEvaluate:
         logits = np.concatenate([out for _, out, _ in ordered])
         assert np.abs(logits - unsharded).max() <= 1e-6
         assert acc == 1.0
+
+    def test_logits_do_not_follow_the_cpu_count(self, monkeypatch):
+        # once min(usable CPUs, batch) shards: at this shape 8 CPUs' 4-image
+        # shards gave other logit bits than the 1-3 CPUs' larger ones
+        cfg = M.ModelConfig(depth=1)
+        params = M.init_params(cfg, np.random.default_rng(0))
+        images = D.normalize(np.random.default_rng(1).integers(0, 256, (32, 3, 32, 32),
+                                                               dtype=np.uint8))
+        crcs = {}
+        for cpus in (1, 2, 3, 8):
+            monkeypatch.setattr(TR, "_usable_cpus", lambda: cpus)
+            crcs[cpus] = zlib.crc32(TR._eval_logits(cfg, params, images).tobytes())
+        assert len(set(crcs.values())) == 1, crcs
 
     # (usable CPUs, BLAS count each shard runs under when OpenBLAS is at 5):
     # every shard runs at one thread, a lone shard too
@@ -1181,7 +1196,7 @@ class TestProfiler:
         for k in stepped:
             assert np.array_equal(profiled[k].data, stepped[k].data), k
 
-    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     def test_eval_phase_shards_like_evaluate(self, monkeypatch, cpus):
         run = tiny_train_config(workers=2)
         params = M.init_params(run.model, np.random.default_rng(0))
@@ -1197,7 +1212,7 @@ class TestProfiler:
 
         monkeypatch.setattr(M, "forward", forward)
         TR.profile_step(run, params, batch, warmup=0, steps=1)
-        assert sorted(modes) == sorted([("train", 3)] * 2 + [("eval", 6 // cpus)] * cpus)
+        assert sorted(modes) == sorted([("train", 3)] * 2 + [("eval", 6 // T.LANES)] * T.LANES)
 
     def test_runs_the_configured_optimizer(self, monkeypatch):
         run = tiny_train_config(optimizer="lion", lr_peak=3e-4, weight_decay=0.2)
