@@ -5,13 +5,12 @@ pixel space; MixUp / CutMix / random erasing operate on normalized float
 images. All randomness comes from explicit numpy Generators, so a fixed seed
 reproduces batches bitwise.
 
-A batch is built in two steps. plan_batch makes every draw of base
-augmentation and random erasing, and reads no pixel; apply_plan then does the
-pixel work across the whole batch: one gather for the crops and flips, one
-call per (op, argument) for each policy stage, then normalization and the
-erase fills. The policy ops take one image [3, H, W] or a batch
-[..., 3, H, W], so base_augment, apply_policy_op and random_erase are the
-one-image calls of the same code.
+A batch is built in two steps, the only entry points: plan_batch makes every
+draw of base augmentation and random erasing, and reads no pixel; apply_plan
+then does the pixel work across the whole batch: one gather for the crops and
+flips, one call per (op, argument) for each policy stage, then normalization
+and the erase fills. The policy ops take one image [3, H, W] or a batch
+[..., 3, H, W], and give each image of a batch the one-image call's bits.
 
 Geometric policy ops use nearest-neighbor resampling with clamp-to-edge
 coordinates, keeping outputs bit-exact across platforms.
@@ -133,8 +132,10 @@ def cutmix(batch: SoftBatch, rng: np.random.Generator) -> SoftBatch:
 
 
 def _plan_erase(shape: tuple[int, ...], prob: float, rng: np.random.Generator):
-    """random_erase's draws for an image of `shape` [C, H, W]: None, or the
-    rectangle's corner and its float64 noise, (y, x, noise [C, eh, ew])."""
+    """One image's erase draws for `shape` [C, H, W]: the coin (erase with
+    probability `prob`), up to 10 tries of an area fraction (ERASE_AREA_RANGE)
+    and an aspect, then the corner and the standard-normal noise of the first
+    rectangle that fits. None (no erase, or no fit), or (y, x, float64 noise [C, eh, ew])."""
     if rng.random() >= prob:
         return None
     h, w = shape[-2:]
@@ -150,23 +151,6 @@ def _plan_erase(shape: tuple[int, ...], prob: float, rng: np.random.Generator):
         x = int(rng.integers(0, w - ew + 1))
         return y, x, rng.standard_normal((shape[0], eh, ew))
     return None
-
-
-def _fill(image: np.ndarray, erasure) -> None:
-    """Write a planned erasure's noise, cast to the image's dtype, into `image` [C, H, W]."""
-    y, x, noise = erasure
-    image[:, y:y + noise.shape[1], x:x + noise.shape[2]] = noise
-
-
-def random_erase(image: np.ndarray, prob: float, rng: np.random.Generator) -> np.ndarray:
-    """Fill a random rectangle (ERASE_AREA_RANGE of the area) with standard-normal noise
-    (post-normalization space) with probability `prob`; skipped if none fits in 10 draws."""
-    erasure = _plan_erase(image.shape, prob, rng)
-    if erasure is None:
-        return image
-    out = image.copy()
-    _fill(out, erasure)
-    return out
 
 
 def repeated_indices(order: np.ndarray, batch_size: int, m: int):
@@ -391,21 +375,6 @@ def _policy_step(op: str, level: int, rng: np.random.Generator) -> tuple:
     return op, None if rule is None else rule(level / 9.0, rng)
 
 
-def _run_step(images: np.ndarray, step: tuple) -> np.ndarray:
-    op, arg = step
-    fn = _POLICY_OPS[op][0]
-    return fn(images) if arg is None else fn(images, arg)
-
-
-def apply_policy_op(image: np.ndarray, op: str, level: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Run policy op `op` at magnitude `level` (0-9), its argument from the
-    op's rule in _POLICY_OPS."""
-    if op not in _POLICY_OPS:
-        raise ValueError(f"unknown policy op {op!r}")
-    return _run_step(image, _policy_step(op, level, rng))
-
-
 # ---------------------------------------------------------------------------
 # a batch in two steps: every draw first, then the pixel work batch-wide
 
@@ -426,10 +395,11 @@ def plan_batch(count: int, shape: tuple[int, int, int], base: str, erase_prob: f
                rng: np.random.Generator) -> BatchPlan:
     """The plan of `count` images of `shape` [C, H, W] under base
     augmentation `base` (AugmentConfig.base_augment) and random erasing at
-    `erase_prob`. The draws come in the order of one base_augment call per
-    image ("crop_flip": crop and flip; "autoaugment": then a sub-policy with
-    each stage's coin and sign; "none": no draw), then, with erase_prob > 0,
-    one random_erase call per image."""
+    `erase_prob`. The draws come image by image: "crop_flip" draws the two
+    crop offsets, then the flip; "autoaugment" draws those, then the
+    sub-policy, then each stage's coin and, for a signed op the coin lets
+    run, its sign; "none" draws nothing. Then, with erase_prob > 0, come
+    each image's erase draws (_plan_erase), image by image."""
     integers, random = rng.integers, rng.random
     crops, flips = [], []
     stages = [[None] * count for _ in CIFAR10_POLICY[0]]
@@ -447,42 +417,31 @@ def plan_batch(count: int, shape: tuple[int, int, int], base: str, erase_prob: f
     return BatchPlan(np.array(crops), np.array(flips), stages, erasures)
 
 
-def _augment_raw(raws: np.ndarray, plan: BatchPlan) -> np.ndarray:
-    """uint8 images raws [B, 3, H, W] cropped, flipped and run through their
-    policy stages: a new array, or raws itself without base augmentation.
-    The crops are one gather of the padded batch's windows, and each stage
-    runs one op call per (op, argument) on the images that draw it."""
-    if plan.crops is None:
-        return raws
-    h, w = raws.shape[-2:]
-    padded = np.pad(raws, [(0, 0), (0, 0), (4, 4), (4, 4)], mode="reflect")
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (h, w), axis=(-2, -1))
-    out = windows[np.arange(len(raws)), :, plan.crops[:, 0], plan.crops[:, 1]]
-    out[plan.flips] = out[plan.flips, ..., ::-1]
-    for stage in plan.stages:
-        groups: dict[tuple, list[int]] = {}
-        for i, step in enumerate(stage):
-            if step is not None:
-                groups.setdefault(step, []).append(i)
-        for step, rows in groups.items():
-            out[rows] = _run_step(out[rows], step)
-    return out
-
-
 def apply_plan(raws: np.ndarray, plan: BatchPlan) -> np.ndarray:
-    """The float32 batch that `plan` makes of uint8 images raws [B, 3, H, W]:
-    cropped, flipped and run through each policy stage as one call per
-    (op, argument), normalized, then erased."""
-    images = D.normalize(_augment_raw(raws, plan))
+    """The float32 batch that `plan` makes of uint8 images raws [B, 3, H, W],
+    which it does not write: cropped and flipped, as one gather of the
+    reflect-padded batch's windows, run through each policy stage as one op
+    call per (op, argument) on the images that draw it, normalized, then
+    erased: each planned rectangle filled with its noise, cast to float32
+    (normalized space)."""
+    out = raws
+    if plan.crops is not None:
+        h, w = raws.shape[-2:]
+        padded = np.pad(raws, [(0, 0), (0, 0), (4, 4), (4, 4)], mode="reflect")
+        windows = np.lib.stride_tricks.sliding_window_view(padded, (h, w), axis=(-2, -1))
+        out = windows[np.arange(len(raws)), :, plan.crops[:, 0], plan.crops[:, 1]]
+        out[plan.flips] = out[plan.flips, ..., ::-1]
+        for stage in plan.stages:
+            groups: dict[tuple, list[int]] = {}
+            for i, step in enumerate(stage):
+                if step is not None:
+                    groups.setdefault(step, []).append(i)
+            for (op, arg), rows in groups.items():
+                fn = _POLICY_OPS[op][0]
+                out[rows] = fn(out[rows]) if arg is None else fn(out[rows], arg)
+    images = D.normalize(out)
     for image, erasure in zip(images, plan.erasures):
         if erasure is not None:
-            _fill(image, erasure)
+            y, x, noise = erasure
+            image[:, y:y + noise.shape[1], x:x + noise.shape[2]] = noise
     return images
-
-
-def base_augment(image: np.ndarray, use_autoaugment: bool,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Pad-4-reflect + random crop + horizontal flip, then optionally one
-    uniformly drawn sub-policy from the fixed CIFAR-10 table. Raw pixel space."""
-    plan = plan_batch(1, image.shape, "autoaugment" if use_autoaugment else "crop_flip", 0.0, rng)
-    return _augment_raw(image[None], plan)[0]

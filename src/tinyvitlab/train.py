@@ -265,10 +265,10 @@ def _sharded_gradients(cfg: M.ModelConfig, params: dict[str, Tensor],
     memory: treat them as read-only.
 
     Workers share `params` read-only, and each owns its tape, gradients and
-    drop-path rng stream, so K=1 reproduces the serial step bitwise. The
-    workers run through _run_shards, each under one OpenBLAS thread, and
-    K=1 runs its block ops' chunks on the lanes, so the bits follow from K
-    alone, never from OPENBLAS_NUM_THREADS or the CPU count.
+    drop-path rng stream. The workers run through _run_shards, each under
+    one OpenBLAS thread, and K=1 runs its block ops' chunks on the lanes, so
+    the bits follow from K alone, never from OPENBLAS_NUM_THREADS or the CPU
+    count: K=1 has the bits of the lanes' partition walked serially.
     """
     b = len(batch.images)
     if b % workers != 0:

@@ -248,9 +248,7 @@ def test_criterion_6_augmentation_properties():
     outs = []
     for _ in range(2):
         r = np.random.default_rng(99)
-        raw = A.base_augment(img, True, r)
-        norm = D.normalize(raw)
-        erased = A.random_erase(norm, 0.25, r)
+        erased = A.apply_plan(img[None], A.plan_batch(1, img.shape, "autoaugment", 0.25, r))[0]
         sb = A.SoftBatch(np.stack([erased] * 4).astype(np.float32),
                          A.one_hot(np.arange(4) % 10, 10))
         outs.append(A.mixup(sb, r).images)

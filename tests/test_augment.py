@@ -25,6 +25,13 @@ class ScriptedRng:
         return self.value
 
 
+def run_step(image, step):
+    """Policy step (op, argument) run on `image` by the op's function in _POLICY_OPS."""
+    op, arg = step
+    fn = A._POLICY_OPS[op][0]
+    return fn(image) if arg is None else fn(image, arg)
+
+
 def soft_batch(rng, b=8, n=10):
     images = rng.standard_normal((b, 3, 32, 32)).astype(np.float32)
     targets = A.one_hot(rng.integers(0, n, size=b), n)
@@ -128,19 +135,27 @@ class TestCutmix:
 # ---------------------------------------------------------------------------
 # random erasing
 
+def erased(raws, prob, rng):
+    """(raws erased at `prob` without base augmentation, raws normalized):
+    a plan of n images makes the draws of n erasures one after another. The
+    erasures write the normalized batch, never raws."""
+    before = raws.copy()
+    out = A.apply_plan(raws, A.plan_batch(len(raws), raws.shape[1:], "none", prob, rng))
+    assert np.array_equal(raws, before)
+    return out, D.normalize(raws)
+
+
 class TestRandomErase:
     def test_zero_prob_is_identity(self):
         rng = np.random.default_rng(7)
-        img = rng.standard_normal((3, 32, 32)).astype(np.float32)
-        assert A.random_erase(img, 0.0, rng) is img
+        out, normalized = erased(rand_uint8(rng, (4, 3, 32, 32)), 0.0, rng)
+        assert np.array_equal(out, normalized)
 
     def test_erased_area_fraction_in_range(self):
-        rng = np.random.default_rng(8)
+        out, normalized = erased(np.zeros((500, 3, 32, 32), np.uint8), 1.0,
+                                 np.random.default_rng(8))
         hits = 0
-        for _ in range(500):
-            img = np.zeros((3, 32, 32), np.float32)
-            out = A.random_erase(img, 1.0, rng)
-            changed = np.count_nonzero(out[0]) if not np.array_equal(out, img) else 0
+        for changed in np.count_nonzero(out[:, 0] != normalized[:, 0], axis=(1, 2)):
             if changed == 0:
                 continue
             hits += 1
@@ -150,25 +165,18 @@ class TestRandomErase:
         assert hits > 400  # almost every draw should fit a rectangle
 
     def test_fill_is_standard_normal(self):
-        rng = np.random.default_rng(9)
-        vals = []
-        for _ in range(200):
-            img = np.full((3, 32, 32), 100.0, np.float32)
-            out = A.random_erase(img, 1.0, rng)
-            vals.append(out[out != 100.0])
-        vals = np.concatenate(vals)
+        out, normalized = erased(np.full((200, 3, 32, 32), 100, np.uint8), 1.0,
+                                 np.random.default_rng(9))
+        vals = out[out != normalized]
         assert len(vals) > 10_000
         assert abs(vals.mean()) < 0.05
         assert abs(vals.std() - 1.0) < 0.05
 
     def test_erase_probability_scan(self):
-        rng = np.random.default_rng(10)
-        erased = 0
-        for _ in range(1000):
-            img = np.zeros((3, 32, 32), np.float32)
-            out = A.random_erase(img, 0.25, rng)
-            erased += int(not np.array_equal(out, img))
-        assert 200 <= erased <= 300  # binomial(1000, ~0.25), +-3.7 sigma
+        out, normalized = erased(np.zeros((1000, 3, 32, 32), np.uint8), 0.25,
+                                 np.random.default_rng(10))
+        count = int(np.count_nonzero(np.any(out != normalized, axis=(1, 2, 3))))
+        assert 200 <= count <= 300  # binomial(1000, ~0.25), +-3.7 sigma
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +218,7 @@ class TestPolicyTable:
         img = rand_uint8(rng)
         ops = {op for sub in A.CIFAR10_POLICY for op, _, _ in sub}
         for op in sorted(ops):
-            out = A.apply_policy_op(img, op, 5, np.random.default_rng(0))
+            out = run_step(img, A._policy_step(op, 5, np.random.default_rng(0)))
             assert out.shape == img.shape and out.dtype == np.uint8
 
     def test_argument_rules(self):
@@ -234,35 +242,18 @@ class TestPolicyTable:
                 args_of, draws = rules[op]
                 args = args_of(level / 9.0, sign)
                 rng = ScriptedRng(draw)
-                out = A.apply_policy_op(img, op, level, rng)
+                out = run_step(img, A._policy_step(op, level, rng))
                 assert rng.calls == draws, (op, level)
                 assert np.array_equal(out, getattr(A, op)(img, *args)), (op, level, sign)
         for op, level, draw, fn, arg in (("translate_x", 9, 0.25, A.translate_x, -10.0),
                                          ("translate_x", 9, 0.75, A.translate_x, 10.0),
                                          ("posterize", 7, 0.25, A.posterize, 5),
                                          ("solarize", 2, 0.75, A.solarize, 199)):
-            assert np.array_equal(A.apply_policy_op(img, op, level, ScriptedRng(draw)),
+            assert np.array_equal(run_step(img, A._policy_step(op, level, ScriptedRng(draw))),
                                   fn(img, arg))
 
     def test_table_holds_the_policy_ops(self):
         assert set(A._POLICY_OPS) == {op for sub in A.CIFAR10_POLICY for op, _, _ in sub}
-
-    def test_draws_do_not_depend_on_pixels(self):
-        # a batch's draws can then be made apart from its pixel work
-        a, b = rand_uint8(np.random.default_rng(18)), rand_uint8(np.random.default_rng(19))
-        b[0] = 0   # a dark channel: equalize and autocontrast take other paths
-        for seed in range(200):
-            ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)
-            A.base_augment(a, True, ra)
-            A.base_augment(b, True, rb)
-            assert ra.random() == rb.random(), seed
-
-    def test_unknown_op_rejected(self):
-        # shear_x is a classic AutoAugment op, but no sub-policy of the table names it
-        for op in ("blur", "shear_x"):
-            with pytest.raises(ValueError, match=op):
-                A.apply_policy_op(rand_uint8(np.random.default_rng(0)), op, 5,
-                                  np.random.default_rng(0))
 
 
 class TestPixelOps:
@@ -358,45 +349,49 @@ class TestGeometry:
 # ---------------------------------------------------------------------------
 # base augmentation pipeline
 
+def augmented(img, count, base, rng):
+    """`count` copies of one uint8 image through base augmentation `base`,
+    without erasing: the draws of `count` images one after another."""
+    plan = A.plan_batch(count, img.shape, base, 0.0, rng)
+    return A.apply_plan(np.broadcast_to(img, (count, *img.shape)), plan)
+
+
+def crops_of(img):
+    """{normalized crop of the reflect-padded image, flipped or not, as bytes: (oy, ox, flipped)}."""
+    h, w = img.shape[-2:]
+    padded = np.pad(img, ((0, 0), (4, 4), (4, 4)), mode="reflect")
+    return {D.normalize(np.ascontiguousarray(crop[:, :, ::-1] if flip else crop)).tobytes():
+            (oy, ox, flip)
+            for oy in range(9) for ox in range(9) for flip in (False, True)
+            for crop in [padded[:, oy:oy + h, ox:ox + w]]}
+
+
 class TestBaseAugment:
     def test_shape_and_dtype(self):
         rng = np.random.default_rng(22)
-        out = A.base_augment(rand_uint8(rng), True, rng)
-        assert out.shape == (3, 32, 32) and out.dtype == np.uint8
+        out = augmented(rand_uint8(rng), 1, "autoaugment", rng)
+        assert out.shape == (1, 3, 32, 32) and out.dtype == np.float32
 
     def test_crop_offsets_cover_grid(self):
-        # without AA or flips, the output is a crop of the reflect-padded
-        # image; all 81 offsets should show up over 1000 draws
+        # without AA, the output is a crop of the reflect-padded image, flipped
+        # or not; all 81 offsets should show up over 1000 draws
         img = rand_uint8(np.random.default_rng(23))
-        padded = np.pad(img, ((0, 0), (4, 4), (4, 4)), mode="reflect")
-        rng = np.random.default_rng(24)
-        offsets = set()
-        for _ in range(1000):
-            out = A.base_augment(img, False, rng)
-            for oy in range(9):
-                for ox in range(9):
-                    crop = padded[:, oy:oy + 32, ox:ox + 32]
-                    if np.array_equal(out, crop) or np.array_equal(out, crop[:, :, ::-1]):
-                        offsets.add((oy, ox))
+        crops = crops_of(img)
+        out = augmented(img, 1000, "crop_flip", np.random.default_rng(24))
+        offsets = {crops[image.tobytes()][:2] for image in out}
         assert len(offsets) == 81
 
     def test_flip_rate_near_half(self):
         img = rand_uint8(np.random.default_rng(25))
-        rng = np.random.default_rng(26)
-        flips = 0
-        for _ in range(1000):
-            out = A.base_augment(img, False, rng)
-            padded = np.pad(img, ((0, 0), (4, 4), (4, 4)), mode="reflect")
-            matched = any(
-                np.array_equal(out, padded[:, oy:oy + 32, ox:ox + 32, ][:, :, ::-1])
-                for oy in range(9) for ox in range(9))
-            flips += int(matched)
+        crops = crops_of(img)
+        out = augmented(img, 1000, "crop_flip", np.random.default_rng(26))
+        flips = sum(crops[image.tobytes()][2] for image in out)
         assert 440 <= flips <= 560
 
     def test_deterministic_under_seed(self):
         img = rand_uint8(np.random.default_rng(27))
-        a = A.base_augment(img, True, np.random.default_rng(5))
-        b = A.base_augment(img, True, np.random.default_rng(5))
+        a = augmented(img, 1, "autoaugment", np.random.default_rng(5))
+        b = augmented(img, 1, "autoaugment", np.random.default_rng(5))
         assert np.array_equal(a, b)
 
     def test_config_validation(self):
@@ -426,7 +421,7 @@ def varied_uint8(rng, n, shape=(3, 32, 32)):
 def one_image(image, crop, flip, steps, erasure):
     """What the plan makes of one image, by the one-image calls: the crop of
     the reflect-padded image, the flip, each stage's public op, normalize,
-    and random_erase's fill."""
+    and the erasure's fill."""
     h, w = image.shape[-2:]
     out = image
     if crop is not None:
@@ -481,15 +476,16 @@ class TestBatchPlan:
 
     @pytest.mark.parametrize("shape", [(3, 4, 4), (3, 5, 7), (3, 32, 32)])
     def test_crop_is_a_window_of_the_reflect_padded_image(self, shape):
-        # base_augment's draws without a policy: two offsets, then the flip
+        # the draws without a policy, image by image: two offsets, then the flip
         img = rand_uint8(np.random.default_rng(33), shape)
         padded = np.pad(img, ((0, 0), (4, 4), (4, 4)), mode="reflect")
-        ours, theirs = np.random.default_rng(34), np.random.default_rng(34)
-        for _ in range(50):
+        ours = augmented(img, 50, "crop_flip", np.random.default_rng(34))
+        theirs = np.random.default_rng(34)
+        for out in ours:
             oy, ox = int(theirs.integers(0, 9)), int(theirs.integers(0, 9))
             crop = padded[:, oy:oy + shape[1], ox:ox + shape[2]]
             want = crop[:, :, ::-1] if theirs.random() < 0.5 else crop
-            assert np.array_equal(A.base_augment(img, False, ours), want)
+            assert np.array_equal(out, D.normalize(want))
 
     def test_plan_reads_no_pixel(self):
         # the plan takes the shape alone, and makes no draw for base "none"

@@ -173,7 +173,8 @@ class TestBuildBatches:
     @pytest.mark.parametrize("erase_prob", [0.0, 1.0])
     @pytest.mark.parametrize("base_augment", ["none", "crop_flip", "autoaugment"])
     def test_images_are_float32_without_a_cast(self, base_augment, erase_prob):
-        # D.normalize and A.random_erase return float32, so build_batches casts nothing
+        # A.apply_plan returns D.normalize's float32 batch, erased in place, so
+        # build_batches casts nothing
         ds = D.synthetic_dataset("two-class-blobs", 16, seed=1)
         aug = dataclasses.replace(A.AugmentConfig.disabled(), base_augment=base_augment,
                                   erase_prob=erase_prob)
@@ -271,22 +272,40 @@ class TestBatchBits:
 
 class TestParallelStep:
     @staticmethod
-    def setup_case(workers_seed=0, b=8, **model):
+    def setup_case(workers_seed=0, b=8, dtype=np.float64, **model):
         cfg = M.ModelConfig(image_size=16, embed_dim=32, num_heads=4, depth=2,
                             mla=M.MlaConfig("kv", 8), **model)
         rng = np.random.default_rng(workers_seed)
-        params = M.init_params(cfg, rng, dtype=np.float64)
-        images = rng.standard_normal((b, 3, 16, 16))
-        targets = np.full((b, 10), 0.1)
+        params = M.init_params(cfg, rng, dtype=dtype)
+        images = rng.standard_normal((b, 3, 16, 16)).astype(dtype, copy=False)
+        targets = np.full((b, 10), 0.1, dtype)
         return cfg, params, A.SoftBatch(images, targets)
 
-    def test_one_worker_matches_serial_bitwise(self):
+    def test_one_worker_rerun_is_bitwise(self):
         cfg, params, batch = self.setup_case()
         g1, l1 = TR.parallel_train_step(cfg, params, batch, workers=1)
         g2, l2 = TR.parallel_train_step(cfg, params, batch, workers=1)
         assert l1 == l2
         for k in g1:
             assert np.array_equal(g1[k], g2[k])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_worker_is_the_lanes_partition_walked_serially(self, dtype):
+        # a plain forward and backward on this thread, under one BLAS thread,
+        # its block ops cut into the lanes' partition and run by the builtin
+        # map, with the step's drop-path stream: the serial partition (no
+        # lanes) moves the last bits of most gradient arrays
+        cfg, params, batch = self.setup_case(dtype=dtype, drop_path_rate=0.2)
+        grads, loss = TR.parallel_train_step(cfg, params, batch, workers=1,
+                                             seed=3, epoch=1, step_idx=2)
+        with TR._one_blas_thread(), T.lanes(map), T.Tape() as tape:
+            logits = M.forward(cfg, params, Tensor(batch.images), mode="train",
+                               rng=TR.rng_for(3, "droppath", 1, 2, 0))
+            want = T.cross_entropy(logits, batch.targets)
+            want_grads = T.backward(want, tape, params.values())
+        assert loss == want.item()
+        for k, g in zip(params, want_grads):
+            assert g.dtype == dtype and np.array_equal(grads[k], g), k
 
     def test_one_worker_step_keeps_no_gradient_copy(self):
         # paper recipe, batch 2: the forward and backward peak at 17.8 MB;
