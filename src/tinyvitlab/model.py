@@ -261,32 +261,6 @@ def init_params(cfg: ModelConfig, rng: np.random.Generator, dtype=np.float32,
 # ---------------------------------------------------------------------------
 # forward pieces
 
-def attention(x: Tensor, params: dict[str, Tensor], cfg: ModelConfig, prefix: str,
-              mask: np.ndarray | None = None, rows: int | None = None) -> Tensor:
-    """The pre-norm attention branch of block `prefix` with its residual,
-    x + mask * attention(norm1(x)), as one tape node (T.norm_attention).
-    It reads `{prefix}.norm1.*` and `{prefix}.attn.{q,k,v,o}.*`, where each
-    of q, k and v is a full `weight` or, under MLA, a `down`/`up` pair.
-    `mask` is the drop-path mask [B,1,1]; None keeps the branch whole.
-    With `rows`, only each sample's first `rows` rows query (keys and values
-    come from all S) and only they are returned, [B,rows,C]."""
-    attn = f"{prefix}.attn"
-    projections = [(params[f"{attn}.{proj}.weight"],) if f"{attn}.{proj}.weight" in params
-                   else (params[f"{attn}.{proj}.down"], params[f"{attn}.{proj}.up"])
-                   for proj in ("q", "k", "v")]
-    return T.norm_attention(x, params[f"{prefix}.norm1.gamma"], params[f"{prefix}.norm1.beta"],
-                            projections, params[f"{attn}.o.weight"], cfg.num_heads, mask, rows)
-
-
-def ffn(x: Tensor, params: dict[str, Tensor], prefix: str,
-        mask: np.ndarray | None = None) -> Tensor:
-    """The pre-norm FFN branch of block `prefix` with its residual,
-    x + mask * ffn(norm2(x)): layer norm `{prefix}.norm2`, then the GELU
-    MLP `{prefix}.ffn`, as one tape node (T.norm_mlp)."""
-    return T.norm_mlp(x, *(params[f"{prefix}.{name}"] for name in (
-        "norm2.gamma", "norm2.beta", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")), mask)
-
-
 def _drop_path_mask(batch: int, drop_prob: float, rng: np.random.Generator,
                     dtype) -> np.ndarray:
     keep = 1.0 - drop_prob
@@ -297,24 +271,33 @@ def _drop_path_mask(batch: int, drop_prob: float, rng: np.random.Generator,
 def block(x: Tensor, params: dict[str, Tensor], cfg: ModelConfig, prefix: str,
           drop_prob: float, mode: str, rng: np.random.Generator | None = None,
           rows: int | None = None) -> Tensor:
-    """Pre-norm transformer block with per-sample stochastic depth: two tape
-    nodes, the attention branch then the FFN branch, each with its residual.
-    In train mode with drop_prob > 0 each branch gets its own drop-path mask,
-    the attention branch's drawn first. With `rows`, the block computes and
-    returns only each sample's first `rows` rows, [B,rows,C]: the attention
-    branch reads all S rows as keys and values, and the FFN branch then
-    runs on the rows returned."""
+    """Pre-norm transformer block `prefix` with per-sample stochastic depth,
+    as one tape node (T.block): x + mask * attention(norm1(x)), then that
+    plus mask * ffn(norm2(that)). It reads `{prefix}.norm1.*`,
+    `{prefix}.attn.{q,k,v,o}.*`, where each of q, k and v is a full
+    `weight` or, under MLA, a `down`/`up` pair, `{prefix}.norm2.*` and the
+    GELU MLP `{prefix}.ffn.*`. In train mode with drop_prob > 0 each branch
+    gets its own drop-path mask [B,1,1], the attention branch's drawn first;
+    otherwise both branches stay whole. With `rows`, the block computes and
+    returns only each sample's first `rows` rows, [B,rows,C]: they alone
+    query (keys and values come from all S), and the FFN branch runs on
+    them."""
     if not (0.0 <= drop_prob < 1.0):
         raise ConfigError("drop_prob must be in [0, 1)")
     train_drop = mode == "train" and drop_prob > 0.0
     if train_drop and rng is None:
         raise ValueError("drop-path in train mode needs an rng")
-
-    def mask() -> np.ndarray | None:
-        return _drop_path_mask(x.shape[0], drop_prob, rng, x.data.dtype) if train_drop else None
-
-    x = attention(x, params, cfg, prefix, mask(), rows)
-    return ffn(x, params, prefix, mask())
+    masks = [_drop_path_mask(x.shape[0], drop_prob, rng, x.data.dtype) if train_drop else None
+             for _ in range(2)]
+    attn = f"{prefix}.attn"
+    projections = [(params[f"{attn}.{proj}.weight"],) if f"{attn}.{proj}.weight" in params
+                   else (params[f"{attn}.{proj}.down"], params[f"{attn}.{proj}.up"])
+                   for proj in ("q", "k", "v")]
+    attention = (params[f"{prefix}.norm1.gamma"], params[f"{prefix}.norm1.beta"], projections,
+                 params[f"{attn}.o.weight"])
+    ffn = [params[f"{prefix}.{name}"] for name in (
+        "norm2.gamma", "norm2.beta", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2")]
+    return T.block(x, attention, ffn, cfg.num_heads, masks, rows)
 
 
 def cls_head(tokens: Tensor, params: dict[str, Tensor], cfg: ModelConfig) -> Tensor:

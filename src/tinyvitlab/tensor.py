@@ -1,54 +1,56 @@
 """Dense tensors with tape-based reverse-mode automatic differentiation.
 
-The op set is closed over what the model needs, five ops: the token stem
+The op set is closed over what the model needs, four ops: the token stem
 `embed` (the patch projection, the positional table and the CLS tokens in
-front), a block's two residual branches as one op each (`norm_attention`:
-layer norm, the q/k/v projections, multi-head attention, the output
-projection and the drop-path residual; `norm_mlp`: layer norm, the
-exact-GELU FFN and the drop-path residual), the `head` (layer norm of the
-CLS rows, then the GELU MLP on them side by side) and soft-target
-`cross_entropy`. No op transposes: weights are stored in [in, out] layout,
-and constant inputs such as images are rearranged in numpy before they
-reach an op. Training runs in float32; gradient checking runs the same
-code in float64. The GELU's erf (in `_normal_cdf`, which is elementwise)
-is a rational approximation in float32 and `scipy.special.erf` in float64;
-scipy is imported on the float64 path only, so a float32 run loads no
-compiled scipy module. `_gelu` is the one pass that tiles its array: it
-runs the normal CDF and GELU' in cache-sized blocks. Ops record nodes on
-the active `Tape`; `grads = backward(loss, tape, params)` returns the
-gradients, which are values, not state kept on tensors.
+front), the transformer `block` (its two pre-norm residual branches as one
+op: layer norm, the q/k/v projections, multi-head attention, the output
+projection and the drop-path residual, then layer norm, the exact-GELU FFN
+and the drop-path residual), the `head` (layer norm of the CLS rows, then
+the GELU MLP on them side by side) and soft-target `cross_entropy`. No op
+transposes: weights are stored in [in, out] layout, and constant inputs
+such as images are rearranged in numpy before they reach an op. Training
+runs in float32; gradient checking runs the same code in float64. The
+GELU's erf (in `_normal_cdf`, which is elementwise) is a rational
+approximation in float32 and `scipy.special.erf` in float64; scipy is
+imported on the float64 path only, so a float32 run loads no compiled
+scipy module. `_gelu` is the one pass that tiles its array: it runs the
+normal CDF and GELU' in cache-sized blocks. Ops record nodes on the active
+`Tape`; `grads = backward(loss, tape, params)` returns the gradients,
+which are values, not state kept on tensors.
 
-`norm_attention` can return only each sample's first rows: the model's
-last block computes just the CLS rows that `head` reads. q, k and v each
-run their own GEMMs, so q projects only those rows, and k and v all rows.
+`block` can return only each sample's first rows: the model's last block
+computes just the CLS rows that `head` reads. q, k and v each run their own
+GEMMs, so q projects only those rows, and k and v all rows.
 
 A node keeps its input tensors and what its VJP cannot cheaply rebuild
-from them: `embed` the constant patch rows; `norm_mlp`, `norm_attention`
-and `head` the layer norm's row statistics mu and inv, `norm_attention`
-also each softmax row's max m and sum of exponentials l ([B,h,rows,1],
-1/S of the attention weights P); `cross_entropy` its targets and
-log-probabilities. A VJP rebuilds every other intermediate it reads (the
-normalized input, q, k and v, P, the GELU's pre-activation h and Phi(h))
-with the forward's operations in the forward's order, so bit for bit:
-activation recomputation (arXiv:1604.06174), with P rebuilt from m and l
-as in FlashAttention's backward (arXiv:2205.14135). So an op frees the
-same memory with or without a tape. `norm_mlp` and `norm_attention` run
-their forward and their VJP over the same chunks of the batch (_CHUNK), so
-the rebuilt arrays stay the forward's bit for bit, and a VJP's scratch is a
-chunk's, not the batch's: only the parameter cotangents span chunks,
-summed in chunk order. A train-mode forward of the paper recipe at batch
-32 is 21 tape nodes with the loss and keeps 30 MB (two [S,C] arrays per
-block and sample, but the last block's FFN branch keeps only the CLS rows),
-and the step peaks at 44 MB in backward (tracemalloc), 139 MB at batch 128.
+from them: `embed` the constant patch rows; `block` the mid-block residual
+mid (the FFN branch's input), both layer norms' row statistics mu and inv,
+and each softmax row's max m and sum of exponentials l ([B,h,rows,1], 1/S
+of the attention weights P); `head` its layer norm's row statistics;
+`cross_entropy` its targets and log-probabilities. A VJP rebuilds every
+other intermediate it reads (the normalized inputs, q, k and v, P, the
+GELU's pre-activation h and Phi(h)) with the forward's operations in the
+forward's order, so bit for bit: activation recomputation
+(arXiv:1604.06174), with P rebuilt from m and l as in FlashAttention's
+backward (arXiv:2205.14135). So an op frees the same memory with or
+without a tape. `block` runs its forward and its VJP over the same chunks
+of samples (_CHUNK), each chunk through both branches, so the rebuilt
+arrays stay the forward's bit for bit, and a VJP's scratch is a chunk's,
+not the batch's: only the parameter cotangents span chunks, summed in chunk
+order. A train-mode forward of the paper recipe at batch 32 is 12 tape
+nodes with the loss and keeps 30 MB (two [S,C] arrays per block and
+sample, mid and the output, but the last block keeps only the CLS rows),
+and the step peaks at 44 MB in backward (tracemalloc), 140 MB at batch 128.
 
 Lanes: within `lanes(run)` (train's shard runner runs a lone shard in one,
-with its thread pool's map), those two ops cut the batch into a multiple of
-LANES chunks of at most _CHUNK / LANES bytes and run them LANES at a time
+with its thread pool's map), `block` cuts the batch into a multiple of
+LANES chunks of at most _CHUNK / LANES bytes and runs them LANES at a time
 through `run`, so a one-worker step uses two CPUs. This module starts no
 threads: the runner owns the only pool. A chunk writes only its own slices
 of the op's arrays, and the parameter cotangents are still summed in chunk
 order, so the bits follow the partition alone, never the thread count or
-schedule. Ops of any other thread run serially over the serial partition.
+schedule. Blocks of any other thread run serially over the serial
+partition.
 
 Determinism: all reductions go through numpy with a fixed evaluation order,
 so repeated runs on the same inputs produce bitwise-identical results.
@@ -57,7 +59,6 @@ so repeated runs on the same inputs produce bitwise-identical results.
 from __future__ import annotations
 
 import contextlib
-import functools
 import threading
 
 import numpy as np
@@ -82,25 +83,25 @@ _ERF_CLIP = F32(4.0)
 # the paper FFN's 768 hidden units. With two threads on a 2 MB L2 this timed
 # fastest of 32-256 rows; much smaller blocks pay Python's per-ufunc overhead.
 _BLOCK = 96 * 1024
-# Bytes per chunk of the block ops' largest arrays: norm_mlp's h over a chunk
-# of rows, norm_attention's q, k and v together over a chunk of samples; at
-# the paper recipe up to 1,024 rows of h and 20 samples. The attention VJP's
-# chunk sets the step's peak. On a 2-vCPU x86 box, interleaved paper steps
-# ran 13-25% slower at 1 MB (341 rows, 7 samples; a 4 MB lower peak) than in
-# one chunk, and within noise of it at 3 MB: GEMMs of fewer rows run slower
-# per row. On the lanes a chunk holds at most _CHUNK / LANES bytes, so the
-# LANES chunks in flight hold no more than one chunk does without them.
+# Bytes per chunk of samples of a block's largest per-sample arrays: its h or
+# its q, k and v together, whichever is larger; at the paper recipe h, 15
+# samples a chunk (7 on the lanes). When the FFN branch chunked rows of h and
+# the attention branch samples, on a 2-vCPU x86 box interleaved paper steps
+# ran 13-25% slower at 1 MB (a 4 MB lower peak) than in one chunk, and within
+# noise of it at 3 MB: GEMMs of fewer rows run slower per row. On the lanes a
+# chunk holds at most _CHUNK / LANES bytes, so the LANES chunks in flight hold
+# no more than one chunk does without them.
 _CHUNK = 3 * 1024 * 1024
 # The lanes' partition: a thread that has lanes (see `lanes`) cuts a batch
 # into a multiple of LANES chunks, whatever the number of lane threads, so
 # the bits depend on whether it has lanes and never on the CPU count.
 LANES = 2
-# Bytes of the attention weights P per sub-chunk of samples that
-# norm_attention's core runs over within a chunk, forward and VJP: about two
-# samples at the paper recipe. What it buys is memory: P and its softmax
-# temporaries exist for one sub-chunk at a time, which took the one-worker
-# paper bs-32 step peak from 45.0-46.2 to 41.9 MB (50.6-51.5 from 59.8-62.0 MB
-# at two workers), with no step time change beyond noise.
+# Bytes of the attention weights P per sub-chunk of samples that a block's
+# attention core runs over within a chunk, forward and VJP: about two samples
+# at the paper recipe. What it buys is memory: P and its softmax temporaries
+# exist for one sub-chunk at a time, which took the one-worker paper bs-32
+# step peak from 45.0-46.2 to 41.9 MB (50.6-51.5 from 59.8-62.0 MB at two
+# workers) when it came in, with no step time change beyond noise.
 _ATTENTION_CHUNK = 512 * 1024
 
 
@@ -188,17 +189,17 @@ def _active_tape() -> Tape | None:
 
 @contextlib.contextmanager
 def lanes(run):
-    """Until the block exits, the norm_mlp and norm_attention calls of this
-    thread, forward and VJP, cut the batch into the lanes' partition (_chunks
-    with LANES) and run its chunks LANES at a time through `run`, a map: a
-    thread pool's runs them on its threads, the lanes, and the builtin `map`
-    in this thread, one after another. Each chunk writes only its own slices
-    of the op's arrays, and the parameter cotangents are summed in chunk
-    order, so the bits do not depend on `run`'s threads or on the thread
-    schedule. Other threads' ops, such as those of shard threads, keep the
-    serial partition. No thread is started here: the caller owns the pool
-    behind `run` (train's shard runner) and sets the BLAS count the lanes'
-    GEMMs run under."""
+    """Until the with-block exits, the `block` calls of this thread, forward
+    and VJP, cut the batch into the lanes' partition (_chunks with LANES)
+    and run its chunks LANES at a time through `run`, a map: a thread
+    pool's runs them on its threads, the lanes, and the builtin `map` in
+    this thread, one after another. Each chunk writes only its own slices of
+    the op's arrays, and the parameter cotangents are summed in chunk order,
+    so the bits do not depend on `run`'s threads or on the thread schedule.
+    Other threads' blocks, such as those of shard threads, keep the serial
+    partition. No thread is started here: the caller owns the pool behind
+    `run` (train's shard runner) and sets the BLAS count the lanes' GEMMs
+    run under."""
     before = getattr(_tls, "lanes", None)
     _tls.lanes = run
     try:
@@ -312,7 +313,7 @@ def _gelu(h: np.ndarray, gh: np.ndarray | None = None, out: np.ndarray | None = 
 
 
 # ---------------------------------------------------------------------------
-# the GELU MLP, shared by norm_mlp and head
+# the GELU MLP, shared by block and head
 
 def _check_mlp(op: str, width: int, *operands: Tensor) -> None:
     """Refuse w1, b1, w2 and b2, the last four of `operands`, unless w1 takes
@@ -390,15 +391,17 @@ def _affine(xhat: np.ndarray, gamma: Tensor, beta: Tensor) -> np.ndarray:
     return xhat
 
 
-def _norm_vjp(xhat: np.ndarray, inv: np.ndarray, gamma: Tensor, g: np.ndarray):
+def _norm_vjp(xhat: np.ndarray, inv: np.ndarray, gamma: Tensor, g: np.ndarray,
+              out: np.ndarray | None = None):
     """(dx, dgamma, dbeta) of layer norm for the output cotangent g, given
-    the rebuilt xhat (overwritten) and inv:
+    the rebuilt xhat (overwritten) and inv, with dx written into `out` (a
+    new array if None):
     dx = inv * (g gamma - mean(g gamma) - xhat mean(g gamma xhat))."""
     c = xhat.shape[-1]
     g2 = g.reshape(-1, c)
     dgamma = np.einsum("ni,ni->i", g2, xhat.reshape(-1, c))
     dbeta = np.einsum("ni->i", g2)
-    dx = g * gamma.data
+    dx = np.multiply(g, gamma.data, out=out)
     m1 = np.einsum("...i->...", dx)[..., None]
     m1 /= c
     m2 = np.einsum("...i,...i->...", dx, xhat)[..., None]
@@ -419,7 +422,7 @@ def head(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2: Ten
     after layer_norm(gamma, beta), side by side: [B, n*C], so w1 is
     [n*C, hidden]. One tape node, which keeps the row statistics mu and
     inv; the GELU is written over h. Its VJP rebuilds the normalized rows
-    and h, as norm_mlp's does."""
+    and h, as block's does."""
     if x.ndim != 3:
         raise ShapeError(f"head needs x [B,n,C], got {x.shape}")
     _check_norm("head", x, gamma, beta)
@@ -436,7 +439,7 @@ def head(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2: Ten
 
 
 # ---------------------------------------------------------------------------
-# a block's two residual branches: x + mask * branch(layer_norm(x))
+# the block: two residual branches, x + mask * branch(layer_norm(x)), as one op
 
 def _chunks(count: int, item_bytes: int, lanes: int = 1) -> list[slice]:
     """[0, count) cut into the fewest slices whose items, of `item_bytes`
@@ -450,18 +453,14 @@ def _chunks(count: int, item_bytes: int, lanes: int = 1) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def _block_chunks(count: int, item_bytes: int) -> list[slice]:
-    """_chunks for a block op called on this thread: the lanes' partition
-    if it has lanes, else the serial one."""
-    return _chunks(count, item_bytes, 1 if getattr(_tls, "lanes", None) is None else LANES)
-
-
 def _each_chunk(fn, chunks: list[slice]):
-    """fn(sl) for each chunk, yielded in chunk order: on this thread's lanes
-    LANES chunks at a time if it has lanes, else inline."""
+    """fn(i, sl) for each chunk sl, the i-th, yielded in chunk order: on
+    this thread's lanes in rounds of LANES chunks if it has lanes, else
+    inline. A round starts only once the caller has taken every result of
+    the rounds before it, so the chunk that leads a round may act on them."""
     run = getattr(_tls, "lanes", None) or map
     for i in range(0, len(chunks), LANES):
-        yield from run(fn, chunks[i:i + LANES])
+        yield from run(fn, range(i, i + LANES), chunks[i:i + LANES])
 
 
 def _mask_like(mask: np.ndarray | None, shape: tuple[int, ...]) -> np.ndarray | None:
@@ -485,8 +484,8 @@ def _add_chunk(sums: list[np.ndarray] | None, parts) -> list[np.ndarray]:
 
 def _residual(x: np.ndarray, y: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
     """x + y * mask (x + y if mask is None), in place in the branch output y,
-    a C-contiguous array the size of x (norm_attention passes the rows it
-    returns)."""
+    a C-contiguous array the size of x (the attention branch passes the rows
+    it returns)."""
     y = y.reshape(x.shape)
     if mask is not None:
         y *= mask
@@ -495,65 +494,16 @@ def _residual(x: np.ndarray, y: np.ndarray, mask: np.ndarray | None) -> np.ndarr
 
 
 def _residual_vjp(xhat: np.ndarray, inv: np.ndarray, gamma: Tensor, gxn: np.ndarray,
-                  g: np.ndarray):
+                  g: np.ndarray, out: np.ndarray | None = None):
     """(dx, dgamma, dbeta) of x + branch(layer_norm(x)) for the cotangent g
-    of the sum, given the cotangent gxn of the normalized input: layer
-    norm's VJP, plus g along the residual, onto the leading part of dx that
-    g spans (each sample's first rows for norm_attention; all of dx else)."""
-    dx, dgamma, dbeta = _norm_vjp(xhat, inv, gamma, gxn)
+    of the sum, given the cotangent gxn of the normalized input, with dx
+    written into `out` (a new array if None): layer norm's VJP, plus g along
+    the residual, onto the leading part of dx that g spans (each sample's
+    first rows for the attention branch of a block that returns fewer rows;
+    all of dx else)."""
+    dx, dgamma, dbeta = _norm_vjp(xhat, inv, gamma, gxn, out)
     dx[tuple(slice(k) for k in g.shape)] += g
     return dx, dgamma, dbeta
-
-
-def norm_mlp(x: Tensor, gamma: Tensor, beta: Tensor, w1: Tensor, b1: Tensor, w2: Tensor,
-             b2: Tensor, mask: np.ndarray | None = None) -> Tensor:
-    """x + mask * mlp(layer_norm(x, gamma, beta), w1, b1, w2, b2): a
-    pre-norm FFN branch and its residual as one tape node. `mask` is a
-    constant that broadcasts against x, such as a drop-path mask [B,1,1];
-    None means 1. The node keeps x and the row statistics mu and inv; the
-    GELU is written over h. The forward and the VJP run over the same chunks
-    of x's rows, each with at most _CHUNK bytes of h (_chunks), so the VJP
-    rebuilds each chunk's normalized input and h with the forward's
-    operations, bit for bit, then recomputes Phi(h); only the parameter
-    cotangents span chunks, summed in chunk order. With lanes (see `lanes`)
-    the chunks are the lanes' and run LANES at a time. At the paper recipe's
-    batch 32 the node keeps 17 KB beyond x, where h would take 6.4 MB, and
-    its VJP allocates 9.3 MB beyond its 1.6 MB cotangent of x, 11.1 MB at
-    batch 128, and 10.5 and 12.6 MB on the lanes (the whole batch took 16.0
-    and 59.1 MB)."""
-    _check_norm("norm_mlp", x, gamma, beta)
-    _check_mlp("norm_mlp", x.shape[-1], x, gamma, beta, w1, b1, w2, b2)
-    if w2.shape[1:] != x.shape[-1:]:
-        raise ShapeError(f"norm_mlp's residual needs w2 [hidden, C] for x [..., C], "
-                         f"got {w2.shape} and {x.shape}")
-    c = x.shape[-1]
-    x2 = x.data.reshape(-1, c)
-    masks = _mask_like(mask, x.shape)
-    masks = None if masks is None else masks.reshape(-1, masks.shape[-1])
-    chunks = _block_chunks(len(x2), w1.shape[1] * x.dtype.itemsize)
-    out = np.empty_like(x2)
-    mu, inv = np.empty((2, len(x2), 1), x.dtype)
-
-    def forward(sl: slice) -> None:
-        xhat, mu[sl], inv[sl] = _normalize(x2[sl], LAYER_NORM_EPS)
-        _residual(x2[sl], _mlp_forward(_affine(xhat, gamma, beta), w1, b1, w2, b2, out[sl]),
-                  None if masks is None else masks[sl])
-
-    list(_each_chunk(forward, chunks))
-
-    def vjp(g):
-        g2, dx = g.reshape(-1, c), np.empty_like(x2)
-
-        def chunk(sl: slice):   # writes dx[sl], returns the chunk's parameter cotangents
-            gxn, *gw = _mlp_vjp(_affine(_xhat(x2[sl], mu[sl], inv[sl]), gamma, beta),
-                                g2[sl] if masks is None else g2[sl] * masks[sl], w1, b1, w2)
-            dx[sl], *gnorm = _residual_vjp(_xhat(x2[sl], mu[sl], inv[sl]), inv[sl], gamma, gxn,
-                                           g2[sl])
-            return *gnorm, *gw
-
-        return dx.reshape(x.shape), *functools.reduce(_add_chunk, _each_chunk(chunk, chunks), None)
-
-    return _make(out.reshape(x.shape), (x, gamma, beta, w1, b1, w2, b2), vjp)
 
 
 def _project(xn: np.ndarray, proj) -> tuple[np.ndarray, np.ndarray]:
@@ -607,57 +557,76 @@ def _check_attention(x: Tensor, projections, wo: Tensor, heads: int) -> None:
                 len(p) == 1 and p[0].shape == (c, c)
                 or len(p) == 2 and p[0].ndim == 2 and p[0].shape[0] == c
                 and p[1].shape == (p[0].shape[1], c) for p in projections)):
-        raise ShapeError(f"norm_attention needs x [B,S,C] with C divisible by {heads} heads, "
+        raise ShapeError(f"block needs x [B,S,C] with C divisible by {heads} heads, "
                          f"q, k and v each (w [C,C],) or (down [C,d_c], up [d_c,C]), and wo [C,C], "
                          f"got x {x.shape}, q/k/v {[[t.shape for t in p] for p in projections]}, "
                          f"wo {wo.shape}")
 
 
-def norm_attention(x: Tensor, gamma: Tensor, beta: Tensor, projections, wo: Tensor, heads: int,
-                   mask: np.ndarray | None = None, rows: int | None = None) -> Tensor:
-    """x + mask * (attention(layer_norm(x, gamma, beta)) @ wo) for each
-    sample's first `rows` query rows (all S if None): a pre-norm multi-head
-    attention branch and its residual as one tape node, [B,rows,C].
+def block(x: Tensor, attention, ffn, heads: int, masks=(None, None),
+          rows: int | None = None) -> Tensor:
+    """A pre-norm transformer block for each sample's first `rows` query
+    rows (all S if None), [B,rows,C], as one tape node: the attention branch
+    mid = x + mask1 * (attention(layer_norm(x, gamma1, beta1)) @ wo), then
+    the FFN branch mid + mask2 * mlp(layer_norm(mid, gamma2, beta2), w1, b1,
+    w2, b2), on the rows returned.
 
-    `projections` holds q's, k's and v's weights, each (w,) for a full [C,C]
-    projection or (down, up) for a latent one, [C,d_c] then [d_c,C]. Each
-    projects on its own (_project): q each sample's first `rows` rows of the
-    normalized input, k and v all S. Attention is softmax(q k^T / sqrt(d)) v
-    per head, with C split into `heads` heads of d channels; the head split
-    and merge are views. So q, the softmax, P v, the wo GEMM and the
-    residual cover only the rows returned, which is all a CLS-only readout
-    of the last block needs. `mask` is as in norm_mlp. The forward and the
-    VJP run over the same chunks of samples, each with at most _CHUNK bytes
-    of q, k and v (_chunks); within a chunk the attention core runs over
-    sub-chunks of samples whose P is about _ATTENTION_CHUNK bytes, so only
-    one sub-chunk's P is alive at a time.
+    `attention` is (gamma1, beta1, projections, wo), where `projections`
+    holds q's, k's and v's weights, each (w,) for a full [C,C] projection or
+    (down, up) for a latent one, [C,d_c] then [d_c,C]; `ffn` is (gamma2,
+    beta2, w1, b1, w2, b2). Each projection runs on its own (_project): q
+    over each sample's first `rows` rows of the normalized input, k and v
+    over all S. Attention is softmax(q k^T / sqrt(d)) v per head, with C
+    split into `heads` heads of d channels; the head split and merge are
+    views. So q, the softmax, P v, the wo GEMM and the FFN cover only the
+    rows returned, which is all a CLS-only readout of the last block needs.
+    `masks` are the two branches' constants that broadcast against the
+    output, such as drop-path masks [B,1,1]; None means 1.
 
-    The node keeps x, the layer norm's row statistics mu and inv, and the
-    softmax's row max m and sum l ([B,h,rows,1], 1/S of P). Its VJP rebuilds
-    the normalized input, q, k, v (with any latent's first stage) and,
-    chunk by chunk, P and P v, all bit for bit, and runs the FlashAttention
-    backward algebra: dV = P^T g, dP = g V^T, dS = P * (dP - rowsum(dP * P))
-    / sqrt(d), dQ = dS K, dK = dS^T Q. The normalized input's cotangent sums
-    the three projections' (_project_vjp), one at a time, q's on the rows
-    it read; the residual's covers the rows returned. Only the parameter
-    cotangents span chunks, summed in chunk order. With lanes (see `lanes`)
-    the chunks are the lanes' and run LANES at a time. At the paper recipe's
-    batch 32 the node keeps 0.2 MB beyond x, where q, k, v and P would take
-    11.3 MB, and its VJP allocates 9.4 MB beyond its 1.6 MB cotangent of x,
-    11.5 MB at batch 128, and 9.8 and 12.3 MB on the lanes (the whole batch
-    took 15.2 and 58.4 MB).
+    Attention mixes rows only within a sample, so the forward runs each
+    chunk of samples through both branches, each chunk with at most _CHUNK
+    bytes of h or of q, k and v, whichever is larger (_chunks); within a
+    chunk the attention core runs over sub-chunks of samples whose P is
+    about _ATTENTION_CHUNK bytes, so only one sub-chunk's P is alive at a
+    time. The node keeps x, mid, both layer norms' row statistics mu and
+    inv, and the softmax's row max m and sum l ([B,h,rows,1], 1/S of P).
+    The VJP walks the same chunks, each chunk's FFN half and then its
+    attention half, and rebuilds every other array with the forward's
+    operations, bit for bit: the normalized inputs, h (the GELU is written
+    over it) and Phi(h), q, k, v (with any latent's first stage) and, sub-
+    chunk by sub-chunk, P and P v. It runs the FlashAttention backward
+    algebra: dV = P^T g, dP = g V^T, dS = P * (dP - rowsum(dP * P)) /
+    sqrt(d), dQ = dS K, dK = dS^T Q. The normalized input's cotangent sums
+    the three projections' (_project_vjp), one at a time, q's on the rows it
+    read. A chunk's FFN half reads the last of mid's rows before its
+    attention half writes dx's, so where the two have one shape dx takes
+    mid's buffer: the VJP runs once. Only the parameter cotangents span
+    chunks, summed in chunk order. With lanes (see `lanes`) the chunks are
+    the lanes' and run LANES at a time. At the paper recipe's batch 32 the
+    node keeps 0.2 MB beyond x and mid, where q, k, v, P and h would take
+    17.7 MB, and its VJP allocates 10.6 MB, 12.7 MB at batch 128, and 12.2
+    and 13.6 MB on the lanes (the whole batch took 19.6 and 72.3 MB).
     """
-    _check_norm("norm_attention", x, gamma, beta)
+    gamma1, beta1, projections, wo = attention
+    gamma2, beta2, w1, b1, w2, b2 = ffn
+    _check_norm("block", x, gamma1, beta1)
     _check_attention(x, projections, wo, heads)
-    inputs = (x, gamma, beta, *(t for proj in projections for t in proj), wo)
+    _check_norm("block", x, gamma2, beta2)
+    _check_mlp("block", x.shape[-1], x, gamma2, beta2, w1, b1, w2, b2)
+    if w2.shape[1:] != x.shape[-1:]:
+        raise ShapeError(f"block's residual needs w2 [hidden, C] for x [B,S,C], "
+                         f"got {w2.shape} and {x.shape}")
+    inputs = (x, gamma1, beta1, *(t for proj in projections for t in proj), wo, *ffn)
     b, s, c = x.shape
     n = s if rows is None else rows
     if not 1 <= n <= s:
-        raise ShapeError(f"norm_attention returns 1 <= rows <= S query rows, got {x.shape} and rows={n}")
+        raise ShapeError(f"block returns 1 <= rows <= S query rows, got {x.shape} and rows={n}")
     d = c // heads
     scale = x.dtype.type(1.0 / np.sqrt(d))
-    masks = _mask_like(mask, (b, n, c))
-    chunks = _block_chunks(b, (n + 2 * s) * c * x.dtype.itemsize)   # a sample's q, k and v
+    mask1, mask2 = (_mask_like(mask, (b, n, c)) for mask in masks)
+    # by a sample's h or its q, k and v; the lanes' partition if this thread has lanes
+    chunks = _chunks(b, max(n * w1.shape[1], (n + 2 * s) * c) * x.dtype.itemsize,
+                     1 if getattr(_tls, "lanes", None) is None else LANES)
     step = max(1, _ATTENTION_CHUNK // (heads * n * s * x.dtype.itemsize))
 
     def split(a: np.ndarray, k: int) -> np.ndarray:   # [k*count,C] -> [k,h,count,d]
@@ -674,13 +643,18 @@ def norm_attention(x: Tensor, gamma: Tensor, beta: Tensor, projections, wo: Tens
             yield sub, _attention_weights(qh[sub] * scale, kh[sub], m[sl][sub], l[sl][sub],
                                           rebuild)
 
-    out = np.empty((b, n, c), x.dtype)
-    mu, inv = np.empty((2, b, s, 1), x.dtype)
+    def sliced(mask: np.ndarray | None, sl: slice) -> np.ndarray | None:
+        return None if mask is None else mask[sl]
+
+    out, mid = (np.empty((b, n, c), x.dtype) for _ in range(2))   # apart: out outlives mid
+    mu1, inv1 = np.empty((2, b, s, 1), x.dtype)
+    mu2, inv2 = np.empty((2, b, n, 1), x.dtype)
     m, l = np.empty((2, b, heads, n, 1), x.dtype)
-    def forward(sl: slice) -> None:
+
+    def forward(_: int, sl: slice) -> None:
         k = sl.stop - sl.start
-        xhat, mu[sl], inv[sl] = _normalize(x.data[sl], LAYER_NORM_EPS)
-        xs = sources(_affine(xhat, gamma, beta).reshape(-1, c), k)
+        xhat, mu1[sl], inv1[sl] = _normalize(x.data[sl], LAYER_NORM_EPS)
+        xs = sources(_affine(xhat, gamma1, beta1).reshape(-1, c), k)
         qh, kh, vh = (split(_project(xr, proj)[1], k) for xr, proj in zip(xs, projections))
         del xhat, xs
         ctx = np.empty((k * n, c), x.dtype)
@@ -688,18 +662,40 @@ def norm_attention(x: Tensor, gamma: Tensor, beta: Tensor, projections, wo: Tens
             np.matmul(p, vh[sub], out=split(ctx, k)[sub])
             del p     # before the next sub-chunk's
         del qh, kh, vh
-        _residual(x.data[sl, :n], np.matmul(ctx, wo.data, out=out[sl].reshape(-1, c)),
-                  None if masks is None else masks[sl])
+        _residual(x.data[sl, :n], np.matmul(ctx, wo.data, out=mid[sl].reshape(-1, c)),
+                  sliced(mask1, sl))
+        del ctx
+        xhat, mu2[sl], inv2[sl] = _normalize(mid[sl], LAYER_NORM_EPS)
+        _residual(mid[sl], _mlp_forward(_affine(xhat, gamma2, beta2).reshape(-1, c), w1, b1, w2, b2,
+                                        out[sl].reshape(-1, c)), sliced(mask2, sl))
 
     list(_each_chunk(forward, chunks))
 
     def vjp(g):
-        dx = np.empty_like(x.data)
+        dx = mid if n == s else np.empty_like(x.data)
+        sums = [None, None]   # the attention's and the FFN's parameter cotangents, in chunk order
 
-        def chunk(sl: slice):   # writes dx[sl], returns the chunk's parameter cotangents
-            k, xb, gb = sl.stop - sl.start, x.data[sl], g[sl]
-            gy = (gb if masks is None else gb * masks[sl]).reshape(-1, c)
-            xs = sources(_affine(_xhat(xb, mu[sl], inv[sl]), gamma, beta).reshape(-1, c), k)
+        def settle(i: int, part: int, grads):
+            # a chunk that leads its round adds its cotangents now, as every earlier
+            # chunk's are in (see _each_chunk), rather than hold them; the others
+            # hand theirs back, to be added after it
+            if i % LANES:
+                return grads
+            sums[part] = _add_chunk(sums[part], grads)
+            return None
+
+        def chunk(i: int, sl: slice):   # writes dx[sl]
+            k, xb, mb, gb = sl.stop - sl.start, x.data[sl], mid[sl], g[sl]
+            # the FFN half: gb becomes the cotangent of mid's rows
+            gxn, *gffn = _mlp_vjp(_affine(_xhat(mb, mu2[sl], inv2[sl]), gamma2, beta2).reshape(-1, c),
+                                  gb if mask2 is None else gb * mask2[sl], w1, b1, w2)
+            gb, *gnorm2 = _residual_vjp(_xhat(mb, mu2[sl], inv2[sl]), inv2[sl], gamma2,
+                                        gxn.reshape(mb.shape), gb)
+            gffn = settle(i, 1, (*gnorm2, *gffn))
+            del mb, gxn, gnorm2
+            # the attention half
+            gy = (gb if mask1 is None else gb * mask1[sl]).reshape(-1, c)
+            xs = sources(_affine(_xhat(xb, mu1[sl], inv1[sl]), gamma1, beta1).reshape(-1, c), k)
             projected = [_project(xr, proj) for xr, proj in zip(xs, projections)]
             qh, kh, vh = (split(y, k) for _, y in projected)
             go = split(gy @ wo.data.T, k)
@@ -724,10 +720,14 @@ def norm_attention(x: Tensor, gamma: Tensor, beta: Tensor, projections, wo: Tens
                 gxn[:, :len(xr) // k] += gx.reshape(k, -1, c)
                 gprojections += gw
             del xs, gq, gk, gv, gt, gx
-            dx[sl], *gnorm = _residual_vjp(_xhat(xb, mu[sl], inv[sl]), inv[sl], gamma, gxn, gb)
-            return *gnorm, *gprojections, gwo
+            _, *gnorm1 = _residual_vjp(_xhat(xb, mu1[sl], inv1[sl]), inv1[sl], gamma1, gxn, gb, dx[sl])
+            return settle(i, 0, (*gnorm1, *gprojections, gwo)), gffn
 
-        return dx, *functools.reduce(_add_chunk, _each_chunk(chunk, chunks), None)
+        for parts in _each_chunk(chunk, chunks):
+            for part, grads in enumerate(parts):
+                if grads is not None:
+                    sums[part] = _add_chunk(sums[part], grads)
+        return dx, *sums[0], *sums[1]
 
     return _make(out, inputs, vjp)
 

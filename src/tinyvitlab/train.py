@@ -85,11 +85,11 @@ class MetricsRecord:
     that one step's peak. tracemalloc counts the whole process, so the peak
     includes every shard. At workers > 1 the shards' allocations interleave,
     so it can vary by a few percent between runs (the desk recipe at batch
-    128, 2 workers, read 29.9-30.5 MB over 3 runs). At one worker the two
+    128, 2 workers, read 29.5-30.8 MB over 3 runs). At one worker the two
     lanes' chunks interleave the same way, by less: seven steps of one
-    paper bs-32 batch read 43.47-43.94 MB over three processes, most of
-    them 43.92 MB. It is 0 when another tracer stopped tracemalloc during
-    that step."""
+    paper bs-32 batch read 42.82-43.90 MB over three processes, most of
+    them above 43.6 MB. It is 0 when another tracer stopped tracemalloc
+    during that step."""
     epoch: int
     train_loss: float
     val_acc: float

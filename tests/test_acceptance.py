@@ -129,7 +129,13 @@ def test_criterion_2_attention_oracle_equivalence():
         x = rng.standard_normal((seq, 32))
         params["blk.norm1.gamma"] = Tensor(1.0 + 0.5 * rng.standard_normal(32), requires_grad=True)
         params["blk.norm1.beta"] = Tensor(0.5 * rng.standard_normal(32), requires_grad=True)
-        got = M.attention(Tensor(x[None], dtype=np.float64), params, cfg, "blk").data[0]
+        # the block's FFN branch silenced: all zero but norm2's gamma, so w2 and b2 add nothing
+        shapes = M.param_shapes(cfg)
+        for name in ("norm2.gamma", "norm2.beta", "ffn.w1", "ffn.b1", "ffn.w2", "ffn.b2"):
+            params[f"blk.{name}"] = Tensor((np.ones if name == "norm2.gamma" else np.zeros)(
+                shapes[f"blocks.0.{name}"]), requires_grad=True)
+        got = M.block(Tensor(x[None], dtype=np.float64), params, cfg, "blk", drop_prob=0.0,
+                      mode="eval").data[0]
         want = attention_oracle(x, params, cfg)
         rel = np.abs(got - want).max() / max(np.abs(want).max(), 1e-300)
         worst = max(worst, rel)

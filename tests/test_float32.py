@@ -42,8 +42,9 @@ def test_float32_is_float64_within_bound(variant, n_cls, monkeypatch):
     # CLS-only one; drop-path at the recipe's rate in train mode
     cfg = M.ModelConfig(depth=2, num_cls_tokens=n_cls, mla=M.MlaConfig(variant, 48))
     s = cfg.num_patches + n_cls
-    # two float32 samples' q, k and v: the batch of 6 spans 3 attention chunks
-    # and 4 or 5 FFN chunks in float32, 6 and 9 in float64
+    # two float32 samples' q, k and v, less than one sample's h: the first
+    # block runs the batch of 6 as 6 chunks, and the CLS-only last block, whose
+    # q, k and v size its chunks, as 3 in float32 and 6 in float64
     monkeypatch.setattr(T, "_CHUNK", 2 * 3 * s * cfg.embed_dim * 4)
     p32 = M.init_params(cfg, np.random.default_rng(3))
     p64 = {path: Tensor(p.data.astype(np.float64), requires_grad=True) for path, p in p32.items()}

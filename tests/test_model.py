@@ -83,6 +83,40 @@ def attention_oracle(x, params, cfg, prefix="blk"):
     return x + np.concatenate(heads, axis=1) @ wo
 
 
+def make_ffn_params(rng, c=6, hidden=24, dtype=np.float64, scale=1.0):
+    """Block "blk"'s FFN-branch parameters: norm2 as the identity affine,
+    w1 and w2 drawn from rng, zero biases."""
+    return {
+        "blk.norm2.gamma": Tensor(np.ones(c), requires_grad=True, dtype=dtype),
+        "blk.norm2.beta": Tensor(np.zeros(c), requires_grad=True, dtype=dtype),
+        "blk.ffn.w1": Tensor(rng.standard_normal((c, hidden)) * scale, requires_grad=True),
+        "blk.ffn.b1": Tensor(np.zeros(hidden), requires_grad=True, dtype=dtype),
+        "blk.ffn.w2": Tensor(rng.standard_normal((hidden, c)) * scale, requires_grad=True),
+        "blk.ffn.b2": Tensor(np.zeros(c), requires_grad=True, dtype=dtype),
+    }
+
+
+def attention_branch(x, params, cfg):
+    """The attention branch with its residual, x + attention(norm1(x)) for
+    x [B,S,C]: block "blk" in eval mode with its FFN branch silenced (ffn.w2
+    and ffn.b2 zero, so the branch adds zeros)."""
+    ffn = make_ffn_params(np.random.default_rng(0), cfg.embed_dim, M.FFN_RATIO * cfg.embed_dim)
+    for name in ("blk.ffn.w2", "blk.ffn.b2"):
+        ffn[name].data[:] = 0.0
+    return M.block(x, {**params, **ffn}, cfg, "blk", drop_prob=0.0, mode="eval")
+
+
+def ffn_branch(x, params):
+    """The FFN branch with its residual, x + ffn(norm2(x)) for x [B,S,C]:
+    block "blk" in eval mode, over its norm2 and ffn entries of `params`,
+    with its attention branch silenced (attn.o.weight zero, so the branch
+    adds zeros)."""
+    cfg = M.ModelConfig(embed_dim=params["blk.norm2.gamma"].shape[0], num_heads=1)
+    attn = make_attn_params(cfg, np.random.default_rng(0))
+    attn["blk.attn.o.weight"].data[:] = 0.0
+    return M.block(x, {**params, **attn}, cfg, "blk", drop_prob=0.0, mode="eval")
+
+
 # ---------------------------------------------------------------------------
 # patchify
 
@@ -213,7 +247,7 @@ class TestAttention:
         cfg = tiny_config()
         params = make_attn_params(cfg, rng)
         x = rng.standard_normal((1, cfg.embed_dim))
-        out = M.attention(Tensor(x[None], dtype=np.float64), params, cfg, "blk").data[0]
+        out = attention_branch(Tensor(x[None], dtype=np.float64), params, cfg).data[0]
         wv = effective_projection(params, "blk.attn.v")
         wo = params["blk.attn.o.weight"].data
         assert np.allclose(out, x + (norm1(x, params) @ wv) @ wo, atol=1e-12)
@@ -224,7 +258,7 @@ class TestAttention:
         params = make_attn_params(cfg, rng)
         params["blk.attn.q.weight"] = Tensor(np.zeros((32, 32)), requires_grad=True)
         x = rng.standard_normal((5, cfg.embed_dim))
-        out = M.attention(Tensor(x[None], dtype=np.float64), params, cfg, "blk").data[0]
+        out = attention_branch(Tensor(x[None], dtype=np.float64), params, cfg).data[0]
         wv = effective_projection(params, "blk.attn.v")
         wo = params["blk.attn.o.weight"].data
         expected = x + np.tile(((norm1(x, params) @ wv).mean(axis=0) @ wo), (5, 1))
@@ -237,7 +271,7 @@ class TestAttention:
         cfg = tiny_config(variant=variant)
         params = make_attn_params(cfg, rng)
         x = rng.standard_normal((seq, cfg.embed_dim))
-        out = M.attention(Tensor(x[None], dtype=np.float64), params, cfg, "blk").data[0]
+        out = attention_branch(Tensor(x[None], dtype=np.float64), params, cfg).data[0]
         expected = attention_oracle(x, params, cfg)
         scale = np.abs(expected).max()
         assert np.abs(out - expected).max() <= 1e-10 * max(scale, 1.0)
@@ -277,8 +311,8 @@ class TestMlaFactor:
         assert np.allclose(effective_projection(fparams, "blk.attn.q"), w_ref, atol=1e-12)
 
         x = Tensor(rng.standard_normal((1, 6, c)), dtype=np.float64)
-        full = M.attention(x, params, cfg, "blk").data
-        fact = M.attention(x, fparams, fcfg, "blk").data
+        full = attention_branch(x, params, cfg).data
+        fact = attention_branch(x, fparams, fcfg).data
         assert np.abs(full - fact).max() <= 1e-10 * max(np.abs(full).max(), 1.0)
 
     def test_compression_must_compress(self):
@@ -290,24 +324,14 @@ class TestMlaFactor:
 # FFN
 
 class TestFfn:
-    """M.ffn is the pre-norm FFN branch of a block with its residual: x plus
-    layer norm norm2, then the GELU MLP ffn, as one tape node."""
-
-    @staticmethod
-    def params(rng, c=6, hidden=24, dtype=np.float64, scale=1.0):
-        return {
-            "blk.norm2.gamma": Tensor(np.ones(c), requires_grad=True, dtype=dtype),
-            "blk.norm2.beta": Tensor(np.zeros(c), requires_grad=True, dtype=dtype),
-            "blk.ffn.w1": Tensor(rng.standard_normal((c, hidden)) * scale, requires_grad=True),
-            "blk.ffn.b1": Tensor(np.zeros(hidden), requires_grad=True, dtype=dtype),
-            "blk.ffn.w2": Tensor(rng.standard_normal((hidden, c)) * scale, requires_grad=True),
-            "blk.ffn.b2": Tensor(np.zeros(c), requires_grad=True, dtype=dtype),
-        }
+    """The pre-norm FFN branch of a block with its residual: x plus layer
+    norm norm2, then the GELU MLP ffn, through M.block with the attention
+    branch silenced (ffn_branch)."""
 
     def test_zero_input_zero_biases(self):
         rng = np.random.default_rng(8)
-        p = self.params(rng)
-        out = M.ffn(Tensor(np.zeros((3, 6))), p, "blk").data
+        p = make_ffn_params(rng)
+        out = ffn_branch(Tensor(np.zeros((1, 3, 6))), p).data
         assert np.allclose(out, 0.0)
 
     def test_identity_like_construction(self):
@@ -316,7 +340,7 @@ class TestFfn:
         # a +5 shift (gelu ~ identity there), b2 removes the shift: the
         # branch gives ~x0 in channel 0 and 0 in channel 1, added to x
         c, hidden = 2, 8
-        p = self.params(np.random.default_rng(0), c, hidden)
+        p = make_ffn_params(np.random.default_rng(0), c, hidden)
         for name in ("ffn.w1", "ffn.w2"):
             p[f"blk.{name}"].data[:] = 0.0
         p["blk.norm2.gamma"].data[:] = 0.37
@@ -324,14 +348,14 @@ class TestFfn:
         p["blk.ffn.b1"].data[0] = 5.0
         p["blk.ffn.w2"].data[0, 0] = 1.0
         p["blk.ffn.b2"].data[0] = -5.0
-        x = np.array([[0.37, -0.37]])
-        out = M.ffn(Tensor(x, dtype=np.float64), p, "blk").data
+        x = np.array([[[0.37, -0.37]]])
+        out = ffn_branch(Tensor(x, dtype=np.float64), p).data[0]
         assert out[0, 0] == pytest.approx(2 * 0.37, abs=1e-5)
         assert out[0, 1] == pytest.approx(-0.37, abs=1e-12)
 
     def test_random_matches_composition_oracle(self):
         rng = np.random.default_rng(9)
-        p = self.params(rng)
+        p = make_ffn_params(rng)
         p["blk.norm2.gamma"].data += rng.normal(0.0, 0.5, 6)
         p["blk.norm2.beta"].data += rng.normal(0.0, 0.5, 6)
         x = rng.standard_normal((4, 6))
@@ -340,7 +364,7 @@ class TestFfn:
         h = h @ p["blk.ffn.w1"].data + p["blk.ffn.b1"].data
         h = h * 0.5 * (1.0 + erf(h / np.sqrt(2.0)))
         expected = x + h @ p["blk.ffn.w2"].data + p["blk.ffn.b2"].data
-        out = M.ffn(Tensor(x, dtype=np.float64), p, "blk").data
+        out = ffn_branch(Tensor(x[None], dtype=np.float64), p).data[0]
         assert np.abs(out - expected).max() <= 1e-10
 
 
@@ -362,7 +386,7 @@ class TestBlock:
     def block_params(cfg, rng, scale=1.0):
         p = make_attn_params(cfg, rng)
         c = cfg.embed_dim
-        p.update(TestFfn.params(rng, c, M.FFN_RATIO * c, scale=scale))
+        p.update(make_ffn_params(rng, c, M.FFN_RATIO * c, scale=scale))
         return p
 
     def test_no_drop_train_equals_eval(self):
@@ -384,17 +408,17 @@ class TestBlock:
         # drop the attention branch, keep the ffn branch (scaled by 1/keep)
         out = M.block(x, p, cfg, "blk", drop_prob=drop, mode="train",
                       rng=_ScriptedRng([0.99, 0.0])).data
-        ffn_branch = M.ffn(x, p, "blk").data - x.data
-        assert np.allclose(out, x.data + ffn_branch / (1.0 - drop), atol=1e-12)
+        ffn = ffn_branch(x, p).data - x.data
+        assert np.allclose(out, x.data + ffn / (1.0 - drop), atol=1e-12)
 
     def test_train_block_keeps_no_normalized_copy_or_phi(self):
-        # a float32 train-mode block is two tape nodes, which keep, per
-        # sample, the FFN branch's input and the block's output ([S,C]
+        # a float32 train-mode block is one tape node, which keeps, per
+        # sample, mid (the FFN branch's input) and the block's output ([S,C]
         # each), the two layer norms' row statistics (four [S] arrays) and
-        # the softmax's row max and sum ([h,S] each). Keeping any [S,C]
-        # intermediate (a normalized input, q, k, v, the attention output,
-        # the FFN output) would add one more [S,C] array, keeping P h*S/C
-        # of them and h four.
+        # the softmax's row max and sum ([h,S] each). Keeping any other
+        # [S,C] intermediate (a normalized input, q, k, v, the attention
+        # output, the FFN output) would add one more [S,C] array, keeping P
+        # h*S/C of them and h four.
         rng = np.random.default_rng(15)
         cfg = M.ModelConfig(embed_dim=64, num_heads=4, depth=1)
         params = M.init_params(cfg, rng)
@@ -411,53 +435,58 @@ class TestBlock:
         kept = 4 * b * (2 * s * c + 4 * s + 2 * cfg.num_heads * s)
         assert kept <= retained < kept + x.data.nbytes // 2
 
-    def test_eval_block_peak_frees_attention_early_and_gelu_in_place(self):
-        # each branch allocates its output (row = one [S,C] array per sample)
-        # and the row statistics for the whole batch, then runs over chunks
-        # of it (two here), so the rest of its peak is one chunk's. The
-        # attention branch's: the normalized input or the attention output
-        # and q, k and v (four [S,C] arrays per sample of the chunk), and one
-        # P sub-chunk's scaled q and P; a P of the whole chunk would add 1.4
-        # rows. The FFN branch writes the GELU over h: its chunk's normalized
-        # input and h (five [C] arrays per row of the chunk) and the GELU's
-        # four block buffers; a separate GELU output would add two rows.
+    def test_eval_block_peak_frees_attention_early_and_gelu_in_place(self, monkeypatch):
+        # the block allocates its output and mid (row = one [S,C] array per
+        # sample) and both layer norms' row statistics and the softmax's m
+        # and l for the whole batch, then runs over chunks of samples (two
+        # here, sized by h), so the rest of its peak is one chunk's, and one
+        # half's at a time. The attention half's: the normalized input or
+        # the attention output and q, k and v (four [S,C] arrays per sample
+        # of the chunk), and one P sub-chunk's scaled q and P; a P of the
+        # whole chunk would add 1.4 rows. It is read when the first chunk's
+        # FFN half starts. The FFN half writes the GELU over h: its chunk's
+        # normalized input and h (five [C] arrays per row of the chunk) and
+        # the GELU's four block buffers; a separate GELU output would add
+        # two rows. It is the larger half, so it sets the whole call's peak.
         rng = np.random.default_rng(18)
         cfg = M.ModelConfig(embed_dim=64, num_heads=4, depth=1)
         params = M.init_params(cfg, rng)
         b, s, c, heads = 64, cfg.num_patches + cfg.num_cls_tokens, cfg.embed_dim, cfg.num_heads
         hidden = M.FFN_RATIO * c
         x = Tensor(rng.standard_normal((b, s, c)).astype(np.float32))
+        attention_peak, mlp_forward = [], T._mlp_forward
 
-        def peak(branch):
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                branch()
-                return tracemalloc.get_traced_memory()[1] - before
-            finally:
-                tracemalloc.stop()
+        def first_ffn_half(*args, **kwargs):
+            if not attention_peak:
+                attention_peak.append(tracemalloc.get_traced_memory()[1] - before)
+            return mlp_forward(*args, **kwargs)
 
-        def largest(chunks):
-            assert len(chunks) >= 2
-            return max(sl.stop - sl.start for sl in chunks)
+        monkeypatch.setattr(T, "_mlp_forward", first_ffn_half)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            M.block(x, params, cfg, "blocks.0", drop_prob=0.0, mode="eval")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
 
+        chunks = T._chunks(b, max(s * hidden, 3 * s * c) * 4)
+        assert len(chunks) >= 2
+        samples = max(sl.stop - sl.start for sl in chunks)
         row = 4 * b * s * c
-        samples = largest(T._chunks(b, 3 * s * c * 4))
+        whole = 2 * row + 4 * b * (4 * s + 2 * heads * s)
         sub = T._ATTENTION_CHUNK // (4 * heads * s * s)
-        softmax = (row + 4 * b * (2 * s + 2 * heads * s) + 4 * samples * 4 * s * c
-                   + 4 * sub * (s * c + heads * s * s))
-        assert softmax <= peak(lambda: M.attention(x, params, cfg, "blocks.0")) < softmax + row // 2
-        rows = largest(T._chunks(b * s, hidden * 4))
-        gelu = row + 4 * b * s * 2 + 4 * rows * (c + hidden) + 4 * 4 * T._BLOCK
-        assert gelu <= peak(lambda: M.ffn(x, params, "blocks.0")) < gelu + row // 2
+        softmax = whole + 4 * samples * 4 * s * c + 4 * sub * (s * c + heads * s * s)
+        assert softmax <= attention_peak[0] < softmax + row // 2
+        gelu = whole + 4 * samples * s * (c + hidden) + 4 * 4 * T._BLOCK
+        assert gelu <= peak < gelu + row // 2
 
     def test_block_vjp_scratch_stays_flat_with_the_batch(self):
-        # what each of a train-mode paper-width block's two VJPs allocates
-        # beyond its input's cotangent (the size of the x it keeps) is one
-        # chunk's scratch and the parameter cotangents: 9.4 and 9.3 MB at
-        # batch 32, 11.5 and 11.1 MB at batch 128, whose chunks hold up to a
-        # fifth more samples and a third more rows. With T._CHUNK past the
-        # whole batch it read 16.8 and 17.6 MB, then 64.8 and 65.5 MB.
+        # what a train-mode paper-width block's VJP allocates is one chunk's
+        # scratch and the parameter cotangents: its cotangent of x takes the
+        # buffer of the mid it keeps. 10.6 MB at batch 32, 12.7 MB at batch
+        # 128, whose chunks hold up to a third more samples. With T._CHUNK
+        # past the whole batch it read 19.6 MB, then 72.3 MB.
         rng = np.random.default_rng(20)
         cfg = M.ModelConfig()
         params = M.init_params(cfg, rng)
@@ -475,7 +504,7 @@ class TestBlock:
                 try:
                     before = tracemalloc.get_traced_memory()[0]
                     vjp(g)
-                    sizes.append(tracemalloc.get_traced_memory()[1] - before - inputs[0].data.nbytes)
+                    sizes.append(tracemalloc.get_traced_memory()[1] - before)
                 finally:
                     tracemalloc.stop()
             return sizes
@@ -613,22 +642,22 @@ class TestForward:
             for name, got, want in zip(["logits", *params], pruned, whole):
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (mode, name)
 
-    @pytest.mark.parametrize("cfg, nodes", [
-        (M.ModelConfig(embed_dim=192, num_heads=12, depth=9, drop_path_rate=0.1), 21),
-        (M.ModelConfig(embed_dim=64, num_heads=4, depth=3, mla=M.MlaConfig("kv", d_c=16),
-                       num_cls_tokens=2, drop_path_rate=0.1), 9),
+    @pytest.mark.parametrize("cfg", [
+        M.ModelConfig(embed_dim=192, num_heads=12, depth=9, drop_path_rate=0.1),
+        M.ModelConfig(embed_dim=64, num_heads=4, depth=3, mla=M.MlaConfig("kv", d_c=16),
+                      num_cls_tokens=2, drop_path_rate=0.1),
     ], ids=["paper", "desk"])
-    def test_train_tape_records_only_differentiable_ops(self, cfg, nodes):
-        # embed, per block norm_attention and norm_mlp with their drop-path
-        # residuals, head and cross_entropy; no node for the patch
-        # rearrangement or a weight's layout
+    def test_train_tape_records_only_differentiable_ops(self, cfg):
+        # embed, one node per block with both drop-path residuals, head and
+        # cross_entropy; no node for the patch rearrangement or a weight's
+        # layout
         rng = np.random.default_rng(0)
         params = M.init_params(cfg, rng)
         images = Tensor(rng.standard_normal((2, 3, 32, 32)).astype(np.float32))
         with T.Tape() as tape:
             cross_entropy(M.forward(cfg, params, images, mode="train", rng=rng),
                           np.full((2, 10), 0.1, np.float32))
-        assert len(tape) == nodes
+        assert len(tape) == cfg.depth + 3
 
     def test_eval_bitwise_deterministic(self):
         cfg = tiny_config()
@@ -682,7 +711,7 @@ class TestForward:
     def test_train_mode_grad_check_with_drop_path(self, n_cls):
         # depth 2 at rate 0.5: block 1 draws one mask per residual, each of
         # which keeps some of the 4 samples and drops the others at this
-        # seed; the masks enter the two fused branch VJPs, for every variant
+        # seed; the masks enter the block's VJP, for every variant
         mask_seed, batch = 2, 4
         draws = np.random.default_rng(mask_seed)
         masks = [M._drop_path_mask(batch, 0.5, draws, np.dtype(np.float64)) for _ in range(2)]
@@ -704,14 +733,15 @@ class TestForward:
 
     @pytest.mark.parametrize("variant, n_cls", [("none", 1), ("qkv", 2)])
     def test_train_mode_grad_check_across_chunks(self, variant, n_cls, monkeypatch):
-        # a budget of one sample's float64 q, k and v, which holds 12 or 13
-        # rows of h: the batch of 4 runs as four attention chunks and six FFN
-        # chunks
+        # a budget of one sample's float64 q, k and v, less than a sample's h
+        # (a block chunks samples by the larger) and more than the CLS-only
+        # last block's q, k and v: every block runs the batch of 4 as four
+        # chunks of one sample
         cfg = tiny_config(variant, n_cls=n_cls, drop_path_rate=0.5)
-        s = cfg.num_patches + n_cls
-        monkeypatch.setattr(T, "_CHUNK", 3 * s * cfg.embed_dim * 8)
-        assert len(T._chunks(4, 3 * s * cfg.embed_dim * 8)) == 4
-        assert len(T._chunks(4 * s, M.FFN_RATIO * cfg.embed_dim * 8)) >= 5
+        s, c, hidden = cfg.num_patches + n_cls, cfg.embed_dim, M.FFN_RATIO * cfg.embed_dim
+        monkeypatch.setattr(T, "_CHUNK", 3 * s * c * 8)
+        for rows in (s, n_cls):
+            assert len(T._chunks(4, max(rows * hidden, (rows + 2 * s) * c) * 8)) == 4
         rng = np.random.default_rng(16)
         params = M.grad_check_point(cfg, rng)
         images = Tensor(rng.standard_normal((4, 3, 16, 16)), dtype=np.float64)

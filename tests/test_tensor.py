@@ -1,5 +1,6 @@
 """Autodiff core: op semantics, backward rules, gradient checking."""
 
+import functools
 import sys
 import threading
 import weakref
@@ -95,11 +96,11 @@ class TestEmbedTokens:
 
 
 # ---------------------------------------------------------------------------
-# softmax attention, the core of norm_attention
+# softmax attention, the core of block's attention branch
 
 def attend(q, k, v, heads=1):
     """Multi-head softmax(q k^T / sqrt(d)) v for float64 q, k, v [B,S,C]
-    through the attention weights norm_attention computes."""
+    through the attention weights block computes."""
     b, s, c = np.shape(q)
 
     def split(a):
@@ -111,12 +112,14 @@ def attend(q, k, v, heads=1):
     return out.transpose(0, 2, 1, 3).reshape(b, s, c)
 
 
-def attention_inputs(x, wq, wk, wv, wo, grad=False):
-    """norm_attention's arguments with full projections and the identity
-    affine, as float64 tensors: (x, gamma, beta, projections, wo)."""
+def block_inputs(x, wq, wk, wv, wo, grad=False):
+    """block's arguments with full projections, the identity affines and the
+    FFN branch silenced (all zero, so it adds zeros), as float64 tensors:
+    (x, attention, ffn)."""
     c = np.shape(x)[-1]
     gamma, beta, *w = (t64(a, grad) for a in (np.ones(c), np.zeros(c), wq, wk, wv, wo))
-    return t64(x, grad), gamma, beta, [(w[0],), (w[1],), (w[2],)], w[3]
+    ffn = (gamma, beta, *(t64(np.zeros(shape), grad) for shape in [(c, c), (c,), (c, c), (c,)]))
+    return t64(x, grad), (gamma, beta, [(w[0],), (w[1],), (w[2],)], w[3]), ffn
 
 
 class TestAttentionWeights:
@@ -139,10 +142,10 @@ class TestAttentionWeights:
         # all weight on it, so with v = o = I the branch adds the row itself
         x = np.array([[[1.0, -1.0], [-1.0, 1.0]]])
         big, eye = 1000.0 * np.eye(2), np.eye(2)
-        inputs = attention_inputs(x, big, big, eye, eye, grad=True)
+        inputs = block_inputs(x, big, big, eye, eye, grad=True)
         with Tape() as tape:
-            out = T.norm_attention(*inputs, heads=1)
-            grads = backward(total(out), tape, [inputs[0], *(w for (w,) in inputs[3])])
+            out = T.block(*inputs, heads=1)
+            grads = backward(total(out), tape, [inputs[0], *(w for (w,) in inputs[1][2])])
         assert np.allclose(out.data, 2.0 * x, rtol=0, atol=1e-5)
         assert all(np.all(np.isfinite(g)) for g in grads)
 
@@ -169,23 +172,27 @@ class TestAttentionWeights:
     def test_heads_must_divide_channels(self):
         w = np.zeros((6, 6))
         with pytest.raises(T.ShapeError, match="divisible by 4 heads"):
-            T.norm_attention(*attention_inputs(np.zeros((1, 2, 6)), w, w, w, w), heads=4)
+            T.block(*block_inputs(np.zeros((1, 2, 6)), w, w, w, w), heads=4)
 
     def test_operand_shapes_must_match(self):
         w = np.zeros((4, 4))
         with pytest.raises(T.ShapeError, match=r"\(1, 2, 4\).*\(3, 4\)"):
-            T.norm_attention(*attention_inputs(np.zeros((1, 2, 4)), w, np.zeros((3, 4)), w, w),
-                             heads=1)
+            T.block(*block_inputs(np.zeros((1, 2, 4)), w, np.zeros((3, 4)), w, w), heads=1)
         for rows in (0, 3):
             with pytest.raises(T.ShapeError, match=rf"1 <= rows <= S .*\(1, 2, 4\) and rows={rows}"):
-                T.norm_attention(*attention_inputs(np.zeros((1, 2, 4)), w, w, w, w), heads=1, rows=rows)
+                T.block(*block_inputs(np.zeros((1, 2, 4)), w, w, w, w), heads=1, rows=rows)
+        x, attention, (gamma, beta, w1, b1, _, _) = block_inputs(np.zeros((1, 2, 4)), w, w, w, w)
+        with pytest.raises(T.ShapeError, match=r"block needs w1 \[4, hidden\].*\(3, 4\), \(3,\)$"):
+            T.block(x, attention, (gamma, beta, w1, b1, t64(np.zeros((3, 4))), t64(np.zeros(3))), 1)
+        with pytest.raises(T.ShapeError, match=r"block's residual needs w2 \[hidden, C\] .*\(4, 3\)"):
+            T.block(x, attention, (gamma, beta, w1, b1, t64(np.zeros((4, 3))), t64(np.zeros(3))), 1)
 
 
 # ---------------------------------------------------------------------------
 # layer norm
 
 class TestLayerNorm:
-    """`_normalize`, the layer norm of norm_attention, norm_mlp and head, and their checks."""
+    """`_normalize`, the layer norm of block's two branches and of head, and their checks."""
 
     def test_constant_row_is_zeroed(self):
         assert np.allclose(T._normalize(np.array([[5.0, 5.0, 5.0]]), 1e-6)[0], 0.0)
@@ -198,14 +205,17 @@ class TestLayerNorm:
         assert np.max(np.abs(out.mean(axis=-1))) <= 1e-6
         assert np.max(np.abs(out.var(axis=-1) - 1.0)) <= 1e-3
 
+    # norm_attention and norm_mlp: block's first layer norm and its second (see block_op)
     @pytest.mark.parametrize("name", ["norm_mlp", "norm_attention", "head"])
     def test_affine_must_be_channel_vectors(self, name):
         x, gamma, beta = t64(np.zeros((2, 2, 3))), t64(np.ones((1, 3))), t64(np.zeros(3))
-        w, b = t64(np.zeros((3, 3))), t64(np.zeros(3))
-        args = {"norm_mlp": (x, gamma, beta, w, b, w, b), "head": (x, gamma, beta, w, b, w, b),
-                "norm_attention": (x, gamma, beta, [(w,)] * 3, w, 1)}[name]
-        with pytest.raises(T.ShapeError, match=rf"{name} needs .*\(2, 2, 3\), \(1, 3\), \(3,\)"):
-            getattr(T, name)(*args)
+        w, b, ones = t64(np.zeros((3, 3))), t64(np.zeros(3)), t64(np.ones(3))
+        bad, good = (gamma, beta), (ones, b)
+        norm1, norm2 = (bad, good) if name == "norm_attention" else (good, bad)
+        op, args = ("head", (x, gamma, beta, w, b, w, b)) if name == "head" else \
+            ("block", (x, (*norm1, [(w,)] * 3, w), (*norm2, w, b, w, b), 1))
+        with pytest.raises(T.ShapeError, match=rf"{op} needs .*\(2, 2, 3\), \(1, 3\), \(3,\)"):
+            getattr(T, op)(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -303,27 +313,48 @@ def group(weights, latents):
 
 
 def attention_shapes(b, s, c, latents):
-    """norm_attention's flat input shapes: x, gamma, beta, the q/k/v weights
-    in `group` order, wo."""
+    """The attention branch's flat input shapes: x, gamma, beta, the q/k/v
+    weights in `group` order, wo."""
     return ([(b, s, c), (c,), (c,)]
             + [shape for dc in latents for shape in ([(c, c)] if dc == 0 else [(c, dc), (dc, c)])]
             + [(c, c)])
 
 
-def norm_attention_op(heads, latents, mask=None, rows=None):
-    """norm_attention over attention_shapes' flat inputs."""
+def block_shapes(b, s, c, latents, hidden):
+    """block's flat input shapes: attention_shapes', then the FFN branch's
+    gamma, beta, w1, b1, w2 and b2."""
+    return attention_shapes(b, s, c, latents) + [(c,), (c,), (c, hidden), (hidden,), (hidden, c), (c,)]
+
+
+def sample_bytes(s, rows, c, hidden, itemsize=8):
+    """What block chunks the batch by: the bytes of a sample's h or of its
+    q, k and v, whichever is larger."""
+    return max(rows * hidden, (rows + 2 * s) * c) * itemsize
+
+
+def block_op(heads, latents, masks=(None, None), rows=None):
+    """block over block_shapes' flat inputs. The cases below keep the names
+    of its two branches: a norm_attention case varies the attention branch
+    (heads, latents, rows, per-sample masks), a norm_mlp case the FFN
+    branch (widths, per-row masks), each through the whole block."""
     def op(x, gamma, beta, *w):
-        return T.norm_attention(x, gamma, beta, group(w[:-1], latents), w[-1], heads, mask, rows)
+        *projections, wo = w[:-6]
+        return T.block(x, (gamma, beta, group(projections, latents), wo), w[-6:], heads, masks, rows)
     return op
 
 
+def drop_masks(seed, shape, dtype=np.float64):
+    """The two branches' drop_mask constants, from seeds `seed` and `seed` + 1."""
+    return tuple(drop_mask(seed + i, shape).astype(dtype) for i in range(2))
+
+
 def norm_attention_oracle(heads, latents, mask=None, rows=None):
-    """Float64 x + mask * attention(layer_norm(x)) @ wo and its VJP for the
-    cotangent g, over norm_attention_op's inputs then g: layer_norm_oracle,
-    a naive per-sample, per-head attention over all S rows by the textbook
-    softmax formulas, then the masked residual. With `rows`, the output is
-    each sample's first `rows` rows, and g [B,rows,C] is padded with zero
-    rows."""
+    """Float64 x + mask * attention(layer_norm(x)) @ wo, the attention
+    branch, and its VJP for the cotangent g, over attention_shapes' inputs
+    then g: layer_norm_oracle, a naive per-sample, per-head attention over
+    all S rows by the textbook softmax formulas, then the masked residual.
+    With `rows`, the output is each sample's first `rows` rows, and g
+    [B,rows,C] is padded with zero rows."""
     def oracle(x, gamma, beta, *w):
         *w, wo, g = w
         m = 1.0 if mask is None else mask
@@ -361,6 +392,20 @@ def norm_attention_oracle(heads, latents, mask=None, rows=None):
         dx, *gnorm = layer_norm_oracle(x, gamma, beta, gxn)[1]
         gwo = o.reshape(-1, c).T @ gy.reshape(-1, c)
         return (x + m * (o @ wo))[:, :rows], [dx + g, *gnorm, *gw, gwo]
+    return oracle
+
+
+def block_oracle(heads, latents, masks=(None, None), rows=None):
+    """Float64 block and its VJP for the cotangent g, over block_op's inputs
+    then g: norm_attention_oracle's forward gives mid, norm_mlp_oracle the
+    output and the cotangent of mid, then norm_attention_oracle the rest."""
+    attention = norm_attention_oracle(heads, latents, masks[0], rows)
+
+    def oracle(*arrays):
+        inputs, ffn, g = arrays[:-7], arrays[-7:-1], arrays[-1]
+        mid, _ = attention(*inputs, np.zeros_like(g))
+        y, (gmid, *gffn) = norm_mlp_oracle(mid, *ffn, g, mask=masks[1])
+        return y, [*attention(*inputs, gmid)[1], *gffn]
     return oracle
 
 
@@ -415,13 +460,14 @@ class TestErf:
 
     @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-4), (np.float64, 1e-10)])
     def test_mlp_across_blocks_matches_oracle(self, dtype, tol):
-        # norm_mlp over 3 x 97 rows of 607 hidden units: a full block and a partial one
+        # a block whose FFN runs over 3 x 97 rows of 607 hidden units: a full
+        # _gelu block and a partial one
         rng = np.random.default_rng(2)
         arrays = [rng.normal(0.0, 1.0, s) / np.sqrt(s[0] if len(s) == 2 else 1)
-                  for s in [(3, 97, 8), (8,), (8,), (8, 607), (607,), (607, 8), (8,)]]
+                  for s in block_shapes(3, 97, 8, (0, 0, 0), 607)]
         r = rng.standard_normal((3, 97, 8))
-        y, grads = op_and_vjp(T.norm_mlp, arrays, r, dtype)
-        want_y, want = norm_mlp_oracle(*arrays, r)
+        y, grads = op_and_vjp(block_op(1, (0, 0, 0)), arrays, r, dtype)
+        want_y, want = block_oracle(1, (0, 0, 0))(*arrays, r)
         for g, w in zip([y] + grads, [want_y] + want):
             assert g.dtype == dtype
             assert np.allclose(g, w, rtol=tol, atol=tol * np.abs(w).max())
@@ -580,18 +626,20 @@ class TestBackward:
         assert np.array_equal(grads[0], grads[1])
 
     def test_three_block_composite_matches_finite_differences(self):
-        # embed, norm_attention with a latent k returning the one CLS row, then
+        # embed, a block with a latent k returning the one CLS row, then
         # head; fan-in scaled
         params = random_inputs(7, (5, 8), (8,), (3, 8), (1, 8), (8,), (8,), (8, 8), (8, 3), (3, 8),
-                               (8, 8), (8,), (8,), (8, 8), (8,), (8, 4), (4,))
+                               (8, 8), (8,), (8,), (8, 8), (8,), (8, 4), (4,),
+                               (8,), (8,), (8, 16), (16,), (16, 8), (8,))
         for p in params:
             p.data /= np.sqrt(p.shape[0])
-        we, be, pos, tok, g1, b1, q1, k1, k2, o1, *head = params
+        we, be, pos, tok, g1, b1, q1, k1, k2, o1, *rest = params
+        head, ffn = rest[:6], rest[6:]
         x = np.random.default_rng(8).standard_normal((2, 3, 5))
 
         def f():
             h = T.embed(x, we, be, pos, tok)
-            h = T.norm_attention(h, g1, b1, [(q1,), (k1, k2), (q1,)], o1, heads=2, rows=1)
+            h = T.block(h, (g1, b1, [(q1,), (k1, k2), (q1,)], o1), ffn, heads=2, rows=1)
             return T.cross_entropy(T.head(h, *head), np.full((2, 4), 0.25))
 
         assert grad_check(f, params, h=1e-5) < 1e-4
@@ -656,6 +704,18 @@ def random_inputs(seed, *shapes):
     return [t64(rng.standard_normal(shape), grad=True) for shape in shapes]
 
 
+def fan_in_scaled(inputs):
+    """`inputs` with each matrix divided by the square root of its fan-in,
+    in place, as grad_check_point scales the model's: the attention logits
+    and h stay O(1). At unscaled standard-normal points a block's central
+    differences read above 1e-4 on a correct VJP at about one point in 25,
+    with its FFN branch silenced too (a coordinate's gradient near 1e-7)."""
+    for p in inputs:
+        if p.ndim == 2:
+            p.data /= np.sqrt(p.shape[0])
+    return inputs
+
+
 VJP_SETTINGS = settings(max_examples=30, derandomize=True, deadline=None)
 seeds = st.integers(0, 2 ** 32 - 1)
 extents = st.integers(1, 4)
@@ -670,13 +730,13 @@ class TestVjpProperties:
         assert cotangent_error(op, random_inputs(seed, *shapes), seed + 1) < 1e-4
 
     @given(b=st.integers(1, 3), s=st.integers(1, 5), heads=st.integers(1, 3), d=extents,
-           latents=latent_sets, masked=st.booleans(), seed=seeds, data=st.data())
+           hidden=extents, latents=latent_sets, masked=st.booleans(), seed=seeds, data=st.data())
     @VJP_SETTINGS
-    def test_norm_attention(self, b, s, heads, d, latents, masked, seed, data):
-        mask = drop_mask(seed + 2, (b, 1, 1)) if masked else None
+    def test_norm_attention(self, b, s, heads, d, hidden, latents, masked, seed, data):
+        masks = drop_masks(seed + 2, (b, 1, 1)) if masked else (None, None)
         rows = data.draw(st.integers(1, s), label="rows")
-        inputs = random_inputs(seed, *attention_shapes(b, s, heads * d, latents))
-        err = cotangent_error(norm_attention_op(heads, latents, mask, rows), inputs, seed + 1)
+        inputs = fan_in_scaled(random_inputs(seed, *block_shapes(b, s, heads * d, latents, hidden)))
+        err = cotangent_error(block_op(heads, latents, masks, rows), inputs, seed + 1)
         assert err < 1e-4
 
     # a row of one or two channels normalizes to a constant, so its dx is
@@ -691,17 +751,23 @@ class TestVjpProperties:
 
 
 # ---------------------------------------------------------------------------
-# the stem, the head and the two block branches against numpy oracles
+# the stem, the block and the head against numpy oracles
 
-def op_case(name, lead, c, hidden, n, mask=None):
-    """(op, oracle, input shapes) of norm_mlp over x [*lead, c] with `mask`, of head over
-    x [B,n,c] into 3 classes, or of embed with n tokens in front of constant patch rows
-    [B,S,hidden]; [B,S] is lead padded with ones."""
+def grid(lead):
+    """[B,S]: lead padded with ones."""
+    return (*lead, 1, 1)[:2]
+
+
+def op_case(name, lead, c, hidden, n, masks=(None, None)):
+    """(op, oracle, input shapes) of norm_mlp, a block with one head and full projections
+    over x [B,S,c], `hidden` FFN units and `masks`, of head over x [B,n,c] into 3 classes,
+    or of embed with n tokens in front of constant patch rows [B,S,hidden]; [B,S] is
+    grid(lead)."""
     norm = [(c,), (c,)]
+    b, s = grid(lead)
     if name == "norm_mlp":
-        return (lambda *a: T.norm_mlp(*a, mask=mask), lambda *a: norm_mlp_oracle(*a, mask=mask),
-                [(*lead, c)] + norm + [(c, hidden), (hidden,), (hidden, c), (c,)])
-    b, s = (*lead, 1, 1)[:2]
+        return (block_op(1, (0, 0, 0), masks), block_oracle(1, (0, 0, 0), masks),
+                block_shapes(b, s, c, (0, 0, 0), hidden))
     if name == "head":
         return (T.head, head_oracle, [(b, n, c)] + norm + [(n * c, hidden), (hidden,), (hidden, 3), (3,)])
     patches = np.random.default_rng(n).standard_normal((b, s, hidden))
@@ -725,39 +791,44 @@ def oracle_error(op, oracle, shapes, seed):
 
 
 class TestOracleVjp:
+    # a per-row mask in each branch, as a [B,S,1] constant
     @given(name=st.sampled_from(["norm_mlp", "head", "embed"]),
            lead=st.lists(st.integers(1, 3), max_size=2), c=st.integers(1, 8),
            hidden=st.integers(1, 8), n=st.integers(1, 3), masked=st.booleans(), seed=seeds)
     @VJP_SETTINGS
     def test_matches_numpy_oracle(self, name, lead, c, hidden, n, masked, seed):
-        mask = drop_mask(seed + 2, (*lead, 1)) if masked else None
-        assert oracle_error(*op_case(name, lead, c, hidden, n, mask), seed) < 1e-10
+        masks = drop_masks(seed + 2, (*grid(lead), 1)) if masked else (None, None)
+        assert oracle_error(*op_case(name, lead, c, hidden, n, masks), seed) < 1e-10
 
     @given(b=st.integers(1, 3), s=st.integers(1, 5), heads=st.integers(1, 3), d=extents,
-           latents=latent_sets, masked=st.booleans(), seed=seeds, data=st.data())
+           hidden=extents, latents=latent_sets, masked=st.booleans(), seed=seeds, data=st.data())
     @VJP_SETTINGS
-    def test_norm_attention_matches_numpy_oracle(self, b, s, heads, d, latents, masked, seed,
-                                                 data):
-        mask = drop_mask(seed + 2, (b, 1, 1)) if masked else None
+    def test_norm_attention_matches_numpy_oracle(self, b, s, heads, d, hidden, latents, masked,
+                                                 seed, data):
+        masks = drop_masks(seed + 2, (b, 1, 1)) if masked else (None, None)
         rows = data.draw(st.integers(1, s), label="rows")
-        err = oracle_error(norm_attention_op(heads, latents, mask, rows),
-                           norm_attention_oracle(heads, latents, mask, rows),
-                           attention_shapes(b, s, heads * d, latents), seed)
+        err = oracle_error(block_op(heads, latents, masks, rows),
+                           block_oracle(heads, latents, masks, rows),
+                           block_shapes(b, s, heads * d, latents, hidden), seed)
         assert err < 1e-10
 
     def test_norm_mlp_is_layer_norm_then_mlp_bitwise_forward(self):
+        # with wo zero the attention branch adds zeros, so mid is x, bit for bit
         rng = np.random.default_rng(12)
         x, gamma, beta = (t64(rng.standard_normal(s)) for s in [(2, 5, 6), (6,), (6,)])
         ffn = [t64(rng.standard_normal(s)) for s in [(6, 24), (24,), (24, 6), (6,)]]
-        fused = T.norm_mlp(x, gamma, beta, *ffn).data
+        attention = (t64(np.ones(6)), t64(np.zeros(6)),
+                     [(t64(rng.standard_normal((6, 6))),) for _ in range(3)], t64(np.zeros((6, 6))))
+        fused = T.block(x, attention, (gamma, beta, *ffn), heads=2).data
         xn = T._affine(T._normalize(x.data, 1e-6)[0], gamma, beta).reshape(-1, 6)
         assert fused.tobytes() == (x.data + T._mlp_forward(xn, *ffn).reshape(x.shape)).tobytes()
 
 
-def _norm_vjp_without_mean_term(xhat, inv, gamma, g):
+def _norm_vjp_without_mean_term(xhat, inv, gamma, g, out=None):
     """A planted bug: layer norm's dx without its - mean(g gamma) term."""
-    dx, dgamma, dbeta = _REAL_NORM_VJP(xhat, inv, gamma, g)
-    return dx + inv * (g * gamma.data).mean(axis=-1, keepdims=True), dgamma, dbeta
+    dx, dgamma, dbeta = _REAL_NORM_VJP(xhat, inv, gamma, g, out)
+    dx += inv * (g * gamma.data).mean(axis=-1, keepdims=True)
+    return dx, dgamma, dbeta
 
 
 def _gelu_with_phi_as_derivative(h, gh=None, out=None):
@@ -774,9 +845,9 @@ def _softmax_vjp_without_rowsum(dp, p):
     return dp
 
 
-def _residual_vjp_without_g(xhat, inv, gamma, gxn, g):
+def _residual_vjp_without_g(xhat, inv, gamma, gxn, g, out=None):
     """A planted bug: the residual's + g left out of dx."""
-    return T._norm_vjp(xhat, inv, gamma, gxn)
+    return T._norm_vjp(xhat, inv, gamma, gxn, out)
 
 
 def _gelu_hidden_without_b1(x2, w1, b1, gh=None):
@@ -793,15 +864,31 @@ def _weights_without_row_max(qs, kh, m, l, rebuild=False):
 _REAL_NORM_VJP, _REAL_GELU = T._norm_vjp, T._gelu
 _REAL_GELU_HIDDEN, _REAL_WEIGHTS = T._gelu_hidden, T._attention_weights
 PLANTED_CASES = {
-    **{name: op_case(name, (3, 4), 6, 8, 2, drop_mask(5, (3, 4, 1))) for name in ("norm_mlp", "head")},
-    "norm_attention": (norm_attention_op(2, (0, 2, 0), drop_mask(5, (2, 1, 1))),
-                       norm_attention_oracle(2, (0, 2, 0), drop_mask(5, (2, 1, 1))),
-                       attention_shapes(2, 4, 6, (0, 2, 0))),
+    # block over per-row masks as op_case's norm_mlp, and over per-sample masks with two heads
+    "norm_mlp": op_case("norm_mlp", (3, 4), 6, 8, 2, drop_masks(5, (3, 4, 1))),
+    "head": op_case("head", (3, 4), 6, 8, 2),
+    "norm_attention": (block_op(2, (0, 2, 0), drop_masks(5, (2, 1, 1))),
+                       block_oracle(2, (0, 2, 0), drop_masks(5, (2, 1, 1))),
+                       block_shapes(2, 4, 6, (0, 2, 0), 8)),
     # two of the four query rows, through a latent q
-    "norm_attention-rows": (norm_attention_op(2, (2, 2, 0), drop_mask(5, (2, 1, 1)), rows=2),
-                            norm_attention_oracle(2, (2, 2, 0), drop_mask(5, (2, 1, 1)), rows=2),
-                            attention_shapes(2, 4, 6, (2, 2, 0))),
+    "norm_attention-rows": (block_op(2, (2, 2, 0), drop_masks(5, (2, 1, 1)), rows=2),
+                            block_oracle(2, (2, 2, 0), drop_masks(5, (2, 1, 1)), rows=2),
+                            block_shapes(2, 4, 6, (2, 2, 0), 8)),
 }
+
+
+def planted_errors(name):
+    """(oracle error, finite-difference error) of PLANTED_CASES[name] with
+    the helpers as they are now; a block case's matrices are fan-in scaled."""
+    op, oracle, shapes = PLANTED_CASES[name]
+    inputs = random_inputs(3, *shapes)
+    if name != "head":
+        fan_in_scaled(inputs)
+    return oracle_error(op, oracle, shapes, seed=3), cotangent_error(op, inputs, 4)
+
+
+# with no bug planted the errors are the same for every bug: taken once a case
+clean_planted_errors = functools.cache(planted_errors)
 
 
 class TestPlantedVjpBugs:
@@ -827,20 +914,21 @@ class TestPlantedVjpBugs:
             "head-rebuilt-h", "norm_attention-rebuilt-p", "norm_attention-rows-softmax",
             "norm_attention-rows-residual", "norm_attention-rows-rebuilt-p"])
     def test_planted_bug_is_caught(self, name, helper, planted, monkeypatch):
-        op, oracle, shapes = PLANTED_CASES[name]
-        assert oracle_error(op, oracle, shapes, seed=3) < 1e-10
-        assert cotangent_error(op, random_inputs(3, *shapes), 4) < 1e-6
+        oracle, fd = clean_planted_errors(name)
+        assert oracle < 1e-10
+        assert fd < 1e-6
         monkeypatch.setattr(T, helper, planted)
-        assert oracle_error(op, oracle, shapes, seed=3) > 1e-2
-        assert cotangent_error(op, random_inputs(3, *shapes), 4) > 1e-2
+        oracle, fd = planted_errors(name)
+        assert oracle > 1e-2
+        assert fd > 1e-2
 
 
 class TestRebuildBits:
     """In float32, every array a VJP rebuilds from what its node keeps is
-    bitwise the forward's: norm_attention's q, k and v with any latent's
-    first stage (_project) and each chunk's P (_attention_weights), and the
-    pre-activation h of norm_mlp and head (_gelu_hidden's input to _gelu).
-    With all 65 query rows the batch spans three attention chunks."""
+    bitwise the forward's: block's q, k and v with any latent's first stage
+    (_project) and each sub-chunk's P (_attention_weights), and the
+    pre-activation h of block and head (_gelu_hidden's input to _gelu).
+    With all 65 query rows the batch spans three P sub-chunks."""
 
     @staticmethod
     def record(monkeypatch) -> dict[str, list]:
@@ -890,10 +978,10 @@ class TestRebuildBits:
     ], ids=["full", "latent", "full-40-rows", "latent-40-rows", "full-2-rows", "latent-2-rows"])
     @pytest.mark.parametrize("masked", [False, True], ids=["whole", "drop-path"])
     def test_norm_attention(self, latents, rows, chunks, masked, monkeypatch):
-        b, s, c, heads = 16, 65, 64, 4        # 7 samples per chunk at 65 rows: 7, 7, 2
-        mask = drop_mask(1, (b, 1, 1)).astype(np.float32) if masked else None
-        seen = self.run(norm_attention_op(heads, latents, mask, rows),
-                        attention_shapes(b, s, c, latents), (b, rows or s, c), monkeypatch)
+        b, s, c, heads = 16, 65, 64, 4        # 7 samples per sub-chunk at 65 rows: 7, 7, 2
+        masks = drop_masks(1, (b, 1, 1), np.float32) if masked else (None, None)
+        seen = self.run(block_op(heads, latents, masks, rows),
+                        block_shapes(b, s, c, latents, c), (b, rows or s, c), monkeypatch)
         # q from each sample's first rows, then k and v from all S; the forward's, then the VJP's
         assert [count for count, _, _ in seen["project"]] == [b * (rows or s), b * s, b * s] * 2
         forward, rebuilt = seen["project"][:3], seen["project"][3:]
@@ -901,12 +989,14 @@ class TestRebuildBits:
             [(first.tobytes(), out.tobytes()) for _, first, out in rebuilt]
         assert [was_rebuilt for was_rebuilt, _ in seen["p"]] == [False] * chunks + [True] * chunks
         self.assert_rebuilt_bitwise(seen["p"])
+        assert [was_rebuilt for was_rebuilt, _ in seen["h"]] == [False, True]
+        self.assert_rebuilt_bitwise(seen["h"])
 
     @pytest.mark.parametrize("name, masked", [("norm_mlp", False), ("norm_mlp", True),
                                               ("head", False)])
     def test_hidden(self, name, masked, monkeypatch):
-        mask = drop_mask(1, (4, 9, 1)).astype(np.float32) if masked else None
-        op, _, shapes = op_case(name, (4, 9), 8, 16, 3, mask)
+        masks = drop_masks(1, (4, 9, 1), np.float32) if masked else (None, None)
+        op, _, shapes = op_case(name, (4, 9), 8, 16, 3, masks)
         seen = self.run(op, shapes, (4, 3) if name == "head" else (4, 9, 8), monkeypatch)
         assert [was_rebuilt for was_rebuilt, _ in seen["h"]] == [False, True]
         self.assert_rebuilt_bitwise(seen["h"])
@@ -917,11 +1007,12 @@ class TestRebuildBits:
     @pytest.mark.parametrize("rows", [None, 2], ids=["all-rows", "2-rows"])
     @pytest.mark.parametrize("masked", [False, True], ids=["whole", "drop-path"])
     def test_norm_attention_across_chunks(self, latents, rows, masked, monkeypatch):
+        # an FFN of c hidden units, so q, k and v size the chunks
         s, c, heads = 65, 64, 4
         b = 2 * (T._CHUNK // (3 * s * c * 4)) + 3     # three chunks at all 65 query rows
-        mask = drop_mask(1, (b, 1, 1)).astype(np.float32) if masked else None
-        seen = self.run(norm_attention_op(heads, latents, mask, rows),
-                        attention_shapes(b, s, c, latents), (b, rows or s, c), monkeypatch)
+        masks = drop_masks(1, (b, 1, 1), np.float32) if masked else (None, None)
+        seen = self.run(block_op(heads, latents, masks, rows),
+                        block_shapes(b, s, c, latents, c), (b, rows or s, c), monkeypatch)
         counts = [count for count, _, _ in seen["project"]]
         half = len(counts) // 2
         # per chunk q from each sample's first rows, then k and v from all S: the
@@ -933,14 +1024,16 @@ class TestRebuildBits:
         assert [(first.tobytes(), out.tobytes()) for _, first, out in forward] == \
             [(first.tobytes(), out.tobytes()) for _, first, out in rebuilt]
         self.assert_rebuilt_bitwise(seen["p"])
+        assert [len(h) for _, h in seen["h"]] == [k * (rows or s) for k in samples] * 2
+        self.assert_rebuilt_bitwise(seen["h"])
 
     @pytest.mark.parametrize("masked", [False, True], ids=["whole", "drop-path"])
     def test_norm_mlp_across_chunks(self, masked, monkeypatch):
-        # three chunks of h whose bounds fall inside samples, under a per-sample mask
-        c, hidden, b = 16, 256, 4
-        s = (2 * (T._CHUNK // (hidden * 4)) + b) // b
-        mask = drop_mask(1, (b, 1, 1)).astype(np.float32) if masked else None
-        op, _, shapes = op_case("norm_mlp", (b, s), c, hidden, 3, mask)
+        # three chunks of samples sized by h, under a per-sample mask in each branch
+        c, hidden, s = 16, 256, 9
+        b = 2 * (T._CHUNK // sample_bytes(s, s, c, hidden, 4)) + 3
+        masks = drop_masks(1, (b, 1, 1), np.float32) if masked else (None, None)
+        op, _, shapes = op_case("norm_mlp", (b, s), c, hidden, 3, masks)
         seen = self.run(op, shapes, (b, s, c), monkeypatch)
         chunks = len(seen["h"]) // 2
         assert chunks >= 2 and [was_rebuilt for was_rebuilt, _ in seen["h"]] == \
@@ -950,10 +1043,10 @@ class TestRebuildBits:
 
 
 class TestChunks:
-    """norm_mlp and norm_attention cut the batch into the fewest even chunks
-    within _CHUNK bytes, and are exact across chunk boundaries: under a
-    budget of one to three rows or samples, the float64 oracles and finite
-    differences still hold."""
+    """block cuts the batch into the fewest even chunks of samples within
+    _CHUNK bytes of h or of q, k and v, whichever is larger, and is exact
+    across chunk boundaries: under a budget of one to three samples, the
+    float64 oracles and finite differences still hold."""
 
     @pytest.mark.parametrize("count, item_bytes", [
         (0, 8), (1, 8), (2080, 768 * 4), (32, 195 * 192 * 4), (8320, 768 * 4), (5, 2 ** 40),
@@ -973,36 +1066,37 @@ class TestChunks:
            hidden=st.integers(1, 6), per=st.integers(1, 3), masked=st.booleans(), seed=seeds)
     @settings(max_examples=20, derandomize=True, deadline=None)
     def test_norm_mlp(self, lead, c, hidden, per, masked, seed):
-        mask = drop_mask(seed + 2, (*lead, 1)) if masked else None
-        op, oracle, shapes = op_case("norm_mlp", lead, c, hidden, 1, mask)
+        masks = drop_masks(seed + 2, (*grid(lead), 1)) if masked else (None, None)
+        op, oracle, shapes = op_case("norm_mlp", lead, c, hidden, 1, masks)
+        s = grid(lead)[1]
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(T, "_CHUNK", per * hidden * 8)    # `per` float64 rows of h
+            patch.setattr(T, "_CHUNK", per * sample_bytes(s, s, c, hidden))    # `per` samples
             assert oracle_error(op, oracle, shapes, seed) < 1e-10
-            assert cotangent_error(op, random_inputs(seed, *shapes), seed + 1) < 1e-4
+            assert cotangent_error(op, fan_in_scaled(random_inputs(seed, *shapes)), seed + 1) < 1e-4
 
     @given(b=st.integers(2, 4), s=st.integers(1, 4), heads=st.integers(1, 2), d=st.integers(1, 3),
-           latents=latent_sets, per=st.integers(1, 2), masked=st.booleans(), seed=seeds,
-           data=st.data())
+           hidden=extents, latents=latent_sets, per=st.integers(1, 2), masked=st.booleans(),
+           seed=seeds, data=st.data())
     @settings(max_examples=20, derandomize=True, deadline=None)
-    def test_norm_attention(self, b, s, heads, d, latents, per, masked, seed, data):
-        mask = drop_mask(seed + 2, (b, 1, 1)) if masked else None
+    def test_norm_attention(self, b, s, heads, d, hidden, latents, per, masked, seed, data):
+        masks = drop_masks(seed + 2, (b, 1, 1)) if masked else (None, None)
         rows = data.draw(st.integers(1, s), label="rows")
-        op = norm_attention_op(heads, latents, mask, rows)
-        shapes = attention_shapes(b, s, heads * d, latents)
+        op = block_op(heads, latents, masks, rows)
+        shapes = block_shapes(b, s, heads * d, latents, hidden)
         with pytest.MonkeyPatch.context() as patch:
-            # `per` samples' float64 q, k and v
-            patch.setattr(T, "_CHUNK", per * (rows + 2 * s) * heads * d * 8)
-            assert oracle_error(op, norm_attention_oracle(heads, latents, mask, rows), shapes,
+            # `per` samples
+            patch.setattr(T, "_CHUNK", per * sample_bytes(s, rows, heads * d, hidden))
+            assert oracle_error(op, block_oracle(heads, latents, masks, rows), shapes,
                                 seed) < 1e-10
-            assert cotangent_error(op, random_inputs(seed, *shapes), seed + 1) < 1e-4
+            assert cotangent_error(op, fan_in_scaled(random_inputs(seed, *shapes)), seed + 1) < 1e-4
 
 
 class TestLanes:
-    """With lanes, norm_mlp and norm_attention cut the batch into a multiple
-    of LANES chunks of at most _CHUNK / LANES bytes and run them through the
-    map they are handed (in train, the map of _run_shards' pool, the only
-    pool), forward and VJP, with the bits of a serial walk of the same
-    partition; an op on any other thread keeps the serial partition."""
+    """With lanes, block cuts the batch into a multiple of LANES chunks of
+    at most _CHUNK / LANES bytes and runs them through the map it is handed
+    (in train, the map of _run_shards' pool, the only pool), forward and
+    VJP, with the bits of a serial walk of the same partition; a block on
+    any other thread keeps the serial partition."""
 
     @pytest.mark.parametrize("count, item_bytes", [
         (0, 8), (1, 8), (3, 2 ** 40), (2080, 768 * 4), (32, 195 * 192 * 4), (32, 131 * 192 * 4),
@@ -1019,24 +1113,24 @@ class TestLanes:
         assert len(chunks) == min(-(-fewest // T.LANES) * T.LANES, max(count, 1))
         assert max(sizes) <= most and max(sizes) - min(sizes) <= 1
 
-    # (op, input shapes, cotangent shape, items the op chunks, bytes of one item) at b = 10
-    # samples: norm_mlp chunks 20 rows of h, whose chunk bounds can fall inside a sample
+    # (op, input shapes, cotangent shape, samples the op chunks, bytes of one) at b = 10
+    # samples: norm_mlp is one head over two rows a sample, whose h sizes the chunks
     @staticmethod
     def case(name, dtype, masked):
         b, s, c, hidden, heads = 10, 5, 8, 12, 2
-        mask = drop_mask(1, (b, 1, 1)).astype(dtype) if masked else None
+        masks = drop_masks(1, (b, 1, 1), dtype) if masked else (None, None)
         size = np.dtype(dtype).itemsize
         if name == "norm_mlp":
-            op, _, shapes = op_case("norm_mlp", (b, 2), c, hidden, 1, mask)
-            return op, shapes, (b, 2, c), b * 2, hidden * size
+            op, _, shapes = op_case("norm_mlp", (b, 2), c, hidden, 1, masks)
+            return op, shapes, (b, 2, c), b, sample_bytes(2, 2, c, hidden, size)
         latents, rows = ((3, 0, 2), 2) if name == "norm_attention-latent-rows" else ((0, 0, 0), None)
-        return (norm_attention_op(heads, latents, mask, rows), attention_shapes(b, s, c, latents),
-                (b, rows or s, c), b, ((rows or s) + 2 * s) * c * size)
+        return (block_op(heads, latents, masks, rows), block_shapes(b, s, c, latents, hidden),
+                (b, rows or s, c), b, sample_bytes(s, rows or s, c, hidden, size))
 
     @staticmethod
     def watch_chunks(monkeypatch) -> list:
-        """(thread, rows) of each chunk a block op's forward normalizes from
-        now on, in call order."""
+        """(thread, samples) of each chunk a block's forward normalizes from
+        now on, in call order: twice a chunk, x's rows and then mid's."""
         seen, real = [], T._normalize
 
         def normalize(x, eps):
@@ -1073,8 +1167,8 @@ class TestLanes:
         with ThreadPoolExecutor(2) as pool:
             laned, seen_laned = self.walk(op, shapes, out_shape, dtype, pool.map)
         main = threading.get_ident()
-        assert seen_serial == [(main, n) for n in want]
-        assert sorted(n for _, n in seen_laned) == sorted(want)
+        assert seen_serial == [(main, n) for n in want for _ in range(2)]
+        assert sorted(n for _, n in seen_laned) == sorted(want * 2)
         assert main not in {thread for thread, _ in seen_laned}
         assert [a.dtype for a in laned] == [np.dtype(dtype)] * len(laned)
         assert [a.tobytes() for a in laned] == [a.tobytes() for a in serial]
@@ -1105,8 +1199,9 @@ class TestLanes:
         monkeypatch.setattr(TR, "_openblas", lambda: TR._OpenBlas(
             lambda: count[0], lambda n: count.__setitem__(0, n)))
         monkeypatch.setattr(TR, "_usable_cpus", lambda: 2)
-        op, shapes, out_shape, rows, item = self.case("norm_mlp", np.float32, False)
-        monkeypatch.setattr(T, "_CHUNK", T.LANES * 5 * item)    # 4 chunks of 5 rows
+        op, shapes, out_shape, items, item = self.case("norm_mlp", np.float32, False)
+        monkeypatch.setattr(T, "_CHUNK", T.LANES * 3 * item)    # 4 chunks of 2 or 3 samples
+        assert len(T._chunks(items, item, T.LANES)) == 4
         failed = []
 
         def gelu(h, gh=None, out=None):
@@ -1123,12 +1218,13 @@ class TestLanes:
         assert count == [3] and getattr(T._tls, "lanes", None) is None
 
     def test_shard_threads_keep_the_serial_partition(self, monkeypatch):
-        # ops of _run_shards' shard threads, and of a thread that another
-        # thread's lanes do not cover, run today's chunks one after another
+        # blocks of _run_shards' shard threads, and of a thread that another
+        # thread's lanes do not cover, run the serial chunks one after another
         op, shapes, out_shape, items, item = self.case("norm_attention", np.float32, True)
         monkeypatch.setattr(T, "_CHUNK", 4 * item)    # 3 serial chunks; the lanes would cut 6
         serial = [sl.stop - sl.start for sl in T._chunks(items, item)]
         assert len(serial) == 3 and len(T._chunks(items, item, T.LANES)) == 6
+        serial = [n for n in serial for _ in range(2)]   # two layer norms a chunk
         seen = self.watch_chunks(monkeypatch)
         rng = np.random.default_rng(0)
         arrays = [rng.standard_normal(shape) for shape in shapes]

@@ -656,10 +656,10 @@ class TestTrainLoop:
             assert key in lines[0]
 
     def test_logs_the_measured_step_peak(self, tmp_path):
-        # the paper recipe at batch 32, one worker: the step peaked at 43.7 MB
-        # on numpy 2.4 (49.0 MB when the block VJPs ran over the whole batch);
-        # the tape alone keeps 29.5 MB, so a forward-only number fails the
-        # lower bound
+        # the paper recipe at batch 32, one worker: the step peaked at 43.6-43.8
+        # MB on numpy 2.4 (52.4-53.0 MB when the block VJP ran over the whole
+        # batch); the tape alone keeps 29.5 MB, so a forward-only number fails
+        # the lower bound
         ds = D.synthetic_dataset("two-class-blobs", 32, seed=5)
         cfg = tiny_train_config(epochs=1, batch_size=32,
                                 model=M.ModelConfig(drop_path_rate=0.1))
